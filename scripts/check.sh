@@ -78,6 +78,24 @@ if cmp -s "$smokedir/load1.a.txt" "$smokedir/load2.a.txt"; then
     echo "FAIL: load seeds 1 and 2 produced identical runs"
     exit 1
 fi
+# A million clients over 64 endpoints, short window: the pool keeps
+# in-flight state in the client flyweights, so memory grows with
+# clients + endpoints, not their product (docs/WORKLOADS.md).
+big_args="--clients=1M --endpoints=64 --rates=100k \
+    --warmup=10ms --duration=20ms"
+./build-asan/bench/load_sweep $big_args > "$smokedir/load1m.a.txt" 2>&1
+./build-asan/bench/load_sweep $big_args > "$smokedir/load1m.b.txt" 2>&1
+if ! cmp -s "$smokedir/load1m.a.txt" "$smokedir/load1m.b.txt"; then
+    echo "FAIL: load_sweep --clients=1M is not deterministic:"
+    diff "$smokedir/load1m.a.txt" "$smokedir/load1m.b.txt" || true
+    exit 1
+fi
+grep -q "SLO report" "$smokedir/load1m.a.txt" || {
+    echo "FAIL: load_sweep --clients=1M printed no SLO report"
+    cat "$smokedir/load1m.a.txt"
+    exit 1
+}
+echo "load 1M clients: bit-identical replay"
 
 echo "== tier 5: engine smoke (engine_speed --smoke) =="
 # Reduced-scale run of the event-engine microbench: proves the ladder

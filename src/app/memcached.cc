@@ -60,7 +60,7 @@ MemcachedServer::handleRequest(RpcChannel &ch, std::uint64_t cookie)
         // CPU touch of item memory is charged in kr.memCost), so the
         // NIC DMA-reads warm stack memory, not the item region.
         ch.response.sendMessage(rsp_len, 0, rsp_cookie);
-    });
+    }, "app.memcached.reply");
 }
 
 load::PoolConfig

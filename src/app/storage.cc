@@ -145,7 +145,7 @@ StorageTarget::handleRequest(Session &s)
         r.len = kMsgBytes;
         r.wrId = s.nextRecvId++;
         s.qp->postRecv(r);
-    });
+    }, "app.storage.reply");
 }
 
 FioClient::FioClient(sim::EventQueue &eq, ib::QueuePair &qp,

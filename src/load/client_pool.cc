@@ -13,6 +13,7 @@ ClientPool::ClientPool(sim::EventQueue &eq, PoolConfig cfg)
 {
     if (cfg_.clients == 0)
         cfg_.clients = 1;
+    assert(cfg_.clients < kNoClient && "client index must fit 32 bits");
     clients_.resize(cfg_.clients);
     if (cfg_.sweepInterval == 0 && cfg_.timeout != 0)
         cfg_.sweepInterval = std::max<sim::Time>(cfg_.timeout / 4, 1);
@@ -47,7 +48,7 @@ ClientPool::addEndpoint(Transport &t, int attrLane)
     Endpoint ep;
     ep.t = &t;
     ep.attrLane = attrLane;
-    eps_.push_back(std::move(ep));
+    eps_.push_back(ep);
     return unsigned(eps_.size() - 1);
 }
 
@@ -63,9 +64,10 @@ void
 ClientPool::start()
 {
     assert(!eps_.empty() && "pool needs at least one endpoint");
-    started_ = true;
-    for (Endpoint &ep : eps_)
-        ep.inflight.reserve(cfg_.clients); // <= 1 in flight per client
+    // One PhaseBreakdown per client, paid only by attributed runs.
+    if (std::any_of(eps_.begin(), eps_.end(),
+                    [](const Endpoint &ep) { return ep.attrLane >= 0; }))
+        snaps_.resize(cfg_.clients);
     if (cfg_.workload.arrival.open()) {
         for (std::uint32_t c = 0; c < cfg_.clients; ++c)
             idle_.push_back(c);
@@ -80,7 +82,7 @@ ClientPool::start()
     if (cfg_.timeout != 0)
         sweepEvent_ = eq_.scheduleAfter(cfg_.sweepInterval,
                                         [this] { sweep(); },
-                                        "load::ClientPool::sweep");
+                                        "load.pool.sweep");
 }
 
 void
@@ -93,16 +95,15 @@ ClientPool::stop()
     for (auto &slot : wheel_)
         slot.clear();
     wheelCount_ = 0;
-    started_ = false;
 }
 
-std::size_t
-ClientPool::inFlight() const
+std::uint32_t
+ClientPool::popInFlight(Endpoint &ep)
 {
-    std::size_t n = 0;
-    for (const Endpoint &ep : eps_)
-        n += ep.inflight.size();
-    return n;
+    std::uint32_t c = ep.head;
+    ep.head = clients_[c].next; // tail goes stale when empty: unread
+    --inFlight_;
+    return c;
 }
 
 void
@@ -147,10 +148,19 @@ ClientPool::send(std::uint32_t c)
 
     std::uint32_t serial = ep.nextSerial++ & kSerialMask;
     ep.nextSerial &= kSerialMask;
-    ep.inflight.push_back(InFlight{serial, c, cl.intended, eq_.now(), {}});
+    // At most one request per client is on the wire (a timeout pops
+    // the entry before the retry sends), so the record is the client.
+    cl.serial = std::uint16_t(serial);
+    cl.sent = eq_.now();
+    cl.next = kNoClient;
+    if (ep.head == kNoClient)
+        ep.head = c;
+    else
+        clients_[ep.tail].next = c;
+    ep.tail = c;
+    ++inFlight_;
     if (ep.attrLane >= 0)
-        obs::attributor().snapshot(ep.attrLane,
-                                   ep.inflight.back().snap);
+        obs::attributor().snapshot(ep.attrLane, snaps_[c]);
 
     cl.state = Client::State::InFlight;
     ++issued_;
@@ -167,17 +177,16 @@ void
 ClientPool::complete(unsigned epIdx, std::uint32_t serial, bool hit)
 {
     Endpoint &ep = eps_[epIdx];
-    if (ep.inflight.empty() || ep.inflight.front().serial != serial) {
+    if (ep.head == kNoClient || clients_[ep.head].serial != serial) {
         // Response to a request the timeout sweep already abandoned
         // (transports deliver in issue order, so a mismatched front
         // means the matching entry was popped, never reordered).
         ++late_;
         return;
     }
-    InFlight f = ep.inflight.front();
-    ep.inflight.pop_front();
+    std::uint32_t c = popInFlight(ep);
 
-    Client &cl = clients_[f.client];
+    Client &cl = clients_[c];
     ++completions_;
     if (hit)
         ++hits_;
@@ -188,7 +197,7 @@ ClientPool::complete(unsigned epIdx, std::uint32_t serial, bool hit)
         hpsSeries_->record(now);
     if (rec_) {
         Recorder::ClassId cls = cl.isSet ? setClass_ : getClass_;
-        rec_->recordLatency(cls, f.intended, f.sent, now);
+        rec_->recordLatency(cls, cl.intended, cl.sent, now);
         if (ep.attrLane >= 0) {
             // Phase-attribute the sojourn: blocking phases are the
             // lane's accumulation over the request's wire window; the
@@ -199,18 +208,18 @@ ClientPool::complete(unsigned epIdx, std::uint32_t serial, bool hit)
             obs::PhaseBreakdown bd;
             std::int64_t blocking = 0;
             for (unsigned i = 0; i < obs::kPhaseCount; ++i) {
-                bd.ns[i] = end.ns[i] - f.snap.ns[i];
+                bd.ns[i] = end.ns[i] - snaps_[c].ns[i];
                 blocking += bd.ns[i];
             }
-            bd.e2e = std::int64_t(now - f.intended);
+            bd.e2e = std::int64_t(now - cl.intended);
             bd.ns[unsigned(obs::Phase::Backlog)] =
-                std::int64_t(f.sent - f.intended);
+                std::int64_t(cl.sent - cl.intended);
             bd.ns[unsigned(obs::Phase::Queue)] =
-                std::int64_t(now - f.sent) - blocking;
+                std::int64_t(now - cl.sent) - blocking;
             rec_->recordBreakdown(cls, bd, now);
         }
     }
-    finishClient(f.client);
+    finishClient(c);
 }
 
 void
@@ -259,7 +268,7 @@ ClientPool::armArrival()
     static_assert(sim::Delegate::fitsInline<decltype(fire)>,
                   "arrival closure must stay inline");
     arrivalEvent_ = eq_.schedule(next, std::move(fire),
-                                 "load::ClientPool::arrival");
+                                 "load.pool.arrival");
 }
 
 void
@@ -299,7 +308,7 @@ ClientPool::calendarInsert(sim::Time when, std::uint32_t c)
     if (wheelEvent_ == sim::kInvalidEvent)
         wheelEvent_ = eq_.schedule(wheelTime_ + cfg_.calendarBucket,
                                    [this] { calendarFire(); },
-                                   "load::ClientPool::calendar");
+                                   "load.pool.calendar");
 }
 
 void
@@ -333,7 +342,7 @@ ClientPool::calendarFire()
     if (wheelCount_ > 0 && wheelEvent_ == sim::kInvalidEvent)
         wheelEvent_ = eq_.schedule(wheelTime_ + cfg_.calendarBucket,
                                    [this] { calendarFire(); },
-                                   "load::ClientPool::calendar");
+                                   "load.pool.calendar");
 }
 
 // --- timeout sweep ----------------------------------------------------
@@ -352,28 +361,27 @@ ClientPool::sweep()
 {
     sim::Time now = eq_.now();
     for (Endpoint &ep : eps_) {
-        while (!ep.inflight.empty() &&
-               now - ep.inflight.front().sent >= cfg_.timeout) {
-            InFlight f = ep.inflight.front();
-            ep.inflight.pop_front();
+        while (ep.head != kNoClient &&
+               now - clients_[ep.head].sent >= cfg_.timeout) {
+            std::uint32_t c = popInFlight(ep);
             ++timeouts_;
-            Client &cl = clients_[f.client];
+            Client &cl = clients_[c];
             if (cl.attempt < cfg_.maxRetries) {
                 ++cl.attempt;
                 cl.state = Client::State::Backoff;
-                calendarInsert(now + backoffDelay(cl.attempt), f.client);
+                calendarInsert(now + backoffDelay(cl.attempt), c);
             } else {
                 ++giveups_;
                 if (rec_)
                     rec_->recordTimeout(cl.isSet ? setClass_ : getClass_,
-                                        f.intended, now);
-                finishClient(f.client);
+                                        cl.intended, now);
+                finishClient(c);
             }
         }
     }
     sweepEvent_ = eq_.scheduleAfter(cfg_.sweepInterval,
                                     [this] { sweep(); },
-                                    "load::ClientPool::sweep");
+                                    "load.pool.sweep");
 }
 
 } // namespace npf::load

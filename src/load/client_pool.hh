@@ -13,8 +13,10 @@
  *    (think times and retry backoffs), one timeout-sweep event.
  *    Completions ride the transports' own callbacks;
  *  - in-flight requests are matched FIFO per endpoint (transports
- *    are ordered channels), so no per-request maps exist — just a
- *    bounded deque per endpoint.
+ *    are ordered channels), so no per-request maps exist. A client
+ *    has at most one request on the wire, so its in-flight record
+ *    lives in its flyweight and each endpoint's FIFO is threaded
+ *    through the client array: memory is O(clients + endpoints).
  *
  * Open-loop modes draw their arrival schedule up front from a seeded
  * process (see arrival.hh); when every logical client is busy the
@@ -154,12 +156,14 @@ class ClientPool
     std::size_t endpoints() const { return eps_.size(); }
 
     /** Requests currently on the wire (all endpoints). */
-    std::size_t inFlight() const;
+    std::size_t inFlight() const { return inFlight_; }
 
     /** Reset transaction counters (e.g. after warm-up). */
     void resetCounters();
 
   private:
+    static constexpr std::uint32_t kNoClient = ~std::uint32_t(0);
+
     /** Flyweight per-client state (flat array entry). */
     struct Client
     {
@@ -173,30 +177,25 @@ class ClientPool
         std::uint64_t key = 0;     ///< pending request key
         sim::Time intended = 0;    ///< schedule position (CO anchor)
         sim::Time wakeAt = 0;      ///< calendar re-check guard
+        sim::Time sent = 0;        ///< wire time of the in-flight request
+        std::uint32_t next = kNoClient; ///< endpoint FIFO link
+        std::uint16_t serial = 0;  ///< in-flight request's serial
         std::uint8_t attempt = 0;  ///< resend count for this request
         bool isSet = false;
         State state = State::Idle;
     };
 
-    /** One in-flight request on an endpoint (FIFO). */
-    struct InFlight
-    {
-        std::uint32_t serial = 0;
-        std::uint32_t client = 0;
-        sim::Time intended = 0;
-        sim::Time sent = 0;
-        /** Attribution-lane snapshot at send (lanes enabled only). */
-        obs::PhaseBreakdown snap;
-    };
-
+    /** Transport plus its in-flight FIFO, linked through clients_. */
     struct Endpoint
     {
         Transport *t = nullptr;
-        sim::RingDeque<InFlight> inflight; ///< FIFO-matched window
+        std::uint32_t head = kNoClient; ///< oldest request's client
+        std::uint32_t tail = kNoClient; ///< newest (valid if head is)
         std::uint32_t nextSerial = 0;
         int attrLane = -1;
     };
 
+    std::uint32_t popInFlight(Endpoint &ep);
     unsigned endpointFor(std::uint32_t c);
     void issueNew(std::uint32_t c, sim::Time intended);
     void send(std::uint32_t c);
@@ -218,6 +217,7 @@ class ClientPool
 
     std::vector<Client> clients_;   ///< flat flyweight state
     std::vector<Endpoint> eps_;
+    std::vector<obs::PhaseBreakdown> snaps_; ///< lane snapshot at send
     unsigned rrNext_ = 0;           ///< open-loop endpoint round-robin
 
     // Open loop: free clients + surplus arrivals (intended times).
@@ -234,7 +234,6 @@ class ClientPool
 
     sim::EventId arrivalEvent_ = sim::kInvalidEvent;
     sim::EventId sweepEvent_ = sim::kInvalidEvent;
-    bool started_ = false;
 
     Recorder *rec_ = nullptr;
     Recorder::ClassId getClass_ = 0;
@@ -250,6 +249,7 @@ class ClientPool
     std::uint64_t giveups_ = 0;
     std::uint64_t late_ = 0;
     std::uint64_t shed_ = 0;
+    std::size_t inFlight_ = 0; ///< all endpoints' FIFOs together
 
     obs::Instrumented obs_; ///< last member: deregisters first
 };

@@ -204,7 +204,7 @@ SloMonitor::SloMonitor(sim::EventQueue &eq, Recorder &rec, SloConfig cfg)
     obs_.counter("checks", &checks_);
     obs_.counter("violations", &violations_);
     timer_ = eq_.scheduleAfter(cfg_.window, [this] { tick(); },
-                               "load::SloMonitor::tick");
+                               "load.slo.tick");
 }
 
 SloMonitor::~SloMonitor()
@@ -231,7 +231,7 @@ SloMonitor::tick()
         win.clear();
     }
     timer_ = eq_.scheduleAfter(cfg_.window, [this] { tick(); },
-                               "load::SloMonitor::tick");
+                               "load.slo.tick");
 }
 
 } // namespace npf::load

@@ -75,7 +75,7 @@ TcpConnection::sendSyn()
         }
         ++stats_.synRetries;
         sendSyn();
-    }, "tcp.syn_retry");
+    }, "tcp.syn_rto");
 }
 
 void

@@ -6,7 +6,8 @@
  * windowing, and the flyweight client pool end to end over stub
  * transports — including the coordinated-omission contract (a
  * stalled server inflates *response* latency, not just service
- * latency) and the timeout/retry/give-up path.
+ * latency), the timeout/retry/give-up path and late responses to
+ * abandoned requests.
  */
 
 #include <gtest/gtest.h>
@@ -411,7 +412,8 @@ TEST(LoadRecorder, ReportListsEveryClass)
 namespace {
 
 /** In-order stub endpoint with a fixed service time, optional drop
- *  count and a [from, until) stall that holds responses. */
+ *  count, a [from, until) stall that holds responses, and optionally
+ *  one slow response that holds back every response behind it. */
 struct StubTransport final : Transport
 {
     sim::EventQueue &eq;
@@ -420,9 +422,15 @@ struct StubTransport final : Transport
     sim::Time service = sim::kMicrosecond;
     std::uint64_t dropFirst = 0; ///< swallow this many issues
     sim::Time stallFrom = 0, stallUntil = 0;
+    std::uint64_t slowIssue = 0; ///< 1-based issue to answer late
+    sim::Time slowBy = 0;        ///< that response's service time
     std::vector<std::tuple<std::uint32_t, std::uint64_t, bool>> log;
+    /** Per response: (serial, late-response delta, completion delta). */
+    std::vector<std::tuple<std::uint32_t, std::uint64_t, std::uint64_t>>
+        outcomes;
     std::deque<std::uint32_t> held;
     std::uint64_t issues = 0;
+    sim::Time lastDue = 0; ///< responses never overtake each other
 
     explicit StubTransport(sim::EventQueue &q) : eq(q) {}
 
@@ -431,6 +439,16 @@ struct StubTransport final : Transport
     {
         pool = &p;
         ep = p.addEndpoint(*this);
+    }
+
+    void
+    respond(std::uint32_t serial)
+    {
+        std::uint64_t late = pool->lateResponses();
+        std::uint64_t done = pool->completions();
+        pool->complete(ep, serial, true);
+        outcomes.emplace_back(serial, pool->lateResponses() - late,
+                              pool->completions() - done);
     }
 
     void
@@ -447,15 +465,15 @@ struct StubTransport final : Transport
                     while (!held.empty()) {
                         std::uint32_t s = held.front();
                         held.pop_front();
-                        pool->complete(ep, s, true);
+                        respond(s);
                     }
                 });
             held.push_back(serial);
             return;
         }
-        eq.scheduleAfter(service, [this, serial] {
-            pool->complete(ep, serial, true);
-        });
+        sim::Time due = now + (issues == slowIssue ? slowBy : service);
+        lastDue = std::max(due, lastDue);
+        eq.schedule(lastDue, [this, serial] { respond(serial); });
     }
 };
 
@@ -634,6 +652,82 @@ TEST(LoadPool, GivesUpAfterMaxRetriesAndStaysLive)
     EXPECT_GT(pool.issued(), 20u);
     // Abandoned requests floor the recorded tail at their wait.
     EXPECT_GE(rec.timeouts(0) + rec.timeouts(1), 5u);
+}
+
+TEST(LoadPool, LateResponseAfterTimeoutNeverCompletesTheNextRequest)
+{
+    sim::EventQueue eq;
+    PoolConfig pc;
+    pc.clients = 1;
+    pc.seed = 41;
+    pc.workload.arrival.kind = ArrivalSpec::Kind::Closed;
+    pc.workload.keys.keys = 100;
+    pc.timeout = sim::kMillisecond;
+    pc.maxRetries = 3;
+    ClientPool pool(eq, pc);
+    StubTransport stub(eq);
+    stub.service = 10 * sim::kMicrosecond;
+    stub.slowIssue = 1; // the very first request answers after 1.7 ms
+    stub.slowBy = 1700 * sim::kMicrosecond;
+    stub.connect(pool);
+    pool.start();
+    eq.runUntil(3 * sim::kMillisecond);
+    pool.stop();
+
+    // The sweep abandoned serial 0 at 1 ms and the retry went out as
+    // serial 1 behind it. Serial 0's response then found the retry at
+    // the front of the endpoint's FIFO and had to leave it alone; the
+    // retry's own response completed it.
+    EXPECT_EQ(pool.timeouts(), 1u);
+    EXPECT_EQ(pool.retries(), 1u);
+    EXPECT_EQ(pool.giveups(), 0u);
+    EXPECT_EQ(pool.lateResponses(), 1u);
+    ASSERT_GT(stub.outcomes.size(), 100u);
+    using Outcome = std::tuple<std::uint32_t, std::uint64_t, std::uint64_t>;
+    EXPECT_EQ(stub.outcomes[0], Outcome(0, 1, 0)); // late, completes none
+    EXPECT_EQ(stub.outcomes[1], Outcome(1, 0, 1)); // the retry completes
+    for (std::size_t i = 2; i < stub.outcomes.size(); ++i)
+        EXPECT_EQ(stub.outcomes[i], Outcome(std::uint32_t(i), 0, 1));
+    EXPECT_EQ(pool.inFlight(), 1u);
+    EXPECT_EQ(pool.completions() + pool.timeouts() + pool.inFlight(),
+              pool.issued());
+}
+
+TEST(LoadPool, InFlightNeverExceedsClientsUnderTimeouts)
+{
+    sim::EventQueue eq;
+    PoolConfig pc = openPool(400e3, 64, 43);
+    pc.timeout = 300 * sim::kMicrosecond;
+    pc.maxRetries = 2;
+    ClientPool pool(eq, pc);
+    std::vector<StubTransport> stubs;
+    stubs.reserve(4);
+    for (int i = 0; i < 4; ++i) {
+        stubs.emplace_back(eq);
+        StubTransport &s = stubs.back();
+        s.service = 20 * sim::kMicrosecond;
+        // Staggered stalls longer than the timeout: their held
+        // responses come back after the sweep abandoned them.
+        s.stallFrom = sim::Time(2 + 3 * i) * sim::kMillisecond;
+        s.stallUntil = s.stallFrom + sim::kMillisecond;
+        s.connect(pool);
+    }
+    pool.start();
+    for (sim::Time t = 0; t < 20 * sim::kMillisecond;
+         t += 10 * sim::kMicrosecond) {
+        eq.runUntil(t);
+        ASSERT_LE(pool.inFlight(), pool.clients()) << "at " << t;
+        ASSERT_EQ(pool.completions() + pool.timeouts() + pool.inFlight(),
+                  pool.issued())
+            << "at " << t;
+    }
+    pool.stop();
+    EXPECT_GT(pool.timeouts(), 0u);
+    EXPECT_GT(pool.retries(), 0u);
+    EXPECT_GT(pool.completions(), 1000u);
+    // Every stall released long before the end, so each abandoned
+    // request's response came back, late, and nothing else was late.
+    EXPECT_EQ(pool.lateResponses(), pool.timeouts());
 }
 
 // --- integration: real transports --------------------------------------
