@@ -9,12 +9,15 @@
 #ifndef NPF_BENCH_COMMON_HH
 #define NPF_BENCH_COMMON_HH
 
+#include <charconv>
+#include <cmath>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "app/memcached.hh"
@@ -44,6 +47,29 @@ row(const char *fmt, ...)
     va_end(ap);
     std::fputc('\n', stdout);
     std::fflush(stdout);
+}
+
+/**
+ * The numeric value of flag @p arg: all of @p value must parse as a
+ * T (in range, no sign for unsigned T, finite for floating T), so
+ * "--flight-recorder=64k" fails instead of arming a 64-entry ring.
+ * On failure prints "bad argument" and exits 2.
+ */
+template <typename T>
+T
+numericFlag(const char *arg, const char *value)
+{
+    T v{};
+    const char *end = value + std::strlen(value);
+    auto [p, ec] = std::from_chars(value, end, v);
+    bool ok = ec == std::errc() && p == end;
+    if constexpr (std::is_floating_point_v<T>)
+        ok = ok && std::isfinite(v);
+    if (!ok) {
+        std::fprintf(stderr, "bad argument: %s\n", arg);
+        std::exit(2);
+    }
+    return v;
 }
 
 /**
@@ -104,12 +130,12 @@ parseObsArgs(int argc, char **argv)
         } else if (std::strncmp(arg, "--metrics-out=", 14) == 0) {
             a.metricsOut = arg + 14;
         } else if (std::strncmp(arg, "--sample-us=", 12) == 0) {
-            a.sampleInterval =
-                sim::fromMicroseconds(std::strtoull(arg + 12, nullptr, 10));
+            a.sampleInterval = sim::fromMicroseconds(
+                numericFlag<std::uint64_t>(arg, arg + 12));
         } else if (std::strncmp(arg, "--fault-plan=", 13) == 0) {
             a.faultPlan = arg + 13;
         } else if (std::strncmp(arg, "--fault-seed=", 13) == 0) {
-            a.faultSeed = std::strtoull(arg + 13, nullptr, 10);
+            a.faultSeed = numericFlag<std::uint64_t>(arg, arg + 13);
         } else if (std::strncmp(arg, "--warmup=", 9) == 0) {
             if (!load::parseDuration(arg + 9, &a.warmup)) {
                 std::fprintf(stderr, "bad --warmup: %s\n", arg + 9);
@@ -126,7 +152,7 @@ parseObsArgs(int argc, char **argv)
             if (a.flightCapacity == 0)
                 a.flightCapacity = 1u << 16;
         } else if (std::strncmp(arg, "--flight-recorder=", 18) == 0) {
-            a.flightCapacity = std::strtoull(arg + 18, nullptr, 10);
+            a.flightCapacity = numericFlag<std::size_t>(arg, arg + 18);
         } else if (std::strcmp(arg, "--flight-dump-on-slo") == 0) {
             a.flightDumpOnSlo = true;
             if (a.flightCapacity == 0)

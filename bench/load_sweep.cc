@@ -91,7 +91,7 @@ parseSweepArgs(int argc, char **argv, const ObsArgs &obs)
                 fail();
             a.clients = std::uint64_t(v);
         } else if (std::strncmp(arg, "--endpoints=", 12) == 0) {
-            a.endpoints = unsigned(std::strtoul(arg + 12, nullptr, 10));
+            a.endpoints = numericFlag<unsigned>(arg, arg + 12);
             if (a.endpoints == 0)
                 fail();
         } else if (std::strncmp(arg, "--rates=", 8) == 0) {
@@ -106,12 +106,12 @@ parseSweepArgs(int argc, char **argv, const ObsArgs &obs)
         } else if (std::strncmp(arg, "--workload=", 11) == 0) {
             a.workload = arg + 11;
         } else if (std::strncmp(arg, "--seed=", 7) == 0) {
-            a.seed = std::strtoull(arg + 7, nullptr, 10);
+            a.seed = numericFlag<std::uint64_t>(arg, arg + 7);
         } else if (std::strncmp(arg, "--timeout=", 10) == 0) {
             if (!load::parseDuration(arg + 10, &a.timeout))
                 fail();
         } else if (std::strncmp(arg, "--retries=", 10) == 0) {
-            a.retries = unsigned(std::strtoul(arg + 10, nullptr, 10));
+            a.retries = numericFlag<unsigned>(arg, arg + 10);
         } else if (std::strncmp(arg, "--slo=", 6) == 0) {
             if (!load::parseDuration(arg + 6, &a.slo))
                 fail();
@@ -121,7 +121,7 @@ parseSweepArgs(int argc, char **argv, const ObsArgs &obs)
             std::stringstream ss(arg + 6);
             std::string item;
             while (std::getline(ss, item, ',')) {
-                double f = std::strtod(item.c_str(), nullptr);
+                double f = numericFlag<double>(arg, item.c_str());
                 if (f <= 0)
                     fail();
                 a.ovs.push_back(f);

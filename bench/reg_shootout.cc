@@ -99,7 +99,7 @@ main(int argc, char **argv)
     bool alloc_gate = false;
     for (int i = 1; i < argc; ++i) {
         if (std::strncmp(argv[i], "--seed=", 7) == 0)
-            seed = std::strtoull(argv[i] + 7, nullptr, 10);
+            seed = numericFlag<std::uint64_t>(argv[i], argv[i] + 7);
         else if (std::strncmp(argv[i], "--mode=", 7) == 0)
             sel = argv[i] + 7;
         else if (std::strcmp(argv[i], "--smoke") == 0)

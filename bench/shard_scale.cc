@@ -73,7 +73,7 @@ parseArgs(int argc, char **argv)
             std::exit(2);
         };
         if (std::strncmp(arg, "--shards=", 9) == 0) {
-            a.shards = unsigned(std::strtoul(arg + 9, nullptr, 10));
+            a.shards = numericFlag<unsigned>(arg, arg + 9);
             if (a.shards < 2)
                 fail();
         } else if (std::strncmp(arg, "--clients=", 10) == 0) {
@@ -85,7 +85,7 @@ parseArgs(int argc, char **argv)
             if (!load::parseRate(arg + 7, &a.rate) || a.rate <= 0)
                 fail();
         } else if (std::strncmp(arg, "--endpoints=", 12) == 0) {
-            a.endpoints = unsigned(std::strtoul(arg + 12, nullptr, 10));
+            a.endpoints = numericFlag<unsigned>(arg, arg + 12);
             if (a.endpoints == 0)
                 fail();
         } else if (std::strncmp(arg, "--warmup=", 9) == 0) {
@@ -95,7 +95,7 @@ parseArgs(int argc, char **argv)
             if (!load::parseDuration(arg + 11, &a.duration))
                 fail();
         } else if (std::strncmp(arg, "--seed=", 7) == 0) {
-            a.seed = std::strtoull(arg + 7, nullptr, 10);
+            a.seed = numericFlag<std::uint64_t>(arg, arg + 7);
         } else if (std::strncmp(arg, "--json=", 7) == 0) {
             a.json = arg + 7;
         } else if (std::strcmp(arg, "--no-speed-gate") == 0) {

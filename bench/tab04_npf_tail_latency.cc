@@ -6,7 +6,7 @@
 
 #include "bench/common.hh"
 #include "core/npf_controller.hh"
-#include "load/histogram.hh"
+#include "sim/histogram.hh"
 
 using namespace npf;
 using namespace npf::bench;
@@ -29,7 +29,7 @@ main(int argc, char **argv)
     row("%-14s %8s %8s %8s %8s", "message size", "50%", "95%", "99%",
         "max");
     for (std::size_t bytes : {std::size_t(4096), 4 * kMiB}) {
-        load::Histogram h;
+        sim::Histogram h;
         for (int i = 0; i < kSamples; ++i) {
             // Fresh pages each sample so every resolve really faults
             // (frame allocation included, as in the paper's runs).

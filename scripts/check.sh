@@ -152,7 +152,7 @@ grep -q "flight_steady_allocs=0 PASS" "$smokedir/obs.txt" || {
 ./build/bench/load_sweep --clients=2000 --endpoints=8 --rates=20k,40k \
     "--workload=keys=zipf:n=1k,theta=0.99;get=0.9" \
     --warmup=200ms --duration=200ms --attr \
-    --trace="$smokedir/trace.json" \
+    --trace="$smokedir/trace.json" --metrics-out="$smokedir/metrics.json" \
     --flight-recorder=4096 --flight-dump="$smokedir/flight.json" \
     > "$smokedir/obs_sweep.txt" 2>&1
 grep -q "phase attribution" "$smokedir/obs_sweep.txt" || {
@@ -164,8 +164,19 @@ if command -v python3 >/dev/null 2>&1; then
     python3 scripts/validate_trace.py \
         "$smokedir/trace.000.json" "$smokedir/trace.001.json" \
         "$smokedir/flight.000.000.json" "$smokedir/flight.001.000.json"
+    # Every histogram (NPF phases, per-class response latency)
+    # serialises with the one sim::Histogram key set.
+    python3 -c 'import json, sys
+keys = ["count", "mean", "p50", "p90", "p99", "p99.9", "min", "max"]
+for path in sys.argv[1:]:
+    hists = json.load(open(path))["metrics"]["histograms"]
+    bad = [n for n, h in hists.items() if list(h) != keys]
+    if not hists or bad:
+        sys.exit("FAIL: %s: histogram key set differs: %s" % (path, bad))
+    print("%s: %d histograms, one key set" % (path, len(hists)))' \
+        "$smokedir/metrics.000.json" "$smokedir/metrics.001.json"
 else
-    echo "note: python3 not found, skipping trace validation"
+    echo "note: python3 not found, skipping trace and metrics validation"
 fi
 
 echo "== tier 7: allocation gate + replay digests (stack_bench) =="

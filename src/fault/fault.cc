@@ -8,8 +8,6 @@
 
 namespace npf::fault {
 
-thread_local FaultInjector *FaultInjector::active_ = nullptr;
-
 const char *
 siteName(Site s)
 {

@@ -229,8 +229,9 @@ class FaultInjector
     std::uint64_t observed_[kSiteCount] = {};
 
     /** thread_local: each shard worker arms its own injector
-     *  (a fault plan never spans shards). */
-    static thread_local FaultInjector *active_;
+     *  (a fault plan never spans shards). constinit: no TLS wrapper
+     *  call, so active() is one plain load from every TU. */
+    static constinit inline thread_local FaultInjector *active_ = nullptr;
 
     obs::Instrumented obs_; ///< last member: deregisters first
 };

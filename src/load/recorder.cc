@@ -26,15 +26,8 @@ Recorder::addClass(const std::string &name)
     obs_.counter(name + ".completions", &pc.completions);
     obs_.counter(name + ".timeouts", &pc.timeouts);
     obs_.counter(name + ".retries", &pc.retries);
-    ClassId id = ClassId(perClass_.size() - 1);
-    obs_.distribution(name + ".response_us", [this, id] {
-        const Histogram &h = perClass_[id].response;
-        return obs::DistSnapshot{h.count(),  h.mean(),
-                                 h.percentile(50), h.percentile(90),
-                                 h.percentile(99), h.percentile(99.9),
-                                 h.min(),    h.max()};
-    });
-    return id;
+    obs_.histogram(name + ".response_us", &pc.response);
+    return ClassId(perClass_.size() - 1);
 }
 
 void

@@ -29,13 +29,15 @@
 #include <string>
 #include <vector>
 
-#include "load/histogram.hh"
 #include "obs/attribution.hh"
 #include "obs/metrics.hh"
 #include "sim/event_queue.hh"
+#include "sim/histogram.hh"
 #include "sim/time.hh"
 
 namespace npf::load {
+
+using sim::Histogram;
 
 /** Measurement windowing. */
 struct RecorderConfig
@@ -172,7 +174,7 @@ class Recorder
     };
 
     RecorderConfig cfg_;
-    std::deque<PerClass> perClass_; ///< deque: stable counter addrs
+    std::deque<PerClass> perClass_; ///< deque: stable registered addrs
     obs::Instrumented obs_;         ///< last member: deregisters first
 };
 

@@ -135,7 +135,16 @@ Fabric::send(unsigned src, unsigned dst, std::size_t bytes,
              sim::EventQueue::Callback deliver)
 {
     if (src == dst) {
-        sendLoopback(src, bytes, std::move(deliver));
+        // A dropped loopback is never delivered; its closure (and any
+        // payload it owns) dies when send() returns. A duplicate
+        // clones any pooled payload (PoolRef copy semantics); both
+        // retire independently.
+        Link::TxOutcome tx = loopback(bytes);
+        if (tx.dropped)
+            return;
+        if (tx.duplicated)
+            eq_.schedule(tx.dupArrival, deliver, "net.fabric.loop");
+        eq_.schedule(tx.arrival, std::move(deliver), "net.fabric.loop");
         return;
     }
     if (topo_)
@@ -144,42 +153,38 @@ Fabric::send(unsigned src, unsigned dst, std::size_t bytes,
         sendLegacy(src, dst, bytes, std::move(deliver));
 }
 
-void
-Fabric::sendLoopback(unsigned node, std::size_t bytes,
-                     sim::EventQueue::Callback deliver)
+Link::TxOutcome
+Fabric::loopback(std::size_t bytes)
 {
-    (void)node;
     ++stats_.loopbackPackets;
     stats_.loopbackBytes += bytes;
     sim::Time latency =
         topo_ ? topo_->switchCfg.forwardLatency : cfg_.switchLatency;
-    sim::Time extra = 0;
+    Link::TxOutcome out;
+    out.arrival = sim::saturatingAdd(eq_.now(), latency);
     if (fault::FaultInjector *fi = fault::FaultInjector::active()) {
         if (auto d = fi->decide(fault::Site::Link)) {
             switch (d->action) {
               case fault::Action::Drop:
-                // Never delivered; the closure (and any payload it
-                // owns) dies when send() returns.
                 ++stats_.loopbackInjDropped;
-                return;
+                out.dropped = true;
+                break;
               case fault::Action::Duplicate:
-                // The copy clones any pooled payload (PoolRef copy
-                // semantics); both retire independently.
                 ++stats_.loopbackInjDuplicated;
-                eq_.scheduleAfter(latency, deliver, "net.fabric.loop");
+                out.duplicated = true;
+                out.dupArrival = out.arrival;
                 break;
               case fault::Action::Reorder:
               case fault::Action::Delay:
                 ++stats_.loopbackInjDelayed;
-                extra = d->delay;
+                out.arrival = sim::saturatingAdd(out.arrival, d->delay);
                 break;
               default:
                 break;
             }
         }
     }
-    eq_.scheduleAfter(latency + extra, std::move(deliver),
-                      "net.fabric.loop");
+    return out;
 }
 
 void
@@ -345,7 +350,7 @@ Fabric::sendRecord(const WireRecord &rec)
         std::abort();
     }
     if (rec.src == rec.dst) {
-        sendRecordLoopback(rec);
+        dispatchOutcome(loopback(rec.bytes), rec);
         return;
     }
     std::uint64_t key = nextOrderKey(rec.src);
@@ -377,39 +382,14 @@ Fabric::sendRecord(const WireRecord &rec)
 }
 
 void
-Fabric::sendRecordLoopback(const WireRecord &rec)
+Fabric::recordDownHop(const WireRecord &rec)
 {
-    ++stats_.loopbackPackets;
-    stats_.loopbackBytes += rec.bytes;
-    sim::Time latency = cfg_.switchLatency;
-    sim::Time extra = 0;
-    if (fault::FaultInjector *fi = fault::FaultInjector::active()) {
-        if (auto d = fi->decide(fault::Site::Link)) {
-            switch (d->action) {
-              case fault::Action::Drop:
-                ++stats_.loopbackInjDropped;
-                return;
-              case fault::Action::Duplicate:
-                ++stats_.loopbackInjDuplicated;
-                scheduleDispatch(eq_.now() + latency, rec);
-                break;
-              case fault::Action::Reorder:
-              case fault::Action::Delay:
-                ++stats_.loopbackInjDelayed;
-                extra = d->delay;
-                break;
-              default:
-                break;
-            }
-        }
-    }
-    scheduleDispatch(eq_.now() + latency + extra, rec);
+    dispatchOutcome(down_[rec.dst]->transmit(rec.bytes), rec);
 }
 
 void
-Fabric::recordDownHop(const WireRecord &rec)
+Fabric::dispatchOutcome(const Link::TxOutcome &tx, const WireRecord &rec)
 {
-    Link::TxOutcome tx = down_[rec.dst]->transmit(rec.bytes);
     if (tx.dropped)
         return;
     if (tx.duplicated)

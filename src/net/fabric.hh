@@ -311,12 +311,15 @@ class Fabric
                   sim::EventQueue::Callback deliver);
     void sendLegacy(unsigned src, unsigned dst, std::size_t bytes,
                     sim::EventQueue::Callback deliver);
-    void sendLoopback(unsigned node, std::size_t bytes,
-                      sim::EventQueue::Callback deliver);
-    void sendRecordLoopback(const WireRecord &rec);
+    /** A src == dst packet on either plane: one switch latency, the
+     *  Link-site fault dice and the loopback stats. */
+    Link::TxOutcome loopback(std::size_t bytes);
     /** Second wire hop of the record path: the packet left the
      *  switch; clock the downlink and dispatch at arrival. */
     void recordDownHop(const WireRecord &rec);
+    /** Dispatch @p rec per @p tx: nothing if dropped, the duplicate
+     *  first, then the original. */
+    void dispatchOutcome(const Link::TxOutcome &tx, const WireRecord &rec);
     void scheduleDispatch(sim::Time at, const WireRecord &rec);
     void dispatch(const WireRecord &rec);
     /** Per-source-node record sequence: the same-tick order key,

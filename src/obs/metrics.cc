@@ -66,16 +66,6 @@ Registry::addHistogram(std::string name, const sim::Histogram *h)
     return insert(std::move(name), std::move(e));
 }
 
-Registry::Id
-Registry::addDistribution(std::string name,
-                          std::function<DistSnapshot()> fn)
-{
-    Entry e;
-    e.kind = Kind::Distribution;
-    e.dist = std::move(fn);
-    return insert(std::move(name), std::move(e));
-}
-
 void
 Registry::remove(Id id)
 {
@@ -98,10 +88,6 @@ Registry::remove(Id id)
                 if (e.histogram->count() > 0)
                     retiredHistograms_[eit->first] = *e.histogram;
                 break;
-              case Kind::Distribution:
-                if (DistSnapshot s = e.dist(); s.count > 0)
-                    retiredDists_[eit->first] = s;
-                break;
             }
         }
         entries_.erase(eit);
@@ -123,14 +109,13 @@ Registry::clearRetired()
     retiredCounters_.clear();
     retiredGauges_.clear();
     retiredHistograms_.clear();
-    retiredDists_.clear();
 }
 
 std::size_t
 Registry::retiredSize() const
 {
     return retiredCounters_.size() + retiredGauges_.size() +
-           retiredHistograms_.size() + retiredDists_.size();
+           retiredHistograms_.size();
 }
 
 std::optional<double>
@@ -153,7 +138,6 @@ Registry::value(const std::string &name) const
       case Kind::Gauge:
         return e.gauge();
       case Kind::Histogram:
-      case Kind::Distribution:
         return std::nullopt;
     }
     return std::nullopt;
@@ -183,30 +167,12 @@ histogramJson(std::ostream &os, const sim::Histogram &h)
     jsonNumber(os, h.percentile(90));
     os << ",\"p99\":";
     jsonNumber(os, h.percentile(99));
+    os << ",\"p99.9\":";
+    jsonNumber(os, h.percentile(99.9));
     os << ",\"min\":";
     jsonNumber(os, h.min());
     os << ",\"max\":";
     jsonNumber(os, h.max());
-    os << '}';
-}
-
-void
-distJson(std::ostream &os, const DistSnapshot &s)
-{
-    os << "{\"count\":" << s.count << ",\"mean\":";
-    jsonNumber(os, s.mean);
-    os << ",\"p50\":";
-    jsonNumber(os, s.p50);
-    os << ",\"p90\":";
-    jsonNumber(os, s.p90);
-    os << ",\"p99\":";
-    jsonNumber(os, s.p99);
-    os << ",\"p99.9\":";
-    jsonNumber(os, s.p999);
-    os << ",\"min\":";
-    jsonNumber(os, s.min);
-    os << ",\"max\":";
-    jsonNumber(os, s.max);
     os << '}';
 }
 
@@ -270,20 +236,6 @@ Registry::writeJson(std::ostream &os) const
         jsonString(os, name);
         os << ':';
         histogramJson(os, *e.histogram);
-    }
-    for (const auto &[name, s] : retiredDists_) {
-        sep.emit(os);
-        jsonString(os, name);
-        os << ':';
-        distJson(os, s);
-    }
-    for (const auto &[name, e] : entries_) {
-        if (e.kind != Kind::Distribution)
-            continue;
-        sep.emit(os);
-        jsonString(os, name);
-        os << ':';
-        distJson(os, e.dist());
     }
     os << '}';
 

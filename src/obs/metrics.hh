@@ -37,24 +37,6 @@
 namespace npf::obs {
 
 /**
- * Point-in-time summary of a distribution kept outside the registry
- * (e.g. a log-bucketed load::Histogram, which is not a
- * sim::Histogram). Distribution entries evaluate a provider function
- * at snapshot time and serialize alongside the histograms.
- */
-struct DistSnapshot
-{
-    std::uint64_t count = 0;
-    double mean = 0;
-    double p50 = 0;
-    double p90 = 0;
-    double p99 = 0;
-    double p999 = 0;
-    double min = 0;
-    double max = 0;
-};
-
-/**
  * Registry of named metrics. One instance per thread via global();
  * separate registries can be created for tests.
  */
@@ -94,10 +76,6 @@ class Registry
 
     /** Register a latency/size distribution backed by @p h. */
     Id addHistogram(std::string name, const sim::Histogram *h);
-
-    /** Register a distribution summarised on snapshot by @p fn. */
-    Id addDistribution(std::string name,
-                       std::function<DistSnapshot()> fn);
 
     /** Remove one entry (no-op for unknown ids). */
     void remove(Id id);
@@ -147,8 +125,8 @@ class Registry
     /**
      * Serialize every entry:
      * {"counters":{...},"gauges":{...},"histograms":{name:
-     * {"count":..,"mean":..,"p50":..,"p90":..,"p99":..,"min":..,
-     * "max":..}}}
+     * {"count":..,"mean":..,"p50":..,"p90":..,"p99":..,"p99.9":..,
+     * "min":..,"max":..}}}
      */
     void writeJson(std::ostream &os) const;
 
@@ -175,7 +153,7 @@ class Registry
 #endif
     }
 
-    enum class Kind { Counter, Gauge, Histogram, Distribution };
+    enum class Kind { Counter, Gauge, Histogram };
 
     struct Entry
     {
@@ -184,7 +162,6 @@ class Registry
         const std::uint64_t *counter = nullptr;
         std::function<double()> gauge;
         const sim::Histogram *histogram = nullptr;
-        std::function<DistSnapshot()> dist;
     };
 
     Id insert(std::string name, Entry e);
@@ -195,7 +172,6 @@ class Registry
     std::map<std::string, std::uint64_t> retiredCounters_;
     std::map<std::string, double> retiredGauges_;
     std::map<std::string, sim::Histogram> retiredHistograms_;
-    std::map<std::string, DistSnapshot> retiredDists_;
     Id nextId_ = 1;
     bool detail_ = false;
     bool retain_ = false;
@@ -267,14 +243,6 @@ class Instrumented
     {
         ids_.push_back(
             Registry::global().addHistogram(name_ + "." + field, h));
-    }
-
-    void
-    distribution(const std::string &field,
-                 std::function<DistSnapshot()> fn)
-    {
-        ids_.push_back(Registry::global().addDistribution(
-            name_ + "." + field, std::move(fn)));
     }
 
   private:

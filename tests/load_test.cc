@@ -1,9 +1,9 @@
 /**
  * @file
  * Load-subsystem tests: workload-spec grammar, arrival-process
- * determinism and statistics, key-popularity models, log-bucketed
- * histogram accuracy against exact sorted percentiles, recorder
- * windowing, and the flyweight client pool end to end over stub
+ * determinism and statistics, key-popularity models, the histogram's
+ * coordinated-omission back-fill and merge, recorder windowing and
+ * registry export, and the flyweight client pool end to end over stub
  * transports — including the coordinated-omission contract (a
  * stalled server inflates *response* latency, not just service
  * latency), the timeout/retry/give-up path and late responses to
@@ -16,6 +16,7 @@
 #include <deque>
 #include <sstream>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "app/kv_rpc.hh"
@@ -24,12 +25,12 @@
 #include "core/npf_controller.hh"
 #include "load/arrival.hh"
 #include "load/client_pool.hh"
-#include "load/histogram.hh"
 #include "load/popularity.hh"
 #include "load/recorder.hh"
 #include "load/spec.hh"
 #include "mem/memory_manager.hh"
 #include "net/fabric.hh"
+#include "obs/json.hh"
 #include "sim/event_queue.hh"
 
 using namespace npf;
@@ -311,28 +312,6 @@ TEST(LoadKeys, SetKeysResizesTheKeyspace)
 
 // --- histogram --------------------------------------------------------
 
-TEST(LoadHistogram, PercentilesMatchExactSortWithinQuantisation)
-{
-    Histogram h;
-    std::vector<double> exact;
-    sim::Rng rng(17);
-    for (int i = 0; i < 20000; ++i) {
-        double v = rng.exponential(100.0) + 1.0;
-        h.record(v);
-        exact.push_back(v);
-    }
-    std::sort(exact.begin(), exact.end());
-    for (double p : {50.0, 90.0, 99.0, 99.9}) {
-        auto rank = std::size_t(std::ceil(p / 100.0 * exact.size()));
-        double want = exact[rank - 1];
-        EXPECT_NEAR(h.percentile(p), want, want * 0.01)
-            << "p" << p;
-    }
-    EXPECT_DOUBLE_EQ(h.max(), exact.back());
-    EXPECT_DOUBLE_EQ(h.min(), exact.front());
-    EXPECT_EQ(h.count(), exact.size());
-}
-
 TEST(LoadHistogram, CoordinatedOmissionBackfill)
 {
     Histogram h;
@@ -405,6 +384,37 @@ TEST(LoadRecorder, ReportListsEveryClass)
     EXPECT_NE(out.find("SLO report"), std::string::npos);
     EXPECT_NE(out.find("get"), std::string::npos);
     EXPECT_NE(out.find("set"), std::string::npos);
+}
+
+TEST(LoadRecorder, RegistryExportsEveryClassResponseHistogram)
+{
+    Recorder rec(RecorderConfig{0, sim::kSecond});
+    Recorder::ClassId g = rec.addClass("get");
+    Recorder::ClassId s = rec.addClass("set"); // must not move "get"
+    for (int i = 1; i <= 100; ++i) {
+        rec.recordLatency(g, 0, 0, sim::Time(i) * 1000);
+        rec.recordLatency(s, 0, 0, sim::Time(i) * 3000);
+    }
+    std::ostringstream os;
+    obs::Registry::global().writeJson(os);
+    const std::string j = os.str();
+    for (Recorder::ClassId c : {g, s}) {
+        const Histogram &h = rec.response(c);
+        const std::pair<const char *, double> fields[] = {
+            {"mean", h.mean()},         {"p50", h.percentile(50)},
+            {"p90", h.percentile(90)},  {"p99", h.percentile(99)},
+            {"p99.9", h.percentile(99.9)},
+            {"min", h.min()},           {"max", h.max()}};
+        std::ostringstream want;
+        want << "." << rec.className(c) << ".response_us\":{\"count\":"
+             << h.count();
+        for (auto [key, v] : fields) {
+            want << ",\"" << key << "\":";
+            obs::jsonNumber(want, v);
+        }
+        want << '}';
+        EXPECT_NE(j.find(want.str()), std::string::npos) << want.str();
+    }
 }
 
 // --- client pool over stub transports ---------------------------------

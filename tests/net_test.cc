@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "fault/fault.hh"
 #include "net/fabric.hh"
 #include "net/link.hh"
@@ -206,46 +208,112 @@ TEST(Fabric, IncastSerializesAtDownlink)
 
 // --- loopback (src == dst) --------------------------------------------
 // Loopback used to bypass both the Link fault site and all stats; it
-// now turns around below the first hop with consistent accounting.
+// now turns around below the first hop with consistent accounting, on
+// the closure plane (send) and the record plane (sendRecord) alike.
+
+namespace {
+
+enum class Plane { Closure, Record };
+constexpr Plane kPlanes[] = {Plane::Closure, Plane::Record};
+
+const char *
+planeName(Plane p)
+{
+    return p == Plane::Closure ? "closure" : "record";
+}
+
+/** Send one @p bytes loopback packet at @p node over @p plane; every
+ *  delivery appends its arrival time to @p arrivals. */
+void
+sendLoopback(sim::EventQueue &eq, Fabric &fabric, Plane plane,
+             unsigned node, std::uint32_t bytes,
+             std::vector<sim::Time> &arrivals)
+{
+    if (plane == Plane::Closure) {
+        fabric.send(node, node, bytes,
+                    [&] { arrivals.push_back(eq.now()); });
+        return;
+    }
+    constexpr std::uint32_t kKind = 7; // any demux key
+    fabric.bindRx(node, kKind, [&](const WireRecord &) {
+        arrivals.push_back(eq.now());
+    });
+    WireRecord rec;
+    rec.src = rec.dst = node;
+    rec.kind = kKind;
+    rec.bytes = bytes;
+    fabric.sendRecord(rec);
+}
+
+} // namespace
 
 TEST(Fabric, LoopbackCostsSwitchLatencyAndIsCounted)
 {
-    sim::EventQueue eq;
-    FabricConfig cfg;
-    cfg.switchLatency = 50;
-    Fabric fabric(eq, 2, cfg);
-    sim::Time arrival = 0;
-    fabric.send(1, 1, 4096, [&] { arrival = eq.now(); });
-    eq.run();
-    EXPECT_EQ(arrival, 50u);
-    EXPECT_EQ(fabric.stats().loopbackPackets, 1u);
-    EXPECT_EQ(fabric.stats().loopbackBytes, 4096u);
-    // Never touches a wire.
-    EXPECT_EQ(fabric.uplink(1).stats().packets, 0u);
-    EXPECT_EQ(fabric.downlink(1).stats().packets, 0u);
+    for (Plane plane : kPlanes) {
+        SCOPED_TRACE(planeName(plane));
+        sim::EventQueue eq;
+        FabricConfig cfg;
+        cfg.switchLatency = 50;
+        Fabric fabric(eq, 2, cfg);
+        std::vector<sim::Time> arrivals;
+        sendLoopback(eq, fabric, plane, 1, 4096, arrivals);
+        eq.run();
+        EXPECT_EQ(arrivals, std::vector<sim::Time>{50});
+        EXPECT_EQ(fabric.stats().loopbackPackets, 1u);
+        EXPECT_EQ(fabric.stats().loopbackBytes, 4096u);
+        // Never touches a wire.
+        EXPECT_EQ(fabric.uplink(1).stats().packets, 0u);
+        EXPECT_EQ(fabric.downlink(1).stats().packets, 0u);
+    }
 }
 
 TEST(Fabric, LoopbackPollsLinkFaultSite)
 {
-    sim::EventQueue eq;
-    Fabric fabric(eq, 2);
-    fault::FaultInjector inj(eq, mustParse("link:drop:nth=1"), 1);
-    bool delivered = false;
-    fabric.send(0, 0, 100, [&] { delivered = true; });
-    eq.run();
-    EXPECT_FALSE(delivered);
-    EXPECT_EQ(fabric.stats().loopbackInjDropped, 1u);
-    EXPECT_EQ(inj.injected(fault::Site::Link), 1u);
+    for (Plane plane : kPlanes) {
+        SCOPED_TRACE(planeName(plane));
+        sim::EventQueue eq;
+        Fabric fabric(eq, 2);
+        fault::FaultInjector inj(eq, mustParse("link:drop:nth=1"), 1);
+        std::vector<sim::Time> arrivals;
+        sendLoopback(eq, fabric, plane, 0, 100, arrivals);
+        eq.run();
+        EXPECT_TRUE(arrivals.empty());
+        EXPECT_EQ(fabric.stats().loopbackInjDropped, 1u);
+        EXPECT_EQ(inj.injected(fault::Site::Link), 1u);
+    }
 }
 
 TEST(Fabric, LoopbackDuplicateDeliversTwice)
 {
-    sim::EventQueue eq;
-    Fabric fabric(eq, 2);
-    fault::FaultInjector inj(eq, mustParse("link:dup:nth=1"), 1);
-    int deliveries = 0;
-    fabric.send(0, 0, 100, [&] { ++deliveries; });
-    eq.run();
-    EXPECT_EQ(deliveries, 2);
-    EXPECT_EQ(fabric.stats().loopbackInjDuplicated, 1u);
+    for (Plane plane : kPlanes) {
+        SCOPED_TRACE(planeName(plane));
+        sim::EventQueue eq;
+        FabricConfig cfg;
+        cfg.switchLatency = 50;
+        Fabric fabric(eq, 2, cfg);
+        fault::FaultInjector inj(eq, mustParse("link:dup:nth=1"), 1);
+        std::vector<sim::Time> arrivals;
+        sendLoopback(eq, fabric, plane, 0, 100, arrivals);
+        eq.run();
+        EXPECT_EQ(arrivals, (std::vector<sim::Time>{50, 50}));
+        EXPECT_EQ(fabric.stats().loopbackInjDuplicated, 1u);
+    }
+}
+
+TEST(Fabric, LoopbackDelayAddsToSwitchLatency)
+{
+    for (Plane plane : kPlanes) {
+        SCOPED_TRACE(planeName(plane));
+        sim::EventQueue eq;
+        FabricConfig cfg;
+        cfg.switchLatency = 50;
+        Fabric fabric(eq, 2, cfg);
+        fault::FaultInjector inj(
+            eq, mustParse("link:delay:nth=1,delay=1000"), 1);
+        std::vector<sim::Time> arrivals;
+        sendLoopback(eq, fabric, plane, 0, 100, arrivals);
+        eq.run();
+        EXPECT_EQ(arrivals, std::vector<sim::Time>{1050});
+        EXPECT_EQ(fabric.stats().loopbackInjDelayed, 1u);
+    }
 }

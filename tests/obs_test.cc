@@ -35,6 +35,28 @@ contains(const std::string &hay, const std::string &needle)
     return hay.find(needle) != std::string::npos;
 }
 
+/** The one key set every histogram serialises with, in order. */
+const std::vector<std::string> kHistogramKeys = {
+    "count", "mean", "p50", "p90", "p99", "p99.9", "min", "max"};
+
+/** Keys, in order, of the flat JSON object named @p name in @p json;
+ *  empty when @p name is absent. */
+std::vector<std::string>
+objectKeys(const std::string &json, const std::string &name)
+{
+    std::vector<std::string> keys;
+    std::size_t at = json.find("\"" + name + "\":{");
+    if (at == std::string::npos)
+        return keys;
+    std::size_t end = json.find('}', at);
+    for (std::size_t q = json.find('"', at + name.size() + 4); q < end;) {
+        std::size_t close = json.find('"', q + 1);
+        keys.push_back(json.substr(q + 1, close - q - 1));
+        q = json.find('"', close + 1);
+    }
+    return keys;
+}
+
 } // namespace
 
 // ---------------------------------------------------------------- Registry
@@ -95,7 +117,7 @@ TEST(Registry, RetainArchivesRemovedEntries)
     std::ostringstream os;
     reg.writeJson(os);
     EXPECT_TRUE(contains(os.str(), "\"dead.count\":123"));
-    EXPECT_TRUE(contains(os.str(), "\"dead.hist\""));
+    EXPECT_EQ(objectKeys(os.str(), "dead.hist"), kHistogramKeys);
 
     reg.clearRetired();
     EXPECT_EQ(reg.retiredSize(), 0u);
@@ -134,9 +156,9 @@ TEST(Registry, WriteJsonShape)
     const std::string j = os.str();
     EXPECT_TRUE(contains(j, "\"counters\":{\"s.c\":9}"));
     EXPECT_TRUE(contains(j, "\"gauges\":{\"s.g\":0.5}"));
-    EXPECT_TRUE(contains(j, "\"s.h\":{\"count\":4"));
-    EXPECT_TRUE(contains(j, "\"p50\":"));
-    EXPECT_TRUE(contains(j, "\"max\":4"));
+    EXPECT_TRUE(contains(j, "\"s.h\":{\"count\":4,\"mean\":2.5,"));
+    EXPECT_EQ(objectKeys(j, "s.h"), kHistogramKeys);
+    EXPECT_TRUE(contains(j, "\"min\":1,\"max\":4}"));
 }
 
 namespace {
@@ -492,7 +514,7 @@ TEST(Session, RetainArchivesHistogramsAndGaugesOfDeadComponents)
     EXPECT_EQ(obs::Registry::global().value(pfx + ".frames"), 3.0);
     std::ostringstream os;
     session.writeMetrics(os);
-    EXPECT_TRUE(contains(os.str(), pfx + ".lat_ns"));
+    EXPECT_EQ(objectKeys(os.str(), pfx + ".lat_ns"), kHistogramKeys);
     EXPECT_TRUE(contains(os.str(), "\"count\":1000"));
     session.finish();
 }
