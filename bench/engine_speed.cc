@@ -2,7 +2,7 @@
  * @file
  * Event-engine microbenchmark: the ladder-queue sim::EventQueue
  * against the retained binary-heap engine (tests/heap_event_queue.hh)
- * on three workloads:
+ * on four workloads:
  *
  *   schedule_drain  schedule a large batch at random offsets, drain
  *   cancel_heavy    the timer-restart pattern (arm a far-out timer,
@@ -10,10 +10,15 @@
  *                   old engine's lazily-reaped heap balloon
  *   mixed           a live population with interleaved schedule /
  *                   execute / cancel, shaped like NIC + RTO traffic
+ *   packet_path     256 self-rescheduling packet chains, 100 ns - 5 us
+ *                   hops in 16-hop RPCs, each hop restarting a far
+ *                   timer: the event density of a packet-level run, so
+ *                   the level-0 wheel geometry shows up here
  *
- * Also replays one workload twice on the new engine and compares an
- * order-sensitive digest of the execution sequence, so the CI smoke
- * run (scripts/check.sh tier 5) exercises the determinism contract.
+ * Also replays mixed and packet_path twice each on the new engine and
+ * compares order-sensitive digests of the execution sequence, so the
+ * CI smoke run (scripts/check.sh tier 5) exercises the determinism
+ * contract.
  *
  * Emits BENCH_engine.json (override with --json=FILE).
  */
@@ -24,6 +29,7 @@
 #include <cstring>
 #include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/event_queue.hh"
@@ -152,6 +158,85 @@ mixed(Engine &eq, std::uint64_t n, std::uint32_t seed,
     return n + eq.stats().executed;
 }
 
+/**
+ * State of the packet_path workload: @p chains clients, each a packet
+ * hop that reschedules itself 100 ns - 5 us later and, like an RC
+ * sender, cancels and re-arms its 200 ms retransmit timer on every
+ * hop, until the chains have rescheduled @p hops times between them.
+ * After every 16 hops (one RPC) a client idles 0.25 - 2.25 ms, so 256
+ * chains put an event every ~300 ns of simulated time, the density of
+ * a packet-level run (perfbench ib_kv_openloop: 200k RPCs/s, ~16
+ * events each). Back-to-back hops would be 30x denser than that.
+ */
+template <typename Engine>
+class PacketPath
+{
+  public:
+    using Id = decltype(std::declval<Engine &>().schedule(0, [] {}));
+
+    PacketPath(Engine &eq, std::uint64_t hops, std::uint32_t seed)
+        : eq_(eq), hopsLeft_(hops), rng_(seed)
+    {
+    }
+
+    /** Runs the workload; returns the operation count. */
+    std::uint64_t
+    run(unsigned chains)
+    {
+        timers_.resize(chains);
+        for (unsigned c = 0; c < chains; ++c) {
+            timers_[c] = eq_.scheduleAfter(kRto, [] {});
+            PacketLike pkt{};
+            pkt.key = c;
+            scheduleHop(pkt);
+        }
+        eq_.run();
+        return 4 * hops_; // execute + re-schedule + cancel + re-arm
+    }
+
+    /** Order-sensitive digest of every hop's (time, chain, seq). */
+    std::uint64_t digest() const { return digest_; }
+
+  private:
+    static constexpr sim::Time kRto = 200 * sim::kMillisecond;
+    static constexpr std::uint64_t kHopsPerRpc = 16;
+
+    void
+    scheduleHop(PacketLike pkt)
+    {
+        sim::Time delay = pkt.seq % kHopsPerRpc == 0 ? thinkDelay_(rng_)
+                                                     : hopDelay_(rng_);
+        eq_.scheduleAfter(delay, [this, pkt] { hop(pkt); });
+    }
+
+    void
+    hop(PacketLike pkt)
+    {
+        ++hops_;
+        digest_ = (digest_ ^ (eq_.now() * 31 + pkt.key * 7 + pkt.seq)) *
+                  1099511628211ull;
+        std::size_t c = pkt.key;
+        eq_.cancel(timers_[c]);
+        timers_[c] = eq_.scheduleAfter(kRto, [] {});
+        if (hopsLeft_ == 0)
+            return;
+        --hopsLeft_;
+        ++pkt.seq;
+        scheduleHop(pkt);
+    }
+
+    Engine &eq_;
+    std::uint64_t hopsLeft_;
+    std::mt19937_64 rng_;
+    std::uniform_int_distribution<sim::Time> hopDelay_{100,
+                                                       5 * sim::kMicrosecond};
+    std::uniform_int_distribution<sim::Time> thinkDelay_{
+        250 * sim::kMicrosecond, 2250 * sim::kMicrosecond};
+    std::vector<Id> timers_;
+    std::uint64_t hops_ = 0;
+    std::uint64_t digest_ = 1469598103934665603ull; // FNV offset basis
+};
+
 struct Result
 {
     const char *workload;
@@ -194,6 +279,8 @@ main(int argc, char **argv)
     const std::uint64_t kDrainN = 1'000'000 / scale;
     const std::uint64_t kCancelN = 500'000 / scale;
     const std::uint64_t kMixedN = 1'000'000 / scale;
+    const std::uint64_t kPacketHops = 1'000'000 / scale;
+    constexpr unsigned kChains = 256;
 
     std::printf("engine_speed: ladder EventQueue vs binary-heap "
                 "oracle\n");
@@ -226,19 +313,36 @@ main(int argc, char **argv)
     results.push_back(timed("mixed", "heap", [&] {
         return heap([&](auto &eq) { return mixed(eq, kMixedN, 11); });
     }));
+    auto packetPath = [&](auto &eq) {
+        return PacketPath(eq, kPacketHops, 13).run(kChains);
+    };
+    results.push_back(timed("packet_path", "ladder",
+                            [&] { return ladder(packetPath); }));
+    results.push_back(timed("packet_path", "heap",
+                            [&] { return heap(packetPath); }));
 
     // Determinism replay: the same op stream twice through the new
     // engine must execute in the identical order.
-    std::uint64_t d1 = 0, d2 = 0;
+    std::uint64_t d1 = 0, d2 = 0, p1 = 0, p2 = 0;
     {
         sim::EventQueue a, b;
         mixed(a, kMixedN / 4, 23, &d1);
         mixed(b, kMixedN / 4, 23, &d2);
     }
-    bool deterministic = d1 == d2;
-    std::printf("  determinism replay: %s (digest %016llx)\n",
+    {
+        sim::EventQueue a, b;
+        PacketPath pa(a, kPacketHops / 4, 29), pb(b, kPacketHops / 4, 29);
+        pa.run(kChains);
+        pb.run(kChains);
+        p1 = pa.digest();
+        p2 = pb.digest();
+    }
+    bool deterministic = d1 == d2 && p1 == p2;
+    std::printf("  determinism replay: %s (digests mixed %016llx, "
+                "packet_path %016llx)\n",
                 deterministic ? "ok" : "MISMATCH",
-                static_cast<unsigned long long>(d1));
+                static_cast<unsigned long long>(d1),
+                static_cast<unsigned long long>(p1));
 
     std::FILE *js = std::fopen(json_path, "w");
     if (!js) {

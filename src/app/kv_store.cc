@@ -10,34 +10,23 @@ KvStore::KvStore(mem::AddressSpace &as, std::size_t capacity_bytes,
 {
     // Item header + value, as memcached lays items out.
     slotBytes_ = valueBytes_ + 64;
-    std::size_t capacity_items = capacity_bytes / slotBytes_;
-    assert(capacity_items > 0);
-    slots_.resize(capacity_items);
-    region_ = as_.allocRegion(capacity_items * slotBytes_, "kv-items");
-    freeSlots_.reserve(capacity_items);
-    for (std::size_t i = capacity_items; i-- > 0;)
-        freeSlots_.push_back(i);
+    capacity_ = capacity_bytes / slotBytes_;
+    assert(capacity_ > 0 && capacity_ < kNil);
+    region_ = as_.allocRegion(capacity_ * slotBytes_, "kv-items");
+    index_.assign(16, kNil);
+    mask_ = index_.size() - 1;
 }
 
 KvResult
 KvStore::get(std::uint64_t key)
 {
-    KvResult res;
-    auto it = map_.find(key);
-    if (it == map_.end()) {
-        ++misses_;
-        return res;
+    KvResult res = getRef(key);
+    if (res.hit) {
+        // Reading the value touches its pages (swap-in if evicted).
+        mem::AccessResult ar = as_.touch(res.valueAddr, valueBytes_, false);
+        res.memCost = ar.cost;
+        res.majorFaults = ar.majorFaults;
     }
-    ++hits_;
-    res.hit = true;
-    Entry &e = it->second;
-    lru_.splice(lru_.begin(), lru_, e.lruIt);
-    res.valueAddr = slotAddr(e.slot);
-    res.valueLen = valueBytes_;
-    // Reading the value touches its pages (swap-in if evicted).
-    mem::AccessResult ar = as_.touch(res.valueAddr, valueBytes_, false);
-    res.memCost = ar.cost;
-    res.majorFaults = ar.majorFaults;
     return res;
 }
 
@@ -45,16 +34,15 @@ KvResult
 KvStore::getRef(std::uint64_t key)
 {
     KvResult res;
-    auto it = map_.find(key);
-    if (it == map_.end()) {
+    std::uint32_t s = index_[findBucket(key)];
+    if (s == kNil) {
         ++misses_;
         return res;
     }
     ++hits_;
+    touchLru(s);
     res.hit = true;
-    Entry &e = it->second;
-    lru_.splice(lru_.begin(), lru_, e.lruIt);
-    res.valueAddr = slotAddr(e.slot);
+    res.valueAddr = slotAddr(s);
     res.valueLen = valueBytes_;
     return res;
 }
@@ -63,34 +51,114 @@ KvResult
 KvStore::set(std::uint64_t key)
 {
     KvResult res;
-    auto it = map_.find(key);
-    if (it != map_.end()) {
+    std::uint32_t s = index_[findBucket(key)];
+    if (s != kNil) {
         // Overwrite in place.
-        Entry &e = it->second;
-        lru_.splice(lru_.begin(), lru_, e.lruIt);
+        touchLru(s);
         res.hit = true;
-        res.valueAddr = slotAddr(e.slot);
     } else {
-        if (freeSlots_.empty()) {
-            // Evict the LRU item.
-            std::uint64_t victim = lru_.back();
-            lru_.pop_back();
-            auto vit = map_.find(victim);
-            assert(vit != map_.end());
-            freeSlots_.push_back(vit->second.slot);
-            map_.erase(vit);
+        if (items_.size() < capacity_) {
+            // A fresh slot: they are handed out in ascending order.
+            if ((items_.size() + 1) * 2 > index_.size())
+                growIndex();
+            s = std::uint32_t(items_.size());
+            items_.push_back(Item{key});
+        } else {
+            // Evict the LRU item and take over its slot.
+            s = tail_;
+            removeAt(findBucket(items_[s].key));
+            items_[s].key = key;
         }
-        std::size_t slot = freeSlots_.back();
-        freeSlots_.pop_back();
-        lru_.push_front(key);
-        map_[key] = Entry{key, slot, lru_.begin()};
-        res.valueAddr = slotAddr(slot);
+        // Growth or the eviction's backward shift may have moved the
+        // empty bucket found above.
+        index_[findBucket(key)] = s;
+        pushFrontLru(s);
     }
+    res.valueAddr = slotAddr(s);
     res.valueLen = valueBytes_;
     mem::AccessResult ar = as_.touch(res.valueAddr, valueBytes_, true);
     res.memCost = ar.cost;
     res.majorFaults = ar.majorFaults;
     return res;
+}
+
+std::size_t
+KvStore::homeBucket(std::uint64_t key) const
+{
+    return std::size_t((key * 0x9e3779b97f4a7c15ull) >> 32) & mask_;
+}
+
+std::size_t
+KvStore::findBucket(std::uint64_t key) const
+{
+    std::size_t b = homeBucket(key);
+    while (index_[b] != kNil && items_[index_[b]].key != key)
+        b = (b + 1) & mask_;
+    return b;
+}
+
+void
+KvStore::removeAt(std::size_t b)
+{
+    unlinkLru(index_[b]);
+    // Backward-shift deletion keeps every probe chain intact.
+    std::size_t hole = b;
+    std::size_t i = b;
+    for (;;) {
+        i = (i + 1) & mask_;
+        std::uint32_t occ = index_[i];
+        if (occ == kNil)
+            break;
+        std::size_t home = homeBucket(items_[occ].key);
+        if (((i - home) & mask_) >= ((i - hole) & mask_)) {
+            index_[hole] = occ;
+            hole = i;
+        }
+    }
+    index_[hole] = kNil;
+}
+
+void
+KvStore::growIndex()
+{
+    index_.assign(index_.size() * 2, kNil);
+    mask_ = index_.size() - 1;
+    for (std::uint32_t s = 0; s < items_.size(); ++s)
+        index_[findBucket(items_[s].key)] = s;
+}
+
+void
+KvStore::pushFrontLru(std::uint32_t s)
+{
+    items_[s].prev = kNil;
+    items_[s].next = head_;
+    if (head_ != kNil)
+        items_[head_].prev = s;
+    head_ = s;
+    if (tail_ == kNil)
+        tail_ = s;
+}
+
+void
+KvStore::unlinkLru(std::uint32_t s)
+{
+    if (items_[s].prev != kNil)
+        items_[items_[s].prev].next = items_[s].next;
+    else
+        head_ = items_[s].next;
+    if (items_[s].next != kNil)
+        items_[items_[s].next].prev = items_[s].prev;
+    else
+        tail_ = items_[s].prev;
+}
+
+void
+KvStore::touchLru(std::uint32_t s)
+{
+    if (head_ == s)
+        return;
+    unlinkLru(s);
+    pushFrontLru(s);
 }
 
 } // namespace npf::app

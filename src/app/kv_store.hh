@@ -11,8 +11,6 @@
 #define NPF_APP_KV_STORE_HH
 
 #include <cstdint>
-#include <list>
-#include <unordered_map>
 #include <vector>
 
 #include "mem/address_space.hh"
@@ -32,6 +30,18 @@ struct KvResult
 
 /**
  * LRU key-value cache (keys are integers; values are fixed-size).
+ *
+ * Item i lives at slot i of one contiguous item region. Fresh items
+ * take slots in ascending order; once the cache is full, a new item
+ * evicts the LRU item and takes over its slot. Which slot an item gets
+ * decides which pages the NIC later DMAs (and faults on), so this
+ * placement rule is part of the simulated behaviour.
+ *
+ * Flat storage in the IoTlb shape (docs/MEMORY.md "Flat caches"): an
+ * open-addressing index of u32 slot numbers over the item array, with
+ * the LRU list as intrusive u32 links in the items. Hits and overwrites
+ * never allocate; inserts allocate only while the item array and the
+ * index grow toward capacity.
  */
 class KvStore
 {
@@ -57,34 +67,46 @@ class KvStore
     /** SET: inserts (evicting LRU) and writes the item memory. */
     KvResult set(std::uint64_t key);
 
-    std::size_t items() const { return map_.size(); }
-    std::size_t capacityItems() const { return slots_.size(); }
+    std::size_t items() const { return items_.size(); }
+    std::size_t capacityItems() const { return capacity_; }
     std::uint64_t hits() const { return hits_; }
     std::uint64_t misses() const { return misses_; }
     std::size_t valueBytes() const { return valueBytes_; }
 
   private:
-    struct Entry
+    static constexpr std::uint32_t kNil = 0xffffffffu;
+
+    /** One cached item; its index in items_ is its slot. */
+    struct Item
     {
         std::uint64_t key;
-        std::size_t slot;
-        std::list<std::uint64_t>::iterator lruIt;
+        std::uint32_t prev = kNil; ///< toward the MRU end
+        std::uint32_t next = kNil; ///< toward the LRU end
     };
 
-    mem::VirtAddr slotAddr(std::size_t slot) const
+    mem::VirtAddr slotAddr(std::uint32_t slot) const
     {
         return region_ + slot * slotBytes_;
     }
 
+    std::size_t homeBucket(std::uint64_t key) const;
+    std::size_t findBucket(std::uint64_t key) const;
+    void removeAt(std::size_t b);
+    void growIndex();
+    void pushFrontLru(std::uint32_t s);
+    void unlinkLru(std::uint32_t s);
+    void touchLru(std::uint32_t s);
+
     mem::AddressSpace &as_;
     std::size_t valueBytes_;
-    std::size_t slotBytes_;   ///< value rounded up to whole pages? no:
-                              ///< value + item header, byte-packed
+    std::size_t slotBytes_;   ///< value + item header, byte-packed
+    std::size_t capacity_;    ///< items that fit in capacity_bytes
     mem::VirtAddr region_ = 0;
-    std::vector<std::size_t> freeSlots_;
-    std::vector<std::size_t> slots_; ///< just for capacity count
-    std::unordered_map<std::uint64_t, Entry> map_;
-    std::list<std::uint64_t> lru_; ///< front = most recent
+    std::vector<Item> items_;          ///< by slot; grows to capacity_
+    std::vector<std::uint32_t> index_; ///< open addressing, <= half full
+    std::size_t mask_ = 0;
+    std::uint32_t head_ = kNil; ///< MRU
+    std::uint32_t tail_ = kNil; ///< LRU
     std::uint64_t hits_ = 0;
     std::uint64_t misses_ = 0;
 };

@@ -10,19 +10,20 @@
 
 #include <cstddef>
 #include <optional>
-#include <unordered_map>
 
+#include "mem/page_map.hh"
 #include "mem/types.hh"
 
 namespace npf::iommu {
 
 /**
- * Sparse IOVA -> PFN mapping for one IOchannel. A PTE is invalid when
- * it is absent from the map *or* holds mem::kNoFrame: unmap() writes
- * the tombstone instead of erasing, exactly like the real DRAM table
+ * IOVA -> PFN mapping for one IOchannel. A PTE is invalid when it was
+ * never installed *or* holds mem::kNoFrame: unmap() writes the
+ * tombstone instead of erasing, exactly like the real DRAM table
  * where the PTE slot persists and only its valid bit flips. The
- * tombstone also keeps a map/unmap/remap cycle (the per-IO NP-RDMA
- * discipline's steady state) from churning hash-node allocations.
+ * entries live in a mem::PageMap, so a map/unmap/remap cycle (the
+ * per-IO NP-RDMA discipline's steady state) rewrites one slot in a
+ * leaf that already exists and never allocates.
  */
 class IoPageTable
 {
@@ -31,20 +32,20 @@ class IoPageTable
     std::optional<mem::Pfn>
     lookup(mem::Vpn vpn) const
     {
-        auto it = table_.find(vpn);
-        if (it == table_.end() || it->second == mem::kNoFrame)
+        const mem::Pfn *pfn = table_.find(vpn);
+        if (pfn == nullptr || *pfn == mem::kNoFrame)
             return std::nullopt;
-        return it->second;
+        return *pfn;
     }
 
     /** Install a valid PTE (driver fills this after resolving). */
     void
     map(mem::Vpn vpn, mem::Pfn pfn)
     {
-        auto it = table_.try_emplace(vpn, mem::kNoFrame).first;
-        if (it->second == mem::kNoFrame)
+        auto [entry, inserted] = table_.insert(vpn);
+        if (inserted || entry == mem::kNoFrame)
             ++live_;
-        it->second = pfn;
+        entry = pfn;
     }
 
     /**
@@ -55,32 +56,20 @@ class IoPageTable
     bool
     unmap(mem::Vpn vpn)
     {
-        auto it = table_.find(vpn);
-        if (it == table_.end() || it->second == mem::kNoFrame)
+        mem::Pfn *pfn = table_.find(vpn);
+        if (pfn == nullptr || *pfn == mem::kNoFrame)
             return false;
-        it->second = mem::kNoFrame;
+        *pfn = mem::kNoFrame;
         --live_;
         return true;
     }
 
-    bool
-    isMapped(mem::Vpn vpn) const
-    {
-        auto it = table_.find(vpn);
-        return it != table_.end() && it->second != mem::kNoFrame;
-    }
+    bool isMapped(mem::Vpn vpn) const { return lookup(vpn).has_value(); }
 
     std::size_t mappedPages() const { return live_; }
 
-    void
-    clear()
-    {
-        table_.clear();
-        live_ = 0;
-    }
-
   private:
-    std::unordered_map<mem::Vpn, mem::Pfn> table_;
+    mem::PageMap<mem::Pfn> table_;
     std::size_t live_ = 0;
 };
 

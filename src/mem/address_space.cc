@@ -34,12 +34,12 @@ AddressSpace::freeRegion(VirtAddr base)
             continue;
         Vpn first = pageOf(it->base);
         for (Vpn vpn = first; vpn < first + it->pages; ++vpn) {
-            auto pit = pageTable_.find(vpn);
-            if (pit == pageTable_.end())
+            Pte *p = pageTable_.find(vpn);
+            if (p == nullptr)
                 continue;
-            if (pit->second.present)
-                mm_.dropPage(*this, vpn, pit->second);
-            pageTable_.erase(pit);
+            if (p->present)
+                mm_.dropPage(*this, vpn, *p);
+            pageTable_.erase(vpn);
         }
         regions_.erase(it);
         return;
@@ -149,32 +149,30 @@ AddressSpace::isPresent(Vpn vpn) const
 const Pte *
 AddressSpace::findPte(Vpn vpn) const
 {
-    auto it = pageTable_.find(vpn);
-    return it == pageTable_.end() ? nullptr : &it->second;
+    return pageTable_.find(vpn);
 }
 
 Pte *
 AddressSpace::findPte(Vpn vpn)
 {
-    auto it = pageTable_.find(vpn);
-    return it == pageTable_.end() ? nullptr : &it->second;
+    return pageTable_.find(vpn);
 }
 
 Pte &
 AddressSpace::pte(Vpn vpn)
 {
-    auto [it, inserted] = pageTable_.try_emplace(vpn);
+    auto [entry, inserted] = pageTable_.insert(vpn);
     if (inserted) {
         // Inherit file-backed-ness from the containing region.
         for (const Region &r : regions_) {
             Vpn first = pageOf(r.base);
             if (vpn >= first && vpn < first + r.pages) {
-                it->second.fileBacked = r.fileBacked;
+                entry.fileBacked = r.fileBacked;
                 break;
             }
         }
     }
-    return it->second;
+    return entry;
 }
 
 void

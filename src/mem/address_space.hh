@@ -1,6 +1,6 @@
 /**
  * @file
- * Per-IOuser virtual address space: a sparse page table with demand
+ * Per-IOuser virtual address space: a radix page table with demand
  * paging, pinning, and MMU-notifier callbacks into device page
  * tables (the invalidation flow of the paper's Figure 2, a-d).
  */
@@ -11,9 +11,9 @@
 #include <cstdint>
 #include <functional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
+#include "mem/page_map.hh"
 #include "mem/types.hh"
 #include "sim/time.hh"
 
@@ -135,7 +135,7 @@ class AddressSpace
     MemoryManager &mm_;
     std::string name_;
     Cgroup *cgroup_;
-    std::unordered_map<Vpn, Pte> pageTable_;
+    PageMap<Pte> pageTable_;
     std::vector<Region> regions_;
     std::vector<InvalidateNotifier> notifiers_;
     VirtAddr nextRegionBase_ = 0x10000000ull;

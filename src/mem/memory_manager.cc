@@ -59,25 +59,6 @@ MemoryManager::createAddressSpace(const std::string &name,
     return *spaces_.back();
 }
 
-void
-MemoryManager::destroyAddressSpace(AddressSpace &as)
-{
-    for (auto &[vpn, pte] : as.pageTable_) {
-        if (pte.present) {
-            pte.pinCount = 0; // teardown overrides pins
-            dropPage(as, vpn, pte);
-        }
-    }
-    as.pageTable_.clear();
-    for (auto it = spaces_.begin(); it != spaces_.end(); ++it) {
-        if (it->get() == &as) {
-            spaces_.erase(it);
-            return;
-        }
-    }
-    assert(false && "destroyAddressSpace: unknown space");
-}
-
 FaultResult
 MemoryManager::faultIn(AddressSpace &as, Vpn vpn, bool write)
 {

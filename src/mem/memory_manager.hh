@@ -102,9 +102,6 @@ class MemoryManager
     AddressSpace &createAddressSpace(const std::string &name,
                                      const std::string &cgroup = {});
 
-    /** Destroy an address space, releasing all its frames. */
-    void destroyAddressSpace(AddressSpace &as);
-
     /**
      * Fault page @p vpn of @p as in (the slow path of both CPU page
      * faults and NPFs). Runs reclaim when memory is tight.

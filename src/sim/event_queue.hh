@@ -7,11 +7,11 @@
  * shared EventQueue. Events scheduled for the same tick execute in
  * FIFO order of scheduling, which makes runs fully deterministic.
  *
- * Internals: a hierarchical timer wheel (six 256-slot levels, 64 ns
- * finest granularity, ~208 days total span) with an overflow list for
+ * Internals: a hierarchical timer wheel (six 256-slot levels, 16.4 us
+ * finest granularity, ~146 years total span) with an overflow list for
  * the far future, slab-allocated intrusive entries recycled through a
  * free list, and generation-stamped handles for O(1) cancellation.
- * The imminent 64 ns window is drained through a small binary heap so
+ * The imminent 16.4 us window is drained through a binary heap so
  * the determinism contract — global (time, schedule-sequence) order —
  * is preserved bit-identically against the old binary-heap engine
  * (kept as tests/heap_event_queue.hh and proven equivalent by
@@ -393,14 +393,19 @@ class EventQueue
   public:
     // --- geometry -------------------------------------------------------
     //
-    // Six wheel levels of 256 slots; level L slots are 2^(6+8L) ns
-    // wide. Level 0 resolves 64 ns buckets; the whole hierarchy spans
-    // 2^54 ns (~208 days) ahead of base_. Anything farther (e.g.
-    // kTimeMax "never" timers) waits in the overflow list.
+    // Six wheel levels of 256 slots; level L slots are 2^(14+8L) ns
+    // wide. Level 0 resolves 16.4 us buckets; the whole hierarchy
+    // spans 2^62 ns (~146 years) ahead of base_. Anything farther
+    // (e.g. kTimeMax "never" timers) waits in the overflow list.
+    //
+    // Why 16.4 us: packet events sit a few hundred ns apart, so with
+    // 64 ns slots advance() rescanned all six levels for nearly every
+    // event; a 16.4 us slot drains ~50 of them per scan into curHeap_,
+    // which orders them exactly. Much wider slots only deepen the heap.
     static constexpr unsigned kLevels = 6;
     static constexpr unsigned kSlotBits = 8;
     static constexpr unsigned kSlots = 1u << kSlotBits;   // 256
-    static constexpr unsigned kShift0 = 6;                // 64 ns
+    static constexpr unsigned kShift0 = 14;               // 16.4 us
     static constexpr Time kSlotSpan0 = Time(1) << kShift0;
 
     static constexpr unsigned
@@ -658,7 +663,7 @@ class EventQueue
                 return false; // nothing queued anywhere
 
             base_ = bestStart;
-            // Saturate: a window anchored in the last 64 ns of time
+            // Saturate: a window anchored in the last slot of time
             // must not wrap curWindowEnd_ to zero, or place() would
             // misfile every subsequent event.
             curWindowEnd_ = saturatingAdd(bestStart, kSlotSpan0);

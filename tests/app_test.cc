@@ -12,7 +12,9 @@
 #include "app/kv_store.hh"
 #include "app/memcached.hh"
 #include "app/storage.hh"
+#include "kv_store_oracle.hh"
 #include "net/fabric.hh"
+#include "sim/random.hh"
 #include "testbed.hh"
 
 using namespace npf;
@@ -67,6 +69,63 @@ TEST(KvStore, SwappedItemsCostMajorFaultsOnGet)
     ASSERT_TRUE(g.hit) << "LRU capacity not exceeded: logical hit";
     EXPECT_GT(g.majorFaults, 0u) << "but the pages went to swap";
     EXPECT_GT(g.memCost, 0u);
+}
+
+/**
+ * Differential test against the node-based store it replaced
+ * (tests/kv_store_oracle.hh): random get / getRef / set streams over a
+ * key space larger than the capacity, so evictions and slot reuse run
+ * constantly. Each store has its own identical memory manager, so the
+ * paging cost of every touch must agree too. One capacity is large
+ * enough to grow the flat index several times.
+ */
+TEST(KvStore, RandomOpsMatchListOracle)
+{
+    struct Case
+    {
+        std::size_t capacity, keys, valueBytes;
+    };
+    const Case cases[] = {
+        {1, 4, 1024},   {2, 5, 1024},  {3, 10, 100},
+        {7, 20, 5000},  {16, 40, 1024}, {50, 60, 1024},
+        {300, 900, 64}, // working set 3x capacity; index grows 5x
+    };
+    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+        for (const Case &c : cases) {
+            SCOPED_TRACE(::testing::Message()
+                         << "seed " << seed << " capacity " << c.capacity
+                         << " keys " << c.keys);
+            // Six frames: the larger item regions swap, so the major
+            // fault path is compared too.
+            mem::MemoryManager mmA(6 * mem::kPageSize);
+            mem::MemoryManager mmB(6 * mem::kPageSize);
+            auto &asA = mmA.createAddressSpace("kv");
+            auto &asB = mmB.createAddressSpace("kv");
+            std::size_t bytes = c.capacity * (c.valueBytes + 64);
+            KvStore kv(asA, bytes, c.valueBytes);
+            apptest::ListKvStore oracle(asB, bytes, c.valueBytes);
+            ASSERT_EQ(kv.capacityItems(), oracle.capacityItems());
+            sim::Rng rng(seed * 1000 + c.capacity);
+            for (int op = 0; op < 3000; ++op) {
+                std::uint64_t key = rng.uniformInt(0, c.keys - 1);
+                int kind = int(rng.uniformInt(0, 2));
+                KvResult a = kind == 0   ? kv.get(key)
+                             : kind == 1 ? kv.getRef(key)
+                                         : kv.set(key);
+                KvResult b = kind == 0   ? oracle.get(key)
+                             : kind == 1 ? oracle.getRef(key)
+                                         : oracle.set(key);
+                ASSERT_EQ(a.hit, b.hit) << "op " << op;
+                ASSERT_EQ(a.valueAddr, b.valueAddr) << "op " << op;
+                ASSERT_EQ(a.valueLen, b.valueLen) << "op " << op;
+                ASSERT_EQ(a.memCost, b.memCost) << "op " << op;
+                ASSERT_EQ(a.majorFaults, b.majorFaults) << "op " << op;
+                ASSERT_EQ(kv.items(), oracle.items()) << "op " << op;
+                ASSERT_EQ(kv.hits(), oracle.hits()) << "op " << op;
+                ASSERT_EQ(kv.misses(), oracle.misses()) << "op " << op;
+            }
+        }
+    }
 }
 
 TEST(Disk, ReadLatency)

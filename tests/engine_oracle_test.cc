@@ -112,20 +112,20 @@ class DifferentialHarness
         // Mix of horizons so events land in the imminent window,
         // every wheel level, and the overflow ladder.
         switch (pick({30, 30, 20, 10, 6, 4})) {
-          case 0: // same 64 ns window / immediate
+          case 0: // well inside one 16.4 us window / immediate
             return std::uniform_int_distribution<sim::Time>(0, 63)(rng_);
           case 1: // near future: level 0-1
             return std::uniform_int_distribution<sim::Time>(
                 64, 1 << 20)(rng_);
-          case 2: // mid: level 2-3
+          case 2: // mid: level 1-3
             return std::uniform_int_distribution<sim::Time>(
                 1 << 20, sim::Time(1) << 36)(rng_);
-          case 3: // far: level 4-5
+          case 3: // far: level 3-5
             return std::uniform_int_distribution<sim::Time>(
                 sim::Time(1) << 36, sim::Time(1) << 53)(rng_);
-          case 4: // beyond the wheel span: overflow ladder
+          case 4: // beyond the 2^62 ns wheel span: overflow ladder
             return std::uniform_int_distribution<sim::Time>(
-                sim::Time(1) << 54, sim::Time(1) << 60)(rng_);
+                sim::Time(1) << 62, sim::Time(1) << 63)(rng_);
           default: // sentinel-ish: exercises saturation
             return sim::kTimeMax -
                    std::uniform_int_distribution<sim::Time>(0, 100)(rng_);
@@ -327,5 +327,138 @@ TEST(EngineOracle, CancelStormMatchesHeapEngine)
         EXPECT_EQ(ladder.stats().executed, oracle.stats().executed);
         EXPECT_EQ(ladder.stats().cancelledReaped,
                   oracle.stats().cancelledReaped);
+    }
+}
+
+namespace {
+
+/**
+ * One engine plus the record of what it did. Events are named by
+ * birth order; a callback may schedule one child whose delay was drawn
+ * when the parent was scheduled, so both engines see identical work.
+ */
+template <typename Engine, typename Id>
+struct Side
+{
+    static constexpr sim::Time kNoChild = ~sim::Time(0);
+
+    Engine eq;
+    std::vector<Id> ids; ///< by birth
+    std::vector<Exec> log;
+
+    void
+    add(sim::Time delay, sim::Time childDelay)
+    {
+        std::uint64_t birth = ids.size();
+        ids.emplace_back();
+        ids[birth] = eq.scheduleAfter(delay, [this, birth, childDelay] {
+            log.push_back({eq.now(), birth});
+            if (childDelay != kNoChild)
+                add(childDelay, kNoChild);
+        });
+    }
+
+    void
+    addBoundary(sim::Time when, std::uint64_t key)
+    {
+        std::uint64_t birth = ids.size();
+        ids.emplace_back();
+        ids[birth] = eq.scheduleBoundary(
+            when, key, [this, birth] { log.push_back({eq.now(), birth}); });
+    }
+};
+
+} // namespace
+
+/**
+ * Density case for the 16.4 us imminent window: bursts of events with
+ * 0-20 us delays, so dozens share one level-0 slot and many cross into
+ * the next; self-rescheduling children; cancels that hit events
+ * already drained into the imminent heap; boundary deliveries whose
+ * order keys disagree with their schedule order; and runUntil limits
+ * that fall mid-slot. Every executed event, clock and live count must
+ * match the heap engine.
+ */
+TEST(EngineOracle, DenseImminentWindowMatchesHeapEngine)
+{
+    constexpr sim::Time kMaxDelay = 20 * sim::kMicrosecond;
+    for (std::uint32_t seed = 200; seed <= 215; ++seed) {
+        SCOPED_TRACE(::testing::Message() << "seed " << seed);
+        std::mt19937 rng(seed);
+        auto draw = [&](sim::Time hi) {
+            return std::uniform_int_distribution<sim::Time>(0, hi)(rng);
+        };
+        Side<sim::EventQueue, sim::EventId> ladder;
+        Side<simtest::HeapEventQueue, simtest::HeapEventQueue::EventId>
+            oracle;
+        std::uint64_t boundaries = 0;
+        std::size_t checked = 0;
+        for (int op = 0; op < 400; ++op) {
+            switch (draw(5)) {
+              case 0:
+              case 1: { // a burst into the next ~20 us
+                sim::Time n = 1 + draw(40);
+                for (sim::Time i = 0; i < n; ++i) {
+                    sim::Time d = draw(kMaxDelay);
+                    sim::Time child = draw(3) == 0
+                                          ? draw(kMaxDelay)
+                                          : ladder.kNoChild;
+                    ladder.add(d, child);
+                    oracle.add(d, child);
+                }
+                break;
+              }
+              case 2: { // boundary deliveries; keys scramble the order
+                sim::Time n = 1 + draw(8);
+                for (sim::Time i = 0; i < n; ++i) {
+                    sim::Time when = ladder.eq.now() + draw(kMaxDelay);
+                    // Odd multiplier: a bijection on 62-bit keys.
+                    std::uint64_t key =
+                        (++boundaries * 0x9e3779b97f4a7c15ull) &
+                        ((std::uint64_t(1) << 62) - 1);
+                    ladder.addBoundary(when, key);
+                    oracle.addBoundary(when, key);
+                }
+                break;
+              }
+              case 3: { // cancel recent events, often already drained
+                ASSERT_EQ(ladder.ids.size(), oracle.ids.size());
+                sim::Time n = 1 + draw(6);
+                for (sim::Time i = 0; i < n && !ladder.ids.empty(); ++i) {
+                    std::size_t back = std::min<std::size_t>(
+                        ladder.ids.size() - 1, draw(60));
+                    std::size_t target = ladder.ids.size() - 1 - back;
+                    ladder.eq.cancel(ladder.ids[target]);
+                    oracle.eq.cancel(oracle.ids[target]);
+                }
+                break;
+              }
+              case 4: { // a limit that usually falls mid-slot
+                sim::Time until = ladder.eq.now() + draw(kMaxDelay / 2);
+                ladder.eq.runUntil(until);
+                oracle.eq.runUntil(until);
+                break;
+              }
+              default: { // a few single steps
+                sim::Time n = 1 + draw(4);
+                for (sim::Time i = 0; i < n; ++i)
+                    ASSERT_EQ(ladder.eq.step(), oracle.eq.step());
+                break;
+              }
+            }
+            ASSERT_EQ(ladder.eq.now(), oracle.eq.now()) << "op " << op;
+            ASSERT_EQ(ladder.eq.live(), oracle.eq.live()) << "op " << op;
+            ASSERT_EQ(ladder.log.size(), oracle.log.size()) << "op " << op;
+            for (; checked < ladder.log.size(); ++checked)
+                ASSERT_EQ(ladder.log[checked], oracle.log[checked])
+                    << "entry " << checked;
+        }
+        ladder.eq.run();
+        oracle.eq.run();
+        EXPECT_EQ(ladder.log, oracle.log);
+        EXPECT_EQ(ladder.eq.stats().executed, oracle.eq.stats().executed);
+        EXPECT_EQ(ladder.eq.stats().cancelled, oracle.eq.stats().cancelled);
+        EXPECT_EQ(ladder.eq.stats().cancelledReaped,
+                  oracle.eq.stats().cancelledReaped);
     }
 }

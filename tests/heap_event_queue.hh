@@ -10,7 +10,10 @@
  * scheduleAfter, runUntilCondition deadline clamp) applied, so the
  * randomized differential test in engine_oracle_test.cc can demand
  * bit-identical execution order, timestamps, and final Stats from
- * both engines. Do not "optimize" this file: its value is being the
+ * both engines. The one later addition is scheduleBoundary(), which
+ * files a sort key in the even seq domain exactly as the contract in
+ * docs/ENGINE.md states, so the oracle can also check boundary
+ * deliveries. Do not "optimize" this file: its value is being the
  * slow, obviously-correct reference.
  */
 
@@ -59,7 +62,20 @@ class HeapEventQueue
         if (when < now_)
             when = now_;
         EventId id = nextId_++;
-        heap_.push(Entry{when, id, std::move(cb), site});
+        heap_.push(Entry{when, (id << 1) | 1, id, std::move(cb), site});
+        live_.insert(id);
+        ++stats_.scheduled;
+        return id;
+    }
+
+    /** Same-tick order: after every local event, then by @p orderKey. */
+    EventId
+    scheduleBoundary(Time when, std::uint64_t orderKey, Callback cb,
+                     const char *site = nullptr)
+    {
+        EventId id = nextId_++;
+        heap_.push(Entry{when, (orderKey << 1) | (std::uint64_t(1) << 63),
+                         id, std::move(cb), site});
         live_.insert(id);
         ++stats_.scheduled;
         return id;
@@ -151,6 +167,7 @@ class HeapEventQueue
     struct Entry
     {
         Time when;
+        std::uint64_t seq; ///< same-tick order key
         EventId id;
         Callback cb;
         const char *site = nullptr;
@@ -160,7 +177,7 @@ class HeapEventQueue
         {
             if (when != o.when)
                 return when > o.when;
-            return id > o.id;
+            return seq > o.seq;
         }
     };
 

@@ -29,6 +29,40 @@ TEST(IoPageTable, MapLookupUnmap)
     EXPECT_FALSE(pt.lookup(5).has_value());
 }
 
+/**
+ * Map / unmap / remap cycles (the NP-RDMA per-IO pattern) over a few
+ * leaves and the far side table: lookup() and mappedPages() must track
+ * a shadow map exactly, through tombstoned PTEs and remaps of a
+ * still-valid PTE.
+ */
+TEST(IoPageTable, MapUnmapRemapCyclesKeepMappedPagesExact)
+{
+    IoPageTable pt;
+    std::map<mem::Vpn, mem::Pfn> shadow;
+    sim::Rng rng(17);
+    for (int op = 0; op < 50000; ++op) {
+        mem::Vpn vpn = rng.uniformInt(0, 2047);
+        if (rng.bernoulli(0.25))
+            vpn += mem::Vpn(1) << 42;
+        if (rng.bernoulli(0.5)) {
+            mem::Pfn pfn = rng.uniformInt(0, 1u << 20);
+            pt.map(vpn, pfn);
+            shadow[vpn] = pfn;
+        } else {
+            ASSERT_EQ(pt.unmap(vpn), shadow.erase(vpn) == 1) << vpn;
+        }
+        ASSERT_EQ(pt.mappedPages(), shadow.size()) << "op " << op;
+        auto it = shadow.find(vpn);
+        ASSERT_EQ(pt.isMapped(vpn), it != shadow.end());
+        if (it != shadow.end())
+            ASSERT_EQ(pt.lookup(vpn), std::optional<mem::Pfn>(it->second));
+        else
+            ASSERT_FALSE(pt.lookup(vpn).has_value());
+    }
+    for (const auto &[vpn, pfn] : shadow)
+        ASSERT_EQ(pt.lookup(vpn), std::optional<mem::Pfn>(pfn));
+}
+
 TEST(IoTlb, HitAndMissCounting)
 {
     IoTlb tlb(4);

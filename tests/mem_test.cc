@@ -2,14 +2,20 @@
  * @file
  * Unit tests for the virtual-memory substrate: frame allocation,
  * demand paging, reclaim (clock / second chance / pinning), cgroup
- * limits, swap round trips, MMU notifiers, and the page cache.
+ * limits, swap round trips, MMU notifiers, the page cache, and the
+ * radix page map behind every page table.
  */
 
 #include <gtest/gtest.h>
 
+#include <unordered_map>
+#include <utility>
+
 #include "mem/memory_manager.hh"
 #include "mem/page_cache.hh"
+#include "mem/page_map.hh"
 #include "mem/physical_memory.hh"
+#include "sim/random.hh"
 
 using namespace npf;
 using namespace npf::mem;
@@ -51,6 +57,90 @@ TEST(PageMath, Helpers)
     EXPECT_EQ(pagesCovering(100, 0), 0u);
     EXPECT_EQ(pagesFor(1), 1u);
     EXPECT_EQ(pagesFor(4097), 2u);
+}
+
+/**
+ * Seeded differential test of mem::PageMap against std::unordered_map:
+ * random find / insert / erase over vpns near 0, straddling 512-entry
+ * leaf boundaries, on both sides of the dense-directory limit, and at
+ * or above 2^40 (the side table), up to the largest vpn.
+ */
+TEST(PageMap, RandomOpsMatchUnorderedMapOracle)
+{
+    constexpr Vpn kDenseEnd = PageMap<int>::kDenseLeaves
+                              << PageMap<int>::kLeafBits;
+    for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+        SCOPED_TRACE(::testing::Message() << "seed " << seed);
+        sim::Rng rng(seed);
+        auto randomVpn = [&]() -> Vpn {
+            std::uint64_t r = rng.uniformInt(0, 63);
+            switch (rng.uniformInt(0, 5)) {
+              case 0: // near 0
+                return r;
+              case 1: // either side of a leaf boundary
+                return rng.uniformInt(1, 8) * 512 + r - 32;
+              case 2: // either side of the dense-directory limit
+                return kDenseEnd + r - 32;
+              case 3: // the side table, across its leaf boundaries
+                return (Vpn(1) << 40) + rng.uniformInt(0, 4) * 512 + r;
+              case 4: // scattered far leaves (grow the side table)
+                return (Vpn(1) << 40) + rng.uniformInt(0, 40) * 1000003;
+              default: // top of the vpn space
+                return ~Vpn(0) - r;
+            }
+        };
+        PageMap<std::uint64_t> map;
+        std::unordered_map<Vpn, std::uint64_t> oracle;
+        for (int op = 0; op < 20000; ++op) {
+            Vpn vpn = randomVpn();
+            switch (rng.uniformInt(0, 2)) {
+              case 0: { // find
+                const std::uint64_t *v = std::as_const(map).find(vpn);
+                auto it = oracle.find(vpn);
+                ASSERT_EQ(v != nullptr, it != oracle.end()) << vpn;
+                if (v != nullptr)
+                    ASSERT_EQ(*v, it->second) << vpn;
+                break;
+              }
+              case 1: { // insert, then write
+                auto [v, inserted] = map.insert(vpn);
+                auto [it, fresh] = oracle.try_emplace(vpn, 0);
+                ASSERT_EQ(inserted, fresh) << vpn;
+                ASSERT_EQ(v, it->second) << vpn; // fresh entries are 0
+                v = it->second = op;
+                break;
+              }
+              default: // erase
+                ASSERT_EQ(map.erase(vpn), oracle.erase(vpn) == 1) << vpn;
+                break;
+            }
+        }
+        for (const auto &[vpn, v] : oracle) {
+            const std::uint64_t *got = map.find(vpn);
+            ASSERT_NE(got, nullptr) << vpn;
+            ASSERT_EQ(*got, v) << vpn;
+        }
+    }
+}
+
+TEST(PageMap, PteReferenceSurvivesLaterInserts)
+{
+    MemoryManager mm(64 * MiB);
+    AddressSpace &as = mm.createAddressSpace("a");
+    Vpn vpn = pageOf(as.allocRegion(MiB)) + 3;
+    Pte &p = as.pte(vpn);
+    p.pinCount = 7;
+    // 10k later inserts: dense-directory growth, new leaves below and
+    // above, and side-table growth must all leave the entry in place.
+    for (Vpn i = 0; i < 10000; ++i) {
+        Vpn other = i % 3 == 0   ? vpn + 1 + i
+                    : i % 3 == 1 ? i
+                                 : (Vpn(1) << 44) + (i % 64) * 8192 + i;
+        as.pte(other).dirty = true;
+    }
+    EXPECT_EQ(as.findPte(vpn), &p);
+    EXPECT_EQ(p.pinCount, 7u);
+    EXPECT_FALSE(p.dirty);
 }
 
 TEST(AddressSpace, DelayedAllocation)
