@@ -2,14 +2,17 @@
  * @file
  * Scaling gate for the sharded simulation core (docs/SHARDING.md).
  *
- * The logical workload is S independent KV-RPC worlds — 1M+ logical
- * clients total, split evenly — plus a ring of cross-shard RC streams
- * riding the fabric record plane, so the shards genuinely couple
- * through BoundaryMsgs rather than running embarrassingly parallel.
- * The same workload runs on 1 shard and on --shards=N shards; the
- * bench reports wall-clock events/sec for each, replays the N-shard
- * run to prove per-seed bit-identical determinism, and writes
- * BENCH_shard.json.
+ * A configuration with S shards builds S KV-RPC worlds — 1M+ logical
+ * clients and the offered rate, split evenly — plus a ring of
+ * cross-shard RC streams riding the fabric record plane, so the
+ * shards genuinely couple through BoundaryMsgs rather than running
+ * embarrassingly parallel. The bench runs S = 1 and S = --shards=N,
+ * so the two runs do not simulate the same work: the 1-shard run is
+ * one world with every client at the full rate and a loopback stream
+ * (docs/SHARDING.md). It reports wall-clock events/sec for each, the
+ * N-shard run's per-shard sync counters (ShardedEngine::SyncStats),
+ * replays the N-shard run to prove per-seed bit-identical
+ * determinism, and writes BENCH_shard.json.
  *
  * The >=3x speedup gate is only meaningful with real cores under the
  * worker threads: when hardware_concurrency() < 4 the verdict is
@@ -280,6 +283,8 @@ struct RunResult
     std::uint64_t completions = 0;
     std::uint64_t streamMsgs = 0;
     std::uint64_t digest = 0;
+    /// Per shard; all zero on 1 shard, which runs no sync protocol.
+    std::vector<sim::ShardedEngine::SyncStats> sync;
 };
 
 RunResult
@@ -322,6 +327,8 @@ runConfig(const Args &a, unsigned shards)
 
     RunResult r;
     r.seconds = std::chrono::duration<double>(t1 - t0).count();
+    for (unsigned s = 0; s < shards; ++s)
+        r.sync.push_back(engine.syncStats(s));
     Digest d;
     for (unsigned s = 0; s < shards; ++s) {
         engine.invokeOn(s, [&, s] {
@@ -388,6 +395,16 @@ main(int argc, char **argv)
         a.shards, rn.events, rn.seconds, evn, rn.completions,
         rn.streamMsgs);
 
+    row("%7s %10s %10s %10s %11s %14s", "shard", "rounds", "blocked",
+        "drained", "full-spins", "max-advance[ns]");
+    for (unsigned s = 0; s < a.shards; ++s) {
+        const sim::ShardedEngine::SyncStats &st = rn.sync[s];
+        row("%7u %10" PRIu64 " %10" PRIu64 " %10" PRIu64 " %11" PRIu64
+            " %14" PRIu64,
+            s, st.rounds, st.blockedWaits, st.drained, st.fullRingSpins,
+            std::uint64_t(st.maxAdvance));
+    }
+
     // Replay the parallel configuration: conservative sync must make
     // the N-shard run a pure function of the seed, thread timing be
     // damned.
@@ -424,8 +441,21 @@ main(int argc, char **argv)
     std::fprintf(f,
                  "    {\"shards\": %u, \"events\": %" PRIu64
                  ", \"seconds\": %.6f, \"events_per_sec\": %.0f, "
-                 "\"digest\": \"%016" PRIx64 "\"}\n",
+                 "\"digest\": \"%016" PRIx64 "\",\n     \"sync\": [",
                  a.shards, rn.events, rn.seconds, evn, rn.digest);
+    for (unsigned s = 0; s < a.shards; ++s) {
+        const sim::ShardedEngine::SyncStats &st = rn.sync[s];
+        std::fprintf(f,
+                     "%s\n      {\"shard\": %u, \"rounds\": %" PRIu64
+                     ", \"blocked_waits\": %" PRIu64
+                     ", \"drained\": %" PRIu64
+                     ", \"full_ring_spins\": %" PRIu64
+                     ", \"max_advance_ns\": %" PRIu64 "}",
+                     s == 0 ? "" : ",", s, st.rounds, st.blockedWaits,
+                     st.drained, st.fullRingSpins,
+                     std::uint64_t(st.maxAdvance));
+    }
+    std::fprintf(f, "]}\n");
     std::fprintf(f, "  ],\n");
     std::fprintf(f, "  \"speedup_vs_1shard\": %.2f,\n", speedup);
     std::fprintf(f, "  \"determinism_replay\": \"%s\",\n",

@@ -6,6 +6,7 @@
 #include "mem/memory_manager.hh"
 #include "sim/log.hh"
 #include "sim/pool.hh"
+#include "sim/thread_owned.hh"
 
 namespace {
 
@@ -15,14 +16,16 @@ namespace {
  * shared_ptr, so raising an NPF performs no heap allocation and each
  * continuation revalidates the handle at fire time (a stale handle —
  * the breakdown released while a continuation still held it — aborts
- * instead of reading recycled memory). Static so handles in closures
- * parked in a dying event queue can never dangle.
+ * instead of reading recycled memory). Per-thread and never freed
+ * while its thread runs, so handles in closures parked in a dying
+ * event queue can never dangle.
  */
 npf::sim::Pool<npf::core::NpfBreakdown> &
 breakdownPool()
 {
     static thread_local auto *p =
-        new npf::sim::Pool<npf::core::NpfBreakdown>("core::breakdownPool");
+        npf::sim::newThreadOwned<npf::sim::Pool<npf::core::NpfBreakdown>>(
+            "core::breakdownPool");
     return *p;
 }
 

@@ -39,6 +39,7 @@
 #include "sim/event_queue.hh"
 #include "sim/pool.hh"
 #include "sim/shard.hh"
+#include "sim/thread_owned.hh"
 
 namespace npf::net {
 
@@ -89,15 +90,17 @@ static_assert(std::is_trivially_copyable_v<WireRecord>);
 
 /**
  * Slab for delivery delegates parked across a fabric's hop chain.
- * Leaked (never destroyed): closures holding refs into it live in
- * event queues whose teardown order against any one Fabric is
- * unknowable.
+ * Never destroyed while its thread runs (closures holding refs into
+ * it live in event queues whose teardown order against any one
+ * Fabric is unknowable); an exiting shard worker frees it
+ * (sim/thread_owned.hh).
  */
 inline sim::Pool<sim::EventQueue::Callback> &
 fabricPendingPool()
 {
     static thread_local auto *pool =
-        new sim::Pool<sim::EventQueue::Callback>("net::Fabric.pending");
+        sim::newThreadOwned<sim::Pool<sim::EventQueue::Callback>>(
+            "net::Fabric.pending");
     return *pool;
 }
 
@@ -107,7 +110,7 @@ inline sim::Pool<WireRecord> &
 fabricRecordPool()
 {
     static thread_local auto *pool =
-        new sim::Pool<WireRecord>("net::Fabric.record");
+        sim::newThreadOwned<sim::Pool<WireRecord>>("net::Fabric.record");
     return *pool;
 }
 

@@ -5,12 +5,13 @@
  * wraps each one in a FabricPacket so switch queues can account
  * bytes, stamp ECN and hash flows without looking inside.
  *
- * Descriptors live in a leaked global slab (the fabricPendingPool()
- * recipe): queues and in-flight wire closures hold sim::PoolRefs
- * whose teardown order against any one Fabric is unknowable. Copying
- * a ref clones the descriptor — and with it the payload-owning
- * delegate — so a fault-duplicated packet retires independently, and
- * a dropped one releases its slot when the ref dies (docs/MEMORY.md).
+ * Descriptors live in a per-thread slab that is never freed while
+ * its thread runs (the fabricPendingPool() recipe): queues and
+ * in-flight wire closures hold sim::PoolRefs whose teardown order
+ * against any one Fabric is unknowable. Copying a ref clones the
+ * descriptor — and with it the payload-owning delegate — so a
+ * fault-duplicated packet retires independently, and a dropped one
+ * releases its slot when the ref dies (docs/MEMORY.md).
  */
 
 #ifndef NPF_NET_PACKET_HH
@@ -20,6 +21,7 @@
 
 #include "sim/event_queue.hh"
 #include "sim/pool.hh"
+#include "sim/thread_owned.hh"
 
 namespace npf::net {
 
@@ -36,12 +38,13 @@ struct FabricPacket
     sim::EventQueue::Callback deliver; ///< runs at the destination
 };
 
-/** The descriptor slab; leaked for the same reason as
- *  fabricPendingPool() (see net/fabric.hh). */
+/** The descriptor slab; never freed while its thread runs, for the
+ *  same reason as fabricPendingPool() (see net/fabric.hh). */
 inline sim::Pool<FabricPacket> &
 fabricPacketPool()
 {
-    static thread_local auto *pool = new sim::Pool<FabricPacket>("net::Fabric.packet");
+    static thread_local auto *pool =
+        sim::newThreadOwned<sim::Pool<FabricPacket>>("net::Fabric.packet");
     return *pool;
 }
 

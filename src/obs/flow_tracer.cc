@@ -2,6 +2,7 @@
 
 #include "obs/json.hh"
 #include "sim/log.hh"
+#include "sim/thread_owned.hh"
 
 namespace npf::obs {
 
@@ -49,7 +50,7 @@ FlowTracer &
 FlowTracer::global()
 {
     static thread_local FlowTracer *t = [] {
-        auto *tr = new FlowTracer;
+        auto *tr = sim::newThreadOwned<FlowTracer>();
         sim::setLogAnnotator(&annotateLogLine);
         return tr;
     }();

@@ -1,18 +1,20 @@
 #include "obs/metrics.hh"
 
 #include "obs/json.hh"
+#include "sim/thread_owned.hh"
 
 namespace npf::obs {
 
 Registry &
 Registry::global()
 {
-    // Leaked intentionally: components may deregister from arbitrary
-    // static-destruction contexts. thread_local so every shard worker
-    // gets a private registry — components built via
+    // Never destroyed while its thread runs: components may
+    // deregister from arbitrary static-destruction contexts; an
+    // exiting shard worker frees it. thread_local so every shard
+    // worker gets a private registry — components built via
     // ShardedEngine::invokeOn register with their own shard's
     // registry and never contend (docs/SHARDING.md).
-    static thread_local Registry *r = new Registry;
+    static thread_local Registry *r = sim::newThreadOwned<Registry>();
     return *r;
 }
 

@@ -1,10 +1,48 @@
 #include "sim/shard.hh"
 
+#include <algorithm>
 #include <cassert>
 #include <cstdio>
 #include <cstdlib>
 
+#if defined(__x86_64__) || defined(__i386__)
+#include <immintrin.h>
+#endif
+
+#include "sim/thread_owned.hh"
+
 namespace npf::sim {
+
+namespace {
+
+/// Bounds on the number of polls a waiting shard makes with a CPU
+/// pause between them before it yields the CPU instead. The upper
+/// bound is about 20-50 us on a Xeon with a 21 ns pause: ten times
+/// what one lookahead round takes when every shard has its own core.
+/// Each shard adapts its own limit between the two (see
+/// waitForNeighbors), so that with fewer CPUs than shards, where
+/// spinning only delays the neighbor it waits for, it soon yields
+/// almost at once.
+constexpr unsigned kMinSpins = 16;
+constexpr unsigned kMaxSpins = 1024;
+
+/** Back off once in a wait loop: pause for the first @p limit polls,
+ *  yield after. */
+void
+relax(unsigned spins, unsigned limit = kMaxSpins)
+{
+    if (spins < limit) {
+#if defined(__x86_64__) || defined(__i386__)
+        _mm_pause();
+#elif defined(__aarch64__)
+        asm volatile("yield");
+#endif
+    } else {
+        std::this_thread::yield();
+    }
+}
+
+} // namespace
 
 ShardedEngine::ShardedEngine(Config cfg) : cfg_(cfg)
 {
@@ -95,6 +133,10 @@ ShardedEngine::workerLoop(Shard &s)
             (*fn)();
         else if (job == 2)
             runShard(s, until);
+        else if (job == 3)
+            // The worlds and the queue died on this thread already;
+            // free the per-thread pools and registries they used.
+            releaseThreadOwned();
         {
             std::lock_guard<std::mutex> lk(s.mu);
             s.done = true;
@@ -190,20 +232,58 @@ ShardedEngine::post(const BoundaryMsg &m)
     // ring the other is spinning on, so the cycle cannot deadlock.
     // (Drained messages are future events by the lookahead invariant;
     // they are scheduled, never executed, from here.)
-    while (!ring.tryPush(m)) {
+    for (unsigned spins = 0; !ring.tryPush(m); ++spins) {
+        ++src.sync.fullRingSpins;
         drainInto(src);
-        std::this_thread::yield();
+        relax(spins);
     }
 }
 
 void
 ShardedEngine::drainInto(Shard &s)
 {
-    BoundaryMsg m;
     for (auto &ring : s.in)
         if (ring)
-            while (ring->tryPop(m))
-                deliver(s, m);
+            s.sync.drained += ring->popAll(
+                [this, &s](const BoundaryMsg &m) { deliver(s, m); });
+}
+
+Time
+ShardedEngine::horizonFor(const Shard &s) const
+{
+    Time horizon = kTimeMax; // exclusive
+    for (const auto &other : shards_)
+        if (other.get() != &s)
+            horizon = std::min(
+                horizon,
+                saturatingAdd(other->clock.load(std::memory_order_acquire),
+                              cfg_.lookahead));
+    return horizon;
+}
+
+void
+ShardedEngine::waitForNeighbors(const Shard &s, Time horizon,
+                                unsigned &spinLimit) const
+{
+    auto ready = [&] {
+        if (horizonFor(s) != horizon ||
+            runDone_.load(std::memory_order_acquire) == shards_.size())
+            return true;
+        for (const auto &ring : s.in)
+            if (ring && ring->size() * 2 >= ring->capacity())
+                return true; // a sender may be blocked on it: drain
+        return false;
+    };
+    unsigned spins = 0;
+    while (!ready())
+        relax(spins++, spinLimit);
+    // A wait that outlasted the spin suggests the neighbor is not
+    // running (it shares our CPU): spin less next time. One that ended
+    // while spinning suggests it is: spin more.
+    if (spins > spinLimit)
+        spinLimit = std::max(kMinSpins, spinLimit / 2);
+    else
+        spinLimit = std::min(kMaxSpins, spinLimit * 2);
 }
 
 void
@@ -211,19 +291,13 @@ ShardedEngine::runShard(Shard &s, Time until)
 {
     const Time lookahead = cfg_.lookahead;
     bool finished = false;
+    unsigned spinLimit = kMaxSpins;
     for (;;) {
         // Load clocks BEFORE draining: once clock_j = C is observed,
         // every message from j sent below C is already in the ring
         // (push happens-before the clock release-store), and every
         // message still in flight has when >= C + lookahead.
-        Time horizon = kTimeMax; // exclusive
-        for (auto &other : shards_)
-            if (other.get() != &s)
-                horizon = std::min(
-                    horizon,
-                    saturatingAdd(
-                        other->clock.load(std::memory_order_acquire),
-                        lookahead));
+        Time horizon = horizonFor(s);
         drainInto(s);
         if (finished) {
             // Ran through `until`, but keep draining: a neighbor may
@@ -232,7 +306,7 @@ ShardedEngine::runShard(Shard &s, Time until)
             if (runDone_.load(std::memory_order_acquire) ==
                 shards_.size())
                 return;
-            std::this_thread::yield();
+            waitForNeighbors(s, horizon, spinLimit);
             continue;
         }
         // clock_j is a floor on j's FUTURE executions (it never again
@@ -242,19 +316,31 @@ ShardedEngine::runShard(Shard &s, Time until)
         // and publishing horizon-1 + 1 is what makes lookahead == 1
         // sufficient for progress — the old "ran through here" clock
         // pinned every shard at min_j(clock_j) and livelocked there.
-        Time runTo = std::min(until, horizon - 1);
+        // The third bound caps the round at one lookahead past our
+        // own floor: without it a shard behind by one lookahead runs
+        // two while its neighbor blocks, and the two leapfrog.
         Time prev = s.clock.load(std::memory_order_relaxed);
+        Time runTo = std::min(
+            {until, horizon - 1, saturatingAdd(prev, lookahead - 1)});
         s.eq->runUntil(runTo);
         Time next = saturatingAdd(runTo, 1);
         s.clock.store(next, std::memory_order_release);
+        if (next > prev) {
+            ++s.sync.rounds;
+            s.sync.maxAdvance = std::max(s.sync.maxAdvance, next - prev);
+        }
         if (runTo == until && horizon > until) {
             // Every message with when <= until is accounted for.
             finished = true;
             runDone_.fetch_add(1, std::memory_order_acq_rel);
             continue;
         }
-        if (next <= prev)
-            std::this_thread::yield(); // blocked on a neighbor
+        if (next <= prev) {
+            // Blocked on a neighbor: wait for the horizon this round
+            // used to move.
+            ++s.sync.blockedWaits;
+            waitForNeighbors(s, horizon, spinLimit);
+        }
     }
 }
 

@@ -22,9 +22,12 @@
  *
  *   1. loads every neighbor's published clock (acquire),
  *   2. drains its inbound rings into its event queue,
- *   3. executes events strictly below the safe horizon
- *      `min_j(clock_j + lookahead)`,
- *   4. publishes its own new floor (release).
+ *   3. executes events through
+ *      `runTo = min(until, horizon - 1, clock + lookahead - 1)`, where
+ *      `horizon = min_j(clock_j + lookahead)` is the safe horizon and
+ *      `clock` its own floor,
+ *   4. publishes its own new floor `runTo + 1` (release),
+ *   5. if that floor did not move, waits for a neighbor's clock to.
  *
  * The floor semantics make step 3 safe AND live for any lookahead
  * >= 1: every message still in flight from shard j was (or will be)
@@ -38,6 +41,23 @@
  * made it possible, so once a receiver has acquire-loaded clock C
  * from shard j, every message from j stamped below C + lookahead is
  * already visible in the ring.
+ *
+ * The `clock + lookahead - 1` cap keeps the shards in step. Without
+ * it a shard that is behind by one lookahead may run two in one
+ * round (its horizon is the leader's clock + lookahead), during which
+ * the leader, now behind, is blocked; then the roles swap. The shards
+ * leapfrog instead of running concurrently. Capped, every round
+ * advances each shard by at most one lookahead, so neighbors advance
+ * together and the wait in step 5 is short. It is a spin on the
+ * neighbors' clocks with a CPU pause, not a yield per round; it ends
+ * when the horizon moves past the one this round used, when an
+ * inbound ring is half full (a blocked sender must be drained), or
+ * when every shard has finished. After a bounded number of polls it
+ * yields between polls instead. The bound adapts per shard between
+ * two constants: it halves after a wait that outlasted it and doubles
+ * after one that did not, so a run with fewer CPUs than shards (or
+ * under TSan), where spinning only delays the neighbor it waits for,
+ * soon yields almost at once.
  *
  * Determinism: delivered messages are injected with
  * EventQueue::scheduleBoundary(when, orderKey), whose (when, key)
@@ -122,7 +142,11 @@ static_assert(std::is_trivially_copyable_v<BoundaryMsg>);
 /**
  * Fixed-capacity single-producer/single-consumer ring of
  * BoundaryMsg. Lock-free, alloc-free after construction; the
- * producer spins (with yields) when full — backpressure, never loss.
+ * producer spins when full — backpressure, never loss. Each side
+ * writes one cursor and caches or batches its reads of the other:
+ * the producer re-reads `head_` only when its cached copy says the
+ * ring is full, and the consumer takes every visible message with
+ * one `head_` store (popAll).
  */
 class SpscRing
 {
@@ -137,35 +161,47 @@ class SpscRing
         mask_ = cap - 1;
     }
 
+    /** Producer side. @return false (and push nothing) when full. */
     bool
     tryPush(const BoundaryMsg &m)
     {
         std::uint64_t t = tail_.load(std::memory_order_relaxed);
-        if (t - head_.load(std::memory_order_acquire) > mask_)
-            return false; // full
+        if (t - headCache_ > mask_) {
+            headCache_ = head_.load(std::memory_order_acquire);
+            if (t - headCache_ > mask_)
+                return false; // full
+        }
         slots_[t & mask_] = m;
         tail_.store(t + 1, std::memory_order_release);
         return true;
     }
 
-    bool
-    tryPop(BoundaryMsg &out)
+    /**
+     * Consumer side: call @p fn on every message visible now, in FIFO
+     * order, then free their slots with one store. @p fn must not pop
+     * from this ring. @return the number of messages taken.
+     */
+    template <typename F>
+    std::size_t
+    popAll(F &&fn)
     {
         std::uint64_t h = head_.load(std::memory_order_relaxed);
-        if (h == tail_.load(std::memory_order_acquire))
-            return false; // empty
-        out = slots_[h & mask_];
-        head_.store(h + 1, std::memory_order_release);
-        return true;
+        std::uint64_t t = tail_.load(std::memory_order_acquire);
+        for (std::uint64_t i = h; i != t; ++i)
+            fn(slots_[i & mask_]);
+        if (t != h)
+            head_.store(t, std::memory_order_release);
+        return std::size_t(t - h);
     }
 
     std::size_t capacity() const { return mask_ + 1; }
 
-    bool
-    empty() const
+    /** Messages waiting. Consumer side. */
+    std::size_t
+    size() const
     {
-        return head_.load(std::memory_order_acquire) ==
-               tail_.load(std::memory_order_acquire);
+        return std::size_t(tail_.load(std::memory_order_acquire) -
+                           head_.load(std::memory_order_relaxed));
     }
 
   private:
@@ -175,6 +211,7 @@ class SpscRing
     /// and consumer each write one cursor and only read the other.
     alignas(64) std::atomic<std::uint64_t> head_{0};
     alignas(64) std::atomic<std::uint64_t> tail_{0}; ///< next push
+    std::uint64_t headCache_ = 0; ///< producer's last view of head_
 };
 
 /**
@@ -187,6 +224,24 @@ class SpscRing
 class ShardedEngine
 {
   public:
+    /**
+     * One shard's synchronization counters, cumulative over run()
+     * calls. Written by the shard's worker; read them between runs.
+     */
+    struct SyncStats
+    {
+        /// Rounds that advanced the shard's floor.
+        std::uint64_t rounds = 0;
+        /// Rounds that could not advance and waited on a neighbor.
+        std::uint64_t blockedWaits = 0;
+        /// Boundary messages drained from the inbound rings.
+        std::uint64_t drained = 0;
+        /// Failed pushes into a full outbound ring.
+        std::uint64_t fullRingSpins = 0;
+        /// Largest floor advance in one round (<= lookahead).
+        Time maxAdvance = 0;
+    };
+
     /** Called on the destination shard's thread to deliver one
      *  boundary message at exactly msg.when. */
     using Handler = std::function<void(const BoundaryMsg &)>;
@@ -256,6 +311,12 @@ class ShardedEngine
     /** Total events executed so far, summed over all shard queues. */
     std::uint64_t executed() const;
 
+    /** Shard @p s's sync counters (see SyncStats). */
+    const SyncStats &syncStats(unsigned s) const
+    {
+        return shards_[s]->sync;
+    }
+
   private:
     struct Shard
     {
@@ -271,11 +332,14 @@ class ShardedEngine
         /// thread ownership in debug builds.
         std::unique_ptr<EventQueue> eq = std::make_unique<EventQueue>();
         /// Published floor on future executions: this shard will
-        /// never again run an event at a time below `clock`.
-        std::atomic<Time> clock{0};
-        std::vector<std::unique_ptr<SpscRing>> in; ///< [srcShard]
+        /// never again run an event at a time below `clock`. On a
+        /// cache line of its own: waiting neighbors poll it, and the
+        /// worker's counters must not share its line.
+        alignas(64) std::atomic<Time> clock{0};
+        alignas(64) std::vector<std::unique_ptr<SpscRing>> in; ///< [srcShard]
         std::unordered_map<std::uint32_t, Handler> handlers;
         std::uint64_t posted = 0;
+        SyncStats sync;
 
         // Job mailbox (controlling thread <-> worker).
         std::mutex mu;
@@ -291,6 +355,14 @@ class ShardedEngine
     void runShard(Shard &s, Time until);
     /** Pop everything available and inject it into s.eq. */
     void drainInto(Shard &s);
+    /** Safe horizon for @p s: min over neighbors of clock + lookahead. */
+    Time horizonFor(const Shard &s) const;
+    /** Wait until the horizon moves off @p horizon, an inbound ring
+     *  is half full, or every shard has finished: spin for up to
+     *  @p spinLimit polls, then yield between polls. Adapts
+     *  @p spinLimit to how long the wait took. */
+    void waitForNeighbors(const Shard &s, Time horizon,
+                          unsigned &spinLimit) const;
     /** scheduleBoundary the dispatch of @p m on shard @p s. */
     void deliver(Shard &s, const BoundaryMsg &m);
     void startJob(Shard &s, int job, const std::function<void()> *fn,

@@ -2,13 +2,17 @@
 
 #include <cassert>
 
+#include "sim/thread_owned.hh"
+
 namespace npf::tcp {
 
 sim::Pool<Segment> &
 segmentPool()
 {
-    static thread_local auto *pool = new sim::Pool<Segment>("tcp::segmentPool");
-    return *pool; // leaked intentionally: outlives all frames
+    // Outlives all frames; freed only by an exiting shard worker.
+    static thread_local auto *pool =
+        sim::newThreadOwned<sim::Pool<Segment>>("tcp::segmentPool");
+    return *pool;
 }
 
 Endpoint::Endpoint(sim::EventQueue &eq, eth::EthNic &nic,

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <functional>
 #include <thread>
 #include <vector>
 
@@ -43,15 +44,20 @@ struct Digest
 // SPSC ring properties
 // ---------------------------------------------------------------
 
-TEST(SpscRing, FifoUnderConcurrentStress)
-{
-    // Small capacity so the test exercises wraparound and the full
-    // ring (producer-side) path many times over.
-    sim::SpscRing ring(64);
-    constexpr std::uint64_t kMsgs = 200000;
+namespace {
 
-    std::thread producer([&ring] {
-        for (std::uint64_t i = 0; i < kMsgs; ++i) {
+/**
+ * Push @p msgs numbered messages through a ring of @p capacity from a
+ * producer thread while this thread drains it with popAll(); every
+ * message must arrive exactly once, in order, intact.
+ */
+void
+streamThroughRing(std::size_t capacity, std::uint64_t msgs)
+{
+    sim::SpscRing ring(capacity);
+
+    std::thread producer([&ring, msgs] {
+        for (std::uint64_t i = 0; i < msgs; ++i) {
             sim::BoundaryMsg m{};
             m.when = i * 3 + 1; // monotone, like a real sender clock
             m.orderKey = i;
@@ -64,24 +70,43 @@ TEST(SpscRing, FifoUnderConcurrentStress)
     std::uint64_t next = 0;
     sim::Time lastWhen = 0;
     bool ordered = true, payloadOk = true, monotone = true;
-    while (next < kMsgs) {
-        sim::BoundaryMsg m;
-        if (!ring.tryPop(m)) {
+    while (next < msgs) {
+        std::size_t got = ring.popAll([&](const sim::BoundaryMsg &m) {
+            ordered = ordered && m.orderKey == next;
+            payloadOk = payloadOk && m.a == (m.orderKey ^ 0xabcdef);
+            monotone = monotone && m.when >= lastWhen;
+            lastWhen = m.when;
+            ++next;
+        });
+        if (got == 0)
             std::this_thread::yield();
-            continue;
-        }
-        ordered = ordered && m.orderKey == next;
-        payloadOk = payloadOk && m.a == (next ^ 0xabcdef);
-        monotone = monotone && m.when >= lastWhen;
-        lastWhen = m.when;
-        ++next;
     }
     producer.join();
-    EXPECT_TRUE(ordered) << "ring reordered messages";
+    // orderKey == count popped before it: a lost message or a
+    // duplicate shifts every later key off by one.
+    EXPECT_TRUE(ordered) << "ring lost, duplicated or reordered messages";
     EXPECT_TRUE(payloadOk) << "ring corrupted a payload";
     EXPECT_TRUE(monotone) << "timestamps regressed across the ring";
-    sim::BoundaryMsg m;
-    EXPECT_FALSE(ring.tryPop(m)) << "ring invented a message";
+    EXPECT_EQ(next, msgs);
+    EXPECT_EQ(ring.popAll([](const sim::BoundaryMsg &) {}), 0u)
+        << "ring invented a message";
+}
+
+} // namespace
+
+TEST(SpscRing, FifoUnderConcurrentStress)
+{
+    // Small capacity so the test exercises wraparound and the full
+    // ring (producer-side) path many times over.
+    streamThroughRing(64, 200000);
+}
+
+TEST(SpscRing, CachedHeadWrapsManyTimesAtCapacityEight)
+{
+    // The producer re-reads head_ only when its cached copy says the
+    // ring is full. At capacity 8, a million messages wrap the ring
+    // and refresh that cache well over 100k times.
+    streamThroughRing(8, 1000000);
 }
 
 TEST(SpscRing, CapacityRoundsUpToPowerOfTwo)
@@ -267,6 +292,62 @@ TEST(ShardedEngine, MutualBurstThroughFullRingsDoesNotDeadlock)
     engine.run(100);
     EXPECT_EQ(got0.load(), kBurst);
     EXPECT_EQ(got1.load(), kBurst);
+}
+
+TEST(ShardedEngine, RoundNeverAdvancesPastOneLookahead)
+{
+    // Regression: a round used to run to min(until, horizon - 1). A
+    // shard one lookahead behind its neighbor then ran two lookaheads
+    // while the neighbor blocked, and the shards took turns instead
+    // of running together. Each round is now capped at one lookahead
+    // past the shard's own floor.
+    sim::ShardedEngine::Config cfg;
+    cfg.shards = 2;
+    cfg.lookahead = 100;
+    sim::ShardedEngine engine(cfg);
+
+    constexpr sim::Time kWindow = 400000;
+    constexpr sim::Time kStep = 7;
+    std::atomic<std::uint64_t> received{0};
+    std::uint64_t sent[2] = {0, 0}, due[2] = {0, 0};
+    // Busy self-rescheduling chain on each shard; every third hop
+    // posts to the neighbor one to two lookaheads ahead.
+    std::function<void(unsigned, std::uint64_t)> hop =
+        [&](unsigned s, std::uint64_t i) {
+            sim::EventQueue &q = engine.queue(s);
+            if (i % 3 == 0) {
+                sim::BoundaryMsg m{};
+                m.when = q.now() + cfg.lookahead + (i % 97);
+                m.orderKey = (std::uint64_t(s) << 40) | i;
+                m.kind = 1;
+                m.srcShard = std::uint16_t(s);
+                m.dstShard = std::uint16_t(1 - s);
+                engine.post(m);
+                ++sent[s];
+                due[s] += m.when <= kWindow;
+            }
+            q.scheduleAfter(kStep, [&hop, s, i] { hop(s, i + 1); });
+        };
+    for (unsigned s = 0; s < 2; ++s) {
+        engine.invokeOn(s, [&, s] {
+            engine.bind(s, 1,
+                        [&received](const sim::BoundaryMsg &) { ++received; });
+            engine.queue(s).schedule(0, [&hop, s] { hop(s, 0); });
+        });
+    }
+    engine.run(kWindow);
+
+    for (unsigned s = 0; s < 2; ++s) {
+        const sim::ShardedEngine::SyncStats &st = engine.syncStats(s);
+        EXPECT_LE(st.maxAdvance, cfg.lookahead)
+            << "shard " << s << " ran past one lookahead in a round";
+        EXPECT_GE(st.rounds, kWindow / cfg.lookahead)
+            << "shard " << s << " made too few productive rounds";
+        EXPECT_GT(st.drained, 0u);
+    }
+    // Every message due by the deadline ran; none due later did.
+    EXPECT_EQ(received.load(), due[0] + due[1]);
+    EXPECT_EQ(engine.posted(), sent[0] + sent[1]);
 }
 
 TEST(ShardedEngineDeath, LookaheadViolationAborts)
