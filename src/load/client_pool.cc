@@ -14,13 +14,14 @@ ClientPool::ClientPool(sim::EventQueue &eq, PoolConfig cfg)
     if (cfg_.clients == 0)
         cfg_.clients = 1;
     assert(cfg_.clients < kNoClient && "client index must fit 32 bits");
-    clients_.resize(cfg_.clients);
+    clients_.reserve(cfg_.clients);
     if (cfg_.sweepInterval == 0 && cfg_.timeout != 0)
         cfg_.sweepInterval = std::max<sim::Time>(cfg_.timeout / 4, 1);
     wheel_.resize(cfg_.calendarSlots);
-    // Both rings have hard occupancy bounds; size them up front so a
-    // rare burst never regrows them inside an alloc-gated measure
+    // Both rings have hard occupancy bounds; reserve them up front so
+    // a rare burst never regrows them inside an alloc-gated measure
     // window (bench/stack_bench.cc asserts steady-state allocs == 0).
+    // Reserving writes nothing, so an unreached bound stays free.
     idle_.reserve(cfg_.clients);
     backlog_.reserve(std::size_t(cfg_.backlogFactor) * cfg_.clients);
 
@@ -65,17 +66,18 @@ ClientPool::start()
 {
     assert(!eps_.empty() && "pool needs at least one endpoint");
     // One PhaseBreakdown per client, paid only by attributed runs.
-    if (std::any_of(eps_.begin(), eps_.end(),
-                    [](const Endpoint &ep) { return ep.attrLane >= 0; }))
-        snaps_.resize(cfg_.clients);
+    attributed_ =
+        std::any_of(eps_.begin(), eps_.end(),
+                    [](const Endpoint &ep) { return ep.attrLane >= 0; });
+    if (attributed_)
+        snaps_.reserve(cfg_.clients);
     if (cfg_.workload.arrival.open()) {
-        for (std::uint32_t c = 0; c < cfg_.clients; ++c)
-            idle_.push_back(c);
         armArrival();
     } else {
         // Closed loop: every client fires immediately. Index order is
         // endpoint-major (clients map to endpoints in contiguous
         // blocks), matching the legacy per-channel window fill.
+        materialise(cfg_.clients);
         for (std::uint32_t c = 0; c < cfg_.clients; ++c)
             issueNew(c, eq_.now());
     }
@@ -95,6 +97,14 @@ ClientPool::stop()
     for (auto &slot : wheel_)
         slot.clear();
     wheelCount_ = 0;
+}
+
+void
+ClientPool::materialise(std::size_t n)
+{
+    clients_.resize(n);
+    if (attributed_)
+        snaps_.resize(n);
 }
 
 std::uint32_t
@@ -276,7 +286,13 @@ ClientPool::onArrival()
 {
     arrivalEvent_ = sim::kInvalidEvent;
     sim::Time intended = eq_.now();
-    if (!idle_.empty()) {
+    if (clients_.size() < cfg_.clients) {
+        // Never-issued clients are the implicit front of the idle
+        // FIFO: every released client was pushed behind them.
+        auto c = std::uint32_t(clients_.size());
+        materialise(c + 1);
+        issueNew(c, intended);
+    } else if (!idle_.empty()) {
         std::uint32_t c = idle_.front();
         idle_.pop_front();
         issueNew(c, intended);

@@ -7,7 +7,9 @@
  * users" requirement):
  *
  *  - per-client state lives in one flat std::vector<Client> (a few
- *    dozen bytes each, no per-client heap objects or closures);
+ *    dozen bytes each, no per-client heap objects or closures),
+ *    reserved up front and filled as clients are first issued, so
+ *    resident memory follows the clients a run touches;
  *  - the pool schedules O(1) simulator events regardless of client
  *    count: one arrival event (open loop), one calendar-wheel event
  *    (think times and retry backoffs), one timeout-sweep event.
@@ -195,6 +197,7 @@ class ClientPool
         int attrLane = -1;
     };
 
+    void materialise(std::size_t n);
     std::uint32_t popInFlight(Endpoint &ep);
     unsigned endpointFor(std::uint32_t c);
     void issueNew(std::uint32_t c, sim::Time intended);
@@ -215,12 +218,18 @@ class ClientPool
     sim::Rng thinkRng_; ///< think times: own stream, never perturbs rng_
     std::unique_ptr<KeyModel> keys_;
 
-    std::vector<Client> clients_;   ///< flat flyweight state
+    /// Flat flyweight state of the clients issued so far: reserved to
+    /// the client count (address space only), appended on a client's
+    /// first issue, so a client that never runs costs no memory.
+    std::vector<Client> clients_;
     std::vector<Endpoint> eps_;
     std::vector<obs::PhaseBreakdown> snaps_; ///< lane snapshot at send
+    bool attributed_ = false; ///< some endpoint has an attribution lane
     unsigned rrNext_ = 0;           ///< open-loop endpoint round-robin
 
-    // Open loop: free clients + surplus arrivals (intended times).
+    // Open loop: free clients + surplus arrivals (intended times). The
+    // idle FIFO is the never-issued range [clients_.size(), clients)
+    // followed by idle_, the released clients in release order.
     sim::RingDeque<std::uint32_t> idle_;
     sim::RingDeque<sim::Time> backlog_;
 

@@ -9,7 +9,6 @@
 #define NPF_MEM_MEMORY_MANAGER_HH
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <optional>
 #include <string>
@@ -21,6 +20,7 @@
 #include "mem/physical_memory.hh"
 #include "mem/types.hh"
 #include "obs/metrics.hh"
+#include "sim/ring_deque.hh"
 #include "sim/time.hh"
 
 namespace npf::mem {
@@ -143,7 +143,7 @@ class MemoryManager
     BackingStore swap_;
     MemCostConfig cost_;
     Stats stats_;
-    std::deque<Pfn> clock_;
+    sim::RingDeque<Pfn> clock_; ///< grow-only: reclaim never allocates
     std::unordered_map<std::string, std::unique_ptr<Cgroup>> cgroups_;
     std::vector<std::unique_ptr<AddressSpace>> spaces_;
     std::size_t pinnedPages_ = 0;

@@ -1,27 +1,26 @@
 #include "mem/physical_memory.hh"
 
-#include <cassert>
-
 namespace npf::mem {
 
 PhysicalMemory::PhysicalMemory(std::size_t total_bytes)
-    : frames_(total_bytes / kPageSize)
+    : total_(total_bytes / kPageSize)
 {
-    freeList_.reserve(frames_.size());
-    // Hand out low frame numbers first (push high numbers deepest).
-    for (std::size_t i = frames_.size(); i-- > 0;)
-        freeList_.push_back(static_cast<Pfn>(i));
+    frames_.reserve(total_); // address space only: nothing is written
+    recycled_.reserve(total_);
 }
 
 std::optional<Pfn>
 PhysicalMemory::allocate(AddressSpace *owner, Vpn vpn)
 {
-    if (freeList_.empty())
-        return std::nullopt;
-    Pfn pfn = freeList_.back();
-    freeList_.pop_back();
-    frames_[pfn].owner = owner;
-    frames_[pfn].vpn = vpn;
+    if (recycled_.empty()) {
+        if (frames_.size() == total_)
+            return std::nullopt;
+        recycled_.push_back(frames_.size()); // next fresh pfn
+        frames_.emplace_back();
+    }
+    Pfn pfn = recycled_.back();
+    recycled_.pop_back();
+    frames_[pfn] = Frame{owner, vpn};
     return pfn;
 }
 
@@ -30,9 +29,8 @@ PhysicalMemory::release(Pfn pfn)
 {
     assert(pfn < frames_.size());
     assert(frames_[pfn].owner != nullptr && "double free of frame");
-    frames_[pfn].owner = nullptr;
-    frames_[pfn].vpn = 0;
-    freeList_.push_back(pfn);
+    frames_[pfn] = Frame{};
+    recycled_.push_back(pfn);
 }
 
 } // namespace npf::mem

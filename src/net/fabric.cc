@@ -211,7 +211,8 @@ Fabric::sendLegacy(unsigned src, unsigned dst, std::size_t bytes,
         static_assert(
             sim::Delegate::fitsInline<decltype(at_downlink)>,
             "fabric hop continuation must stay inline (no-alloc)");
-        eq_.scheduleAfter(cfg_.switchLatency, std::move(at_downlink));
+        eq_.scheduleAfter(cfg_.switchLatency, std::move(at_downlink),
+                          "net.fabric.switch");
     };
     static_assert(sim::Delegate::fitsInline<decltype(at_switch)>,
                   "fabric hop continuation must stay inline "

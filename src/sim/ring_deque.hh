@@ -12,6 +12,11 @@
  * to a default-constructed T, so element-owned resources (pooled
  * payload refs, closures) are dropped promptly, not when the slot is
  * next overwritten.
+ *
+ * The buffer is default-initialised, not value-initialised, so
+ * reserve() on a trivial T costs address space only: a ring reserved
+ * to a large bound that it rarely reaches touches just the slots it
+ * uses. Only slots in [front, back] are ever read.
  */
 
 #ifndef NPF_SIM_RING_DEQUE_HH
@@ -19,8 +24,8 @@
 
 #include <cassert>
 #include <cstddef>
+#include <memory>
 #include <utility>
-#include <vector>
 
 namespace npf::sim {
 
@@ -34,13 +39,13 @@ class RingDeque
     void
     reserve(std::size_t n)
     {
-        if (n > buf_.size())
+        if (n > cap_)
             regrow(n);
     }
 
     std::size_t size() const { return size_; }
     bool empty() const { return size_ == 0; }
-    std::size_t capacity() const { return buf_.size(); }
+    std::size_t capacity() const { return cap_; }
 
     T &front() { return buf_[head_]; }
     const T &front() const { return buf_[head_]; }
@@ -57,7 +62,7 @@ class RingDeque
     void
     push_back(T v)
     {
-        if (size_ == buf_.size())
+        if (size_ == cap_)
             regrow(size_ + 1);
         buf_[wrap(head_ + size_)] = std::move(v);
         ++size_;
@@ -111,24 +116,26 @@ class RingDeque
     const_iterator end() const { return const_iterator(this, size_); }
 
   private:
-    std::size_t wrap(std::size_t i) const { return i & (buf_.size() - 1); }
+    std::size_t wrap(std::size_t i) const { return i & (cap_ - 1); }
 
     /** Grow to a power of two >= @p need, unwrapping into the new
      *  buffer so head_ restarts at 0. */
     void
     regrow(std::size_t need)
     {
-        std::size_t cap = buf_.empty() ? 8 : buf_.size();
+        std::size_t cap = cap_ == 0 ? 8 : cap_;
         while (cap < need)
             cap *= 2;
-        std::vector<T> nb(cap);
+        auto nb = std::make_unique_for_overwrite<T[]>(cap);
         for (std::size_t i = 0; i < size_; ++i)
             nb[i] = std::move((*this)[i]);
         buf_ = std::move(nb);
+        cap_ = cap;
         head_ = 0;
     }
 
-    std::vector<T> buf_;
+    std::unique_ptr<T[]> buf_;
+    std::size_t cap_ = 0;
     std::size_t head_ = 0;
     std::size_t size_ = 0;
 };

@@ -8,8 +8,11 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <optional>
 #include <unordered_map>
 #include <utility>
+#include <vector>
 
 #include "mem/memory_manager.hh"
 #include "mem/page_cache.hh"
@@ -23,6 +26,49 @@ using namespace npf::mem;
 namespace {
 
 constexpr std::size_t MiB = 1ull << 20;
+
+/**
+ * Reference frame allocator: the eager free list PhysicalMemory used
+ * to build, with every pfn pushed up front (lowest on top) and a
+ * released pfn pushed back on top. PhysicalMemory must hand out
+ * exactly the same pfns without ever touching frames it has not used.
+ */
+class EagerFreeList
+{
+  public:
+    explicit EagerFreeList(std::size_t total_bytes)
+        : frames_(total_bytes / kPageSize)
+    {
+        for (std::size_t i = frames_.size(); i-- > 0;)
+            free_.push_back(i);
+    }
+
+    std::size_t freeFrames() const { return free_.size(); }
+    std::size_t usedFrames() const { return frames_.size() - free_.size(); }
+    const Frame &frame(Pfn pfn) const { return frames_[pfn]; }
+
+    std::optional<Pfn>
+    allocate(AddressSpace *owner, Vpn vpn)
+    {
+        if (free_.empty())
+            return std::nullopt;
+        Pfn pfn = free_.back();
+        free_.pop_back();
+        frames_[pfn] = Frame{owner, vpn};
+        return pfn;
+    }
+
+    void
+    release(Pfn pfn)
+    {
+        frames_[pfn] = Frame{};
+        free_.push_back(pfn);
+    }
+
+  private:
+    std::vector<Frame> frames_;
+    std::vector<Pfn> free_;
+};
 
 } // namespace
 
@@ -43,6 +89,73 @@ TEST(PhysicalMemory, ExhaustionReturnsNullopt)
     EXPECT_TRUE(pm.allocate(nullptr, 0).has_value());
     EXPECT_TRUE(pm.allocate(nullptr, 1).has_value());
     EXPECT_FALSE(pm.allocate(nullptr, 2).has_value());
+}
+
+/**
+ * Seeded differential test of PhysicalMemory against the eager free
+ * list: random allocate / release runs over several sizes (a partial
+ * trailing page included), in phases that drive the pool to
+ * exhaustion and back. The pfn handed out, the free/used counts and
+ * the reverse map must match the reference after every operation.
+ */
+TEST(PhysicalMemory, RandomOpsMatchEagerFreeListOracle)
+{
+    MemoryManager mm(MiB);
+    AddressSpace *owners[] = {&mm.createAddressSpace("a"),
+                              &mm.createAddressSpace("b")};
+    auto sameFrame = [](const Frame &x, const Frame &y) {
+        return x.owner == y.owner && x.vpn == y.vpn;
+    };
+    for (std::size_t bytes :
+         {std::size_t(0), kPageSize, 2 * kPageSize + 100, 7 * kPageSize,
+          64 * kPageSize, 1000 * kPageSize}) {
+        for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+            SCOPED_TRACE(::testing::Message()
+                         << "bytes " << bytes << " seed " << seed);
+            sim::Rng rng(seed);
+            PhysicalMemory pm(bytes);
+            EagerFreeList ref(bytes);
+            const std::size_t total = bytes / kPageSize;
+            ASSERT_EQ(pm.totalFrames(), total);
+            std::vector<Pfn> live;
+            double pAlloc = 0.5;
+            for (int op = 0; op < 4000; ++op) {
+                if (op % 100 == 0) // fill up, drain, or hover
+                    pAlloc =
+                        std::array{0.2, 0.5, 0.9}[rng.uniformInt(0, 2)];
+                if (live.empty() || rng.bernoulli(pAlloc)) {
+                    AddressSpace *owner = owners[rng.uniformInt(0, 1)];
+                    Vpn vpn = rng.uniformInt(0, 1u << 20);
+                    auto got = pm.allocate(owner, vpn);
+                    auto want = ref.allocate(owner, vpn);
+                    ASSERT_EQ(got, want) << "op " << op;
+                    if (got) {
+                        live.push_back(*got);
+                        ASSERT_TRUE(
+                        sameFrame(pm.frame(*got), ref.frame(*got)));
+                    }
+                } else {
+                    std::size_t i = rng.uniformInt(0, live.size() - 1);
+                    Pfn pfn = live[i];
+                    live[i] = live.back();
+                    live.pop_back();
+                    pm.release(pfn);
+                    ref.release(pfn);
+                    ASSERT_TRUE(sameFrame(pm.frame(pfn), ref.frame(pfn)));
+                }
+                ASSERT_EQ(pm.freeFrames(), ref.freeFrames()) << "op " << op;
+                ASSERT_EQ(pm.usedFrames(), ref.usedFrames()) << "op " << op;
+                if (total != 0) {
+                    Pfn probe = rng.uniformInt(0, total - 1);
+                    ASSERT_TRUE(sameFrame(pm.frame(probe), ref.frame(probe)))
+                        << "pfn " << probe;
+                }
+            }
+            for (Pfn pfn = 0; pfn < total; ++pfn)
+                ASSERT_TRUE(sameFrame(pm.frame(pfn), ref.frame(pfn)))
+                    << "pfn " << pfn;
+        }
+    }
 }
 
 TEST(PageMath, Helpers)
