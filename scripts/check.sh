@@ -23,9 +23,12 @@ if [ "$fast" -eq 1 ]; then
 fi
 
 echo "== tier 2: ASan/UBSan build + ctest =="
+# _GLIBCXX_ASSERTIONS range-checks std::vector indexing (and other
+# libstdc++ preconditions) here and in tiers 3, 4 and 9, which drive
+# the NP-RDMA, IOTLB-storm and KV paths off this build.
 cmake -B build-asan -S . \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-    -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all" \
+    -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all -D_GLIBCXX_ASSERTIONS" \
     >/dev/null
 cmake --build build-asan -j "$jobs"
 ctest --test-dir build-asan --output-on-failure -j "$jobs"

@@ -11,9 +11,10 @@
 #define NPF_APP_KV_STORE_HH
 
 #include <cstdint>
-#include <vector>
+#include <variant>
 
 #include "mem/address_space.hh"
+#include "sim/lru_index.hh"
 #include "sim/time.hh"
 
 namespace npf::app {
@@ -37,11 +38,10 @@ struct KvResult
  * decides which pages the NIC later DMAs (and faults on), so this
  * placement rule is part of the simulated behaviour.
  *
- * Flat storage in the IoTlb shape (docs/MEMORY.md "Flat caches"): an
- * open-addressing index of u32 slot numbers over the item array, with
- * the LRU list as intrusive u32 links in the items. Hits and overwrites
- * never allocate; inserts allocate only while the item array and the
- * index grow toward capacity.
+ * The index is a sim::LruIndex (docs/MEMORY.md "Flat caches") that
+ * grows with the contents instead of being sized to capacity up front:
+ * hits and overwrites never allocate; inserts allocate only while it
+ * grows.
  */
 class KvStore
 {
@@ -67,46 +67,25 @@ class KvStore
     /** SET: inserts (evicting LRU) and writes the item memory. */
     KvResult set(std::uint64_t key);
 
-    std::size_t items() const { return items_.size(); }
-    std::size_t capacityItems() const { return capacity_; }
+    std::size_t items() const { return index_.size(); }
+    std::size_t capacityItems() const { return index_.capacity(); }
     std::uint64_t hits() const { return hits_; }
     std::uint64_t misses() const { return misses_; }
     std::size_t valueBytes() const { return valueBytes_; }
 
   private:
-    static constexpr std::uint32_t kNil = 0xffffffffu;
-
-    /** One cached item; its index in items_ is its slot. */
-    struct Item
-    {
-        std::uint64_t key;
-        std::uint32_t prev = kNil; ///< toward the MRU end
-        std::uint32_t next = kNil; ///< toward the LRU end
-    };
+    using Index = sim::LruIndex<std::uint64_t, std::monostate>;
 
     mem::VirtAddr slotAddr(std::uint32_t slot) const
     {
         return region_ + slot * slotBytes_;
     }
 
-    std::size_t homeBucket(std::uint64_t key) const;
-    std::size_t findBucket(std::uint64_t key) const;
-    void removeAt(std::size_t b);
-    void growIndex();
-    void pushFrontLru(std::uint32_t s);
-    void unlinkLru(std::uint32_t s);
-    void touchLru(std::uint32_t s);
-
     mem::AddressSpace &as_;
     std::size_t valueBytes_;
-    std::size_t slotBytes_;   ///< value + item header, byte-packed
-    std::size_t capacity_;    ///< items that fit in capacity_bytes
+    std::size_t slotBytes_; ///< value + item header, byte-packed
+    Index index_;           ///< key -> item slot, in LRU order
     mem::VirtAddr region_ = 0;
-    std::vector<Item> items_;          ///< by slot; grows to capacity_
-    std::vector<std::uint32_t> index_; ///< open addressing, <= half full
-    std::size_t mask_ = 0;
-    std::uint32_t head_ = kNil; ///< MRU
-    std::uint32_t tail_ = kNil; ///< LRU
     std::uint64_t hits_ = 0;
     std::uint64_t misses_ = 0;
 };

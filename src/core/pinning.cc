@@ -232,17 +232,9 @@ PinDownCache::evictRegion(std::map<mem::VirtAddr, Region>::iterator it)
 NpRdmaMapping::NpRdmaMapping(NpfController &npfc, ChannelId ch,
                              std::size_t table_entries, MapCosts costs)
     : npfc_(npfc), ch_(ch), costs_(costs),
-      capacity_(table_entries == 0 ? 1 : table_entries)
+      table_(table_entries == 0 ? 1 : table_entries)
 {
-    slots_.resize(capacity_);
-    for (std::size_t i = 0; i < capacity_; ++i)
-        slots_[i].next = i + 1 < capacity_ ? std::uint32_t(i + 1) : kNil;
-    freeHead_ = 0;
-    std::size_t buckets = 16;
-    while (buckets < capacity_ * 2)
-        buckets <<= 1;
-    table_.assign(buckets, kNil);
-    mask_ = buckets - 1;
+    table_.reserve(table_.capacity());
 
     obs_.init("core.nprdma");
     obs_.counter("maps", &stats_.maps);
@@ -253,92 +245,17 @@ NpRdmaMapping::NpRdmaMapping(NpfController &npfc, ChannelId ch,
     obs_.counter("pages_unmapped", &stats_.pagesUnmapped);
 }
 
-std::size_t
-NpRdmaMapping::homeBucket(mem::VirtAddr base) const
-{
-    return std::size_t((std::uint64_t(base) * 0x9e3779b97f4a7c15ull) >>
-                       32) &
-           mask_;
-}
-
-std::size_t
-NpRdmaMapping::findBucket(mem::VirtAddr base) const
-{
-    std::size_t b = homeBucket(base);
-    while (table_[b] != kNil && slots_[table_[b]].base != base)
-        b = (b + 1) & mask_;
-    return b;
-}
-
-void
-NpRdmaMapping::removeAt(std::size_t b)
-{
-    std::uint32_t s = table_[b];
-    unlinkLru(s);
-    slots_[s].next = freeHead_;
-    freeHead_ = s;
-    --size_;
-
-    // Backward-shift deletion, as in iommu::IoTlb::removeAt.
-    std::size_t hole = b;
-    std::size_t i = b;
-    for (;;) {
-        i = (i + 1) & mask_;
-        std::uint32_t occ = table_[i];
-        if (occ == kNil)
-            break;
-        std::size_t home = homeBucket(slots_[occ].base);
-        if (((i - home) & mask_) >= ((i - hole) & mask_)) {
-            table_[hole] = occ;
-            hole = i;
-        }
-    }
-    table_[hole] = kNil;
-}
-
-void
-NpRdmaMapping::pushFrontLru(std::uint32_t s)
-{
-    slots_[s].prev = kNil;
-    slots_[s].next = head_;
-    if (head_ != kNil)
-        slots_[head_].prev = s;
-    head_ = s;
-    if (tail_ == kNil)
-        tail_ = s;
-}
-
-void
-NpRdmaMapping::unlinkLru(std::uint32_t s)
-{
-    if (slots_[s].prev != kNil)
-        slots_[slots_[s].prev].next = slots_[s].next;
-    else
-        head_ = slots_[s].next;
-    if (slots_[s].next != kNil)
-        slots_[slots_[s].next].prev = slots_[s].prev;
-    else
-        tail_ = slots_[s].prev;
-}
-
-void
-NpRdmaMapping::touchLru(std::uint32_t s)
-{
-    if (head_ == s)
-        return;
-    unlinkLru(s);
-    pushFrontLru(s);
-}
-
 bool
 NpRdmaMapping::coveredElsewhere(mem::Vpn vpn) const
 {
     // Live extents only (the LRU chain IS the live set); the table is
     // bounded, so this scan is allocation-free and short.
-    for (std::uint32_t s = head_; s != kNil; s = slots_[s].next) {
-        const Entry &e = slots_[s];
-        if (e.len != 0 && vpn >= mem::pageOf(e.base) &&
-            vpn <= mem::pageOf(e.base + e.len - 1))
+    for (std::uint32_t s = table_.mru(); s != Table::kNil;
+         s = table_.next(s)) {
+        mem::VirtAddr base = table_.key(s);
+        std::size_t len = table_.value(s).len;
+        if (len != 0 && vpn >= mem::pageOf(base) &&
+            vpn <= mem::pageOf(base + len - 1))
             return true;
     }
     return false;
@@ -367,22 +284,21 @@ NpRdmaMapping::beforeDma(mem::VirtAddr addr, std::size_t len)
     if (len == 0)
         return cost;
 
-    std::size_t b = findBucket(addr);
-    if (table_[b] != kNil) {
-        std::uint32_t s = table_[b];
-        Entry &e = slots_[s];
-        if (addr + len <= e.base + e.len) {
+    std::uint32_t s = table_.find(addr);
+    if (s != Table::kNil) {
+        Extent &e = table_.value(s);
+        if (len <= e.len) {
             // In-flight reuse: the extent is already mapped; just
             // take a reference on the table entry.
             ++e.refs;
             ++stats_.reuses;
-            touchLru(s);
+            table_.touch(s);
             return cost;
         }
         // Same base, longer extent: map the missing tail and grow
         // the entry so the widest in-flight IO stays covered.
-        mem::VirtAddr tail = e.base + e.len;
-        std::size_t tail_len = (addr + len) - tail;
+        mem::VirtAddr tail = addr + e.len;
+        std::size_t tail_len = len - e.len;
         mem::AccessResult pf = npfc_.prefault(ch_, tail, tail_len, true);
         if (!pf.ok) {
             ok_ = false;
@@ -394,7 +310,7 @@ NpRdmaMapping::beforeDma(mem::VirtAddr addr, std::size_t len)
         ++e.refs;
         ++stats_.maps;
         stats_.pagesMapped += pages;
-        touchLru(s);
+        table_.touch(s);
         return cost + pf.cost + costs_.mapBase +
                pages * costs_.mapPerPage;
     }
@@ -402,7 +318,7 @@ NpRdmaMapping::beforeDma(mem::VirtAddr addr, std::size_t len)
     // Fresh mapping. The table bounds how many in-flight extents the
     // driver tracks; past the bound the IO still maps, but untracked
     // (afterDma unmaps it by address).
-    bool tracked = size_ < capacity_;
+    bool tracked = !table_.full();
     if (!tracked)
         ++stats_.overflows;
 
@@ -419,16 +335,8 @@ NpRdmaMapping::beforeDma(mem::VirtAddr addr, std::size_t len)
     stats_.pagesMapped += pages;
     cost += pf.cost + costs_.mapBase + pages * costs_.mapPerPage;
 
-    if (tracked) {
-        std::uint32_t s = freeHead_;
-        freeHead_ = slots_[s].next;
-        slots_[s].base = addr;
-        slots_[s].len = len;
-        slots_[s].refs = 1;
-        table_[b] = s;
-        pushFrontLru(s);
-        ++size_;
-    }
+    if (tracked)
+        table_.insert(addr, Extent{len, 1});
     return cost;
 }
 
@@ -439,17 +347,15 @@ NpRdmaMapping::afterDma(mem::VirtAddr addr, std::size_t len)
     if (len == 0)
         return cost;
 
-    std::size_t b = findBucket(addr);
-    if (table_[b] != kNil) {
-        std::uint32_t s = table_[b];
-        Entry &e = slots_[s];
+    std::uint32_t s = table_.find(addr);
+    if (s != Table::kNil) {
+        Extent &e = table_.value(s);
         assert(e.refs > 0);
         if (--e.refs > 0)
             return cost; // siblings still share the mapping
-        mem::VirtAddr base = e.base;
         std::size_t elen = e.len;
-        removeAt(b);
-        return cost + unmapExtent(base, elen);
+        table_.erase(s);
+        return cost + unmapExtent(addr, elen);
     }
     // Untracked IO (table overflowed at map time).
     return cost + unmapExtent(addr, len);

@@ -18,11 +18,11 @@
 #include <map>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "core/npf_controller.hh"
 #include "mem/address_space.hh"
 #include "obs/metrics.hh"
+#include "sim/lru_index.hh"
 #include "sim/time.hh"
 
 namespace npf::core {
@@ -232,10 +232,9 @@ class NpfPinning : public PinningStrategy
  * IoTlb::Stats: invalidations and refreshes track the re-map
  * traffic).
  *
- * The table follows the IoTlb flat-cache idiom (docs/MEMORY.md): an
- * open-addressing index over fixed slots with intrusive LRU links,
- * sized once at construction — the per-IO path performs no heap
- * allocation in steady state (scripts/check.sh tier 9 gates this).
+ * The table is a sim::LruIndex (docs/MEMORY.md "Flat caches") sized
+ * once at construction — the per-IO path performs no heap allocation
+ * in steady state (scripts/check.sh tier 9 gates this).
  */
 class NpRdmaMapping : public PinningStrategy
 {
@@ -250,6 +249,15 @@ class NpRdmaMapping : public PinningStrategy
         std::uint64_t pagesUnmapped = 0;
     };
 
+    /** One in-flight mapped extent, keyed by its base address. */
+    struct Extent
+    {
+        std::size_t len = 0;
+        std::uint32_t refs = 0; ///< concurrent IOs sharing the mapping
+    };
+    /// The driver table, MRU first (most recently mapped/reused).
+    using Table = sim::LruIndex<mem::VirtAddr, Extent>;
+
     /**
      * @param table_entries bound on concurrently tracked extents;
      *   the driver-side translation table is sized once, here.
@@ -263,30 +271,12 @@ class NpRdmaMapping : public PinningStrategy
     sim::Time afterDma(mem::VirtAddr addr, std::size_t len) override;
 
     const Stats &stats() const { return stats_; }
-    std::size_t tableSize() const { return size_; }
-    std::size_t tableCapacity() const { return capacity_; }
+    std::size_t tableSize() const { return table_.size(); }
+    std::size_t tableCapacity() const { return table_.capacity(); }
+    /** The driver table, for inspection (slots, LRU order). */
+    const Table &table() const { return table_; }
 
   private:
-    static constexpr std::uint32_t kNil = 0xffffffffu;
-
-    /** One in-flight mapped extent; prev/next are intrusive LRU
-     *  links (front = most recently mapped/reused). */
-    struct Entry
-    {
-        mem::VirtAddr base = 0;
-        std::size_t len = 0;
-        std::uint32_t refs = 0; ///< concurrent IOs sharing the mapping
-        std::uint32_t prev = kNil;
-        std::uint32_t next = kNil;
-    };
-
-    std::size_t homeBucket(mem::VirtAddr base) const;
-    std::size_t findBucket(mem::VirtAddr base) const;
-    void removeAt(std::size_t b);
-    void pushFrontLru(std::uint32_t s);
-    void unlinkLru(std::uint32_t s);
-    void touchLru(std::uint32_t s);
-
     /** True if a live (in-flight) extent covers @p vpn. */
     bool coveredElsewhere(mem::Vpn vpn) const;
 
@@ -301,14 +291,7 @@ class NpRdmaMapping : public PinningStrategy
     NpfController &npfc_;
     ChannelId ch_;
     MapCosts costs_;
-    std::size_t capacity_;
-    std::size_t mask_ = 0;
-    std::size_t size_ = 0;
-    std::vector<Entry> slots_;         ///< fixed entry storage
-    std::vector<std::uint32_t> table_; ///< open-addressing index
-    std::uint32_t freeHead_ = kNil;
-    std::uint32_t head_ = kNil; ///< LRU front
-    std::uint32_t tail_ = kNil; ///< LRU back
+    Table table_;
     Stats stats_;
     obs::Instrumented obs_; ///< last member: deregisters first
 };

@@ -4,24 +4,21 @@
  * cached, the IOprovider must explicitly invalidate entries when
  * mappings change — the (a)-(d) flow of Figure 2.
  *
- * Storage is flat and sized once at construction: an open-addressing
- * index over a fixed slot array whose entries carry intrusive LRU
- * links. A miss-heavy workload inserts and evicts on every DMA, so
- * node-based containers here would heap-churn per packet — the
- * stack-wide allocation gate (bench/stack_bench.cc) counts on the
- * steady state being allocation-free.
+ * Storage is a sim::LruIndex sized once at construction. A miss-heavy
+ * workload inserts and evicts on every DMA, so node-based containers
+ * here would heap-churn per packet — the stack-wide allocation gate
+ * (bench/stack_bench.cc) counts on the steady state being
+ * allocation-free.
  */
 
 #ifndef NPF_IOMMU_IOTLB_HH
 #define NPF_IOMMU_IOTLB_HH
 
-#include <algorithm>
-#include <cassert>
 #include <cstdint>
 #include <optional>
-#include <vector>
 
 #include "mem/types.hh"
+#include "sim/lru_index.hh"
 
 namespace npf::iommu {
 
@@ -29,6 +26,8 @@ namespace npf::iommu {
 class IoTlb
 {
   public:
+    using Index = sim::LruIndex<mem::Vpn, mem::Pfn>;
+
     struct Stats
     {
         std::uint64_t hits = 0;
@@ -40,70 +39,51 @@ class IoTlb
         std::uint64_t refreshes = 0;
     };
 
-    explicit IoTlb(std::size_t capacity = 256) : capacity_(capacity)
+    explicit IoTlb(std::size_t capacity = 256) : index_(capacity)
     {
-        assert(capacity_ > 0);
-        slots_.resize(capacity_);
-        for (std::size_t i = 0; i < capacity_; ++i)
-            slots_[i].next =
-                i + 1 < capacity_ ? std::uint32_t(i + 1) : kNil;
-        freeHead_ = 0;
-        std::size_t buckets = 16;
-        while (buckets < capacity_ * 2)
-            buckets <<= 1;
-        table_.assign(buckets, kNil);
-        mask_ = buckets - 1;
+        index_.reserve(capacity);
     }
 
     /** Look up a translation, refreshing its LRU position on a hit. */
     std::optional<mem::Pfn>
     lookup(mem::Vpn vpn)
     {
-        std::size_t b = findBucket(vpn);
-        if (table_[b] == kNil) {
+        std::uint32_t s = index_.find(vpn);
+        if (s == Index::kNil) {
             ++stats_.misses;
             return std::nullopt;
         }
         ++stats_.hits;
-        touchLru(table_[b]);
-        return slots_[table_[b]].pfn;
+        index_.touch(s);
+        return index_.value(s);
     }
 
     /** Insert (or refresh) a translation, evicting LRU if full. */
     void
     insert(mem::Vpn vpn, mem::Pfn pfn)
     {
-        std::size_t b = findBucket(vpn);
-        if (table_[b] != kNil) {
-            slots_[table_[b]].pfn = pfn;
-            touchLru(table_[b]);
+        std::uint32_t s = index_.find(vpn);
+        if (s != Index::kNil) {
+            index_.value(s) = pfn;
+            index_.touch(s);
             ++stats_.refreshes;
             return;
         }
-        if (size_ >= capacity_) {
-            evictOne();
+        if (index_.full()) {
+            index_.erase(index_.lru());
             ++stats_.evictions;
-            // The backward-shift of the eviction may have moved
-            // entries into the empty bucket we found above.
-            b = findBucket(vpn);
         }
-        std::uint32_t s = freeHead_;
-        freeHead_ = slots_[s].next;
-        slots_[s].vpn = vpn;
-        slots_[s].pfn = pfn;
-        table_[b] = s;
-        pushFrontLru(s);
-        ++size_;
+        index_.insert(vpn, pfn);
     }
 
     /** Drop one translation (invalidation flow). */
     void
     invalidate(mem::Vpn vpn)
     {
-        std::size_t b = findBucket(vpn);
-        if (table_[b] == kNil)
+        std::uint32_t s = index_.find(vpn);
+        if (s == Index::kNil)
             return;
-        removeAt(b);
+        index_.erase(s);
         ++stats_.invalidations;
     }
 
@@ -111,8 +91,8 @@ class IoTlb
     void
     flush()
     {
-        stats_.invalidations += size_;
-        reset();
+        stats_.invalidations += index_.size();
+        index_.clear();
     }
 
     /**
@@ -122,142 +102,26 @@ class IoTlb
     std::size_t
     evictLru(std::size_t n)
     {
-        if (n == 0 || n >= size_) {
-            std::size_t dropped = size_;
+        if (n == 0 || n >= index_.size()) {
+            std::size_t dropped = index_.size();
             stats_.evictions += dropped;
-            reset();
+            index_.clear();
             return dropped;
         }
-        for (std::size_t i = 0; i < n; ++i) {
-            evictOne();
-            ++stats_.evictions;
-        }
+        for (std::size_t i = 0; i < n; ++i)
+            index_.erase(index_.lru());
+        stats_.evictions += n;
         return n;
     }
 
-    std::size_t size() const { return size_; }
-    std::size_t capacity() const { return capacity_; }
+    std::size_t size() const { return index_.size(); }
+    std::size_t capacity() const { return index_.capacity(); }
     const Stats &stats() const { return stats_; }
+    /** The underlying table, for inspection (index geometry). */
+    const Index &index() const { return index_; }
 
   private:
-    static constexpr std::uint32_t kNil = 0xffffffffu;
-
-    /** One translation; prev/next are intrusive LRU links. */
-    struct Slot
-    {
-        mem::Vpn vpn = 0;
-        mem::Pfn pfn = 0;
-        std::uint32_t prev = kNil;
-        std::uint32_t next = kNil;
-    };
-
-    std::size_t
-    homeBucket(mem::Vpn vpn) const
-    {
-        return std::size_t((std::uint64_t(vpn) *
-                            0x9e3779b97f4a7c15ull) >>
-                           32) &
-               mask_;
-    }
-
-    /** Bucket holding @p vpn, or the first empty probe slot. */
-    std::size_t
-    findBucket(mem::Vpn vpn) const
-    {
-        std::size_t b = homeBucket(vpn);
-        while (table_[b] != kNil && slots_[table_[b]].vpn != vpn)
-            b = (b + 1) & mask_;
-        return b;
-    }
-
-    /** Unlink table_[b] from hash + LRU and put its slot on the free
-     *  list. Backward-shift deletion keeps probe chains intact. */
-    void
-    removeAt(std::size_t b)
-    {
-        std::uint32_t s = table_[b];
-        unlinkLru(s);
-        slots_[s].next = freeHead_;
-        freeHead_ = s;
-        --size_;
-
-        std::size_t hole = b;
-        std::size_t i = b;
-        for (;;) {
-            i = (i + 1) & mask_;
-            std::uint32_t occ = table_[i];
-            if (occ == kNil)
-                break;
-            std::size_t home = homeBucket(slots_[occ].vpn);
-            if (((i - home) & mask_) >= ((i - hole) & mask_)) {
-                table_[hole] = occ;
-                hole = i;
-            }
-        }
-        table_[hole] = kNil;
-    }
-
-    void
-    evictOne()
-    {
-        assert(tail_ != kNil);
-        removeAt(findBucket(slots_[tail_].vpn));
-    }
-
-    void
-    pushFrontLru(std::uint32_t s)
-    {
-        slots_[s].prev = kNil;
-        slots_[s].next = head_;
-        if (head_ != kNil)
-            slots_[head_].prev = s;
-        head_ = s;
-        if (tail_ == kNil)
-            tail_ = s;
-    }
-
-    void
-    unlinkLru(std::uint32_t s)
-    {
-        if (slots_[s].prev != kNil)
-            slots_[slots_[s].prev].next = slots_[s].next;
-        else
-            head_ = slots_[s].next;
-        if (slots_[s].next != kNil)
-            slots_[slots_[s].next].prev = slots_[s].prev;
-        else
-            tail_ = slots_[s].prev;
-    }
-
-    void
-    touchLru(std::uint32_t s)
-    {
-        if (head_ == s)
-            return;
-        unlinkLru(s);
-        pushFrontLru(s);
-    }
-
-    void
-    reset()
-    {
-        std::fill(table_.begin(), table_.end(), kNil);
-        for (std::size_t i = 0; i < capacity_; ++i)
-            slots_[i].next =
-                i + 1 < capacity_ ? std::uint32_t(i + 1) : kNil;
-        freeHead_ = 0;
-        head_ = tail_ = kNil;
-        size_ = 0;
-    }
-
-    std::size_t capacity_;
-    std::size_t mask_ = 0;
-    std::size_t size_ = 0;
-    std::vector<Slot> slots_;          ///< fixed entry storage
-    std::vector<std::uint32_t> table_; ///< open-addressing index
-    std::uint32_t freeHead_ = kNil;
-    std::uint32_t head_ = kNil; ///< MRU
-    std::uint32_t tail_ = kNil; ///< LRU
+    Index index_;
     Stats stats_;
 };
 

@@ -128,6 +128,14 @@ TEST(KvStore, RandomOpsMatchListOracle)
     }
 }
 
+TEST(KvStoreDeathTest, CapacityBelowOneItemAborts)
+{
+    // 1024-byte values take 1088-byte slots: 1000 bytes hold no item.
+    mem::MemoryManager mm(64 * MiB);
+    auto &as = mm.createAddressSpace("kv");
+    EXPECT_DEATH({ KvStore kv(as, 1000, 1024); }, "capacity 0 out of range");
+}
+
 TEST(Disk, ReadLatency)
 {
     DiskConfig cfg;

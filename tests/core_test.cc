@@ -487,10 +487,17 @@ TEST(Pinning, NpRdmaConcurrentIosShareOneMapping)
     NpRdmaMapping map(rig.npfc, rig.ch);
     mem::VirtAddr buf = rig.as.allocRegion(MiB);
 
+    const auto &tlb = rig.npfc.iommu(rig.ch).tlb().stats();
+
     sim::Time first = map.beforeDma(buf, 16 * kPage);
+    std::uint64_t refreshes = tlb.refreshes;
     sim::Time second = map.beforeDma(buf, 8 * kPage);
     EXPECT_GT(first, second) << "second IO reuses the live mapping";
+    EXPECT_EQ(second, MapCosts{}.tableLookup)
+        << "a reuse takes a ref: only the table probe is charged";
     EXPECT_EQ(map.stats().maps, 1u);
+    EXPECT_EQ(map.stats().pagesMapped, 16u) << "no remap";
+    EXPECT_EQ(tlb.refreshes, refreshes) << "no map doorbell";
     EXPECT_EQ(map.stats().reuses, 1u);
     EXPECT_EQ(map.tableSize(), 1u);
 
@@ -513,10 +520,14 @@ TEST(Pinning, NpRdmaUnmapSparesPagesAnotherInFlightIoCovers)
     mem::VirtAddr buf = rig.as.allocRegion(MiB);
 
     map.beforeDma(buf, 16 * kPage);             // A: pages [0, 16)
+    map.beforeDma(buf, 16 * kPage);             // A's second ref
     map.beforeDma(buf + 8 * kPage, 16 * kPage); // B: pages [8, 24)
     EXPECT_EQ(map.tableSize(), 2u);
 
-    map.afterDma(buf, 16 * kPage); // A completes
+    map.afterDma(buf, 16 * kPage); // A keeps one ref
+    EXPECT_EQ(map.stats().unmaps, 0u);
+    map.afterDma(buf, 16 * kPage); // A's last ref unmaps
+    EXPECT_EQ(map.stats().pagesUnmapped, 8u) << "only A's private pages";
     EXPECT_TRUE(
         rig.npfc.checkDma(rig.ch, buf + 8 * kPage, 16 * kPage).ok)
         << "B's DMA must not fault: its pages stay mapped";
@@ -580,4 +591,105 @@ TEST(Pinning, NpRdmaThrashesIoTlbAndWarmsRefreshes)
     EXPECT_EQ(tlb.refreshes - ref0, 8u);
     map.afterDma(buf, 16 * kPage);
     map.afterDma(buf + 8 * kPage, 16 * kPage);
+}
+
+TEST(Pinning, NpRdmaLongerExtentMapsOnlyTheTail)
+{
+    constexpr std::size_t kPage = mem::kPageSize;
+    const MapCosts mc;
+    Rig rig;
+    NpRdmaMapping map(rig.npfc, rig.ch);
+    mem::VirtAddr buf = rig.as.allocRegion(MiB);
+    map.beforeDma(buf, 8 * kPage);
+    sim::Time grow = map.beforeDma(buf, 12 * kPage);
+
+    // Twin rig: the expected charge is a prefault of the 4-page tail.
+    Rig twin;
+    NpRdmaMapping warm(twin.npfc, twin.ch);
+    mem::VirtAddr tbuf = twin.as.allocRegion(MiB);
+    ASSERT_EQ(tbuf, buf);
+    warm.beforeDma(tbuf, 8 * kPage);
+    mem::AccessResult tail =
+        twin.npfc.prefault(twin.ch, tbuf + 8 * kPage, 4 * kPage, true);
+    EXPECT_EQ(grow, mc.tableLookup + tail.cost + mc.mapBase +
+                        4 * mc.mapPerPage);
+
+    EXPECT_EQ(map.stats().maps, 2u);
+    EXPECT_EQ(map.stats().pagesMapped, 12u) << "8 + the 4-page tail";
+    EXPECT_EQ(map.stats().reuses, 0u);
+    EXPECT_EQ(map.tableSize(), 1u) << "the entry grew in place";
+    EXPECT_TRUE(rig.npfc.checkDma(rig.ch, buf, 12 * kPage).ok);
+
+    // The grown entry holds both IOs; the last completion unmaps all
+    // 12 pages, not the 8 of the IO that completes last.
+    map.afterDma(buf, 12 * kPage);
+    EXPECT_EQ(map.stats().unmaps, 0u);
+    map.afterDma(buf, 8 * kPage);
+    EXPECT_EQ(map.stats().unmaps, 1u);
+    EXPECT_EQ(map.stats().pagesUnmapped, 12u);
+    EXPECT_FALSE(rig.npfc.checkDma(rig.ch, buf + 8 * kPage, kPage).ok);
+}
+
+TEST(Pinning, NpRdmaOverflowUnmapsByAddressAroundTrackedSibling)
+{
+    Rig rig;
+    constexpr std::size_t kPage = mem::kPageSize;
+    NpRdmaMapping map(rig.npfc, rig.ch, /*table_entries=*/1);
+    mem::VirtAddr buf = rig.as.allocRegion(MiB);
+
+    map.beforeDma(buf, 8 * kPage);             // tracked: pages [0, 8)
+    map.beforeDma(buf + 4 * kPage, 8 * kPage); // untracked: [4, 12)
+    EXPECT_EQ(map.stats().overflows, 1u);
+    EXPECT_EQ(map.tableSize(), 1u);
+    EXPECT_EQ(map.table().find(buf + 4 * kPage),
+              NpRdmaMapping::Table::kNil);
+
+    // The untracked IO is unmapped by its own address range; the
+    // pages the tracked extent covers stay mapped.
+    map.afterDma(buf + 4 * kPage, 8 * kPage);
+    EXPECT_EQ(map.stats().unmaps, 1u);
+    EXPECT_EQ(map.stats().pagesUnmapped, 4u);
+    EXPECT_TRUE(rig.npfc.checkDma(rig.ch, buf, 8 * kPage).ok);
+    EXPECT_FALSE(rig.npfc.checkDma(rig.ch, buf + 8 * kPage, kPage).ok);
+    EXPECT_EQ(map.tableSize(), 1u);
+
+    map.afterDma(buf, 8 * kPage);
+    EXPECT_EQ(map.stats().pagesUnmapped, 12u);
+    EXPECT_EQ(map.tableSize(), 0u);
+}
+
+TEST(Pinning, NpRdmaFreedTableSlotsAreReusedLifo)
+{
+    Rig rig;
+    constexpr std::size_t kPage = mem::kPageSize;
+    NpRdmaMapping map(rig.npfc, rig.ch, /*table_entries=*/4);
+    mem::VirtAddr buf = rig.as.allocRegion(MiB);
+    auto extent = [&](int i) { return buf + i * 16 * kPage; };
+    const NpRdmaMapping::Table &table = map.table();
+
+    for (int i = 0; i < 4; ++i)
+        map.beforeDma(extent(i), 4 * kPage);
+    for (int i = 0; i < 4; ++i)
+        EXPECT_EQ(table.find(extent(i)), std::uint32_t(i))
+            << "fresh slots go out in ascending order";
+
+    map.afterDma(extent(1), 4 * kPage);
+    map.afterDma(extent(3), 4 * kPage);
+    map.beforeDma(extent(4), 4 * kPage);
+    map.beforeDma(extent(5), 4 * kPage);
+    EXPECT_EQ(table.find(extent(4)), 3u) << "last freed, first reused";
+    EXPECT_EQ(table.find(extent(5)), 1u);
+    EXPECT_EQ(table.key(table.mru()), extent(5));
+    EXPECT_EQ(table.key(table.lru()), extent(0));
+
+    map.beforeDma(extent(6), 4 * kPage);
+    EXPECT_EQ(map.stats().overflows, 1u) << "the 4 slots are all live";
+    EXPECT_EQ(map.tableSize(), 4u);
+}
+
+TEST(Pinning, NpRdmaZeroTableEntriesMeansOne)
+{
+    Rig rig;
+    NpRdmaMapping map(rig.npfc, rig.ch, /*table_entries=*/0);
+    EXPECT_EQ(map.tableCapacity(), 1u);
 }

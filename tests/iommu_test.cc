@@ -63,6 +63,11 @@ TEST(IoPageTable, MapUnmapRemapCyclesKeepMappedPagesExact)
         ASSERT_EQ(pt.lookup(vpn), std::optional<mem::Pfn>(pfn));
 }
 
+TEST(IoTlbDeathTest, ZeroCapacityAborts)
+{
+    EXPECT_DEATH({ IoTlb tlb(0); }, "capacity 0 out of range");
+}
+
 TEST(IoTlb, HitAndMissCounting)
 {
     IoTlb tlb(4);
@@ -208,23 +213,21 @@ TEST(IoTlb, InsertOnCachedVpnCountsRefresh)
 
 TEST(IoTlb, AdversarialCollisionChainAcrossTableWrap)
 {
-    // removeAt() uses backward-shift deletion; the relocation rule
+    // erase() uses backward-shift deletion; the relocation rule
     // `((i - home) & mask) >= ((i - hole) & mask)` is exactly the
     // part that breaks subtly when a probe chain wraps past the end
-    // of the bucket array. Force that: capacity 8 => 16 buckets, and
-    // pick vpns whose home bucket is 14 or 15 so one long chain spans
+    // of the bucket array. Force that: pick vpns whose home is one of
+    // the last two buckets of the live index, so one long chain spans
     // the wrap. Every operation is mirrored into a shadow
     // std::map + LRU-list oracle and the full state compared.
     constexpr std::size_t kCap = 8;
     IoTlb tlb(kCap);
-    auto home = [](mem::Vpn v) {
-        return std::size_t((std::uint64_t(v) * 0x9e3779b97f4a7c15ull) >>
-                           32) &
-               15u;
-    };
+    const IoTlb::Index &index = tlb.index();
+    const std::size_t last = index.buckets() - 1;
+    ASSERT_GE(index.buckets(), 2 * kCap) << "capacity reserved up front";
     std::vector<mem::Vpn> vpns;
     for (mem::Vpn v = 1; vpns.size() < 14; ++v)
-        if (home(v) >= 14)
+        if (index.homeBucket(v) >= last - 1)
             vpns.push_back(v);
 
     std::map<mem::Vpn, mem::Pfn> shadow;
@@ -318,4 +321,5 @@ TEST(IoTlb, AdversarialCollisionChainAcrossTableWrap)
     oracle_evict(0); // 0 = everything
     verify(7);
     EXPECT_EQ(tlb.size(), 0u);
+    EXPECT_EQ(index.buckets(), last + 1) << "a reserved index never grows";
 }
