@@ -58,7 +58,8 @@ struct Rig
 int
 main(int argc, char **argv)
 {
-    ObsArgs obs_args = parseObsArgs(argc, argv);
+    ObsArgs obs_args;
+    parseFlagsOrExit(argc, argv, obsFlags(obs_args));
     header("Ablation: backup-ring pending window (bm_size) vs loss "
            "under a bursty faulting stream");
     constexpr std::uint64_t kFrames = 2000;

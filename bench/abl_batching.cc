@@ -16,7 +16,8 @@ using namespace npf::bench;
 int
 main(int argc, char **argv)
 {
-    ObsArgs obs_args = parseObsArgs(argc, argv);
+    ObsArgs obs_args;
+    parseFlagsOrExit(argc, argv, obsFlags(obs_args));
     header("Ablation: batched pre-faulting vs one-page-per-PRI-event");
     row("%-10s %16s %18s %8s", "msg", "batched[ms]", "one-page[ms]",
         "ratio");

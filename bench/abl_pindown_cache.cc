@@ -19,7 +19,8 @@ using namespace npf::bench;
 int
 main(int argc, char **argv)
 {
-    ObsArgs obs_args = parseObsArgs(argc, argv);
+    ObsArgs obs_args;
+    parseFlagsOrExit(argc, argv, obsFlags(obs_args));
     constexpr std::size_t kMiB = 1ull << 20;
     constexpr unsigned kBuffers = 32;     // 32 x 1 MB working set
     constexpr unsigned kAccesses = 2000;

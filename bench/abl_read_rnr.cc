@@ -89,7 +89,8 @@ runReads(bool extension, std::size_t read_bytes, unsigned reads,
 int
 main(int argc, char **argv)
 {
-    ObsArgs obs_args = parseObsArgs(argc, argv);
+    ObsArgs obs_args;
+    parseFlagsOrExit(argc, argv, obsFlags(obs_args));
     constexpr unsigned kReads = 50;
     header("Ablation: RDMA-read rNPF recovery — standard RC rewind "
            "vs the paper's proposed read-RNR extension");

@@ -67,20 +67,6 @@ printInjected(const fault::FaultInjector &inj)
         (unsigned long long)inj.injectedTotal());
 }
 
-fault::FaultInjector
-makeInjector(const ObsArgs &a, sim::EventQueue &eq)
-{
-    const std::string &spec = a.faultPlan.empty() ? kDefaultPlan
-                                                  : a.faultPlan;
-    std::string err;
-    auto plan = fault::FaultPlan::parse(spec, &err);
-    if (!plan) {
-        std::fprintf(stderr, "bad --fault-plan: %s\n", err.c_str());
-        std::exit(2);
-    }
-    return fault::FaultInjector(eq, *plan, a.faultSeed);
-}
-
 /**
  * With --flight-recorder, dump the ring at injected-fault clause
  * boundaries: the first firing of every clause (high-rate wire
@@ -116,19 +102,19 @@ tcpScenario(const ObsArgs &args)
     header("chaos 1: TCP/Ethernet bidirectional RPC under plan");
     EthBed bed(EthBed::Options{});
     auto obs = openObsSession(withIter(args, 0), bed.eq);
-    fault::FaultInjector inj = makeInjector(args, bed.eq);
-    armClauseDumps(inj);
+    auto inj = installFaultPlan(args, bed.eq);
+    armClauseDumps(*inj);
     // Timed sites squeeze the server host while traffic flows.
-    inj.onTimedAction(fault::Site::Mem, [&](std::uint64_t pages) {
+    inj->onTimedAction(fault::Site::Mem, [&](std::uint64_t pages) {
         bed.serverMm->reclaimPages(pages);
     });
-    inj.onTimedAction(fault::Site::Iotlb, [&](std::uint64_t entries) {
+    inj->onTimedAction(fault::Site::Iotlb, [&](std::uint64_t entries) {
         bed.serverNpfc->iommu(bed.serverCh).tlb().evictLru(entries);
     });
 
     if (!bed.connect(1)) {
         row("  handshake FAILED under plan");
-        printInjected(inj);
+        printInjected(*inj);
         return;
     }
     tcp::TcpConnection &cli = bed.client->connection(1);
@@ -165,7 +151,7 @@ tcpScenario(const ObsArgs &args)
         (unsigned long long)bed.serverNic->stats().rxCorrupt,
         (unsigned long long)bed.serverNic->stats().rxStalls,
         (unsigned long long)bed.serverNic->ring(0).stats.rnpfs);
-    printInjected(inj);
+    printInjected(*inj);
 }
 
 // --- scenario 2: IB RC with cold receive buffers ---------------------
@@ -176,8 +162,8 @@ ibScenario(const ObsArgs &args)
     header("chaos 2: IB RC send/recv, cold buffers, under plan");
     sim::EventQueue eq;
     auto obs = openObsSession(withIter(args, 1), eq);
-    fault::FaultInjector inj = makeInjector(args, eq);
-    armClauseDumps(inj);
+    auto inj = installFaultPlan(args, eq);
+    armClauseDumps(*inj);
     net::Fabric fabric(eq, 2,
                        net::FabricConfig{net::LinkConfig{56e9, 300, 32},
                                          200});
@@ -190,10 +176,10 @@ ibScenario(const ObsArgs &args)
     ib::QueuePair qpB(eq, fabric, 1, npfcB, chB, ib::QpConfig{}, 2);
     qpA.connect(qpB);
     qpB.connect(qpA);
-    inj.onTimedAction(fault::Site::Mem, [&](std::uint64_t pages) {
+    inj->onTimedAction(fault::Site::Mem, [&](std::uint64_t pages) {
         mmB.reclaimPages(pages);
     });
-    inj.onTimedAction(fault::Site::Iotlb, [&](std::uint64_t entries) {
+    inj->onTimedAction(fault::Site::Iotlb, [&](std::uint64_t entries) {
         npfcB.iommu(chB).tlb().evictLru(entries);
     });
 
@@ -235,7 +221,7 @@ ibScenario(const ObsArgs &args)
         (unsigned long long)sa.retransmitted,
         (unsigned long long)sa.rewinds,
         (unsigned long long)sa.rnrNacksReceived);
-    printInjected(inj);
+    printInjected(*inj);
 }
 
 // --- scenario 3: timed storms against a steady DMA sweep -------------
@@ -246,16 +232,16 @@ stormScenario(const ObsArgs &args)
     header("chaos 3: mem-pressure + IOTLB storms vs steady DMA");
     sim::EventQueue eq;
     auto obs = openObsSession(withIter(args, 2), eq);
-    fault::FaultInjector inj = makeInjector(args, eq);
-    armClauseDumps(inj);
+    auto inj = installFaultPlan(args, eq);
+    armClauseDumps(*inj);
     mem::MemoryManager mm(32 * kMiB);
     mem::AddressSpace &as = mm.createAddressSpace("sweep");
     core::NpfController npfc(eq);
     core::ChannelId ch = npfc.attach(as);
-    inj.onTimedAction(fault::Site::Mem, [&](std::uint64_t pages) {
+    inj->onTimedAction(fault::Site::Mem, [&](std::uint64_t pages) {
         mm.reclaimPages(pages);
     });
-    inj.onTimedAction(fault::Site::Iotlb, [&](std::uint64_t entries) {
+    inj->onTimedAction(fault::Site::Iotlb, [&](std::uint64_t entries) {
         npfc.iommu(ch).tlb().evictLru(entries);
     });
 
@@ -293,7 +279,7 @@ stormScenario(const ObsArgs &args)
     row("  iotlb: hits=%llu misses=%llu evictions=%llu",
         (unsigned long long)ts.hits, (unsigned long long)ts.misses,
         (unsigned long long)ts.evictions);
-    printInjected(inj);
+    printInjected(*inj);
 }
 
 } // namespace
@@ -301,11 +287,11 @@ stormScenario(const ObsArgs &args)
 int
 main(int argc, char **argv)
 {
-    ObsArgs args = parseObsArgs(argc, argv);
-    const std::string &spec = args.faultPlan.empty() ? kDefaultPlan
-                                                     : args.faultPlan;
+    ObsArgs args;
+    args.faultPlan = kDefaultPlan;
+    parseFlagsOrExit(argc, argv, iterObsFlags(args).add(faultFlags(args)));
     header("chaos_recovery");
-    row("  plan: %s", spec.c_str());
+    row("  plan: %s", args.faultPlan.c_str());
     row("  seed: %llu", (unsigned long long)args.faultSeed);
     tcpScenario(args);
     ibScenario(args);

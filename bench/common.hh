@@ -9,18 +9,15 @@
 #ifndef NPF_BENCH_COMMON_HH
 #define NPF_BENCH_COMMON_HH
 
-#include <charconv>
-#include <cmath>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <string>
-#include <type_traits>
 #include <vector>
 
 #include "app/memcached.hh"
+#include "bench/flags.hh"
 #include "core/npf_controller.hh"
 #include "eth/eth_nic.hh"
 #include "fault/fault.hh"
@@ -50,132 +47,6 @@ row(const char *fmt, ...)
 }
 
 /**
- * The numeric value of flag @p arg: all of @p value must parse as a
- * T (in range, no sign for unsigned T, finite for floating T), so
- * "--flight-recorder=64k" fails instead of arming a 64-entry ring.
- * On failure prints "bad argument" and exits 2.
- */
-template <typename T>
-T
-numericFlag(const char *arg, const char *value)
-{
-    T v{};
-    const char *end = value + std::strlen(value);
-    auto [p, ec] = std::from_chars(value, end, v);
-    bool ok = ec == std::errc() && p == end;
-    if constexpr (std::is_floating_point_v<T>)
-        ok = ok && std::isfinite(v);
-    if (!ok) {
-        std::fprintf(stderr, "bad argument: %s\n", arg);
-        std::exit(2);
-    }
-    return v;
-}
-
-/**
- * Observability flags shared by all benches:
- *
- *   --trace[=FILE]      record a Chrome trace (default trace.json)
- *   --trace-overwrite   sweep benches: one output file, last iteration
- *                       wins (default: per-iteration .NNN suffix)
- *   --metrics-out=FILE  write the metrics snapshot JSON on exit
- *   --sample-us=N       sample counter rates every N microseconds
- *   --fault-plan=SPEC   install a fault plan (see docs/FAULTS.md)
- *   --fault-seed=N      seed for the plan's random streams (default 1)
- *   --warmup=D          warm-up window, e.g. 500ms (0 = bench default)
- *   --duration=D        measure window, e.g. 2s (0 = bench default)
- *   --flight-recorder[=N]  arm the always-on flight recorder with an
- *                       N-event ring (default 65536)
- *   --flight-dump-on-slo   dump the ring when the SLO monitor trips
- *                       (implies --flight-recorder)
- *   --flight-dump[=FILE]   dump the ring at end of run (implies
- *                       --flight-recorder; default flight.json)
- *   --attr              causal latency attribution (phase-attributed
- *                       tails in the SLO report)
- *   --profile-eq        event-loop profiler (per-site counts and wall
- *                       time in the metrics snapshot)
- *
- * Unrecognized arguments are ignored so benches can add their own.
- */
-struct ObsArgs
-{
-    bool trace = false;
-    std::string traceOut = "trace.json";
-    bool traceOverwrite = false;
-    std::string metricsOut;
-    sim::Time sampleInterval = 0;
-    std::string faultPlan;
-    std::uint64_t faultSeed = 1;
-    sim::Time warmup = 0;   ///< 0: use the bench's default
-    sim::Time duration = 0; ///< 0: use the bench's default
-    std::size_t flightCapacity = 0; ///< 0: recorder off
-    std::string flightDumpPath = "flight.json";
-    bool flightDumpOnSlo = false;
-    bool flightDumpAtEnd = false;
-    bool attribution = false;
-    bool profileEventLoop = false;
-};
-
-inline ObsArgs
-parseObsArgs(int argc, char **argv)
-{
-    ObsArgs a;
-    for (int i = 1; i < argc; ++i) {
-        const char *arg = argv[i];
-        if (std::strcmp(arg, "--trace") == 0) {
-            a.trace = true;
-        } else if (std::strncmp(arg, "--trace=", 8) == 0) {
-            a.trace = true;
-            a.traceOut = arg + 8;
-        } else if (std::strncmp(arg, "--metrics-out=", 14) == 0) {
-            a.metricsOut = arg + 14;
-        } else if (std::strncmp(arg, "--sample-us=", 12) == 0) {
-            a.sampleInterval = sim::fromMicroseconds(
-                numericFlag<std::uint64_t>(arg, arg + 12));
-        } else if (std::strncmp(arg, "--fault-plan=", 13) == 0) {
-            a.faultPlan = arg + 13;
-        } else if (std::strncmp(arg, "--fault-seed=", 13) == 0) {
-            a.faultSeed = numericFlag<std::uint64_t>(arg, arg + 13);
-        } else if (std::strncmp(arg, "--warmup=", 9) == 0) {
-            if (!load::parseDuration(arg + 9, &a.warmup)) {
-                std::fprintf(stderr, "bad --warmup: %s\n", arg + 9);
-                std::exit(2);
-            }
-        } else if (std::strncmp(arg, "--duration=", 11) == 0) {
-            if (!load::parseDuration(arg + 11, &a.duration)) {
-                std::fprintf(stderr, "bad --duration: %s\n", arg + 11);
-                std::exit(2);
-            }
-        } else if (std::strcmp(arg, "--trace-overwrite") == 0) {
-            a.traceOverwrite = true;
-        } else if (std::strcmp(arg, "--flight-recorder") == 0) {
-            if (a.flightCapacity == 0)
-                a.flightCapacity = 1u << 16;
-        } else if (std::strncmp(arg, "--flight-recorder=", 18) == 0) {
-            a.flightCapacity = numericFlag<std::size_t>(arg, arg + 18);
-        } else if (std::strcmp(arg, "--flight-dump-on-slo") == 0) {
-            a.flightDumpOnSlo = true;
-            if (a.flightCapacity == 0)
-                a.flightCapacity = 1u << 16;
-        } else if (std::strcmp(arg, "--flight-dump") == 0) {
-            a.flightDumpAtEnd = true;
-            if (a.flightCapacity == 0)
-                a.flightCapacity = 1u << 16;
-        } else if (std::strncmp(arg, "--flight-dump=", 14) == 0) {
-            a.flightDumpAtEnd = true;
-            a.flightDumpPath = arg + 14;
-            if (a.flightCapacity == 0)
-                a.flightCapacity = 1u << 16;
-        } else if (std::strcmp(arg, "--attr") == 0) {
-            a.attribution = true;
-        } else if (std::strcmp(arg, "--profile-eq") == 0) {
-            a.profileEventLoop = true;
-        }
-    }
-    return a;
-}
-
-/**
  * Copy of @p a with iteration @p idx folded into every output path
  * ("trace.json" -> "trace.003.json"). Sweep benches that open one
  * obs::Session per configuration call this so iterations do not
@@ -198,24 +69,19 @@ withIter(const ObsArgs &a, unsigned idx)
 
 /**
  * Install the fault plan named by --fault-plan on @p eq, or return
- * nullptr (and change nothing) when the flag was absent. A malformed
- * spec aborts the bench with a diagnostic rather than silently
- * running faultless. Keep the returned injector alive for the run;
- * because the injector binds to one event queue, benches that build
- * several beds must scope it per bed.
+ * nullptr (and change nothing) when the flag was absent; the flag
+ * table has already rejected a malformed spec. Keep the returned
+ * injector alive for the run; because the injector binds to one event
+ * queue, benches that build several beds must scope it per bed.
  */
 inline std::unique_ptr<fault::FaultInjector>
 installFaultPlan(const ObsArgs &a, sim::EventQueue &eq)
 {
     if (a.faultPlan.empty())
         return nullptr;
-    std::string err;
-    auto plan = fault::FaultPlan::parse(a.faultPlan, &err);
-    if (!plan) {
-        std::fprintf(stderr, "bad --fault-plan: %s\n", err.c_str());
-        std::exit(2);
-    }
-    return std::make_unique<fault::FaultInjector>(eq, *plan, a.faultSeed);
+    return std::make_unique<fault::FaultInjector>(
+        eq, fault::FaultPlan::parse(a.faultPlan, nullptr).value(),
+        a.faultSeed);
 }
 
 /**
@@ -230,18 +96,7 @@ openObsSession(const ObsArgs &a, sim::EventQueue &eq)
     if (!a.trace && a.metricsOut.empty() && a.sampleInterval == 0 &&
         a.flightCapacity == 0 && !a.attribution && !a.profileEventLoop)
         return nullptr;
-    obs::SessionOptions opt;
-    opt.trace = a.trace;
-    opt.traceOut = a.traceOut;
-    opt.metricsOut = a.metricsOut;
-    opt.sampleInterval = a.sampleInterval;
-    opt.flightCapacity = a.flightCapacity;
-    opt.flightDumpPath = a.flightDumpPath;
-    opt.flightDumpOnSlo = a.flightDumpOnSlo;
-    opt.flightDumpAtEnd = a.flightDumpAtEnd;
-    opt.attribution = a.attribution;
-    opt.profileEventLoop = a.profileEventLoop;
-    return std::make_unique<obs::Session>(eq, opt);
+    return std::make_unique<obs::Session>(eq, a);
 }
 
 /** Ethernet testbed: one server host (direct channel, selectable

@@ -32,6 +32,7 @@
 #include <utility>
 #include <vector>
 
+#include "bench/flags.hh"
 #include "sim/event_queue.hh"
 #include "sim/time.hh"
 #include "tests/heap_event_queue.hh"
@@ -267,14 +268,11 @@ timed(const char *workload, const char *engine, Fn fn)
 int
 main(int argc, char **argv)
 {
-    const char *json_path = "BENCH_engine.json";
-    std::uint64_t scale = 1;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strncmp(argv[i], "--json=", 7) == 0)
-            json_path = argv[i] + 7;
-        else if (std::strcmp(argv[i], "--smoke") == 0)
-            scale = 8; // CI: divide workload sizes by 8
-    }
+    std::string json = "BENCH_engine.json";
+    bool smoke = false;
+    bench::parseFlagsOrExit(argc, argv, bench::timingFlags(&json, &smoke));
+    const char *json_path = json.c_str();
+    const std::uint64_t scale = smoke ? 8 : 1; // CI: sizes / 8
 
     const std::uint64_t kDrainN = 1'000'000 / scale;
     const std::uint64_t kCancelN = 500'000 / scale;

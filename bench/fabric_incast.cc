@@ -23,11 +23,11 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <new>
 #include <vector>
 
+#include "bench/flags.hh"
 #include "core/npf_controller.hh"
 #include "ib/queue_pair.hh"
 #include "mem/memory_manager.hh"
@@ -280,12 +280,10 @@ report(const Result &r)
 int
 main(int argc, char **argv)
 {
-    unsigned msgs = 16;
+    bool smoke = false;
+    bench::parseFlagsOrExit(argc, argv, {bench::toggle("--smoke", &smoke)});
+    const unsigned msgs = smoke ? 4 : 16;
     std::size_t msg_bytes = kMiB;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--smoke") == 0)
-            msgs = 4;
-    }
 
     // 8 Gb/s links (1 byte/ns), generous lossless headroom: the cap
     // never binds, so any drop is a PFC/ECN failure, not tuning.

@@ -29,6 +29,7 @@
 #include <string>
 #include <vector>
 
+#include "bench/flags.hh"
 #include "core/npf_controller.hh"
 #include "ib/queue_pair.hh"
 #include "mem/memory_manager.hh"
@@ -209,15 +210,12 @@ jsonScenario(std::FILE *js, const Result &r, bool last)
 int
 main(int argc, char **argv)
 {
-    unsigned msgs = 16;
+    std::string json = "BENCH_fabric.json";
+    bool smoke = false;
+    bench::parseFlagsOrExit(argc, argv, bench::timingFlags(&json, &smoke));
+    const char *json_path = json.c_str();
+    const unsigned msgs = smoke ? 6 : 16;
     std::size_t msg_bytes = 256 * kKiB;
-    const char *json_path = "BENCH_fabric.json";
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--smoke") == 0)
-            msgs = 6;
-        else if (std::strncmp(argv[i], "--json=", 7) == 0)
-            json_path = argv[i] + 7;
-    }
 
     std::printf("=== fabric_pfc_storm: rNPF -> pause cascade over %s "
                 "===\n",

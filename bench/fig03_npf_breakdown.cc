@@ -37,7 +37,8 @@ struct Avg
 int
 main(int argc, char **argv)
 {
-    ObsArgs obs_args = parseObsArgs(argc, argv);
+    ObsArgs obs_args;
+    parseFlagsOrExit(argc, argv, obsFlags(obs_args));
     sim::EventQueue eq;
     mem::MemoryManager mm(8ull << 30);
     mem::AddressSpace &as = mm.createAddressSpace("iouser");

@@ -58,7 +58,8 @@ struct Workload
 int
 main(int argc, char **argv)
 {
-    ObsArgs obs_args = parseObsArgs(argc, argv);
+    ObsArgs obs_args;
+    parseFlagsOrExit(argc, argv, obsFlags(obs_args));
     // ---- (a) startup throughput vs time, ring = 64 ------------------
     header("Figure 4(a): startup throughput [KTPS] vs time, ring=64");
     constexpr int kSeconds = 45;

@@ -85,7 +85,8 @@ struct Instance
 int
 main(int argc, char **argv)
 {
-    ObsArgs obs_args = parseObsArgs(argc, argv);
+    ObsArgs obs_args;
+    parseFlagsOrExit(argc, argv, obsFlags(obs_args));
     constexpr int kSwitchAt = 50;
     constexpr int kDuration = 120;
 

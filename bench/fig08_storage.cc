@@ -121,7 +121,8 @@ struct StorageBed
 int
 main(int argc, char **argv)
 {
-    ObsArgs obs_args = parseObsArgs(argc, argv);
+    ObsArgs obs_args;
+    parseFlagsOrExit(argc, argv, obsFlags(obs_args));
     header("Figure 8(a): read bandwidth [GB/s] vs host memory, "
            "512KB random reads of a 4GB LUN");
     row("%10s %10s %10s %8s", "memory[GB]", "npf", "pin", "npf/pin");

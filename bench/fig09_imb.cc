@@ -17,7 +17,8 @@ using namespace npf::hpc;
 int
 main(int argc, char **argv)
 {
-    ObsArgs obs_args = parseObsArgs(argc, argv);
+    ObsArgs obs_args;
+    parseFlagsOrExit(argc, argv, obsFlags(obs_args));
     const std::vector<std::size_t> sizes = {16 * 1024, 32 * 1024,
                                             64 * 1024, 128 * 1024};
     const std::vector<ImbBenchmark> benches = {ImbBenchmark::Sendrecv,

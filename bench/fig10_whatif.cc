@@ -135,7 +135,8 @@ ibStream(double prob, bool major, const ObsArgs &obs_args)
 int
 main(int argc, char **argv)
 {
-    ObsArgs obs_args = parseObsArgs(argc, argv);
+    ObsArgs obs_args;
+    parseFlagsOrExit(argc, argv, iterObsFlags(obs_args));
     header("Figure 10 (left): Ethernet stream throughput [Gb/s] vs "
            "synthetic rNPF frequency (per packet)");
     row("%10s %12s %12s %12s %12s", "freq", "minor-brng", "major-brng",

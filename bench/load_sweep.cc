@@ -15,7 +15,12 @@
  *              [--rates=R1,R2,...] [--workload=SPEC] [--seed=N]
  *              [--timeout=D] [--retries=N] [--slo=D]
  *              [--warmup=D] [--duration=D]
- *              [--topology=SPEC] [--ovs=F1,F2,...] [obs/fault flags]
+ *              [--topology=SPEC] [--ovs=F1,F2,...]
+ *              [--fault-plan=SPEC] [--fault-seed=N]
+ *              [--trace-overwrite] [obs flags]
+ *
+ * The flags are declared in bench/flags.hh (loadSweepFlags); anything
+ * else, and any malformed value, exits 64 with the accepted list.
  *
  * With --topology (ib only; net/topology.hh grammar) the flat
  * two-node fabric is replaced by a real switched topology: the KV
@@ -52,113 +57,13 @@ namespace {
 
 constexpr std::size_t kGiB = 1ull << 30;
 
-struct SweepArgs
-{
-    std::string transport = "eth";
-    std::uint64_t clients = 100000;
-    unsigned endpoints = 64;
-    std::vector<double> rates;
-    std::string workload = "keys=zipf:n=100k,theta=0.99;get=0.9";
-    std::uint64_t seed = 1;
-    sim::Time timeout = 0;
-    unsigned retries = 0;
-    sim::Time slo = sim::kMillisecond; ///< p99 target for the monitor
-    /** The cold rx ring takes ~0.9 s to fully warm (fig04); keep the
-     *  startup transient out of the measure window by default. */
-    sim::Time warmup = sim::kSecond;
-    sim::Time duration = 500 * sim::kMillisecond;
-    std::string topology;      ///< empty = legacy two-node fabric
-    std::vector<double> ovs;   ///< oversubscription sweep (leafspine)
-};
-
-SweepArgs
-parseSweepArgs(int argc, char **argv, const ObsArgs &obs)
-{
-    SweepArgs a;
-    for (int i = 1; i < argc; ++i) {
-        const char *arg = argv[i];
-        auto fail = [arg] {
-            std::fprintf(stderr, "bad argument: %s\n", arg);
-            std::exit(2);
-        };
-        if (std::strncmp(arg, "--transport=", 12) == 0) {
-            a.transport = arg + 12;
-            if (a.transport != "eth" && a.transport != "ib")
-                fail();
-        } else if (std::strncmp(arg, "--clients=", 10) == 0) {
-            double v = 0;
-            if (!load::parseRate(arg + 10, &v) || v < 1)
-                fail();
-            a.clients = std::uint64_t(v);
-        } else if (std::strncmp(arg, "--endpoints=", 12) == 0) {
-            a.endpoints = numericFlag<unsigned>(arg, arg + 12);
-            if (a.endpoints == 0)
-                fail();
-        } else if (std::strncmp(arg, "--rates=", 8) == 0) {
-            std::stringstream ss(arg + 8);
-            std::string item;
-            while (std::getline(ss, item, ',')) {
-                double r = 0;
-                if (!load::parseRate(item, &r) || r <= 0)
-                    fail();
-                a.rates.push_back(r);
-            }
-        } else if (std::strncmp(arg, "--workload=", 11) == 0) {
-            a.workload = arg + 11;
-        } else if (std::strncmp(arg, "--seed=", 7) == 0) {
-            a.seed = numericFlag<std::uint64_t>(arg, arg + 7);
-        } else if (std::strncmp(arg, "--timeout=", 10) == 0) {
-            if (!load::parseDuration(arg + 10, &a.timeout))
-                fail();
-        } else if (std::strncmp(arg, "--retries=", 10) == 0) {
-            a.retries = numericFlag<unsigned>(arg, arg + 10);
-        } else if (std::strncmp(arg, "--slo=", 6) == 0) {
-            if (!load::parseDuration(arg + 6, &a.slo))
-                fail();
-        } else if (std::strncmp(arg, "--topology=", 11) == 0) {
-            a.topology = arg + 11;
-        } else if (std::strncmp(arg, "--ovs=", 6) == 0) {
-            std::stringstream ss(arg + 6);
-            std::string item;
-            while (std::getline(ss, item, ',')) {
-                double f = numericFlag<double>(arg, item.c_str());
-                if (f <= 0)
-                    fail();
-                a.ovs.push_back(f);
-            }
-        }
-    }
-    if (!a.topology.empty() && a.transport != "ib") {
-        std::fprintf(stderr, "--topology requires --transport=ib\n");
-        std::exit(2);
-    }
-    if (!a.ovs.empty() &&
-        a.topology.compare(0, 9, "leafspine") != 0) {
-        std::fprintf(stderr, "--ovs requires a leafspine --topology\n");
-        std::exit(2);
-    }
-    if (a.rates.empty())
-        a.rates = {100e3, 150e3, 186e3, 220e3};
-    if (obs.warmup != 0)
-        a.warmup = obs.warmup;
-    if (obs.duration != 0)
-        a.duration = obs.duration;
-    return a;
-}
-
 load::PoolConfig
 poolConfig(const SweepArgs &a, double rate)
 {
-    std::string err;
-    auto spec = load::WorkloadSpec::parse(a.workload, &err);
-    if (!spec) {
-        std::fprintf(stderr, "bad --workload: %s\n", err.c_str());
-        std::exit(2);
-    }
     load::PoolConfig pc;
     pc.clients = a.clients;
     pc.seed = a.seed;
-    pc.workload = *spec;
+    pc.workload = load::WorkloadSpec::parse(a.workload, nullptr).value();
     pc.workload.arrival.kind = load::ArrivalSpec::Kind::Poisson;
     pc.workload.arrival.ratePerSec = rate;
     pc.timeout = a.timeout;
@@ -285,18 +190,12 @@ runIb(const SweepArgs &a, const ObsArgs &obs_args, double rate,
             eq, 2,
             net::FabricConfig{net::LinkConfig{56e9, 300, 32}, 200});
     } else {
-        std::string err;
-        auto topo = net::Topology::parse(topo_spec, &err);
-        if (!topo) {
-            std::fprintf(stderr, "bad --topology: %s\n", err.c_str());
-            std::exit(2);
-        }
-        if (topo->hosts < 2) {
-            std::fprintf(stderr, "--topology needs >= 2 hosts\n");
-            std::exit(2);
-        }
-        clientHosts = topo->hosts - 1;
-        fabricPtr = std::make_unique<net::Fabric>(eq, *topo);
+        // The flag table checked the spec (>= 2 hosts) and kept
+        // --ovs factors >= 1, so the ovs= rewrite parses too.
+        net::Topology topo =
+            net::Topology::parse(topo_spec, nullptr).value();
+        clientHosts = topo.hosts - 1;
+        fabricPtr = std::make_unique<net::Fabric>(eq, topo);
     }
     net::Fabric &fabric = *fabricPtr;
     mem::MemoryManager serverMm(2 * kGiB), clientMm(2 * kGiB);
@@ -354,13 +253,14 @@ runIb(const SweepArgs &a, const ObsArgs &obs_args, double rate,
 int
 main(int argc, char **argv)
 {
-    ObsArgs obs_args = parseObsArgs(argc, argv);
-    SweepArgs a = parseSweepArgs(argc, argv, obs_args);
+    ObsArgs obs_args;
+    SweepArgs a;
+    parseFlagsOrExit(argc, argv, loadSweepFlags(a, obs_args));
 
     header("load sweep: offered rate vs tail latency");
     row("transport=%s clients=%llu endpoints=%u seed=%llu "
         "workload=\"%s\"",
-        a.transport.c_str(), (unsigned long long)a.clients, a.endpoints,
+        a.ib ? "ib" : "eth", (unsigned long long)a.clients, a.endpoints,
         (unsigned long long)a.seed, a.workload.c_str());
     if (!a.topology.empty())
         row("topology=\"%s\" (server=host0, clients incast from the "
@@ -388,9 +288,8 @@ main(int argc, char **argv)
             // Per-rate output files (trace.000.json, ...) unless
             // --trace-overwrite asked for the old clobbering behavior.
             ObsArgs it = withIter(obs_args, iter++);
-            RateResult r = a.transport == "ib"
-                               ? runIb(a, it, rate, spec)
-                               : runEth(a, it, rate);
+            RateResult r = a.ib ? runIb(a, it, rate, spec)
+                                : runEth(a, it, rate);
             row("%10.0f %10.0f %9.1f %9.1f %10.1f %9.1f %8llu %8llu "
                 "%8llu %6llu",
                 r.offered, r.achieved, r.p50, r.p99, r.p999, r.servP99,

@@ -28,10 +28,10 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <new>
 #include <random>
 
+#include "bench/flags.hh"
 #include "obs/attribution.hh"
 #include "obs/flight.hh"
 #include "obs/flow_tracer.hh"
@@ -178,14 +178,11 @@ minOfTrials(Mode mode, std::uint64_t n, unsigned trials,
 int
 main(int argc, char **argv)
 {
-    const char *json_path = "BENCH_obs.json";
-    std::uint64_t scale = 1;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strncmp(argv[i], "--json=", 7) == 0)
-            json_path = argv[i] + 7;
-        else if (std::strcmp(argv[i], "--smoke") == 0)
-            scale = 8;
-    }
+    std::string json = "BENCH_obs.json";
+    bool smoke = false;
+    bench::parseFlagsOrExit(argc, argv, bench::timingFlags(&json, &smoke));
+    const char *json_path = json.c_str();
+    const std::uint64_t scale = smoke ? 8 : 1;
 
     const std::uint64_t kEvents = 1'000'000 / scale;
     const unsigned kTrials = scale == 1 ? 5 : 3;

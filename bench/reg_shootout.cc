@@ -6,13 +6,16 @@
  * (beff), storage (iSER/fio), and KV RPC workloads, with
  * deterministic output suitable for digest pinning.
  *
- * Flags (on top of the common obs flags):
+ * Flags (on top of the obs flags and --trace-overwrite; table in
+ * bench/flags.hh):
  *   --seed=N       workload seed (client arrivals, fio offsets)
  *   --mode=M       copy | pin | npf | np-rdma | all (default all)
  *   --smoke        shorter windows / fewer reps (tier-9 setting)
- *   --alloc-gate   count heap allocations over the NP-RDMA KV
- *                  measure window; steady state must be 0. Run on
- *                  the plain build only — ASan interposes new.
+ *   --alloc-gate   count heap allocations over the KV measure
+ *                  window; steady state must be 0. Run on the plain
+ *                  build only — ASan interposes new.
+ *   --gate-mode=M  the discipline --alloc-gate measures: copy | pin |
+ *                  npf | np-rdma (default np-rdma)
  *
  * Like stack_bench, this TU overrides global operator new/delete to
  * count allocations; the NP-RDMA map/unmap hot path (driver table,
@@ -23,7 +26,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <new>
 
 namespace {
@@ -47,25 +49,27 @@ operator new[](std::size_t sz)
     return ::operator new(sz);
 }
 
-void
+// Out of line, so GCC never inlines a free() next to an operator new
+// it can see and reports a false -Wmismatched-new-delete.
+[[gnu::noinline]] void
 operator delete(void *p) noexcept
 {
     std::free(p);
 }
 
-void
+[[gnu::noinline]] void
 operator delete[](void *p) noexcept
 {
     std::free(p);
 }
 
-void
+[[gnu::noinline]] void
 operator delete(void *p, std::size_t) noexcept
 {
     std::free(p);
 }
 
-void
+[[gnu::noinline]] void
 operator delete[](void *p, std::size_t) noexcept
 {
     std::free(p);
@@ -78,35 +82,14 @@ using namespace npf;
 using namespace npf::bench;
 using namespace npf::hpc;
 
-namespace {
-
-bool
-wantMode(const char *sel, RegMode m)
-{
-    return std::strcmp(sel, "all") == 0 ||
-           std::strcmp(sel, regModeName(m)) == 0;
-}
-
-} // namespace
-
 int
 main(int argc, char **argv)
 {
-    ObsArgs obs_args = parseObsArgs(argc, argv);
-    std::uint64_t seed = 1;
-    const char *sel = "all";
-    bool smoke = false;
-    bool alloc_gate = false;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strncmp(argv[i], "--seed=", 7) == 0)
-            seed = numericFlag<std::uint64_t>(argv[i], argv[i] + 7);
-        else if (std::strncmp(argv[i], "--mode=", 7) == 0)
-            sel = argv[i] + 7;
-        else if (std::strcmp(argv[i], "--smoke") == 0)
-            smoke = true;
-        else if (std::strcmp(argv[i], "--alloc-gate") == 0)
-            alloc_gate = true;
-    }
+    ObsArgs obs_args;
+    RegArgs a;
+    parseFlagsOrExit(argc, argv, regShootoutFlags(a, obs_args));
+    const std::uint64_t seed = a.seed;
+    const bool smoke = a.smoke;
 
     sim::Time warm = (smoke ? 20 : 100) * sim::kMillisecond;
     sim::Time meas = (smoke ? 100 : 400) * sim::kMillisecond;
@@ -118,7 +101,7 @@ main(int argc, char **argv)
     unsigned iter = 0;
     for (RegMode mode : {RegMode::Copy, RegMode::PinDownCache,
                          RegMode::Npf, RegMode::NpRdma}) {
-        if (!wantMode(sel, mode))
+        if (a.mode && *a.mode != mode)
             continue;
         const char *name = regModeName(mode);
 
@@ -153,7 +136,7 @@ main(int argc, char **argv)
             (unsigned long long)kv.regOps);
     }
 
-    if (alloc_gate) {
+    if (a.allocGate) {
         // Steady-state allocation gate on the NP-RDMA per-IO path:
         // after warm-up (table built, FIFOs at high-water), the KV
         // map/unmap hot loop must not touch the heap at all.
@@ -161,13 +144,7 @@ main(int argc, char **argv)
         RegRunHooks hooks;
         hooks.onMeasureStart = [&] { before = g_allocs; };
         hooks.onMeasureEnd = [&] { after = g_allocs; };
-        RegMode gm = RegMode::NpRdma;
-        for (int i = 1; i < argc; ++i)
-            if (std::strncmp(argv[i], "--gate-mode=", 12) == 0)
-                for (RegMode m : {RegMode::Copy, RegMode::PinDownCache,
-                                  RegMode::Npf, RegMode::NpRdma})
-                    if (std::strcmp(argv[i] + 12, regModeName(m)) == 0)
-                        gm = m;
+        const RegMode gm = a.gateMode;
         regKvRun(gm, seed, warm, meas, 120e3, hooks);
         std::uint64_t steady = after - before;
         std::printf("reg_steady_allocs[%s]=%llu %s\n", regModeName(gm),

@@ -28,7 +28,6 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <deque>
 #include <memory>
 #include <string>
@@ -49,64 +48,6 @@ using namespace npf::bench;
 namespace {
 
 constexpr std::size_t kGiB = 1ull << 30;
-
-struct Args
-{
-    unsigned shards = 4;           ///< the parallel configuration
-    std::uint64_t clients = 1u << 20; ///< total logical clients
-    double rate = 400e3;           ///< total offered req/s
-    unsigned endpoints = 64;       ///< total transport endpoints
-    sim::Time warmup = 20 * sim::kMillisecond;
-    sim::Time duration = 100 * sim::kMillisecond;
-    std::uint64_t seed = 1;
-    const char *json = "BENCH_shard.json";
-    /** Report the speedup but never fail on it (sanitizer smoke
-     *  runs, where wall clock measures the sanitizer). */
-    bool speedGate = true;
-};
-
-Args
-parseArgs(int argc, char **argv)
-{
-    Args a;
-    for (int i = 1; i < argc; ++i) {
-        const char *arg = argv[i];
-        auto fail = [arg] {
-            std::fprintf(stderr, "bad argument: %s\n", arg);
-            std::exit(2);
-        };
-        if (std::strncmp(arg, "--shards=", 9) == 0) {
-            a.shards = numericFlag<unsigned>(arg, arg + 9);
-            if (a.shards < 2)
-                fail();
-        } else if (std::strncmp(arg, "--clients=", 10) == 0) {
-            double v = 0;
-            if (!load::parseRate(arg + 10, &v) || v < 1)
-                fail();
-            a.clients = std::uint64_t(v);
-        } else if (std::strncmp(arg, "--rate=", 7) == 0) {
-            if (!load::parseRate(arg + 7, &a.rate) || a.rate <= 0)
-                fail();
-        } else if (std::strncmp(arg, "--endpoints=", 12) == 0) {
-            a.endpoints = numericFlag<unsigned>(arg, arg + 12);
-            if (a.endpoints == 0)
-                fail();
-        } else if (std::strncmp(arg, "--warmup=", 9) == 0) {
-            if (!load::parseDuration(arg + 9, &a.warmup))
-                fail();
-        } else if (std::strncmp(arg, "--duration=", 11) == 0) {
-            if (!load::parseDuration(arg + 11, &a.duration))
-                fail();
-        } else if (std::strncmp(arg, "--seed=", 7) == 0) {
-            a.seed = numericFlag<std::uint64_t>(arg, arg + 7);
-        } else if (std::strncmp(arg, "--json=", 7) == 0) {
-            a.json = arg + 7;
-        } else if (std::strcmp(arg, "--no-speed-gate") == 0) {
-            a.speedGate = false;
-        }
-    }
-    return a;
-}
 
 /** FNV-1a, the digest every replay must reproduce bit-for-bit. */
 struct Digest
@@ -288,7 +229,7 @@ struct RunResult
 };
 
 RunResult
-runConfig(const Args &a, unsigned shards)
+runConfig(const ShardArgs &a, unsigned shards)
 {
     sim::ShardedEngine::Config ec;
     ec.shards = shards;
@@ -373,7 +314,8 @@ runConfig(const Args &a, unsigned shards)
 int
 main(int argc, char **argv)
 {
-    Args a = parseArgs(argc, argv);
+    ShardArgs a;
+    parseFlagsOrExit(argc, argv, shardScaleFlags(a));
     unsigned cpus = std::thread::hardware_concurrency();
 
     header("shard_scale: sharded engine scaling gate");
@@ -424,7 +366,7 @@ main(int argc, char **argv)
     row("speedup %ux vs 1: %.2fx  (gate >=3x: %s)", a.shards, speedup,
         verdict);
 
-    FILE *f = std::fopen(a.json, "w");
+    FILE *f = std::fopen(a.json.c_str(), "w");
     if (!f) {
         std::perror("fopen BENCH_shard.json");
         return 1;
@@ -462,11 +404,11 @@ main(int argc, char **argv)
                  deterministic ? "ok" : "mismatch");
     std::fprintf(f, "  \"scaling_gate\": \"%s\"\n}\n", verdict);
     std::fclose(f);
-    row("wrote %s", a.json);
+    row("wrote %s", a.json.c_str());
 
     if (!deterministic)
         return 1;
-    if (a.speedGate && cpus >= 4 && speedup < 3.0)
+    if (!a.noSpeedGate && cpus >= 4 && speedup < 3.0)
         return 1;
     return 0;
 }

@@ -350,14 +350,10 @@ runIbOpenLoop(sim::Time warm, sim::Time meas)
 int
 main(int argc, char **argv)
 {
-    const char *json_path = "BENCH_stack.json";
+    std::string json = "BENCH_stack.json";
     bool smoke = false;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strncmp(argv[i], "--json=", 7) == 0)
-            json_path = argv[i] + 7;
-        else if (std::strcmp(argv[i], "--smoke") == 0)
-            smoke = true;
-    }
+    parseFlagsOrExit(argc, argv, timingFlags(&json, &smoke));
+    const char *json_path = json.c_str();
 
     g_traceWanted = std::getenv("STACK_BENCH_TRACE") != nullptr;
     if (g_traceWanted) {

@@ -14,7 +14,8 @@ using namespace npf::bench;
 int
 main(int argc, char **argv)
 {
-    ObsArgs obs_args = parseObsArgs(argc, argv);
+    ObsArgs obs_args;
+    parseFlagsOrExit(argc, argv, obsFlags(obs_args));
     sim::EventQueue eq;
     mem::MemoryManager mm(24ull << 30);
     mem::AddressSpace &as = mm.createAddressSpace("iouser");

@@ -36,7 +36,8 @@ struct Vm
 
 /** @return aggregated KTPS, or -1 when the configuration cannot run. */
 double
-runInstances(unsigned n, bool pinned, const ObsArgs &obs_args)
+runInstances(unsigned n, bool pinned, const ObsArgs &obs_args,
+             sim::Time warm, sim::Time measure)
 {
     constexpr std::size_t kHostBytes = 8 * kGiB;
     constexpr std::size_t kVmBytes = 3 * kGiB;
@@ -86,12 +87,6 @@ runInstances(unsigned n, bool pinned, const ObsArgs &obs_args)
         vms.push_back(std::move(vm));
     }
 
-    // Warm half a second, then measure one second (both overridable
-    // with the standard --warmup / --duration flags).
-    sim::Time warm =
-        obs_args.warmup != 0 ? obs_args.warmup : sim::kSecond / 2;
-    sim::Time measure =
-        obs_args.duration != 0 ? obs_args.duration : sim::kSecond;
     for (auto &vm : vms)
         vm->bed->eq.runUntil(vm->bed->eq.now() + warm);
     for (auto &vm : vms)
@@ -111,14 +106,18 @@ runInstances(unsigned n, bool pinned, const ObsArgs &obs_args)
 int
 main(int argc, char **argv)
 {
-    ObsArgs obs_args = parseObsArgs(argc, argv);
+    ObsArgs obs_args;
+    // Warm half a second, then measure one second.
+    sim::Time warm = sim::kSecond / 2, measure = sim::kSecond;
+    parseFlagsOrExit(argc, argv,
+                     obsFlags(obs_args).add(windowFlags(&warm, &measure)));
     header("Table 5: aggregated memcached throughput [KTPS]");
     row("%-22s %8s %8s %8s %8s", "memcached instances", "1", "2", "3",
         "4");
     for (bool pinned : {false, true}) {
         double v[4];
         for (unsigned n = 1; n <= 4; ++n)
-            v[n - 1] = runInstances(n, pinned, obs_args);
+            v[n - 1] = runInstances(n, pinned, obs_args, warm, measure);
         auto fmt = [](double x) {
             static char b[8][16];
             static int i = 0;

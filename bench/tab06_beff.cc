@@ -18,7 +18,8 @@ using namespace npf::hpc;
 int
 main(int argc, char **argv)
 {
-    ObsArgs obs_args = parseObsArgs(argc, argv);
+    ObsArgs obs_args;
+    parseFlagsOrExit(argc, argv, iterObsFlags(obs_args));
     ClusterConfig cfg; // 8 ranks, 56 Gb/s
     header("Table 6: effective bandwidth (beff) [MB/s]");
     row("%-10s %12s %10s", "app", "beff", "stddev");
