@@ -207,7 +207,26 @@ grep -q '"allocs_ok": true' "$smokedir/BENCH_stack.json" || {
 # file only when a bench's output is changed on purpose). Full-scale
 # runs, ~3-4 minutes total.
 ./build/bench/fig04_cold_ring           > "$smokedir/fig04.txt" 2>&1
-./build/bench/tab05_memcached_overcommit > "$smokedir/tab05.txt" 2>&1
+# tab05 builds a world per configuration, each with multi-GiB frame
+# tables that must stay address space in every world, not only the
+# first (docs/MEMORY.md). python3 runs it and reads its resident peak.
+if command -v python3 >/dev/null 2>&1; then
+    python3 - "$smokedir/tab05.txt" <<'EOF'
+import resource, subprocess, sys
+with open(sys.argv[1], "wb") as out:
+    rc = subprocess.call(["./build/bench/tab05_memcached_overcommit"],
+                         stdout=out, stderr=subprocess.STDOUT)
+if rc != 0:
+    sys.exit("FAIL: tab05_memcached_overcommit exited %d" % rc)
+peak = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024.0
+print("tab05 peak RSS: %.1f MiB (gate 310)" % peak)
+if peak > 310:
+    sys.exit("FAIL: tab05_memcached_overcommit peaked above 310 MiB")
+EOF
+else
+    echo "note: python3 not found, skipping tab05's resident-peak gate"
+    ./build/bench/tab05_memcached_overcommit > "$smokedir/tab05.txt" 2>&1
+fi
 ./build/bench/fig07_dynamic_working_set > "$smokedir/fig07.txt" 2>&1
 ./build/bench/chaos_recovery            > "$smokedir/chaos.txt" 2>&1
 if (cd "$smokedir" && sha256sum -c "$OLDPWD/scripts/golden_digests.sha256"); then

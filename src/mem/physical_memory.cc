@@ -1,5 +1,8 @@
 #include "mem/physical_memory.hh"
 
+#include <cstdio>
+#include <cstdlib>
+
 namespace npf::mem {
 
 PhysicalMemory::PhysicalMemory(std::size_t total_bytes)
@@ -27,8 +30,17 @@ PhysicalMemory::allocate(AddressSpace *owner, Vpn vpn)
 void
 PhysicalMemory::release(Pfn pfn)
 {
-    assert(pfn < frames_.size());
-    assert(frames_[pfn].owner != nullptr && "double free of frame");
+    // A double release would hand one frame to two later faults; a pfn
+    // past the table would write out of bounds.
+    if (pfn >= frames_.size() || frames_[pfn].vpn == Frame::kFree) {
+        std::fprintf(stderr,
+                     "mem::PhysicalMemory: release of pfn %llu, which is "
+                     "%s\n",
+                     static_cast<unsigned long long>(pfn),
+                     pfn >= frames_.size() ? "past the frame table"
+                                           : "not allocated");
+        std::abort();
+    }
     frames_[pfn] = Frame{};
     recycled_.push_back(pfn);
 }

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "mem/types.hh"
+#include "sim/page_allocator.hh"
 
 namespace npf::mem {
 
@@ -21,8 +22,11 @@ class AddressSpace;
 /** Reverse-map metadata for one physical frame. */
 struct Frame
 {
+    /// vpn of a free frame: no 64-bit address has this page number
+    static constexpr Vpn kFree = ~Vpn(0);
+
     AddressSpace *owner = nullptr; ///< nullptr when free
-    Vpn vpn = 0;                   ///< owning virtual page when allocated
+    Vpn vpn = kFree;               ///< owning virtual page; kFree when free
 };
 
 /**
@@ -34,6 +38,10 @@ struct Frame
  * and grows as memory is first used. A released pfn is reused before
  * any fresh one (LIFO), which is the order an eager free list that
  * starts with every pfn, lowest on top, would give.
+ *
+ * Both arrays are reserved to the frame count on kernel pages
+ * (sim::PageAllocator), so the reservation stays address space even
+ * when an earlier instance left freed, resident chunks in the heap.
  */
 class PhysicalMemory
 {
@@ -54,7 +62,8 @@ class PhysicalMemory
      */
     std::optional<Pfn> allocate(AddressSpace *owner, Vpn vpn);
 
-    /** Return frame @p pfn to the free pool. */
+    /** Return frame @p pfn to the free pool. Aborts, in every build,
+     *  unless @p pfn is allocated. */
     void release(Pfn pfn);
 
     /** Reverse-map entry for @p pfn (free if never handed out). */
@@ -68,8 +77,10 @@ class PhysicalMemory
 
   private:
     std::size_t total_;
-    std::vector<Frame> frames_; ///< pfns handed out at least once
-    std::vector<Pfn> recycled_; ///< released pfns, reused LIFO
+    /// pfns handed out at least once
+    std::vector<Frame, sim::PageAllocator<Frame>> frames_;
+    /// released pfns, reused LIFO
+    std::vector<Pfn, sim::PageAllocator<Pfn>> recycled_;
 };
 
 } // namespace npf::mem

@@ -8,6 +8,11 @@
 
 #include <gtest/gtest.h>
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
+#include <algorithm>
 #include <array>
 #include <optional>
 #include <unordered_map>
@@ -156,6 +161,46 @@ TEST(PhysicalMemory, RandomOpsMatchEagerFreeListOracle)
                     << "pfn " << pfn;
         }
     }
+}
+
+TEST(PhysicalMemoryDeathTest, BadReleaseAborts)
+{
+    // Checked in every build: a double release would hand one frame to
+    // two later faults, and a pfn past the table would write out of it.
+    PhysicalMemory pm(16 * kPageSize);
+    Pfn pfn = *pm.allocate(nullptr, 7);
+    pm.release(pfn);
+    EXPECT_DEATH(pm.release(pfn), "release of pfn 0, which is not allocated");
+    EXPECT_DEATH(pm.release(1), "release of pfn 1, which is past the frame");
+    EXPECT_DEATH(pm.release(99), "release of pfn 99, which is past the frame");
+}
+
+/**
+ * The frame table and the recycle stack are reserved on kernel pages:
+ * building a PhysicalMemory leaves the malloc heap alone, so the
+ * reservation cannot land on resident chunks an earlier instance freed.
+ */
+TEST(PhysicalMemory, ReservationIsNotMallocMemory)
+{
+#if !defined(__GLIBC__)
+    GTEST_SKIP() << "mallinfo2 is glibc's";
+#elif defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+    GTEST_SKIP() << "the sanitizer's allocator owns malloc";
+#else
+    constexpr std::size_t kSlack = 64 * 1024;
+    auto moved = [](std::size_t a, std::size_t b) {
+        return std::max(a, b) - std::min(a, b);
+    };
+    for (std::size_t bytes : {std::size_t(1) << 30, std::size_t(64) << 30}) {
+        SCOPED_TRACE(::testing::Message() << "bytes " << bytes);
+        struct mallinfo2 before = mallinfo2();
+        PhysicalMemory pm(bytes);
+        ASSERT_TRUE(pm.allocate(nullptr, 0).has_value());
+        struct mallinfo2 built = mallinfo2();
+        EXPECT_LE(moved(before.uordblks, built.uordblks), kSlack);
+        EXPECT_LE(moved(before.hblkhd, built.hblkhd), kSlack);
+    }
+#endif
 }
 
 TEST(PageMath, Helpers)
