@@ -1,14 +1,14 @@
 /**
  * @file
- * Shared helpers for the experiment benches: table printing and the
- * two-host Ethernet testbed (mirrors tests/testbed.hh, tuned for the
- * paper's §6 Ethernet setup: 12 Gb/s prototype NIC, memcached server
- * on a direct channel, client on a standard pinned stack).
+ * Shared helpers for the experiment benches: table printing, the
+ * per-iteration obs outputs, fault plans and a stopwatch. The worlds
+ * the benches run live in src/scenario/.
  */
 
 #ifndef NPF_BENCH_COMMON_HH
 #define NPF_BENCH_COMMON_HH
 
+#include <chrono>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
@@ -16,16 +16,12 @@
 #include <string>
 #include <vector>
 
-#include "app/memcached.hh"
 #include "bench/flags.hh"
-#include "core/npf_controller.hh"
-#include "eth/eth_nic.hh"
 #include "fault/fault.hh"
 #include "load/spec.hh"
-#include "mem/memory_manager.hh"
 #include "obs/flight.hh"
 #include "obs/session.hh"
-#include "tcp/endpoint.hh"
+#include "scenario/eth_world.hh"
 
 namespace npf::bench {
 
@@ -99,108 +95,28 @@ openObsSession(const ObsArgs &a, sim::EventQueue &eq)
     return std::make_unique<obs::Session>(eq, a);
 }
 
-/** Ethernet testbed: one server host (direct channel, selectable
- *  fault policy) and one client host (pinned standard stack). */
-struct EthBed
+/** Wall-clock seconds since @p t0. */
+inline double
+secondsSince(std::chrono::steady_clock::time_point t0)
 {
-    sim::EventQueue eq;
-    std::unique_ptr<mem::MemoryManager> serverMm, clientMm;
-    mem::AddressSpace *serverAs = nullptr, *clientAs = nullptr;
-    std::unique_ptr<core::NpfController> serverNpfc, clientNpfc;
-    core::ChannelId serverCh{}, clientCh{};
-    std::unique_ptr<eth::EthNic> serverNic, clientNic;
-    std::unique_ptr<tcp::Endpoint> server, client;
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                         t0)
+        .count();
+}
 
-    struct Options
-    {
-        eth::RxFaultPolicy policy = eth::RxFaultPolicy::BackupRing;
-        std::size_t ringSize = 64;
-        std::size_t serverMemBytes = 2ull << 30;
-        std::string serverCgroup;       ///< optional cgroup for the VM
-        std::size_t cgroupLimit = 0;
-        double linkBw = 12e9;           ///< the §5 prototype NIC
-        std::size_t mss = 1448;
-        std::size_t rxBufBytes = 2048;
-        double syntheticRnpfProb = 0.0;
-        bool syntheticMajor = false;
-        bool prefaultRxBuffers = false;
-        mem::BackingStoreConfig serverSwap{};
-        mem::MemoryManager *sharedServerMm = nullptr; ///< co-located VMs
-        eth::EthNic *sharedServerNic = nullptr;
-        eth::EthNic *sharedClientNic = nullptr;
-    };
+using scenario::EthBed;
+using scenario::MemcachedInstance;
 
-    explicit EthBed(const Options &o)
-    {
-        mem::MemoryManager *smm = o.sharedServerMm;
-        if (smm == nullptr) {
-            serverMm = std::make_unique<mem::MemoryManager>(
-                o.serverMemBytes, mem::MemCostConfig{}, o.serverSwap);
-            smm = serverMm.get();
-        }
-        if (!o.serverCgroup.empty() && !smm->hasCgroup(o.serverCgroup))
-            smm->createCgroup(o.serverCgroup, o.cgroupLimit);
-        clientMm = std::make_unique<mem::MemoryManager>(1ull << 30);
-        serverAs = &smm->createAddressSpace("server", o.serverCgroup);
-        clientAs = &clientMm->createAddressSpace("client");
-        serverNpfc = std::make_unique<core::NpfController>(eq);
-        clientNpfc = std::make_unique<core::NpfController>(eq);
-        core::ChannelId sch = serverNpfc->attach(*serverAs);
-        core::ChannelId cch = clientNpfc->attach(*clientAs);
-        serverCh = sch;
-        clientCh = cch;
-
-        serverNic = std::make_unique<eth::EthNic>(eq, *serverNpfc);
-        clientNic = std::make_unique<eth::EthNic>(eq, *clientNpfc);
-        net::LinkConfig link;
-        link.bandwidthBitsPerSec = o.linkBw;
-        link.propagation = 1000;
-        serverNic->connectTo(*clientNic, link);
-        clientNic->connectTo(*serverNic, link);
-
-        eth::RxRingConfig srv_ring;
-        srv_ring.size = o.ringSize;
-        srv_ring.bmSize = std::min<std::size_t>(64, o.ringSize);
-        srv_ring.policy = o.policy;
-        srv_ring.syntheticRnpfProb = o.syntheticRnpfProb;
-        srv_ring.syntheticMajor = o.syntheticMajor;
-
-        eth::RxRingConfig cli_ring;
-        cli_ring.size = 1024;
-        cli_ring.policy = eth::RxFaultPolicy::Pin;
-
-        tcp::EndpointConfig scfg, ccfg;
-        scfg.pinRxBuffers = o.policy == eth::RxFaultPolicy::Pin;
-        scfg.prefaultRxBuffers = o.prefaultRxBuffers;
-        scfg.rxBufBytes = o.rxBufBytes;
-        scfg.tcp.mss = o.mss;
-        scfg.tcp.maxWindowBytes = 64 * 1024;
-        ccfg.pinRxBuffers = true;
-        ccfg.rxBufBytes = o.rxBufBytes;
-        ccfg.tcp.mss = o.mss;
-        ccfg.tcp.maxWindowBytes = 64 * 1024;
-
-        server = std::make_unique<tcp::Endpoint>(
-            eq, *serverNic, *serverAs, sch, srv_ring, 0, scfg);
-        client = std::make_unique<tcp::Endpoint>(
-            eq, *clientNic, *clientAs, cch, cli_ring, 0, ccfg);
+/** Exit 2 naming the first connection of @p mc whose handshake failed,
+ *  so a bench never runs its clients on a dead channel. */
+inline void
+requireConnected(const MemcachedInstance &mc)
+{
+    if (mc.failedConnect != 0) {
+        std::fprintf(stderr, "connect %u failed\n", mc.failedConnect);
+        std::exit(2);
     }
-
-    bool
-    connect(std::uint32_t id, sim::Time deadline = 300 * sim::kSecond)
-    {
-        tcp::TcpConnection &srv = server->connection(id);
-        tcp::TcpConnection &cli = client->connection(id);
-        srv.listen();
-        bool done = false, ok = false;
-        cli.connect([&](bool success) {
-            done = true;
-            ok = success;
-        });
-        eq.runUntilCondition([&] { return done; }, eq.now() + deadline);
-        return ok;
-    }
-};
+}
 
 } // namespace npf::bench
 

@@ -32,22 +32,15 @@
 #include <utility>
 #include <vector>
 
-#include "bench/flags.hh"
+#include "bench/common.hh"
 #include "sim/event_queue.hh"
 #include "sim/time.hh"
 #include "tests/heap_event_queue.hh"
 
 using namespace npf;
+using npf::bench::secondsSince;
 
 namespace {
-
-double
-secondsSince(std::chrono::steady_clock::time_point t0)
-{
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                         t0)
-        .count();
-}
 
 /**
  * Stand-in for the simulator's per-packet delivery closures (an

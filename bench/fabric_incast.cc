@@ -24,7 +24,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
-#include <new>
 #include <vector>
 
 #include "bench/flags.hh"
@@ -32,49 +31,7 @@
 #include "ib/queue_pair.hh"
 #include "mem/memory_manager.hh"
 #include "net/fabric.hh"
-
-// --- allocation counter (stack_bench's gate, minus the tracer) --------
-
-static std::uint64_t g_allocs = 0;
-
-void *
-operator new(std::size_t sz)
-{
-    ++g_allocs;
-    if (void *p = std::malloc(sz != 0 ? sz : 1))
-        return p;
-    throw std::bad_alloc();
-}
-
-void *
-operator new[](std::size_t sz)
-{
-    return ::operator new(sz);
-}
-
-void
-operator delete(void *p) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete[](void *p) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete(void *p, std::size_t) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete[](void *p, std::size_t) noexcept
-{
-    std::free(p);
-}
+#include "scenario/alloc_counter.hh"
 
 using namespace npf;
 
@@ -212,7 +169,7 @@ runIncast(const char *name, const std::string &topo, bool dcqcn,
     // Warm half: pools grown, rings sized, DCQCN machinery engaged.
     eq.runUntilCondition([&] { return done >= total / 2; },
                          600 * sim::kSecond);
-    std::uint64_t marker = g_allocs;
+    std::uint64_t marker = scenario::allocCount();
     const net::Egress *victim_down = nullptr;
     for (net::Egress *p : fabric.switchAt(0).egressPorts())
         if (p->dest() == 0)
@@ -225,7 +182,7 @@ runIncast(const char *name, const std::string &topo, bool dcqcn,
     Result r;
     r.name = name;
     r.finish = eq.now();
-    r.steadyAllocs = g_allocs - marker;
+    r.steadyAllocs = scenario::allocCount() - marker;
     if (done != total) {
         std::fprintf(stderr, "FAIL: %s finished %u/%u messages\n", name,
                      done, total);

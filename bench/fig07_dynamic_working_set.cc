@@ -26,10 +26,7 @@ constexpr std::uint64_t kBigKeys = (900 * kMiB) / (kItemBytes + 64);
 struct Instance
 {
     std::unique_ptr<EthBed> bed;
-    std::unique_ptr<KvStore> kv;
-    std::unique_ptr<MemcachedServer> server;
-    std::vector<std::unique_ptr<RpcChannel>> chans;
-    std::unique_ptr<Memaslap> slap;
+    std::unique_ptr<MemcachedInstance> mc;
     sim::RateSeries hps{sim::kSecond};
 
     Instance(bool pinned, unsigned idx, HostModel &host,
@@ -49,34 +46,26 @@ struct Instance
         o.serverCgroup = pinned ? ("vm" + std::to_string(idx)) : "vms";
         o.cgroupLimit = pinned ? 500 * kMiB : 1000 * kMiB;
         bed = std::make_unique<EthBed>(o);
-        host.addInstance();
-        std::size_t cache_bytes =
-            pinned ? 460 * kMiB : 950 * kMiB;
-        kv = std::make_unique<KvStore>(*bed->serverAs, cache_bytes,
-                                       kItemBytes);
         MemcachedConfig mcfg;
         mcfg.valueBytes = kItemBytes;
         mcfg.baseOpCpu = sim::fromMicroseconds(18); // 20 KB replies
-        server = std::make_unique<MemcachedServer>(bed->eq, *kv, host,
-                                                   mcfg);
-        std::vector<RpcChannel *> raw;
-        for (std::uint32_t id = 1; id <= 4; ++id) {
-            bed->connect(id);
-            chans.push_back(std::make_unique<RpcChannel>(
-                bed->client->connection(id),
-                bed->server->connection(id)));
-            server->serve(*chans.back());
-            raw.push_back(chans.back().get());
-        }
         MemaslapConfig scfg;
         scfg.keys = idx == 0 ? kSmallKeys : kBigKeys;
         scfg.window = 4;
-        slap = std::make_unique<Memaslap>(bed->eq, raw, scfg, 31 + idx);
-        slap->recordInto(nullptr, &hps);
-        // Pre-populate the initial working set.
-        for (std::uint64_t k = 0; k < scfg.keys; ++k)
-            kv->set(k);
-        slap->start();
+        // The initial working set is populated once the clients have
+        // connected.
+        mc = std::make_unique<MemcachedInstance>(
+            *bed, host,
+            MemcachedInstance::Options{
+                .kvBytes = pinned ? 460 * kMiB : 950 * kMiB,
+                .server = mcfg,
+                .preloadKeys = scfg.keys,
+                .preloadAfterConnect = true,
+                .slap = scfg,
+                .slapSeed = 31 + idx});
+        requireConnected(*mc);
+        mc->slap->recordInto(nullptr, &hps);
+        mc->slap->start();
     }
 };
 
@@ -115,8 +104,8 @@ main(int argc, char **argv)
         };
         lockstep(0, kSwitchAt);
         // The working sets swap.
-        a.slap->setKeys(kBigKeys);
-        b.slap->setKeys(kSmallKeys);
+        a.mc->slap->setKeys(kBigKeys);
+        b.mc->slap->setKeys(kSmallKeys);
         lockstep(kSwitchAt, kDuration);
 
         std::array<std::vector<double>, 2> cols;

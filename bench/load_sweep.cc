@@ -37,25 +37,21 @@
  * stalls and surfaces the damage as timeouts and retries.
  */
 
-#include <memory>
+#include <deque>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
-#include "app/kv_rpc.hh"
 #include "bench/common.hh"
-#include "load/client_pool.hh"
-#include "load/recorder.hh"
-#include "net/fabric.hh"
-#include "net/topology.hh"
+#include "scenario/ib_world.hh"
 
 using namespace npf;
 using namespace npf::app;
 using namespace npf::bench;
+using namespace npf::scenario;
 
 namespace {
-
-constexpr std::size_t kGiB = 1ull << 30;
 
 load::PoolConfig
 poolConfig(const SweepArgs &a, double rate)
@@ -127,35 +123,23 @@ runPool(sim::EventQueue &eq, load::ClientPool &pool,
 RateResult
 runEth(const SweepArgs &a, const ObsArgs &obs_args, double rate)
 {
-    EthBed::Options o;
-    o.ringSize = 256;
-    o.serverMemBytes = 2 * kGiB;
-    EthBed bed(o);
+    EthBed bed({.ringSize = 256});
     auto injector = installFaultPlan(obs_args, bed.eq);
     auto obs = openObsSession(obs_args, bed.eq);
 
     load::PoolConfig pc = poolConfig(a, rate);
     HostModel host;
-    host.addInstance();
-    KvStore kv(*bed.serverAs, 2 * kGiB / 4, 1024);
-    MemcachedServer server(bed.eq, kv, host);
-    for (std::uint64_t k = 0; k < pc.workload.keys.keys; ++k)
-        kv.set(k);
-
-    std::vector<std::unique_ptr<RpcChannel>> chans;
+    MemcachedInstance mc(bed, host,
+                         {.kvBytes = 512ull << 20,
+                          .connections = a.endpoints,
+                          .preloadKeys = pc.workload.keys.keys});
+    requireConnected(mc);
     std::deque<ChannelTransport> transports;
     load::Recorder rec(load::RecorderConfig{a.warmup, a.duration});
     load::ClientPool pool(bed.eq, pc);
     pool.setRecorder(rec);
-    for (unsigned id = 1; id <= a.endpoints; ++id) {
-        if (!bed.connect(id)) {
-            std::fprintf(stderr, "connect %u failed\n", id);
-            std::exit(1);
-        }
-        chans.push_back(std::make_unique<RpcChannel>(
-            bed.client->connection(id), bed.server->connection(id)));
-        server.serve(*chans.back());
-        transports.emplace_back(*chans.back());
+    for (RpcChannel &ch : mc.chans) {
+        transports.emplace_back(ch);
         transports.back().connect(pool);
     }
     return runPool(bed.eq, pool, rec, a, rate);
@@ -183,69 +167,20 @@ runIb(const SweepArgs &a, const ObsArgs &obs_args, double rate,
 {
     sim::EventQueue eq;
     // Incast shape: server on host 0, clients spread over the rest.
-    unsigned clientHosts = 1;
-    std::unique_ptr<net::Fabric> fabricPtr;
-    if (topo_spec.empty()) {
-        fabricPtr = std::make_unique<net::Fabric>(
-            eq, 2,
-            net::FabricConfig{net::LinkConfig{56e9, 300, 32}, 200});
-    } else {
-        // The flag table checked the spec (>= 2 hosts) and kept
-        // --ovs factors >= 1, so the ovs= rewrite parses too.
-        net::Topology topo =
-            net::Topology::parse(topo_spec, nullptr).value();
-        clientHosts = topo.hosts - 1;
-        fabricPtr = std::make_unique<net::Fabric>(eq, topo);
-    }
-    net::Fabric &fabric = *fabricPtr;
-    mem::MemoryManager serverMm(2 * kGiB), clientMm(2 * kGiB);
-    mem::AddressSpace &serverAs = serverMm.createAddressSpace("kv");
-    mem::AddressSpace &clientAs = clientMm.createAddressSpace("load");
-    core::NpfController serverNpfc(eq);
-    core::ChannelId sch = serverNpfc.attach(serverAs);
-    // One NIC (controller) per client host; they share the load
-    // generator's address space.
-    std::vector<std::unique_ptr<core::NpfController>> clientNpfcs;
-    std::vector<core::ChannelId> cchs;
-    for (unsigned h = 0; h < clientHosts; ++h) {
-        clientNpfcs.push_back(std::make_unique<core::NpfController>(eq));
-        cchs.push_back(clientNpfcs.back()->attach(clientAs));
-    }
+    // The flag table checked the spec (>= 2 hosts) and kept --ovs
+    // factors >= 1, so the ovs= rewrite parses too.
+    std::optional<net::Topology> topo;
+    if (!topo_spec.empty())
+        topo = net::Topology::parse(topo_spec, nullptr).value();
+    IbBed bed(eq, topo ? &*topo : nullptr);
     auto injector = installFaultPlan(obs_args, eq);
     auto obs = openObsSession(obs_args, eq);
 
-    load::PoolConfig pc = poolConfig(a, rate);
-    HostModel host;
-    host.addInstance();
-    KvStore kv(serverAs, 2 * kGiB / 4, 1024);
-    KvRpcConfig rpc;
-    KvRcServer server(eq, kv, host, serverAs, rpc);
-    for (std::uint64_t k = 0; k < pc.workload.keys.keys; ++k)
-        kv.set(k);
-
-    std::vector<std::unique_ptr<ib::QueuePair>> qps;
-    std::deque<KvRcTransport> transports;
-    load::Recorder rec(load::RecorderConfig{a.warmup, a.duration});
-    load::ClientPool pool(eq, pc);
-    pool.setRecorder(rec);
-    for (unsigned i = 0; i < a.endpoints; ++i) {
-        unsigned h = i % clientHosts;
-        auto qpS = std::make_unique<ib::QueuePair>(eq, fabric, 0,
-                                                   serverNpfc, sch);
-        auto qpC = std::make_unique<ib::QueuePair>(eq, fabric, 1 + h,
-                                                   *clientNpfcs[h],
-                                                   cchs[h]);
-        qpS->connect(*qpC);
-        qpC->connect(*qpS);
-        auto reqs = std::make_shared<sim::RingDeque<KvRpcRequest>>();
-        auto rsps = std::make_shared<sim::RingDeque<KvRpcResponse>>();
-        server.addSession(*qpS, reqs, rsps);
-        transports.emplace_back(*qpC, clientAs, reqs, rsps, rpc);
-        transports.back().connect(pool);
-        qps.push_back(std::move(qpS));
-        qps.push_back(std::move(qpC));
-    }
-    return runPool(eq, pool, rec, a, rate);
+    KvWorld w(bed, poolConfig(a, rate),
+              load::RecorderConfig{a.warmup, a.duration},
+              {.kvBytes = 512ull << 20});
+    w.connect(a.endpoints);
+    return runPool(eq, w.pool, w.rec, a, rate);
 }
 
 } // namespace

@@ -27,73 +27,20 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <new>
 #include <random>
 
-#include "bench/flags.hh"
+#include "bench/common.hh"
 #include "obs/attribution.hh"
 #include "obs/flight.hh"
 #include "obs/flow_tracer.hh"
+#include "scenario/alloc_counter.hh"
 #include "sim/event_queue.hh"
 #include "sim/time.hh"
 
-// --- allocation counter ----------------------------------------------
-// Counts every global new (scalar and array). Single-threaded bench,
-// plain counter. delete stays count-free: only allocation matters.
-
-static std::uint64_t g_allocs = 0;
-
-void *
-operator new(std::size_t sz)
-{
-    ++g_allocs;
-    if (void *p = std::malloc(sz != 0 ? sz : 1))
-        return p;
-    throw std::bad_alloc();
-}
-
-void *
-operator new[](std::size_t sz)
-{
-    return ::operator new(sz);
-}
-
-void
-operator delete(void *p) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete[](void *p) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete(void *p, std::size_t) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete[](void *p, std::size_t) noexcept
-{
-    std::free(p);
-}
-
 using namespace npf;
+using npf::bench::secondsSince;
 
 namespace {
-
-double
-secondsSince(std::chrono::steady_clock::time_point t0)
-{
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                         t0)
-        .count();
-}
 
 /** What each trial's callbacks do on top of the xorshift work. */
 enum class Mode {
@@ -227,7 +174,7 @@ main(int argc, char **argv)
     sim::EventQueue eq;
     obs::tracer().setClock(&eq);
     const std::uint64_t kSteady = 100'000 / scale;
-    std::uint64_t before = g_allocs;
+    std::uint64_t before = scenario::allocCount();
     for (std::uint64_t i = 0; i < kSteady; ++i) {
         obs::FlowId f = obs::tracer().beginFlow("bench", "steady");
         obs::tracer().instant(obs::Track::Nic, "bench", "rx", f);
@@ -235,7 +182,7 @@ main(int argc, char **argv)
                            1, f);
         obs::tracer().endFlow(f);
     }
-    std::uint64_t steady_allocs = g_allocs - before;
+    std::uint64_t steady_allocs = scenario::allocCount() - before;
     bool alloc_ok = steady_allocs == 0;
     std::printf("flight_steady_allocs=%llu %s\n",
                 static_cast<unsigned long long>(steady_allocs),

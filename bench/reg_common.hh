@@ -23,13 +23,10 @@
 #include <memory>
 #include <vector>
 
-#include "app/kv_rpc.hh"
 #include "app/storage.hh"
 #include "bench/common.hh"
 #include "hpc/cluster.hh"
-#include "load/client_pool.hh"
-#include "load/recorder.hh"
-#include "net/fabric.hh"
+#include "scenario/ib_world.hh"
 
 namespace npf::bench {
 
@@ -143,62 +140,26 @@ regKvRun(hpc::RegMode mode, std::uint64_t seed, sim::Time warm,
          sim::Time meas, double rate_per_sec = 120e3,
          const RegRunHooks &hooks = {})
 {
-    constexpr std::size_t kMiBB = 1ull << 20;
-    sim::EventQueue eq;
-    net::Fabric fabric(eq, 2,
-                       net::FabricConfig{net::LinkConfig{56e9, 300, 32},
-                                         200});
-    mem::MemoryManager serverMm(2ull << 30), clientMm(2ull << 30);
-    mem::AddressSpace &serverAs = serverMm.createAddressSpace("kv");
-    mem::AddressSpace &clientAs = clientMm.createAddressSpace("load");
-    core::NpfController serverNpfc(eq), clientNpfc(eq);
-    core::ChannelId sch = serverNpfc.attach(serverAs);
-    core::ChannelId cch = clientNpfc.attach(clientAs);
-
-    app::HostModel host;
-    host.addInstance();
-    app::KvStore kv(serverAs, 64 * kMiBB, 1024);
-    app::KvRpcConfig rpc;
-    rpc.copyValues = mode == hpc::RegMode::Copy;
-    app::KvRcServer server(eq, kv, host, serverAs, rpc);
-    auto reg = makeRegStrategy(mode, serverNpfc, sch);
-    server.setRegistration(reg.get());
-    constexpr std::uint64_t kKeys = 2000;
-    for (std::uint64_t k = 0; k < kKeys; ++k)
-        kv.set(k);
-
     load::PoolConfig pc;
     pc.clients = 256;
     pc.seed = seed;
     pc.workload.arrival.kind = load::ArrivalSpec::Kind::Poisson;
     pc.workload.arrival.ratePerSec = rate_per_sec;
     pc.workload.keys.kind = load::KeySpec::Kind::Uniform;
-    pc.workload.keys.keys = kKeys;
+    pc.workload.keys.keys = 2000;
     pc.workload.getRatio = 0.9;
 
-    std::vector<std::unique_ptr<ib::QueuePair>> qps;
-    std::vector<std::unique_ptr<app::KvRcTransport>> transports;
-    load::Recorder rec(load::RecorderConfig{warm, meas});
-    load::ClientPool pool(eq, pc);
-    pool.setRecorder(rec);
-    rec.reserveLatencyRange(0.1, 1e7);
-    for (unsigned i = 0; i < 4; ++i) {
-        auto qpS = std::make_unique<ib::QueuePair>(eq, fabric, 0,
-                                                   serverNpfc, sch);
-        auto qpC = std::make_unique<ib::QueuePair>(eq, fabric, 1,
-                                                   clientNpfc, cch);
-        qpS->connect(*qpC);
-        qpC->connect(*qpS);
-        auto reqs = std::make_shared<sim::RingDeque<app::KvRpcRequest>>();
-        auto rsps =
-            std::make_shared<sim::RingDeque<app::KvRpcResponse>>();
-        server.addSession(*qpS, reqs, rsps);
-        transports.push_back(std::make_unique<app::KvRcTransport>(
-            *qpC, clientAs, reqs, rsps, rpc));
-        transports.back()->connect(pool);
-        qps.push_back(std::move(qpS));
-        qps.push_back(std::move(qpC));
-    }
+    sim::EventQueue eq;
+    scenario::IbBed bed(eq);
+    auto reg = makeRegStrategy(mode, bed.serverNpfc, bed.sch);
+    app::KvRpcConfig rpc;
+    rpc.copyValues = mode == hpc::RegMode::Copy;
+    scenario::KvWorld w(bed, pc, load::RecorderConfig{warm, meas},
+                        {.rpc = rpc, .reserveHistograms = true});
+    // The discipline is in place before the first QP exists.
+    w.server.setRegistration(reg.get());
+    w.connect(4);
+    load::ClientPool &pool = w.pool;
     pool.start();
 
     eq.runUntil(warm);
@@ -211,7 +172,7 @@ regKvRun(hpc::RegMode mode, std::uint64_t seed, sim::Time warm,
 
     RegRunResult r;
     r.ops = pool.completions() - ops0;
-    fillRegStats(r, mode, serverNpfc, sch, reg.get());
+    fillRegStats(r, mode, bed.serverNpfc, bed.sch, reg.get());
     pool.stop();
     return r;
 }

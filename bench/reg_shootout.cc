@@ -17,66 +17,18 @@
  *   --gate-mode=M  the discipline --alloc-gate measures: copy | pin |
  *                  npf | np-rdma (default np-rdma)
  *
- * Like stack_bench, this TU overrides global operator new/delete to
- * count allocations; the NP-RDMA map/unmap hot path (driver table,
- * IOTLB, RingDeque in-flight FIFOs) must be allocation-free once
- * pools reach their high-water marks.
+ * Like stack_bench, this bench links the counting global operator
+ * new (src/scenario/alloc_counter.hh); the NP-RDMA map/unmap hot
+ * path (driver table, IOTLB, RingDeque in-flight FIFOs) must be
+ * allocation-free once pools reach their high-water marks.
  */
 
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <new>
-
-namespace {
-
-std::uint64_t g_allocs = 0;
-
-} // namespace
-
-void *
-operator new(std::size_t sz)
-{
-    ++g_allocs;
-    if (void *p = std::malloc(sz != 0 ? sz : 1))
-        return p;
-    throw std::bad_alloc();
-}
-
-void *
-operator new[](std::size_t sz)
-{
-    return ::operator new(sz);
-}
-
-// Out of line, so GCC never inlines a free() next to an operator new
-// it can see and reports a false -Wmismatched-new-delete.
-[[gnu::noinline]] void
-operator delete(void *p) noexcept
-{
-    std::free(p);
-}
-
-[[gnu::noinline]] void
-operator delete[](void *p) noexcept
-{
-    std::free(p);
-}
-
-[[gnu::noinline]] void
-operator delete(void *p, std::size_t) noexcept
-{
-    std::free(p);
-}
-
-[[gnu::noinline]] void
-operator delete[](void *p, std::size_t) noexcept
-{
-    std::free(p);
-}
 
 #include "bench/reg_common.hh"
 #include "hpc/imb.hh"
+#include "scenario/alloc_counter.hh"
 
 using namespace npf;
 using namespace npf::bench;
@@ -142,8 +94,8 @@ main(int argc, char **argv)
         // map/unmap hot loop must not touch the heap at all.
         std::uint64_t before = 0, after = 0;
         RegRunHooks hooks;
-        hooks.onMeasureStart = [&] { before = g_allocs; };
-        hooks.onMeasureEnd = [&] { after = g_allocs; };
+        hooks.onMeasureStart = [&] { before = scenario::allocCount(); };
+        hooks.onMeasureEnd = [&] { after = scenario::allocCount(); };
         const RegMode gm = a.gateMode;
         regKvRun(gm, seed, warm, meas, 120e3, hooks);
         std::uint64_t steady = after - before;

@@ -28,193 +28,30 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <deque>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "app/kv_rpc.hh"
 #include "bench/common.hh"
-#include "load/client_pool.hh"
-#include "load/recorder.hh"
-#include "net/fabric.hh"
-#include "sim/shard.hh"
+#include "scenario/digest.hh"
+#include "scenario/ib_world.hh"
 
 using namespace npf;
 using namespace npf::app;
 using namespace npf::bench;
+using namespace npf::scenario;
 
 namespace {
 
-constexpr std::size_t kGiB = 1ull << 30;
-
-/** FNV-1a, the digest every replay must reproduce bit-for-bit. */
-struct Digest
-{
-    std::uint64_t h = 1469598103934665603ull;
-    void
-    mix(std::uint64_t v)
-    {
-        for (int i = 0; i < 8; ++i) {
-            h ^= (v >> (i * 8)) & 0xff;
-            h *= 1099511628211ull;
-        }
-    }
-};
-
-/** One shard's private KV world: server, clients and fabric all
- *  intra-shard (closure plane), exactly the load_sweep IB stack. */
-struct KvWorld
-{
-    sim::EventQueue &eq;
-    net::Fabric fabric;
-    mem::MemoryManager serverMm, clientMm;
-    mem::AddressSpace &serverAs, &clientAs;
-    core::NpfController serverNpfc, clientNpfc;
-    core::ChannelId sch, cch;
-    HostModel host;
-    KvStore kv;
-    KvRpcConfig rpc;
-    KvRcServer server;
-    std::vector<std::unique_ptr<ib::QueuePair>> qps;
-    std::deque<KvRcTransport> transports;
-    load::Recorder rec;
-    load::ClientPool pool;
-
-    KvWorld(sim::EventQueue &q, const load::PoolConfig &pc,
-            unsigned endpoints, sim::Time warmup, sim::Time duration)
-        : eq(q),
-          fabric(eq, 2,
-                 net::FabricConfig{net::LinkConfig{56e9, 300, 32}, 200}),
-          serverMm(2 * kGiB), clientMm(2 * kGiB),
-          serverAs(serverMm.createAddressSpace("kv")),
-          clientAs(clientMm.createAddressSpace("load")),
-          serverNpfc(eq), clientNpfc(eq),
-          sch(serverNpfc.attach(serverAs)),
-          cch(clientNpfc.attach(clientAs)),
-          kv(serverAs, 2 * kGiB / 4, 1024),
-          server(eq, kv, host, serverAs, rpc),
-          rec(load::RecorderConfig{warmup, duration}), pool(eq, pc)
-    {
-        host.addInstance();
-        for (std::uint64_t k = 0; k < pc.workload.keys.keys; ++k)
-            kv.set(k);
-        pool.setRecorder(rec);
-        for (unsigned i = 0; i < endpoints; ++i) {
-            auto qpS = std::make_unique<ib::QueuePair>(eq, fabric, 0,
-                                                       serverNpfc, sch);
-            auto qpC = std::make_unique<ib::QueuePair>(eq, fabric, 1,
-                                                       clientNpfc, cch);
-            qpS->connect(*qpC);
-            qpC->connect(*qpS);
-            auto reqs = std::make_shared<sim::RingDeque<KvRpcRequest>>();
-            auto rsps = std::make_shared<sim::RingDeque<KvRpcResponse>>();
-            server.addSession(*qpS, reqs, rsps);
-            transports.emplace_back(*qpC, clientAs, reqs, rsps, rpc);
-            transports.back().connect(pool);
-            qps.push_back(std::move(qpS));
-            qps.push_back(std::move(qpC));
-        }
-    }
-};
-
-/** Shard s's endpoint of the cross-shard RC ring: node s of an
- *  S-node fabric facet, streaming Sends to shard (s+1) % S over the
- *  record plane while receiving from (s-1) % S. With S == 1 the ring
- *  degenerates to the fabric loopback path — same code, no threads —
- *  which keeps the 1-shard baseline workload comparable. */
-struct StreamWorld
-{
-    static constexpr std::size_t kMsgBytes = 8192;
-    static constexpr unsigned kRecvDepth = 16;
-    static constexpr unsigned kSendWindow = 4;
-
-    sim::EventQueue &eq;
-    std::unique_ptr<net::Fabric> fabric;
-    mem::MemoryManager mm;
-    mem::AddressSpace &as;
-    core::NpfController npfc;
-    core::ChannelId ch;
-    std::unique_ptr<ib::QueuePair> tx, rx;
-    mem::VirtAddr sbuf = 0, rbuf = 0;
-    std::uint64_t sent = 0, received = 0;
-    bool stopped = false;
-
-    StreamWorld(sim::EventQueue &q, sim::ShardedEngine &engine,
-                unsigned s, unsigned shards)
-        : eq(q), mm(1 * kGiB), as(mm.createAddressSpace("stream")),
-          npfc(eq), ch(npfc.attach(as))
-    {
-        // Long-haul link so the record lookahead (propagation +
-        // switch latency = 2.5 us) buys the engine a useful horizon.
-        net::FabricConfig fc{net::LinkConfig{56e9, 2000, 32}, 500};
-        fabric = std::make_unique<net::Fabric>(eq, shards, fc);
-        std::vector<std::uint16_t> owner(shards);
-        for (unsigned n = 0; n < shards; ++n)
-            owner[n] = std::uint16_t(n);
-        fabric->shardBind(engine, s, std::move(owner));
-
-        sbuf = as.allocRegion(kMsgBytes * kSendWindow, "stream-s");
-        rbuf = as.allocRegion(kMsgBytes * kRecvDepth, "stream-r");
-        as.touch(sbuf, kMsgBytes * kSendWindow, /*write=*/true);
-        as.touch(rbuf, kMsgBytes * kRecvDepth, /*write=*/true);
-
-        tx = std::make_unique<ib::QueuePair>(eq, *fabric, s, npfc, ch,
-                                             ib::QpConfig{},
-                                             0xbeef + s);
-        rx = std::make_unique<ib::QueuePair>(eq, *fabric, s, npfc, ch,
-                                             ib::QpConfig{},
-                                             0xfeed + s);
-        tx->connectRemote((s + 1) % shards, /*my_kind=*/1,
-                          /*peer_kind=*/0);
-        rx->connectRemote((s + shards - 1) % shards, /*my_kind=*/0,
-                          /*peer_kind=*/1);
-
-        rx->onCompletion([this](const ib::Completion &c) {
-            if (!c.isRecv)
-                return;
-            ++received;
-            if (!stopped)
-                postRecv(received % kRecvDepth);
-        });
-        tx->onCompletion([this](const ib::Completion &c) {
-            if (c.isRecv)
-                return;
-            ++sent;
-            if (!stopped)
-                postSend(sent % kSendWindow);
-        });
-        for (unsigned i = 0; i < kRecvDepth; ++i)
-            postRecv(i);
-        for (unsigned i = 0; i < kSendWindow; ++i)
-            postSend(i);
-    }
-
-    void
-    postSend(unsigned slot)
-    {
-        ib::WorkRequest w;
-        w.op = ib::Opcode::Send;
-        w.local = sbuf + slot * kMsgBytes;
-        w.len = kMsgBytes;
-        tx->postSend(w);
-    }
-
-    void
-    postRecv(unsigned slot)
-    {
-        ib::WorkRequest w;
-        w.local = rbuf + slot * kMsgBytes;
-        w.len = kMsgBytes;
-        rx->postRecv(w);
-    }
-};
-
+/** One shard's worlds: the cross-shard stream ring's endpoint and a
+ *  private KV world (server, clients and fabric all intra-shard on
+ *  the closure plane), exactly the load_sweep IB stack. */
 struct ShardWorld
 {
-    std::unique_ptr<KvWorld> kv;
     std::unique_ptr<StreamWorld> stream;
+    std::unique_ptr<IbBed> bed;
+    std::unique_ptr<KvWorld> kv;
 };
 
 struct RunResult
@@ -254,20 +91,23 @@ runConfig(const ShardArgs &a, unsigned shards)
             unsigned eps = a.endpoints / shards;
             if (eps == 0)
                 eps = 1;
-            worlds[s].stream = std::make_unique<StreamWorld>(
-                engine.queue(s), engine, s, shards);
-            worlds[s].kv = std::make_unique<KvWorld>(
-                engine.queue(s), pc, eps, a.warmup, a.duration);
-            worlds[s].kv->pool.start();
+            ShardWorld &w = worlds[s];
+            w.stream = std::make_unique<StreamWorld>(engine.queue(s),
+                                                     engine, s, shards);
+            w.bed = std::make_unique<IbBed>(engine.queue(s));
+            w.kv = std::make_unique<KvWorld>(
+                *w.bed, pc, load::RecorderConfig{a.warmup, a.duration},
+                KvWorld::Options{.kvBytes = 512ull << 20});
+            w.kv->connect(eps);
+            w.kv->pool.start();
         });
     }
 
     auto t0 = std::chrono::steady_clock::now();
     engine.run(a.warmup + a.duration);
-    auto t1 = std::chrono::steady_clock::now();
 
     RunResult r;
-    r.seconds = std::chrono::duration<double>(t1 - t0).count();
+    r.seconds = secondsSince(t0);
     for (unsigned s = 0; s < shards; ++s)
         r.sync.push_back(engine.syncStats(s));
     Digest d;
@@ -291,8 +131,8 @@ runConfig(const ShardArgs &a, unsigned shards)
             d.mix(w.kv->pool.retries());
             d.mix(w.kv->rec.completions(0));
             d.mix(w.kv->rec.completions(1));
-            d.mix(w.kv->serverNpfc.stats().npfs);
-            d.mix(w.kv->clientNpfc.stats().npfs);
+            d.mix(w.bed->serverNpfc.stats().npfs);
+            d.mix(w.bed->clientNpfcs[0].stats().npfs);
             d.mix(w.stream->sent);
             d.mix(w.stream->received);
             d.mix(w.stream->tx->stats().dataPacketsSent);
@@ -301,8 +141,9 @@ runConfig(const ShardArgs &a, unsigned shards)
             d.mix(w.stream->npfc.stats().npfs);
             // Worlds die on the thread that built them, before the
             // engine joins its workers.
-            worlds[s].kv.reset();
-            worlds[s].stream.reset();
+            w.kv.reset();
+            w.bed.reset();
+            w.stream.reset();
         });
     }
     r.digest = d.h;

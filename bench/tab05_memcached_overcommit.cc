@@ -28,10 +28,7 @@ constexpr std::size_t kMiB = 1ull << 20;
 struct Vm
 {
     std::unique_ptr<EthBed> bed;
-    std::unique_ptr<KvStore> kv;
-    std::unique_ptr<MemcachedServer> server;
-    std::vector<std::unique_ptr<RpcChannel>> chans;
-    std::unique_ptr<Memaslap> slap;
+    std::unique_ptr<MemcachedInstance> mc;
 };
 
 /** @return aggregated KTPS, or -1 when the configuration cannot run. */
@@ -61,42 +58,30 @@ runInstances(unsigned n, bool pinned, const ObsArgs &obs_args,
         if (i == 0)
             obs = openObsSession(obs_args, vm->bed->eq);
 
-        host.addInstance();
-        vm->kv = std::make_unique<KvStore>(*vm->bed->serverAs,
-                                           2 * kGiB + 512 * kMiB, 1024);
-        vm->server = std::make_unique<MemcachedServer>(vm->bed->eq,
-                                                       *vm->kv, host);
         // Working set < 2 GB: 1.7 M keys of ~1.1 KB.
         constexpr std::uint64_t kKeys = 1700000;
-        for (std::uint64_t k = 0; k < kKeys; ++k)
-            vm->kv->set(k);
-
-        std::vector<RpcChannel *> raw;
-        for (std::uint32_t id = 1; id <= 4; ++id) {
-            vm->bed->connect(id);
-            vm->chans.push_back(std::make_unique<RpcChannel>(
-                vm->bed->client->connection(id),
-                vm->bed->server->connection(id)));
-            vm->server->serve(*vm->chans.back());
-            raw.push_back(vm->chans.back().get());
-        }
-        vm->slap = std::make_unique<Memaslap>(
-            vm->bed->eq, raw, MemaslapConfig{0.9, kKeys, 4, 64},
-            100 + i);
-        vm->slap->start();
+        vm->mc = std::make_unique<MemcachedInstance>(
+            *vm->bed, host,
+            MemcachedInstance::Options{
+                .kvBytes = 2 * kGiB + 512 * kMiB,
+                .preloadKeys = kKeys,
+                .slap = MemaslapConfig{0.9, kKeys, 4, 64},
+                .slapSeed = 100 + i});
+        requireConnected(*vm->mc);
+        vm->mc->slap->start();
         vms.push_back(std::move(vm));
     }
 
     for (auto &vm : vms)
         vm->bed->eq.runUntil(vm->bed->eq.now() + warm);
     for (auto &vm : vms)
-        vm->slap->resetCounters();
+        vm->mc->slap->resetCounters();
     for (auto &vm : vms)
         vm->bed->eq.runUntil(vm->bed->eq.now() + measure);
 
     double total = 0;
     for (auto &vm : vms)
-        total += double(vm->slap->transactions()) / 1000.0 *
+        total += double(vm->mc->slap->transactions()) / 1000.0 *
                  (double(sim::kSecond) / double(measure));
     return total;
 }

@@ -24,24 +24,13 @@ namespace {
 void
 runOnce(eth::RxFaultPolicy policy, const char *label)
 {
-    EthBed bed(EthBed::Options{.policy = policy, .ringSize = 64});
+    EthBed bed({.policy = policy, .ringSize = 64});
     HostModel host;
-    host.addInstance();
-    KvStore kv(*bed.serverAs, 64ull << 20, 1024);
-    MemcachedServer server(bed.eq, kv, host);
-    for (std::uint64_t k = 0; k < 1000; ++k)
-        kv.set(k);
-
-    std::vector<std::unique_ptr<RpcChannel>> chans;
-    std::vector<RpcChannel *> raw;
-    for (std::uint32_t id = 1; id <= 4; ++id) {
-        bed.connect(id);
-        chans.push_back(std::make_unique<RpcChannel>(
-            bed.client->connection(id), bed.server->connection(id)));
-        server.serve(*chans.back());
-        raw.push_back(chans.back().get());
-    }
-    Memaslap slap(bed.eq, raw, MemaslapConfig{0.9, 1000, 4, 64});
+    MemcachedInstance mc(bed, host,
+                         {.preloadKeys = 1000,
+                          .slap = MemaslapConfig{0.9, 1000, 4, 64}});
+    requireConnected(mc);
+    Memaslap &slap = *mc.slap;
     slap.start();
 
     std::printf("\n--- %s ---\n", label);

@@ -13,7 +13,10 @@ fast=0
 jobs=$(nproc 2>/dev/null || echo 4)
 
 echo "== tier 1: build + ctest =="
-cmake -B build -S . >/dev/null
+# Any compiler warning fails the build here. Only this tier asks for
+# -Werror; CMakeLists.txt keeps plain -Wall -Wextra, so compilers that
+# warn differently still build the tree.
+cmake -B build -S . -DCMAKE_CXX_FLAGS=-Werror >/dev/null
 cmake --build build -j "$jobs"
 ctest --test-dir build --output-on-failure -j "$jobs"
 
@@ -200,6 +203,38 @@ grep -q '"allocs_ok": true' "$smokedir/BENCH_stack.json" || {
     echo "FAIL: BENCH_stack.json missing allocs_ok=true"
     exit 1
 }
+
+# The worlds no paper figure covers: load_sweep over both transports
+# and a switched topology, shard_scale's 1- and 4-shard replay digests,
+# and stack_bench's per-scenario event and op counts. Pinned in
+# scripts/golden_digests_worlds.sha256 from the hand-built worlds that
+# src/scenario/ replaced; regenerate only on a deliberate change.
+mkdir -p "$smokedir/worlds"
+world_args="--clients=2000 --endpoints=8 --rates=20k,60k \
+    --workload=keys=zipf:n=5k,theta=0.99;get=0.9 \
+    --warmup=200ms --duration=200ms --seed=1"
+./build/bench/load_sweep $world_args > "$smokedir/worlds/load_eth.txt" 2>&1
+./build/bench/load_sweep $world_args --transport=ib \
+    > "$smokedir/worlds/load_ib.txt" 2>&1
+./build/bench/load_sweep $world_args --transport=ib \
+    --topology=leafspine:hosts=4,leaves=2,spines=1 \
+    > "$smokedir/worlds/load_topo.txt" 2>&1
+./build/bench/shard_scale --clients=64k --rate=60k --warmup=5ms \
+    --duration=20ms --no-speed-gate \
+    --json="$smokedir/worlds/shard.json" > "$smokedir/worlds/shard.txt" 2>&1
+grep -o '"digest": "[0-9a-f]*"' "$smokedir/worlds/shard.json" \
+    > "$smokedir/worlds/shard_digests.txt"
+grep -o '"name": "[a-z_]*"\|"events": [0-9]*\|"ops": [0-9]*' \
+    "$smokedir/BENCH_stack.json" > "$smokedir/worlds/stack_counts.txt"
+if (cd "$smokedir/worlds" \
+        && sha256sum -c "$OLDPWD/scripts/golden_digests_worlds.sha256"); then
+    echo "world digests: bit-identical to goldens"
+else
+    echo "FAIL: a world (load_sweep, shard_scale or stack_bench) diverged"
+    echo "from its golden. If the divergence is intentional, regenerate"
+    echo "scripts/golden_digests_worlds.sha256 from the new outputs."
+    exit 1
+fi
 
 # Pooling must not change simulation behaviour: the paper-replay
 # benches have to reproduce their pre-pooling output bit for bit

@@ -10,6 +10,7 @@
 #ifndef NPF_APP_KV_STORE_HH
 #define NPF_APP_KV_STORE_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <variant>
 
@@ -66,6 +67,13 @@ class KvStore
 
     /** SET: inserts (evicting LRU) and writes the item memory. */
     KvResult set(std::uint64_t key);
+
+    /** Size the item index for @p n items now, instead of growing it
+     *  as they arrive, so a preload of n keys allocates once. */
+    void reserve(std::size_t n)
+    {
+        index_.reserve(std::min(n, index_.capacity()));
+    }
 
     std::size_t items() const { return index_.size(); }
     std::size_t capacityItems() const { return index_.capacity(); }

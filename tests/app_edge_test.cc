@@ -10,7 +10,7 @@
 #include "app/memcached.hh"
 #include "app/storage.hh"
 #include "net/fabric.hh"
-#include "testbed.hh"
+#include "scenario/eth_world.hh"
 
 using namespace npf;
 using namespace npf::app;
@@ -150,19 +150,17 @@ TEST(StorageEdge, TargetKeepsUpWithManyShallowSessions)
 
 TEST(MemaslapEdge, SetOnlyAndGetOnlyMixes)
 {
-    test::EthTestbed tb(eth::RxFaultPolicy::Pin, 256);
+    scenario::EthBed tb({.policy = eth::RxFaultPolicy::Pin, .ringSize = 256});
     HostModel host;
-    host.addInstance();
-    KvStore kv(*tb.serverAs, 32 * MiB, 1024);
-    MemcachedServer server(tb.eq, kv, host);
-    ASSERT_TRUE(tb.connect(1));
-    RpcChannel ch(tb.client->connection(1), tb.server->connection(1));
-    server.serve(ch);
-
     MemaslapConfig cfg;
     cfg.getRatio = 0.0; // set-only
     cfg.keys = 100;
-    Memaslap slap(tb.eq, {&ch}, cfg, 3);
+    scenario::MemcachedInstance mc(
+        tb, host,
+        {.kvBytes = 32 * MiB, .connections = 1, .slap = cfg, .slapSeed = 3});
+    ASSERT_EQ(mc.failedConnect, 0u);
+    Memaslap &slap = *mc.slap;
+    KvStore &kv = mc.kv;
     slap.start();
     tb.eq.runUntilCondition([&] { return slap.transactions() >= 500; },
                             60 * sim::kSecond);

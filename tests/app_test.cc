@@ -14,8 +14,8 @@
 #include "app/storage.hh"
 #include "kv_store_oracle.hh"
 #include "net/fabric.hh"
+#include "scenario/eth_world.hh"
 #include "sim/random.hh"
-#include "testbed.hh"
 
 using namespace npf;
 using namespace npf::app;
@@ -150,24 +150,18 @@ TEST(Disk, ReadLatency)
 
 TEST(Memcached, EndToEndOverBackupRing)
 {
-    test::EthTestbed tb(eth::RxFaultPolicy::BackupRing, 256);
+    scenario::EthBed tb(
+        {.policy = eth::RxFaultPolicy::BackupRing, .ringSize = 256});
     HostModel host;
-    host.addInstance();
-    KvStore kv(*tb.serverAs, 32 * MiB, 1024);
-    MemcachedServer server(tb.eq, kv, host);
-
-    ASSERT_TRUE(tb.connect(1));
-    RpcChannel ch(tb.client->connection(1), tb.server->connection(1));
-    server.serve(ch);
-
     // Pre-populate so gets hit (memaslap warms the store similarly).
-    for (std::uint64_t k = 0; k < 500; ++k)
-        kv.set(k);
-
-    MemaslapConfig mcfg;
-    mcfg.keys = 500;
-    mcfg.window = 4;
-    Memaslap slap(tb.eq, {&ch}, mcfg);
+    scenario::MemcachedInstance mc(tb, host,
+                                   {.kvBytes = 32 * MiB,
+                                    .connections = 1,
+                                    .preloadKeys = 500,
+                                    .preloadAfterConnect = true,
+                                    .slap = MemaslapConfig{0.9, 500, 4, 64}});
+    ASSERT_EQ(mc.failedConnect, 0u);
+    Memaslap &slap = *mc.slap;
     slap.start();
 
     tb.eq.runUntilCondition([&] { return slap.transactions() >= 2000; },
@@ -175,27 +169,17 @@ TEST(Memcached, EndToEndOverBackupRing)
     EXPECT_GE(slap.transactions(), 2000u);
     // 90% gets over a 500-key space quickly becomes mostly hits.
     EXPECT_GT(double(slap.hits()) / double(slap.transactions()), 0.85);
-    EXPECT_GE(server.opsServed(), slap.transactions());
+    EXPECT_GE(mc.server.opsServed(), slap.transactions());
 }
 
 TEST(Memcached, ThroughputCalibrationSingleInstance)
 {
-    test::EthTestbed tb(eth::RxFaultPolicy::Pin, 512);
+    scenario::EthBed tb({.policy = eth::RxFaultPolicy::Pin, .ringSize = 512});
     HostModel host;
-    host.addInstance();
-    KvStore kv(*tb.serverAs, 64 * MiB, 1024);
-    MemcachedServer server(tb.eq, kv, host);
-
-    std::vector<std::unique_ptr<RpcChannel>> chans;
-    std::vector<RpcChannel *> raw;
-    for (std::uint32_t id = 1; id <= 4; ++id) {
-        ASSERT_TRUE(tb.connect(id));
-        chans.push_back(std::make_unique<RpcChannel>(
-            tb.client->connection(id), tb.server->connection(id)));
-        server.serve(*chans.back());
-        raw.push_back(chans.back().get());
-    }
-    Memaslap slap(tb.eq, raw, MemaslapConfig{0.9, 2000, 4, 64});
+    scenario::MemcachedInstance mc(
+        tb, host, {.slap = MemaslapConfig{0.9, 2000, 4, 64}});
+    ASSERT_EQ(mc.failedConnect, 0u);
+    Memaslap &slap = *mc.slap;
     slap.start();
     // Warm up, then measure 1 simulated second.
     tb.eq.runUntil(tb.eq.now() + sim::kSecond);

@@ -17,14 +17,8 @@
 #include <memory>
 #include <vector>
 
-#include "app/kv_rpc.hh"
-#include "core/npf_controller.hh"
-#include "ib/queue_pair.hh"
-#include "load/client_pool.hh"
-#include "load/recorder.hh"
-#include "mem/memory_manager.hh"
-#include "net/fabric.hh"
 #include "obs/attribution.hh"
+#include "scenario/ib_world.hh"
 #include "sim/event_queue.hh"
 
 using namespace npf;
@@ -199,65 +193,31 @@ TEST(AttributionIntegration, IbKvRcPhasesSumExactlyWithNpfAndRnr)
     sim::EventQueue eq;
     AttrGuard guard(eq);
 
-    net::Fabric fabric(eq, 2,
-                       net::FabricConfig{net::LinkConfig{56e9, 300, 32},
-                                         200});
-    mem::MemoryManager serverMm(64ull << 20), clientMm(64ull << 20);
-    mem::AddressSpace &serverAs = serverMm.createAddressSpace("kv");
-    mem::AddressSpace &clientAs = clientMm.createAddressSpace("load");
-    core::NpfController serverNpfc(eq), clientNpfc(eq);
-    core::ChannelId sch = serverNpfc.attach(serverAs);
-    core::ChannelId cch = clientNpfc.attach(clientAs);
-
-    app::HostModel host;
-    host.addInstance();
-    app::KvStore kv(serverAs, 16ull << 20, 1024);
-    app::KvRpcConfig rpc;
-    app::KvRcServer server(eq, kv, host, serverAs, rpc);
-    constexpr std::uint64_t kKeys = 64;
-    for (std::uint64_t k = 0; k < kKeys; ++k)
-        kv.set(k);
-
     load::PoolConfig pc;
     pc.clients = 8;
     pc.seed = 7;
     pc.workload.arrival.kind = load::ArrivalSpec::Kind::Closed;
     pc.workload.keys.kind = load::KeySpec::Kind::Uniform;
-    pc.workload.keys.keys = kKeys;
+    pc.workload.keys.keys = 64;
     pc.workload.getRatio = 0.9;
 
     load::RecorderConfig rc;
     rc.warmup = 0;
     rc.duration = 0; // unbounded: keep every completion
     rc.slowK = 1u << 20;
-    load::Recorder rec(rc);
-    load::ClientPool pool(eq, pc);
-    pool.setRecorder(rec);
-
-    std::vector<std::unique_ptr<ib::QueuePair>> qps;
-    std::deque<app::KvRcTransport> transports;
-    for (unsigned i = 0; i < 2; ++i) {
-        ib::QpConfig ccfg;
-        ccfg.syntheticRnpfProb = 0.05; // client rx faults -> RNR NACKs
-        auto qpS = std::make_unique<ib::QueuePair>(
-            eq, fabric, 0, serverNpfc, sch, ib::QpConfig{}, 2 * i + 1);
-        auto qpC = std::make_unique<ib::QueuePair>(
-            eq, fabric, 1, clientNpfc, cch, ccfg, 2 * i + 2);
-        qpS->connect(*qpC);
-        qpC->connect(*qpS);
-        auto reqs = std::make_shared<sim::RingDeque<app::KvRpcRequest>>();
-        auto rsps = std::make_shared<sim::RingDeque<app::KvRpcResponse>>();
-        server.addSession(*qpS, reqs, rsps);
-        transports.emplace_back(*qpC, clientAs, reqs, rsps, rpc);
-        transports.back().connect(pool);
-        qps.push_back(std::move(qpS));
-        qps.push_back(std::move(qpC));
-    }
+    ib::QpConfig ccfg;
+    ccfg.syntheticRnpfProb = 0.05; // client rx faults -> RNR NACKs
+    scenario::IbBed bed(eq);
+    scenario::KvWorld w(
+        bed, pc, rc,
+        {.kvBytes = 16ull << 20, .clientQp = ccfg});
+    w.connect(2);
+    load::ClientPool &pool = w.pool;
 
     // Periodic reclaim keeps item memory cold so GET responses keep
     // taking real send-side NPFs.
     std::function<void()> squeeze = [&] {
-        serverMm.reclaimPages(512);
+        bed.serverMm.reclaimPages(512);
         if (eq.now() < 80 * sim::kMillisecond)
             eq.scheduleAfter(10 * sim::kMillisecond, squeeze,
                              "test.squeeze");
@@ -271,7 +231,7 @@ TEST(AttributionIntegration, IbKvRcPhasesSumExactlyWithNpfAndRnr)
     std::size_t samples = 0;
     bool sawNpf = false, sawRnr = false;
     for (unsigned cls = 0; cls < 2; ++cls) {
-        for (const PhaseBreakdown &bd : rec.slowSamples(cls)) {
+        for (const PhaseBreakdown &bd : w.rec.slowSamples(cls)) {
             ++samples;
             ASSERT_EQ(bd.sum(), bd.e2e)
                 << "phase sum must equal e2e exactly (class " << cls

@@ -266,8 +266,9 @@ TEST_P(BackupRingProperty, NoLossNoReorder)
         << "fault rate " << GetParam();
     for (std::uint64_t i = 0; i < kFrames; ++i)
         ASSERT_EQ(rig.delivered[i], i);
-    if (GetParam() >= 0.05)
+    if (GetParam() >= 0.05) {
         EXPECT_GT(rig.nic.ring(rig.ring).stats.toBackup, 0u);
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(Rates, BackupRingProperty,

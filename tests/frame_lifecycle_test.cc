@@ -25,8 +25,8 @@
 #include "fault/fault.hh"
 #include "mem/memory_manager.hh"
 #include "payload_pool.hh"
+#include "scenario/eth_world.hh"
 #include "tcp/segment.hh"
-#include "testbed.hh"
 
 using namespace npf;
 using namespace npf::fault;
@@ -287,7 +287,7 @@ TEST(FrameLifecycle, TcpRetransmissionsKeepSegmentPoolBalanced)
     // forces, the segment pool drains back to its baseline.
     std::size_t baseline = tcp::segmentPool().live();
     {
-        test::EthTestbed bed(eth::RxFaultPolicy::Pin);
+        scenario::EthBed bed({.policy = eth::RxFaultPolicy::Pin});
         ASSERT_TRUE(bed.connect(1));
         tcp::MessageStream req(bed.client->connection(1),
                                bed.server->connection(1));

@@ -290,8 +290,9 @@ TEST_P(IbFaultInjection, AllMessagesDeliveredInOrderUnderFaults)
         << "injection rate " << GetParam();
     for (int i = 0; i < kMsgs; ++i)
         ASSERT_EQ(order[i], std::uint64_t(i));
-    if (GetParam() > 0.0)
+    if (GetParam() > 0.0) {
         EXPECT_GT(rig.qpB->stats().recvNpfs, 0u);
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(Rates, IbFaultInjection,

@@ -10,7 +10,7 @@
 #include "app/memcached.hh"
 #include "ib/queue_pair.hh"
 #include "net/fabric.hh"
-#include "testbed.hh"
+#include "scenario/eth_world.hh"
 
 using namespace npf;
 
@@ -22,24 +22,16 @@ constexpr std::size_t MiB = 1ull << 20;
 sim::Time
 coldRunTime(eth::RxFaultPolicy policy, std::size_t ring)
 {
-    test::EthTestbed tb(policy, ring);
+    scenario::EthBed tb({.policy = policy, .ringSize = ring});
     app::HostModel host;
-    host.addInstance();
-    app::KvStore kv(*tb.serverAs, 32 * MiB, 1024);
-    app::MemcachedServer server(tb.eq, kv, host);
-    for (std::uint64_t k = 0; k < 1000; ++k)
-        kv.set(k);
-    std::vector<std::unique_ptr<app::RpcChannel>> chans;
-    std::vector<app::RpcChannel *> raw;
-    for (std::uint32_t id = 1; id <= 4; ++id) {
-        if (!tb.connect(id))
-            return 3600 * sim::kSecond;
-        chans.push_back(std::make_unique<app::RpcChannel>(
-            tb.client->connection(id), tb.server->connection(id)));
-        server.serve(*chans.back());
-        raw.push_back(chans.back().get());
-    }
-    app::Memaslap slap(tb.eq, raw, app::MemaslapConfig{0.9, 1000, 4, 64});
+    scenario::MemcachedInstance mc(
+        tb, host,
+        {.kvBytes = 32 * MiB,
+         .preloadKeys = 1000,
+         .slap = app::MemaslapConfig{0.9, 1000, 4, 64}});
+    if (mc.failedConnect != 0)
+        return 3600 * sim::kSecond;
+    app::Memaslap &slap = *mc.slap;
     sim::Time start = tb.eq.now();
     slap.start();
     bool ok = tb.eq.runUntilCondition(
@@ -66,7 +58,8 @@ TEST(Integration, PrefaultAheadShortensColdSequences)
     // Count rNPFs taken while warming a cold ring with and without
     // the §3 pre-fault-ahead optimization.
     auto faults_with = [](unsigned ahead) {
-        test::EthTestbed tb(eth::RxFaultPolicy::BackupRing, 64);
+        scenario::EthBed tb(
+            {.policy = eth::RxFaultPolicy::BackupRing, .ringSize = 64});
         eth::RxRing &r = tb.serverNic->ring(0);
         r.cfg.prefaultAhead = ahead;
         auto &cli = tb.client->connection(1);
@@ -212,7 +205,7 @@ TEST(Integration, DevicePageTableNeverMapsReusedFrames)
 TEST(Integration, StreamUnderSyntheticFaultsBackupBeatsDrop)
 {
     auto throughput = [](eth::RxFaultPolicy policy) {
-        test::EthTestbed tb(policy, 256);
+        scenario::EthBed tb({.policy = policy, .ringSize = 256});
         eth::RxRing &r = tb.serverNic->ring(0);
         r.cfg.syntheticRnpfProb = 1.0 / 1024.0;
         tb.serverNic->npfc().prefault(

@@ -177,8 +177,9 @@ TEST(IoMmu, PropertyTlbNeverStale)
             Translation t = mmu.translate(vpn);
             auto it = model.find(vpn);
             ASSERT_EQ(t.ok, it != model.end()) << "step " << step;
-            if (t.ok)
+            if (t.ok) {
                 ASSERT_EQ(t.pfn, it->second) << "step " << step;
+            }
             break;
           }
         }

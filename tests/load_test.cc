@@ -19,18 +19,14 @@
 #include <utility>
 #include <vector>
 
-#include "app/kv_rpc.hh"
-#include "app/kv_store.hh"
 #include "app/storage.hh"
-#include "core/npf_controller.hh"
 #include "load/arrival.hh"
 #include "load/client_pool.hh"
 #include "load/popularity.hh"
 #include "load/recorder.hh"
 #include "load/spec.hh"
-#include "mem/memory_manager.hh"
-#include "net/fabric.hh"
 #include "obs/json.hh"
+#include "scenario/ib_world.hh"
 #include "sim/event_queue.hh"
 
 using namespace npf;
@@ -742,92 +738,59 @@ TEST(LoadPool, InFlightNeverExceedsClientsUnderTimeouts)
 
 // --- integration: real transports --------------------------------------
 
-namespace {
-
-/** Two-node IB fabric with NPF controllers on both ends. */
-struct IbRig
-{
-    sim::EventQueue eq;
-    net::Fabric fabric{eq, 2,
-                       net::FabricConfig{net::LinkConfig{56e9, 300, 32},
-                                         200}};
-    mem::MemoryManager serverMm{2ull << 30}, clientMm{2ull << 30};
-    mem::AddressSpace &serverAs = serverMm.createAddressSpace("srv");
-    mem::AddressSpace &clientAs = clientMm.createAddressSpace("cli");
-    core::NpfController serverNpfc{eq}, clientNpfc{eq};
-    core::ChannelId sch = serverNpfc.attach(serverAs);
-    core::ChannelId cch = clientNpfc.attach(clientAs);
-};
-
-} // namespace
-
 TEST(LoadIntegration, PoolDrivesTheKvRpcServerOverIb)
 {
-    IbRig rig;
-    app::HostModel host;
-    host.addInstance();
-    app::KvStore kv(rig.serverAs, 256ull << 20, 1024);
-    app::KvRcServer server(rig.eq, kv, host, rig.serverAs);
-    for (std::uint64_t k = 0; k < 500; ++k)
-        kv.set(k);
-
+    sim::EventQueue eq;
+    scenario::IbBed bed(eq);
     PoolConfig pc = openPool(50e3, 200, 23);
     pc.workload.keys.keys = 500;
-    ClientPool pool(rig.eq, pc);
-    Recorder rec(RecorderConfig{sim::kMillisecond, 0});
-    pool.setRecorder(rec);
+    scenario::KvWorld w(bed, pc, RecorderConfig{sim::kMillisecond, 0},
+                        {.kvBytes = 256ull << 20});
+    w.connect(1);
 
-    ib::QueuePair qpS(rig.eq, rig.fabric, 0, rig.serverNpfc, rig.sch);
-    ib::QueuePair qpC(rig.eq, rig.fabric, 1, rig.clientNpfc, rig.cch);
-    qpS.connect(qpC);
-    qpC.connect(qpS);
-    auto reqs = std::make_shared<sim::RingDeque<app::KvRpcRequest>>();
-    auto rsps = std::make_shared<sim::RingDeque<app::KvRpcResponse>>();
-    server.addSession(qpS, reqs, rsps);
-    app::KvRcTransport t(qpC, rig.clientAs, reqs, rsps, {});
-    t.connect(pool);
+    w.pool.start();
+    eq.runUntil(20 * sim::kMillisecond);
+    w.pool.stop();
 
-    pool.start();
-    rig.eq.runUntil(20 * sim::kMillisecond);
-    pool.stop();
-
-    EXPECT_GT(pool.completions(), 500u);
+    EXPECT_GT(w.pool.completions(), 500u);
     // The server may have served up to one more request per client
     // whose response was still in flight when the pool stopped.
-    EXPECT_LE(pool.completions(), server.opsServed());
-    EXPECT_GE(pool.completions() + pc.clients, server.opsServed());
-    EXPECT_GT(pool.hits(), 0u);       // GETs hit the prepopulated keys
-    EXPECT_EQ(pool.lateResponses(), 0u);
-    EXPECT_GT(rec.completions(0), 0u);
+    EXPECT_LE(w.pool.completions(), w.server.opsServed());
+    EXPECT_GE(w.pool.completions() + pc.clients, w.server.opsServed());
+    EXPECT_GT(w.pool.hits(), 0u); // GETs hit the prepopulated keys
+    EXPECT_EQ(w.pool.lateResponses(), 0u);
+    EXPECT_GT(w.rec.completions(0), 0u);
     // Value pages are DMA-read cold by the response Sends: the
     // zero-copy path must raise genuine send-side NPFs.
-    EXPECT_GT(qpS.stats().sendNpfs, 0u);
+    EXPECT_GT(w.qps[0].stats().sendNpfs, 0u);
 }
 
 TEST(LoadIntegration, FioClientRecordsStorageLatencies)
 {
-    IbRig rig;
+    sim::EventQueue eq;
+    scenario::IbBed bed(eq);
     app::StorageConfig scfg;
     scfg.lunBytes = 1ull << 30;
     scfg.pinned = false;
-    app::StorageTarget tgt(rig.eq, rig.serverAs, scfg);
+    app::StorageTarget tgt(eq, bed.serverAs, scfg);
     ASSERT_TRUE(tgt.ok());
 
-    ib::QueuePair qpT(rig.eq, rig.fabric, 0, rig.serverNpfc, rig.sch);
-    ib::QueuePair qpI(rig.eq, rig.fabric, 1, rig.clientNpfc, rig.cch);
+    ib::QueuePair qpT(eq, *bed.fabric, 0, bed.serverNpfc, bed.sch);
+    ib::QueuePair qpI(eq, *bed.fabric, 1, bed.clientNpfcs[0],
+                      bed.cchs[0]);
     qpT.connect(qpI);
     qpI.connect(qpT);
     auto queue = std::make_shared<std::deque<app::IoRequest>>();
     tgt.addSession(qpT, queue);
-    app::FioClient fio(rig.eq, qpI, rig.clientAs, queue, 128 * 1024, 4,
+    app::FioClient fio(eq, qpI, bed.clientAs, queue, 128 * 1024, 4,
                        scfg.lunBytes, 7);
     Recorder rec;
     Recorder::ClassId cls = rec.addClass("read");
     fio.recordInto(&rec, cls);
     fio.start();
 
-    rig.eq.runUntilCondition([&] { return fio.completed() >= 50; },
-                             rig.eq.now() + 60 * sim::kSecond);
+    eq.runUntilCondition([&] { return fio.completed() >= 50; },
+                             eq.now() + 60 * sim::kSecond);
     ASSERT_GE(fio.completed(), 50u);
     EXPECT_EQ(rec.completions(cls), fio.completed());
     EXPECT_GT(rec.response(cls).percentile(50), 0.0);

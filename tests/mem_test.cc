@@ -256,8 +256,9 @@ TEST(PageMap, RandomOpsMatchUnorderedMapOracle)
                 const std::uint64_t *v = std::as_const(map).find(vpn);
                 auto it = oracle.find(vpn);
                 ASSERT_EQ(v != nullptr, it != oracle.end()) << vpn;
-                if (v != nullptr)
+                if (v != nullptr) {
                     ASSERT_EQ(*v, it->second) << vpn;
+                }
                 break;
               }
               case 1: { // insert, then write

@@ -22,8 +22,8 @@
 #include "obs/flow_tracer.hh"
 #include "obs/metrics.hh"
 #include "obs/session.hh"
+#include "scenario/eth_world.hh"
 #include "sim/event_queue.hh"
-#include "testbed.hh"
 
 using namespace npf;
 
@@ -444,9 +444,12 @@ TEST(Session, EndToEndTraceAndMetrics)
 
 TEST(Session, TestbedMetricsSnapshot)
 {
-    test::EthTestbed bed(eth::RxFaultPolicy::BackupRing);
+    scenario::EthBed bed({.policy = eth::RxFaultPolicy::BackupRing});
     ASSERT_TRUE(bed.connect(1));
-    const std::string j = bed.metricsJson();
+    // Every testbed component registers into the global registry.
+    std::ostringstream os;
+    obs::Registry::global().writeJson(os);
+    const std::string j = os.str();
     for (const char *prefix :
          {"core.npf", "eth.nic", "eth.backup", "mem.mm", "iommu.mmu",
           "tcp.conn", "net.link"})

@@ -10,11 +10,12 @@
 #include <gtest/gtest.h>
 
 #include "app/kv_store.hh"
+#include "eth/eth_nic.hh"
 #include "ib/queue_pair.hh"
 #include "mem/memory_manager.hh"
 #include "net/fabric.hh"
 #include "payload_pool.hh"
-#include "testbed.hh"
+#include "tcp/tcp_connection.hh"
 
 using namespace npf;
 

@@ -16,29 +16,13 @@
 
 #include "hpc/cluster.hh"
 #include "obs/metrics.hh"
+#include "scenario/digest.hh"
 #include "sim/event_queue.hh"
 #include "sim/pool.hh"
 #include "sim/shard.hh"
 
 using namespace npf;
-
-namespace {
-
-/** FNV-1a over 64-bit words. */
-struct Digest
-{
-    std::uint64_t h = 1469598103934665603ull;
-    void
-    mix(std::uint64_t v)
-    {
-        for (int i = 0; i < 8; ++i) {
-            h ^= (v >> (i * 8)) & 0xff;
-            h *= 1099511628211ull;
-        }
-    }
-};
-
-} // namespace
+using npf::scenario::Digest;
 
 // ---------------------------------------------------------------
 // SPSC ring properties
@@ -163,8 +147,9 @@ TEST(BoundarySchedule, ExecutesInTimestampThenKeyOrder)
             // local-before-boundary, then key-ascending boundaries
             ASSERT_TRUE(!(a.boundary && !b.boundary))
                 << "boundary ran before a same-tick local event";
-            if (a.boundary && b.boundary)
+            if (a.boundary && b.boundary) {
                 ASSERT_LT(a.key, b.key) << "orderKey inversion at " << i;
+            }
         }
     }
 }

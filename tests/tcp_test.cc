@@ -9,9 +9,9 @@
 
 #include <memory>
 
+#include "scenario/eth_world.hh"
 #include "sim/random.hh"
 #include "tcp/tcp_connection.hh"
-#include "testbed.hh"
 
 using namespace npf;
 using namespace npf::tcp;
@@ -192,7 +192,7 @@ TEST(Tcp, RtoEstimatorTracksRtt)
 
 TEST(TcpOverNic, PinnedRingTransfersCleanly)
 {
-    test::EthTestbed tb(eth::RxFaultPolicy::Pin);
+    scenario::EthBed tb({.policy = eth::RxFaultPolicy::Pin});
     ASSERT_TRUE(tb.connect(1));
     auto &cli = tb.client->connection(1);
     auto &srv = tb.server->connection(1);
@@ -207,7 +207,7 @@ TEST(TcpOverNic, PinnedRingTransfersCleanly)
 
 TEST(TcpOverNic, BackupRingSurvivesColdStart)
 {
-    test::EthTestbed tb(eth::RxFaultPolicy::BackupRing);
+    scenario::EthBed tb({.policy = eth::RxFaultPolicy::BackupRing});
     ASSERT_TRUE(tb.connect(1));
     auto &cli = tb.client->connection(1);
     auto &srv = tb.server->connection(1);
@@ -224,7 +224,7 @@ TEST(TcpOverNic, BackupRingSurvivesColdStart)
 
 TEST(TcpOverNic, DropPolicyCausesTimeoutsOnColdStart)
 {
-    test::EthTestbed tb(eth::RxFaultPolicy::Drop);
+    scenario::EthBed tb({.policy = eth::RxFaultPolicy::Drop});
     ASSERT_TRUE(tb.connect(1, 300 * sim::kSecond));
     auto &cli = tb.client->connection(1);
     auto &srv = tb.server->connection(1);
@@ -240,7 +240,7 @@ TEST(TcpOverNic, DropPolicyCausesTimeoutsOnColdStart)
 
 TEST(MessageStreamTest, FramesMessagesAcrossSegments)
 {
-    test::EthTestbed tb(eth::RxFaultPolicy::Pin);
+    scenario::EthBed tb({.policy = eth::RxFaultPolicy::Pin});
     ASSERT_TRUE(tb.connect(1));
     auto &cli = tb.client->connection(1);
     auto &srv = tb.server->connection(1);
