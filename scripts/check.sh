@@ -102,6 +102,38 @@ grep -q "SLO report" "$smokedir/load1m.a.txt" || {
     exit 1
 }
 echo "load 1M clients: bit-identical replay"
+# The same million clients in open loop over IB, where zero-copy
+# replies from cold items raise send-side NPFs: the pool materialises
+# a client only when every one it has is busy, so its flyweights
+# follow the requests in flight, not the client count.
+ib_big_args="--transport=ib --clients=1M --endpoints=64 --rates=100k \
+    --workload=keys=zipf:n=50k,theta=0.99;get=0.9 \
+    --warmup=10ms --duration=20ms"
+# --metrics-out suffixes each swept rate's file: load1m_ib.000.json.
+./build-asan/bench/load_sweep $ib_big_args \
+    --metrics-out="$smokedir/load1m_ib.json" \
+    > "$smokedir/load1m_ib.txt" 2>&1 || {
+    echo "FAIL: load_sweep --transport=ib --clients=1M failed:"
+    cat "$smokedir/load1m_ib.txt"
+    exit 1
+}
+if command -v python3 >/dev/null 2>&1; then
+    python3 -c 'import json, sys
+m = json.load(open(sys.argv[1]))["metrics"]
+g = {k: v for k, v in m["gauges"].items() if k.endswith(".materialised")}
+npfs = sum(v for k, v in m["counters"].items()
+           if k.startswith("core.npf") and k.endswith(".npfs"))
+if not g or npfs == 0:
+    sys.exit("FAIL: no materialised gauge or no NPFs: %r, npfs=%d" % (g, npfs))
+for k, v in sorted(g.items()):
+    print("load 1M clients over ib: %s=%d of 1000000 (npfs=%d)"
+          % (k, v, npfs))
+    if v > 65536:
+        sys.exit("FAIL: the pool materialised %d clients" % v)' \
+        "$smokedir/load1m_ib.000.json"
+else
+    echo "note: python3 not found, skipping the materialised-client check"
+fi
 
 echo "== tier 5: engine smoke (engine_speed --smoke) =="
 # Reduced-scale run of the event-engine microbench: proves the ladder
@@ -186,10 +218,11 @@ else
 fi
 
 echo "== tier 7: allocation gate + replay digests (stack_bench) =="
-# The stack-wide allocation gate: three end-to-end scenarios must run
+# The stack-wide allocation gate: five end-to-end scenarios must run
 # their measure window with exactly zero global operator new calls
-# (docs/MEMORY.md). Any non-zero count is a real regression — always
-# fatal, never timing noise.
+# (docs/MEMORY.md), and the two reclaim-squeezed ones must fault in it
+# (eth.backup_parked, core.npfs > 0). Any failure is a real
+# regression — always fatal, never timing noise.
 if ! ./build/bench/stack_bench --smoke \
         --json="$smokedir/BENCH_stack.json" \
         > "$smokedir/stack.txt" 2>&1; then
@@ -198,7 +231,7 @@ if ! ./build/bench/stack_bench --smoke \
     echo "hint: rerun with STACK_BENCH_TRACE=1 to get per-site stacks"
     exit 1
 fi
-grep "stack_steady_allocs" "$smokedir/stack.txt"
+grep "stack_steady_allocs\|stack_window_faults" "$smokedir/stack.txt"
 grep -q '"allocs_ok": true' "$smokedir/BENCH_stack.json" || {
     echo "FAIL: BENCH_stack.json missing allocs_ok=true"
     exit 1
@@ -224,8 +257,14 @@ world_args="--clients=2000 --endpoints=8 --rates=20k,60k \
     --json="$smokedir/worlds/shard.json" > "$smokedir/worlds/shard.txt" 2>&1
 grep -o '"digest": "[0-9a-f]*"' "$smokedir/worlds/shard.json" \
     > "$smokedir/worlds/shard_digests.txt"
+# The first three scenarios (9 lines) are pinned since before the
+# reclaim-squeeze scenarios existed; those are pinned on their own.
 grep -o '"name": "[a-z_]*"\|"events": [0-9]*\|"ops": [0-9]*' \
-    "$smokedir/BENCH_stack.json" > "$smokedir/worlds/stack_counts.txt"
+    "$smokedir/BENCH_stack.json" > "$smokedir/worlds/stack_all.txt"
+head -n 9 "$smokedir/worlds/stack_all.txt" \
+    > "$smokedir/worlds/stack_counts.txt"
+tail -n +10 "$smokedir/worlds/stack_all.txt" \
+    > "$smokedir/worlds/stack_reclaim_counts.txt"
 if (cd "$smokedir/worlds" \
         && sha256sum -c "$OLDPWD/scripts/golden_digests_worlds.sha256"); then
     echo "world digests: bit-identical to goldens"

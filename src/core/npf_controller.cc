@@ -1,33 +1,22 @@
 #include "core/npf_controller.hh"
 
+#include <algorithm>
 #include <cassert>
+#include <cstdio>
+#include <cstdlib>
 
 #include "fault/fault.hh"
 #include "mem/memory_manager.hh"
 #include "sim/log.hh"
-#include "sim/pool.hh"
-#include "sim/thread_owned.hh"
 
 namespace {
 
-/**
- * Slab for in-flight NPF breakdowns. The resolution closure chain
- * carries an 8-byte generation-stamped handle instead of a
- * shared_ptr, so raising an NPF performs no heap allocation and each
- * continuation revalidates the handle at fire time (a stale handle —
- * the breakdown released while a continuation still held it — aborts
- * instead of reading recycled memory). Per-thread and never freed
- * while its thread runs, so handles in closures parked in a dying
- * event queue can never dangle.
- */
-npf::sim::Pool<npf::core::NpfBreakdown> &
-breakdownPool()
-{
-    static thread_local auto *p =
-        npf::sim::newThreadOwned<npf::sim::Pool<npf::core::NpfBreakdown>>(
-            "core::breakdownPool");
-    return *p;
-}
+/** Slab slots reserved at the first attach(): far above any run's
+ *  outstanding raises, and only address space until used. */
+constexpr std::size_t kRequestReserve = 4096;
+
+/** What a debounced raise resumes with: nothing was resolved. */
+const npf::core::NpfBreakdown kDebounced{.merged = true};
 
 /** True when an active fault plan forces an rNPF on this device-side
  *  translation attempt. */
@@ -99,6 +88,9 @@ NpfController::attach(mem::AddressSpace &as)
     channels_.push_back(std::make_unique<Channel>(cfg_.iotlbCapacity));
     Channel &c = *channels_.back();
     c.as = &as;
+    c.merges.reserve(cfg_.maxConcurrentNpfs);
+    c.waiting.reserve(kRequestReserve);
+    requests_.reserve(kRequestReserve);
 
     // MMU notifier: reclaim invalidates the device mapping before
     // reusing the frame (Fig. 2, a-d). Reclaim-path invalidations
@@ -181,9 +173,59 @@ NpfController::dmaAccess(ChannelId ch, mem::VirtAddr iova, std::size_t len,
     return true;
 }
 
+NpfController::MergeEntry *
+NpfController::Channel::findMerge(mem::Vpn vpn)
+{
+    auto it = std::find_if(merges.begin(), merges.end(),
+                           [vpn](const MergeEntry &m) {
+                               return m.vpn == vpn;
+                           });
+    return it == merges.end() ? nullptr : &*it;
+}
+
+std::uint32_t
+NpfController::newRequest(ResolveCallback cb)
+{
+    std::uint32_t r = freeRequests_;
+    if (r != kNil) {
+        freeRequests_ = requests_[r].next;
+    } else {
+        r = static_cast<std::uint32_t>(requests_.size());
+        requests_.emplace_back();
+    }
+    requests_[r].cb = std::move(cb);
+    requests_[r].next = kNil;
+    return r;
+}
+
 void
-NpfController::raiseNpf(ChannelId ch, mem::VirtAddr iova, std::size_t len,
-                        bool write, ResolveCallback cb)
+NpfController::resume(std::uint32_t r, const NpfBreakdown &bd)
+{
+    // Take the callback and free the slot first: the callback may
+    // raise again, reuse the slot, or grow the slab.
+    ResolveCallback cb = std::move(requests_[r].cb);
+    requests_[r].next = freeRequests_;
+    freeRequests_ = r;
+    const NpfBreakdown *outer = resolved_;
+    resolved_ = &bd;
+    cb();
+    resolved_ = outer;
+}
+
+const NpfBreakdown &
+NpfController::resolved() const
+{
+    if (resolved_ == nullptr) {
+        std::fprintf(stderr, "core::NpfController::resolved() called "
+                             "outside an NPF resume callback\n");
+        std::abort();
+    }
+    return *resolved_;
+}
+
+void
+NpfController::raise(ChannelId ch, mem::VirtAddr iova, std::size_t len,
+                     bool write, ResolveCallback cb)
 {
     Channel &c = chan(ch);
 
@@ -193,19 +235,22 @@ NpfController::raiseNpf(ChannelId ch, mem::VirtAddr iova, std::size_t len,
             // Raced with a completed resolution: nothing to do.
             obs::tracer().instant(obs::Track::Nic, "npf",
                                   "npf.debounced");
-            NpfBreakdown bd;
-            bd.merged = true;
-            eq_.scheduleAfter(0, [cb = std::move(cb), bd] { cb(bd); },
+            std::uint32_t r = newRequest(std::move(cb));
+            eq_.scheduleAfter(0, [this, r] { resume(r, kDebounced); },
                               "npf.debounced");
             return;
         }
-        auto it = c.merges.find(check.firstMissing);
-        if (it != c.merges.end()) {
+        if (MergeEntry *m = c.findMerge(check.firstMissing)) {
             // A resolution covering this page is in flight: the
             // firmware handles the duplicate silently (bitmap set),
             // and this requester resumes when the first one does.
             obs::tracer().instant(obs::Track::Nic, "npf", "npf.merged");
-            it->second.push_back(std::move(cb));
+            std::uint32_t r = newRequest(std::move(cb));
+            if (m->head == kNil)
+                m->head = r;
+            else
+                requests_[m->tail].next = r;
+            m->tail = r;
             ++stats_.mergedNpfs;
             return;
         }
@@ -214,100 +259,108 @@ NpfController::raiseNpf(ChannelId ch, mem::VirtAddr iova, std::size_t len,
     // One flow per NPF journey, opened before any queueing so the
     // concurrency-slot wait shows up in the flow's span.
     obs::FlowId flow = obs::tracer().beginFlow("npf", "npf");
-
-    auto start = [this, ch, iova, len, write, flow,
-                  cb = std::move(cb)]() mutable {
-        startResolve(ch, iova, len, write, std::move(cb), flow);
-    };
+    std::uint32_t r = newRequest(std::move(cb));
+    Request &q = requests_[r];
+    q.ch = ch;
+    q.iova = iova;
+    q.len = len;
+    q.write = write;
+    q.flow = flow;
 
     if (c.inFlight >= cfg_.maxConcurrentNpfs) {
         ++stats_.queuedNpfs;
         obs::tracer().instant(obs::Track::Nic, "npf", "npf.queued", flow);
-        c.waiting.push_back(std::move(start));
+        c.waiting.push_back(r);
         return;
     }
     ++c.inFlight;
-    start();
+    startResolve(r);
 }
 
 void
-NpfController::startResolve(ChannelId ch, mem::VirtAddr iova,
-                            std::size_t len, bool write, ResolveCallback cb,
-                            obs::FlowId flow)
+NpfController::startResolve(std::uint32_t r)
 {
-    Channel &c = chan(ch);
+    Request &q = requests_[r];
+    Channel &c = chan(q.ch);
     ++stats_.npfs;
 
-    sim::PoolHandle bdh = breakdownPool().create();
-    sim::Time trigger = jittered(cfg_.fwTriggerInterrupt);
-    breakdownPool().get(bdh)->trigger = trigger;
+    q.bd = NpfBreakdown{};
+    q.bd.trigger = jittered(cfg_.fwTriggerInterrupt);
 
-    DmaCheck check = checkDmaRaw(ch, iova, len);
-    mem::Vpn merge_key = check.firstMissing;
-    if (cfg_.firmwareBypass && !check.ok)
-        c.merges.emplace(merge_key, std::vector<ResolveCallback>{});
+    DmaCheck check = checkDmaRaw(q.ch, q.iova, q.len);
+    q.mergeKey = check.firstMissing;
+    q.hasKey = !check.ok;
+    if (cfg_.firmwareBypass && !check.ok && !c.findMerge(q.mergeKey))
+        c.merges.push_back({q.mergeKey, kNil, kNil});
 
-    // The fault-resolution continuation is the fattest closure the
-    // controller schedules (breakdown handle, merge key, resolve
-    // callback); it still must ride the event queue's inline delegate
-    // storage — NPF latency is the quantity this simulator measures,
-    // and an allocation here would sit directly on that path. The
-    // breakdown travels as a pooled handle that each continuation
-    // revalidates (get() aborts on a stale generation) and that the
-    // final continuation releases, exactly once.
-    auto resolve = [this, ch, iova, len, write, bdh, merge_key,
-                    has_key = !check.ok, flow,
-                    cb = std::move(cb)]() mutable {
-        obs::FlowScope fs(flow);
-        Channel &c = chan(ch);
-        NpfBreakdown *bd = breakdownPool().get(bdh);
-        sim::logf(sim::LogLevel::Debug, eq_.now(),
-                  "npf: ch=%u resolving iova=0x%llx len=%zu write=%d", ch,
-                  static_cast<unsigned long long>(iova), len, int(write));
-        resolvePages(c, iova, len, write, *bd);
-        bd->resume = jittered(cfg_.fwResume);
-        sim::Time rest = bd->driver + bd->ptUpdate + bd->resume;
-
-        eq_.scheduleAfter(rest, [this, ch, bdh, merge_key, has_key, flow,
-                                 cb = std::move(cb)]() mutable {
-            obs::FlowScope fs(flow);
-            Channel &c = chan(ch);
-            NpfBreakdown *bd = breakdownPool().get(bdh);
-            sim::logf(sim::LogLevel::Debug, eq_.now(),
-                      "npf: ch=%u resolved pages=%u major=%u total=%llu ns",
-                      ch, bd->pagesMapped, bd->majorFaults,
-                      static_cast<unsigned long long>(bd->total()));
-            traceBreakdown(flow, *bd, eq_.now());
-            recordBreakdown(*bd);
-            obs::tracer().endFlow(flow);
-            cb(*bd);
-            if (has_key) {
-                auto it = c.merges.find(merge_key);
-                if (it != c.merges.end()) {
-                    auto merged = std::move(it->second);
-                    c.merges.erase(it);
-                    NpfBreakdown mbd = *bd;
-                    mbd.merged = true;
-                    for (auto &m : merged)
-                        m(mbd);
-                }
-            }
-            // Last read of *bd was above; retire the slot before the
-            // next queued NPF can start and recycle it.
-            breakdownPool().release(bdh);
-            assert(c.inFlight > 0);
-            --c.inFlight;
-            if (!c.waiting.empty()) {
-                auto next = std::move(c.waiting.front());
-                c.waiting.pop_front();
-                ++c.inFlight;
-                next();
-            }
-        }, "npf.resolve");
-    };
-    static_assert(sim::Delegate::fitsInline<decltype(resolve)>,
+    // NPF latency is the quantity this simulator measures, so neither
+    // continuation may allocate: each carries only the request's slab
+    // index, which stays the request's until finishResolve() runs.
+    auto trigger = [this, r] { runResolve(r); };
+    static_assert(sim::Delegate::fitsInline<decltype(trigger)>,
                   "npf resolution closure must stay inline");
-    eq_.scheduleAfter(trigger, std::move(resolve), "npf.trigger");
+    eq_.scheduleAfter(q.bd.trigger, std::move(trigger), "npf.trigger");
+}
+
+void
+NpfController::runResolve(std::uint32_t r)
+{
+    Request &q = requests_[r];
+    obs::FlowScope fs(q.flow);
+    sim::logf(sim::LogLevel::Debug, eq_.now(),
+              "npf: ch=%u resolving iova=0x%llx len=%zu write=%d", q.ch,
+              static_cast<unsigned long long>(q.iova), q.len, int(q.write));
+    NpfBreakdown bd = q.bd;
+    resolvePages(chan(q.ch), q.iova, q.len, q.write, bd);
+    bd.resume = jittered(cfg_.fwResume);
+    requests_[r].bd = bd;
+    eq_.scheduleAfter(bd.driver + bd.ptUpdate + bd.resume,
+                      [this, r] { finishResolve(r); }, "npf.resolve");
+}
+
+void
+NpfController::finishResolve(std::uint32_t r)
+{
+    // Copies: the callbacks below may raise again and grow the slab.
+    const Request &q = requests_[r];
+    const ChannelId ch = q.ch;
+    const obs::FlowId flow = q.flow;
+    const NpfBreakdown bd = q.bd;
+    const bool has_key = q.hasKey;
+    const mem::Vpn merge_key = q.mergeKey;
+
+    obs::FlowScope fs(flow);
+    Channel &c = chan(ch);
+    sim::logf(sim::LogLevel::Debug, eq_.now(),
+              "npf: ch=%u resolved pages=%u major=%u total=%llu ns", ch,
+              bd.pagesMapped, bd.majorFaults,
+              static_cast<unsigned long long>(bd.total()));
+    traceBreakdown(flow, bd, eq_.now());
+    recordBreakdown(bd);
+    obs::tracer().endFlow(flow);
+    resume(r, bd);
+    if (MergeEntry *m = has_key ? c.findMerge(merge_key) : nullptr) {
+        // Unlink the whole list before running it: a waiter that
+        // raises this page again starts a fresh resolution.
+        std::uint32_t w = m->head;
+        *m = c.merges.back();
+        c.merges.pop_back();
+        NpfBreakdown mbd = bd;
+        mbd.merged = true;
+        while (w != kNil) {
+            std::uint32_t next = requests_[w].next;
+            resume(w, mbd);
+            w = next;
+        }
+    }
+    assert(c.inFlight > 0);
+    --c.inFlight;
+    if (!c.waiting.empty()) {
+        std::uint32_t next = c.waiting.front();
+        c.waiting.pop_front();
+        ++c.inFlight;
+        startResolve(next);
+    }
 }
 
 void

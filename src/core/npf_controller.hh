@@ -11,16 +11,23 @@
  * translation misses. The controller registers an MMU-notifier on
  * the backing address space so reclaim keeps the device page table
  * coherent (no pinning required — that is the whole point).
+ *
+ * The asynchronous NPF path allocates nothing once warm: a raiseNpf()
+ * caller's resume callback is a sim::Delegate that must fit inline,
+ * and it waits in a request slab reserved on kernel pages at the
+ * first attach(). Merged duplicates hang off their resolution's
+ * merge-table entry as an intrusive list through that slab; NPFs
+ * beyond maxConcurrentNpfs wait in a per-channel ring of slab
+ * indices. The callback reads its breakdown through resolved().
  */
 
 #ifndef NPF_CORE_NPF_CONTROLLER_HH
 #define NPF_CORE_NPF_CONTROLLER_HH
 
 #include <cstdint>
-#include <deque>
-#include <functional>
 #include <memory>
-#include <unordered_map>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "core/odp_config.hh"
@@ -28,9 +35,12 @@
 #include "mem/address_space.hh"
 #include "obs/flow_tracer.hh"
 #include "obs/metrics.hh"
+#include "sim/delegate.hh"
 #include "sim/event_queue.hh"
 #include "sim/histogram.hh"
+#include "sim/page_allocator.hh"
 #include "sim/random.hh"
+#include "sim/ring_deque.hh"
 
 namespace npf::core {
 
@@ -75,7 +85,8 @@ struct InvalidationBreakdown
 class NpfController
 {
   public:
-    using ResolveCallback = std::function<void(const NpfBreakdown &)>;
+    /** Runs on resume; reads the breakdown through resolved(). */
+    using ResolveCallback = sim::Delegate;
 
     struct Stats
     {
@@ -119,10 +130,25 @@ class NpfController
      * Asynchronous NPF flow for [iova, iova+len): firmware interrupt,
      * driver resolution, PT update, firmware resume. @p cb fires on
      * resume. Respects maxConcurrentNpfs and the firmware-bypass
-     * dedupe (§4 Optimizations).
+     * dedupe (§4 Optimizations). @p cb must fit a Delegate's inline
+     * storage: an NPF never allocates to park its caller.
      */
-    void raiseNpf(ChannelId ch, mem::VirtAddr iova, std::size_t len,
-                  bool write, ResolveCallback cb);
+    template <typename F>
+    void
+    raiseNpf(ChannelId ch, mem::VirtAddr iova, std::size_t len, bool write,
+             F &&cb)
+    {
+        static_assert(sim::Delegate::fitsInline<std::remove_cvref_t<F>>,
+                      "NPF resume callback must stay inline");
+        raise(ch, iova, len, write, ResolveCallback(std::forward<F>(cb)));
+    }
+
+    /**
+     * The breakdown of the NPF whose resume callback is running:
+     * merged = true for a merged or debounced raise (a debounced one
+     * maps nothing). Aborts, in every build, outside a callback.
+     */
+    const NpfBreakdown &resolved() const;
 
     /**
      * Synchronous variant: run the whole flow immediately (no events)
@@ -158,17 +184,48 @@ class NpfController
     sim::EventQueue &eventQueue() { return eq_; }
 
   private:
+    static constexpr std::uint32_t kNil = ~std::uint32_t(0);
+
+    /**
+     * One raiseNpf() caller, in the request slab. A merged or
+     * debounced raise uses only cb and next. The request that starts
+     * a resolution also carries that resolution's state.
+     */
+    struct Request
+    {
+        ResolveCallback cb;
+        NpfBreakdown bd;
+        mem::VirtAddr iova = 0;
+        std::size_t len = 0;
+        obs::FlowId flow = 0;
+        mem::Vpn mergeKey = 0;
+        ChannelId ch = 0;
+        std::uint32_t next = kNil; ///< merge list or free list link
+        bool write = false;
+        bool hasKey = false; ///< found a missing page at start
+    };
+
+    /** An in-flight resolution's merged waiters, in raise order. */
+    struct MergeEntry
+    {
+        mem::Vpn vpn;
+        std::uint32_t head, tail;
+    };
+
     struct Channel
     {
         iommu::IoMmu iommu;
         mem::AddressSpace *as = nullptr;
         unsigned inFlight = 0;
-        /** firstMissing vpn -> callbacks merged onto that resolution. */
-        std::unordered_map<mem::Vpn, std::vector<ResolveCallback>> merges;
-        /** FIFO of NPFs waiting for a concurrency slot. */
-        std::deque<std::function<void()>> waiting;
+        /** Flat map: firstMissing vpn -> merged waiters. One entry per
+         *  in-flight resolution at most, so a linear scan is short. */
+        std::vector<MergeEntry> merges;
+        /** Requests waiting for a concurrency slot, FIFO. */
+        sim::RingDeque<std::uint32_t> waiting;
 
         explicit Channel(std::size_t tlb_cap) : iommu(tlb_cap) {}
+
+        MergeEntry *findMerge(mem::Vpn vpn);
     };
 
     Channel &chan(ChannelId ch) { return *channels_.at(ch); }
@@ -177,9 +234,23 @@ class NpfController
      *  debounce/resolution machinery. */
     DmaCheck checkDmaRaw(ChannelId ch, mem::VirtAddr iova, std::size_t len);
 
-    /** Start one resolution (a slot is already reserved). */
-    void startResolve(ChannelId ch, mem::VirtAddr iova, std::size_t len,
-                      bool write, ResolveCallback cb, obs::FlowId flow);
+    void raise(ChannelId ch, mem::VirtAddr iova, std::size_t len, bool write,
+               ResolveCallback cb);
+
+    std::uint32_t newRequest(ResolveCallback cb);
+
+    /** Release request @p r and run its callback with @p bd published
+     *  through resolved(). */
+    void resume(std::uint32_t r, const NpfBreakdown &bd);
+
+    /** Start request @p r's resolution (a slot is already reserved). */
+    void startResolve(std::uint32_t r);
+
+    /** The driver phase of request @p r's resolution. */
+    void runResolve(std::uint32_t r);
+
+    /** Firmware resume: run the callbacks, hand the slot on. */
+    void finishResolve(std::uint32_t r);
 
     /** Driver phase: touch + map pages; fills breakdown. */
     void resolvePages(Channel &c, mem::VirtAddr iova, std::size_t len,
@@ -199,6 +270,10 @@ class NpfController
     sim::Rng rng_;
     Stats stats_;
     std::vector<std::unique_ptr<Channel>> channels_;
+    /** Request slab, reserved at the first attach(); never shrinks. */
+    std::vector<Request, sim::PageAllocator<Request>> requests_;
+    std::uint32_t freeRequests_ = kNil;
+    const NpfBreakdown *resolved_ = nullptr; ///< set while a cb runs
 
     struct Latencies
     {

@@ -137,10 +137,9 @@ BackupRingManager::pumpResolver(unsigned ring_id)
     // Step 2: ensure the buffer pages are present and IOMMU-mapped.
     if (!npfc.checkDma(ch, d.buf, d.len).ok) {
         npfc.raiseNpf(ch, d.buf, d.len, /*write=*/true,
-                      [this, ring_id,
-                       flow = e.obsFlow](const core::NpfBreakdown &bd) {
+                      [this, ring_id, flow = e.obsFlow] {
                           obs::FlowScope fs(flow);
-                          if (!bd.ok) {
+                          if (!nic_.npfc().resolved().ok) {
                               // Out of memory: back off and retry —
                               // reclaim needs time to make progress.
                               ++stats_.resolutionRetries;

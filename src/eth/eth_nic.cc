@@ -128,7 +128,7 @@ EthNic::pumpTx(unsigned txq)
         t.faultPending = true;
         npfc_.raiseNpf(t.channel, job.src, job.frame.bytes,
                        /*write=*/false,
-                       [this, txq](const core::NpfBreakdown &) {
+                       [this, txq] {
                            txQueues_[txq]->faultPending = false;
                            pumpTx(txq);
                        });
@@ -275,8 +275,7 @@ EthNic::recvToRing(RxRing &r, Frame f)
                 break;
             RxDescriptor &da = r.slot(ahead);
             if (!npfc_.checkDma(ch, da.buf, da.len).ok) {
-                npfc_.raiseNpf(ch, da.buf, da.len, /*write=*/true,
-                               [](const core::NpfBreakdown &) {});
+                npfc_.raiseNpf(ch, da.buf, da.len, /*write=*/true, [] {});
             }
         }
     }
@@ -289,8 +288,7 @@ EthNic::recvToRing(RxRing &r, Frame f)
             // The NPF is still raised and resolved — only the packet
             // is lost. This is what warms the ring up, one drop at a
             // time (the cold-ring problem, §5).
-            npfc_.raiseNpf(ch, d->buf, d->len, /*write=*/true,
-                           [](const core::NpfBreakdown &) {});
+            npfc_.raiseNpf(ch, d->buf, d->len, /*write=*/true, [] {});
         }
         return;
 

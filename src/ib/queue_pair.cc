@@ -187,7 +187,7 @@ QueuePair::transmitOne()
             // Batched pre-fault: resolve the whole WR's buffer.
             npfc_.raiseNpf(channel_, owner->wr.local, owner->wr.len,
                            /*write=*/false,
-                           [this](const core::NpfBreakdown &) {
+                           [this] {
                                obs::attributor().blockEnd(
                                    attrLane_, obs::Phase::NpfDriver);
                                localFaultPending_ = false;
@@ -676,7 +676,7 @@ QueuePair::raiseRnpf(mem::VirtAddr addr, std::size_t len, std::uint64_t psn)
     // Resolve the fault; batched pre-fault covers the rest of the
     // message so one flow suffices in the common case.
     npfc_.raiseNpf(channel_, addr, len, /*write=*/true,
-                   [this](const core::NpfBreakdown &) {
+                   [this] {
                        obs::FlowScope fs(rnpfFlow_);
                        sim::logf(sim::LogLevel::Debug, eq_.now(),
                                  "rnr: qp node=%u fault resolved, receiver "
@@ -749,7 +749,7 @@ QueuePair::pumpReadResponse()
         obs::attributor().blockBegin(attrLane_, obs::Phase::NpfDriver);
         npfc_.raiseNpf(channel_, readResp_.base, readResp_.len,
                        /*write=*/false,
-                       [this](const core::NpfBreakdown &) {
+                       [this] {
                            obs::attributor().blockEnd(
                                attrLane_, obs::Phase::NpfDriver);
                            readResp_.paused = false;
@@ -854,7 +854,7 @@ QueuePair::handleReadResponse(const Packet &pkt)
             sendControl(rnr);
             npfc_.raiseNpf(channel_, ri.wr.local, ri.wr.len,
                            /*write=*/true,
-                           [this](const core::NpfBreakdown &) {
+                           [this] {
                                obs::attributor().blockEnd(
                                    attrLane_, obs::Phase::NpfDriver);
                                readInit_.faultPending = false;
@@ -865,7 +865,7 @@ QueuePair::handleReadResponse(const Packet &pkt)
         // everything and ask for a rewind only once the fault is
         // resolved (§4).
         npfc_.raiseNpf(channel_, ri.wr.local, ri.wr.len, /*write=*/true,
-                       [this](const core::NpfBreakdown &) {
+                       [this] {
                            obs::attributor().blockEnd(
                                attrLane_, obs::Phase::NpfDriver);
                            readInit_.faultPending = false;

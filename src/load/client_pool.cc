@@ -18,10 +18,11 @@ ClientPool::ClientPool(sim::EventQueue &eq, PoolConfig cfg)
     if (cfg_.sweepInterval == 0 && cfg_.timeout != 0)
         cfg_.sweepInterval = std::max<sim::Time>(cfg_.timeout / 4, 1);
     wheel_.resize(cfg_.calendarSlots);
-    // Both rings have hard occupancy bounds; reserve them up front so
-    // a rare burst never regrows them inside an alloc-gated measure
-    // window (bench/stack_bench.cc asserts steady-state allocs == 0).
-    // Reserving writes nothing, so an unreached bound stays free.
+    // The idle stack and the backlog ring have hard occupancy bounds;
+    // reserve them up front so a rare burst never regrows them inside
+    // an alloc-gated measure window (bench/stack_bench.cc asserts
+    // steady-state allocs == 0). Reserving writes nothing, so an
+    // unreached bound stays free.
     idle_.reserve(cfg_.clients);
     backlog_.reserve(std::size_t(cfg_.backlogFactor) * cfg_.clients);
 
@@ -36,6 +37,8 @@ ClientPool::ClientPool(sim::EventQueue &eq, PoolConfig cfg)
     obs_.counter("shed_arrivals", &shed_);
     obs_.gauge("in_flight",
                [this] { return static_cast<double>(inFlight()); });
+    obs_.gauge("materialised",
+               [this] { return static_cast<double>(materialised()); });
 }
 
 ClientPool::~ClientPool()
@@ -286,15 +289,16 @@ ClientPool::onArrival()
 {
     arrivalEvent_ = sim::kInvalidEvent;
     sim::Time intended = eq_.now();
-    if (clients_.size() < cfg_.clients) {
-        // Never-issued clients are the implicit front of the idle
-        // FIFO: every released client was pushed behind them.
+    if (!idle_.empty()) {
+        // Reuse before growth, newest release first (its flyweight is
+        // the likeliest to be cached): the pool materialises a client
+        // only when every one it has is busy.
+        std::uint32_t c = idle_.back();
+        idle_.pop_back();
+        issueNew(c, intended);
+    } else if (clients_.size() < cfg_.clients) {
         auto c = std::uint32_t(clients_.size());
         materialise(c + 1);
-        issueNew(c, intended);
-    } else if (!idle_.empty()) {
-        std::uint32_t c = idle_.front();
-        idle_.pop_front();
         issueNew(c, intended);
     } else if (backlog_.size() <
                std::size_t(cfg_.backlogFactor) * cfg_.clients) {

@@ -8,8 +8,10 @@
  *
  *  - per-client state lives in one flat std::vector<Client> (a few
  *    dozen bytes each, no per-client heap objects or closures),
- *    reserved up front and filled as clients are first issued, so
- *    resident memory follows the clients a run touches;
+ *    reserved up front and filled as clients are first issued. An
+ *    open-loop arrival takes a released client before it issues a
+ *    new one, so resident memory follows the peak number of busy
+ *    clients, not the client count;
  *  - the pool schedules O(1) simulator events regardless of client
  *    count: one arrival event (open loop), one calendar-wheel event
  *    (think times and retry backoffs), one timeout-sweep event.
@@ -23,7 +25,10 @@
  * Open-loop modes draw their arrival schedule up front from a seeded
  * process (see arrival.hh); when every logical client is busy the
  * surplus arrivals queue with their *intended* times so the recorder
- * can measure coordinated-omission-free latency. Closed-loop mode
+ * can measure coordinated-omission-free latency. Which client serves
+ * an open-loop arrival is not observable: the endpoint is round-robin,
+ * the key comes from the shared stream, and each endpoint's FIFO is
+ * per request. So the client count only bounds concurrency. Closed-loop mode
  * reproduces the legacy memaslap generator draw-for-draw (see
  * app::Memaslap, now a preset over this pool).
  *
@@ -155,6 +160,8 @@ class ClientPool
     std::uint64_t lateResponses() const { return late_; }
     std::uint64_t shedArrivals() const { return shed_; }
     std::uint64_t clients() const { return cfg_.clients; }
+    /** Clients whose flyweight exists (those issued at least once). */
+    std::size_t materialised() const { return clients_.size(); }
     std::size_t endpoints() const { return eps_.size(); }
 
     /** Requests currently on the wire (all endpoints). */
@@ -227,10 +234,10 @@ class ClientPool
     bool attributed_ = false; ///< some endpoint has an attribution lane
     unsigned rrNext_ = 0;           ///< open-loop endpoint round-robin
 
-    // Open loop: free clients + surplus arrivals (intended times). The
-    // idle FIFO is the never-issued range [clients_.size(), clients)
-    // followed by idle_, the released clients in release order.
-    sim::RingDeque<std::uint32_t> idle_;
+    // Open loop: free clients + surplus arrivals (intended times).
+    // idle_ is a stack of released clients, popped before the pool
+    // materialises a never-issued one.
+    std::vector<std::uint32_t> idle_;
     sim::RingDeque<sim::Time> backlog_;
 
     // Calendar wheel: slots of client indices, one armed event.

@@ -3,8 +3,8 @@
  * Per-thread singletons that a worker thread frees when it exits.
  *
  * Slabs and registries that event closures point into (the TCP
- * segment pool, the fabric's parking pools, the NPF breakdown pool,
- * the metrics registry, the flow tracer) are thread_local pointers to
+ * segment pool, the fabric's parking pools, the metrics registry,
+ * the flow tracer) are thread_local pointers to
  * heap objects that are never destroyed implicitly: closures holding
  * refs into them live in event queues and worlds whose teardown order
  * against static or thread-exit destruction is unknowable. On the

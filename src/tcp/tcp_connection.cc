@@ -267,9 +267,13 @@ TcpConnection::processSegment(const Segment &seg)
     }
     if (start > rcvNxt_) {
         // Hole: remember and send a duplicate ACK.
-        auto [it, inserted] = oooSegments_.try_emplace(start, end);
-        if (!inserted)
+        auto it = std::lower_bound(
+            oooSegments_.begin(), oooSegments_.end(), start,
+            [](const auto &r, std::uint64_t s) { return r.first < s; });
+        if (it != oooSegments_.end() && it->first == start)
             it->second = std::max(it->second, end);
+        else
+            oooSegments_.insert(it, {start, end});
         emitAck();
         return;
     }
@@ -277,12 +281,10 @@ TcpConnection::processSegment(const Segment &seg)
     std::uint64_t old_rcv_nxt = rcvNxt_;
     rcvNxt_ = end;
     // Pull any now-contiguous out-of-order data.
-    for (auto it = oooSegments_.begin(); it != oooSegments_.end();) {
-        if (it->first > rcvNxt_)
-            break;
+    auto it = oooSegments_.begin();
+    for (; it != oooSegments_.end() && it->first <= rcvNxt_; ++it)
         rcvNxt_ = std::max(rcvNxt_, it->second);
-        it = oooSegments_.erase(it);
-    }
+    oooSegments_.erase(oooSegments_.begin(), it);
     std::size_t newly = static_cast<std::size_t>(rcvNxt_ - old_rcv_nxt);
     stats_.bytesDelivered += newly;
     emitAck();

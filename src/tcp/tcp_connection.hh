@@ -13,7 +13,8 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
+#include <utility>
+#include <vector>
 
 #include "mem/types.hh"
 #include "obs/metrics.hh"
@@ -174,7 +175,10 @@ class TcpConnection
 
     // --- receiver ---
     std::uint64_t rcvNxt_ = 0;
-    std::map<std::uint64_t, std::uint64_t> oooSegments_; ///< start->end
+    /// Out-of-order ranges (start, end), sorted by start, starts
+    /// unique. Flat, so a loss burst allocates only when it sets a
+    /// new high-water mark, not once per hole.
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> oooSegments_;
 
     obs::Instrumented obs_; ///< last member: deregisters first
 };

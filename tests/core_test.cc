@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "core/npf_controller.hh"
 #include "core/pinning.hh"
 #include "mem/memory_manager.hh"
@@ -53,7 +55,8 @@ TEST(NpfController, DmaAccessFailsUntilResolved)
     EXPECT_FALSE(rig.npfc.dmaAccess(rig.ch, buf, 100, true));
     bool resolved = false;
     rig.npfc.raiseNpf(rig.ch, buf, 100, true,
-                      [&](const NpfBreakdown &bd) {
+                      [&] {
+                          const NpfBreakdown &bd = rig.npfc.resolved();
                           resolved = true;
                           EXPECT_TRUE(bd.ok);
                           EXPECT_EQ(bd.pagesMapped, 1u);
@@ -69,7 +72,7 @@ TEST(NpfController, ResolutionTakesModeledTime)
     mem::VirtAddr buf = rig.as.allocRegion(MiB);
     sim::Time done_at = 0;
     rig.npfc.raiseNpf(rig.ch, buf, mem::kPageSize, true,
-                      [&](const NpfBreakdown &) { done_at = rig.eq.now(); });
+                      [&] { done_at = rig.eq.now(); });
     rig.eq.run();
     // A 4 KB minor NPF costs ~215 us (Fig. 3(a) / Table 4).
     EXPECT_GT(done_at, sim::fromMicroseconds(150));
@@ -118,9 +121,9 @@ TEST(NpfController, BatchedPrefaultMapsWholeRequest)
     mem::VirtAddr buf = rig.as.allocRegion(MiB);
     bool done = false;
     rig.npfc.raiseNpf(rig.ch, buf, 64 * mem::kPageSize, true,
-                      [&](const NpfBreakdown &bd) {
+                      [&] {
                           done = true;
-                          EXPECT_EQ(bd.pagesMapped, 64u);
+                          EXPECT_EQ(rig.npfc.resolved().pagesMapped, 64u);
                       });
     rig.eq.run();
     EXPECT_TRUE(done);
@@ -135,9 +138,9 @@ TEST(NpfController, OnePagePerRequestAblation)
     mem::VirtAddr buf = rig.as.allocRegion(MiB);
     bool done = false;
     rig.npfc.raiseNpf(rig.ch, buf, 64 * mem::kPageSize, true,
-                      [&](const NpfBreakdown &bd) {
+                      [&] {
                           done = true;
-                          EXPECT_EQ(bd.pagesMapped, 1u)
+                          EXPECT_EQ(rig.npfc.resolved().pagesMapped, 1u)
                               << "strict ATS/PRI: one page per event";
                       });
     rig.eq.run();
@@ -154,9 +157,9 @@ TEST(NpfController, FirmwareBypassMergesDuplicates)
     int merged = 0;
     for (int i = 0; i < 5; ++i) {
         rig.npfc.raiseNpf(rig.ch, buf, mem::kPageSize, true,
-                          [&](const NpfBreakdown &bd) {
+                          [&] {
                               ++resolutions;
-                              if (bd.merged)
+                              if (rig.npfc.resolved().merged)
                                   ++merged;
                           });
     }
@@ -177,11 +180,101 @@ TEST(NpfController, ConcurrencyLimitQueuesExcessFaults)
     for (int i = 0; i < 6; ++i) {
         rig.npfc.raiseNpf(rig.ch, buf + std::uint64_t(i) * mem::kPageSize,
                           mem::kPageSize, true,
-                          [&](const NpfBreakdown &) { ++resolved; });
+                          [&] { ++resolved; });
     }
     rig.eq.run();
     EXPECT_EQ(resolved, 6);
     EXPECT_GT(rig.npfc.stats().queuedNpfs, 0u);
+}
+
+TEST(NpfController, QueuedNpfsResumeInFifoOrder)
+{
+    OdpConfig cfg;
+    cfg.maxConcurrentNpfs = 1;
+    Rig rig(256 * MiB, cfg);
+    mem::VirtAddr buf = rig.as.allocRegion(MiB);
+    std::vector<int> order;
+    std::vector<sim::Time> at;
+    for (int i = 0; i < 6; ++i) {
+        rig.npfc.raiseNpf(rig.ch, buf + std::uint64_t(i) * mem::kPageSize,
+                          mem::kPageSize, true, [&, i] {
+                              EXPECT_FALSE(rig.npfc.resolved().merged);
+                              EXPECT_EQ(rig.npfc.resolved().pagesMapped, 1u);
+                              order.push_back(i);
+                              at.push_back(rig.eq.now());
+                          });
+    }
+    EXPECT_EQ(rig.npfc.stats().npfs, 1u) << "one slot: the rest wait";
+    EXPECT_EQ(rig.npfc.stats().queuedNpfs, 5u);
+    rig.eq.run();
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5}));
+    for (std::size_t i = 1; i < at.size(); ++i)
+        EXPECT_GT(at[i], at[i - 1]) << "each waits for the one before";
+    EXPECT_EQ(rig.npfc.stats().npfs, 6u);
+}
+
+TEST(NpfController, MergedWaitersResumeAfterPrimaryInRaiseOrder)
+{
+    Rig rig;
+    mem::VirtAddr buf = rig.as.allocRegion(MiB);
+    // More waiters than the request slab reserves, so it grows while
+    // callbacks are parked in it.
+    constexpr int kRaises = 5000;
+    std::vector<int> order;
+    NpfBreakdown primary;
+    bool breakdowns_match = true;
+    for (int i = 0; i < kRaises; ++i) {
+        rig.npfc.raiseNpf(rig.ch, buf, mem::kPageSize, true, [&, i] {
+            const NpfBreakdown &bd = rig.npfc.resolved();
+            if (i == 0) {
+                primary = bd;
+            } else {
+                breakdowns_match = breakdowns_match && bd.merged &&
+                                   bd.total() == primary.total() &&
+                                   bd.pagesMapped == primary.pagesMapped;
+            }
+            order.push_back(i);
+        });
+    }
+    rig.eq.run();
+    ASSERT_EQ(order.size(), std::size_t(kRaises));
+    for (int i = 0; i < kRaises; ++i)
+        ASSERT_EQ(order[i], i);
+    EXPECT_FALSE(primary.merged);
+    EXPECT_EQ(primary.pagesMapped, 1u);
+    EXPECT_TRUE(breakdowns_match) << "waiters see the primary's breakdown";
+    EXPECT_EQ(rig.npfc.stats().npfs, 1u);
+    EXPECT_EQ(rig.npfc.stats().mergedNpfs, std::uint64_t(kRaises - 1));
+}
+
+TEST(NpfController, DebouncedRaiseResumesWithoutResolution)
+{
+    Rig rig;
+    mem::VirtAddr buf = rig.as.allocRegion(MiB);
+    rig.npfc.prefault(rig.ch, buf, mem::kPageSize, true);
+    rig.eq.runUntil(sim::kMillisecond);
+    sim::Time raised = rig.eq.now();
+    bool done = false;
+    rig.npfc.raiseNpf(rig.ch, buf, mem::kPageSize, true, [&] {
+        const NpfBreakdown &bd = rig.npfc.resolved();
+        EXPECT_TRUE(bd.merged);
+        EXPECT_TRUE(bd.ok);
+        EXPECT_EQ(bd.pagesMapped, 0u);
+        EXPECT_EQ(bd.total(), 0u);
+        EXPECT_EQ(rig.eq.now(), raised);
+        done = true;
+    });
+    EXPECT_FALSE(done) << "resumes from the event queue, not inline";
+    rig.eq.run();
+    EXPECT_TRUE(done);
+    EXPECT_EQ(rig.npfc.stats().npfs, 0u);
+    EXPECT_EQ(rig.npfc.stats().mergedNpfs, 0u);
+}
+
+TEST(NpfControllerDeathTest, ResolvedOutsideCallbackAborts)
+{
+    Rig rig;
+    EXPECT_DEATH(rig.npfc.resolved(), "outside an NPF resume callback");
 }
 
 TEST(NpfController, InvalidationFlowCosts)

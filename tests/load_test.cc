@@ -15,6 +15,7 @@
 #include <algorithm>
 #include <deque>
 #include <sstream>
+#include <string>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -437,6 +438,14 @@ struct StubTransport final : Transport
     std::deque<std::uint32_t> held;
     std::uint64_t issues = 0;
     sim::Time lastDue = 0; ///< responses never overtake each other
+    /// Optional, shared by a pool's stubs: the pool's peak in-flight
+    /// count seen at any issue, and whether materialised() ever
+    /// exceeded it.
+    struct Watch
+    {
+        std::size_t peakInFlight = 0;
+        bool exceeded = false;
+    } *watch = nullptr;
 
     explicit StubTransport(sim::EventQueue &q) : eq(q) {}
 
@@ -462,6 +471,11 @@ struct StubTransport final : Transport
           std::size_t) override
     {
         log.emplace_back(serial, key, is_set);
+        if (watch != nullptr) {
+            watch->peakInFlight =
+                std::max(watch->peakInFlight, pool->inFlight());
+            watch->exceeded |= pool->materialised() > watch->peakInFlight;
+        }
         if (++issues <= dropFirst)
             return;
         sim::Time now = eq.now();
@@ -734,6 +748,100 @@ TEST(LoadPool, InFlightNeverExceedsClientsUnderTimeouts)
     // Every stall released long before the end, so each abandoned
     // request's response came back, late, and nothing else was late.
     EXPECT_EQ(pool.lateResponses(), pool.timeouts());
+}
+
+TEST(ClientPool, OpenLoopFootprintTracksConcurrency)
+{
+    // In open loop a client's index is unobservable, so the client
+    // count only bounds concurrency: N and 16N clients must produce the
+    // same run whenever N is never exhausted.
+    struct Run
+    {
+        std::vector<std::vector<std::tuple<std::uint32_t, std::uint64_t,
+                                           bool>>> logs;
+        std::string report;
+        std::uint64_t issued, completions, timeouts, retries, giveups,
+            late, shed;
+        std::size_t materialised;
+        StubTransport::Watch watch;
+    };
+    auto run = [](std::uint64_t clients, bool faults) {
+        sim::EventQueue eq;
+        PoolConfig pc = openPool(300e3, clients, 47);
+        if (faults) {
+            pc.timeout = 300 * sim::kMicrosecond;
+            pc.maxRetries = 2;
+        }
+        ClientPool pool(eq, pc);
+        Recorder rec(
+            RecorderConfig{sim::kMillisecond, 30 * sim::kMillisecond});
+        pool.setRecorder(rec);
+        Run r{};
+        std::vector<StubTransport> stubs;
+        stubs.reserve(4);
+        for (int i = 0; i < 4; ++i) {
+            stubs.emplace_back(eq);
+            StubTransport &s = stubs.back();
+            s.service = 20 * sim::kMicrosecond;
+            if (faults) {
+                // Stalls past the timeout, then one black-holed issue
+                // per endpoint: timeouts, backoffs, retries, give-ups
+                // and late responses all happen.
+                s.stallFrom = sim::Time(2 + 3 * i) * sim::kMillisecond;
+                s.stallUntil = s.stallFrom + sim::kMillisecond;
+                s.dropFirst = 1;
+            } else {
+                s.watch = &r.watch;
+            }
+            s.connect(pool);
+        }
+        pool.start();
+        eq.runUntil(31 * sim::kMillisecond);
+        pool.stop();
+        for (const StubTransport &s : stubs)
+            r.logs.push_back(s.log);
+        std::ostringstream os;
+        rec.writeReport(os, eq.now());
+        r.report = os.str();
+        r.issued = pool.issued();
+        r.completions = pool.completions();
+        r.timeouts = pool.timeouts();
+        r.retries = pool.retries();
+        r.giveups = pool.giveups();
+        r.late = pool.lateResponses();
+        r.shed = pool.shedArrivals();
+        r.materialised = pool.materialised();
+        return r;
+    };
+    constexpr std::uint64_t kN = 512;
+    for (bool faults : {false, true}) {
+        SCOPED_TRACE(faults ? "timeouts and backoff" : "fault-free");
+        Run small = run(kN, faults), big = run(16 * kN, faults);
+        EXPECT_EQ(small.logs, big.logs);
+        EXPECT_EQ(small.report, big.report);
+        EXPECT_EQ(small.issued, big.issued);
+        EXPECT_EQ(small.completions, big.completions);
+        EXPECT_EQ(small.timeouts, big.timeouts);
+        EXPECT_EQ(small.retries, big.retries);
+        EXPECT_EQ(small.giveups, big.giveups);
+        EXPECT_EQ(small.late, big.late);
+        EXPECT_EQ(small.shed, 0u);
+        EXPECT_GT(small.completions, 5000u);
+        // Both pools grew to the same busy peak, far below N.
+        EXPECT_EQ(small.materialised, big.materialised);
+        EXPECT_LT(small.materialised, kN);
+        if (faults) {
+            EXPECT_GT(small.timeouts, 0u);
+            EXPECT_GT(small.retries, 0u);
+            EXPECT_GT(small.giveups, 0u);
+            EXPECT_GT(small.late, 0u);
+        } else {
+            EXPECT_GT(small.watch.peakInFlight, 0u);
+            EXPECT_FALSE(small.watch.exceeded);
+            EXPECT_FALSE(big.watch.exceeded);
+            EXPECT_LE(big.materialised, big.watch.peakInFlight);
+        }
+    }
 }
 
 // --- integration: real transports --------------------------------------

@@ -9,6 +9,9 @@
  * touched: the pool's flyweights and backlog bound, and the manager's
  * frame table, cost resident memory only as the run uses them. An
  * eagerly built frame table alone would write ~384 MiB for 64 GiB.
+ * An open-loop arrival reuses a released client before it makes a new
+ * one, so the pool materialises only as many flyweights as requests
+ * were ever in flight at once, not one per arrival.
  *
  * This is its own executable on purpose: getrusage's ru_maxrss is the
  * process-wide peak, so no other test may share the process.
@@ -18,6 +21,7 @@
 
 #include <sys/resource.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "load/client_pool.hh"
@@ -35,14 +39,16 @@ struct EchoTransport final : Transport
     sim::EventQueue &eq;
     ClientPool &pool;
     unsigned ep;
+    std::size_t &peakInFlight; ///< shared by the pool's endpoints
 
-    EchoTransport(sim::EventQueue &q, ClientPool &p)
-        : eq(q), pool(p), ep(p.addEndpoint(*this))
+    EchoTransport(sim::EventQueue &q, ClientPool &p, std::size_t &peak)
+        : eq(q), pool(p), ep(p.addEndpoint(*this)), peakInFlight(peak)
     {}
 
     void
     issue(std::uint32_t serial, std::uint64_t, bool, std::size_t) override
     {
+        peakInFlight = std::max(peakInFlight, pool.inFlight());
         eq.scheduleAfter(20 * sim::kMicrosecond,
                          [this, serial] { pool.complete(ep, serial, true); });
     }
@@ -76,16 +82,22 @@ TEST(PoolFootprint, MillionClientsOver256EndpointsStaySmall)
     pc.workload.keys.kind = KeySpec::Kind::Zipf;
     pc.workload.keys.keys = 1000;
     ClientPool pool(eq, pc);
+    std::size_t peak = 0;
     std::vector<EchoTransport> eps;
     eps.reserve(256);
     for (int i = 0; i < 256; ++i)
-        eps.emplace_back(eq, pool);
+        eps.emplace_back(eq, pool, peak);
     pool.start();
     eq.runUntil(5 * sim::kMillisecond);
     pool.stop();
 
     EXPECT_NEAR(double(pool.issued()), 5000.0, 300.0);
     EXPECT_GT(pool.completions(), pool.issued() - 100);
+    // 1M/s for 20 us each keeps about 20 requests in flight: the pool
+    // materialises that many flyweights, not one per arrival.
+    EXPECT_GT(peak, 0u);
+    EXPECT_LE(pool.materialised(), peak);
+    EXPECT_LT(pool.materialised(), 100u);
     double rss = peakRssMiB();
     RecordProperty("peak_rss_mib", int(rss));
     EXPECT_LT(rss, 64.0) << "peak RSS " << rss << " MiB";

@@ -274,8 +274,8 @@ TEST_P(NpfConcurrency, AllFaultsResolveAtAnyLimit)
     for (int i = 0; i < 64; ++i) {
         npfc.raiseNpf(ch, buf + std::uint64_t(i) * 16 * mem::kPageSize,
                       16 * mem::kPageSize, true,
-                      [&](const core::NpfBreakdown &bd) {
-                          EXPECT_TRUE(bd.ok);
+                      [&] {
+                          EXPECT_TRUE(npfc.resolved().ok);
                           ++resolved;
                       });
     }
