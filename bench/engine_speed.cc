@@ -17,8 +17,8 @@
  *
  * Also replays mixed and packet_path twice each on the new engine and
  * compares order-sensitive digests of the execution sequence, so the
- * CI smoke run (scripts/check.sh tier 5) exercises the determinism
- * contract.
+ * CI smoke run (scripts/check.sh tier 5) gates the determinism
+ * contract; the cancel_heavy >= 3x speedup over the heap is soft.
  *
  * Emits BENCH_engine.json (override with --json=FILE).
  */
@@ -26,13 +26,13 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <random>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "bench/common.hh"
+#include "bench/report.hh"
 #include "sim/event_queue.hh"
 #include "sim/time.hh"
 #include "tests/heap_event_queue.hh"
@@ -231,29 +231,49 @@ class PacketPath
     std::uint64_t digest_ = 1469598103934665603ull; // FNV offset basis
 };
 
-struct Result
-{
-    const char *workload;
-    const char *engine;
-    std::uint64_t ops;
-    double seconds;
-
-    double opsPerSec() const { return double(ops) / seconds; }
-};
-
-template <typename Fn>
-Result
-timed(const char *workload, const char *engine, Fn fn)
+/** Seconds @p fn takes on a fresh @p Engine, its construction and
+ *  teardown included; @p ops gets fn's operation count. */
+template <typename Engine, typename Fn>
+double
+timed(Fn fn, std::uint64_t *ops)
 {
     auto t0 = std::chrono::steady_clock::now();
-    std::uint64_t ops = fn();
-    Result r{workload, engine, ops, secondsSince(t0)};
-    std::printf("  %-16s %-8s %12llu ops  %8.3f s  %12.0f ops/s\n",
-                r.workload, r.engine,
-                static_cast<unsigned long long>(r.ops), r.seconds,
-                r.opsPerSec());
+    *ops = [&] {
+        Engine eq;
+        return fn(eq);
+    }();
+    return secondsSince(t0);
+}
+
+/**
+ * Times @p fn on the ladder engine and then on the heap oracle,
+ * prints and records both runs and returns the ladder's speedup.
+ */
+template <typename Fn>
+double
+compare(bench::Report &rep, const char *workload, Fn fn)
+{
+    std::uint64_t ops[2] = {};
+    const double secs[2] = {timed<sim::EventQueue>(fn, &ops[0]),
+                            timed<simtest::HeapEventQueue>(fn, &ops[1])};
+    const char *engines[2] = {"ladder", "heap"};
+    double opsPerSec[2] = {};
+    for (int e = 0; e < 2; ++e) {
+        opsPerSec[e] = double(ops[e]) / secs[e];
+        std::printf("  %-16s %-8s %12llu ops  %8.3f s  %12.0f ops/s\n",
+                    workload, engines[e],
+                    static_cast<unsigned long long>(ops[e]), secs[e],
+                    opsPerSec[e]);
+        rep.row("results").set("workload", workload)
+            .set("engine", engines[e]).set("ops", ops[e])
+            .set("seconds", secs[e]).set("ops_per_sec", opsPerSec[e]);
+    }
+    double speedup = opsPerSec[0] / opsPerSec[1];
+    std::printf("  %-16s speedup %.2fx\n", workload, speedup);
     std::fflush(stdout);
-    return r;
+    rep.row("speedup_vs_heap").set("workload", workload)
+        .set("speedup", speedup);
+    return speedup;
 }
 
 } // namespace
@@ -264,7 +284,6 @@ main(int argc, char **argv)
     std::string json = "BENCH_engine.json";
     bool smoke = false;
     bench::parseFlagsOrExit(argc, argv, bench::timingFlags(&json, &smoke));
-    const char *json_path = json.c_str();
     const std::uint64_t scale = smoke ? 8 : 1; // CI: sizes / 8
 
     const std::uint64_t kDrainN = 1'000'000 / scale;
@@ -276,41 +295,18 @@ main(int argc, char **argv)
     std::printf("engine_speed: ladder EventQueue vs binary-heap "
                 "oracle\n");
 
-    std::vector<Result> results;
-    auto ladder = [&](auto fn) {
-        sim::EventQueue eq;
-        return fn(eq);
-    };
-    auto heap = [&](auto fn) {
-        simtest::HeapEventQueue eq;
-        return fn(eq);
-    };
-
-    results.push_back(timed("schedule_drain", "ladder", [&] {
-        return ladder([&](auto &eq) { return scheduleDrain(eq, kDrainN, 7); });
-    }));
-    results.push_back(timed("schedule_drain", "heap", [&] {
-        return heap([&](auto &eq) { return scheduleDrain(eq, kDrainN, 7); });
-    }));
-    results.push_back(timed("cancel_heavy", "ladder", [&] {
-        return ladder([&](auto &eq) { return cancelHeavy(eq, kCancelN); });
-    }));
-    results.push_back(timed("cancel_heavy", "heap", [&] {
-        return heap([&](auto &eq) { return cancelHeavy(eq, kCancelN); });
-    }));
-    results.push_back(timed("mixed", "ladder", [&] {
-        return ladder([&](auto &eq) { return mixed(eq, kMixedN, 11); });
-    }));
-    results.push_back(timed("mixed", "heap", [&] {
-        return heap([&](auto &eq) { return mixed(eq, kMixedN, 11); });
-    }));
-    auto packetPath = [&](auto &eq) {
+    bench::Report rep("engine_speed", json);
+    rep.params.set("smoke", smoke);
+    compare(rep, "schedule_drain",
+            [&](auto &eq) { return scheduleDrain(eq, kDrainN, 7); });
+    rep.gate("cancel_heavy_speedup",
+             compare(rep, "cancel_heavy",
+                     [&](auto &eq) { return cancelHeavy(eq, kCancelN); }),
+             bench::Cmp::Ge, 3.0, bench::Severity::Soft);
+    compare(rep, "mixed", [&](auto &eq) { return mixed(eq, kMixedN, 11); });
+    compare(rep, "packet_path", [&](auto &eq) {
         return PacketPath(eq, kPacketHops, 13).run(kChains);
-    };
-    results.push_back(timed("packet_path", "ladder",
-                            [&] { return ladder(packetPath); }));
-    results.push_back(timed("packet_path", "heap",
-                            [&] { return heap(packetPath); }));
+    });
 
     // Determinism replay: the same op stream twice through the new
     // engine must execute in the identical order.
@@ -328,52 +324,11 @@ main(int argc, char **argv)
         p1 = pa.digest();
         p2 = pb.digest();
     }
-    bool deterministic = d1 == d2 && p1 == p2;
-    std::printf("  determinism replay: %s (digests mixed %016llx, "
-                "packet_path %016llx)\n",
-                deterministic ? "ok" : "MISMATCH",
-                static_cast<unsigned long long>(d1),
-                static_cast<unsigned long long>(p1));
-
-    std::FILE *js = std::fopen(json_path, "w");
-    if (!js) {
-        std::perror("fopen BENCH_engine.json");
-        return 1;
-    }
-    std::fprintf(js, "{\n  \"bench\": \"engine_speed\",\n");
-    std::fprintf(js, "  \"results\": [\n");
-    for (std::size_t i = 0; i < results.size(); ++i) {
-        const Result &r = results[i];
-        std::fprintf(js,
-                     "    {\"workload\": \"%s\", \"engine\": \"%s\", "
-                     "\"ops\": %llu, \"seconds\": %.6f, "
-                     "\"ops_per_sec\": %.0f}%s\n",
-                     r.workload, r.engine,
-                     static_cast<unsigned long long>(r.ops), r.seconds,
-                     r.opsPerSec(), i + 1 < results.size() ? "," : "");
-    }
-    std::fprintf(js, "  ],\n  \"speedup_vs_heap\": {\n");
-    bool meets = true;
-    for (std::size_t i = 0; i + 1 < results.size(); i += 2) {
-        double speedup =
-            results[i].opsPerSec() / results[i + 1].opsPerSec();
-        if (std::strcmp(results[i].workload, "cancel_heavy") == 0)
-            meets = speedup >= 3.0;
-        std::printf("  %-16s speedup %.2fx\n", results[i].workload,
-                    speedup);
-        std::fprintf(js, "    \"%s\": %.2f%s\n", results[i].workload,
-                     speedup, i + 3 < results.size() ? "," : "");
-    }
-    std::fprintf(js, "  },\n  \"determinism_replay\": \"%s\"\n}\n",
-                 deterministic ? "ok" : "mismatch");
-    std::fclose(js);
-    std::printf("  wrote %s\n", json_path);
-
-    if (!deterministic)
-        return 1;
-    if (!meets) {
-        std::printf("  WARNING: cancel_heavy speedup below 3x target\n");
-        return 2;
-    }
-    return 0;
+    std::printf("  replay digests: mixed %s, packet_path %s\n",
+                bench::hex64(d1).c_str(), bench::hex64(p1).c_str());
+    rep.values.set("replay_digest_mixed", bench::hex64(d1))
+        .set("replay_digest_packet_path", bench::hex64(p1));
+    rep.gate("replay_mismatches", unsigned(d1 != d2) + unsigned(p1 != p2),
+             bench::Cmp::Eq, 0);
+    return rep.finish();
 }

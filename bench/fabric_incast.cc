@@ -14,12 +14,14 @@
  *
  * Doubles as the fabric's steady-state allocation gate: the second
  * half of every run — queues warm, pools grown, DCQCN timers live —
- * must execute with zero global operator new calls (greppable
- * "fabric_steady_allocs[...]=N PASS|FAIL"; scripts/check.sh tier 8
- * asserts them). All printed numbers are simulation-derived, so the
+ * must execute with zero global operator new calls (gates
+ * fabric_steady_allocs[<run>]; scripts/check.sh tier 8 requires every
+ * gate here). All printed numbers are simulation-derived, so the
  * output digests bit-identically run to run.
  */
 
+#include <algorithm>
+#include <cinttypes>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -27,6 +29,7 @@
 #include <vector>
 
 #include "bench/flags.hh"
+#include "bench/report.hh"
 #include "core/npf_controller.hh"
 #include "ib/queue_pair.hh"
 #include "mem/memory_manager.hh"
@@ -211,24 +214,16 @@ runIncast(const char *name, const std::string &topo, bool dcqcn,
 void
 report(const Result &r)
 {
-    std::printf("  %-10s finish=%llu ns  goodput=%.3f Gb/s  "
-                "queue_hwm=%llu B  steady_queue max=%llu mean=%llu B\n",
-                r.name, static_cast<unsigned long long>(r.finish),
-                r.goodputGbps,
-                static_cast<unsigned long long>(r.queueHwm),
-                static_cast<unsigned long long>(r.steadyQueueMax),
-                static_cast<unsigned long long>(r.steadyQueueMean));
-    std::printf("  %-10s pause_tx=%llu resume_tx=%llu ecn_marked=%llu "
-                "cnps=%llu/%llu cap_dropped=%llu\n",
-                r.name, static_cast<unsigned long long>(r.pauseTx),
-                static_cast<unsigned long long>(r.resumeTx),
-                static_cast<unsigned long long>(r.ecnMarked),
-                static_cast<unsigned long long>(r.cnpsSent),
-                static_cast<unsigned long long>(r.cnpsReceived),
-                static_cast<unsigned long long>(r.capDropped));
-    std::printf("fabric_steady_allocs[%s]=%llu %s\n", r.name,
-                static_cast<unsigned long long>(r.steadyAllocs),
-                r.steadyAllocs == 0 ? "PASS" : "FAIL");
+    std::printf("  %-10s finish=%" PRIu64 " ns  goodput=%.3f Gb/s  "
+                "queue_hwm=%" PRIu64 " B  steady_queue max=%" PRIu64
+                " mean=%" PRIu64 " B\n",
+                r.name, r.finish, r.goodputGbps, r.queueHwm,
+                r.steadyQueueMax, r.steadyQueueMean);
+    std::printf("  %-10s pause_tx=%" PRIu64 " resume_tx=%" PRIu64
+                " ecn_marked=%" PRIu64 " cnps=%" PRIu64 "/%" PRIu64
+                " cap_dropped=%" PRIu64 "\n",
+                r.name, r.pauseTx, r.resumeTx, r.ecnMarked, r.cnpsSent,
+                r.cnpsReceived, r.capDropped);
     std::fflush(stdout);
 }
 
@@ -256,30 +251,26 @@ main(int argc, char **argv)
         runIncast("ecn_dcqcn", base + ",ecn=32k", true, msgs, msg_bytes);
     report(dcq);
 
-    bool ok = true;
-    auto expect = [&ok](bool cond, const char *what) {
-        if (!cond) {
-            std::printf("FAIL: %s\n", what);
-            ok = false;
-        }
-    };
-    expect(pfc.pauseTx > 0, "pfc_only should hit XOFF and pause");
-    expect(pfc.capDropped == 0, "pfc_only should be lossless");
-    expect(dcq.capDropped == 0, "ecn_dcqcn should be lossless");
-    expect(dcq.ecnMarked > 0, "ecn_dcqcn should mark CE");
-    expect(dcq.cnpsSent > 0 && dcq.cnpsReceived > 0,
-           "ecn_dcqcn should exchange CNPs");
+    bench::Report rep("fabric_incast");
+    using bench::Cmp;
+    rep.gate("fabric_steady_allocs[pfc_only]", pfc.steadyAllocs, Cmp::Eq, 0);
+    rep.gate("fabric_steady_allocs[ecn_dcqcn]", dcq.steadyAllocs, Cmp::Eq,
+             0);
+    // PFC alone hits XOFF and pauses; both runs stay lossless.
+    rep.gate("pfc_only.pause_tx", pfc.pauseTx, Cmp::Gt, 0);
+    rep.gate("pfc_only.cap_dropped", pfc.capDropped, Cmp::Eq, 0);
+    rep.gate("ecn_dcqcn.cap_dropped", dcq.capDropped, Cmp::Eq, 0);
+    // ECN marks CE, and CNPs flow both ways.
+    rep.gate("ecn_dcqcn.ecn_marked", dcq.ecnMarked, Cmp::Gt, 0);
+    rep.gate("ecn_dcqcn.cnps", std::min(dcq.cnpsSent, dcq.cnpsReceived),
+             Cmp::Gt, 0);
     // Mean, not max: DCQCN's rate recovery (fast recovery + additive
     // increase) deliberately probes back toward line rate, so
     // individual oscillation peaks still brush XOFF; the promise is
-    // that the queue *lives* near the marking threshold instead of
-    // riding the pause threshold.
-    expect(2 * dcq.steadyQueueMean < pfc.steadyQueueMean,
-           "DCQCN should bound the steady-state queue below PFC-only");
-    expect(dcq.pauseTx < pfc.pauseTx,
-           "DCQCN should keep the queue off the XOFF threshold");
-    expect(pfc.steadyAllocs == 0 && dcq.steadyAllocs == 0,
-           "steady-state allocation gate");
-    std::printf("fabric_incast: %s\n", ok ? "PASS" : "FAIL");
-    return ok ? 0 : 1;
+    // that the queue *lives* near the marking threshold (below half of
+    // PFC-only's) instead of riding the pause threshold.
+    rep.gate("ecn_dcqcn.steady_queue_mean", dcq.steadyQueueMean, Cmp::Lt,
+             pfc.steadyQueueMean / 2.0);
+    rep.gate("ecn_dcqcn.pause_tx", dcq.pauseTx, Cmp::Lt, pfc.pauseTx);
+    return rep.finish();
 }

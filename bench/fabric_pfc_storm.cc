@@ -14,22 +14,24 @@
  * pause cascades hop by hop: leaf0 pauses the spine, the spine
  * pauses leaf1, leaf1 pauses the sender NICs — innocent hosts
  * three hops from the faulting host is frozen by a memory-management
- * event. The run asserts the storm reached >= 2 switch hops and that
- * losslessness held (zero cap drops), and reports the slowdown.
+ * event. The run gates that the storm reached >= 2 switch hops and
+ * that losslessness held (zero cap drops), and reports the slowdown;
+ * every gate is hard (bench/report.hh).
  *
  * Emits BENCH_fabric.json (--json=FILE overrides). All numbers are
  * simulation-derived, so stdout digests bit-identically.
  */
 
+#include <cinttypes>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "bench/flags.hh"
+#include "bench/report.hh"
 #include "core/npf_controller.hh"
 #include "ib/queue_pair.hh"
 #include "mem/memory_manager.hh"
@@ -167,42 +169,26 @@ runStorm(const char *name, bool cold, unsigned msgs,
     return r;
 }
 
+/** Print @p r and record its row in @p rep. */
 void
-report(const Result &r)
+report(bench::Report &rep, const Result &r)
 {
-    std::printf("  %-8s finish=%llu ns  rnpfs=%llu host_pauses=%llu\n",
-                r.name, static_cast<unsigned long long>(r.finish),
-                static_cast<unsigned long long>(r.rnpfs),
-                static_cast<unsigned long long>(r.hostPauses));
-    std::printf("  %-8s pause_tx leaf0=%llu spine=%llu leaf1=%llu  "
-                "sender_pause_rx=%llu  hops=%u  cap_dropped=%llu\n",
-                r.name,
-                static_cast<unsigned long long>(r.leaf0PauseTx),
-                static_cast<unsigned long long>(r.spinePauseTx),
-                static_cast<unsigned long long>(r.leaf1PauseTx),
-                static_cast<unsigned long long>(r.senderPauseRx),
-                r.pauseHops,
-                static_cast<unsigned long long>(r.capDropped));
+    std::printf("  %-8s finish=%" PRIu64 " ns  rnpfs=%" PRIu64
+                " host_pauses=%" PRIu64 "\n",
+                r.name, r.finish, r.rnpfs, r.hostPauses);
+    std::printf("  %-8s pause_tx leaf0=%" PRIu64 " spine=%" PRIu64
+                " leaf1=%" PRIu64 "  sender_pause_rx=%" PRIu64
+                "  hops=%u  cap_dropped=%" PRIu64 "\n",
+                r.name, r.leaf0PauseTx, r.spinePauseTx, r.leaf1PauseTx,
+                r.senderPauseRx, r.pauseHops, r.capDropped);
     std::fflush(stdout);
-}
-
-void
-jsonScenario(std::FILE *js, const Result &r, bool last)
-{
-    std::fprintf(
-        js,
-        "    {\"name\": \"%s\", \"finish_ns\": %llu, \"rnpfs\": %llu,"
-        " \"host_pauses\": %llu, \"pause_tx\": {\"leaf0\": %llu,"
-        " \"spine\": %llu, \"leaf1\": %llu}, \"sender_pause_rx\": %llu,"
-        " \"pause_hops\": %u, \"cap_dropped\": %llu}%s\n",
-        r.name, static_cast<unsigned long long>(r.finish),
-        static_cast<unsigned long long>(r.rnpfs),
-        static_cast<unsigned long long>(r.hostPauses),
-        static_cast<unsigned long long>(r.leaf0PauseTx),
-        static_cast<unsigned long long>(r.spinePauseTx),
-        static_cast<unsigned long long>(r.leaf1PauseTx),
-        static_cast<unsigned long long>(r.senderPauseRx), r.pauseHops,
-        static_cast<unsigned long long>(r.capDropped), last ? "" : ",");
+    rep.row("scenarios").set("name", r.name).set("finish_ns", r.finish)
+        .set("rnpfs", r.rnpfs).set("host_pauses", r.hostPauses)
+        .set("pause_tx_leaf0", r.leaf0PauseTx)
+        .set("pause_tx_spine", r.spinePauseTx)
+        .set("pause_tx_leaf1", r.leaf1PauseTx)
+        .set("sender_pause_rx", r.senderPauseRx)
+        .set("pause_hops", r.pauseHops).set("cap_dropped", r.capDropped);
 }
 
 } // namespace
@@ -213,7 +199,6 @@ main(int argc, char **argv)
     std::string json = "BENCH_fabric.json";
     bool smoke = false;
     bench::parseFlagsOrExit(argc, argv, bench::timingFlags(&json, &smoke));
-    const char *json_path = json.c_str();
     const unsigned msgs = smoke ? 6 : 16;
     std::size_t msg_bytes = 256 * kKiB;
 
@@ -223,54 +208,29 @@ main(int argc, char **argv)
     std::printf("  1 sender x %u msgs x %zu B -> cold victim\n", msgs,
                 msg_bytes);
 
+    bench::Report rep("fabric_pfc_storm", json);
+    rep.params.set("topology", kTopo).set("msgs_per_sender", msgs)
+        .set("msg_bytes", msg_bytes);
     Result warm = runStorm("warm", false, msgs, msg_bytes);
-    report(warm);
+    report(rep, warm);
     Result cold = runStorm("cold_odp", true, msgs, msg_bytes);
-    report(cold);
+    report(rep, cold);
+    rep.values.set("slowdown", double(cold.finish) / double(warm.finish));
 
-    bool ok = true;
-    auto expect = [&ok](bool cond, const char *what) {
-        if (!cond) {
-            std::printf("FAIL: %s\n", what);
-            ok = false;
-        }
-    };
-    expect(warm.rnpfs == 0, "warm baseline should not fault");
-    expect(warm.pauseHops == 0, "warm baseline should never pause");
-    expect(cold.rnpfs > 0, "cold run should raise rNPFs");
-    expect(cold.hostPauses > 0, "rNPFs should assert host rx pause");
-    expect(cold.pauseHops >= 2,
-           "the pause storm should propagate >= 2 switch hops");
-    expect(cold.senderPauseRx > 0,
-           "the storm should reach the sender NICs");
-    expect(warm.capDropped == 0 && cold.capDropped == 0,
-           "PFC should keep both runs lossless");
-    expect(cold.finish > warm.finish,
-           "the storm should cost wall-clock time on the fabric");
-
-    if (std::FILE *js = std::fopen(json_path, "w")) {
-        std::fprintf(js, "{\n  \"bench\": \"fabric_pfc_storm\",\n");
-        std::fprintf(js, "  \"topology\": \"%s\",\n", kTopo);
-        std::fprintf(js, "  \"msgs_per_sender\": %u,\n", msgs);
-        std::fprintf(js, "  \"msg_bytes\": %zu,\n", msg_bytes);
-        std::fprintf(js, "  \"scenarios\": [\n");
-        jsonScenario(js, warm, false);
-        jsonScenario(js, cold, true);
-        std::fprintf(js, "  ],\n");
-        std::fprintf(js, "  \"slowdown\": %.4f,\n",
-                     double(cold.finish) / double(warm.finish));
-        std::fprintf(js, "  \"coupling_ok\": %s\n}\n",
-                     ok ? "true" : "false");
-        std::fclose(js);
-        // Basename only: stdout is digest-pinned and must not vary
-        // with the output directory.
-        const char *base = std::strrchr(json_path, '/');
-        std::printf("  wrote %s\n", base != nullptr ? base + 1 : json_path);
-    } else {
-        std::perror(json_path);
-        return 1;
-    }
-
-    std::printf("fabric_pfc_storm: %s\n", ok ? "PASS" : "FAIL");
-    return ok ? 0 : 1;
+    using bench::Cmp;
+    // The warm baseline neither faults nor pauses.
+    rep.gate("warm.rnpfs", warm.rnpfs, Cmp::Eq, 0);
+    rep.gate("warm.pause_hops", warm.pauseHops, Cmp::Eq, 0);
+    // The cold run raises rNPFs, and they assert host rx pause.
+    rep.gate("cold_odp.rnpfs", cold.rnpfs, Cmp::Gt, 0);
+    rep.gate("cold_odp.host_pauses", cold.hostPauses, Cmp::Gt, 0);
+    // The pause storm propagates >= 2 switch hops, to the sender NICs.
+    rep.gate("cold_odp.pause_hops", cold.pauseHops, Cmp::Ge, 2);
+    rep.gate("cold_odp.sender_pause_rx", cold.senderPauseRx, Cmp::Gt, 0);
+    // PFC keeps both runs lossless.
+    rep.gate("warm.cap_dropped", warm.capDropped, Cmp::Eq, 0);
+    rep.gate("cold_odp.cap_dropped", cold.capDropped, Cmp::Eq, 0);
+    // The storm costs time on the fabric.
+    rep.gate("cold_odp.finish_ns", cold.finish, Cmp::Gt, warm.finish);
+    return rep.finish();
 }

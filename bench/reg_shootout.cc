@@ -11,9 +11,9 @@
  *   --seed=N       workload seed (client arrivals, fio offsets)
  *   --mode=M       copy | pin | npf | np-rdma | all (default all)
  *   --smoke        shorter windows / fewer reps (tier-9 setting)
- *   --alloc-gate   count heap allocations over the KV measure
- *                  window; steady state must be 0. Run on the plain
- *                  build only — ASan interposes new.
+ *   --alloc-gate   gate reg_steady_allocs[<mode>]: heap allocations
+ *                  over the KV measure window must be 0. Run on the
+ *                  plain build only — ASan interposes new.
  *   --gate-mode=M  the discipline --alloc-gate measures: copy | pin |
  *                  npf | np-rdma (default np-rdma)
  *
@@ -25,8 +25,10 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <string>
 
 #include "bench/reg_common.hh"
+#include "bench/report.hh"
 #include "hpc/imb.hh"
 #include "scenario/alloc_counter.hh"
 
@@ -50,6 +52,7 @@ main(int argc, char **argv)
     row("seed=%llu windows=%s", (unsigned long long)seed,
         smoke ? "smoke" : "full");
 
+    Report rep("reg_shootout");
     unsigned iter = 0;
     for (RegMode mode : {RegMode::Copy, RegMode::PinDownCache,
                          RegMode::Npf, RegMode::NpRdma}) {
@@ -98,12 +101,8 @@ main(int argc, char **argv)
         hooks.onMeasureEnd = [&] { after = scenario::allocCount(); };
         const RegMode gm = a.gateMode;
         regKvRun(gm, seed, warm, meas, 120e3, hooks);
-        std::uint64_t steady = after - before;
-        std::printf("reg_steady_allocs[%s]=%llu %s\n", regModeName(gm),
-                    (unsigned long long)steady,
-                    steady == 0 ? "PASS" : "FAIL");
-        if (steady != 0)
-            return 1;
+        rep.gate(std::string("reg_steady_allocs[") + regModeName(gm) + "]",
+                 after - before, Cmp::Eq, 0);
     }
-    return 0;
+    return rep.finish();
 }

@@ -30,22 +30,20 @@
  *                 NPFs, queued and merged in the controller (asserts
  *                 core.npfs > 0).
  *
- * Every scenario asserts steady_allocs == 0 over its measure window
- * (greppable "stack_steady_allocs[...]=N PASS|FAIL" lines; scripts/
- * check.sh tier 7 asserts them) and reports throughput plus the
+ * Every scenario gates stack_steady_allocs[<scenario>] == 0 over its
+ * measure window (the squeezed ones stack_window_faults too; tier 7
+ * of scripts/check.sh requires them) and reports throughput plus the
  * simulated-seconds-per-wall-second ratio. Emits BENCH_stack.json
  * (--json=FILE overrides); --smoke shrinks the windows for CI.
- * Exit 1 = steady-state allocation detected, or a squeezed window
- * that raised no fault (a real regression, never noise).
  */
 
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <iterator>
 
 #include "bench/common.hh"
+#include "bench/report.hh"
 #include "eth/backup_ring.hh"
 #include "scenario/alloc_counter.hh"
 #include "scenario/ib_world.hh"
@@ -79,34 +77,35 @@ struct ScenarioResult
     std::uint64_t ops = 0;          ///< transactions in measure
     double simSeconds = 0;
     double wallSeconds = 0;
-    /// The squeezed scenarios' fault work in the window, which must be
-    /// non-zero: a window without it gates nothing on the fault path.
-    const char *faultCounter = nullptr;
+    /// Fault work in the window (eth.backup_parked or core.npfs): a
+    /// squeezed window without any gates nothing on the fault path.
+    bool squeezed = false;
     std::uint64_t faults = 0;
-
-    bool ok() const
-    {
-        return steadyAllocs == 0 && (faultCounter == nullptr || faults > 0);
-    }
 };
 
+/** Print @p r's row and record its row and gates in @p rep. */
 void
-report(const ScenarioResult &r)
+report(Report &rep, const ScenarioResult &r)
 {
     row("  %-18s %9.2f sim-s  %8.2f wall-s  %6.1fx  %9.0f ev/s  "
-        "%8.0f ops/s",
+        "%8.0f ops/s  (warmup_allocs=%llu)",
         r.name, r.simSeconds, r.wallSeconds,
         r.simSeconds / r.wallSeconds, double(r.events) / r.wallSeconds,
-        double(r.ops) / r.simSeconds);
-    std::printf("stack_steady_allocs[%s]=%llu %s  (warmup_allocs=%llu)\n",
-                r.name, static_cast<unsigned long long>(r.steadyAllocs),
-                r.steadyAllocs == 0 ? "PASS" : "FAIL",
-                static_cast<unsigned long long>(r.warmupAllocs));
-    if (r.faultCounter != nullptr)
-        std::printf("stack_window_faults[%s] %s=%llu %s\n", r.name,
-                    r.faultCounter, static_cast<unsigned long long>(r.faults),
-                    r.faults > 0 ? "PASS" : "FAIL");
-    std::fflush(stdout);
+        double(r.ops) / r.simSeconds,
+        static_cast<unsigned long long>(r.warmupAllocs));
+    rep.row("scenarios").set("name", r.name)
+        .set("steady_allocs", r.steadyAllocs)
+        .set("warmup_allocs", r.warmupAllocs).set("events", r.events)
+        .set("ops", r.ops).set("sim_seconds", r.simSeconds)
+        .set("wall_seconds", r.wallSeconds)
+        .set("events_per_sec", double(r.events) / r.wallSeconds)
+        .set("ops_per_sim_sec", double(r.ops) / r.simSeconds)
+        .set("window_faults", r.faults);
+    rep.gate(std::string("stack_steady_allocs[") + r.name + "]",
+             r.steadyAllocs, Cmp::Eq, 0);
+    if (r.squeezed)
+        rep.gate(std::string("stack_window_faults[") + r.name + "]",
+                 r.faults, Cmp::Gt, 0);
 }
 
 /**
@@ -160,7 +159,7 @@ runEthMemaslap(const char *name, eth::RxFaultPolicy policy,
                     kSqueezePeriod};
     if (squeezePages > 0) {
         squeeze.arm();
-        r.faultCounter = "eth.backup_parked";
+        r.squeezed = true;
     }
     const eth::BackupRingManager::Stats &backup =
         bed.serverNic->backupManager().stats();
@@ -220,7 +219,7 @@ runIbOpenLoop(const char *name, sim::Time warm, sim::Time meas,
     Squeeze squeeze{eq, bed.serverMm, 2 * squeezePages, kSqueezePeriod};
     if (squeezePages > 0) {
         squeeze.arm();
-        r.faultCounter = "core.npfs";
+        r.squeezed = true;
     }
     const core::NpfController::Stats &npf = bed.serverNpfc.stats();
 
@@ -254,7 +253,6 @@ main(int argc, char **argv)
     std::string json = "BENCH_stack.json";
     bool smoke = false;
     parseFlagsOrExit(argc, argv, timingFlags(&json, &smoke));
-    const char *json_path = json.c_str();
 
     g_traceWanted = std::getenv("STACK_BENCH_TRACE") != nullptr;
 
@@ -269,58 +267,19 @@ main(int argc, char **argv)
     // The first three scenarios' event and op counts are pinned in
     // scripts/golden_digests_worlds.sha256 in this order; new ones go
     // after them.
-    ScenarioResult res[5];
-    res[0] = runEthMemaslap("eth_pin", eth::RxFaultPolicy::Pin, 256,
-                            warm, meas);
-    report(res[0]);
-    res[1] = runEthMemaslap("eth_backup", eth::RxFaultPolicy::BackupRing,
-                            64, warm, meas);
-    report(res[1]);
-    res[2] = runIbOpenLoop("ib_openloop", warm, meas);
-    report(res[2]);
-    res[3] = runEthMemaslap("eth_backup_reclaim",
-                            eth::RxFaultPolicy::BackupRing, 64, warm, meas,
-                            kSqueezePages);
-    report(res[3]);
-    res[4] = runIbOpenLoop("ib_npf_reclaim", warm, meas, kSqueezePages);
-    report(res[4]);
-
-    bool ok = true;
-    for (const ScenarioResult &r : res)
-        ok = ok && r.ok();
+    Report rep("stack_bench", json);
+    rep.params.set("smoke", smoke);
+    report(rep, runEthMemaslap("eth_pin", eth::RxFaultPolicy::Pin, 256,
+                               warm, meas));
+    report(rep, runEthMemaslap("eth_backup",
+                               eth::RxFaultPolicy::BackupRing, 64, warm,
+                               meas));
+    report(rep, runIbOpenLoop("ib_openloop", warm, meas));
+    report(rep, runEthMemaslap("eth_backup_reclaim",
+                               eth::RxFaultPolicy::BackupRing, 64, warm,
+                               meas, kSqueezePages));
+    report(rep, runIbOpenLoop("ib_npf_reclaim", warm, meas, kSqueezePages));
     if (g_traceWanted)
         dumpAllocSites();
-
-    std::FILE *js = std::fopen(json_path, "w");
-    if (!js) {
-        std::perror("fopen BENCH_stack.json");
-        return 1;
-    }
-    std::fprintf(js, "{\n  \"bench\": \"stack_bench\",\n");
-    std::fprintf(js, "  \"smoke\": %s,\n", smoke ? "true" : "false");
-    std::fprintf(js, "  \"scenarios\": [\n");
-    for (std::size_t i = 0; i < std::size(res); ++i) {
-        const ScenarioResult &r = res[i];
-        std::fprintf(js,
-                     "    {\"name\": \"%s\", \"steady_allocs\": %llu, "
-                     "\"warmup_allocs\": %llu, \"events\": %llu, "
-                     "\"ops\": %llu, \"sim_seconds\": %.3f, "
-                     "\"wall_seconds\": %.3f, \"events_per_sec\": %.0f, "
-                     "\"ops_per_sim_sec\": %.0f}%s\n",
-                     r.name,
-                     static_cast<unsigned long long>(r.steadyAllocs),
-                     static_cast<unsigned long long>(r.warmupAllocs),
-                     static_cast<unsigned long long>(r.events),
-                     static_cast<unsigned long long>(r.ops),
-                     r.simSeconds, r.wallSeconds,
-                     double(r.events) / r.wallSeconds,
-                     double(r.ops) / r.simSeconds,
-                     i + 1 < std::size(res) ? "," : "");
-    }
-    std::fprintf(js, "  ],\n");
-    std::fprintf(js, "  \"allocs_ok\": %s\n}\n", ok ? "true" : "false");
-    std::fclose(js);
-    std::printf("  wrote %s\n", json_path);
-
-    return ok ? 0 : 1;
+    return rep.finish();
 }

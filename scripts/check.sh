@@ -6,11 +6,109 @@
 set -eu
 
 cd "$(dirname "$0")/.."
+root=$PWD
+asan=$root/build-asan/bench
 
 fast=0
 [ "${1:-}" = "--fast" ] && fast=1
 
 jobs=$(nproc 2>/dev/null || echo 4)
+
+# The helpers below write under $smokedir, which tier 3 creates.
+
+# replay_twice <name> <cmd...>: runs <cmd...> twice, from $smokedir/a
+# and then from $smokedir/b, with its stdout and stderr in <name>
+# there. A failed run, or any difference between the two directories
+# (outputs and the files the runs wrote), is fatal.
+replay_twice() {
+    name=$1 && shift
+    for run in a b; do
+        mkdir -p "$smokedir/$run"
+        (cd "$smokedir/$run" && "$@") > "$smokedir/$run/$name" 2>&1 || {
+            echo "FAIL: $name: $* failed:"
+            cat "$smokedir/$run/$name"
+            exit 1
+        }
+    done
+    diff -r "$smokedir/a" "$smokedir/b" || {
+        echo "FAIL: $name is not deterministic"
+        exit 1
+    }
+    echo "$name: bit-identical replay"
+}
+
+# check_golden <dir> <file>: the outputs in <dir> must match the
+# digests pinned in scripts/<file>.
+check_golden() {
+    (cd "$1" && sha256sum -c "$root/scripts/$2") || {
+        echo "FAIL: an output in $1 diverged from its golden digest. If"
+        echo "the divergence is intentional, regenerate scripts/$2."
+        exit 1
+    }
+    echo "$2: bit-identical to goldens"
+}
+
+# require_gates <file> <gate...>: prints the gate lines of a gated
+# bench's output ("gate <name> <value> <op><bound> ok|FAIL [soft]",
+# bench/report.hh) and fails on a malformed gate line, a hard FAIL or
+# a named gate that is missing: the rules of parseGateLine().
+require_gates() {
+    file=$1 && shift
+    awk -v want="$*" '$1 == "gate" {
+            print
+            if (!(NF == 5 || (NF == 6 && $6 == "soft")) ||
+                $5 !~ /^(ok|FAIL)$/ ||
+                !($4 ~ /^(==|<=|>=)./ || $4 ~ /^[<>][^=]/)) {
+                print "FAIL: malformed gate line"
+                bad = 1
+            } else if ($5 == "FAIL" && NF == 5)
+                bad = 1
+            seen[$2] = 1
+        }
+        END {
+            n = split(want, w, " ")
+            for (i = 1; i <= n; i++)
+                if (!(w[i] in seen)) {
+                    print "FAIL: missing gate " w[i]
+                    bad = 1
+                }
+            exit bad
+        }' "$file" || { echo "FAIL: $file: gates not met"; exit 1; }
+}
+
+# run_gated <out> <gates> <cmd...>: runs a gated bench with its stdout
+# and stderr in <out>, then require_gates <out> <gates>. Exit 2 means
+# only soft timing gates missed, which wall-clock noise at smoke scale
+# excuses; any other failure is fatal.
+run_gated() {
+    out=$1 && gates=$2 && shift 2
+    rc=0
+    "$@" > "$out" 2>&1 || rc=$?
+    if [ "$rc" -eq 2 ]; then
+        echo "note: $1 missed a soft timing gate (ok at smoke scale)"
+    elif [ "$rc" -ne 0 ]; then
+        echo "FAIL: $* exited $rc:"
+        cat "$out"
+        exit 1
+    fi
+    require_gates "$out" "$gates"
+}
+
+# check_bench_json <file...>: every BENCH file parses as JSON with the
+# one top-level key set bench/report.hh writes.
+check_bench_json() {
+    if command -v python3 >/dev/null 2>&1; then
+        python3 -c 'import json, sys
+keys = ["bench", "params", "tables", "values", "gates", "status"]
+for path in sys.argv[1:]:
+    got = list(json.load(open(path)))
+    if got != keys:
+        sys.exit("FAIL: %s: top-level keys %s, not %s" % (path, got, keys))
+    print("%s: one BENCH schema" % path)' "$@"
+    else
+        echo "note: python3 not found, skipping BENCH schema validation"
+    fi
+}
 
 echo "== tier 1: build + ctest =="
 # Any compiler warning fails the build here. Only this tier asks for
@@ -42,18 +140,10 @@ echo "== tier 3: fault smoke matrix (chaos_recovery under ASan/UBSan) =="
 smokedir=$(mktemp -d)
 trap 'rm -rf "$smokedir"' EXIT
 for seed in 1 2 3; do
-    ./build-asan/bench/chaos_recovery --fault-seed="$seed" \
-        > "$smokedir/seed$seed.a.txt" 2>&1
-    ./build-asan/bench/chaos_recovery --fault-seed="$seed" \
-        > "$smokedir/seed$seed.b.txt" 2>&1
-    if ! cmp -s "$smokedir/seed$seed.a.txt" "$smokedir/seed$seed.b.txt"; then
-        echo "FAIL: chaos_recovery seed $seed is not deterministic:"
-        diff "$smokedir/seed$seed.a.txt" "$smokedir/seed$seed.b.txt" || true
-        exit 1
-    fi
-    echo "seed $seed: bit-identical replay"
+    replay_twice "chaos_seed$seed.txt" "$asan/chaos_recovery" \
+        --fault-seed="$seed"
 done
-if cmp -s "$smokedir/seed1.a.txt" "$smokedir/seed2.a.txt"; then
+if cmp -s "$smokedir/a/chaos_seed1.txt" "$smokedir/a/chaos_seed2.txt"; then
     echo "FAIL: seeds 1 and 2 produced identical runs (seed ignored?)"
     exit 1
 fi
@@ -65,22 +155,14 @@ load_args="--clients=2000 --endpoints=8 --rates=20k,60k \
     --workload=keys=zipf:n=5k,theta=0.99;get=0.9 \
     --warmup=200ms --duration=200ms"
 for seed in 1 2; do
-    ./build-asan/bench/load_sweep $load_args --seed="$seed" \
-        > "$smokedir/load$seed.a.txt" 2>&1
-    ./build-asan/bench/load_sweep $load_args --seed="$seed" \
-        > "$smokedir/load$seed.b.txt" 2>&1
-    if ! cmp -s "$smokedir/load$seed.a.txt" "$smokedir/load$seed.b.txt"; then
-        echo "FAIL: load_sweep seed $seed is not deterministic:"
-        diff "$smokedir/load$seed.a.txt" "$smokedir/load$seed.b.txt" || true
-        exit 1
-    fi
-    grep -q "SLO report" "$smokedir/load$seed.a.txt" || {
+    replay_twice "load_seed$seed.txt" "$asan/load_sweep" $load_args \
+        --seed="$seed"
+    grep -q "SLO report" "$smokedir/a/load_seed$seed.txt" || {
         echo "FAIL: load_sweep seed $seed printed no SLO report"
         exit 1
     }
-    echo "load seed $seed: bit-identical replay"
 done
-if cmp -s "$smokedir/load1.a.txt" "$smokedir/load2.a.txt"; then
+if cmp -s "$smokedir/a/load_seed1.txt" "$smokedir/a/load_seed2.txt"; then
     echo "FAIL: load seeds 1 and 2 produced identical runs"
     exit 1
 fi
@@ -89,19 +171,12 @@ fi
 # clients + endpoints, not their product (docs/WORKLOADS.md).
 big_args="--clients=1M --endpoints=64 --rates=100k \
     --warmup=10ms --duration=20ms"
-./build-asan/bench/load_sweep $big_args > "$smokedir/load1m.a.txt" 2>&1
-./build-asan/bench/load_sweep $big_args > "$smokedir/load1m.b.txt" 2>&1
-if ! cmp -s "$smokedir/load1m.a.txt" "$smokedir/load1m.b.txt"; then
-    echo "FAIL: load_sweep --clients=1M is not deterministic:"
-    diff "$smokedir/load1m.a.txt" "$smokedir/load1m.b.txt" || true
-    exit 1
-fi
-grep -q "SLO report" "$smokedir/load1m.a.txt" || {
+replay_twice load1m.txt "$asan/load_sweep" $big_args
+grep -q "SLO report" "$smokedir/a/load1m.txt" || {
     echo "FAIL: load_sweep --clients=1M printed no SLO report"
-    cat "$smokedir/load1m.a.txt"
+    cat "$smokedir/a/load1m.txt"
     exit 1
 }
-echo "load 1M clients: bit-identical replay"
 # The same million clients in open loop over IB, where zero-copy
 # replies from cold items raise send-side NPFs: the pool materialises
 # a client only when every one it has is busy, so its flyweights
@@ -110,7 +185,7 @@ ib_big_args="--transport=ib --clients=1M --endpoints=64 --rates=100k \
     --workload=keys=zipf:n=50k,theta=0.99;get=0.9 \
     --warmup=10ms --duration=20ms"
 # --metrics-out suffixes each swept rate's file: load1m_ib.000.json.
-./build-asan/bench/load_sweep $ib_big_args \
+"$asan/load_sweep" $ib_big_args \
     --metrics-out="$smokedir/load1m_ib.json" \
     > "$smokedir/load1m_ib.txt" 2>&1 || {
     echo "FAIL: load_sweep --transport=ib --clients=1M failed:"
@@ -137,48 +212,21 @@ fi
 
 echo "== tier 5: engine smoke (engine_speed --smoke) =="
 # Reduced-scale run of the event-engine microbench: proves the ladder
-# engine's determinism replay and emits the JSON artifact. Exit 2 only
-# flags a sub-3x cancel_heavy speedup, which is timing-noise-prone at
-# smoke scale; exit 1 (determinism mismatch) is always fatal.
-if ./build/bench/engine_speed --smoke \
-        --json="$smokedir/BENCH_engine.json" \
-        > "$smokedir/engine.txt" 2>&1; then
-    :
-elif [ $? -eq 2 ]; then
-    echo "note: cancel_heavy speedup below 3x at smoke scale (ok)"
-else
-    echo "FAIL: engine_speed smoke run failed:"
-    cat "$smokedir/engine.txt"
-    exit 1
-fi
-grep "determinism replay" "$smokedir/engine.txt"
-grep -q '"determinism_replay": "ok"' "$smokedir/BENCH_engine.json" || {
-    echo "FAIL: BENCH_engine.json missing determinism_replay=ok"
-    exit 1
-}
+# engine's determinism replay (hard gate) and emits the JSON artifact.
+# The cancel_heavy >= 3x speedup is a soft gate, timing-noise-prone at
+# smoke scale.
+run_gated "$smokedir/engine.txt" "replay_mismatches cancel_heavy_speedup" \
+    ./build/bench/engine_speed --smoke --json="$smokedir/BENCH_engine.json"
+check_bench_json "$smokedir/BENCH_engine.json"
 
 echo "== tier 6: observability smoke (obs_overhead + trace validation) =="
 # Reduced-scale obs_overhead: the disabled-path gates must cost <2%
-# (noise-prone at smoke scale, soft like tier 5's speedup target) and
-# the armed flight ring must allocate nothing in steady state (never
-# noise, always fatal).
-if ./build/bench/obs_overhead --smoke \
-        --json="$smokedir/BENCH_obs.json" \
-        > "$smokedir/obs.txt" 2>&1; then
-    :
-elif [ $? -eq 2 ]; then
-    echo "note: disabled overhead above 2% at smoke scale (ok)"
-else
-    echo "FAIL: obs_overhead smoke run failed:"
-    cat "$smokedir/obs.txt"
-    exit 1
-fi
-grep "disabled_overhead=" "$smokedir/obs.txt"
-grep -q "flight_steady_allocs=0 PASS" "$smokedir/obs.txt" || {
-    echo "FAIL: flight recorder allocated in steady state"
-    cat "$smokedir/obs.txt"
-    exit 1
-}
+# (a soft gate, noise-prone at smoke scale like tier 5's speedup) and
+# the armed flight ring must allocate nothing in steady state (a hard
+# gate: never noise).
+run_gated "$smokedir/obs.txt" "disabled_overhead_pct flight_steady_allocs" \
+    ./build/bench/obs_overhead --smoke --json="$smokedir/BENCH_obs.json"
+check_bench_json "$smokedir/BENCH_obs.json"
 
 # Attribution + flight recorder + per-iteration outputs end to end: a
 # small swept run must print a phase-attribution table and produce
@@ -221,21 +269,16 @@ echo "== tier 7: allocation gate + replay digests (stack_bench) =="
 # The stack-wide allocation gate: five end-to-end scenarios must run
 # their measure window with exactly zero global operator new calls
 # (docs/MEMORY.md), and the two reclaim-squeezed ones must fault in it
-# (eth.backup_parked, core.npfs > 0). Any failure is a real
-# regression — always fatal, never timing noise.
-if ! ./build/bench/stack_bench --smoke \
-        --json="$smokedir/BENCH_stack.json" \
-        > "$smokedir/stack.txt" 2>&1; then
-    echo "FAIL: stack_bench alloc gate tripped:"
-    cat "$smokedir/stack.txt"
-    echo "hint: rerun with STACK_BENCH_TRACE=1 to get per-site stacks"
-    exit 1
-fi
-grep "stack_steady_allocs\|stack_window_faults" "$smokedir/stack.txt"
-grep -q '"allocs_ok": true' "$smokedir/BENCH_stack.json" || {
-    echo "FAIL: BENCH_stack.json missing allocs_ok=true"
-    exit 1
-}
+# (eth.backup_parked, core.npfs > 0). Every gate is hard: a trip is a
+# real regression, never timing noise. STACK_BENCH_TRACE=1 dumps the
+# call stacks of window allocations.
+stack_gates="stack_steady_allocs[eth_pin] stack_steady_allocs[eth_backup]
+    stack_steady_allocs[ib_openloop] stack_steady_allocs[eth_backup_reclaim]
+    stack_steady_allocs[ib_npf_reclaim] stack_window_faults[eth_backup_reclaim]
+    stack_window_faults[ib_npf_reclaim]"
+run_gated "$smokedir/stack.txt" "$stack_gates" ./build/bench/stack_bench \
+    --smoke --json="$smokedir/BENCH_stack.json"
+check_bench_json "$smokedir/BENCH_stack.json"
 
 # The worlds no paper figure covers: load_sweep over both transports
 # and a switched topology, shard_scale's 1- and 4-shard replay digests,
@@ -252,9 +295,10 @@ world_args="--clients=2000 --endpoints=8 --rates=20k,60k \
 ./build/bench/load_sweep $world_args --transport=ib \
     --topology=leafspine:hosts=4,leaves=2,spines=1 \
     > "$smokedir/worlds/load_topo.txt" 2>&1
-./build/bench/shard_scale --clients=64k --rate=60k --warmup=5ms \
-    --duration=20ms --no-speed-gate \
-    --json="$smokedir/worlds/shard.json" > "$smokedir/worlds/shard.txt" 2>&1
+run_gated "$smokedir/worlds/shard.txt" replay_mismatches \
+    ./build/bench/shard_scale --clients=64k --rate=60k --warmup=5ms \
+    --duration=20ms --no-speed-gate --json="$smokedir/worlds/shard.json"
+check_bench_json "$smokedir/worlds/shard.json"
 grep -o '"digest": "[0-9a-f]*"' "$smokedir/worlds/shard.json" \
     > "$smokedir/worlds/shard_digests.txt"
 # The first three scenarios (9 lines) are pinned since before the
@@ -265,15 +309,7 @@ head -n 9 "$smokedir/worlds/stack_all.txt" \
     > "$smokedir/worlds/stack_counts.txt"
 tail -n +10 "$smokedir/worlds/stack_all.txt" \
     > "$smokedir/worlds/stack_reclaim_counts.txt"
-if (cd "$smokedir/worlds" \
-        && sha256sum -c "$OLDPWD/scripts/golden_digests_worlds.sha256"); then
-    echo "world digests: bit-identical to goldens"
-else
-    echo "FAIL: a world (load_sweep, shard_scale or stack_bench) diverged"
-    echo "from its golden. If the divergence is intentional, regenerate"
-    echo "scripts/golden_digests_worlds.sha256 from the new outputs."
-    exit 1
-fi
+check_golden "$smokedir/worlds" golden_digests_worlds.sha256
 
 # Pooling must not change simulation behaviour: the paper-replay
 # benches have to reproduce their pre-pooling output bit for bit
@@ -303,22 +339,12 @@ else
 fi
 ./build/bench/fig07_dynamic_working_set > "$smokedir/fig07.txt" 2>&1
 ./build/bench/chaos_recovery            > "$smokedir/chaos.txt" 2>&1
-if (cd "$smokedir" && sha256sum -c "$OLDPWD/scripts/golden_digests.sha256"); then
-    echo "replay digests: bit-identical to pre-pooling goldens"
-else
-    echo "FAIL: a replay bench diverged from its pre-pooling golden."
-    echo "If the divergence is intentional, regenerate"
-    echo "scripts/golden_digests.sha256 from the new outputs."
-    exit 1
-fi
+check_golden "$smokedir" golden_digests.sha256
 
 # Refresh the committed allocation-gate artifact at full scale.
-./build/bench/stack_bench --json=BENCH_stack.json \
-    > "$smokedir/stack_full.txt" 2>&1 || {
-    echo "FAIL: full-scale stack_bench run failed:"
-    cat "$smokedir/stack_full.txt"
-    exit 1
-}
+run_gated "$smokedir/stack_full.txt" "$stack_gates" \
+    ./build/bench/stack_bench --json=BENCH_stack.json
+check_bench_json BENCH_stack.json
 echo "BENCH_stack.json regenerated"
 
 echo "== tier 8: fabric smoke + goldens (PFC/ECN/DCQCN, pause storms) =="
@@ -328,48 +354,25 @@ echo "== tier 8: fabric smoke + goldens (PFC/ECN/DCQCN, pause storms) =="
 # that a receiver-side rNPF becomes a pause storm crossing >= 2
 # switch hops, losslessly. Smoke scale under ASan/UBSan, run twice:
 # must replay bit-identically, then match the pinned goldens.
-mkdir -p "$smokedir/fab1" "$smokedir/fab2"
-for d in fab1 fab2; do
-    ./build-asan/bench/fabric_incast --smoke \
-        > "$smokedir/$d/fabric_incast.txt" 2>&1 || {
-        echo "FAIL: fabric_incast self-check failed:"
-        cat "$smokedir/$d/fabric_incast.txt"
-        exit 1
-    }
-    ./build-asan/bench/fabric_pfc_storm --smoke \
-        --json="$smokedir/$d/BENCH_fabric.json" \
-        > "$smokedir/$d/fabric_storm.txt" 2>&1 || {
-        echo "FAIL: fabric_pfc_storm self-check failed:"
-        cat "$smokedir/$d/fabric_storm.txt"
-        exit 1
-    }
-done
-for f in fabric_incast.txt fabric_storm.txt BENCH_fabric.json; do
-    if ! cmp -s "$smokedir/fab1/$f" "$smokedir/fab2/$f"; then
-        echo "FAIL: fabric smoke is not deterministic: $f"
-        diff "$smokedir/fab1/$f" "$smokedir/fab2/$f" || true
-        exit 1
-    fi
-done
-echo "fabric smoke: bit-identical replay"
-grep "fabric_steady_allocs" "$smokedir/fab1/fabric_incast.txt"
-if (cd "$smokedir/fab1" \
-        && sha256sum -c "$OLDPWD/scripts/golden_digests_fabric.sha256"); then
-    echo "fabric digests: bit-identical to goldens"
-else
-    echo "FAIL: a fabric bench diverged from its golden digest."
-    echo "If the divergence is intentional, regenerate"
-    echo "scripts/golden_digests_fabric.sha256 from the new outputs."
-    exit 1
-fi
+replay_twice fabric_incast.txt "$asan/fabric_incast" --smoke
+replay_twice fabric_storm.txt "$asan/fabric_pfc_storm" --smoke \
+    --json=BENCH_fabric.json
+require_gates "$smokedir/a/fabric_incast.txt" \
+    "fabric_steady_allocs[pfc_only] fabric_steady_allocs[ecn_dcqcn]
+    pfc_only.pause_tx pfc_only.cap_dropped ecn_dcqcn.cap_dropped
+    ecn_dcqcn.ecn_marked ecn_dcqcn.cnps ecn_dcqcn.steady_queue_mean
+    ecn_dcqcn.pause_tx"
+storm_gates="warm.rnpfs warm.pause_hops cold_odp.rnpfs cold_odp.host_pauses
+    cold_odp.pause_hops cold_odp.sender_pause_rx warm.cap_dropped
+    cold_odp.cap_dropped cold_odp.finish_ns"
+require_gates "$smokedir/a/fabric_storm.txt" "$storm_gates"
+check_bench_json "$smokedir/a/BENCH_fabric.json"
+check_golden "$smokedir/a" golden_digests_fabric.sha256
 
 # Refresh the committed fabric artifact at full scale.
-./build/bench/fabric_pfc_storm --json=BENCH_fabric.json \
-    > "$smokedir/fabric_storm_full.txt" 2>&1 || {
-    echo "FAIL: full-scale fabric_pfc_storm run failed:"
-    cat "$smokedir/fabric_storm_full.txt"
-    exit 1
-}
+run_gated "$smokedir/fabric_storm_full.txt" "$storm_gates" \
+    ./build/bench/fabric_pfc_storm --json=BENCH_fabric.json
+check_bench_json BENCH_fabric.json
 echo "BENCH_fabric.json regenerated"
 
 echo "== tier 9: registration shoot-out (reg_shootout) =="
@@ -380,46 +383,23 @@ echo "== tier 9: registration shoot-out (reg_shootout) =="
 # measure window with exactly zero heap allocations. The alloc gate
 # runs on the plain build: ASan interposes operator new, so the
 # counting overrides never see the traffic there.
-mkdir -p "$smokedir/reg"
 for seed in 1 2; do
-    ./build-asan/bench/reg_shootout --smoke --seed="$seed" \
-        > "$smokedir/reg/seed$seed.a.txt" 2>&1
-    ./build-asan/bench/reg_shootout --smoke --seed="$seed" \
-        > "$smokedir/reg/seed$seed.b.txt" 2>&1
-    if ! cmp -s "$smokedir/reg/seed$seed.a.txt" \
-                "$smokedir/reg/seed$seed.b.txt"; then
-        echo "FAIL: reg_shootout seed $seed is not deterministic:"
-        diff "$smokedir/reg/seed$seed.a.txt" \
-             "$smokedir/reg/seed$seed.b.txt" || true
-        exit 1
-    fi
-    echo "reg seed $seed: bit-identical replay"
+    replay_twice "reg_seed$seed.txt" "$asan/reg_shootout" --smoke \
+        --seed="$seed"
 done
-if cmp -s "$smokedir/reg/seed1.a.txt" "$smokedir/reg/seed2.a.txt"; then
+if cmp -s "$smokedir/a/reg_seed1.txt" "$smokedir/a/reg_seed2.txt"; then
     echo "FAIL: reg seeds 1 and 2 produced identical runs"
     exit 1
 fi
+# NP-RDMA must not perturb the copy, pin and npf disciplines.
+mkdir -p "$smokedir/reg"
 for mode in copy pin npf; do
-    ./build-asan/bench/reg_shootout --smoke --seed=1 --mode="$mode" \
+    "$asan/reg_shootout" --smoke --seed=1 --mode="$mode" \
         > "$smokedir/reg/reg_$mode.txt" 2>&1
 done
-if (cd "$smokedir/reg" \
-        && sha256sum -c "$OLDPWD/scripts/golden_digests_reg.sha256"); then
-    echo "reg digests: pre-existing disciplines bit-identical to goldens"
-else
-    echo "FAIL: a pre-existing registration discipline diverged from"
-    echo "its golden digest. NP-RDMA must not perturb copy/pin/npf; if"
-    echo "the divergence is intentional, regenerate"
-    echo "scripts/golden_digests_reg.sha256 from the new outputs."
-    exit 1
-fi
-if ! ./build/bench/reg_shootout --seed=1 --mode=np-rdma --alloc-gate \
-        > "$smokedir/reg/gate.txt" 2>&1; then
-    echo "FAIL: NP-RDMA per-IO path allocated in steady state:"
-    cat "$smokedir/reg/gate.txt"
-    exit 1
-fi
-grep "reg_steady_allocs" "$smokedir/reg/gate.txt"
+check_golden "$smokedir/reg" golden_digests_reg.sha256
+run_gated "$smokedir/reg/gate.txt" "reg_steady_allocs[np-rdma]" \
+    ./build/bench/reg_shootout --seed=1 --mode=np-rdma --alloc-gate
 
 echo "== tier 10: sharded core (TSan + differential + scaling gate) =="
 # Debug build so the NDEBUG-gated owner assertions stay live under
@@ -437,14 +417,19 @@ TSAN_OPTIONS=halt_on_error=1 ./build-tsan/tests/shard_test
 # conservative loop and the record plane with the race detector on.
 # The wall-clock speedup gate is meaningless under TSan overhead, so
 # only the determinism-replay half is enforced.
-TSAN_OPTIONS=halt_on_error=1 ./build-tsan/bench/shard_scale \
-    --clients=1M --rate=60k --warmup=5ms --duration=20ms \
-    --no-speed-gate --json="$smokedir/BENCH_shard_tsan.json"
+run_gated "$smokedir/shard_tsan.txt" replay_mismatches \
+    env TSAN_OPTIONS=halt_on_error=1 ./build-tsan/bench/shard_scale \
+    --clients=1M --rate=60k --warmup=5ms --duration=20ms --no-speed-gate \
+    --json="$smokedir/BENCH_shard_tsan.json"
+check_bench_json "$smokedir/BENCH_shard_tsan.json"
 
 # Full scale on the plain build: regenerates the committed artifact
 # and enforces replay determinism plus (on machines with >= 4
-# hardware threads) the >=3x speedup gate.
-./build/bench/shard_scale --json=BENCH_shard.json
+# hardware threads, where the bench records it) the >=3x speedup
+# gate speedup_vs_1shard.
+run_gated "$smokedir/shard_full.txt" replay_mismatches \
+    ./build/bench/shard_scale --json=BENCH_shard.json
+check_bench_json BENCH_shard.json
 echo "BENCH_shard.json regenerated"
 
 echo "== all checks passed =="

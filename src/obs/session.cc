@@ -1,7 +1,9 @@
 #include "obs/session.hh"
 
+#include <algorithm>
 #include <fstream>
 #include <map>
+#include <unordered_map>
 
 #include "obs/attribution.hh"
 #include "obs/flight.hh"
@@ -9,6 +11,25 @@
 #include "sim/log.hh"
 
 namespace npf::obs {
+
+namespace {
+
+/**
+ * Merge pointer-keyed per-site entries by text with @p add: distinct
+ * literals with identical spelling (one per TU) must read as one
+ * site. The empty label (an unlabeled event) reads "(unlabeled)".
+ */
+template <typename V, typename Add>
+std::map<std::string, V>
+bySiteText(const std::unordered_map<const char *, V> &sites, Add add)
+{
+    std::map<std::string, V> merged;
+    for (const auto &[site, v] : sites)
+        add(merged[site[0] != '\0' ? site : "(unlabeled)"], v);
+    return merged;
+}
+
+} // namespace
 
 Session::Session(sim::EventQueue &eq, SessionOptions opt)
     : eq_(eq), opt_(std::move(opt))
@@ -51,12 +72,11 @@ Session::Session(sim::EventQueue &eq, SessionOptions opt)
     obs_.gauge("live", [this] { return double(eq_.live()); });
     obs_.gauge("pending", [this] { return double(eq_.pending()); });
 
+    // Keyed by the label's address, like the event-loop profiler: a
+    // site allocates once, on its first event, never per event.
     eq_.setExecuteHook(
         [this](sim::Time, sim::EventId, const char *site) {
-            if (site != nullptr)
-                ++siteCounts_[site];
-            else
-                ++unlabeledEvents_;
+            ++siteCounts_[site != nullptr ? site : ""];
         });
 
     if (opt_.sampleInterval > 0) {
@@ -157,30 +177,24 @@ Session::writeMetrics(std::ostream &os) const
 
     os << ",\"event_sites\":{";
     JsonSep sep;
-    for (const auto &[site, count] : siteCounts_) {
+    auto counts = bySiteText(
+        siteCounts_, [](std::uint64_t &m, std::uint64_t n) { m += n; });
+    for (const auto &[site, count] : counts) {
         sep.emit(os);
         jsonString(os, site);
         os << ':' << count;
     }
-    if (unlabeledEvents_ > 0) {
-        sep.emit(os);
-        jsonString(os, "(unlabeled)");
-        os << ':' << unlabeledEvents_;
-    }
     os << '}';
 
     if (opt_.profileEventLoop) {
-        // Merge pointer-keyed entries by text: distinct literals with
-        // identical spelling (one per TU) must read as one site.
-        std::map<std::string, sim::EventQueue::SiteProfile> merged;
-        for (const auto &[site, sp] : eq_.siteProfiles()) {
-            sim::EventQueue::SiteProfile &m =
-                merged[site[0] != '\0' ? site : "(unlabeled)"];
-            m.count += sp.count;
-            m.wallNs += sp.wallNs;
-            m.maxWallNs = std::max(m.maxWallNs, sp.maxWallNs);
-            m.simLagNs += sp.simLagNs;
-        }
+        auto merged = bySiteText(
+            eq_.siteProfiles(), [](sim::EventQueue::SiteProfile &m,
+                                   const sim::EventQueue::SiteProfile &sp) {
+                m.count += sp.count;
+                m.wallNs += sp.wallNs;
+                m.maxWallNs = std::max(m.maxWallNs, sp.maxWallNs);
+                m.simLagNs += sp.simLagNs;
+            });
         os << ",\"event_loop_profile\":{";
         sep.reset();
         for (const auto &[site, sp] : merged) {

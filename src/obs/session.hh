@@ -29,10 +29,10 @@
 #define NPF_OBS_SESSION_HH
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <ostream>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "obs/flow_tracer.hh"
@@ -120,9 +120,9 @@ class Session
     /** Pending sampler event; cancelled by finish() so a destroyed
      *  session can never be called back by the queue. */
     sim::EventId samplerEvent_ = sim::kInvalidEvent;
-    /** Executed-event counts per schedule() site label. */
-    std::map<std::string, std::uint64_t> siteCounts_;
-    std::uint64_t unlabeledEvents_ = 0;
+    /** Executed-event counts per schedule() site label's address
+     *  ("" for unlabeled events); merged by text at write-out. */
+    std::unordered_map<const char *, std::uint64_t> siteCounts_;
     Instrumented obs_; ///< last member: deregisters first
 };
 

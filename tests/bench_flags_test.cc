@@ -528,7 +528,7 @@ const std::vector<std::pair<std::string, std::string>> kCorpus = {
     {"chaos_recovery", ""},
     {"stack_bench", "--json=BENCH_stack.json"},
     {"fabric_incast", "--smoke"},
-    {"fabric_pfc_storm", "--smoke --json=/tmp/s/fab1/BENCH_fabric.json"},
+    {"fabric_pfc_storm", "--smoke --json=BENCH_fabric.json"},
     {"fabric_pfc_storm", "--json=BENCH_fabric.json"},
     {"reg_shootout", "--smoke --seed=2"},
     {"reg_shootout", "--smoke --seed=1 --mode=copy"},

@@ -277,15 +277,22 @@ TEST(Session, ExportsEventQueueMetricsAndSites)
     eq.schedule(20, [] {}, "test.site_a");
     eq.schedule(30, [] {}, "test.site_b");
     eq.schedule(40, [] {});
+    // Two labels with one spelling at two addresses (as from two
+    // translation units) count as one site.
+    static const char kDupA[] = "test.site_dup";
+    static const char kDupB[] = "test.site_dup";
+    eq.schedule(50, [] {}, kDupA);
+    eq.schedule(60, [] {}, kDupB);
     eq.run();
 
     std::ostringstream os;
     session.writeMetrics(os);
     const std::string j = os.str();
-    EXPECT_TRUE(contains(j, "\"sim_time_ns\":40"));
-    EXPECT_TRUE(contains(j, ".executed\":4"));
+    EXPECT_TRUE(contains(j, "\"sim_time_ns\":60"));
+    EXPECT_TRUE(contains(j, ".executed\":6"));
     EXPECT_TRUE(contains(j, "\"test.site_a\":2"));
     EXPECT_TRUE(contains(j, "\"test.site_b\":1"));
+    EXPECT_TRUE(contains(j, "\"test.site_dup\":2"));
     EXPECT_TRUE(contains(j, "\"(unlabeled)\":1"));
     session.finish();
 }
