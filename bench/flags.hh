@@ -15,8 +15,6 @@
 #include <sysexits.h>
 
 #include <algorithm>
-#include <charconv>
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -24,7 +22,6 @@
 #include <initializer_list>
 #include <limits>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <type_traits>
 #include <utility>
@@ -35,11 +32,18 @@
 #include "load/spec.hh"
 #include "net/topology.hh"
 #include "obs/session.hh"
+#include "sim/spec_text.hh"
 
 namespace npf::bench {
 
-/** Stores a flag's value; returns "" or what is wrong with it. */
-using Setter = std::function<std::string(const std::string &value)>;
+// A flag's value goes through the setter kinds of the spec lexer, the
+// ones the WorkloadSpec, FaultPlan and Topology grammars use.
+using spec::duration;
+using spec::expectedIn;
+using spec::number;
+using spec::oneOf;
+using spec::rate;
+using spec::Setter;
 
 /** Whether a flag takes a value: never, always, or optionally. */
 enum class Takes { Nothing, Value, OptionalValue };
@@ -97,71 +101,7 @@ withDefault(std::string name, std::string bare, Setter set)
             std::move(bare)};
 }
 
-// --- setter kinds ------------------------------------------------------
-
-template <typename T>
-std::string
-expectedIn(const char *what, T lo, T hi)
-{
-    std::ostringstream os;
-    os << "expected " << what << " in [" << lo << ", " << hi << "]";
-    return os.str();
-}
-
-/** A number in [@p lo, @p hi]: all of the text parses as a T, unsigned
- *  T takes no sign, floating T is finite ("64k" is not a number). */
-template <typename T>
-Setter
-number(T *out, T lo = std::numeric_limits<T>::lowest(),
-       T hi = std::numeric_limits<T>::max())
-{
-    return [=](const std::string &s) -> std::string {
-        T v{};
-        const char *end = s.data() + s.size();
-        auto [p, ec] = std::from_chars(s.data(), end, v);
-        if (ec != std::errc() || p != end || !(v >= lo && v <= hi) ||
-            !std::isfinite(double(v)))
-            return expectedIn(std::is_integral_v<T> ? "an integer"
-                                                    : "a number",
-                              lo, hi);
-        *out = v;
-        return {};
-    };
-}
-
-/** A load::parseRate value ("100k", "1.5M") in [@p lo, @p hi], stored
- *  as T; an integral T keeps the integer part. */
-template <typename T>
-Setter
-rate(T *out, double lo, double hi)
-{
-    return [=](const std::string &s) -> std::string {
-        double v = 0;
-        if (!load::parseRate(s, &v) || !(v >= lo && v <= hi))
-            return expectedIn("a rate like 20k or 1.5M", lo, hi);
-        *out = static_cast<T>(v);
-        return {};
-    };
-}
-
-/** A load::parseDuration value ("200ms", "2s", "40us"; bare = ns) of
- *  at least @p lo ns. */
-inline Setter
-duration(sim::Time *out, sim::Time lo = 0)
-{
-    return [=](const std::string &s) -> std::string {
-        // parseDuration converts without a range check: keep the
-        // number finite and small enough that even seconds fit.
-        double n = std::strtod(s.c_str(), nullptr);
-        sim::Time v = 0;
-        if (!(std::fabs(n) <= 1.8e10) || !load::parseDuration(s, &v) ||
-            v < lo)
-            return expectedIn("ns or a duration like 200ms, 2s, 40us", lo,
-                              std::numeric_limits<sim::Time>::max());
-        *out = v;
-        return {};
-    };
-}
+// --- setter kinds of the benches ------------------------------------------
 
 /** Any text; with a Spec (fault::FaultPlan, load::WorkloadSpec,
  *  net::Topology), text that Spec::parse accepts. */
@@ -176,24 +116,6 @@ text(std::string *out)
                 return err;
         *out = s;
         return {};
-    };
-}
-
-/** One of the names in @p choices. */
-template <typename T>
-Setter
-oneOf(T *out, std::vector<std::pair<std::string, T>> choices)
-{
-    return [out, choices](const std::string &s) -> std::string {
-        std::string names;
-        for (const auto &[name, value] : choices) {
-            if (name == s) {
-                *out = value;
-                return {};
-            }
-            names += (names.empty() ? "" : "|") + name;
-        }
-        return "expected one of " + names;
     };
 }
 

@@ -1,10 +1,9 @@
 #include "fault/fault.hh"
 
 #include <cassert>
-#include <cctype>
-#include <cstdlib>
 
 #include "obs/flow_tracer.hh"
+#include "sim/spec_text.hh"
 
 namespace npf::fault {
 
@@ -141,73 +140,8 @@ actionValidAt(Site s, Action a)
     return false;
 }
 
-std::string
-trim(const std::string &s)
-{
-    std::size_t b = 0, e = s.size();
-    while (b < e && std::isspace(static_cast<unsigned char>(s[b])))
-        ++b;
-    while (e > b && std::isspace(static_cast<unsigned char>(s[e - 1])))
-        --e;
-    return s.substr(b, e - b);
-}
-
-std::vector<std::string>
-split(const std::string &s, char sep)
-{
-    std::vector<std::string> out;
-    std::size_t start = 0;
-    for (std::size_t i = 0; i <= s.size(); ++i) {
-        if (i == s.size() || s[i] == sep) {
-            out.push_back(s.substr(start, i - start));
-            start = i + 1;
-        }
-    }
-    return out;
-}
-
-/** "200" (ns), "30us", "1.5ms", "2s". */
 bool
-parseTimeValue(const std::string &v, sim::Time &out)
-{
-    if (v.empty())
-        return false;
-    const char *begin = v.c_str();
-    char *end = nullptr;
-    double x = std::strtod(begin, &end);
-    if (end == begin || x < 0.0)
-        return false;
-    std::string unit(end);
-    double scale;
-    if (unit.empty() || unit == "ns")
-        scale = 1.0;
-    else if (unit == "us")
-        scale = double(sim::kMicrosecond);
-    else if (unit == "ms")
-        scale = double(sim::kMillisecond);
-    else if (unit == "s")
-        scale = double(sim::kSecond);
-    else
-        return false;
-    out = static_cast<sim::Time>(x * scale);
-    return true;
-}
-
-bool
-parseU64(const std::string &v, std::uint64_t &out)
-{
-    if (v.empty())
-        return false;
-    char *end = nullptr;
-    unsigned long long x = std::strtoull(v.c_str(), &end, 10);
-    if (end != v.c_str() + v.size())
-        return false;
-    out = x;
-    return true;
-}
-
-bool
-parseSite(const std::string &v, Site &out)
+parseSite(std::string_view v, Site &out)
 {
     for (unsigned i = 0; i < kSiteCount; ++i) {
         if (v == siteName(Site(i))) {
@@ -219,7 +153,7 @@ parseSite(const std::string &v, Site &out)
 }
 
 bool
-parseAction(const std::string &v, Action &out)
+parseAction(std::string_view v, Action &out)
 {
     for (unsigned i = 0; i < kActionCount; ++i) {
         if (v == actionName(Action(i))) {
@@ -235,147 +169,103 @@ parseAction(const std::string &v, Action &out)
     return false;
 }
 
-bool
-fail(std::string *error, const std::string &msg)
+/** Returns "" or what is wrong with clause @p text. */
+std::string
+parseClause(std::string_view text, FaultClause &c)
 {
-    if (error != nullptr)
-        *error = msg;
-    return false;
-}
-
-bool
-parseClause(const std::string &text, FaultClause &c, std::string *error)
-{
-    std::vector<std::string> parts = split(text, ':');
+    using Trigger = FaultClause::Trigger;
+    std::vector<std::string_view> parts = spec::split(text, ':');
     if (parts.size() < 2)
-        return fail(error, "clause '" + text + "': want site:action[:params]");
+        return "want site:action[:params]";
     if (parts.size() > 3)
-        return fail(error, "clause '" + text + "': too many ':' fields");
+        return "too many ':' fields";
 
-    if (!parseSite(trim(parts[0]), c.site))
-        return fail(error, "unknown site '" + trim(parts[0]) + "'");
-    if (!parseAction(trim(parts[1]), c.action))
-        return fail(error, "unknown action '" + trim(parts[1]) + "'");
+    if (!parseSite(parts[0], c.site))
+        return "unknown site '" + std::string(parts[0]) + "'";
+    if (!parseAction(parts[1], c.action))
+        return "unknown action '" + std::string(parts[1]) + "'";
     if (!actionValidAt(c.site, c.action))
-        return fail(error, std::string("action '") + actionName(c.action) +
-                               "' not valid at site '" + siteName(c.site) +
-                               "'");
+        return std::string("action '") + actionName(c.action) +
+               "' not valid at site '" + siteName(c.site) + "'";
 
-    bool trigger_set = false;
-    auto set_trigger = [&](FaultClause::Trigger t) {
-        if (trigger_set)
-            return false;
-        c.trigger = t;
-        trigger_set = true;
-        return true;
+    // One trigger per clause; 'at' doubles as the first-fire offset of
+    // 'every', in either order.
+    bool triggerSet = false;
+    auto trigger = [&c, &triggerSet](Trigger t, spec::Setter value) {
+        return [&c, &triggerSet, t, value](const std::string &v)
+                   -> std::string {
+            if (std::string err = value(v); !err.empty())
+                return err;
+            bool atAndEvery = triggerSet && t != c.trigger &&
+                              (t == Trigger::At || t == Trigger::Every) &&
+                              (c.trigger == Trigger::At ||
+                               c.trigger == Trigger::Every);
+            if (triggerSet && !atAndEvery)
+                return "clause has two triggers";
+            c.trigger = atAndEvery ? Trigger::Every : t;
+            triggerSet = true;
+            return {};
+        };
     };
-
-    if (parts.size() == 3) {
-        for (const std::string &kv_text : split(parts[2], ',')) {
-            std::string kv = trim(kv_text);
-            if (kv.empty())
-                continue;
-            std::size_t eq = kv.find('=');
-            if (eq == std::string::npos)
-                return fail(error, "param '" + kv + "': want key=value");
-            std::string key = trim(kv.substr(0, eq));
-            std::string val = trim(kv.substr(eq + 1));
-
-            if (key == "rate") {
-                char *end = nullptr;
-                c.rate = std::strtod(val.c_str(), &end);
-                if (end != val.c_str() + val.size() || c.rate < 0.0 ||
-                    c.rate > 1.0)
-                    return fail(error, "rate '" + val + "': want 0..1");
-                if (!set_trigger(FaultClause::Trigger::Rate))
-                    return fail(error, "clause has two triggers");
-            } else if (key == "burst") {
-                // width@period, e.g. burst=50us@1ms
-                std::size_t sep = val.find('@');
-                if (sep == std::string::npos ||
-                    !parseTimeValue(trim(val.substr(0, sep)), c.width) ||
-                    !parseTimeValue(trim(val.substr(sep + 1)), c.period) ||
-                    c.period == 0 || c.width == 0 || c.width > c.period)
-                    return fail(error, "burst '" + val +
-                                           "': want width@period, "
-                                           "0 < width <= period");
-                if (!set_trigger(FaultClause::Trigger::Burst))
-                    return fail(error, "clause has two triggers");
-            } else if (key == "nth") {
-                if (!parseU64(val, c.nth) || c.nth == 0)
-                    return fail(error, "nth '" + val + "': want >= 1");
-                if (!set_trigger(FaultClause::Trigger::Nth))
-                    return fail(error, "clause has two triggers");
-            } else if (key == "at") {
-                if (!parseTimeValue(val, c.at))
-                    return fail(error, "at '" + val + "': bad time");
-                // 'at' doubles as the first-fire offset of 'every';
-                // only claim the trigger if none is set yet.
-                if (!trigger_set)
-                    set_trigger(FaultClause::Trigger::At);
-                else if (c.trigger != FaultClause::Trigger::Every)
-                    return fail(error, "clause has two triggers");
-            } else if (key == "every") {
-                if (!parseTimeValue(val, c.period) || c.period == 0)
-                    return fail(error, "every '" + val + "': bad period");
-                if (trigger_set && c.trigger == FaultClause::Trigger::At)
-                    c.trigger = FaultClause::Trigger::Every; // at= came 1st
-                else if (!set_trigger(FaultClause::Trigger::Every))
-                    return fail(error, "clause has two triggers");
-            } else if (key == "count") {
-                if (!parseU64(val, c.count) || c.count == 0)
-                    return fail(error, "count '" + val + "': want >= 1");
-            } else if (key == "from") {
-                if (!parseTimeValue(val, c.from))
-                    return fail(error, "from '" + val + "': bad time");
-            } else if (key == "until") {
-                if (!parseTimeValue(val, c.until))
-                    return fail(error, "until '" + val + "': bad time");
-            } else if (key == "delay") {
-                if (!parseTimeValue(val, c.delay))
-                    return fail(error, "delay '" + val + "': bad time");
-            } else if (key == "pages" || key == "entries") {
-                if (!parseU64(val, c.magnitude))
-                    return fail(error, key + " '" + val + "': bad count");
-            } else {
-                return fail(error, "unknown param '" + key + "'");
-            }
-        }
-    }
+    spec::Setter burst = [&c](const std::string &v) -> std::string {
+        auto [width, period] = spec::cut(v, '@');
+        if (!spec::parseDuration(width, &c.width) ||
+            !spec::parseDuration(period, &c.period) || c.period == 0 ||
+            c.width == 0 || c.width > c.period)
+            return "want width@period, 0 < width <= period";
+        return {};
+    };
+    std::string err = spec::applyKeys(
+        parts.size() == 3 ? parts[2] : std::string_view(),
+        {{"rate", trigger(Trigger::Rate, spec::number(&c.rate, 0.0, 1.0))},
+         {"burst", trigger(Trigger::Burst, burst)},
+         {"nth",
+          trigger(Trigger::Nth, spec::count(&c.nth, std::uint64_t(1)))},
+         {"at", trigger(Trigger::At, spec::duration(&c.at))},
+         {"every", trigger(Trigger::Every, spec::duration(&c.period, 1))},
+         {"count", spec::count(&c.count, std::uint64_t(1))},
+         {"from", spec::duration(&c.from)},
+         {"until", spec::duration(&c.until)},
+         {"delay", spec::duration(&c.delay)},
+         {"pages", spec::count(&c.magnitude)},
+         {"entries", spec::count(&c.magnitude)}});
+    if (!err.empty())
+        return err;
 
     if (isTimedSite(c.site)) {
-        if (!trigger_set || (c.trigger != FaultClause::Trigger::At &&
-                             c.trigger != FaultClause::Trigger::Every))
-            return fail(error, std::string("site '") + siteName(c.site) +
-                                   "' needs at= or every=");
+        if (!triggerSet ||
+            (c.trigger != Trigger::At && c.trigger != Trigger::Every))
+            return std::string("site '") + siteName(c.site) +
+                   "' needs at= or every=";
         if (c.site == Site::Mem && c.magnitude == 0)
             c.magnitude = 256; // default pressure spike, in pages
     } else {
-        if (!trigger_set || (c.trigger != FaultClause::Trigger::Rate &&
-                             c.trigger != FaultClause::Trigger::Burst &&
-                             c.trigger != FaultClause::Trigger::Nth))
-            return fail(error, std::string("site '") + siteName(c.site) +
-                                   "' needs rate=, burst= or nth=");
+        if (!triggerSet ||
+            (c.trigger != Trigger::Rate && c.trigger != Trigger::Burst &&
+             c.trigger != Trigger::Nth))
+            return std::string("site '") + siteName(c.site) +
+                   "' needs rate=, burst= or nth=";
     }
     if (c.until <= c.from)
-        return fail(error, "empty [from, until) window");
-    return true;
+        return "empty [from, until) window";
+    return {};
 }
 
 } // namespace
 
 std::optional<FaultPlan>
-FaultPlan::parse(const std::string &spec, std::string *error)
+FaultPlan::parse(const std::string &text, std::string *error)
 {
     FaultPlan plan;
-    plan.spec = spec;
-    for (const std::string &clause_text : split(spec, ';')) {
-        std::string t = trim(clause_text);
-        if (t.empty())
+    plan.spec = text;
+    for (std::string_view clause : spec::split(text, ';')) {
+        if (clause.empty())
             continue;
         FaultClause c;
-        if (!parseClause(t, c, error))
+        if (std::string err = parseClause(clause, c); !err.empty()) {
+            spec::fail(error, "clause '" + std::string(clause) + "': " + err);
             return std::nullopt;
+        }
         plan.clauses.push_back(c);
     }
     return plan;

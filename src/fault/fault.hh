@@ -23,6 +23,8 @@
  *   plan   := clause (';' clause)*
  *   clause := site ':' action [':' key '=' value (',' key '=' value)*]
  *
+ * with values in the shared syntax of sim/spec_text.hh.
+ *
  * e.g. "link:drop:rate=0.01;ib.rx:reorder:rate=0.005,delay=50us;
  *       mem:pressure:every=2ms,count=10,pages=512".
  */

@@ -141,15 +141,29 @@ QueuePair::connectRemote(unsigned peer_node, std::uint32_t my_kind,
 }
 
 void
-QueuePair::sendPacketRecord(const Packet &pkt, std::size_t bytes)
+QueuePair::sendPacket(const Packet &pkt, std::size_t bytes,
+                      unsigned priority)
 {
-    net::WireRecord rec;
-    rec.src = node_;
-    rec.dst = peerNode_;
-    rec.kind = txKind_;
-    rec.bytes = static_cast<std::uint32_t>(bytes);
-    rec.store(pkt);
-    fabric_.sendRecord(rec);
+    if (remote_) {
+        net::WireRecord rec;
+        rec.src = node_;
+        rec.dst = peerNode_;
+        rec.kind = txKind_;
+        rec.bytes = static_cast<std::uint32_t>(bytes);
+        rec.store(pkt);
+        fabric_.sendRecord(rec);
+        return;
+    }
+    QueuePair *peer = peer_;
+    // The per-packet delivery closure is the hottest allocation site in
+    // the whole simulator; pin it to the event queue's inline delegate
+    // storage so growing Packet past the small-buffer capacity fails to
+    // compile instead of silently costing a heap round trip per packet.
+    auto deliver = [peer, pkt] { peer->handlePacket(pkt); };
+    static_assert(sim::Delegate::fitsInline<decltype(deliver)>,
+                  "ib delivery closure must stay inline");
+    fabric_.send(node_, peer->node_, bytes, priority, flowLabel(),
+                 std::move(deliver));
 }
 
 void
@@ -203,21 +217,7 @@ QueuePair::transmitOne()
         highestTxPsn_ = txPsn_ + 1;
     ++stats_.dataPacketsSent;
 
-    if (remote_) {
-        sendPacketRecord(pkt, pkt.bytes);
-    } else {
-        QueuePair *peer = peer_;
-        // The per-packet delivery closure is the hottest allocation
-        // site in the whole simulator; pin it to the event queue's
-        // inline delegate storage so growing Packet past the
-        // small-buffer capacity fails to compile instead of silently
-        // costing a heap round trip per packet.
-        auto deliver = [peer, pkt] { peer->handlePacket(pkt); };
-        static_assert(sim::Delegate::fitsInline<decltype(deliver)>,
-                      "ib data-path delivery closure must stay inline");
-        fabric_.send(node_, peer->node_, pkt.bytes, cfg_.priority,
-                     flowLabel(), std::move(deliver));
-    }
+    sendPacket(pkt, pkt.bytes, cfg_.priority);
     ++txPsn_;
 
     armRetransmitTimer();
@@ -375,18 +375,9 @@ void
 QueuePair::sendControl(Packet pkt)
 {
     assert(peer_ != nullptr || remote_);
-    if (remote_) {
-        sendPacketRecord(pkt, cfg_.controlBytes);
-        return;
-    }
-    QueuePair *peer = peer_;
-    auto deliver = [peer, pkt] { peer->handlePacket(pkt); };
-    static_assert(sim::Delegate::fitsInline<decltype(deliver)>,
-                  "ib control-path delivery closure must stay inline");
     // Control rides the top class: ACKs, NACKs and CNPs must escape
     // the very congestion (and PFC pauses) they exist to report.
-    fabric_.send(node_, peer->node_, cfg_.controlBytes,
-                 net::kControlPriority, flowLabel(), std::move(deliver));
+    sendPacket(pkt, cfg_.controlBytes, net::kControlPriority);
 }
 
 // --- receiver -----------------------------------------------------------
@@ -768,14 +759,7 @@ QueuePair::pumpReadResponse()
     pkt.lastOfMsg = readResp_.nextPsn + 1 == readResp_.limitPsn;
 
     ++stats_.dataPacketsSent;
-    if (remote_) {
-        sendPacketRecord(pkt, bytes);
-    } else {
-        QueuePair *peer = peer_;
-        fabric_.send(node_, peer->node_, bytes, cfg_.priority,
-                     flowLabel(),
-                     [peer, pkt] { peer->handlePacket(pkt); });
-    }
+    sendPacket(pkt, bytes, cfg_.priority);
     ++readResp_.nextPsn;
 
     if (!readRespScheduled_) {

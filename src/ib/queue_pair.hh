@@ -255,8 +255,11 @@ class QueuePair
     void handleAck(std::uint64_t ackPsn);
     void handleRnrNack(std::uint64_t resumePsn);
     void sendControl(Packet pkt);
-    /** Ship @p pkt over the record plane (remote mode). */
-    void sendPacketRecord(const Packet &pkt, std::size_t bytes);
+    /** Put @p pkt on the wire to the peer as @p bytes at @p priority:
+     *  a record on the record plane in remote mode, else a delivery
+     *  closure through the fabric. */
+    void sendPacket(const Packet &pkt, std::size_t bytes,
+                    unsigned priority);
 
     // --- receive machinery -------------------------------------------
     void handlePacket(Packet pkt);

@@ -1,309 +1,112 @@
 #include "load/spec.hh"
 
-#include <cctype>
-#include <cstdlib>
-#include <map>
 #include <vector>
+
+#include "sim/spec_text.hh"
 
 namespace npf::load {
 
 namespace {
 
-std::vector<std::string>
-split(const std::string &s, char sep)
+/** The largest rate a spec may offer, in requests per second. */
+constexpr double kMaxRate = 1e12;
+
+spec::Setter
+dwellKind(bool *exp)
 {
-    std::vector<std::string> out;
-    std::size_t start = 0;
-    for (std::size_t i = 0; i <= s.size(); ++i) {
-        if (i == s.size() || s[i] == sep) {
-            out.push_back(s.substr(start, i - start));
-            start = i + 1;
-        }
-    }
-    return out;
+    return spec::oneOf(exp, {{"exp", true}, {"fixed", false}});
 }
 
 std::string
-trim(const std::string &s)
+parseArrival(std::string_view text, ArrivalSpec *out)
 {
-    std::size_t b = 0, e = s.size();
-    while (b < e && std::isspace(static_cast<unsigned char>(s[b])))
-        ++b;
-    while (e > b && std::isspace(static_cast<unsigned char>(s[e - 1])))
-        --e;
-    return s.substr(b, e - b);
-}
-
-bool
-fail(std::string *error, const std::string &msg)
-{
-    if (error != nullptr)
-        *error = msg;
-    return false;
-}
-
-/** "name:k=v,k=v" -> (name, {k: v}). */
-bool
-parseClause(const std::string &text, std::string *name,
-            std::map<std::string, std::string> *kv, std::string *error)
-{
-    std::size_t colon = text.find(':');
-    *name = trim(text.substr(0, colon));
-    if (name->empty())
-        return fail(error, "empty clause in '" + text + "'");
-    if (colon == std::string::npos)
-        return true;
-    for (const std::string &item : split(text.substr(colon + 1), ',')) {
-        std::size_t eq = item.find('=');
-        if (eq == std::string::npos)
-            return fail(error, "expected key=value, got '" + item + "'");
-        (*kv)[trim(item.substr(0, eq))] = trim(item.substr(eq + 1));
-    }
-    return true;
-}
-
-bool
-parseDouble(const std::string &s, double *out)
-{
-    if (s.empty())
-        return false;
-    char *end = nullptr;
-    double v = std::strtod(s.c_str(), &end);
-    if (end != s.c_str() + s.size())
-        return false;
-    *out = v;
-    return true;
-}
-
-bool
-parseCount(const std::string &s, std::uint64_t *out)
-{
-    double v = 0;
-    if (!parseRate(s, &v) || v < 0)
-        return false;
-    *out = static_cast<std::uint64_t>(v + 0.5);
-    return true;
-}
-
-using Kv = std::map<std::string, std::string>;
-
-bool
-getRateArg(const Kv &kv, const std::string &key, double *out, bool required,
-           std::string *error)
-{
-    auto it = kv.find(key);
-    if (it == kv.end())
-        return required ? fail(error, "missing '" + key + "'") : true;
-    if (!parseRate(it->second, out) || *out < 0)
-        return fail(error, "bad rate '" + it->second + "' for " + key);
-    return true;
-}
-
-bool
-getDurationArg(const Kv &kv, const std::string &key, sim::Time *out,
-               bool required, std::string *error)
-{
-    auto it = kv.find(key);
-    if (it == kv.end())
-        return required ? fail(error, "missing '" + key + "'") : true;
-    if (!parseDuration(it->second, out))
-        return fail(error, "bad duration '" + it->second + "' for " + key);
-    return true;
-}
-
-bool
-getDoubleArg(const Kv &kv, const std::string &key, double *out,
-             std::string *error)
-{
-    auto it = kv.find(key);
-    if (it == kv.end())
-        return true;
-    if (!parseDouble(it->second, out))
-        return fail(error, "bad number '" + it->second + "' for " + key);
-    return true;
-}
-
-bool
-parseArrival(const std::string &text, ArrivalSpec *out, std::string *error)
-{
-    std::string name;
-    Kv kv;
-    if (!parseClause(text, &name, &kv, error))
-        return false;
-
+    auto [name, params] = spec::cut(text, ':');
     ArrivalSpec a;
+    std::vector<spec::Key> keys;
     if (name == "fixed" || name == "poisson") {
         a.kind = name == "fixed" ? ArrivalSpec::Kind::Fixed
                                  : ArrivalSpec::Kind::Poisson;
-        if (!getRateArg(kv, "rate", &a.ratePerSec, true, error))
-            return false;
-        if (a.ratePerSec <= 0)
-            return fail(error, "arrival rate must be positive");
+        keys = {{"rate", spec::rate(&a.ratePerSec, 0, kMaxRate)}};
     } else if (name == "onoff") {
         a.kind = ArrivalSpec::Kind::OnOff;
-        if (!getRateArg(kv, "rate", &a.ratePerSec, true, error) ||
-            !getRateArg(kv, "off_rate", &a.offRatePerSec, false, error) ||
-            !getDurationArg(kv, "on", &a.onMean, true, error) ||
-            !getDurationArg(kv, "off", &a.offMean, true, error))
-            return false;
-        if (a.ratePerSec <= 0)
-            return fail(error, "arrival rate must be positive");
-        if (a.onMean == 0 || a.offMean == 0)
-            return fail(error, "on/off dwells must be positive");
-        auto it = kv.find("dwell");
-        if (it != kv.end()) {
-            if (it->second != "exp" && it->second != "fixed")
-                return fail(error, "dwell must be exp or fixed");
-            a.expDwell = it->second == "exp";
-        }
+        keys = {{"rate", spec::rate(&a.ratePerSec, 0, kMaxRate)},
+                {"off_rate", spec::rate(&a.offRatePerSec, 0, kMaxRate)},
+                {"on", spec::duration(&a.onMean)},
+                {"off", spec::duration(&a.offMean)},
+                {"dwell", dwellKind(&a.expDwell)}};
     } else if (name == "closed") {
         a.kind = ArrivalSpec::Kind::Closed;
-        if (!getDurationArg(kv, "think", &a.thinkMean, false, error))
-            return false;
-        auto it = kv.find("think_dist");
-        if (it != kv.end()) {
-            if (it->second != "exp" && it->second != "fixed")
-                return fail(error, "think_dist must be exp or fixed");
-            a.expThink = it->second == "exp";
-        }
+        keys = {{"think", spec::duration(&a.thinkMean)},
+                {"think_dist", dwellKind(&a.expThink)}};
     } else {
-        return fail(error, "unknown arrival process '" + name + "'");
+        return "unknown arrival process '" + std::string(name) + "'";
     }
+    if (std::string err = spec::applyKeys(params, keys); !err.empty())
+        return err;
+    if (a.open() && a.ratePerSec <= 0)
+        return "arrival rate must be positive (rate=R)";
+    if (a.kind == ArrivalSpec::Kind::OnOff &&
+        (a.onMean == 0 || a.offMean == 0))
+        return "on/off dwells must be positive (on=D,off=D)";
     *out = a;
-    return true;
+    return {};
 }
 
-bool
-parseKeys(const std::string &text, KeySpec *out, std::string *error)
+std::string
+parseKeys(std::string_view text, KeySpec *out)
 {
-    std::string name;
-    Kv kv;
-    if (!parseClause(text, &name, &kv, error))
-        return false;
-
+    auto [name, params] = spec::cut(text, ':');
     KeySpec k;
-    if (name == "uniform")
+    k.keys = 0; // n= is required
+    std::vector<spec::Key> keys{
+        {"n", spec::count(&k.keys, std::uint64_t(1))}};
+    if (name == "uniform") {
         k.kind = KeySpec::Kind::Uniform;
-    else if (name == "zipf")
+    } else if (name == "zipf") {
         k.kind = KeySpec::Kind::Zipf;
-    else if (name == "hotset")
+        keys.push_back({"theta", spec::number(&k.theta, 0.0, 1.0)});
+    } else if (name == "hotset") {
         k.kind = KeySpec::Kind::HotSet;
-    else if (name == "scan")
+        keys.push_back({"hot", spec::number(&k.hotFraction, 0.0, 1.0)});
+        keys.push_back({"traffic", spec::number(&k.hotTraffic, 0.0, 1.0)});
+        keys.push_back({"shift_every", spec::duration(&k.shiftEvery)});
+        keys.push_back({"shift_by", spec::count(&k.shiftBy)});
+    } else if (name == "scan") {
         k.kind = KeySpec::Kind::Scan;
-    else
-        return fail(error, "unknown key model '" + name + "'");
-
-    auto n = kv.find("n");
-    if (n == kv.end())
-        return fail(error, "key model needs n=<keys>");
-    if (!parseCount(n->second, &k.keys) || k.keys == 0)
-        return fail(error, "bad keyspace size '" + n->second + "'");
-
-    if (!getDoubleArg(kv, "theta", &k.theta, error) ||
-        !getDoubleArg(kv, "hot", &k.hotFraction, error) ||
-        !getDoubleArg(kv, "traffic", &k.hotTraffic, error) ||
-        !getDurationArg(kv, "shift_every", &k.shiftEvery, false, error))
-        return false;
-    auto sb = kv.find("shift_by");
-    if (sb != kv.end() && !parseCount(sb->second, &k.shiftBy))
-        return fail(error, "bad shift_by '" + sb->second + "'");
-    if (k.theta < 0 || k.theta >= 1.0)
-        return fail(error, "zipf theta must be in [0, 1)");
-    if (k.hotFraction <= 0 || k.hotFraction > 1.0 || k.hotTraffic < 0 ||
-        k.hotTraffic > 1.0)
-        return fail(error, "hotset hot/traffic must be fractions");
+    } else {
+        return "unknown key model '" + std::string(name) + "'";
+    }
+    if (std::string err = spec::applyKeys(params, keys); !err.empty())
+        return err;
+    if (k.keys == 0)
+        return "key model needs n=<keys>";
+    if (k.theta >= 1.0)
+        return "zipf theta must be in [0, 1)";
+    if (k.hotFraction <= 0)
+        return "hotset hot must be in (0, 1]";
     *out = k;
-    return true;
+    return {};
 }
 
 } // namespace
-
-bool
-parseRate(const std::string &text, double *out)
-{
-    if (text.empty())
-        return false;
-    char *end = nullptr;
-    double v = std::strtod(text.c_str(), &end);
-    if (end == text.c_str())
-        return false;
-    std::string suffix = trim(std::string(end));
-    if (suffix == "k" || suffix == "K")
-        v *= 1e3;
-    else if (suffix == "m" || suffix == "M")
-        v *= 1e6;
-    else if (suffix == "g" || suffix == "G")
-        v *= 1e9;
-    else if (!suffix.empty())
-        return false;
-    *out = v;
-    return true;
-}
-
-bool
-parseDuration(const std::string &text, sim::Time *out)
-{
-    if (text.empty())
-        return false;
-    char *end = nullptr;
-    double v = std::strtod(text.c_str(), &end);
-    if (end == text.c_str() || v < 0)
-        return false;
-    std::string suffix = trim(std::string(end));
-    double scale = 1.0; // bare numbers are nanoseconds
-    if (suffix == "us")
-        scale = double(sim::kMicrosecond);
-    else if (suffix == "ms")
-        scale = double(sim::kMillisecond);
-    else if (suffix == "s")
-        scale = double(sim::kSecond);
-    else if (suffix == "ns")
-        scale = 1.0;
-    else if (!suffix.empty())
-        return false;
-    *out = static_cast<sim::Time>(v * scale + 0.5);
-    return true;
-}
 
 std::optional<WorkloadSpec>
 WorkloadSpec::parse(const std::string &text, std::string *error)
 {
     WorkloadSpec w;
     w.spec = text;
-    for (const std::string &rawPart : split(text, ';')) {
-        std::string part = trim(rawPart);
-        if (part.empty())
-            continue;
-        std::size_t eq = part.find('=');
-        if (eq == std::string::npos) {
-            fail(error, "expected part=value, got '" + part + "'");
-            return std::nullopt;
-        }
-        std::string key = trim(part.substr(0, eq));
-        std::string val = trim(part.substr(eq + 1));
-        if (key == "arrival") {
-            if (!parseArrival(val, &w.arrival, error))
-                return std::nullopt;
-        } else if (key == "keys") {
-            if (!parseKeys(val, &w.keys, error))
-                return std::nullopt;
-        } else if (key == "get") {
-            if (!parseDouble(val, &w.getRatio) || w.getRatio < 0 ||
-                w.getRatio > 1) {
-                fail(error, "bad get ratio '" + val + "'");
-                return std::nullopt;
-            }
-        } else if (key == "req") {
-            std::uint64_t bytes = 0;
-            if (!parseCount(val, &bytes) || bytes == 0) {
-                fail(error, "bad request size '" + val + "'");
-                return std::nullopt;
-            }
-            w.requestBytes = bytes;
-        } else {
-            fail(error, "unknown workload part '" + key + "'");
-            return std::nullopt;
-        }
+    std::string err = spec::applyKeys(
+        text,
+        {{"arrival",
+          [&w](const std::string &v) { return parseArrival(v, &w.arrival); }},
+         {"keys",
+          [&w](const std::string &v) { return parseKeys(v, &w.keys); }},
+         {"get", spec::number(&w.getRatio, 0.0, 1.0)},
+         {"req", spec::count(&w.requestBytes, std::size_t(1))}},
+        ';');
+    if (!err.empty()) {
+        spec::fail(error, err);
+        return std::nullopt;
     }
     return w;
 }

@@ -16,8 +16,9 @@
  *             | 'hotset:n=N[,hot=F][,traffic=P]
  *                       [,shift_every=D][,shift_by=K]'
  *
- * Rates accept k/m/g suffixes ("120k" = 120000/s); durations accept
- * ns/us/ms/s suffixes ("50us"). e.g.
+ * Values follow the shared syntax of sim/spec_text.hh: rates and
+ * counts take k/m/g ("120k" = 120000/s), durations ns/us/ms/s
+ * ("50us"), and an unknown key is an error. e.g.
  *
  *   "arrival=poisson:rate=120k;keys=zipf:n=1m,theta=0.99;get=0.95"
  */
@@ -93,18 +94,6 @@ struct WorkloadSpec
 
     std::string spec; ///< original text, for echoing in bench output
 };
-
-/**
- * Parse a rate with an optional k/m/g multiplier ("186k" -> 186000).
- * @return false on garbage (and leaves @p out untouched).
- */
-bool parseRate(const std::string &text, double *out);
-
-/**
- * Parse a duration with an ns/us/ms/s suffix (bare numbers are
- * nanoseconds). @return false on garbage.
- */
-bool parseDuration(const std::string &text, sim::Time *out);
 
 } // namespace npf::load
 

@@ -1,141 +1,182 @@
 #include "net/topology.hh"
 
 #include <algorithm>
-#include <cctype>
-#include <cstdlib>
 #include <queue>
+
+#include "sim/spec_text.hh"
 
 namespace npf::net {
 
 namespace {
 
-std::string
-trim(const std::string &s)
-{
-    std::size_t b = 0, e = s.size();
-    while (b < e && std::isspace(static_cast<unsigned char>(s[b])))
-        ++b;
-    while (e > b && std::isspace(static_cast<unsigned char>(s[e - 1])))
-        --e;
-    return s.substr(b, e - b);
-}
+/** The most hosts and switches a spec may ask for: enough for any
+ *  fabric the simulator runs, few enough that parsing a spec never
+ *  builds a graph that does not fit in memory. */
+constexpr unsigned kMaxHosts = 1u << 16;
+constexpr unsigned kMaxSwitches = 1u << 10;
+constexpr double kMaxBandwidth = 1e15; ///< bits/sec
 
-std::vector<std::string>
-split(const std::string &s, char sep)
+/** A byte threshold whose 0 disables its mechanism. */
+spec::Setter
+threshold(std::size_t *bytes, bool *enabled)
 {
-    std::vector<std::string> out;
-    std::size_t start = 0;
-    for (std::size_t i = 0; i <= s.size(); ++i) {
-        if (i == s.size() || s[i] == sep) {
-            out.push_back(s.substr(start, i - start));
-            start = i + 1;
-        }
-    }
-    return out;
-}
-
-bool
-fail(std::string *error, const std::string &msg)
-{
-    if (error != nullptr)
-        *error = "topology: " + msg;
-    return false;
-}
-
-/** "40g" = 40e9 bits/sec (decimal, like NIC marketing). */
-bool
-parseRate(const std::string &v, double &out)
-{
-    if (v.empty())
-        return false;
-    const char *begin = v.c_str();
-    char *end = nullptr;
-    double x = std::strtod(begin, &end);
-    if (end == begin || x <= 0.0)
-        return false;
-    std::string unit(end);
-    if (unit == "k")
-        x *= 1e3;
-    else if (unit == "m")
-        x *= 1e6;
-    else if (unit == "g")
-        x *= 1e9;
-    else if (!unit.empty())
-        return false;
-    out = x;
-    return true;
-}
-
-/** "256k" = 256 KiB, "4m" = 4 MiB (binary, like buffer sizes). */
-bool
-parseBytes(const std::string &v, std::size_t &out)
-{
-    if (v.empty())
-        return false;
-    const char *begin = v.c_str();
-    char *end = nullptr;
-    double x = std::strtod(begin, &end);
-    if (end == begin || x < 0.0)
-        return false;
-    std::string unit(end);
-    if (unit == "k")
-        x *= 1024.0;
-    else if (unit == "m")
-        x *= 1024.0 * 1024.0;
-    else if (!unit.empty())
-        return false;
-    out = static_cast<std::size_t>(x);
-    return true;
-}
-
-/** "200" (ns), "30us", "1.5ms", "2s" — the fault-plan time grammar. */
-bool
-parseTimeValue(const std::string &v, sim::Time &out)
-{
-    if (v.empty())
-        return false;
-    const char *begin = v.c_str();
-    char *end = nullptr;
-    double x = std::strtod(begin, &end);
-    if (end == begin || x < 0.0)
-        return false;
-    std::string unit(end);
-    double scale;
-    if (unit.empty() || unit == "ns")
-        scale = 1.0;
-    else if (unit == "us")
-        scale = double(sim::kMicrosecond);
-    else if (unit == "ms")
-        scale = double(sim::kMillisecond);
-    else if (unit == "s")
-        scale = double(sim::kSecond);
-    else
-        return false;
-    out = static_cast<sim::Time>(x * scale);
-    return true;
-}
-
-bool
-parseUnsigned(const std::string &v, unsigned &out)
-{
-    if (v.empty())
-        return false;
-    char *end = nullptr;
-    unsigned long x = std::strtoul(v.c_str(), &end, 10);
-    if (end != v.c_str() + v.size())
-        return false;
-    out = static_cast<unsigned>(x);
-    return true;
+    return [bytes, enabled](const std::string &v) {
+        std::string err = spec::size(bytes)(v);
+        if (err.empty())
+            *enabled = *bytes > 0;
+        return err;
+    };
 }
 
 /** "h3" / "s1" vertex names of the edges grammar. */
 bool
-parseVertex(const std::string &v, bool &isHost, unsigned &idx)
+parseVertex(std::string_view v, bool &isHost, unsigned &idx)
 {
     if (v.size() < 2 || (v[0] != 'h' && v[0] != 's'))
         return false;
     isHost = v[0] == 'h';
-    return parseUnsigned(v.substr(1), idx);
+    unsigned limit = isHost ? kMaxHosts : kMaxSwitches;
+    return spec::number(&idx, 0u, limit - 1)(std::string(v.substr(1)))
+        .empty();
+}
+
+/** The graph of an edges spec's links=h0-s0+h1-s0+... value. */
+std::string
+buildEdges(std::string_view links, const LinkConfig &link,
+           const SwitchConfig &sw, Topology *t)
+{
+    unsigned max_host = 0, max_switch = 0;
+    struct RawEdge { bool ah, bh; unsigned a, b; };
+    std::vector<RawEdge> raw;
+    for (std::string_view e : spec::split(links, '+')) {
+        auto [a_text, b_text] = spec::cut(e, '-');
+        bool ah = false, bh = false;
+        unsigned a = 0, b = 0;
+        if (!parseVertex(a_text, ah, a) || !parseVertex(b_text, bh, b))
+            return "edge '" + std::string(e) + "': want hN-sM or sN-sM";
+        raw.push_back({ah, bh, a, b});
+        if (ah)
+            max_host = std::max(max_host, a + 1);
+        else
+            max_switch = std::max(max_switch, a + 1);
+        if (bh)
+            max_host = std::max(max_host, b + 1);
+        else
+            max_switch = std::max(max_switch, b + 1);
+    }
+    t->hosts = max_host;
+    t->switches = max_switch;
+    t->defaultLink = link;
+    t->switchCfg = sw;
+    for (const RawEdge &e : raw)
+        t->edges.push_back({e.ah ? e.a : t->hosts + e.a,
+                            e.bh ? e.b : t->hosts + e.b, link});
+    return {};
+}
+
+/** Returns "" or what is wrong with spec @p text; fills @p t. */
+std::string
+build(std::string_view text, Topology *t)
+{
+    auto [kind, params] = spec::cut(text, ':');
+    unsigned hosts = 0, leaves = 2, spines = 2;
+    double ovs = 1.0;
+    LinkConfig link;
+    SwitchConfig sw;
+    std::string links;
+    std::vector<spec::Key> keys{
+        {"bw", spec::rate(&link.bandwidthBitsPerSec, 1, kMaxBandwidth)},
+        {"prop", spec::duration(&link.propagation)},
+        {"overhead", spec::size(&link.perPacketOverheadBytes)},
+        {"fwd", spec::duration(&sw.forwardLatency)},
+        {"queue", spec::size(&sw.queueCapBytes)},
+        {"ecn", threshold(&sw.ecn.markBytes, &sw.ecn.enabled)},
+        {"xoff", threshold(&sw.pfc.xoffBytes, &sw.pfc.enabled)},
+        {"xon", spec::size(&sw.pfc.xonBytes)},
+    };
+    if (kind == "star" || kind == "leafspine")
+        keys.push_back({"hosts", spec::number(&hosts, 1u, kMaxHosts)});
+    if (kind == "leafspine") {
+        keys.push_back({"leaves", spec::number(&leaves, 1u, kMaxSwitches)});
+        keys.push_back({"spines", spec::number(&spines, 1u, kMaxSwitches)});
+        keys.push_back({"ovs", spec::number(&ovs, 1.0, 1e3)});
+    }
+    if (kind == "edges")
+        keys.push_back({"links", [&links](const std::string &v) {
+                            links = v;
+                            return std::string();
+                        }});
+    if (kind != "star" && kind != "leafspine" && kind != "edges")
+        return "unknown kind '" + std::string(kind) + "'";
+    if (std::string err = spec::applyKeys(params, keys); !err.empty())
+        return err;
+    if (sw.pfc.enabled && sw.pfc.xonBytes >= sw.pfc.xoffBytes)
+        sw.pfc.xonBytes = sw.pfc.xoffBytes / 2;
+
+    if (kind == "star") {
+        if (hosts == 0)
+            return "star needs hosts=N";
+        *t = Topology::star(hosts, link, sw);
+    } else if (kind == "leafspine") {
+        if (hosts == 0)
+            return "leafspine needs hosts=, leaves=, spines=";
+        *t = Topology::leafSpine(hosts, leaves, spines, ovs, link, sw);
+    } else {
+        if (links.empty())
+            return "edges needs links=a-b+c-d+...";
+        if (std::string err = buildEdges(links, link, sw, t); !err.empty())
+            return err;
+    }
+    t->spec = std::string(spec::trim(text));
+    return {};
+}
+
+/** Returns "" or the first structural fault of @p t (see validate). */
+std::string
+graphError(const Topology &t)
+{
+    if (t.hosts == 0 || t.switches == 0)
+        return "need at least one host and one switch";
+    std::vector<unsigned> host_degree(t.hosts, 0);
+    std::vector<std::vector<unsigned>> adj(t.vertices());
+    for (const Topology::Edge &e : t.edges) {
+        if (e.a >= t.vertices() || e.b >= t.vertices() || e.a == e.b)
+            return "edge endpoint out of range";
+        if (t.isHost(e.a) && t.isHost(e.b))
+            return "host-to-host edge (no switch between)";
+        if (t.isHost(e.a))
+            ++host_degree[e.a];
+        if (t.isHost(e.b))
+            ++host_degree[e.b];
+        adj[e.a].push_back(e.b);
+        adj[e.b].push_back(e.a);
+    }
+    for (unsigned h = 0; h < t.hosts; ++h)
+        if (host_degree[h] != 1)
+            return "host h" + std::to_string(h) +
+                   " needs exactly one attachment, has " +
+                   std::to_string(host_degree[h]);
+    std::vector<bool> seen(t.vertices(), false);
+    std::queue<unsigned> bfs;
+    bfs.push(0);
+    seen[0] = true;
+    unsigned reached = 1;
+    while (!bfs.empty()) {
+        unsigned v = bfs.front();
+        bfs.pop();
+        for (unsigned n : adj[v])
+            if (!seen[n]) {
+                seen[n] = true;
+                ++reached;
+                bfs.push(n);
+            }
+    }
+    if (reached != t.vertices())
+        return "graph is not connected";
+    if (t.switchCfg.pfc.enabled &&
+        t.switchCfg.pfc.xonBytes >= t.switchCfg.pfc.xoffBytes)
+        return "PFC xon must be below xoff";
+    return {};
 }
 
 } // namespace
@@ -182,178 +223,22 @@ Topology::leafSpine(unsigned hosts, unsigned leaves, unsigned spines,
 std::optional<Topology>
 Topology::parse(const std::string &text, std::string *error)
 {
-    std::string spec = trim(text);
-    std::size_t colon = spec.find(':');
-    std::string kind = trim(spec.substr(0, colon));
-
-    unsigned hosts = 0, leaves = 2, spines = 2;
-    double ovs = 1.0;
-    LinkConfig link;
-    SwitchConfig sw;
-    std::string links_val;
-
-    if (colon != std::string::npos) {
-        for (const std::string &kv_text :
-             split(spec.substr(colon + 1), ',')) {
-            std::string kv = trim(kv_text);
-            if (kv.empty())
-                continue;
-            std::size_t eq = kv.find('=');
-            if (eq == std::string::npos) {
-                fail(error, "param '" + kv + "': want key=value");
-                return std::nullopt;
-            }
-            std::string key = trim(kv.substr(0, eq));
-            std::string val = trim(kv.substr(eq + 1));
-            bool ok = true;
-            if (key == "hosts")
-                ok = parseUnsigned(val, hosts);
-            else if (key == "leaves")
-                ok = parseUnsigned(val, leaves);
-            else if (key == "spines")
-                ok = parseUnsigned(val, spines);
-            else if (key == "ovs") {
-                char *end = nullptr;
-                ovs = std::strtod(val.c_str(), &end);
-                ok = end == val.c_str() + val.size() && ovs >= 1.0;
-            } else if (key == "links")
-                links_val = val;
-            else if (key == "bw")
-                ok = parseRate(val, link.bandwidthBitsPerSec);
-            else if (key == "prop")
-                ok = parseTimeValue(val, link.propagation);
-            else if (key == "overhead")
-                ok = parseBytes(val, link.perPacketOverheadBytes);
-            else if (key == "fwd")
-                ok = parseTimeValue(val, sw.forwardLatency);
-            else if (key == "queue")
-                ok = parseBytes(val, sw.queueCapBytes);
-            else if (key == "ecn") {
-                ok = parseBytes(val, sw.ecn.markBytes);
-                sw.ecn.enabled = sw.ecn.markBytes > 0;
-            } else if (key == "xoff") {
-                ok = parseBytes(val, sw.pfc.xoffBytes);
-                sw.pfc.enabled = sw.pfc.xoffBytes > 0;
-            } else if (key == "xon")
-                ok = parseBytes(val, sw.pfc.xonBytes);
-            else {
-                fail(error, "unknown key '" + key + "'");
-                return std::nullopt;
-            }
-            if (!ok) {
-                fail(error, key + " '" + val + "': bad value");
-                return std::nullopt;
-            }
-        }
-    }
-    if (sw.pfc.enabled && sw.pfc.xonBytes >= sw.pfc.xoffBytes)
-        sw.pfc.xonBytes = sw.pfc.xoffBytes / 2;
-
     Topology t;
-    if (kind == "star") {
-        if (hosts == 0) {
-            fail(error, "star needs hosts=N");
-            return std::nullopt;
-        }
-        t = star(hosts, link, sw);
-    } else if (kind == "leafspine") {
-        if (hosts == 0 || leaves == 0 || spines == 0) {
-            fail(error, "leafspine needs hosts=, leaves=, spines=");
-            return std::nullopt;
-        }
-        t = leafSpine(hosts, leaves, spines, ovs, link, sw);
-    } else if (kind == "edges") {
-        if (links_val.empty()) {
-            fail(error, "edges needs links=a-b+c-d+...");
-            return std::nullopt;
-        }
-        unsigned max_host = 0, max_switch = 0;
-        struct RawEdge { bool ah, bh; unsigned a, b; };
-        std::vector<RawEdge> raw;
-        for (const std::string &e_text : split(links_val, '+')) {
-            std::string e = trim(e_text);
-            std::size_t dash = e.find('-');
-            bool ah = false, bh = false;
-            unsigned a = 0, b = 0;
-            if (dash == std::string::npos ||
-                !parseVertex(trim(e.substr(0, dash)), ah, a) ||
-                !parseVertex(trim(e.substr(dash + 1)), bh, b)) {
-                fail(error, "edge '" + e + "': want hN-sM or sN-sM");
-                return std::nullopt;
-            }
-            raw.push_back({ah, bh, a, b});
-            if (ah)
-                max_host = std::max(max_host, a + 1);
-            else
-                max_switch = std::max(max_switch, a + 1);
-            if (bh)
-                max_host = std::max(max_host, b + 1);
-            else
-                max_switch = std::max(max_switch, b + 1);
-        }
-        t.hosts = max_host;
-        t.switches = max_switch;
-        t.defaultLink = link;
-        t.switchCfg = sw;
-        for (const RawEdge &e : raw)
-            t.edges.push_back({e.ah ? e.a : t.hosts + e.a,
-                               e.bh ? e.b : t.hosts + e.b, link});
-    } else {
-        fail(error, "unknown kind '" + kind + "'");
+    std::string err = build(text, &t);
+    if (err.empty())
+        err = graphError(t);
+    if (!err.empty()) {
+        spec::fail(error, "topology: " + err);
         return std::nullopt;
     }
-
-    t.spec = spec;
-    if (!t.validate(error))
-        return std::nullopt;
     return t;
 }
 
 bool
 Topology::validate(std::string *error) const
 {
-    if (hosts == 0 || switches == 0)
-        return fail(error, "need at least one host and one switch");
-    std::vector<unsigned> host_degree(hosts, 0);
-    std::vector<std::vector<unsigned>> adj(vertices());
-    for (const Edge &e : edges) {
-        if (e.a >= vertices() || e.b >= vertices() || e.a == e.b)
-            return fail(error, "edge endpoint out of range");
-        if (isHost(e.a) && isHost(e.b))
-            return fail(error, "host-to-host edge (no switch between)");
-        if (isHost(e.a))
-            ++host_degree[e.a];
-        if (isHost(e.b))
-            ++host_degree[e.b];
-        adj[e.a].push_back(e.b);
-        adj[e.b].push_back(e.a);
-    }
-    for (unsigned h = 0; h < hosts; ++h)
-        if (host_degree[h] != 1)
-            return fail(error, "host h" + std::to_string(h) +
-                                   " needs exactly one attachment, has " +
-                                   std::to_string(host_degree[h]));
-    std::vector<bool> seen(vertices(), false);
-    std::queue<unsigned> bfs;
-    bfs.push(0);
-    seen[0] = true;
-    unsigned reached = 1;
-    while (!bfs.empty()) {
-        unsigned v = bfs.front();
-        bfs.pop();
-        for (unsigned n : adj[v])
-            if (!seen[n]) {
-                seen[n] = true;
-                ++reached;
-                bfs.push(n);
-            }
-    }
-    if (reached != vertices())
-        return fail(error, "graph is not connected");
-    if (switchCfg.pfc.enabled &&
-        switchCfg.pfc.xonBytes >= switchCfg.pfc.xoffBytes)
-        return fail(error, "PFC xon must be below xoff");
-    return true;
+    std::string err = graphError(*this);
+    return err.empty() || spec::fail(error, "topology: " + err);
 }
 
 std::vector<std::vector<std::vector<unsigned>>>

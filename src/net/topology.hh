@@ -15,11 +15,12 @@
  *   common keys: bw=40g prop=500ns overhead=38 fwd=200ns
  *                queue=512k ecn=64k xoff=128k xon=64k
  *
- * Bandwidths take k/m/g suffixes (decimal bits/sec), byte sizes take
- * k/m (binary), times take ns/us/ms/s. ecn=0 disables marking;
- * xoff=0 disables PFC. leaf-spine ovs=F divides the leaf-to-spine
- * uplink bandwidth so the fabric is F:1 oversubscribed (F=1, the
- * default, is non-blocking).
+ * Values follow sim/spec_text.hh: bandwidths are rates (k/m/g,
+ * decimal bits/sec), byte sizes take k/m (binary), times take
+ * ns/us/ms/s, and a key the kind does not read is an error. ecn=0
+ * disables marking; xoff=0 disables PFC. leaf-spine ovs=F divides the
+ * leaf-to-spine uplink bandwidth so the fabric is F:1 oversubscribed
+ * (F=1, the default, is non-blocking).
  *
  * Vertex ids: hosts are [0, hosts), switches [hosts, hosts+switches).
  * Every host must attach to exactly one switch (its NIC port).

@@ -29,6 +29,7 @@
 #include "obs/json.hh"
 #include "scenario/ib_world.hh"
 #include "sim/event_queue.hh"
+#include "sim/spec_text.hh"
 
 using namespace npf;
 using namespace npf::load;
@@ -116,20 +117,20 @@ TEST(LoadSpec, RejectsGarbage)
 TEST(LoadSpec, RateAndDurationSuffixes)
 {
     double r = 0;
-    EXPECT_TRUE(parseRate("186k", &r));
+    EXPECT_TRUE(spec::parseRate("186k", &r));
     EXPECT_DOUBLE_EQ(r, 186000.0);
-    EXPECT_TRUE(parseRate("1.5m", &r));
+    EXPECT_TRUE(spec::parseRate("1.5m", &r));
     EXPECT_DOUBLE_EQ(r, 1.5e6);
-    EXPECT_FALSE(parseRate("fast", &r));
+    EXPECT_FALSE(spec::parseRate("fast", &r));
 
     sim::Time t = 0;
-    EXPECT_TRUE(parseDuration("50us", &t));
+    EXPECT_TRUE(spec::parseDuration("50us", &t));
     EXPECT_EQ(t, 50 * sim::kMicrosecond);
-    EXPECT_TRUE(parseDuration("2s", &t));
+    EXPECT_TRUE(spec::parseDuration("2s", &t));
     EXPECT_EQ(t, 2 * sim::kSecond);
-    EXPECT_TRUE(parseDuration("100", &t));
+    EXPECT_TRUE(spec::parseDuration("100", &t));
     EXPECT_EQ(t, sim::Time(100));
-    EXPECT_FALSE(parseDuration("soon", &t));
+    EXPECT_FALSE(spec::parseDuration("soon", &t));
 }
 
 // --- arrival processes ------------------------------------------------
