@@ -1,8 +1,9 @@
 #!/bin/sh
-# Full verification: the tier-1 test suite in the normal build, then
-# the whole suite again under AddressSanitizer + UBSan. Run from the
-# repository root. Usage: scripts/check.sh [--fast]
-#   --fast   skip the sanitizer build
+# Full verification: the tier-1 test suite in the normal build and the
+# benchmark's pinned digests, then the whole suite again under
+# AddressSanitizer + UBSan. Run from the repository root.
+# Usage: scripts/check.sh [--fast]
+#   --fast   stop after the pinned digests (no sanitizer build)
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -117,6 +118,29 @@ echo "== tier 1: build + ctest =="
 cmake -B build -S . -DCMAKE_CXX_FLAGS=-Werror >/dev/null
 cmake --build build -j "$jobs"
 ctest --test-dir build --output-on-failure -j "$jobs"
+
+echo "== tier 1b: pinned benchmark digests (perfbench) =="
+# perfbench/digests.txt pins every simulated observable of the four
+# benchmark workloads per seed. A change that moves one fails here
+# rather than in the benchmark run. One measure chunk per run.
+if command -v python3 >/dev/null 2>&1; then
+    for w in eth_memcached_pin eth_wss_swap_npf ib_kv_openloop \
+        shard_kv_ring; do
+        for seed in 0 1; do
+            last=$(python3 perfbench/run.py --workload "$w" \
+                --seed "$seed" --seconds 1 --trace 0 | tail -n 1)
+            case $last in
+                '{"correct": true,'*)
+                    echo "perfbench $w seed $seed: digest matches" ;;
+                *)
+                    echo "FAIL: perfbench $w seed $seed: $last"
+                    exit 1 ;;
+            esac
+        done
+    done
+else
+    echo "note: python3 not found, skipping the pinned benchmark digests"
+fi
 
 if [ "$fast" -eq 1 ]; then
     echo "== skipping sanitizer pass (--fast) =="

@@ -130,9 +130,12 @@ class QueuePair
      * this QP binds (node, @p my_kind) for its inbound packets and
      * addresses outbound ones to (@p peer_node, @p peer_kind). The
      * two sides' calls must mirror each other, one ordered pair per
-     * (node, kind). Requires a legacy-mode fabric; both facets see
-     * identical wire timing, so a record-connected pair behaves
-     * bit-identically to a pointer-connected one.
+     * (node, kind). Requires a legacy-mode fabric. Both planes share
+     * the wire timing and the fault dice, so a record-connected pair
+     * observes exactly what a pointer-connected one does (the same
+     * completions at the same times, the same stats); it executes one
+     * event fewer per packet, since the record plane has no separate
+     * uplink-arrival event (tests/ib_test.cc pins both).
      */
     void connectRemote(unsigned peer_node, std::uint32_t my_kind,
                        std::uint32_t peer_kind);

@@ -1,5 +1,6 @@
 #include "load/popularity.hh"
 
+#include <algorithm>
 #include <cmath>
 
 namespace npf::load {
@@ -22,6 +23,40 @@ KeyModel::make(const KeySpec &spec)
 
 // --- ZipfKeys ---------------------------------------------------------
 
+namespace {
+
+/** Zeta terms summed one by one. Every n up to this keeps the exact
+ *  sum (and key stream) it always had; beyond it the rest is a tail
+ *  in closed form, so set-up costs the same at any n. */
+constexpr std::uint64_t kExactZetaTerms = 1ull << 20;
+
+/**
+ * Sum of i^-theta for i in (m, n], by Euler–Maclaurin: the integral,
+ * the endpoint correction and the B2 and B4 terms. At m = 2^20 the
+ * first omitted term is below 1e-30.
+ */
+double
+zetaTail(std::uint64_t m, std::uint64_t n, double theta)
+{
+    double a = double(m), b = double(n);
+    double s = 1.0 - theta;
+    // (b^s - a^s) / s without cancellation as theta nears 1.
+    double logRatio = std::log(b / a);
+    double integral = std::pow(a, s) * std::expm1(s * logRatio) / s;
+    auto f = [theta](double x) { return std::pow(x, -theta); };
+    auto f1 = [theta](double x) {
+        return -theta * std::pow(x, -theta - 1.0);
+    };
+    auto f3 = [theta](double x) {
+        return -theta * (theta + 1.0) * (theta + 2.0) *
+               std::pow(x, -theta - 3.0);
+    };
+    return integral + (f(b) - f(a)) / 2.0 + (f1(b) - f1(a)) / 12.0 -
+           (f3(b) - f3(a)) / 720.0;
+}
+
+} // namespace
+
 ZipfKeys::ZipfKeys(std::uint64_t n, double theta) : n_(n), theta_(theta)
 {
     precompute();
@@ -31,8 +66,11 @@ void
 ZipfKeys::precompute()
 {
     zetan_ = 0;
-    for (std::uint64_t i = 1; i <= n_; ++i)
+    std::uint64_t exact = std::min(n_, kExactZetaTerms);
+    for (std::uint64_t i = 1; i <= exact; ++i)
         zetan_ += 1.0 / std::pow(double(i), theta_);
+    if (n_ > exact)
+        zetan_ += zetaTail(exact, n_, theta_);
     zeta2_ = 1.0 + 1.0 / std::pow(2.0, theta_);
     alpha_ = 1.0 / (1.0 - theta_);
     eta_ = (1.0 - std::pow(2.0 / double(n_), 1.0 - theta_)) /

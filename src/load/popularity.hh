@@ -67,7 +67,9 @@ class UniformKeys final : public KeyModel
 /**
  * Zipf(theta) popularity over [0, n), rank 0 hottest — the standard
  * bounded-zipfian inversion (Gray et al., as popularised by YCSB).
- * One uniform01 draw per key; zeta(n) is precomputed in O(n).
+ * One uniform01 draw per key. zeta(n) is summed term by term up to
+ * n = 2^20 and completed by an Euler–Maclaurin tail beyond, so
+ * set-up is bounded at any n.
  */
 class ZipfKeys final : public KeyModel
 {

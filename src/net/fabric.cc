@@ -2,6 +2,8 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
+#include <limits>
 #include <map>
 
 #include "fault/fault.hh"
@@ -9,14 +11,8 @@
 namespace npf::net {
 
 Fabric::Fabric(sim::EventQueue &eq, unsigned nodes, FabricConfig cfg)
-    : eq_(eq), cfg_(cfg)
+    : Fabric(eq, nodes, cfg, std::string())
 {
-    for (unsigned i = 0; i < nodes; ++i) {
-        up_.push_back(std::make_unique<Link>(eq_, cfg_.link));
-        down_.push_back(std::make_unique<Link>(eq_, cfg_.link));
-    }
-    nodeSeq_.assign(nodes, 0);
-    initObs();
 }
 
 Fabric::Fabric(sim::EventQueue &eq, unsigned nodes, FabricConfig cfg,
@@ -44,7 +40,7 @@ Fabric::Fabric(sim::EventQueue &eq, unsigned nodes, FabricConfig cfg,
         }
         buildTopology(*topo);
     }
-    initObs();
+    initCommon();
 }
 
 Fabric::Fabric(sim::EventQueue &eq, const Topology &topo) : eq_(eq)
@@ -55,21 +51,23 @@ Fabric::Fabric(sim::EventQueue &eq, const Topology &topo) : eq_(eq)
         std::abort();
     }
     buildTopology(topo);
-    initObs();
+    initCommon();
 }
 
 Fabric::~Fabric() = default;
 
 void
-Fabric::initObs()
+Fabric::initCommon()
 {
+    // Built after the nodes' links so that those keep the obs
+    // instance numbers (net.link<i>) a fabric has always given them.
+    LinkConfig loop;
+    loop.bandwidthBitsPerSec = std::numeric_limits<double>::infinity();
+    loop.propagation =
+        topo_ ? topo_->switchCfg.forwardLatency : cfg_.switchLatency;
+    loop.perPacketOverheadBytes = 0;
+    loop_ = std::make_unique<Link>(eq_, loop);
     obs_.init("net.fabric");
-    obs_.counter("loopback_packets", &stats_.loopbackPackets);
-    obs_.counter("loopback_bytes", &stats_.loopbackBytes);
-    obs_.counter("loopback_inj_dropped", &stats_.loopbackInjDropped);
-    obs_.counter("loopback_inj_duplicated",
-                 &stats_.loopbackInjDuplicated);
-    obs_.counter("loopback_inj_delayed", &stats_.loopbackInjDelayed);
     obs_.counter("host_pauses", &stats_.hostPauses);
 }
 
@@ -135,16 +133,7 @@ Fabric::send(unsigned src, unsigned dst, std::size_t bytes,
              sim::EventQueue::Callback deliver)
 {
     if (src == dst) {
-        // A dropped loopback is never delivered; its closure (and any
-        // payload it owns) dies when send() returns. A duplicate
-        // clones any pooled payload (PoolRef copy semantics); both
-        // retire independently.
-        Link::TxOutcome tx = loopback(bytes);
-        if (tx.dropped)
-            return;
-        if (tx.duplicated)
-            eq_.schedule(tx.dupArrival, deliver, "net.fabric.loop");
-        eq_.schedule(tx.arrival, std::move(deliver), "net.fabric.loop");
+        loop_->send(bytes, std::move(deliver), "net.fabric.loop");
         return;
     }
     if (topo_)
@@ -153,60 +142,25 @@ Fabric::send(unsigned src, unsigned dst, std::size_t bytes,
         sendLegacy(src, dst, bytes, std::move(deliver));
 }
 
-Link::TxOutcome
-Fabric::loopback(std::size_t bytes)
-{
-    ++stats_.loopbackPackets;
-    stats_.loopbackBytes += bytes;
-    sim::Time latency =
-        topo_ ? topo_->switchCfg.forwardLatency : cfg_.switchLatency;
-    Link::TxOutcome out;
-    out.arrival = sim::saturatingAdd(eq_.now(), latency);
-    if (fault::FaultInjector *fi = fault::FaultInjector::active()) {
-        if (auto d = fi->decide(fault::Site::Link)) {
-            switch (d->action) {
-              case fault::Action::Drop:
-                ++stats_.loopbackInjDropped;
-                out.dropped = true;
-                break;
-              case fault::Action::Duplicate:
-                ++stats_.loopbackInjDuplicated;
-                out.duplicated = true;
-                out.dupArrival = out.arrival;
-                break;
-              case fault::Action::Reorder:
-              case fault::Action::Delay:
-                ++stats_.loopbackInjDelayed;
-                out.arrival = sim::saturatingAdd(out.arrival, d->delay);
-                break;
-              default:
-                break;
-            }
-        }
-    }
-    return out;
-}
-
 void
 Fabric::sendLegacy(unsigned src, unsigned dst, std::size_t bytes,
                    sim::EventQueue::Callback deliver)
 {
-    // @p deliver is parked in fabricPendingPool() for the journey and
-    // the hop continuations carry only a sim::PoolRef: capturing the
+    // @p deliver is parked in a FabricPacket for the journey and the
+    // hop continuations carry only its sim::PoolRef: capturing the
     // full delegate inside two wrappers would overflow the
     // scheduler's inline storage and heap-allocate per packet per
     // hop. The ref's ownership semantics keep faulted hops correct —
     // a dropped continuation releases the parked slot, a duplicated
     // one clones it.
-    sim::PoolRef parked = fabricPendingPool().acquire(std::move(deliver));
-    auto at_switch = [this, dst, bytes,
-                      parked = std::move(parked)]() mutable {
-        auto at_downlink = [this, dst, bytes,
-                            parked = std::move(parked)]() mutable {
-            down_[dst]->send(
-                bytes,
-                std::move(*parked.as<sim::EventQueue::Callback>()));
-            parked.reset();
+    sim::PoolRef ref = fabricPacketPool().acquire(
+        WireHeader{src, dst, 0, static_cast<std::uint32_t>(bytes)},
+        std::move(deliver));
+    auto at_switch = [this, ref = std::move(ref)]() mutable {
+        auto at_downlink = [this, ref = std::move(ref)]() mutable {
+            FabricPacket *pkt = ref.as<FabricPacket>();
+            down_[pkt->dst]->send(pkt->bytes, std::move(pkt->deliver));
+            ref.reset();
         };
         static_assert(
             sim::Delegate::fitsInline<decltype(at_downlink)>,
@@ -225,16 +179,12 @@ Fabric::sendTopo(unsigned src, unsigned dst, std::size_t bytes,
                  unsigned priority, std::uint32_t flow,
                  sim::EventQueue::Callback deliver)
 {
-    sim::PoolRef ref = fabricPacketPool().acquire();
+    sim::PoolRef ref = fabricPacketPool().acquire(
+        WireHeader{src, dst, 0, static_cast<std::uint32_t>(bytes)},
+        std::move(deliver));
     FabricPacket *pkt = ref.as<FabricPacket>();
-    pkt->src = src;
-    pkt->dst = dst;
-    pkt->bytes = static_cast<std::uint32_t>(bytes);
     pkt->flow = flow;
     pkt->priority = static_cast<std::uint8_t>(priority);
-    pkt->ecn = false;
-    pkt->readyAt = 0;
-    pkt->deliver = std::move(deliver);
     hostUp_[src]->enqueue(std::move(ref));
 }
 
@@ -253,12 +203,18 @@ Fabric::deliverToHost(sim::PoolRef pkt)
     FabricPacket *p = pkt.as<FabricPacket>();
     rx_.ecn = p->ecn;
     rx_.priority = p->priority;
-    sim::EventQueue::Callback deliver = std::move(p->deliver);
     // Release the descriptor before running the callback: delivery
     // handlers commonly send() in turn, and the freed slot lets that
     // send reuse it instead of growing the slab.
-    pkt.reset();
-    deliver();
+    if (p->isRecord) {
+        WireRecord rec = p->record();
+        pkt.reset();
+        dispatch(rec);
+    } else {
+        sim::EventQueue::Callback deliver = std::move(p->deliver);
+        pkt.reset();
+        deliver();
+    }
     rx_ = RxContext{};
 }
 
@@ -338,7 +294,7 @@ Fabric::shardBind(sim::ShardedEngine &engine, unsigned my_shard,
     ownerOf_ = std::move(owner_of_node);
     engine.bind(my_shard, engineKind,
                 [this](const sim::BoundaryMsg &m) {
-                    recordDownHop(unpackRecord(m));
+                    lastHop(fabricPacketPool().acquire(unpackRecord(m)));
                 });
 }
 
@@ -351,7 +307,7 @@ Fabric::sendRecord(const WireRecord &rec)
         std::abort();
     }
     if (rec.src == rec.dst) {
-        dispatchOutcome(loopback(rec.bytes), rec);
+        lastHop(fabricPacketPool().acquire(rec));
         return;
     }
     std::uint64_t key = nextOrderKey(rec.src);
@@ -365,11 +321,11 @@ Fabric::sendRecord(const WireRecord &rec)
     auto stage = [&](sim::Time up_arrival, std::uint64_t k) {
         sim::Time exit = up_arrival + cfg_.switchLatency;
         if (local) {
-            sim::PoolRef ref = fabricRecordPool().acquire(rec);
+            sim::PoolRef ref = fabricPacketPool().acquire(rec);
             eq_.scheduleBoundary(
                 exit, k,
-                [this, ref = std::move(ref)] {
-                    recordDownHop(*ref.as<WireRecord>());
+                [this, ref = std::move(ref)]() mutable {
+                    lastHop(std::move(ref));
                 },
                 "net.fabric.switchrec");
         } else {
@@ -383,31 +339,15 @@ Fabric::sendRecord(const WireRecord &rec)
 }
 
 void
-Fabric::recordDownHop(const WireRecord &rec)
+Fabric::lastHop(sim::PoolRef pkt)
 {
-    dispatchOutcome(down_[rec.dst]->transmit(rec.bytes), rec);
-}
-
-void
-Fabric::dispatchOutcome(const Link::TxOutcome &tx, const WireRecord &rec)
-{
-    if (tx.dropped)
-        return;
-    if (tx.duplicated)
-        scheduleDispatch(tx.dupArrival, rec);
-    scheduleDispatch(tx.arrival, rec);
-}
-
-void
-Fabric::scheduleDispatch(sim::Time at, const WireRecord &rec)
-{
-    sim::PoolRef ref = fabricRecordPool().acquire(rec);
-    eq_.schedule(
-        at,
-        [this, ref = std::move(ref)] {
-            dispatch(*ref.as<WireRecord>());
-        },
-        "net.fabric.rxrec");
+    const FabricPacket *p = pkt.as<FabricPacket>();
+    Link &link = p->src == p->dst ? *loop_ : *down_[p->dst];
+    std::uint32_t bytes = p->bytes;
+    auto deliver = [this, pkt = std::move(pkt)]() mutable {
+        deliverToHost(std::move(pkt));
+    };
+    link.send(bytes, std::move(deliver), "net.fabric.rxrec");
 }
 
 void

@@ -17,6 +17,11 @@
  * through rx() for the duration of the delivery callback, which is
  * how ib::QueuePair's DCQCN notification point sees marks without
  * the fabric knowing transport framing.
+ *
+ * Every packet of every plane parks in one pooled net::FabricPacket
+ * (net/packet.hh) while it crosses, and a src == dst packet turns
+ * around on one more net::Link: infinitely fast, no framing, one
+ * switch latency of propagation (loopbackLink()).
  */
 
 #ifndef NPF_NET_FABRIC_HH
@@ -24,95 +29,22 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
 #include <functional>
 #include <memory>
 #include <string>
-#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
 #include "net/link.hh"
+#include "net/packet.hh"
 #include "net/switch.hh"
 #include "net/topology.hh"
 #include "obs/metrics.hh"
 #include "sim/event_queue.hh"
 #include "sim/pool.hh"
 #include "sim/shard.hh"
-#include "sim/thread_owned.hh"
 
 namespace npf::net {
-
-/**
- * Serializable wire unit for the record-based delivery plane: what
- * crosses the fabric when the destination may live on another shard.
- * Closures cannot cross threads; a WireRecord is a trivially-copyable
- * POD that carries its protocol payload (e.g. one ib::Packet) by
- * value and is dispatched to the handler registered under
- * (dst, kind) — see Fabric::bindRx()/sendRecord().
- */
-struct WireRecord
-{
-    static constexpr std::size_t kPayloadBytes =
-        sim::BoundaryMsg::kPayloadBytes;
-
-    std::uint32_t src = 0;
-    std::uint32_t dst = 0;
-    std::uint32_t kind = 0;  ///< receiver demux key within dst
-    std::uint32_t bytes = 0; ///< wire size (serialization/overhead)
-    std::uint32_t payloadLen = 0;
-    unsigned char payload[kPayloadBytes] = {};
-
-    template <typename T>
-    void
-    store(const T &v)
-    {
-        static_assert(std::is_trivially_copyable_v<T>,
-                      "only PODs ride the record plane");
-        static_assert(sizeof(T) <= kPayloadBytes, "grow kPayloadBytes");
-        std::memcpy(payload, &v, sizeof(T));
-        payloadLen = sizeof(T);
-    }
-
-    template <typename T>
-    T
-    load() const
-    {
-        static_assert(std::is_trivially_copyable_v<T>);
-        static_assert(sizeof(T) <= kPayloadBytes);
-        T v;
-        std::memcpy(&v, payload, sizeof(T));
-        return v;
-    }
-};
-
-static_assert(std::is_trivially_copyable_v<WireRecord>);
-
-/**
- * Slab for delivery delegates parked across a fabric's hop chain.
- * Never destroyed while its thread runs (closures holding refs into
- * it live in event queues whose teardown order against any one
- * Fabric is unknowable); an exiting shard worker frees it
- * (sim/thread_owned.hh).
- */
-inline sim::Pool<sim::EventQueue::Callback> &
-fabricPendingPool()
-{
-    static thread_local auto *pool =
-        sim::newThreadOwned<sim::Pool<sim::EventQueue::Callback>>(
-            "net::Fabric.pending");
-    return *pool;
-}
-
-/** Slab parking WireRecords while they wait in the event queue
- *  (same lifetime reasoning as fabricPendingPool). */
-inline sim::Pool<WireRecord> &
-fabricRecordPool()
-{
-    static thread_local auto *pool =
-        sim::newThreadOwned<sim::Pool<WireRecord>>("net::Fabric.record");
-    return *pool;
-}
 
 /** Legacy-mode fabric parameters. */
 struct FabricConfig
@@ -129,11 +61,6 @@ class Fabric
   public:
     struct Stats
     {
-        std::uint64_t loopbackPackets = 0;
-        std::uint64_t loopbackBytes = 0;
-        std::uint64_t loopbackInjDropped = 0;
-        std::uint64_t loopbackInjDuplicated = 0;
-        std::uint64_t loopbackInjDelayed = 0;
         std::uint64_t hostPauses = 0; ///< rNPF-driven host rx pauses
     };
 
@@ -178,11 +105,10 @@ class Fabric
      * derived from the endpoints — transports that care pass their
      * own (the overload below).
      *
-     * Loopback (src == dst) turns around below the first switch hop:
-     * it costs the forwarding latency but never a wire. It still
-     * polls fault::Site::Link and is accounted in stats(), so fault
-     * plans and metrics see loopback traffic like any other
-     * (previously it bypassed both).
+     * Loopback (src == dst) turns around below the first switch hop
+     * on loopbackLink(): it costs the forwarding latency but never a
+     * node's wire, and it polls fault::Site::Link and counts in that
+     * link's stats like any other hop.
      */
     void
     send(unsigned src, unsigned dst, std::size_t bytes,
@@ -259,6 +185,11 @@ class Fabric
     /** The node's receive wire (last hop toward the host). */
     Link &downlink(unsigned node);
 
+    /** Where src == dst packets of either plane turn around: a link
+     *  with no serialization time whose propagation is one switch
+     *  latency. Its stats are the fabric's loopback accounting. */
+    Link &loopbackLink() { return *loop_; }
+
     /**
      * When a packet sent from @p node right now would start
      * serializing — the transport pacing signal. Legacy mode: the
@@ -307,23 +238,17 @@ class Fabric
     friend class Egress;
     friend class Switch;
 
-    void initObs();
+    /** What every constructor ends with: the loopback link and obs. */
+    void initCommon();
     void buildTopology(const Topology &topo);
     void sendTopo(unsigned src, unsigned dst, std::size_t bytes,
                   unsigned priority, std::uint32_t flow,
                   sim::EventQueue::Callback deliver);
     void sendLegacy(unsigned src, unsigned dst, std::size_t bytes,
                     sim::EventQueue::Callback deliver);
-    /** A src == dst packet on either plane: one switch latency, the
-     *  Link-site fault dice and the loopback stats. */
-    Link::TxOutcome loopback(std::size_t bytes);
-    /** Second wire hop of the record path: the packet left the
-     *  switch; clock the downlink and dispatch at arrival. */
-    void recordDownHop(const WireRecord &rec);
-    /** Dispatch @p rec per @p tx: nothing if dropped, the duplicate
-     *  first, then the original. */
-    void dispatchOutcome(const Link::TxOutcome &tx, const WireRecord &rec);
-    void scheduleDispatch(sim::Time at, const WireRecord &rec);
+    /** A record packet's last wire hop: the downlink (or the loopback
+     *  link) clocks it out, deliverToHost() hands it over. */
+    void lastHop(sim::PoolRef pkt);
     void dispatch(const WireRecord &rec);
     /** Per-source-node record sequence: the same-tick order key,
      *  identical across shard counts by construction. */
@@ -334,6 +259,8 @@ class Fabric
     }
     /** A packet finished a wire hop at @p vertex; takes ownership. */
     void arrive(unsigned vertex, sim::PoolRef pkt);
+    /** Hand @p pkt to its destination: run its delegate, or dispatch
+     *  its record to the (dst, kind) handler. */
     void deliverToHost(sim::PoolRef pkt);
 
     sim::EventQueue &eq_;
@@ -342,6 +269,8 @@ class Fabric
     // legacy mode
     std::vector<std::unique_ptr<Link>> up_;
     std::vector<std::unique_ptr<Link>> down_;
+
+    std::unique_ptr<Link> loop_; ///< src == dst turnaround, both modes
 
     // record plane
     std::unordered_map<std::uint64_t, RxHandler> rxHandlers_;

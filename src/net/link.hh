@@ -85,11 +85,15 @@ class Link
      *    the duplicate and the original retire independently;
      *  - Reorder/Delay: the one owner just arrives later.
      * tests/frame_lifecycle_test.cc pins all three with pool
-     * live-count assertions.
+     * live-count assertions. @p site labels the delivery event(s).
+     * @p deliver is any callable the event queue takes, kept as its
+     * own type until it is scheduled: that spares every hop one
+     * sim::Delegate relocation.
      * @return the arrival time.
      */
+    template <typename F>
     sim::Time
-    send(std::size_t bytes, sim::EventQueue::Callback deliver)
+    send(std::size_t bytes, F deliver, const char *site = "net.link.deliver")
     {
         TxOutcome tx = transmit(bytes);
         if (tx.dropped)
@@ -97,8 +101,8 @@ class Link
             // releasing the captured frame's payload slot.
             return tx.arrival;
         if (tx.duplicated)
-            eq_.schedule(tx.dupArrival, deliver, "net.link.deliver");
-        eq_.schedule(tx.arrival, std::move(deliver), "net.link.deliver");
+            eq_.schedule(tx.dupArrival, deliver, site);
+        eq_.schedule(tx.arrival, std::move(deliver), site);
         return tx.arrival;
     }
 

@@ -2,16 +2,21 @@
  * @file
  * InfiniBand RC tests: reliable in-order delivery, RDMA read/write,
  * the rNPF handling of §4 (RNR NACK suspension, read-response
- * rewinds, sender-side stalls), and reliability under synthetic
- * fault injection.
+ * rewinds, sender-side stalls), reliability under synthetic fault
+ * injection, and the equivalence of pointer- and record-connected
+ * pairs.
  */
 
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "core/npf_controller.hh"
+#include "fault/fault.hh"
 #include "ib/queue_pair.hh"
 #include "mem/memory_manager.hh"
 #include "net/fabric.hh"
@@ -22,6 +27,12 @@ using namespace npf::ib;
 namespace {
 
 constexpr std::size_t MiB = 1ull << 20;
+
+/** How an IbRig's two QPs reach each other. */
+enum class Wiring {
+    Pointer, ///< connect(): delivery closures on the closure plane
+    Record,  ///< connectRemote(): WireRecords on the record plane
+};
 
 /** Two-node IB rig with independent hosts. */
 struct IbRig
@@ -35,7 +46,8 @@ struct IbRig
     std::unique_ptr<QueuePair> qpA, qpB;
 
     explicit IbRig(QpConfig qcfg = {},
-                   std::size_t mem_bytes = 256 * MiB)
+                   std::size_t mem_bytes = 256 * MiB,
+                   Wiring wiring = Wiring::Pointer)
         : fabric(eq, 2,
                  net::FabricConfig{net::LinkConfig{56e9, 300, 32}, 200}),
           mmA(mem_bytes), mmB(mem_bytes),
@@ -47,8 +59,13 @@ struct IbRig
                                           1);
         qpB = std::make_unique<QueuePair>(eq, fabric, 1, npfcB, chB, qcfg,
                                           2);
-        qpA->connect(*qpB);
-        qpB->connect(*qpA);
+        if (wiring == Wiring::Pointer) {
+            qpA->connect(*qpB);
+            qpB->connect(*qpA);
+        } else {
+            qpA->connectRemote(1, /*my_kind=*/0, /*peer_kind=*/1);
+            qpB->connectRemote(0, /*my_kind=*/1, /*peer_kind=*/0);
+        }
     }
 
     /** Warm a buffer: CPU-present and IOMMU-mapped. */
@@ -297,3 +314,134 @@ TEST_P(IbFaultInjection, AllMessagesDeliveredInOrderUnderFaults)
 
 INSTANTIATE_TEST_SUITE_P(Rates, IbFaultInjection,
                          ::testing::Values(0.0, 0.001, 0.01, 0.05, 0.2));
+
+// --- pointer- vs record-connected pairs ----------------------------------
+// connectRemote() moves a pair's packets from delivery closures to the
+// record plane. Both planes share the wire model, the fault dice and
+// the hop structure, so everything the pair observes must be the same;
+// only the event count differs (the record plane has no separate
+// uplink-arrival event: two events per packet instead of three).
+
+namespace {
+
+/** Everything one WR stream lets the two QPs observe. */
+struct StreamRun
+{
+    /** (side, wrId, ok, isRecv, bytes, at) per completion, in order. */
+    std::vector<std::tuple<char, std::uint64_t, bool, bool, std::size_t,
+                           sim::Time>>
+        completions;
+    QueuePair::Stats statsA, statsB;
+    std::uint64_t events = 0;
+    std::uint64_t uplinkPackets = 0;
+};
+
+std::vector<std::uint64_t>
+statWords(const QueuePair::Stats &s)
+{
+    return {s.dataPacketsSent,  s.dataPacketsDelivered,
+            s.dataPacketsDropped, s.retransmitted,
+            s.rnrNacksSent,     s.rnrNacksReceived,
+            s.nakSeqSent,       s.readRnrSent,
+            s.readRnrReceived,  s.rewinds,
+            s.sendNpfs,         s.recvNpfs,
+            s.messagesDelivered, s.bytesDelivered,
+            s.cnpsSent,         s.cnpsReceived};
+}
+
+/**
+ * 32 Sends of 16-19 KB into receive buffers that are CPU-present but
+ * IOMMU-cold (so the first packets of each draw RNR NACKs), then
+ * 8 RDMA Writes and 8 RDMA Reads, under fault plan @p plan ("" for
+ * none), run until the event queue drains.
+ */
+StreamRun
+runStream(Wiring wiring, const std::string &plan)
+{
+    constexpr int kSends = 32, kWrites = 8, kReads = 8;
+    constexpr std::size_t kSlot = 32 * 1024;
+    IbRig rig({}, 256 * MiB, wiring);
+    std::optional<fault::FaultInjector> inj;
+    if (!plan.empty()) {
+        std::string err;
+        auto p = fault::FaultPlan::parse(plan, &err);
+        EXPECT_TRUE(p.has_value()) << err;
+        inj.emplace(rig.eq, *p, 11);
+    }
+    mem::VirtAddr sbuf = rig.asA.allocRegion(4 * MiB);
+    mem::VirtAddr rbuf = rig.asB.allocRegion(4 * MiB);
+    mem::VirtAddr remote = rig.asB.allocRegion(4 * MiB);
+    rig.warm(rig.npfcA, rig.chA, sbuf, 4 * MiB);
+    rig.asB.touch(rbuf, kSends * kSlot, true); // CPU-present only
+    rig.warm(rig.npfcB, rig.chB, remote, 4 * MiB);
+
+    StreamRun run;
+    auto record = [&run](char side) {
+        return [&run, side](const Completion &c) {
+            run.completions.emplace_back(side, c.wrId, c.ok, c.isRecv,
+                                         c.bytes, c.at);
+        };
+    };
+    rig.qpA->onCompletion(record('A'));
+    rig.qpB->onCompletion(record('B'));
+
+    for (int i = 0; i < kSends; ++i)
+        rig.qpB->postRecv({Opcode::Send, rbuf + i * kSlot, kSlot, 0,
+                           std::uint64_t(100 + i)});
+    for (int i = 0; i < kSends; ++i)
+        rig.qpA->postSend({Opcode::Send, sbuf + i * kSlot,
+                           16 * 1024 + std::size_t(i % 4) * 1024, 0,
+                           std::uint64_t(i)});
+    for (int i = 0; i < kWrites; ++i)
+        rig.qpA->postSend({Opcode::RdmaWrite, sbuf + i * kSlot, 16 * 1024,
+                           remote + i * kSlot, std::uint64_t(200 + i)});
+    for (int i = 0; i < kReads; ++i)
+        rig.qpA->postSend({Opcode::RdmaRead,
+                           sbuf + (kSends + i) * kSlot, 16 * 1024,
+                           remote + (kWrites + i) * kSlot,
+                           std::uint64_t(300 + i)});
+    rig.eq.run();
+
+    run.statsA = rig.qpA->stats();
+    run.statsB = rig.qpB->stats();
+    run.events = rig.eq.stats().executed;
+    run.uplinkPackets = rig.fabric.uplink(0).stats().packets +
+                        rig.fabric.uplink(1).stats().packets;
+    // Every Send and Write completes under any plan. Reads need not:
+    // once a read request is acked no timer covers its response
+    // stream, so a lost last response packet stalls that Read and
+    // every later one on the QP. Only fault-free runs count them.
+    std::size_t want = 2 * kSends + kWrites;
+    if (plan.empty())
+        want += kReads;
+    EXPECT_GE(run.completions.size(), want);
+    EXPECT_GT(run.statsB.rnrNacksSent, 0u);
+    return run;
+}
+
+} // namespace
+
+TEST(IbRc, RecordPlanePairObservesWhatAPointerPairDoes)
+{
+    const std::string kPlans[] = {"",
+                                  "link:drop:rate=0.02",
+                                  "link:dup:rate=0.05",
+                                  "link:delay:rate=0.05,delay=3us",
+                                  "link:reorder:rate=0.05,delay=2us"};
+    for (const std::string &plan : kPlans) {
+        SCOPED_TRACE(plan.empty() ? "fault-free" : plan);
+        StreamRun ptr = runStream(Wiring::Pointer, plan);
+        StreamRun rec = runStream(Wiring::Record, plan);
+        EXPECT_EQ(ptr.completions, rec.completions);
+        EXPECT_EQ(statWords(ptr.statsA), statWords(rec.statsA));
+        EXPECT_EQ(statWords(ptr.statsB), statWords(rec.statsB));
+        EXPECT_EQ(ptr.uplinkPackets, rec.uplinkPackets);
+        if (plan.empty()) {
+            // Three events per packet on the closure plane (uplink
+            // arrival, switch, downlink arrival), two on the record
+            // plane (switch, rx).
+            EXPECT_GT(ptr.uplinkPackets, 0u);
+            EXPECT_EQ(ptr.events - rec.events, ptr.uplinkPackets);
+        }
+    }
+}

@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <deque>
 #include <sstream>
 #include <string>
@@ -210,6 +211,88 @@ TEST(LoadArrival, ClosedHasNoOpenSchedule)
 }
 
 // --- key models -------------------------------------------------------
+
+namespace {
+
+/** ZipfKeys as it was when zeta(n) was always summed over all n
+ *  terms: the reference its bounded set-up must reproduce. */
+struct ExactZipf
+{
+    std::uint64_t n;
+    double zetan = 0, zeta2, alpha, eta;
+
+    ExactZipf(std::uint64_t keys, double theta) : n(keys)
+    {
+        for (std::uint64_t i = 1; i <= n; ++i)
+            zetan += 1.0 / std::pow(double(i), theta);
+        zeta2 = 1.0 + 1.0 / std::pow(2.0, theta);
+        alpha = 1.0 / (1.0 - theta);
+        eta = (1.0 - std::pow(2.0 / double(n), 1.0 - theta)) /
+              (1.0 - zeta2 / zetan);
+    }
+
+    std::uint64_t
+    next(sim::Rng &rng) const
+    {
+        double u = rng.uniform01();
+        double uz = u * zetan;
+        if (uz < 1.0)
+            return 0;
+        if (uz < zeta2)
+            return 1;
+        auto k = static_cast<std::uint64_t>(
+            double(n) * std::pow(eta * u - eta + 1.0, alpha));
+        return k >= n ? n - 1 : k;
+    }
+};
+
+/** How many of @p draws seeded draws differ between the two. */
+int
+zipfMismatches(std::uint64_t n, double theta, int draws)
+{
+    ExactZipf ref(n, theta);
+    ZipfKeys model(n, theta);
+    sim::Rng a(17), b(17);
+    int diff = 0;
+    for (int i = 0; i < draws; ++i)
+        diff += ref.next(a) != model.next(b, 0);
+    return diff;
+}
+
+} // namespace
+
+TEST(LoadKeys, ZipfKeepsItsKeyStreamUpToTheExactSumBound)
+{
+    // Up to 2^20 keys the zeta sum is the exact one, term for term.
+    for (double theta : {0.5, 0.99}) {
+        EXPECT_EQ(zipfMismatches(100000, theta, 100000), 0) << theta;
+        EXPECT_EQ(zipfMismatches(1ull << 20, theta, 100000), 0) << theta;
+    }
+}
+
+TEST(LoadKeys, ZipfTailMatchesTheExactSumBeyondTheBound)
+{
+    for (double theta : {0.0, 0.5, 0.99})
+        EXPECT_EQ(zipfMismatches(1ull << 22, theta, 100000), 0) << theta;
+}
+
+TEST(LoadKeys, ZipfSetUpIsBoundedAtAnyKeyCount)
+{
+    // 10^12 keys: summing every term took hours.
+    WorkloadSpec w = mustParse("keys=zipf:n=1000g,theta=0.99");
+    auto m = KeyModel::make(w.keys);
+    EXPECT_EQ(m->keys(), 1000000000000ull);
+    sim::Rng rng(3);
+    std::uint64_t hot = 0;
+    for (int i = 0; i < 100000; ++i) {
+        std::uint64_t k = m->next(rng, 0);
+        ASSERT_LT(k, m->keys());
+        hot += k == 0;
+    }
+    // Rank 0's share is 1/zeta(n), about 3.3% at this n and theta.
+    EXPECT_GT(hot, 2000u);
+    EXPECT_LT(hot, 5000u);
+}
 
 TEST(LoadKeys, ZipfRankZeroIsHottest)
 {

@@ -2,11 +2,15 @@
  * @file
  * Unit tests for the link and fabric models: serialization delay,
  * FIFO ordering, propagation, switch forwarding, the wire-level
- * fault matrix, and loopback accounting.
+ * fault matrix, loopback accounting and the lifetime of the fabric's
+ * pooled packets.
  */
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "fault/fault.hh"
@@ -207,19 +211,78 @@ TEST(Fabric, IncastSerializesAtDownlink)
 }
 
 // --- loopback (src == dst) --------------------------------------------
-// Loopback used to bypass both the Link fault site and all stats; it
-// now turns around below the first hop with consistent accounting, on
-// the closure plane (send) and the record plane (sendRecord) alike.
+// Loopback turns around below the first hop on the fabric's loopback
+// link, which polls the Link fault site and counts the traffic: on the
+// closure plane (send), the record plane (sendRecord) and in topology
+// mode alike.
 
 namespace {
 
-enum class Plane { Closure, Record };
-constexpr Plane kPlanes[] = {Plane::Closure, Plane::Record};
+enum class Plane { Closure, Record, Topology };
+constexpr Plane kPlanes[] = {Plane::Closure, Plane::Record,
+                             Plane::Topology};
 
 const char *
 planeName(Plane p)
 {
-    return p == Plane::Closure ? "closure" : "record";
+    switch (p) {
+      case Plane::Closure:
+        return "closure";
+      case Plane::Record:
+        return "record";
+      case Plane::Topology:
+        return "topology";
+    }
+    return "?";
+}
+
+/** A @p nodes-host fabric for @p plane whose switch hop costs
+ *  @p switch_latency: the legacy star, or a one-switch topology. */
+std::unique_ptr<Fabric>
+makeFabric(sim::EventQueue &eq, Plane plane, unsigned nodes,
+           sim::Time switch_latency)
+{
+    FabricConfig cfg;
+    cfg.switchLatency = switch_latency;
+    std::string spec;
+    if (plane == Plane::Topology)
+        spec = "star:hosts=" + std::to_string(nodes) +
+               ",fwd=" + std::to_string(switch_latency);
+    return std::make_unique<Fabric>(eq, nodes, cfg, spec);
+}
+
+constexpr std::uint32_t kKind = 7; // any demux key
+
+/** Send one @p bytes packet from @p src to @p dst over @p plane; every
+ *  delivery runs @p on_arrival. Record-plane receivers must be bound
+ *  first (bindArrivals). */
+template <typename F>
+void
+sendOn(Fabric &fabric, Plane plane, unsigned src, unsigned dst,
+       std::uint32_t bytes, F on_arrival)
+{
+    if (plane != Plane::Record) {
+        fabric.send(src, dst, bytes, std::move(on_arrival));
+        return;
+    }
+    WireRecord rec;
+    rec.src = src;
+    rec.dst = dst;
+    rec.kind = kKind;
+    rec.bytes = bytes;
+    fabric.sendRecord(rec);
+}
+
+/** Record plane: bind every node's kKind handler to @p on_arrival. */
+void
+bindArrivals(Fabric &fabric, Plane plane,
+             const std::function<void(unsigned node)> &on_arrival)
+{
+    if (plane != Plane::Record)
+        return;
+    for (unsigned n = 0; n < fabric.nodes(); ++n)
+        fabric.bindRx(n, kKind,
+                      [on_arrival, n](const WireRecord &) { on_arrival(n); });
 }
 
 /** Send one @p bytes loopback packet at @p node over @p plane; every
@@ -229,20 +292,9 @@ sendLoopback(sim::EventQueue &eq, Fabric &fabric, Plane plane,
              unsigned node, std::uint32_t bytes,
              std::vector<sim::Time> &arrivals)
 {
-    if (plane == Plane::Closure) {
-        fabric.send(node, node, bytes,
-                    [&] { arrivals.push_back(eq.now()); });
-        return;
-    }
-    constexpr std::uint32_t kKind = 7; // any demux key
-    fabric.bindRx(node, kKind, [&](const WireRecord &) {
-        arrivals.push_back(eq.now());
-    });
-    WireRecord rec;
-    rec.src = rec.dst = node;
-    rec.kind = kKind;
-    rec.bytes = bytes;
-    fabric.sendRecord(rec);
+    auto record = [&eq, &arrivals] { arrivals.push_back(eq.now()); };
+    bindArrivals(fabric, plane, [record](unsigned) { record(); });
+    sendOn(fabric, plane, node, node, bytes, record);
 }
 
 } // namespace
@@ -252,18 +304,16 @@ TEST(Fabric, LoopbackCostsSwitchLatencyAndIsCounted)
     for (Plane plane : kPlanes) {
         SCOPED_TRACE(planeName(plane));
         sim::EventQueue eq;
-        FabricConfig cfg;
-        cfg.switchLatency = 50;
-        Fabric fabric(eq, 2, cfg);
+        auto fabric = makeFabric(eq, plane, 2, 50);
         std::vector<sim::Time> arrivals;
-        sendLoopback(eq, fabric, plane, 1, 4096, arrivals);
+        sendLoopback(eq, *fabric, plane, 1, 4096, arrivals);
         eq.run();
         EXPECT_EQ(arrivals, std::vector<sim::Time>{50});
-        EXPECT_EQ(fabric.stats().loopbackPackets, 1u);
-        EXPECT_EQ(fabric.stats().loopbackBytes, 4096u);
+        EXPECT_EQ(fabric->loopbackLink().stats().packets, 1u);
+        EXPECT_EQ(fabric->loopbackLink().stats().payloadBytes, 4096u);
         // Never touches a wire.
-        EXPECT_EQ(fabric.uplink(1).stats().packets, 0u);
-        EXPECT_EQ(fabric.downlink(1).stats().packets, 0u);
+        EXPECT_EQ(fabric->uplink(1).stats().packets, 0u);
+        EXPECT_EQ(fabric->downlink(1).stats().packets, 0u);
     }
 }
 
@@ -272,13 +322,13 @@ TEST(Fabric, LoopbackPollsLinkFaultSite)
     for (Plane plane : kPlanes) {
         SCOPED_TRACE(planeName(plane));
         sim::EventQueue eq;
-        Fabric fabric(eq, 2);
+        auto fabric = makeFabric(eq, plane, 2, FabricConfig{}.switchLatency);
         fault::FaultInjector inj(eq, mustParse("link:drop:nth=1"), 1);
         std::vector<sim::Time> arrivals;
-        sendLoopback(eq, fabric, plane, 0, 100, arrivals);
+        sendLoopback(eq, *fabric, plane, 0, 100, arrivals);
         eq.run();
         EXPECT_TRUE(arrivals.empty());
-        EXPECT_EQ(fabric.stats().loopbackInjDropped, 1u);
+        EXPECT_EQ(fabric->loopbackLink().stats().injDropped, 1u);
         EXPECT_EQ(inj.injected(fault::Site::Link), 1u);
     }
 }
@@ -288,15 +338,13 @@ TEST(Fabric, LoopbackDuplicateDeliversTwice)
     for (Plane plane : kPlanes) {
         SCOPED_TRACE(planeName(plane));
         sim::EventQueue eq;
-        FabricConfig cfg;
-        cfg.switchLatency = 50;
-        Fabric fabric(eq, 2, cfg);
+        auto fabric = makeFabric(eq, plane, 2, 50);
         fault::FaultInjector inj(eq, mustParse("link:dup:nth=1"), 1);
         std::vector<sim::Time> arrivals;
-        sendLoopback(eq, fabric, plane, 0, 100, arrivals);
+        sendLoopback(eq, *fabric, plane, 0, 100, arrivals);
         eq.run();
         EXPECT_EQ(arrivals, (std::vector<sim::Time>{50, 50}));
-        EXPECT_EQ(fabric.stats().loopbackInjDuplicated, 1u);
+        EXPECT_EQ(fabric->loopbackLink().stats().injDuplicated, 1u);
     }
 }
 
@@ -305,15 +353,73 @@ TEST(Fabric, LoopbackDelayAddsToSwitchLatency)
     for (Plane plane : kPlanes) {
         SCOPED_TRACE(planeName(plane));
         sim::EventQueue eq;
-        FabricConfig cfg;
-        cfg.switchLatency = 50;
-        Fabric fabric(eq, 2, cfg);
+        auto fabric = makeFabric(eq, plane, 2, 50);
         fault::FaultInjector inj(
             eq, mustParse("link:delay:nth=1,delay=1000"), 1);
         std::vector<sim::Time> arrivals;
-        sendLoopback(eq, fabric, plane, 0, 100, arrivals);
+        sendLoopback(eq, *fabric, plane, 0, 100, arrivals);
         eq.run();
         EXPECT_EQ(arrivals, std::vector<sim::Time>{1050});
-        EXPECT_EQ(fabric.stats().loopbackInjDelayed, 1u);
+        EXPECT_EQ(fabric->loopbackLink().stats().injDelayed, 1u);
+    }
+}
+
+// Every plane parks its packets in fabricPacketPool(). Under wire
+// faults each descriptor (and the payload its delegate owns) must be
+// released exactly once, and each delivery must run as often as the
+// hops' TxOutcomes say: a link hands on one packet per wire slot it
+// clocked out, minus the ones it dropped (a duplicate takes a slot of
+// its own).
+TEST(Fabric, EveryPlaneReleasesEachDescriptorOnce)
+{
+    const char *const kPlans[] = {"link:drop:rate=0.2",
+                                  "link:dup:rate=0.2",
+                                  "link:delay:rate=0.2,delay=3us"};
+    constexpr unsigned kNodes = 3;
+    constexpr unsigned kPerPair = 20;
+    for (Plane plane : kPlanes) {
+        for (const char *plan : kPlans) {
+            SCOPED_TRACE(std::string(planeName(plane)) + " " + plan);
+            sim::EventQueue eq;
+            auto fabric = makeFabric(eq, plane, kNodes, 200);
+            sim::Pool<int> payloads("test.payload");
+            const std::size_t base = fabricPacketPool().live();
+            fault::FaultInjector inj(eq, mustParse(plan), 5);
+            std::vector<unsigned> got(kNodes, 0);
+            bindArrivals(*fabric, plane, [&got](unsigned n) { ++got[n]; });
+            for (unsigned i = 0; i < kPerPair; ++i)
+                for (unsigned src = 0; src < kNodes; ++src)
+                    for (unsigned dst = 0; dst < kNodes; ++dst)
+                        sendOn(*fabric, plane, src, dst, 1000,
+                               [&got, dst, ref = payloads.acquire(0)] {
+                                   ++got[dst];
+                               });
+            EXPECT_GT(fabricPacketPool().live(), base);
+            eq.run();
+            EXPECT_EQ(fabricPacketPool().live(), base);
+            EXPECT_EQ(payloads.live(), 0u);
+            EXPECT_GT(inj.injected(fault::Site::Link), 0u);
+
+            auto handedOn = [](const Link &l) {
+                return l.stats().packets - l.stats().injDropped;
+            };
+            auto entered = [](const Link &l) {
+                return l.stats().packets - l.stats().injDuplicated;
+            };
+            std::uint64_t up_out = 0, down_in = 0, delivered = 0;
+            for (unsigned n = 0; n < kNodes; ++n) {
+                up_out += handedOn(fabric->uplink(n));
+                down_in += entered(fabric->downlink(n));
+                delivered += got[n];
+            }
+            const Link &loop = fabric->loopbackLink();
+            EXPECT_EQ(entered(loop), kNodes * kPerPair);
+            // The switch hop neither loses nor makes packets.
+            EXPECT_EQ(down_in, up_out);
+            std::uint64_t want = handedOn(loop);
+            for (unsigned n = 0; n < kNodes; ++n)
+                want += handedOn(fabric->downlink(n));
+            EXPECT_EQ(delivered, want);
+        }
     }
 }
