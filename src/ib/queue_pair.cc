@@ -73,10 +73,12 @@ QueuePair::pumpSend()
             readInit_.active = true;
             readInit_.wr = wr;
             readInit_.readId = nextReadId_++;
+            readInit_.requestPsn = ifw.firstPsn;
             readInit_.expectedPsn = 0;
             readInit_.limitPsn =
                 (wr.len + cfg_.pathMtu - 1) / cfg_.pathMtu;
             readInit_.faultPending = false;
+            armReadTimer();
         } else {
             std::size_t pkts = (wr.len + cfg_.pathMtu - 1) / cfg_.pathMtu;
             ifw.lastPsn = ifw.firstPsn + pkts - 1;
@@ -338,9 +340,9 @@ QueuePair::handleRnrNack(std::uint64_t resumePsn)
         // Fatal QP error: flush every posted WR with an error
         // completion and stop all transmit machinery for good.
         error_ = true;
-        if (retransmitTimer_ != sim::kInvalidEvent) {
-            eq_.cancel(retransmitTimer_);
-            retransmitTimer_ = sim::kInvalidEvent;
+        for (sim::EventId *timer : {&retransmitTimer_, &readTimer_}) {
+            eq_.cancel(*timer);
+            *timer = sim::kInvalidEvent;
         }
         auto flush = [this](const WorkRequest &wr) {
             Completion c;
@@ -810,12 +812,7 @@ QueuePair::handleReadResponse(const Packet &pkt)
         eq_.scheduleAfter(lat, [this] {
             obs::attributor().blockEnd(attrLane_, obs::Phase::NpfDriver);
             readInit_.faultPending = false;
-            ++stats_.nakSeqSent;
-            Packet nak;
-            nak.type = Packet::Type::NakSeq;
-            nak.psn = readInit_.expectedPsn;
-            nak.readId = readInit_.readId;
-            sendControl(nak);
+            sendNakSeq();
         }, "ib.synthetic_rnpf");
         return;
     }
@@ -853,14 +850,9 @@ QueuePair::handleReadResponse(const Packet &pkt)
                            obs::attributor().blockEnd(
                                attrLane_, obs::Phase::NpfDriver);
                            readInit_.faultPending = false;
-                           ++stats_.nakSeqSent;
                            obs::tracer().instant(obs::Track::Transport,
                                                  "ib", "read.nak_seq");
-                           Packet nak;
-                           nak.type = Packet::Type::NakSeq;
-                           nak.psn = readInit_.expectedPsn;
-                           nak.readId = readInit_.readId;
-                           sendControl(nak);
+                           sendNakSeq();
                        });
         return;
     }
@@ -869,6 +861,8 @@ QueuePair::handleReadResponse(const Packet &pkt)
     ++stats_.dataPacketsDelivered;
     if (ri.expectedPsn == ri.limitPsn) {
         ri.active = false;
+        eq_.cancel(readTimer_);
+        readTimer_ = sim::kInvalidEvent;
         ++stats_.messagesDelivered;
         stats_.bytesDelivered += ri.wr.len;
         Completion c;
@@ -880,6 +874,42 @@ QueuePair::handleReadResponse(const Packet &pkt)
         deliverCompletion(c);
         pumpSend();
     }
+}
+
+void
+QueuePair::sendNakSeq()
+{
+    ++stats_.nakSeqSent;
+    Packet nak;
+    nak.type = Packet::Type::NakSeq;
+    nak.psn = readInit_.expectedPsn;
+    nak.readId = readInit_.readId;
+    sendControl(nak);
+}
+
+void
+QueuePair::armReadTimer()
+{
+    if (error_ || readTimer_ != sim::kInvalidEvent)
+        return;
+    readPsnAtArm_ = readInit_.expectedPsn;
+    readTimer_ = eq_.scheduleAfter(cfg_.retransmitTimeout, [this] {
+        readTimer_ = sim::kInvalidEvent;
+        const ReadInitiatorState &ri = readInit_;
+        if (!ri.active)
+            return;
+        // Until the request is acked the send RTO covers it; while a
+        // local fault resolves, its resolution asks for the rewind.
+        if (ri.requestPsn < ackedPsn_ && !ri.faultPending &&
+            ri.expectedPsn == readPsnAtArm_) {
+            obs::tracer().instant(obs::Track::Transport, "ib",
+                                  "ib.read_rto");
+            obs::attributor().charge(attrLane_, obs::Phase::Retransmit,
+                                     cfg_.retransmitTimeout);
+            sendNakSeq();
+        }
+        armReadTimer();
+    }, "ib.read_rto");
 }
 
 } // namespace npf::ib

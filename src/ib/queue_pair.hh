@@ -245,6 +245,7 @@ class QueuePair
         bool active = false;
         WorkRequest wr;
         std::uint64_t readId = 0;
+        std::uint64_t requestPsn = 0; ///< the read request's PSN
         std::uint64_t expectedPsn = 0;
         std::uint64_t limitPsn = 0;
         bool faultPending = false;
@@ -289,6 +290,12 @@ class QueuePair
     // --- read responder stream ----------------------------------------
     void pumpReadResponse();
     void startRead(const Packet &req);
+    /** Initiator: once the read request is acked, nothing else times
+     *  the response stream, so a lost response would stall the read
+     *  (and every later one on the QP) for good. A period without
+     *  progress asks the responder to rewind to expectedPsn. */
+    void armReadTimer();
+    void sendNakSeq();
 
     sim::EventQueue &eq_;
     net::Fabric &fabric_;
@@ -334,6 +341,8 @@ class QueuePair
     ReadInitiatorState readInit_;
     std::uint64_t nextReadId_ = 1;
     bool readRespScheduled_ = false;
+    sim::EventId readTimer_ = sim::kInvalidEvent;
+    std::uint64_t readPsnAtArm_ = 0; ///< progress marker for readTimer_
 
     // DCQCN (inert unless cfg_.dcqcn.enabled and CNPs arrive)
     net::DcqcnRate dcqcn_;
