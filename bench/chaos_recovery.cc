@@ -18,10 +18,10 @@
  * Flags: --fault-plan=SPEC (grammar in docs/FAULTS.md), --fault-seed=N,
  * plus the shared obs flags; like the sweep benches, each scenario
  * opens its own obs session with a per-scenario output suffix
- * (trace.000.json = TCP, .001 = IB, .002 = storm; --trace-overwrite
- * restores a single clobbered file). With --flight-recorder the
- * scenarios also dump the flight ring at injected-fault clause
- * boundaries (first firing per clause, every timed-storm firing).
+ * (trace.000.json = TCP, .001 = IB, .002 = storm). With
+ * --flight-recorder the scenarios also dump the flight ring at
+ * injected-fault clause boundaries (first firing per clause, every
+ * timed-storm firing).
  */
 
 #include <memory>
@@ -289,7 +289,7 @@ main(int argc, char **argv)
 {
     ObsArgs args;
     args.faultPlan = kDefaultPlan;
-    parseFlagsOrExit(argc, argv, iterObsFlags(args).add(faultFlags(args)));
+    parseFlagsOrExit(argc, argv, obsFlags(args).add(faultFlags(args)));
     header("chaos_recovery");
     row("  plan: %s", args.faultPlan.c_str());
     row("  seed: %llu", (unsigned long long)args.faultSeed);

@@ -46,14 +46,12 @@ row(const char *fmt, ...)
  * Copy of @p a with iteration @p idx folded into every output path
  * ("trace.json" -> "trace.003.json"). Sweep benches that open one
  * obs::Session per configuration call this so iterations do not
- * clobber each other; --trace-overwrite restores the old behavior.
+ * clobber each other.
  */
 inline ObsArgs
 withIter(const ObsArgs &a, unsigned idx)
 {
     ObsArgs b = a;
-    if (b.traceOverwrite)
-        return b;
     if (b.trace)
         b.traceOut = obs::indexedPath(b.traceOut, idx);
     if (!b.metricsOut.empty())

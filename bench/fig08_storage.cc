@@ -37,7 +37,7 @@ struct StorageBed
     std::vector<std::unique_ptr<ib::QueuePair>> qps;
     std::vector<std::unique_ptr<FioClient>> fios;
 
-    StorageBed(std::size_t mem_bytes, bool pinned, unsigned sessions,
+    StorageBed(std::size_t mem_bytes, core::RegMode mode, unsigned sessions,
                std::size_t block_bytes, unsigned qd)
         : fabric(eq, 2,
                  net::FabricConfig{net::LinkConfig{56e9, 300, 32}, 200})
@@ -67,8 +67,8 @@ struct StorageBed
         auto ich = iniNpfc->attach(iniAs);
 
         StorageConfig scfg;
-        scfg.pinned = pinned;
-        tgt = std::make_unique<StorageTarget>(eq, *tgtAs, scfg);
+        tgt = std::make_unique<StorageTarget>(
+            eq, *tgtAs, scfg, core::Registration(mode, *tgtNpfc, tch));
         if (!tgt->ok())
             return;
 
@@ -130,8 +130,8 @@ main(int argc, char **argv)
         double v[2] = {0, 0};
         bool ran[2] = {false, false};
         int i = 0;
-        for (bool pinned : {false, true}) {
-            StorageBed bed(gb * kGiB, pinned, 1, 512 * 1024, 16);
+        for (core::RegMode mode : {core::RegMode::Npf, core::RegMode::Copy}) {
+            StorageBed bed(gb * kGiB, mode, 1, 512 * 1024, 16);
             auto obs = openObsSession(obs_args, bed.eq);
             if (bed.tgt->ok()) {
                 ran[i] = true;
@@ -161,11 +161,11 @@ main(int argc, char **argv)
     for (unsigned sessions : {1u, 10u, 20u, 40u, 80u}) {
         double r[3];
         int i = 0;
-        for (auto [pinned, block] :
-             {std::pair{false, std::size_t(64 * 1024)},
-              std::pair{false, std::size_t(512 * 1024)},
-              std::pair{true, std::size_t(512 * 1024)}}) {
-            StorageBed bed(6 * kGiB, pinned, sessions, block, 4);
+        for (auto [mode, block] :
+             {std::pair{core::RegMode::Npf, std::size_t(64 * 1024)},
+              std::pair{core::RegMode::Npf, std::size_t(512 * 1024)},
+              std::pair{core::RegMode::Copy, std::size_t(512 * 1024)}}) {
+            StorageBed bed(6 * kGiB, mode, sessions, block, 4);
             auto obs = openObsSession(obs_args, bed.eq);
             if (!bed.tgt->ok()) {
                 r[i++] = -1;

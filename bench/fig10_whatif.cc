@@ -136,7 +136,7 @@ int
 main(int argc, char **argv)
 {
     ObsArgs obs_args;
-    parseFlagsOrExit(argc, argv, iterObsFlags(obs_args));
+    parseFlagsOrExit(argc, argv, obsFlags(obs_args));
     header("Figure 10 (left): Ethernet stream throughput [Gb/s] vs "
            "synthetic rNPF frequency (per packet)");
     row("%10s %12s %12s %12s %12s", "freq", "minor-brng", "major-brng",
@@ -180,9 +180,9 @@ main(int argc, char **argv)
         "storage[MB/s]", "kv[ops]");
     sim::Time warm = 100 * sim::kMillisecond;
     sim::Time meas = 400 * sim::kMillisecond;
-    for (hpc::RegMode mode :
-         {hpc::RegMode::Copy, hpc::RegMode::PinDownCache,
-          hpc::RegMode::Npf, hpc::RegMode::NpRdma}) {
+    for (core::RegMode mode :
+         {core::RegMode::Copy, core::RegMode::PinDownCache,
+          core::RegMode::Npf, core::RegMode::NpRdma}) {
         double beff;
         {
             sim::EventQueue eq;
@@ -193,7 +193,7 @@ main(int argc, char **argv)
         }
         RegRunResult st = regStorageRun(mode, 1, warm, meas);
         RegRunResult kv = regKvRun(mode, 1, warm, meas);
-        row("%10s %14.0f %16.1f %12llu", hpc::regModeName(mode), beff,
+        row("%10s %14.0f %16.1f %12llu", core::regModeName(mode), beff,
             st.mbps, (unsigned long long)kv.ops);
     }
     row("%s", "shape: npf wins everywhere it has hardware support; "

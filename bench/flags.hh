@@ -27,8 +27,8 @@
 #include <utility>
 #include <vector>
 
+#include "core/registration.hh"
 #include "fault/fault.hh"
-#include "hpc/cluster.hh"
 #include "load/spec.hh"
 #include "net/topology.hh"
 #include "obs/session.hh"
@@ -207,11 +207,10 @@ parseFlagsOrExit(int argc, char **argv, const FlagTable &t)
 
 constexpr std::size_t kDefaultFlightRing = 1u << 16;
 
-/** The obs session the obs flags configure, plus what the
- *  trace-overwrite and fault fragments set. */
+/** The obs session the obs flags configure, plus what the fault
+ *  fragment sets. */
 struct ObsArgs : obs::SessionOptions
 {
-    bool traceOverwrite = false;
     std::string faultPlan; ///< empty: no plan
     std::uint64_t faultSeed = 1;
 };
@@ -257,14 +256,6 @@ obsFlags(ObsArgs &a)
         return std::string();
     });
     return t;
-}
-
-/** obsFlags plus --trace-overwrite, for the benches that open one
- *  session per iteration and suffix its files (withIter). */
-inline FlagTable
-iterObsFlags(ObsArgs &a)
-{
-    return obsFlags(a).add({toggle("--trace-overwrite", &a.traceOverwrite)});
 }
 
 inline FlagTable
@@ -330,7 +321,7 @@ loadSweepFlags(SweepArgs &a, ObsArgs &obs)
                    return number(v, 1.0, 1e3);
                })),
     };
-    t.add(iterObsFlags(obs)).add(faultFlags(obs));
+    t.add(obsFlags(obs)).add(faultFlags(obs));
     t.add(windowFlags(&a.warmup, &a.duration));
     t.checks.push_back([&a]() -> std::string {
         if (!a.ovs.empty() && a.topology.compare(0, 9, "leafspine") != 0)
@@ -349,23 +340,23 @@ loadSweepFlags(SweepArgs &a, ObsArgs &obs)
 struct RegArgs
 {
     std::uint64_t seed = 1;
-    std::optional<hpc::RegMode> mode; ///< empty: all disciplines
+    std::optional<core::RegMode> mode; ///< empty: all disciplines
     bool smoke = false;
     bool allocGate = false;
-    hpc::RegMode gateMode = hpc::RegMode::NpRdma;
+    core::RegMode gateMode = core::RegMode::NpRdma;
 };
 
 inline FlagTable
 regShootoutFlags(RegArgs &a, ObsArgs &obs)
 {
-    using hpc::RegMode;
+    using core::RegMode;
     std::vector<std::pair<std::string, std::optional<RegMode>>> modes{
         {"all", std::nullopt}};
     std::vector<std::pair<std::string, RegMode>> gateModes;
     for (RegMode m : {RegMode::Copy, RegMode::PinDownCache, RegMode::Npf,
                       RegMode::NpRdma}) {
-        modes.emplace_back(hpc::regModeName(m), m);
-        gateModes.emplace_back(hpc::regModeName(m), m);
+        modes.emplace_back(core::regModeName(m), m);
+        gateModes.emplace_back(core::regModeName(m), m);
     }
     FlagTable t{
         valued("--seed", number(&a.seed)),
@@ -374,7 +365,7 @@ regShootoutFlags(RegArgs &a, ObsArgs &obs)
         toggle("--alloc-gate", &a.allocGate),
         valued("--gate-mode", oneOf(&a.gateMode, gateModes)),
     };
-    return t.add(iterObsFlags(obs));
+    return t.add(obsFlags(obs));
 }
 
 struct ShardArgs

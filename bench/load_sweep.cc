@@ -16,8 +16,7 @@
  *              [--timeout=D] [--retries=N] [--slo=D]
  *              [--warmup=D] [--duration=D]
  *              [--topology=SPEC] [--ovs=F1,F2,...]
- *              [--fault-plan=SPEC] [--fault-seed=N]
- *              [--trace-overwrite] [obs flags]
+ *              [--fault-plan=SPEC] [--fault-seed=N] [obs flags]
  *
  * The flags are declared in bench/flags.hh (loadSweepFlags); anything
  * else, and any malformed value, exits 64 with the accepted list.
@@ -220,8 +219,7 @@ main(int argc, char **argv)
             "achieved/s", "p50[us]", "p99[us]", "p99.9[us]", "srv-p99",
             "timeout", "retry", "shed", "slo!");
         for (double rate : a.rates) {
-            // Per-rate output files (trace.000.json, ...) unless
-            // --trace-overwrite asked for the old clobbering behavior.
+            // Per-rate output files (trace.000.json, ...).
             ObsArgs it = withIter(obs_args, iter++);
             RateResult r = a.ib ? runIb(a, it, rate, spec)
                                 : runEth(a, it, rate);

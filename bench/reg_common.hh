@@ -2,17 +2,17 @@
  * @file
  * Shared harnesses for the registration-discipline shoot-out
  * (docs/REGISTRATION.md): the §6.1 storage workload and the KV RPC
- * workload, each runnable under any hpc::RegMode. Used by
+ * workload, each runnable under any core::RegMode. Used by
  * fig10_whatif (the what-if extension section) and reg_shootout
- * (the tier-9 smoke + alloc gate), so both benches agree on what
- * each discipline means per workload:
+ * (the tier-9 smoke + alloc gate). The target and the server hold
+ * the core::Registration; what each discipline means per workload:
  *
- *   copy            storage: the classic pinned tgt (its comm-pool
- *                   architecture already copies via pinned chunks);
- *                   KV: values copied into a pinned scratch buffer.
- *   pin-down-cache  per-IO beforeDma through core::PinDownCache.
- *   npf             nothing registered; NPFs resolve at DMA time.
- *   np-rdma         per-IO map/unmap through core::NpRdmaMapping.
+ *   copy     storage: the classic pinned tgt (its comm-pool
+ *            architecture already copies via pinned chunks);
+ *            KV: values copied into a pinned scratch buffer.
+ *   pin      per-IO beforeDma through core::PinDownCache.
+ *   npf      nothing registered; NPFs resolve at DMA time.
+ *   np-rdma  per-IO map/unmap through core::NpRdmaMapping.
  */
 
 #ifndef NPF_BENCH_REG_COMMON_HH
@@ -25,26 +25,10 @@
 
 #include "app/storage.hh"
 #include "bench/common.hh"
-#include "hpc/cluster.hh"
+#include "core/registration.hh"
 #include "scenario/ib_world.hh"
 
 namespace npf::bench {
-
-/** The shoot-out's strategy for @p mode, or nullptr (copy / npf). */
-inline std::unique_ptr<core::PinningStrategy>
-makeRegStrategy(hpc::RegMode mode, core::NpfController &npfc,
-                core::ChannelId ch)
-{
-    switch (mode) {
-      case hpc::RegMode::PinDownCache:
-        return std::make_unique<core::PinDownCache>(npfc, ch,
-                                                    /*capacity=*/0);
-      case hpc::RegMode::NpRdma:
-        return std::make_unique<core::NpRdmaMapping>(npfc, ch);
-      default:
-        return nullptr;
-    }
-}
 
 /** What one workload run produced under one discipline. */
 struct RegRunResult
@@ -59,18 +43,14 @@ struct RegRunResult
 };
 
 inline void
-fillRegStats(RegRunResult &r, hpc::RegMode mode,
-             core::NpfController &npfc, core::ChannelId ch,
-             core::PinningStrategy *reg)
+fillRegStats(RegRunResult &r, core::NpfController &npfc,
+             core::ChannelId ch, const core::Registration &reg)
 {
     r.npfs = npfc.stats().npfs;
     const auto &tlb = npfc.iommu(ch).tlb().stats();
     r.tlbInvalidations = tlb.invalidations;
     r.tlbRefreshes = tlb.refreshes;
-    if (mode == hpc::RegMode::NpRdma)
-        r.regOps = static_cast<core::NpRdmaMapping *>(reg)->stats().maps;
-    else if (mode == hpc::RegMode::PinDownCache)
-        r.regOps = static_cast<core::PinDownCache *>(reg)->misses();
+    r.regOps = reg.regOps();
 }
 
 /**
@@ -78,7 +58,7 @@ fillRegStats(RegRunResult &r, hpc::RegMode mode,
  * fio initiator (random 64 KB reads, queue depth 8) over 56 Gb/s IB.
  */
 inline RegRunResult
-regStorageRun(hpc::RegMode mode, std::uint64_t seed, sim::Time warm,
+regStorageRun(core::RegMode mode, std::uint64_t seed, sim::Time warm,
               sim::Time meas)
 {
     sim::EventQueue eq;
@@ -99,13 +79,12 @@ regStorageRun(hpc::RegMode mode, std::uint64_t seed, sim::Time warm,
 
     app::StorageConfig scfg;
     scfg.lunBytes = 256ull << 20; // bench-sized LUN
-    scfg.pinned = mode == hpc::RegMode::Copy; // the pinned/copy tgt
-    app::StorageTarget tgt(eq, tgtAs, scfg);
+    app::StorageTarget tgt(eq, tgtAs, scfg,
+                           core::Registration(mode, tgtNpfc, tch));
     if (!tgt.ok())
         return {};
-    auto reg = makeRegStrategy(mode, tgtNpfc, tch);
     auto queue = std::make_shared<std::deque<app::IoRequest>>();
-    tgt.addSession(qpT, queue, reg.get());
+    tgt.addSession(qpT, queue);
     app::FioClient fio(eq, qpF, fioAs, queue, 64 * 1024,
                        /*queue_depth=*/8, scfg.lunBytes, 0x5eed + seed);
     fio.start();
@@ -118,7 +97,7 @@ regStorageRun(hpc::RegMode mode, std::uint64_t seed, sim::Time warm,
     RegRunResult r;
     r.mbps = double(fio.bytesRead()) / sim::toSeconds(meas) / 1e6;
     r.ops = fio.completed();
-    fillRegStats(r, mode, tgtNpfc, tch, reg.get());
+    fillRegStats(r, tgtNpfc, tch, tgt.registration());
     return r; // teardown mid-flight, like fig08's bed
 }
 
@@ -136,7 +115,7 @@ struct RegRunHooks
  * are copied into the pinned scratch region instead.
  */
 inline RegRunResult
-regKvRun(hpc::RegMode mode, std::uint64_t seed, sim::Time warm,
+regKvRun(core::RegMode mode, std::uint64_t seed, sim::Time warm,
          sim::Time meas, double rate_per_sec = 120e3,
          const RegRunHooks &hooks = {})
 {
@@ -151,13 +130,8 @@ regKvRun(hpc::RegMode mode, std::uint64_t seed, sim::Time warm,
 
     sim::EventQueue eq;
     scenario::IbBed bed(eq);
-    auto reg = makeRegStrategy(mode, bed.serverNpfc, bed.sch);
-    app::KvRpcConfig rpc;
-    rpc.copyValues = mode == hpc::RegMode::Copy;
     scenario::KvWorld w(bed, pc, load::RecorderConfig{warm, meas},
-                        {.rpc = rpc, .reserveHistograms = true});
-    // The discipline is in place before the first QP exists.
-    w.server.setRegistration(reg.get());
+                        {.reg = mode, .reserveHistograms = true});
     w.connect(4);
     load::ClientPool &pool = w.pool;
     pool.start();
@@ -172,7 +146,7 @@ regKvRun(hpc::RegMode mode, std::uint64_t seed, sim::Time warm,
 
     RegRunResult r;
     r.ops = pool.completions() - ops0;
-    fillRegStats(r, mode, bed.serverNpfc, bed.sch, reg.get());
+    fillRegStats(r, bed.serverNpfc, bed.sch, w.server.registration());
     pool.stop();
     return r;
 }

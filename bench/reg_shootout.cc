@@ -6,8 +6,7 @@
  * (beff), storage (iSER/fio), and KV RPC workloads, with
  * deterministic output suitable for digest pinning.
  *
- * Flags (on top of the obs flags and --trace-overwrite; table in
- * bench/flags.hh):
+ * Flags (on top of the obs flags; table in bench/flags.hh):
  *   --seed=N       workload seed (client arrivals, fio offsets)
  *   --mode=M       copy | pin | npf | np-rdma | all (default all)
  *   --smoke        shorter windows / fewer reps (tier-9 setting)
@@ -26,6 +25,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "bench/reg_common.hh"
 #include "bench/report.hh"
@@ -35,6 +35,7 @@
 using namespace npf;
 using namespace npf::bench;
 using namespace npf::hpc;
+using core::RegMode;
 
 int
 main(int argc, char **argv)
@@ -54,11 +55,12 @@ main(int argc, char **argv)
 
     Report rep("reg_shootout");
     unsigned iter = 0;
-    for (RegMode mode : {RegMode::Copy, RegMode::PinDownCache,
-                         RegMode::Npf, RegMode::NpRdma}) {
-        if (a.mode && *a.mode != mode)
-            continue;
-        const char *name = regModeName(mode);
+    const std::vector<RegMode> modes =
+        a.mode ? std::vector{*a.mode}
+               : std::vector{RegMode::Copy, RegMode::PinDownCache,
+                             RegMode::Npf, RegMode::NpRdma};
+    for (RegMode mode : modes) {
+        const char *name = core::regModeName(mode);
 
         // HPC collective: effective bandwidth on a small cluster.
         // (Seed-independent: beff's traffic patterns are fixed.)
@@ -101,7 +103,8 @@ main(int argc, char **argv)
         hooks.onMeasureEnd = [&] { after = scenario::allocCount(); };
         const RegMode gm = a.gateMode;
         regKvRun(gm, seed, warm, meas, 120e3, hooks);
-        rep.gate(std::string("reg_steady_allocs[") + regModeName(gm) + "]",
+        rep.gate(std::string("reg_steady_allocs[") + core::regModeName(gm) +
+                     "]",
                  after - before, Cmp::Eq, 0);
     }
     return rep.finish();

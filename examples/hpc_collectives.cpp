@@ -8,6 +8,7 @@
  */
 
 #include <cstdio>
+#include <utility>
 
 #include "hpc/imb.hh"
 
@@ -26,18 +27,16 @@ main()
                 kMsg / 1024, kIters);
     std::printf("%-16s %12s %14s %16s\n", "registration", "time [ms]",
                 "rNPFs", "pinned bytes/rank");
-    for (RegMode mode :
-         {RegMode::Copy, RegMode::PinDownCache, RegMode::Npf}) {
+    using core::RegMode;
+    for (auto [mode, pinned] :
+         {std::pair{RegMode::Copy, "bounce only"},
+          std::pair{RegMode::PinDownCache, "grows with use"},
+          std::pair{RegMode::Npf, "zero"}}) {
         sim::EventQueue eq;
         Cluster cluster(eq, cfg, mode);
         double secs = runImb(cluster, ImbBenchmark::Alltoall, kMsg,
                              kIters);
-        const char *pinned = mode == RegMode::PinDownCache
-                                 ? "grows with use"
-                                 : mode == RegMode::Copy
-                                       ? "bounce only"
-                                       : "zero";
-        std::printf("%-16s %12.2f %14llu %16s\n", regModeName(mode),
+        std::printf("%-16s %12.2f %14llu %16s\n", core::regModeName(mode),
                     secs * 1e3,
                     static_cast<unsigned long long>(
                         cluster.totalRnpfs()),

@@ -49,8 +49,10 @@ runOnce(bool pinned)
     qp_i.connect(qp_t);
 
     StorageConfig cfg;
-    cfg.pinned = pinned;
-    StorageTarget tgt(eq, tgt_as, cfg);
+    StorageTarget tgt(
+        eq, tgt_as, cfg,
+        core::Registration(pinned ? core::RegMode::Copy : core::RegMode::Npf,
+                           tgt_nic, tch));
     if (!tgt.ok()) {
         std::printf("%-8s failed to start: cannot pin the 1 GB "
                     "communication pool\n",

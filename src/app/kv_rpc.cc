@@ -8,11 +8,12 @@ namespace npf::app {
 
 KvRcServer::KvRcServer(sim::EventQueue &eq, KvStore &store,
                        HostModel &host, mem::AddressSpace &as,
-                       KvRpcConfig cfg)
-    : eq_(eq), store_(store), host_(host), as_(as), cfg_(cfg)
+                       KvRpcConfig cfg, core::Registration reg)
+    : eq_(eq), store_(store), host_(host), as_(as), cfg_(cfg),
+      reg_(std::move(reg))
 {
     scratchBytes_ = std::max<std::size_t>(cfg_.missReplyBytes, 64);
-    if (cfg_.copyValues)
+    if (reg_.copies())
         scratchBytes_ =
             std::max(scratchBytes_, cfg_.valueBytes + 48);
     scratch_ = as_.allocRegion(scratchBytes_, "kvrpc-scratch");
@@ -58,14 +59,9 @@ KvRcServer::addSession(ib::QueuePair &qp, KvRpcRequestQueue requests,
             handleRequest(*raw);
             return;
         }
-        if (raw->inflight.empty())
-            return;
         // Send completed: the DMA read is over, so a per-IO
         // registration discipline unmaps the value extent now.
-        PendingDma d = raw->inflight.front();
-        raw->inflight.pop_front();
-        if (reg_ != nullptr && d.len != 0) {
-            sim::Time t = reg_->afterDma(d.addr, d.len);
+        if (sim::Time t = raw->inflight.complete(reg_)) {
             busyUntil_ = std::max(eq_.now(), busyUntil_) + t;
             obs::attributor().charge(attrLane_, obs::Phase::Server, t);
         }
@@ -100,16 +96,16 @@ KvRcServer::handleRequest(Session &s)
                             : store_.getRef(req.key);
     sim::Time cpu = host_.scaled(cfg_.baseOpCpu) + kr.memCost;
 
-    // The copy discipline stages the value into the pinned scratch
+    // A copying discipline stages the value into the pinned scratch
     // region; otherwise the response DMA-reads item memory directly,
     // and a per-IO discipline maps that extent before the post.
     bool hit_payload = !req.isSet && kr.hit;
-    bool value_send = hit_payload && !cfg_.copyValues;
-    if (hit_payload && cfg_.copyValues)
+    bool value_send = hit_payload && !reg_.copies();
+    if (hit_payload && reg_.copies())
         cpu += sim::fromSeconds(double(cfg_.valueBytes + 48) /
                                 cfg_.copyBwBytesPerSec);
-    if (reg_ != nullptr && value_send)
-        cpu += reg_->beforeDma(kr.valueAddr, cfg_.valueBytes + 48);
+    if (value_send)
+        cpu += reg_.beforeDma(kr.valueAddr, cfg_.valueBytes + 48);
 
     sim::Time start = std::max(eq_.now(), busyUntil_);
     sim::Time done = start + cpu;
@@ -129,10 +125,9 @@ KvRcServer::handleRequest(Session &s)
         wr.local = value_send ? kr.valueAddr : scratch_;
         wr.len =
             hit_payload ? cfg_.valueBytes + 48 : cfg_.missReplyBytes;
-        if (reg_ != nullptr)
-            raw->inflight.push_back(PendingDma{
-                value_send ? kr.valueAddr : mem::VirtAddr(0),
-                value_send ? cfg_.valueBytes + 48 : std::size_t(0)});
+        if (reg_.perIo())
+            raw->inflight.push(value_send ? kr.valueAddr : 0,
+                               value_send ? cfg_.valueBytes + 48 : 0);
         raw->qp->postSend(wr);
     }, "app.kv_rpc.reply");
 }

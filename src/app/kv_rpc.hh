@@ -26,7 +26,7 @@
 
 #include "app/host_model.hh"
 #include "app/kv_store.hh"
-#include "core/pinning.hh"
+#include "core/registration.hh"
 #include "ib/queue_pair.hh"
 #include "load/client_pool.hh"
 #include "sim/ring_deque.hh"
@@ -43,11 +43,7 @@ struct KvRpcConfig
     std::size_t requestBytes = 64;
     std::size_t missReplyBytes = 64;
     unsigned recvSlots = 64; ///< pre-posted receive WQEs per session
-    /** Copy GET values into the pinned scratch region instead of
-     *  zero-copy DMA from the item memory (the "copy" registration
-     *  discipline — docs/REGISTRATION.md). */
-    bool copyValues = false;
-    /** memcpy bandwidth for copyValues. */
+    /** memcpy bandwidth when the registration copies values. */
     double copyBwBytesPerSec = 12e9;
 };
 
@@ -81,31 +77,25 @@ using KvRpcResponseQueue = std::shared_ptr<sim::RingDeque<KvRpcResponse>>;
 class KvRcServer
 {
   public:
+    /**
+     * @param reg the value memory's discipline. NPF (the default)
+     *   posts GET-hit responses straight from item memory and faults
+     *   on access; a copying one stages values into the pinned
+     *   scratch region; a perIo() one brackets each value extent with
+     *   beforeDma()/afterDma().
+     */
     KvRcServer(sim::EventQueue &eq, KvStore &store, HostModel &host,
-               mem::AddressSpace &as, KvRpcConfig cfg = {});
+               mem::AddressSpace &as, KvRpcConfig cfg = {},
+               core::Registration reg = {});
 
     /** Register one session (QP already connected). */
     void addSession(ib::QueuePair &qp, KvRpcRequestQueue requests,
                     KvRpcResponseQueue responses);
 
-    /**
-     * Use @p reg for the zero-copy value memory: GET-hit responses
-     * bracket their DMA-source with beforeDma()/afterDma() (per-IO
-     * registration, NP-RDMA style). nullptr (default) keeps the
-     * NPF/ODP behavior: post directly, fault on access.
-     */
-    void setRegistration(core::PinningStrategy *reg) { reg_ = reg; }
-
     std::uint64_t opsServed() const { return ops_; }
+    const core::Registration &registration() const { return reg_; }
 
   private:
-    /** One posted Send's DMA extent; len 0 = scratch (pinned). */
-    struct PendingDma
-    {
-        mem::VirtAddr addr = 0;
-        std::size_t len = 0;
-    };
-
     struct Session
     {
         ib::QueuePair *qp = nullptr;
@@ -113,8 +103,8 @@ class KvRcServer
         KvRpcResponseQueue responses;
         mem::VirtAddr recvRegion = 0;
         unsigned nextRecv = 0;
-        /// Sends in flight, wire order (RC completes in order).
-        sim::RingDeque<PendingDma> inflight;
+        /// Sends in flight under a perIo() registration.
+        core::InflightDma inflight;
     };
 
     void postRecv(Session &s);
@@ -125,7 +115,7 @@ class KvRcServer
     HostModel &host_;
     mem::AddressSpace &as_;
     KvRpcConfig cfg_;
-    core::PinningStrategy *reg_ = nullptr; ///< optional, not owned
+    core::Registration reg_;
     mem::VirtAddr scratch_ = 0; ///< miss/ack reply source (warm)
     std::size_t scratchBytes_ = 0;
     sim::Time busyUntil_ = 0;

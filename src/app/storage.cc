@@ -12,8 +12,8 @@ constexpr std::size_t kPoolBytes = 1ull << 30; ///< tgt's comm pool (§6.1)
 } // namespace
 
 StorageTarget::StorageTarget(sim::EventQueue &eq, mem::AddressSpace &as,
-                             StorageConfig cfg)
-    : eq_(eq), as_(as), cfg_(cfg), disk_(cfg.disk)
+                             StorageConfig cfg, core::Registration reg)
+    : eq_(eq), as_(as), cfg_(cfg), reg_(std::move(reg)), disk_(cfg.disk)
 {
     cache_ = std::make_unique<mem::PageCache>(
         as_, cfg_.lunBytes, [this](std::uint64_t, std::size_t bytes) {
@@ -23,7 +23,7 @@ StorageTarget::StorageTarget(sim::EventQueue &eq, mem::AddressSpace &as,
     // tgt statically allocates a 1 GB communication buffer pool;
     // the baseline pins it, the NPF build leaves it demand-paged.
     poolBase_ = as_.allocRegion(kPoolBytes, "comm-pool");
-    if (cfg_.pinned) {
+    if (reg_.copies()) {
         mem::AccessResult res = as_.pinRange(poolBase_, kPoolBytes);
         if (!res.ok) {
             // "the pinned configuration fails to load the tgt
@@ -35,13 +35,11 @@ StorageTarget::StorageTarget(sim::EventQueue &eq, mem::AddressSpace &as,
 
 void
 StorageTarget::addSession(
-    ib::QueuePair &qp, std::shared_ptr<std::deque<IoRequest>> request_queue,
-    core::PinningStrategy *reg)
+    ib::QueuePair &qp, std::shared_ptr<std::deque<IoRequest>> request_queue)
 {
     auto s = std::make_unique<Session>();
     s->qp = &qp;
     s->requests = std::move(request_queue);
-    s->reg = reg;
     std::size_t per_session = cfg_.chunkBytes * cfg_.chunksPerSession;
     std::size_t idx = sessions_.size();
     assert((idx + 1) * per_session <= kPoolBytes &&
@@ -50,7 +48,7 @@ StorageTarget::addSession(
 
     // Post receive WQEs for inbound requests.
     s->recvRegion = as_.allocRegion(kMsgBytes * 64, "req-bufs");
-    if (reg != nullptr) {
+    if (reg_.perIo()) {
         // Per-IO registration modes map the control ring up front
         // (the NIC must never fault — there is no NPF/RNR path).
         as_.touch(s->recvRegion, kMsgBytes * 64, true);
@@ -72,14 +70,9 @@ StorageTarget::addSession(
                 handleRequest(*sp);
             return;
         }
-        if (sp->reg == nullptr || sp->inflight.empty())
-            return;
         // Send completed: a per-IO discipline unmaps the extent now.
-        PendingDma d = sp->inflight.front();
-        sp->inflight.pop_front();
-        if (d.len != 0)
-            busyUntil_ = std::max(eq_.now(), busyUntil_) +
-                         sp->reg->afterDma(d.addr, d.len);
+        if (sim::Time t = sp->inflight.complete(reg_))
+            busyUntil_ = std::max(eq_.now(), busyUntil_) + t;
     });
     sessions_.push_back(std::move(s));
 }
@@ -107,10 +100,8 @@ StorageTarget::handleRequest(Session &s)
 
     // Per-IO registration: map the data chunk and the response-header
     // extent before posting (NP-RDMA style dynamic DMA mapping).
-    if (s.reg != nullptr) {
-        cost += s.reg->beforeDma(chunk, req.len);
-        cost += s.reg->beforeDma(s.chunkRegion, kMsgBytes);
-    }
+    cost += reg_.beforeDma(chunk, req.len);
+    cost += reg_.beforeDma(s.chunkRegion, kMsgBytes);
 
     sim::Time start = std::max(eq_.now(), busyUntil_);
     sim::Time done = start + cost;
@@ -126,9 +117,9 @@ StorageTarget::handleRequest(Session &s)
         w.remote = req.initiatorBuf;
         w.len = req.len;
         w.wrId = req.id;
-        if (s.reg != nullptr) {
-            s.inflight.push_back(PendingDma{chunk, req.len});
-            s.inflight.push_back(PendingDma{s.chunkRegion, kMsgBytes});
+        if (reg_.perIo()) {
+            s.inflight.push(chunk, req.len);
+            s.inflight.push(s.chunkRegion, kMsgBytes);
         }
         s.qp->postSend(w);
 

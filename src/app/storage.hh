@@ -2,8 +2,8 @@
  * @file
  * The §6.1 storage workload: a tgt-style iSER target serving a 4 GB
  * LUN from a page cache, with per-transaction 512 KB communication
- * chunks that are either statically pinned (baseline) or demand-
- * paged via NPFs; plus a fio-style random-read initiator.
+ * chunks that are either statically pinned (the copying baseline) or
+ * demand-paged via NPFs; plus a fio-style random-read initiator.
  */
 
 #ifndef NPF_APP_STORAGE_HH
@@ -15,13 +15,12 @@
 #include <vector>
 
 #include "app/disk.hh"
-#include "core/pinning.hh"
+#include "core/registration.hh"
 #include "ib/queue_pair.hh"
 #include "load/recorder.hh"
 #include "mem/memory_manager.hh"
 #include "mem/page_cache.hh"
 #include "sim/random.hh"
-#include "sim/ring_deque.hh"
 
 namespace npf::app {
 
@@ -31,7 +30,6 @@ struct StorageConfig
     std::size_t lunBytes = 4ull << 30;
     std::size_t chunkBytes = 512 * 1024; ///< per-transaction buffer
     unsigned chunksPerSession = 25;      ///< tgt's per-connection pool
-    bool pinned = true;                  ///< baseline vs NPF mode
     sim::Time perIoCpu = sim::fromMicroseconds(15);
     DiskConfig disk;
 };
@@ -56,24 +54,26 @@ class StorageTarget
   public:
     /**
      * @param as the tgt daemon's address space (page cache + chunks).
+     * @param reg the tgt channel's discipline. A copying one is the
+     *   classic tgt, which pins its whole communication pool; NPF
+     *   (the default) leaves the pool demand-paged; a perIo() one
+     *   maps each session's request ring up front and brackets every
+     *   outbound DMA (data chunk + response header) with
+     *   beforeDma()/afterDma() (docs/REGISTRATION.md).
      */
     StorageTarget(sim::EventQueue &eq, mem::AddressSpace &as,
-                  StorageConfig cfg);
+                  StorageConfig cfg, core::Registration reg = {});
 
-    /** False when pinned-mode setup failed (not enough memory). */
+    /** False when pinning the pool failed (not enough memory). */
     bool ok() const { return ok_; }
 
     /**
      * Register one session. @p qp is the target-side queue pair
      * (already connected); @p request_queue is the out-of-band
-     * request descriptor channel shared with the initiator. If
-     * @p reg is non-null the session brackets every outbound DMA
-     * (data chunk + response header) with beforeDma()/afterDma() —
-     * the per-IO registration disciplines (docs/REGISTRATION.md).
+     * request descriptor channel shared with the initiator.
      */
     void addSession(ib::QueuePair &qp,
-                    std::shared_ptr<std::deque<IoRequest>> request_queue,
-                    core::PinningStrategy *reg = nullptr);
+                    std::shared_ptr<std::deque<IoRequest>> request_queue);
 
     std::uint64_t iosServed() const { return ios_; }
     Disk &disk() { return disk_; }
@@ -81,15 +81,9 @@ class StorageTarget
 
     /** Resident bytes of the tgt process (Fig. 8(b)'s metric). */
     std::size_t residentBytes() const { return as_.residentBytes(); }
+    const core::Registration &registration() const { return reg_; }
 
   private:
-    /** One posted Send's DMA extent (per-IO registration modes). */
-    struct PendingDma
-    {
-        mem::VirtAddr addr = 0;
-        std::size_t len = 0;
-    };
-
     struct Session
     {
         ib::QueuePair *qp;
@@ -98,9 +92,8 @@ class StorageTarget
         mem::VirtAddr recvRegion = 0;
         unsigned nextChunk = 0;
         std::uint64_t nextRecvId = 1;
-        core::PinningStrategy *reg = nullptr; ///< optional, not owned
-        /// Sends in flight, wire order (RC completes in order).
-        sim::RingDeque<PendingDma> inflight;
+        /// Sends in flight under a perIo() registration.
+        core::InflightDma inflight;
     };
 
     void handleRequest(Session &s);
@@ -108,6 +101,7 @@ class StorageTarget
     sim::EventQueue &eq_;
     mem::AddressSpace &as_;
     StorageConfig cfg_;
+    core::Registration reg_;
     Disk disk_;
     mem::VirtAddr poolBase_ = 0;
     std::unique_ptr<mem::PageCache> cache_;

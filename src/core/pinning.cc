@@ -7,83 +7,25 @@ namespace npf::core {
 namespace {
 
 sim::Time
-pinCost(const PinCosts &c, std::size_t pages)
+pinCost(std::size_t pages)
 {
-    return c.pinBase + pages * (c.pinPerPage + c.iommuMapPerPage);
+    return kPinCosts.pinBase +
+           pages * (kPinCosts.pinPerPage + kPinCosts.iommuMapPerPage);
 }
 
 sim::Time
-unpinCost(const PinCosts &c, std::size_t pages)
+unpinCost(std::size_t pages)
 {
-    return c.unpinBase + pages * c.unpinPerPage;
+    return kPinCosts.unpinBase + pages * kPinCosts.unpinPerPage;
 }
 
 } // namespace
 
-// --- StaticPinning ---------------------------------------------------
-
-StaticPinning::StaticPinning(NpfController &npfc, ChannelId ch,
-                             PinCosts costs)
-    : npfc_(npfc), ch_(ch), costs_(costs)
-{
-}
-
-sim::Time
-StaticPinning::setup(mem::VirtAddr base, std::size_t len)
-{
-    mem::AddressSpace &as = npfc_.space(ch_);
-    mem::AccessResult res = as.pinRange(base, len);
-    if (!res.ok) {
-        ok_ = false;
-        return res.cost;
-    }
-    std::size_t pages = mem::pagesCovering(base, len);
-    pinnedBytes_ += pages * mem::kPageSize;
-    // Map everything in the IOMMU once; DMAs never fault again.
-    mem::AccessResult pf = npfc_.prefault(ch_, base, len, /*write=*/true);
-    return res.cost + pf.cost + pinCost(costs_, pages);
-}
-
-// --- FineGrainedPinning ------------------------------------------------
-
-FineGrainedPinning::FineGrainedPinning(NpfController &npfc, ChannelId ch,
-                                       PinCosts costs)
-    : npfc_(npfc), ch_(ch), costs_(costs)
-{
-}
-
-sim::Time
-FineGrainedPinning::beforeDma(mem::VirtAddr addr, std::size_t len)
-{
-    mem::AddressSpace &as = npfc_.space(ch_);
-    mem::AccessResult res = as.pinRange(addr, len);
-    if (!res.ok) {
-        ok_ = false;
-        return res.cost;
-    }
-    std::size_t pages = mem::pagesCovering(addr, len);
-    pinnedBytes_ += pages * mem::kPageSize;
-    mem::AccessResult pf = npfc_.prefault(ch_, addr, len, /*write=*/true);
-    return res.cost + pf.cost + pinCost(costs_, pages);
-}
-
-sim::Time
-FineGrainedPinning::afterDma(mem::VirtAddr addr, std::size_t len)
-{
-    mem::AddressSpace &as = npfc_.space(ch_);
-    as.unpinRange(addr, len);
-    std::size_t pages = mem::pagesCovering(addr, len);
-    assert(pinnedBytes_ >= pages * mem::kPageSize);
-    pinnedBytes_ -= pages * mem::kPageSize;
-    InvalidationBreakdown inv = npfc_.invalidateRange(ch_, addr, len);
-    return unpinCost(costs_, pages) + inv.total();
-}
-
 // --- PinDownCache ------------------------------------------------------
 
 PinDownCache::PinDownCache(NpfController &npfc, ChannelId ch,
-                           std::size_t capacity_bytes, PinCosts costs)
-    : npfc_(npfc), ch_(ch), capacity_(capacity_bytes), costs_(costs)
+                           std::size_t capacity_bytes)
+    : npfc_(npfc), ch_(ch), capacity_(capacity_bytes)
 {
 }
 
@@ -98,7 +40,7 @@ PinDownCache::beforeDma(mem::VirtAddr addr, std::size_t len)
         if (addr >= r.base && addr + len <= r.base + r.len) {
             ++hits_;
             lru_.splice(lru_.begin(), lru_, it->second.lruIt);
-            return costs_.cacheLookup;
+            return kPinCosts.cacheLookup;
         }
     }
 
@@ -155,7 +97,7 @@ PinDownCache::beforeDma(mem::VirtAddr addr, std::size_t len)
     cost += res.cost;
     std::size_t pages = mem::pagesCovering(addr, len);
     mem::AccessResult pf = npfc_.prefault(ch_, addr, len, /*write=*/true);
-    cost += pf.cost + pinCost(costs_, pages) + costs_.regMrBase;
+    cost += pf.cost + pinCost(pages) + kPinCosts.regMrBase;
 
     mem::Vpn first = mem::pageOf(addr);
     mem::Vpn last = mem::pageOf(addr + len - 1);
@@ -192,7 +134,7 @@ PinDownCache::evictRegion(std::map<mem::VirtAddr, Region>::iterator it)
     as.unpinRange(r.base, r.len);
 
     std::size_t pages = mem::pagesCovering(r.base, r.len);
-    sim::Time cost = unpinCost(costs_, pages);
+    sim::Time cost = unpinCost(pages);
 
     // Drop page refcounts; invalidate only runs no sibling region
     // still covers. A still-covered page must keep its device mapping
@@ -230,8 +172,8 @@ PinDownCache::evictRegion(std::map<mem::VirtAddr, Region>::iterator it)
 // --- NpRdmaMapping ----------------------------------------------------
 
 NpRdmaMapping::NpRdmaMapping(NpfController &npfc, ChannelId ch,
-                             std::size_t table_entries, MapCosts costs)
-    : npfc_(npfc), ch_(ch), costs_(costs),
+                             std::size_t table_entries)
+    : npfc_(npfc), ch_(ch),
       table_(table_entries == 0 ? 1 : table_entries)
 {
     table_.reserve(table_.capacity());
@@ -280,7 +222,7 @@ NpRdmaMapping::warmTlb(mem::VirtAddr addr, std::size_t len)
 sim::Time
 NpRdmaMapping::beforeDma(mem::VirtAddr addr, std::size_t len)
 {
-    sim::Time cost = costs_.tableLookup;
+    sim::Time cost = kMapCosts.tableLookup;
     if (len == 0)
         return cost;
 
@@ -300,10 +242,8 @@ NpRdmaMapping::beforeDma(mem::VirtAddr addr, std::size_t len)
         mem::VirtAddr tail = addr + e.len;
         std::size_t tail_len = len - e.len;
         mem::AccessResult pf = npfc_.prefault(ch_, tail, tail_len, true);
-        if (!pf.ok) {
-            ok_ = false;
+        if (!pf.ok)
             return cost + pf.cost;
-        }
         std::size_t pages = mem::pagesCovering(tail, tail_len);
         warmTlb(tail, tail_len);
         e.len = len;
@@ -311,8 +251,8 @@ NpRdmaMapping::beforeDma(mem::VirtAddr addr, std::size_t len)
         ++stats_.maps;
         stats_.pagesMapped += pages;
         table_.touch(s);
-        return cost + pf.cost + costs_.mapBase +
-               pages * costs_.mapPerPage;
+        return cost + pf.cost + kMapCosts.mapBase +
+               pages * kMapCosts.mapPerPage;
     }
 
     // Fresh mapping. The table bounds how many in-flight extents the
@@ -325,15 +265,13 @@ NpRdmaMapping::beforeDma(mem::VirtAddr addr, std::size_t len)
     // No pinning: fault the pages in CPU-side and install the IOMMU
     // PTEs. The memory stays reclaimable the whole time.
     mem::AccessResult pf = npfc_.prefault(ch_, addr, len, /*write=*/true);
-    if (!pf.ok) {
-        ok_ = false;
+    if (!pf.ok)
         return cost + pf.cost;
-    }
     std::size_t pages = mem::pagesCovering(addr, len);
     warmTlb(addr, len);
     ++stats_.maps;
     stats_.pagesMapped += pages;
-    cost += pf.cost + costs_.mapBase + pages * costs_.mapPerPage;
+    cost += pf.cost + kMapCosts.mapBase + pages * kMapCosts.mapPerPage;
 
     if (tracked)
         table_.insert(addr, Extent{len, 1});
@@ -343,7 +281,7 @@ NpRdmaMapping::beforeDma(mem::VirtAddr addr, std::size_t len)
 sim::Time
 NpRdmaMapping::afterDma(mem::VirtAddr addr, std::size_t len)
 {
-    sim::Time cost = costs_.tableLookup;
+    sim::Time cost = kMapCosts.tableLookup;
     if (len == 0)
         return cost;
 
@@ -365,7 +303,7 @@ sim::Time
 NpRdmaMapping::unmapExtent(mem::VirtAddr base, std::size_t len)
 {
     std::size_t pages = mem::pagesCovering(base, len);
-    sim::Time cost = costs_.unmapBase + pages * costs_.unmapPerPage;
+    sim::Time cost = kMapCosts.unmapBase + pages * kMapCosts.unmapPerPage;
     ++stats_.unmaps;
 
     // Per-IO unmap with per-page IOTLB invalidation — the price of

@@ -1,13 +1,11 @@
 /**
  * @file
- * The five memory-registration disciplines: the four the paper
- * compares (Table 3) — static pinning, fine-grained pinning, a
- * coarse-grained pin-down cache, and NPF ("none") — plus the
- * NP-RDMA-style on-demand IOVA mapping discipline (dynamic DMA
- * mapping with a driver-side translation table; see
- * docs/REGISTRATION.md). Applications and the HPC middleware call
- * beforeDma()/afterDma() around each transfer and are charged
- * whatever the discipline costs.
+ * The two registration disciplines that do work per transfer: the
+ * paper's coarse-grained pin-down cache (§2.2) and NP-RDMA-style
+ * on-demand IOVA mapping (dynamic DMA mapping with a driver-side
+ * translation table). core::Registration (core/registration.hh) puts
+ * them behind one interface together with copying and NPF, which
+ * register nothing; see docs/REGISTRATION.md.
  */
 
 #ifndef NPF_CORE_PINNING_HH
@@ -16,8 +14,6 @@
 #include <cstdint>
 #include <list>
 #include <map>
-#include <memory>
-#include <string>
 
 #include "core/npf_controller.hh"
 #include "mem/address_space.hh"
@@ -27,7 +23,7 @@
 
 namespace npf::core {
 
-/** Cost knobs for pin/unpin/register operations (§2.2 overheads). */
+/** Costs of pin/unpin/register operations (§2.2 overheads). */
 struct PinCosts
 {
     /** mlock/get_user_pages fixed syscall cost. */
@@ -48,8 +44,11 @@ struct PinCosts
     sim::Time cacheLookup = 200;
 };
 
+/** The pin path's prices. */
+inline constexpr PinCosts kPinCosts{};
+
 /**
- * Cost knobs for NP-RDMA-style on-demand IOVA mapping (dynamic DMA
+ * Costs of NP-RDMA-style on-demand IOVA mapping (dynamic DMA
  * mapping through the kernel DMA API, amortized by a driver-side
  * translation table). Per-IO map/unmap replaces pin/unpin: there is
  * no get_user_pages refcounting and no ibv_reg_mr, just IOVA
@@ -71,83 +70,8 @@ struct MapCosts
     sim::Time tableLookup = 150;
 };
 
-/**
- * Interface of a registration discipline.
- *
- * ensureResident() is the one-time setup (static pinning pays here);
- * beforeDma()/afterDma() bracket each transfer. All methods return
- * the latency charged to the caller. ok() reports whether setup
- * succeeded — static pinning fails when memory cannot hold the whole
- * footprint, which is exactly the paper's Table 5 / Fig. 8(a)
- * "N/A / fails to load" outcome.
- */
-class PinningStrategy
-{
-  public:
-    virtual ~PinningStrategy() = default;
-
-    virtual const char *name() const = 0;
-
-    /** One-time setup for a buffer pool of [base, base+len). */
-    virtual sim::Time setup(mem::VirtAddr base, std::size_t len) = 0;
-
-    /** Per-transfer preparation of [addr, addr+len). */
-    virtual sim::Time beforeDma(mem::VirtAddr addr, std::size_t len) = 0;
-
-    /** Per-transfer teardown. */
-    virtual sim::Time afterDma(mem::VirtAddr addr, std::size_t len) = 0;
-
-    /** False after a failed setup (out of memory / pin limit). */
-    bool ok() const { return ok_; }
-
-    /** Bytes currently pinned by this strategy. */
-    std::size_t pinnedBytes() const { return pinnedBytes_; }
-
-  protected:
-    bool ok_ = true;
-    std::size_t pinnedBytes_ = 0;
-};
-
-/**
- * Static pinning: pin everything up front (SRIOV-to-VM style).
- * Simple and fast, but the memory is lost to overcommitment forever.
- */
-class StaticPinning : public PinningStrategy
-{
-  public:
-    StaticPinning(NpfController &npfc, ChannelId ch, PinCosts costs = {});
-
-    const char *name() const override { return "static"; }
-    sim::Time setup(mem::VirtAddr base, std::size_t len) override;
-    sim::Time beforeDma(mem::VirtAddr, std::size_t) override { return 0; }
-    sim::Time afterDma(mem::VirtAddr, std::size_t) override { return 0; }
-
-  private:
-    NpfController &npfc_;
-    ChannelId ch_;
-    PinCosts costs_;
-};
-
-/**
- * Fine-grained pinning: pin/map before every DMA, unmap/unpin after
- * (the kernel DMA-API discipline). Safe, memory-friendly, slow.
- */
-class FineGrainedPinning : public PinningStrategy
-{
-  public:
-    FineGrainedPinning(NpfController &npfc, ChannelId ch,
-                       PinCosts costs = {});
-
-    const char *name() const override { return "fine-grained"; }
-    sim::Time setup(mem::VirtAddr, std::size_t) override { return 0; }
-    sim::Time beforeDma(mem::VirtAddr addr, std::size_t len) override;
-    sim::Time afterDma(mem::VirtAddr addr, std::size_t len) override;
-
-  private:
-    NpfController &npfc_;
-    ChannelId ch_;
-    PinCosts costs_;
-};
+/** The NP-RDMA map path's prices. */
+inline constexpr MapCosts kMapCosts{};
 
 /**
  * Coarse-grained pin-down cache (§2.2): registered regions stay
@@ -155,7 +79,7 @@ class FineGrainedPinning : public PinningStrategy
  * state-of-the-art HPC middleware discipline the paper benchmarks
  * against in Fig. 9 / Table 6.
  */
-class PinDownCache : public PinningStrategy
+class PinDownCache
 {
   public:
     /**
@@ -163,13 +87,19 @@ class PinDownCache : public PinningStrategy
      *   HPC common case where the cache degenerates to pin-everything).
      */
     PinDownCache(NpfController &npfc, ChannelId ch,
-                 std::size_t capacity_bytes, PinCosts costs = {});
+                 std::size_t capacity_bytes);
 
-    const char *name() const override { return "pin-down-cache"; }
-    sim::Time setup(mem::VirtAddr, std::size_t) override { return 0; }
-    sim::Time beforeDma(mem::VirtAddr addr, std::size_t len) override;
-    sim::Time afterDma(mem::VirtAddr, std::size_t) override { return 0; }
+    /** Register [addr, addr+len) unless a cached region covers it:
+     *  a hit costs a lookup, a miss pins, maps and registers (after
+     *  evicting to fit the budget). @return the latency charged.
+     *  Regions stay registered, so there is no afterDma. */
+    sim::Time beforeDma(mem::VirtAddr addr, std::size_t len);
 
+    /** False once a registration could not be pinned even with the
+     *  cache evicted (out of memory / pin limit). */
+    bool ok() const { return ok_; }
+    /** Bytes currently pinned, each page once. */
+    std::size_t pinnedBytes() const { return pinnedBytes_; }
     std::uint64_t hits() const { return hits_; }
     std::uint64_t misses() const { return misses_; }
     /** Capacity / memory-pressure evictions only. */
@@ -191,7 +121,8 @@ class PinDownCache : public PinningStrategy
     NpfController &npfc_;
     ChannelId ch_;
     std::size_t capacity_;
-    PinCosts costs_;
+    bool ok_ = true;
+    std::size_t pinnedBytes_ = 0;
     std::map<mem::VirtAddr, Region> regions_; ///< by base address
     std::list<mem::VirtAddr> lru_;            ///< front = most recent
     /// Regions covering each pinned page; pinnedBytes_ counts a page
@@ -201,21 +132,6 @@ class PinDownCache : public PinningStrategy
     std::uint64_t misses_ = 0;
     std::uint64_t evictions_ = 0;
     std::uint64_t reregistrations_ = 0;
-};
-
-/**
- * NPF / ODP: no pinning at all. DMA faults are handled by the NIC +
- * NpfController at access time; before/after are free.
- */
-class NpfPinning : public PinningStrategy
-{
-  public:
-    explicit NpfPinning() = default;
-
-    const char *name() const override { return "npf"; }
-    sim::Time setup(mem::VirtAddr, std::size_t) override { return 0; }
-    sim::Time beforeDma(mem::VirtAddr, std::size_t) override { return 0; }
-    sim::Time afterDma(mem::VirtAddr, std::size_t) override { return 0; }
 };
 
 /**
@@ -236,7 +152,7 @@ class NpfPinning : public PinningStrategy
  * once at construction — the per-IO path performs no heap allocation
  * in steady state (scripts/check.sh tier 9 gates this).
  */
-class NpRdmaMapping : public PinningStrategy
+class NpRdmaMapping
 {
   public:
     struct Stats
@@ -263,12 +179,13 @@ class NpRdmaMapping : public PinningStrategy
      *   the driver-side translation table is sized once, here.
      */
     NpRdmaMapping(NpfController &npfc, ChannelId ch,
-                  std::size_t table_entries = 256, MapCosts costs = {});
+                  std::size_t table_entries = 256);
 
-    const char *name() const override { return "np-rdma"; }
-    sim::Time setup(mem::VirtAddr, std::size_t) override { return 0; }
-    sim::Time beforeDma(mem::VirtAddr addr, std::size_t len) override;
-    sim::Time afterDma(mem::VirtAddr addr, std::size_t len) override;
+    /** Map [addr, addr+len) for one IO. @return the latency charged. */
+    sim::Time beforeDma(mem::VirtAddr addr, std::size_t len);
+    /** Release the IO's mapping; the last reference unmaps.
+     *  @return the latency charged. */
+    sim::Time afterDma(mem::VirtAddr addr, std::size_t len);
 
     const Stats &stats() const { return stats_; }
     std::size_t tableSize() const { return table_.size(); }
@@ -290,7 +207,6 @@ class NpRdmaMapping : public PinningStrategy
 
     NpfController &npfc_;
     ChannelId ch_;
-    MapCosts costs_;
     Table table_;
     Stats stats_;
     obs::Instrumented obs_; ///< last member: deregisters first

@@ -10,24 +10,9 @@ constexpr std::size_t kBounceBytes = 8ull << 20; ///< covers 4 MB msgs
 
 } // namespace
 
-const char *
-regModeName(RegMode m)
-{
-    switch (m) {
-      case RegMode::Copy:
-        return "copy";
-      case RegMode::PinDownCache:
-        return "pin";
-      case RegMode::Npf:
-        return "npf";
-      case RegMode::NpRdma:
-        return "np-rdma";
-    }
-    return "?";
-}
-
-Cluster::Cluster(sim::EventQueue &eq, ClusterConfig cfg, RegMode mode)
-    : eq_(eq), cfg_(cfg), mode_(mode)
+Cluster::Cluster(sim::EventQueue &eq, ClusterConfig cfg,
+                 core::RegMode mode)
+    : eq_(eq), cfg_(cfg)
 {
     const bool facet = cfg_.engine != nullptr;
     assert((!facet || cfg_.topology.empty()) &&
@@ -51,7 +36,7 @@ Cluster::Cluster(sim::EventQueue &eq, ClusterConfig cfg, RegMode mode)
             channels_.push_back(0);
             bounceSend_.push_back(0);
             bounceRecv_.push_back(0);
-            pinStrategy_.push_back(nullptr);
+            regs_.emplace_back();
             continue;
         }
         hosts_.push_back(
@@ -72,17 +57,8 @@ Cluster::Cluster(sim::EventQueue &eq, ClusterConfig cfg, RegMode mode)
         bounceSend_.push_back(bs);
         bounceRecv_.push_back(br);
 
-        if (mode_ == RegMode::PinDownCache) {
-            pinStrategy_.push_back(std::make_unique<core::PinDownCache>(
-                *npfcs_[r], channels_[r], cfg_.pinDownCacheBytes,
-                cfg_.pinCosts));
-        } else if (mode_ == RegMode::NpRdma) {
-            pinStrategy_.push_back(std::make_unique<core::NpRdmaMapping>(
-                *npfcs_[r], channels_[r], cfg_.npRdmaTableEntries,
-                cfg_.mapCosts));
-        } else {
-            pinStrategy_.push_back(nullptr);
-        }
+        regs_.emplace_back(mode, *npfcs_[r], channels_[r],
+                           cfg_.pinDownCacheBytes);
     }
 
     // Full QP mesh (facet mode: only the rows of owned ranks).
@@ -145,6 +121,21 @@ Cluster::allocBuffer(unsigned rank, std::size_t bytes)
     return buf;
 }
 
+Cluster::Done
+Cluster::afterDmaThen(unsigned rank, mem::VirtAddr buf, std::size_t len,
+                      Done done)
+{
+    return [this, rank, buf, len, inner = std::move(done)] {
+        sim::Time t = regs_[rank].afterDma(buf, len);
+        if (t == 0 || !inner) {
+            if (inner)
+                inner();
+        } else {
+            eq_.scheduleAfter(t, inner);
+        }
+    };
+}
+
 void
 Cluster::isend(unsigned src, unsigned dst, mem::VirtAddr buf,
                std::size_t len, Done done)
@@ -153,32 +144,17 @@ Cluster::isend(unsigned src, unsigned dst, mem::VirtAddr buf,
     assert(ownsRank(src) && "isend must run on the src rank's facet");
     std::uint64_t id = nextWrId_++;
 
-    bool eager = len <= cfg_.eagerThreshold;
-    if (!eager && mode_ == RegMode::NpRdma) {
-        // Per-IO unmap: charged between DMA completion and delivery.
-        done = [this, src, buf, len, inner = std::move(done)] {
-            sim::Time t = pinStrategy_[src]->afterDma(buf, len);
-            if (t == 0 || !inner) {
-                if (inner)
-                    inner();
-            } else {
-                eq_.scheduleAfter(t, inner);
-            }
-        };
-    }
+    // Eager messages, and every message under a copying discipline,
+    // go through the pre-pinned bounce buffer; the rest are
+    // registered in place (NPF: posted directly, faults in the NIC).
+    core::Registration &reg = regs_[src];
+    const bool staged = len <= cfg_.eagerThreshold || reg.copies();
+    if (!staged)
+        done = afterDmaThen(src, buf, len, std::move(done));
     pending_[src][dst].sends[id] = std::move(done);
 
-    mem::VirtAddr dma_src = buf;
-    sim::Time pre = 0;
-
-    if (eager || mode_ == RegMode::Copy) {
-        pre = copyCost(len);
-        dma_src = bounceSend_[src];
-    } else if (mode_ == RegMode::PinDownCache ||
-               mode_ == RegMode::NpRdma) {
-        pre = pinStrategy_[src]->beforeDma(buf, len);
-    }
-    // Npf: post directly; NPFs (if any) happen inside the NIC.
+    mem::VirtAddr dma_src = staged ? bounceSend_[src] : buf;
+    sim::Time pre = staged ? copyCost(len) : reg.beforeDma(buf, len);
 
     auto post = [this, src, dst, dma_src, len, id] {
         ib::WorkRequest w;
@@ -202,38 +178,20 @@ Cluster::irecv(unsigned dst, unsigned src, mem::VirtAddr buf,
     assert(ownsRank(dst) && "irecv must run on the dst rank's facet");
     std::uint64_t id = nextWrId_++;
 
-    bool eager = len <= cfg_.eagerThreshold;
-    mem::VirtAddr dma_dst = buf;
-    sim::Time pre = 0;
-    bool copy_out = false;
+    core::Registration &reg = regs_[dst];
+    const bool staged = len <= cfg_.eagerThreshold || reg.copies();
+    mem::VirtAddr dma_dst = staged ? bounceRecv_[dst] : buf;
+    sim::Time pre = staged ? 0 : reg.beforeDma(buf, len);
 
-    if (eager || mode_ == RegMode::Copy) {
-        dma_dst = bounceRecv_[dst];
-        copy_out = true;
-    } else if (mode_ == RegMode::PinDownCache ||
-               mode_ == RegMode::NpRdma) {
-        pre = pinStrategy_[dst]->beforeDma(buf, len);
-    }
-
-    Done wrapped = std::move(done);
-    if (copy_out) {
+    if (staged) {
         // Deliver after the CPU copies out of the bounce buffer.
-        wrapped = [this, len, inner = std::move(wrapped)] {
+        done = [this, len, inner = std::move(done)] {
             eq_.scheduleAfter(copyCost(len), inner);
         };
-    } else if (mode_ == RegMode::NpRdma) {
-        // Per-IO unmap: charged between DMA completion and delivery.
-        wrapped = [this, dst, buf, len, inner = std::move(wrapped)] {
-            sim::Time t = pinStrategy_[dst]->afterDma(buf, len);
-            if (t == 0 || !inner) {
-                if (inner)
-                    inner();
-            } else {
-                eq_.scheduleAfter(t, inner);
-            }
-        };
+    } else {
+        done = afterDmaThen(dst, buf, len, std::move(done));
     }
-    pending_[dst][src].recvs[id] = std::move(wrapped);
+    pending_[dst][src].recvs[id] = std::move(done);
 
     auto post = [this, dst, src, dma_dst, len, id] {
         ib::WorkRequest w;
@@ -259,21 +217,11 @@ Cluster::totalRnpfs() const
 }
 
 std::uint64_t
-Cluster::totalRegMisses() const
+Cluster::totalRegOps() const
 {
-    // The cast is mode-dispatched: pinStrategy_ holds whatever the
-    // ctor built for mode_, and only these two modes build one.
     std::uint64_t n = 0;
-    for (const auto &p : pinStrategy_) {
-        if (!p)
-            continue;
-        if (mode_ == RegMode::PinDownCache)
-            n += static_cast<core::PinDownCache *>(p.get())->misses();
-        else if (mode_ == RegMode::NpRdma)
-            n += static_cast<core::NpRdmaMapping *>(p.get())
-                     ->stats()
-                     .maps;
-    }
+    for (const core::Registration &reg : regs_)
+        n += reg.regOps();
     return n;
 }
 

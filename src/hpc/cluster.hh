@@ -2,8 +2,8 @@
  * @file
  * An MPI-like communication substrate over the simulated InfiniBand
  * fabric: N single-process ranks, a full mesh of RC queue pairs, and
- * four registration disciplines — copying through bounce buffers, a
- * pin-down cache, NPF/ODP (the three of §6.2), and NP-RDMA-style
+ * one core::Registration per rank — copying through bounce buffers, a
+ * pin-down cache, NPF/ODP (the three of §6.2), or NP-RDMA-style
  * on-demand IOVA mapping (docs/REGISTRATION.md).
  */
 
@@ -16,17 +16,12 @@
 #include <unordered_map>
 #include <vector>
 
-#include "core/pinning.hh"
+#include "core/registration.hh"
 #include "ib/queue_pair.hh"
 #include "mem/memory_manager.hh"
 #include "net/fabric.hh"
 
 namespace npf::hpc {
-
-/** Which registration discipline the middleware uses (Fig. 9). */
-enum class RegMode { Copy, PinDownCache, Npf, NpRdma };
-
-const char *regModeName(RegMode m);
 
 /** Cluster parameters (defaults model the paper's IB testbed). */
 struct ClusterConfig
@@ -51,10 +46,6 @@ struct ClusterConfig
     std::size_t eagerThreshold = 8192;
     /** Pin-down cache budget per rank; 0 = unlimited. */
     std::size_t pinDownCacheBytes = 0;
-    core::PinCosts pinCosts;
-    /** NP-RDMA driver translation-table entries per rank. */
-    std::size_t npRdmaTableEntries = 256;
-    core::MapCosts mapCosts;
 
     /**
      * Shard-facet mode. When @p engine is set (with shards > 1 for a
@@ -83,11 +74,12 @@ class Cluster
   public:
     using Done = std::function<void()>;
 
-    Cluster(sim::EventQueue &eq, ClusterConfig cfg, RegMode mode);
+    /** Every owned rank registers its buffers under @p mode. */
+    Cluster(sim::EventQueue &eq, ClusterConfig cfg,
+            core::RegMode mode = core::RegMode::Npf);
     ~Cluster();
 
     unsigned ranks() const { return cfg_.ranks; }
-    RegMode mode() const { return mode_; }
 
     /** True when this instance hosts @p rank (always, outside facet
      *  mode). Facet accessors (space/npfc/alloc/isend/irecv) are only
@@ -102,11 +94,6 @@ class Cluster
     mem::AddressSpace &space(unsigned rank) { return *spaces_[rank]; }
     core::NpfController &npfc(unsigned rank) { return *npfcs_[rank]; }
     core::ChannelId channel(unsigned rank) const { return channels_[rank]; }
-    /** The rank's registration strategy, or nullptr (copy / npf). */
-    core::PinningStrategy *strategy(unsigned rank)
-    {
-        return pinStrategy_[rank].get();
-    }
     const ClusterConfig &config() const { return cfg_; }
 
     /** Allocate a buffer in @p rank's address space (CPU-touched, so
@@ -130,8 +117,8 @@ class Cluster
 
     /** Aggregate rNPFs seen across all ranks (reporting). */
     std::uint64_t totalRnpfs() const;
-    /** Aggregate pin-down cache misses across ranks (reporting). */
-    std::uint64_t totalRegMisses() const;
+    /** Aggregate Registration::regOps() across ranks (reporting). */
+    std::uint64_t totalRegOps() const;
 
   private:
     struct PendingOps
@@ -145,16 +132,20 @@ class Cluster
     {
         return sim::fromSeconds(double(len) / cfg_.copyBwBytesPerSec);
     }
+    /** @p done, run once @p rank's registration has released
+     *  [buf, buf+len) (NP-RDMA unmaps between completion and
+     *  delivery). */
+    Done afterDmaThen(unsigned rank, mem::VirtAddr buf, std::size_t len,
+                      Done done);
 
     sim::EventQueue &eq_;
     ClusterConfig cfg_;
-    RegMode mode_;
     std::unique_ptr<net::Fabric> fabric_;
     std::vector<std::unique_ptr<mem::MemoryManager>> hosts_;
     std::vector<mem::AddressSpace *> spaces_;
     std::vector<std::unique_ptr<core::NpfController>> npfcs_;
     std::vector<core::ChannelId> channels_;
-    std::vector<std::unique_ptr<core::PinningStrategy>> pinStrategy_;
+    std::vector<core::Registration> regs_; ///< NPF for unowned ranks
     std::vector<std::vector<std::unique_ptr<ib::QueuePair>>> qps_;
     std::vector<std::vector<PendingOps>> pending_; ///< [rank][peer]
     std::vector<mem::VirtAddr> bounceSend_;

@@ -112,8 +112,8 @@ permutationExchange(Cluster &c, BufferPool &pool,
 } // namespace
 
 BeffResult
-runBeff(sim::EventQueue &eq, const ClusterConfig &cfg, RegMode mode,
-        unsigned repetitions)
+runBeff(sim::EventQueue &eq, const ClusterConfig &cfg,
+        core::RegMode mode, unsigned repetitions)
 {
     // beff's official size ladder reaches Lmax = memory/128, so
     // large messages carry most of the weight; the ladder below

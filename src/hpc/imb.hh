@@ -42,7 +42,7 @@ struct BeffResult
  * whole cluster.
  */
 BeffResult runBeff(sim::EventQueue &eq, const ClusterConfig &cfg,
-                   RegMode mode, unsigned repetitions = 3);
+                   core::RegMode mode, unsigned repetitions = 3);
 
 } // namespace npf::hpc
 

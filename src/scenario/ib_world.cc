@@ -33,7 +33,9 @@ IbBed::IbBed(sim::EventQueue &q, const net::Topology *topo)
 KvWorld::KvWorld(IbBed &b, const load::PoolConfig &pc,
                  const load::RecorderConfig &rc, const Options &o)
     : bed(b), opt(o), kv(b.serverAs, o.kvBytes, o.rpc.valueBytes),
-      server(b.eq, kv, host, b.serverAs, o.rpc), rec(rc), pool(b.eq, pc)
+      server(b.eq, kv, host, b.serverAs, o.rpc,
+             core::Registration(o.reg, b.serverNpfc, b.sch)),
+      rec(rc), pool(b.eq, pc)
 {
     host.addInstance();
     kv.reserve(pc.workload.keys.keys);

@@ -62,6 +62,8 @@ struct KvWorld
         std::size_t kvBytes = 64ull << 20; ///< KvStore capacity
         /// Server and transport costs; valueBytes is the item size.
         app::KvRpcConfig rpc{};
+        /// The server's registration discipline (value memory).
+        core::RegMode reg = core::RegMode::Npf;
         /// Client-side QPs, e.g. synthetic receive faults. Endpoint i's
         /// server QP is seeded 2i + 1 and its client QP 2i + 2; a seed
         /// is drawn only when synthetic faults are on.

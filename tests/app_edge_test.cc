@@ -61,7 +61,6 @@ TEST_P(StorageSweep, ReadsCompleteAtAnyBlockSizeAndDepth)
     auto [block, qd] = GetParam();
     StorageConfig scfg;
     scfg.lunBytes = 512 * MiB;
-    scfg.pinned = false;
     StorageRig rig(4 * GiB, scfg);
     ASSERT_TRUE(rig.tgt.ok());
     FioClient fio(rig.eq, rig.qpI, rig.iniAs, rig.queue, block, qd,
@@ -82,7 +81,6 @@ TEST(StorageEdge, SmallBlocksLeaveChunkTailsUnbacked)
 {
     StorageConfig scfg;
     scfg.lunBytes = 256 * MiB;
-    scfg.pinned = false;
     StorageRig rig(4 * GiB, scfg);
     FioClient fio(rig.eq, rig.qpI, rig.iniAs, rig.queue, 64 * 1024, 4,
                   scfg.lunBytes, 5);
@@ -103,7 +101,6 @@ TEST(StorageEdge, TargetKeepsUpWithManyShallowSessions)
 {
     StorageConfig scfg;
     scfg.lunBytes = 256 * MiB;
-    scfg.pinned = false;
     sim::EventQueue eq;
     net::Fabric fabric(eq, 2,
                        net::FabricConfig{net::LinkConfig{56e9, 300, 32},

@@ -211,8 +211,7 @@ TEST(Storage, TargetServesReadsOverRdma)
 
     StorageConfig scfg;
     scfg.lunBytes = 1ull << 30;
-    scfg.pinned = false; // NPF mode
-    StorageTarget tgt(eq, tgtAs, scfg);
+    StorageTarget tgt(eq, tgtAs, scfg); // NPF: the default registration
     ASSERT_TRUE(tgt.ok());
 
     auto queue = std::make_shared<std::deque<IoRequest>>();
@@ -238,9 +237,10 @@ TEST(Storage, PinnedModeFailsWithoutPinnableMemory)
     costs.maxPinnableBytes = 512 * MiB; // policy: too little for 1 GB
     mem::MemoryManager mm(4ull << 30, costs);
     auto &as = mm.createAddressSpace("tgt");
-    StorageConfig scfg;
-    scfg.pinned = true;
-    StorageTarget tgt(eq, as, scfg);
+    core::NpfController npfc(eq);
+    StorageTarget tgt(eq, as, StorageConfig{},
+                      core::Registration(core::RegMode::Copy, npfc,
+                                         npfc.attach(as)));
     EXPECT_FALSE(tgt.ok()) << "Fig. 8(a): tgt fails to load";
 }
 
@@ -249,9 +249,10 @@ TEST(Storage, PinnedModeHoldsTheWholePoolResident)
     sim::EventQueue eq;
     mem::MemoryManager mm(4ull << 30);
     auto &as = mm.createAddressSpace("tgt");
-    StorageConfig scfg;
-    scfg.pinned = true;
-    StorageTarget tgt(eq, as, scfg);
+    core::NpfController npfc(eq);
+    StorageTarget tgt(eq, as, StorageConfig{},
+                      core::Registration(core::RegMode::Copy, npfc,
+                                         npfc.attach(as)));
     ASSERT_TRUE(tgt.ok());
     EXPECT_GE(tgt.residentBytes(), 1ull << 30);
 }

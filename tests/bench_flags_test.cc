@@ -57,11 +57,9 @@ tableFor(const std::string &name, Args &a)
     if (name == "shard_scale")
         return shardScaleFlags(a.shard);
     if (name == "chaos_recovery")
-        return iterObsFlags(a.obs).add(faultFlags(a.obs));
+        return obsFlags(a.obs).add(faultFlags(a.obs));
     if (name == "tab05_memcached_overcommit")
         return obsFlags(a.obs).add(windowFlags(&a.warmup, &a.measure));
-    if (name == "fig10_whatif" || name == "tab06_beff")
-        return iterObsFlags(a.obs);
     if (name == "fabric_incast")
         return {toggle("--smoke", &a.smoke)};
     if (name == "engine_speed" || name == "obs_overhead" ||
@@ -95,7 +93,7 @@ fields(const ObsArgs &o)
     return std::tie(o.trace, o.traceOut, o.metricsOut, o.sampleInterval,
                     o.flightCapacity, o.flightDumpPath, o.flightDumpOnSlo,
                     o.flightDumpAtEnd, o.attribution, o.profileEventLoop,
-                    o.traceOverwrite, o.faultPlan, o.faultSeed);
+                    o.faultPlan, o.faultSeed);
 }
 
 // --- value forms ---------------------------------------------------------
@@ -304,7 +302,7 @@ TEST(BenchFlags, BenchesRejectFlagsTheyDoNotRead)
                          {"--fault-plan=link:drop:rate=0.1"}),
               "");
     EXPECT_NE(parseBench("fig04_cold_ring", a, {"--warmup=1s"}), "");
-    EXPECT_NE(parseBench("fig04_cold_ring", a, {"--trace-overwrite"}), "");
+    EXPECT_NE(parseBench("tab06_beff", a, {"--trace-overwrite"}), "");
     EXPECT_NE(parseBench("engine_speed", a, {"--smok"}), "");
     EXPECT_NE(parseBench("fabric_incast", a, {"--json=x"}), "");
     EXPECT_NE(parseBench("shard_scale", a, {"--trace"}), "");
@@ -347,8 +345,9 @@ TEST(BenchFlags, EnumFlagsRejectUnknownNames)
     EXPECT_EQ(parseBench("reg_shootout", a,
                          {"--mode=pin", "--gate-mode=npf"}),
               "");
-    EXPECT_EQ(a.reg.mode, hpc::RegMode::PinDownCache);
-    EXPECT_EQ(a.reg.gateMode, hpc::RegMode::Npf);
+    ASSERT_TRUE(a.reg.mode.has_value());
+    EXPECT_STREQ(core::regModeName(*a.reg.mode), "pin");
+    EXPECT_STREQ(core::regModeName(a.reg.gateMode), "npf");
     EXPECT_EQ(parseBench("reg_shootout", a, {"--mode=all"}), "");
     EXPECT_FALSE(a.reg.mode.has_value());
     EXPECT_EQ(parseBench("load_sweep", a, {"--transport=ib"}), "");
@@ -564,7 +563,7 @@ const std::vector<std::pair<std::string, std::string>> kCorpus = {
     // the rest of the obs flags
     {"abl_read_rnr", "--trace --flight-recorder --flight-dump-on-slo "
                      "--profile-eq"},
-    {"tab06_beff", "--trace=trace.json --trace-overwrite"},
+    {"tab06_beff", "--trace=trace.json --metrics-out=m.json"},
 };
 
 std::vector<std::string>

@@ -2,7 +2,8 @@
  * @file
  * Tests for the NPF engine: the Figure 2 flows, the Figure 3 latency
  * model (checked against the paper's own numbers), the §4 firmware
- * optimizations, and the four pinning disciplines of Table 3.
+ * optimizations, and the registration disciplines behind
+ * core::Registration.
  */
 
 #include <gtest/gtest.h>
@@ -10,7 +11,7 @@
 #include <vector>
 
 #include "core/npf_controller.hh"
-#include "core/pinning.hh"
+#include "core/registration.hh"
 #include "mem/memory_manager.hh"
 #include "sim/histogram.hh"
 
@@ -338,42 +339,42 @@ TEST(NpfController, SampleResolveLatencyIsReasonable)
 
 // --- pinning strategies -------------------------------------------------
 
-TEST(Pinning, StaticPinsEverythingUpFront)
+TEST(Pinning, PinDownCacheFailsWhenMemoryTooSmall)
 {
-    Rig rig;
-    StaticPinning pin(rig.npfc, rig.ch);
-    mem::VirtAddr buf = rig.as.allocRegion(8 * MiB);
-    sim::Time setup = pin.setup(buf, 8 * MiB);
-    EXPECT_TRUE(pin.ok());
-    EXPECT_GT(setup, 0u);
-    EXPECT_EQ(pin.beforeDma(buf, MiB), 0u);
-    EXPECT_EQ(rig.as.pinnedPages(), 8 * MiB / mem::kPageSize);
-    EXPECT_TRUE(rig.npfc.checkDma(rig.ch, buf, 8 * MiB).ok);
-}
-
-TEST(Pinning, StaticFailsWhenMemoryTooSmall)
-{
+    // Table 5's N/A case: an extent larger than pinnable memory fails
+    // to register, and with nothing cached there is nothing to evict.
     Rig rig(8 * MiB);
-    StaticPinning pin(rig.npfc, rig.ch);
+    PinDownCache cache(rig.npfc, rig.ch, /*capacity=*/0);
     mem::VirtAddr buf = rig.as.allocRegion(16 * MiB);
-    pin.setup(buf, 16 * MiB);
-    EXPECT_FALSE(pin.ok()) << "Table 5's N/A case";
+    EXPECT_GT(cache.beforeDma(buf, 16 * MiB), 0u)
+        << "the failed attempt still burned CPU";
+    EXPECT_FALSE(cache.ok());
+    EXPECT_EQ(cache.pinnedBytes(), 0u);
 }
 
-TEST(Pinning, FineGrainedPinsAndUnpinsAroundDma)
+TEST(Pinning, PinDownCacheUnpinsAndUnmapsOnEviction)
 {
+    // Releasing a region unpins it and invalidates its device
+    // translations: after eviction its pages fault again.
     Rig rig;
-    FineGrainedPinning pin(rig.npfc, rig.ch);
-    mem::VirtAddr buf = rig.as.allocRegion(MiB);
-    sim::Time before = pin.beforeDma(buf, 64 * 1024);
-    EXPECT_GT(before, 0u);
-    EXPECT_GT(rig.as.pinnedPages(), 0u);
-    EXPECT_TRUE(rig.npfc.checkDma(rig.ch, buf, 64 * 1024).ok);
-    sim::Time after = pin.afterDma(buf, 64 * 1024);
-    EXPECT_GT(after, 0u);
-    EXPECT_EQ(rig.as.pinnedPages(), 0u);
-    EXPECT_FALSE(rig.npfc.checkDma(rig.ch, buf, 64 * 1024).ok)
-        << "fine-grained unmaps after the DMA";
+    PinDownCache cache(rig.npfc, rig.ch, /*capacity=*/MiB);
+    mem::VirtAddr a = rig.as.allocRegion(MiB);
+    mem::VirtAddr b = rig.as.allocRegion(MiB);
+    cache.beforeDma(a, MiB);
+    EXPECT_EQ(rig.as.pinnedPages(), MiB / mem::kPageSize);
+    // A DMA over a loads its translations into the IOTLB.
+    EXPECT_TRUE(rig.npfc.dmaAccess(rig.ch, a, MiB, /*write=*/true));
+
+    const auto &tlb = rig.npfc.iommu(rig.ch).tlb().stats();
+    std::uint64_t inv0 = tlb.invalidations;
+    cache.beforeDma(b, MiB); // evicts a
+    EXPECT_EQ(cache.evictions(), 1u);
+    EXPECT_EQ(rig.as.pinnedPages(), MiB / mem::kPageSize)
+        << "only b stays pinned";
+    EXPECT_GT(tlb.invalidations, inv0);
+    EXPECT_FALSE(rig.npfc.checkDma(rig.ch, a, MiB).ok)
+        << "an evicted region is unmapped";
+    EXPECT_TRUE(rig.npfc.checkDma(rig.ch, b, MiB).ok);
 }
 
 TEST(Pinning, PinDownCacheHitsAreCheap)
@@ -485,11 +486,18 @@ TEST(Pinning, PinDownCacheSameBaseReRegistrationReplaces)
 
 TEST(Pinning, NpfModeIsFree)
 {
-    NpfPinning npf;
-    EXPECT_EQ(npf.setup(0, MiB), 0u);
-    EXPECT_EQ(npf.beforeDma(0, MiB), 0u);
-    EXPECT_EQ(npf.afterDma(0, MiB), 0u);
-    EXPECT_TRUE(npf.ok());
+    Rig rig;
+    Registration npf;
+    Registration copy(RegMode::Copy, rig.npfc, rig.ch);
+    for (Registration *reg : {&npf, &copy}) {
+        EXPECT_EQ(reg->beforeDma(0, MiB), 0u);
+        EXPECT_EQ(reg->afterDma(0, MiB), 0u);
+        EXPECT_FALSE(reg->perIo());
+        EXPECT_EQ(reg->regOps(), 0u);
+    }
+    EXPECT_FALSE(npf.copies());
+    EXPECT_TRUE(copy.copies()) << "copying stages through pinned memory";
+    EXPECT_EQ(rig.as.pinnedPages(), 0u);
 }
 
 TEST(Pinning, PinDownCacheChargesFailedPinAttemptsUnderPressure)
@@ -502,7 +510,7 @@ TEST(Pinning, PinDownCacheChargesFailedPinAttemptsUnderPressure)
     constexpr std::size_t kPage = mem::kPageSize;
     const std::size_t kA = 8 * MiB;
     const std::size_t kB = 12 * MiB;
-    PinCosts pc;
+    const PinCosts &pc = kPinCosts;
 
     Rig rig(16 * MiB);
     PinDownCache cache(rig.npfc, rig.ch, /*capacity=*/0);
@@ -554,13 +562,11 @@ TEST(Pinning, NpRdmaMapsBeforeAndUnmapsAfterEachIo)
     NpRdmaMapping map(rig.npfc, rig.ch);
     mem::VirtAddr buf = rig.as.allocRegion(MiB);
 
-    EXPECT_EQ(map.setup(buf, MiB), 0u) << "no registration step";
     sim::Time before = map.beforeDma(buf, 64 * 1024);
     EXPECT_GT(before, 0u);
     EXPECT_TRUE(rig.npfc.checkDma(rig.ch, buf, 64 * 1024).ok)
         << "mapped for DMA without any NIC fault";
-    EXPECT_EQ(map.pinnedBytes(), 0u) << "nothing is ever pinned";
-    EXPECT_EQ(rig.as.pinnedPages(), 0u);
+    EXPECT_EQ(rig.as.pinnedPages(), 0u) << "nothing is ever pinned";
 
     sim::Time after = map.afterDma(buf, 64 * 1024);
     EXPECT_GT(after, 0u);
@@ -586,7 +592,7 @@ TEST(Pinning, NpRdmaConcurrentIosShareOneMapping)
     std::uint64_t refreshes = tlb.refreshes;
     sim::Time second = map.beforeDma(buf, 8 * kPage);
     EXPECT_GT(first, second) << "second IO reuses the live mapping";
-    EXPECT_EQ(second, MapCosts{}.tableLookup)
+    EXPECT_EQ(second, kMapCosts.tableLookup)
         << "a reuse takes a ref: only the table probe is charged";
     EXPECT_EQ(map.stats().maps, 1u);
     EXPECT_EQ(map.stats().pagesMapped, 16u) << "no remap";
@@ -689,7 +695,7 @@ TEST(Pinning, NpRdmaThrashesIoTlbAndWarmsRefreshes)
 TEST(Pinning, NpRdmaLongerExtentMapsOnlyTheTail)
 {
     constexpr std::size_t kPage = mem::kPageSize;
-    const MapCosts mc;
+    const MapCosts &mc = kMapCosts;
     Rig rig;
     NpRdmaMapping map(rig.npfc, rig.ch);
     mem::VirtAddr buf = rig.as.allocRegion(MiB);
@@ -785,4 +791,69 @@ TEST(Pinning, NpRdmaZeroTableEntriesMeansOne)
     Rig rig;
     NpRdmaMapping map(rig.npfc, rig.ch, /*table_entries=*/0);
     EXPECT_EQ(map.tableCapacity(), 1u);
+}
+
+// --- one registration per (host, channel) --------------------------------
+
+TEST(Registration, PerIoModesRunTheirImplementation)
+{
+    Rig rig;
+    mem::VirtAddr buf = rig.as.allocRegion(MiB);
+
+    Registration pin(RegMode::PinDownCache, rig.npfc, rig.ch);
+    EXPECT_TRUE(pin.perIo());
+    EXPECT_FALSE(pin.copies());
+    EXPECT_GT(pin.beforeDma(buf, 64 * 1024), kPinCosts.regMrBase);
+    EXPECT_EQ(pin.beforeDma(buf, 64 * 1024), kPinCosts.cacheLookup);
+    EXPECT_EQ(pin.afterDma(buf, 64 * 1024), 0u) << "regions stay pinned";
+    EXPECT_EQ(pin.regOps(), 1u) << "one miss";
+    EXPECT_TRUE(rig.npfc.checkDma(rig.ch, buf, 64 * 1024).ok);
+
+    Rig twin;
+    mem::VirtAddr tbuf = twin.as.allocRegion(MiB);
+    Registration map(RegMode::NpRdma, twin.npfc, twin.ch);
+    EXPECT_TRUE(map.perIo());
+    EXPECT_GT(map.beforeDma(tbuf, 64 * 1024), 0u);
+    EXPECT_GT(map.afterDma(tbuf, 64 * 1024), 0u);
+    EXPECT_EQ(map.regOps(), 1u) << "one map";
+    EXPECT_FALSE(twin.npfc.checkDma(twin.ch, tbuf, 64 * 1024).ok)
+        << "unmapped at completion";
+    EXPECT_EQ(twin.as.pinnedPages(), 0u);
+}
+
+TEST(Registration, PinDownBudgetReachesTheCache)
+{
+    Rig rig;
+    mem::VirtAddr a = rig.as.allocRegion(MiB);
+    mem::VirtAddr b = rig.as.allocRegion(MiB);
+    Registration reg(RegMode::PinDownCache, rig.npfc, rig.ch, MiB);
+    for (int i = 0; i < 3; ++i) {
+        reg.beforeDma(a, MiB);
+        reg.beforeDma(b, MiB);
+    }
+    EXPECT_EQ(reg.regOps(), 6u) << "a 1 MiB budget holds one region";
+}
+
+TEST(Registration, InflightDmaReleasesExtentsInPostOrder)
+{
+    Rig rig;
+    constexpr std::size_t kPage = mem::kPageSize;
+    mem::VirtAddr buf = rig.as.allocRegion(MiB);
+    Registration reg(RegMode::NpRdma, rig.npfc, rig.ch);
+    InflightDma inflight;
+    EXPECT_EQ(inflight.complete(reg), 0u) << "nothing in flight";
+
+    reg.beforeDma(buf, 4 * kPage);
+    reg.beforeDma(buf + 8 * kPage, 4 * kPage);
+    inflight.push(buf, 4 * kPage);
+    inflight.push(0, 0); // pinned scratch: nothing to release
+    inflight.push(buf + 8 * kPage, 4 * kPage);
+
+    EXPECT_GT(inflight.complete(reg), 0u);
+    EXPECT_FALSE(rig.npfc.checkDma(rig.ch, buf, 4 * kPage).ok);
+    EXPECT_TRUE(rig.npfc.checkDma(rig.ch, buf + 8 * kPage, 4 * kPage).ok);
+    EXPECT_EQ(inflight.complete(reg), 0u);
+    EXPECT_GT(inflight.complete(reg), 0u);
+    EXPECT_FALSE(rig.npfc.checkDma(rig.ch, buf + 8 * kPage, 4 * kPage).ok);
+    EXPECT_EQ(inflight.complete(reg), 0u);
 }

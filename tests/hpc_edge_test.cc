@@ -10,6 +10,7 @@
 
 using namespace npf;
 using namespace npf::hpc;
+using core::RegMode;
 
 namespace {
 
@@ -74,7 +75,7 @@ TEST(HpcEdge, PinDownCacheBudgetForcesEvictionTraffic)
 
     EXPECT_GT(secs_small_cache, 1.5 * secs_big_cache)
         << "an undersized pin-down cache thrashes (§2.2)";
-    EXPECT_GT(c.totalRegMisses(), c2.totalRegMisses());
+    EXPECT_GT(c.totalRegOps(), c2.totalRegOps());
 }
 
 TEST(HpcEdge, BeffIsDeterministic)

@@ -11,6 +11,7 @@
 
 using namespace npf;
 using namespace npf::hpc;
+using core::RegMode;
 
 namespace {
 
@@ -52,7 +53,7 @@ TEST(Cluster, EagerPathCopiesInAllModes)
         c.irecv(1, 0, r, 4096, [&] { done = true; });
         c.isend(0, 1, s, 4096, [] {});
         eq.runUntilCondition([&] { return done; }, 10 * sim::kSecond);
-        EXPECT_TRUE(done) << regModeName(mode);
+        EXPECT_TRUE(done) << core::regModeName(mode);
     }
 }
 

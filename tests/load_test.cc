@@ -963,7 +963,6 @@ TEST(LoadIntegration, FioClientRecordsStorageLatencies)
     scenario::IbBed bed(eq);
     app::StorageConfig scfg;
     scfg.lunBytes = 1ull << 30;
-    scfg.pinned = false;
     app::StorageTarget tgt(eq, bed.serverAs, scfg);
     ASSERT_TRUE(tgt.ok());
 

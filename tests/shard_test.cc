@@ -417,7 +417,7 @@ runPartitioned(unsigned ranks, unsigned shards,
             cfg.shard = s;
             cfg.shards = shards;
             facets[s] = std::make_unique<hpc::Cluster>(
-                engine.queue(s), cfg, hpc::RegMode::Npf);
+                engine.queue(s), cfg, core::RegMode::Npf);
         });
     }
     for (unsigned s = 0; s < shards; ++s) {

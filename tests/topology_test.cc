@@ -589,7 +589,7 @@ TEST(HpcFabric, ClusterRunsOnTopologySpec)
     cfg.ranks = 4;
     cfg.memoryPerRank = 1ull << 30;
     cfg.topology = "leafspine:hosts=4,leaves=2,spines=2,bw=56g";
-    hpc::Cluster c(eq, cfg, hpc::RegMode::Npf);
+    hpc::Cluster c(eq, cfg, core::RegMode::Npf);
     mem::VirtAddr s = c.allocBuffer(0, MiB);
     mem::VirtAddr r = c.allocBuffer(3, MiB);
     bool sent = false, received = false;
