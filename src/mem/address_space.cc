@@ -6,9 +6,9 @@
 
 namespace npf::mem {
 
-AddressSpace::AddressSpace(MemoryManager &mm, std::string name,
-                           Cgroup *cgroup)
-    : mm_(mm), name_(std::move(name)), cgroup_(cgroup)
+AddressSpace::AddressSpace(MemoryManager &mm, std::uint32_t id,
+                           std::string name, Cgroup *cgroup)
+    : mm_(mm), id_(id), name_(std::move(name)), cgroup_(cgroup)
 {
 }
 
@@ -20,6 +20,12 @@ AddressSpace::allocRegion(std::size_t bytes, std::string label,
 {
     std::size_t pages = pagesFor(bytes);
     VirtAddr base = nextRegionBase_;
+    // Frame's reverse map keeps a 32-bit vpn.
+    if (pageOf(base) + pages > Frame::kMaxVpn + 1)
+        fatal("mem::AddressSpace %s: region of %zu pages at 0x%llx "
+              "reaches past vpn %llu, the largest a frame records",
+              name_.c_str(), pages, static_cast<unsigned long long>(base),
+              static_cast<unsigned long long>(Frame::kMaxVpn));
     // Leave a guard page between regions to catch overruns in tests.
     nextRegionBase_ += addrOf(pages + 1);
     regions_.push_back(Region{base, pages, std::move(label), file_backed});
@@ -44,7 +50,9 @@ AddressSpace::freeRegion(VirtAddr base)
         regions_.erase(it);
         return;
     }
-    assert(false && "freeRegion: unknown region base");
+    fatal("mem::AddressSpace %s: freeRegion of 0x%llx, which is not the "
+          "base of a region",
+          name_.c_str(), static_cast<unsigned long long>(base));
 }
 
 AccessResult
@@ -117,6 +125,10 @@ AddressSpace::pinRange(VirtAddr addr, std::size_t len)
             return res;
         }
         Pte &p = pte(vpn);
+        if (p.pinCount == Pte::kMaxPins)
+            fatal("mem::AddressSpace %s: pin of vpn %llu past %u pins",
+                  name_.c_str(), static_cast<unsigned long long>(vpn),
+                  Pte::kMaxPins);
         if (p.pinCount++ == 0)
             ++pinnedPages_;
     }
@@ -132,7 +144,10 @@ AddressSpace::unpinRange(VirtAddr addr, std::size_t len)
     Vpn first = pageOf(addr);
     for (Vpn vpn = first; vpn < first + pages; ++vpn) {
         Pte &p = pte(vpn);
-        assert(p.pinCount > 0 && "unpin of unpinned page");
+        if (p.pinCount == 0)
+            fatal("mem::AddressSpace %s: unpin of vpn %llu, which is not "
+                  "pinned",
+                  name_.c_str(), static_cast<unsigned long long>(vpn));
         if (--p.pinCount == 0)
             --pinnedPages_;
     }

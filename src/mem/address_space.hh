@@ -22,17 +22,26 @@ namespace npf::mem {
 class MemoryManager;
 struct Cgroup;
 
-/** Software page-table entry. */
+/**
+ * Software page-table entry, packed into 8 bytes: the frame number, a
+ * pin count of kPinBits bits and the five state bits. A page-table
+ * leaf of 512 entries is then one 4 KiB page plus its in-use bitmap.
+ */
 struct Pte
 {
+    static constexpr unsigned kPinBits = 27;
+    /// most pins one page holds; pinRange() aborts past it
+    static constexpr std::uint32_t kMaxPins = (1u << kPinBits) - 1;
+
     Pfn pfn = kNoFrame;
-    bool present = false;
-    bool referenced = false; ///< second-chance bit for the clock
-    bool dirty = false;      ///< must go to swap when evicted
-    bool fileBacked = false; ///< clean drop on eviction; re-read by owner
-    bool inSwap = false;     ///< content lives in the backing store
-    std::uint32_t pinCount = 0;
+    std::uint32_t pinCount : kPinBits = 0;
+    bool present : 1 = false;
+    bool referenced : 1 = false; ///< second-chance bit for the clock
+    bool dirty : 1 = false;      ///< must go to swap when evicted
+    bool fileBacked : 1 = false; ///< clean drop on eviction; re-read by owner
+    bool inSwap : 1 = false;     ///< content lives in the backing store
 };
+static_assert(sizeof(Pte) == 8, "Pte must pack into 8 bytes");
 
 /** Outcome of a CPU (or DMA-resolution) memory access. */
 struct AccessResult
@@ -59,25 +68,30 @@ class AddressSpace
     /** Called with the vpn being unmapped; returns the latency. */
     using InvalidateNotifier = std::function<sim::Time(Vpn)>;
 
-    AddressSpace(MemoryManager &mm, std::string name, Cgroup *cgroup);
+    /** @param id this space's index in @p mm's list (Frame::owner). */
+    AddressSpace(MemoryManager &mm, std::uint32_t id, std::string name,
+                 Cgroup *cgroup);
     ~AddressSpace();
 
     AddressSpace(const AddressSpace &) = delete;
     AddressSpace &operator=(const AddressSpace &) = delete;
 
+    std::uint32_t id() const { return id_; }
     const std::string &name() const { return name_; }
     Cgroup *cgroup() const { return cgroup_; }
     MemoryManager &manager() { return mm_; }
 
     /**
      * Reserve @p bytes of virtual address space.
-     * No physical memory is consumed until pages are touched.
+     * No physical memory is consumed until pages are touched. Aborts
+     * when the region would reach past Frame::kMaxVpn.
      * @return the base address of the region.
      */
     VirtAddr allocRegion(std::size_t bytes, std::string label = {},
                          bool file_backed = false);
 
-    /** Release a region and all frames backing it. */
+    /** Release a region and all frames backing it. Aborts unless
+     *  @p base is the base of a live region. */
     void freeRegion(VirtAddr base);
 
     /**
@@ -92,11 +106,13 @@ class AddressSpace
     /**
      * Pin [addr, addr + len): fault pages in and exclude them from
      * reclaim. Fails (rolling back) if memory or the pinning limit
-     * is exhausted.
+     * is exhausted; aborts on a page already pinned Pte::kMaxPins
+     * times.
      */
     AccessResult pinRange(VirtAddr addr, std::size_t len);
 
-    /** Undo one pinRange() of the same extent. */
+    /** Undo one pinRange() of the same extent. Aborts on a page that
+     *  is not pinned. */
     void unpinRange(VirtAddr addr, std::size_t len);
 
     /** True if the page is resident. */
@@ -133,6 +149,7 @@ class AddressSpace
     };
 
     MemoryManager &mm_;
+    std::uint32_t id_;
     std::string name_;
     Cgroup *cgroup_;
     PageMap<Pte> pageTable_;

@@ -40,11 +40,15 @@ MemoryManager::~MemoryManager() = default;
 Cgroup &
 MemoryManager::createCgroup(const std::string &name, std::size_t limit_bytes)
 {
-    auto &slot = cgroups_[name];
-    assert(!slot && "cgroup already exists");
-    slot = std::make_unique<Cgroup>(
+    // Address spaces hold a pointer to their cgroup: replacing a live
+    // one would leave them charging a freed object.
+    auto [it, inserted] = cgroups_.try_emplace(name);
+    if (!inserted)
+        fatal("mem::MemoryManager: cgroup '%s' already exists",
+              name.c_str());
+    it->second = std::make_unique<Cgroup>(
         Cgroup{name, limit_bytes / kPageSize, 0});
-    return *slot;
+    return *it->second;
 }
 
 AddressSpace &
@@ -53,9 +57,12 @@ MemoryManager::createAddressSpace(const std::string &name,
 {
     const std::string &cg = cgroup.empty() ? kRootCgroup : cgroup;
     auto it = cgroups_.find(cg);
-    assert(it != cgroups_.end() && "unknown cgroup");
-    spaces_.push_back(
-        std::make_unique<AddressSpace>(*this, name, it->second.get()));
+    if (it == cgroups_.end())
+        fatal("mem::MemoryManager: address space '%s' in unknown cgroup "
+              "'%s'",
+              name.c_str(), cg.c_str());
+    spaces_.push_back(std::make_unique<AddressSpace>(
+        *this, std::uint32_t(spaces_.size()), name, it->second.get()));
     return *spaces_.back();
 }
 
@@ -94,7 +101,7 @@ MemoryManager::faultIn(AddressSpace &as, Vpn vpn, bool write)
         res.cost += *evicted;
     }
 
-    auto pfn = phys_.allocate(&as, vpn);
+    auto pfn = phys_.allocate(as.id(), vpn);
     if (!pfn) {
         ++stats_.oomFailures;
         res.ok = false;
@@ -182,10 +189,10 @@ MemoryManager::evictOne(Cgroup *target)
         clock_.pop_front();
 
         const Frame &frame = phys_.frame(pfn);
-        if (frame.owner == nullptr)
+        if (frame.owner == Frame::kFree)
             continue; // stale entry: frame freed by other paths
 
-        AddressSpace &as = *frame.owner;
+        AddressSpace &as = *spaces_[frame.owner];
         Pte *pte = as.findPte(frame.vpn);
         if (pte == nullptr || !pte->present || pte->pfn != pfn)
             continue; // stale entry

@@ -88,7 +88,8 @@ class MemoryManager
     MemoryManager(const MemoryManager &) = delete;
     MemoryManager &operator=(const MemoryManager &) = delete;
 
-    /** Create a cgroup with @p limit_bytes (0 = unlimited). */
+    /** Create a cgroup with @p limit_bytes (0 = unlimited). Aborts
+     *  when @p name exists. */
     Cgroup &createCgroup(const std::string &name, std::size_t limit_bytes);
 
     /** True if a cgroup with this name exists. */
@@ -98,7 +99,8 @@ class MemoryManager
         return cgroups_.count(name) > 0;
     }
 
-    /** Create an address space, optionally inside a cgroup. */
+    /** Create an address space, optionally inside a cgroup. Aborts
+     *  when @p cgroup names none. */
     AddressSpace &createAddressSpace(const std::string &name,
                                      const std::string &cgroup = {});
 
@@ -145,6 +147,8 @@ class MemoryManager
     Stats stats_;
     sim::RingDeque<Pfn> clock_; ///< grow-only: reclaim never allocates
     std::unordered_map<std::string, std::unique_ptr<Cgroup>> cgroups_;
+    /// indexed by AddressSpace::id(); never shrinks, so Frame::owner
+    /// stays valid
     std::vector<std::unique_ptr<AddressSpace>> spaces_;
     std::size_t pinnedPages_ = 0;
     std::size_t reserveFrames_ = 0;

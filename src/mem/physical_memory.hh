@@ -9,6 +9,7 @@
 
 #include <cassert>
 #include <cstddef>
+#include <cstdint>
 #include <optional>
 #include <vector>
 
@@ -17,17 +18,23 @@
 
 namespace npf::mem {
 
-class AddressSpace;
-
-/** Reverse-map metadata for one physical frame. */
+/**
+ * Reverse-map metadata for one physical frame, packed into 8 bytes:
+ * the owner is an index into MemoryManager's address-space list, which
+ * only grows, and the vpn is kept in 32 bits (16 TiB of VA per space;
+ * AddressSpace::allocRegion() refuses a region past it).
+ */
 struct Frame
 {
-    /// vpn of a free frame: no 64-bit address has this page number
-    static constexpr Vpn kFree = ~Vpn(0);
+    /// owner of a free frame: no manager holds 2^32 - 1 spaces
+    static constexpr std::uint32_t kFree = ~std::uint32_t(0);
+    /// largest vpn a frame records
+    static constexpr Vpn kMaxVpn = ~std::uint32_t(0);
 
-    AddressSpace *owner = nullptr; ///< nullptr when free
-    Vpn vpn = kFree;               ///< owning virtual page; kFree when free
+    std::uint32_t owner = kFree; ///< AddressSpace::id(); kFree when free
+    std::uint32_t vpn = 0;       ///< owning virtual page
 };
+static_assert(sizeof(Frame) == 8, "Frame must pack into 8 bytes");
 
 /**
  * A fixed pool of physical frames. Allocation is O(1); the reclaim
@@ -46,7 +53,9 @@ struct Frame
 class PhysicalMemory
 {
   public:
-    /** @param total_bytes capacity; rounded down to whole frames. */
+    /** @param total_bytes capacity; rounded down to whole frames.
+     *  Aborts at kNoFrame frames (16 TiB) or more, before it reserves
+     *  anything: every pfn must fit Pfn below kNoFrame. */
     explicit PhysicalMemory(std::size_t total_bytes);
 
     std::size_t totalFrames() const { return total_; }
@@ -57,10 +66,11 @@ class PhysicalMemory
     }
 
     /**
-     * Allocate one frame for (@p owner, @p vpn).
+     * Allocate one frame for page @p vpn of address space @p owner
+     * (AddressSpace::id()). Aborts when @p vpn exceeds Frame::kMaxVpn.
      * @return the frame number, or std::nullopt when exhausted.
      */
-    std::optional<Pfn> allocate(AddressSpace *owner, Vpn vpn);
+    std::optional<Pfn> allocate(std::uint32_t owner, Vpn vpn);
 
     /** Return frame @p pfn to the free pool. Aborts, in every build,
      *  unless @p pfn is allocated. */

@@ -18,8 +18,12 @@ using VirtAddr = std::uint64_t;
 /** Virtual page number. */
 using Vpn = std::uint64_t;
 
-/** Physical frame number. */
-using Pfn = std::uint64_t;
+/**
+ * Physical frame number. 32 bits reach 16 TiB of 4 KiB frames, far
+ * past any simulated host; PhysicalMemory rejects a larger one.
+ */
+using Pfn = std::uint32_t;
+static_assert(sizeof(Pfn) == 4);
 
 constexpr std::size_t kPageShift = 12;
 constexpr std::size_t kPageSize = std::size_t(1) << kPageShift; // 4 KB
@@ -40,6 +44,15 @@ addrOf(Vpn vpn)
 {
     return vpn << kPageShift;
 }
+
+/**
+ * Print the printf-style message and a newline to stderr, then abort.
+ * Misuse of the memory model (an unknown cgroup, an unpinned unpin, a
+ * limit of a packed field) stops the run in every build, not only
+ * where assert() is compiled in.
+ */
+[[noreturn]] void fatal(const char *fmt, ...)
+    __attribute__((format(printf, 1, 2)));
 
 /** Number of pages covering [addr, addr + len). */
 constexpr std::size_t

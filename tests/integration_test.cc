@@ -196,7 +196,7 @@ TEST(Integration, DevicePageTableNeverMapsReusedFrames)
             ASSERT_EQ(*mapped, pte->pfn)
                 << "IOMMU maps a stale frame";
             const mem::Frame &f = mm.physical().frame(pte->pfn);
-            ASSERT_EQ(f.owner, asp);
+            ASSERT_EQ(f.owner, asp->id());
             ASSERT_EQ(f.vpn, vpn);
         }
     }

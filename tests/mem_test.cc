@@ -53,13 +53,13 @@ class EagerFreeList
     const Frame &frame(Pfn pfn) const { return frames_[pfn]; }
 
     std::optional<Pfn>
-    allocate(AddressSpace *owner, Vpn vpn)
+    allocate(std::uint32_t owner, Vpn vpn)
     {
         if (free_.empty())
             return std::nullopt;
         Pfn pfn = free_.back();
         free_.pop_back();
-        frames_[pfn] = Frame{owner, vpn};
+        frames_[pfn] = Frame{owner, std::uint32_t(vpn)};
         return pfn;
     }
 
@@ -81,7 +81,7 @@ TEST(PhysicalMemory, AllocateAndRelease)
 {
     PhysicalMemory pm(16 * kPageSize);
     EXPECT_EQ(pm.totalFrames(), 16u);
-    auto f = pm.allocate(nullptr, 1);
+    auto f = pm.allocate(0, 1);
     ASSERT_TRUE(f.has_value());
     EXPECT_EQ(pm.freeFrames(), 15u);
     pm.release(*f);
@@ -91,9 +91,9 @@ TEST(PhysicalMemory, AllocateAndRelease)
 TEST(PhysicalMemory, ExhaustionReturnsNullopt)
 {
     PhysicalMemory pm(2 * kPageSize);
-    EXPECT_TRUE(pm.allocate(nullptr, 0).has_value());
-    EXPECT_TRUE(pm.allocate(nullptr, 1).has_value());
-    EXPECT_FALSE(pm.allocate(nullptr, 2).has_value());
+    EXPECT_TRUE(pm.allocate(0, 0).has_value());
+    EXPECT_TRUE(pm.allocate(0, 1).has_value());
+    EXPECT_FALSE(pm.allocate(0, 2).has_value());
 }
 
 /**
@@ -106,8 +106,8 @@ TEST(PhysicalMemory, ExhaustionReturnsNullopt)
 TEST(PhysicalMemory, RandomOpsMatchEagerFreeListOracle)
 {
     MemoryManager mm(MiB);
-    AddressSpace *owners[] = {&mm.createAddressSpace("a"),
-                              &mm.createAddressSpace("b")};
+    std::uint32_t owners[] = {mm.createAddressSpace("a").id(),
+                              mm.createAddressSpace("b").id()};
     auto sameFrame = [](const Frame &x, const Frame &y) {
         return x.owner == y.owner && x.vpn == y.vpn;
     };
@@ -129,7 +129,7 @@ TEST(PhysicalMemory, RandomOpsMatchEagerFreeListOracle)
                     pAlloc =
                         std::array{0.2, 0.5, 0.9}[rng.uniformInt(0, 2)];
                 if (live.empty() || rng.bernoulli(pAlloc)) {
-                    AddressSpace *owner = owners[rng.uniformInt(0, 1)];
+                    std::uint32_t owner = owners[rng.uniformInt(0, 1)];
                     Vpn vpn = rng.uniformInt(0, 1u << 20);
                     auto got = pm.allocate(owner, vpn);
                     auto want = ref.allocate(owner, vpn);
@@ -168,11 +168,30 @@ TEST(PhysicalMemoryDeathTest, BadReleaseAborts)
     // Checked in every build: a double release would hand one frame to
     // two later faults, and a pfn past the table would write out of it.
     PhysicalMemory pm(16 * kPageSize);
-    Pfn pfn = *pm.allocate(nullptr, 7);
+    Pfn pfn = *pm.allocate(0, 7);
     pm.release(pfn);
     EXPECT_DEATH(pm.release(pfn), "release of pfn 0, which is not allocated");
     EXPECT_DEATH(pm.release(1), "release of pfn 1, which is past the frame");
     EXPECT_DEATH(pm.release(99), "release of pfn 99, which is past the frame");
+}
+
+TEST(PhysicalMemoryDeathTest, FrameCountPastThePfnAborts)
+{
+    // The check comes before the frame table is reserved: neither host
+    // here reserves anything.
+    EXPECT_DEATH(PhysicalMemory(std::size_t(1) << 44),
+                 "4294967296 frames do not fit a 32-bit pfn");
+    EXPECT_DEATH(PhysicalMemory(std::size_t(kNoFrame) * kPageSize),
+                 "4294967295 frames do not fit a 32-bit pfn");
+}
+
+TEST(PhysicalMemoryDeathTest, VpnPastTheFrameFieldAborts)
+{
+    PhysicalMemory pm(16 * kPageSize);
+    EXPECT_EQ(pm.allocate(0, Frame::kMaxVpn), Pfn(0));
+    EXPECT_EQ(pm.frame(0).vpn, Frame::kMaxVpn);
+    EXPECT_DEATH(pm.allocate(0, Frame::kMaxVpn + 1),
+                 "allocate for vpn 4294967296, past the largest");
 }
 
 /**
@@ -195,7 +214,7 @@ TEST(PhysicalMemory, ReservationIsNotMallocMemory)
         SCOPED_TRACE(::testing::Message() << "bytes " << bytes);
         struct mallinfo2 before = mallinfo2();
         PhysicalMemory pm(bytes);
-        ASSERT_TRUE(pm.allocate(nullptr, 0).has_value());
+        ASSERT_TRUE(pm.allocate(0, 0).has_value());
         struct mallinfo2 built = mallinfo2();
         EXPECT_LE(moved(before.uordblks, built.uordblks), kSlack);
         EXPECT_LE(moved(before.hblkhd, built.hblkhd), kSlack);
@@ -338,6 +357,77 @@ TEST(AddressSpace, FreeRegionReleasesFrames)
     as.freeRegion(r);
     EXPECT_EQ(mm.physical().usedFrames(), 0u);
     EXPECT_EQ(as.residentPages(), 0u);
+}
+
+TEST(AddressSpaceDeathTest, FreeRegionOfUnknownBaseAborts)
+{
+    MemoryManager mm(64 * MiB);
+    AddressSpace &as = mm.createAddressSpace("a");
+    VirtAddr r = as.allocRegion(MiB);
+    EXPECT_DEATH(as.freeRegion(r + kPageSize),
+                 "AddressSpace a: freeRegion of 0x10001000, which is not");
+    as.freeRegion(r);
+    EXPECT_DEATH(as.freeRegion(r), "freeRegion of 0x10000000, which is not");
+}
+
+TEST(AddressSpaceDeathTest, UnpinOfUnpinnedPageAborts)
+{
+    MemoryManager mm(64 * MiB);
+    AddressSpace &as = mm.createAddressSpace("a");
+    VirtAddr r = as.allocRegion(MiB);
+    ASSERT_TRUE(as.pinRange(r, kPageSize).ok);
+    // The second page was never pinned: its count must not wrap.
+    EXPECT_DEATH(as.unpinRange(r, 2 * kPageSize),
+                 "unpin of vpn 65537, which is not pinned");
+    as.unpinRange(r, kPageSize);
+    EXPECT_DEATH(as.unpinRange(r, kPageSize),
+                 "unpin of vpn 65536, which is not pinned");
+}
+
+TEST(AddressSpaceDeathTest, PinPastThePinCountWidthAborts)
+{
+    MemoryManager mm(64 * MiB);
+    AddressSpace &as = mm.createAddressSpace("a");
+    VirtAddr r = as.allocRegion(MiB);
+    ASSERT_TRUE(as.pinRange(r, kPageSize).ok);
+    as.pte(pageOf(r)).pinCount = Pte::kMaxPins - 1;
+    ASSERT_TRUE(as.pinRange(r, kPageSize).ok);
+    EXPECT_EQ(as.findPte(pageOf(r))->pinCount, Pte::kMaxPins);
+    EXPECT_DEATH(as.pinRange(r, kPageSize),
+                 "pin of vpn 65536 past 134217727 pins");
+}
+
+TEST(AddressSpaceDeathTest, RegionPastTheFrameVpnFieldAborts)
+{
+    MemoryManager mm(64 * MiB);
+    AddressSpace &as = mm.createAddressSpace("a");
+    // An empty region at vpn 0x10000 puts the next one a guard page
+    // on; that one may end at Frame::kMaxVpn. Reserving address space
+    // costs no memory.
+    std::size_t fits = Frame::kMaxVpn - pageOf(as.allocRegion(0));
+    EXPECT_DEATH(as.allocRegion((fits + 1) * kPageSize),
+                 "reaches past vpn 4294967295");
+    VirtAddr last = as.allocRegion(fits * kPageSize);
+    ASSERT_TRUE(as.touch(last + (fits - 1) * kPageSize, 1, true).ok);
+    EXPECT_EQ(mm.physical().frame(as.findPte(Frame::kMaxVpn)->pfn).vpn,
+              Frame::kMaxVpn);
+    EXPECT_DEATH(as.allocRegion(kPageSize), "reaches past vpn");
+}
+
+TEST(MemoryManagerDeathTest, DuplicateCgroupAborts)
+{
+    MemoryManager mm(64 * MiB);
+    mm.createCgroup("t", MiB);
+    EXPECT_DEATH(mm.createCgroup("t", 2 * MiB), "cgroup 't' already exists");
+    EXPECT_DEATH(mm.createCgroup("root", MiB),
+                 "cgroup 'root' already exists");
+}
+
+TEST(MemoryManagerDeathTest, UnknownCgroupAborts)
+{
+    MemoryManager mm(64 * MiB);
+    EXPECT_DEATH(mm.createAddressSpace("a", "nosuch"),
+                 "address space 'a' in unknown cgroup 'nosuch'");
 }
 
 TEST(MemoryManager, ReclaimEvictsUnderPressure)

@@ -216,7 +216,7 @@ TEST_P(MemoryBudget, AccountingStaysConsistentUnderChurn)
         if (pte == nullptr || !pte->present)
             continue;
         const mem::Frame &f = mm.physical().frame(pte->pfn);
-        ASSERT_EQ(f.owner, &as);
+        ASSERT_EQ(f.owner, as.id());
         ASSERT_EQ(f.vpn, v);
         ++checked;
     }
