@@ -15,6 +15,8 @@
  *    steady-state recording (begin/instant/end well past one ring
  *    wrap) performs zero heap allocations, verified by a counting
  *    global operator new.
+ *  - trace_steady_allocs (hard): the same for full tracing: once
+ *    armed, recording flows into the trace ring allocates nothing.
  *
  * An armed-ring timing is also reported (informational) so the cost
  * of leaving the flight recorder on for a whole run is visible.
@@ -97,7 +99,7 @@ runTrial(Mode mode, std::uint64_t n, std::uint64_t *sink_out)
                     work();
                     at.blockEnd(lane, obs::Phase::NpfDriver);
                     at.charge(lane, obs::Phase::Server, 1);
-                    tr.endFlow(f);
+                    tr.endFlow(f, "bench", "pkt");
                 },
                 "obs_overhead.gated");
         }
@@ -192,27 +194,36 @@ main(int argc, char **argv)
                 armed, double(kEvents) / armed,
                 100.0 * (armed - bare) / bare);
 
-    // Steady-state allocation check: ring already warm from the armed
-    // trials (well past one wrap); emit another large batch and count
-    // every global new.
+    // Steady-state allocation checks: count every global new over a
+    // large batch of begin/instant/span/end cycles. The flight ring is
+    // already warm from the armed trials (well past one wrap); the
+    // full-trace ring is armed and warmed right before its batch.
     sim::EventQueue eq;
     obs::tracer().setClock(&eq);
     const std::uint64_t kSteady = 100'000 / scale;
-    std::uint64_t before = scenario::allocCount();
-    for (std::uint64_t i = 0; i < kSteady; ++i) {
-        obs::FlowId f = obs::tracer().beginFlow("bench", "steady");
-        obs::tracer().instant(obs::Track::Nic, "bench", "rx", f);
-        obs::tracer().span(obs::Track::Driver, "bench", "svc", eq.now(),
-                           1, f);
-        obs::tracer().endFlow(f);
-    }
-    std::uint64_t steady_allocs = scenario::allocCount() - before;
+    auto steadyAllocs = [&eq](std::uint64_t cycles) {
+        std::uint64_t before = scenario::allocCount();
+        for (std::uint64_t i = 0; i < cycles; ++i) {
+            obs::FlowId f = obs::tracer().beginFlow("bench", "steady");
+            obs::tracer().instant(obs::Track::Nic, "bench", "rx", f);
+            obs::tracer().span(obs::Track::Driver, "bench", "svc",
+                               eq.now(), 1, f);
+            obs::tracer().endFlow(f, "bench", "steady");
+        }
+        return scenario::allocCount() - before;
+    };
+    std::uint64_t flight_allocs = steadyAllocs(kSteady);
     std::printf("  ring: size=%zu overwritten=%llu\n",
                 obs::tracer().flightSize(),
                 static_cast<unsigned long long>(
                     obs::tracer().flightOverwritten()));
-    obs::tracer().setClock(nullptr);
     fr.disarm();
+    obs::tracer().enable(true);
+    steadyAllocs(1000);
+    std::uint64_t trace_allocs = steadyAllocs(kSteady);
+    std::printf("  trace: events=%zu\n", obs::tracer().eventCount());
+    obs::tracer().enable(false);
+    obs::tracer().setClock(nullptr);
 
     rep.params.set("events", kEvents).set("trials", kTrials);
     rep.values.set("bare_seconds", bare).set("disabled_seconds", disabled)
@@ -220,6 +231,7 @@ main(int argc, char **argv)
         .set("disabled_overhead_iqr_pct", overhead_iqr);
     rep.gate("disabled_overhead_pct", overhead_pct, bench::Cmp::Le,
              kThresholdPct, bench::Severity::Soft);
-    rep.gate("flight_steady_allocs", steady_allocs, bench::Cmp::Eq, 0);
+    rep.gate("flight_steady_allocs", flight_allocs, bench::Cmp::Eq, 0);
+    rep.gate("trace_steady_allocs", trace_allocs, bench::Cmp::Eq, 0);
     return rep.finish();
 }

@@ -38,7 +38,7 @@ main(int argc, char **argv)
     sim::EventQueue eq;
     // Observability costs nothing unless asked for: only --trace
     // creates the session (which raises the detail/retain flags and
-    // installs the per-event execute hook for its lifetime).
+    // turns on the queue's per-site execution counts for its lifetime).
     std::unique_ptr<obs::Session> session;
     if (trace) {
         obs::SessionOptions obs_opt;

@@ -248,9 +248,10 @@ check_bench_json "$smokedir/BENCH_engine.json"
 echo "== tier 6: observability smoke (obs_overhead + trace validation) =="
 # Reduced-scale obs_overhead: the disabled-path gates must cost <2%
 # (a soft gate, noise-prone at smoke scale like tier 5's speedup) and
-# the armed flight ring must allocate nothing in steady state (a hard
-# gate: never noise).
-run_gated "$smokedir/obs.txt" "disabled_overhead_pct flight_steady_allocs" \
+# the armed flight ring and full-trace ring must allocate nothing in
+# steady state (hard gates: never noise).
+run_gated "$smokedir/obs.txt" \
+    "disabled_overhead_pct flight_steady_allocs trace_steady_allocs" \
     ./build/bench/obs_overhead --smoke --json="$smokedir/BENCH_obs.json"
 check_bench_json "$smokedir/BENCH_obs.json"
 

@@ -24,12 +24,6 @@ class HostModel
     explicit HostModel(double alpha = 0.18) : alpha_(alpha) {}
 
     void addInstance() { ++instances_; }
-    void removeInstance()
-    {
-        if (instances_ > 0)
-            --instances_;
-    }
-    unsigned instances() const { return instances_; }
 
     /** Scale a base service time by the current contention. */
     sim::Time

@@ -337,7 +337,7 @@ NpfController::finishResolve(std::uint32_t r)
               static_cast<unsigned long long>(bd.total()));
     traceBreakdown(flow, bd, eq_.now());
     recordBreakdown(bd);
-    obs::tracer().endFlow(flow);
+    obs::tracer().endFlow(flow, "npf", "npf");
     resume(r, bd);
     if (MergeEntry *m = has_key ? c.findMerge(merge_key) : nullptr) {
         // Unlink the whole list before running it: a waiter that
@@ -417,7 +417,8 @@ NpfController::computeResolve(ChannelId ch, mem::VirtAddr iova,
     if (obs::tracer().active()) {
         obs::FlowId flow = obs::tracer().beginFlow("npf", "npf.sync");
         traceBreakdown(flow, bd, eq_.now() + bd.total());
-        obs::tracer().endFlowAt(flow, eq_.now() + bd.total());
+        obs::tracer().endFlowAt(flow, "npf", "npf.sync",
+                                 eq_.now() + bd.total());
     }
     recordBreakdown(bd);
     return bd;

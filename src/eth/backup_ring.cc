@@ -202,7 +202,7 @@ BackupRingManager::finishEntry(unsigned ring_id)
                   ring_id, static_cast<unsigned long long>(dd.frame.bytes),
                   static_cast<unsigned long long>(idx));
         nic_.resolveRnpf(ring_id, bit_index);
-        obs::tracer().endFlow(flow);
+        obs::tracer().endFlow(flow, "rnpf", "rnpf");
         pumpResolver(ring_id);
     }, "eth.backup.copy");
     (void)d;

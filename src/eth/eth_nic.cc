@@ -310,7 +310,7 @@ EthNic::recvToRing(RxRing &r, Frame f)
             ++r.stats.dropped; // backup ring itself is full
             obs::tracer().instant(obs::Track::Nic, "rnpf",
                                   "rnpf.overflow_drop", flow);
-            obs::tracer().endFlow(flow);
+            obs::tracer().endFlow(flow, "rnpf", "rnpf");
             return;
         }
         // Head-of-line blocking starts with the first parked slot:

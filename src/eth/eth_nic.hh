@@ -95,7 +95,6 @@ class EthNic
     {
         return ringChannel_[id];
     }
-    std::size_t ringCount() const { return rings_.size(); }
 
     // --- transmit ----------------------------------------------------
 

@@ -323,7 +323,6 @@ std::optional<FaultInjector::Decision>
 FaultInjector::decide(Site site)
 {
     unsigned s = unsigned(site);
-    ++observed_[s];
     sim::Time now = eq_.now();
     std::optional<Decision> hit;
     for (std::size_t idx : bySite_[s]) {

@@ -194,11 +194,6 @@ class FaultInjector
     {
         return injected_[unsigned(site)];
     }
-    /** Events observed (polls) at @p site so far. */
-    std::uint64_t observed(Site site) const
-    {
-        return observed_[unsigned(site)];
-    }
     std::uint64_t injectedTotal() const;
     /** Firings of plan clause @p idx. */
     std::uint64_t clauseFired(std::size_t idx) const;
@@ -228,7 +223,6 @@ class FaultInjector
     TimedHandler handlers_[kSiteCount];
     ClauseHook clauseHook_;
     std::uint64_t injected_[kSiteCount] = {};
-    std::uint64_t observed_[kSiteCount] = {};
 
     /** thread_local: each shard worker arms its own injector
      *  (a fault plan never spans shards). constinit: no TLS wrapper

@@ -676,7 +676,7 @@ QueuePair::raiseRnpf(mem::VirtAddr addr, std::size_t len, std::uint64_t psn)
                                  "ready", node_);
                        obs::tracer().instant(obs::Track::Transport, "rnr",
                                              "rnr.resolved", rnpfFlow_);
-                       obs::tracer().endFlow(rnpfFlow_);
+                       obs::tracer().endFlow(rnpfFlow_, "rnr", "rnr");
                        rnpfFlow_ = 0;
                        obs::attributor().blockEnd(attrLane_,
                                                   obs::Phase::NpfDriver);

@@ -167,16 +167,8 @@ class QueuePair
     core::NpfController &controller() { return npfc_; }
     QpConfig &config() { return cfg_; }
 
-    /** Outstanding (posted, incomplete) send work requests. */
-    std::size_t outstandingSends() const
-    {
-        return sendQueue_.size() + inflight_.size();
-    }
-
     /** True after a fatal QP error (RNR retries exhausted). */
     bool inError() const { return error_; }
-
-    std::size_t postedRecvs() const { return recvQueue_.size(); }
 
   private:
     /** One wire packet. */
@@ -269,11 +261,9 @@ class QueuePair
     void handlePacket(Packet pkt);
     void processPacket(Packet pkt);
     void handleData(const Packet &pkt);
-    void handleReadRequest(const Packet &pkt);
     void handleReadResponse(const Packet &pkt);
     void deliverCompletion(Completion c);
     void raiseRnpf(mem::VirtAddr addr, std::size_t len, std::uint64_t psn);
-    bool dmaWriteTarget(mem::VirtAddr addr, std::size_t len);
     void maybeAck(bool force);
 
     // --- DCQCN -------------------------------------------------------

@@ -214,7 +214,6 @@ class ClientPool
     void armArrival();
     void calendarInsert(sim::Time when, std::uint32_t c);
     void calendarFire();
-    void armCalendar();
     void sweep();
     sim::Time backoffDelay(unsigned attempt) const;
 

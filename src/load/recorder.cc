@@ -213,8 +213,6 @@ SloMonitor::tick()
     if (!win.empty()) {
         auto pUs = win.percentile(cfg_.percentile);
         auto p = static_cast<sim::Time>(pUs * double(sim::kMicrosecond));
-        if (p > worst_)
-            worst_ = p;
         if (cfg_.target != 0 && p > cfg_.target) {
             ++violations_;
             obs::FlowTracer::global().instant(

@@ -203,8 +203,6 @@ class SloMonitor
 
     std::uint64_t checks() const { return checks_; }
     std::uint64_t violations() const { return violations_; }
-    /** Worst windowed percentile seen so far. */
-    sim::Time worst() const { return worst_; }
 
   private:
     void tick();
@@ -215,7 +213,6 @@ class SloMonitor
     sim::EventId timer_ = sim::kInvalidEvent;
     std::uint64_t checks_ = 0;
     std::uint64_t violations_ = 0;
-    sim::Time worst_ = 0;
     obs::Instrumented obs_; ///< last member: deregisters first
 };
 

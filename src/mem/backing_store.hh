@@ -58,15 +58,7 @@ class BackingStore
         return nextSlot_++;
     }
 
-    /** Record that a swap slot was read back / discarded. */
-    void
-    freeSlot()
-    {
-        ++pagesIn_;
-    }
-
     std::uint64_t pagesWritten() const { return pagesOut_; }
-    std::uint64_t pagesRead() const { return pagesIn_; }
 
     const BackingStoreConfig &config() const { return cfg_; }
 
@@ -81,7 +73,6 @@ class BackingStore
     BackingStoreConfig cfg_;
     std::uint64_t nextSlot_ = 1;
     std::uint64_t pagesOut_ = 0;
-    std::uint64_t pagesIn_ = 0;
 };
 
 } // namespace npf::mem

@@ -111,7 +111,6 @@ MemoryManager::faultIn(AddressSpace &as, Vpn vpn, bool write)
     res.cost += cost_.minorFaultCpu;
     if (pte.inSwap) {
         res.cost += swap_.readLatency(1);
-        swap_.freeSlot();
         pte.inSwap = false;
         res.major = true;
         ++stats_.majorFaults;

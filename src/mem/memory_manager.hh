@@ -126,9 +126,6 @@ class MemoryManager
     const MemCostConfig &costs() const { return cost_; }
     std::size_t pinnedPages() const { return pinnedPages_; }
 
-    /** Frames kept free as the reclaim low-watermark. */
-    std::size_t reserveFrames() const { return reserveFrames_; }
-
   private:
     friend class AddressSpace;
 
@@ -151,7 +148,7 @@ class MemoryManager
     /// stays valid
     std::vector<std::unique_ptr<AddressSpace>> spaces_;
     std::size_t pinnedPages_ = 0;
-    std::size_t reserveFrames_ = 0;
+    std::size_t reserveFrames_ = 0; ///< reclaim low-watermark (frames)
     obs::Instrumented obs_; ///< last member: deregisters first
 };
 

@@ -97,10 +97,6 @@ class Egress
     {
         return pauseCount_[priority] > 0;
     }
-    std::size_t queueBytes(unsigned priority) const
-    {
-        return queueBytes_[priority];
-    }
     std::size_t
     queueBytesTotal() const
     {

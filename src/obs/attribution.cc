@@ -2,20 +2,6 @@
 
 namespace npf::obs {
 
-const char *
-phaseName(Phase p)
-{
-    switch (p) {
-      case Phase::Backlog: return "backlog";
-      case Phase::Queue: return "queue";
-      case Phase::Server: return "server";
-      case Phase::NpfDriver: return "npf_driver";
-      case Phase::RnrBackoff: return "rnr_backoff";
-      case Phase::Retransmit: return "retransmit";
-    }
-    return "?";
-}
-
 Attributor &
 Attributor::global()
 {

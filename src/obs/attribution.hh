@@ -53,8 +53,6 @@ enum class Phase : unsigned {
 
 inline constexpr unsigned kPhaseCount = 6;
 
-const char *phaseName(Phase p);
-
 /** Per-request result: ns per phase plus the end-to-end total. */
 struct PhaseBreakdown
 {

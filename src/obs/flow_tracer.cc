@@ -57,46 +57,42 @@ FlowTracer::global()
     return *t;
 }
 
-bool
-FlowTracer::admit()
-{
-    if (events_.size() >= capacity_) {
-        ++dropped_;
-        return false;
-    }
-    return true;
-}
-
 void
-FlowTracer::push(const Event &e)
+FlowTracer::enable(bool on)
 {
-    if (enabled_ && admit())
-        events_.push_back(e);
-    if (flightCap_ != 0) {
-        flight_[flightHead_] = e;
-        flightHead_ = flightHead_ + 1 == flightCap_ ? 0 : flightHead_ + 1;
-        if (flightCount_ < flightCap_)
-            ++flightCount_;
-        else
-            ++flightOverwritten_;
-    }
+    enabled_ = on;
+    resizeRing();
 }
 
 void
 FlowTracer::setFlightCapacity(std::size_t cap)
 {
     flightCap_ = cap;
-    flightHead_ = 0;
-    flightCount_ = 0;
-    flightOverwritten_ = 0;
-    flight_.assign(cap, Event{});
-    flight_.shrink_to_fit();
-    if (cap != 0)
-        flightOpen_.assign(kFlightOpenSlots, FlightOpen{0, "", ""});
-    else {
-        flightOpen_.clear();
-        flightOpen_.shrink_to_fit();
+    resizeRing();
+}
+
+void
+FlowTracer::resizeRing()
+{
+    std::size_t cap = std::max(enabled_ ? kTraceEvents : 0, flightCap_);
+    if (cap == ringCap_)
+        return;
+    decltype(ring_)().swap(ring_);
+    ring_.reserve(cap);
+    ringCap_ = cap;
+    clear();
+}
+
+void
+FlowTracer::push(const Event &e)
+{
+    if (ring_.size() < ringCap_) {
+        ring_.push_back(e);
+    } else {
+        ring_[head_] = e;
+        head_ = head_ + 1 == ringCap_ ? 0 : head_ + 1;
     }
+    ++pushed_;
 }
 
 FlowId
@@ -113,44 +109,25 @@ FlowTracer::beginFlowAt(const char *cat, const char *name, sim::Time t)
     if (!active())
         return 0;
     FlowId f = nextFlow_++;
-    if (enabled_)
-        open_[f] = FlowInfo{cat, name};
-    else
-        // Flight-only: fixed-slot table, no allocation. A collision
-        // evicts the older flow; its end event is then skipped, which
-        // the ring (itself lossy by design) tolerates.
-        flightOpen_[f & (kFlightOpenSlots - 1)] = FlightOpen{f, cat, name};
     push(Event{'b', 0, f, cat, name, t, 0, 0.0});
     return f;
 }
 
 void
-FlowTracer::endFlow(FlowId f)
+FlowTracer::endFlow(FlowId f, const char *cat, const char *name)
 {
     if (!active() || f == 0)
         return;
-    endFlowAt(f, now());
+    endFlowAt(f, cat, name, now());
 }
 
 void
-FlowTracer::endFlowAt(FlowId f, sim::Time t)
+FlowTracer::endFlowAt(FlowId f, const char *cat, const char *name,
+                      sim::Time t)
 {
-    if (!active() || f == 0)
+    if (!active() || f < firstFlow_)
         return;
-    if (enabled_) {
-        auto it = open_.find(f);
-        if (it == open_.end())
-            return;
-        push(Event{'e', 0, f, it->second.cat, it->second.name, t, 0,
-                   0.0});
-        open_.erase(it);
-        return;
-    }
-    FlightOpen &slot = flightOpen_[f & (kFlightOpenSlots - 1)];
-    if (slot.id != f)
-        return;
-    push(Event{'e', 0, f, slot.cat, slot.name, t, 0, 0.0});
-    slot.id = 0;
+    push(Event{'e', 0, f, cat, name, t, 0, 0.0});
 }
 
 void
@@ -193,30 +170,10 @@ FlowTracer::counter(const char *name, double value)
 void
 FlowTracer::clear()
 {
-    events_.clear();
-    open_.clear();
-    dropped_ = 0;
-    flightHead_ = 0;
-    flightCount_ = 0;
-    flightOverwritten_ = 0;
-    for (FlightOpen &s : flightOpen_)
-        s.id = 0;
-}
-
-void
-FlowTracer::writeProlog(std::ostream &os) const
-{
-    os << "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[";
-    JsonSep sep;
-
-    // Track-name metadata so the viewer labels each layer.
-    for (int tid = 1; tid <= 8; ++tid) {
-        sep.emit(os);
-        os << "{\"ph\":\"M\",\"pid\":0,\"tid\":" << tid
-           << ",\"name\":\"thread_name\",\"args\":{\"name\":";
-        jsonString(os, trackName(tid));
-        os << "}}";
-    }
+    ring_.clear();
+    head_ = 0;
+    pushed_ = 0;
+    firstFlow_ = nextFlow_;
 }
 
 void
@@ -262,30 +219,26 @@ FlowTracer::writeEventJson(std::ostream &os, const Event &e) const
 }
 
 void
-FlowTracer::writeChromeTrace(std::ostream &os) const
+FlowTracer::write(std::ostream &os, std::size_t n) const
 {
-    writeProlog(os);
-    for (const Event &e : events_) {
-        os << ',';
-        writeEventJson(os, e);
-    }
-    os << "]}";
-}
+    os << "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[";
+    JsonSep sep;
 
-void
-FlowTracer::writeFlightTrace(std::ostream &os) const
-{
-    writeProlog(os);
-    // Oldest event first: when full, the head slot (next overwrite
-    // target) is the oldest; otherwise the ring starts at slot 0.
-    std::size_t start =
-        flightCount_ == flightCap_ ? flightHead_ : 0;
-    for (std::size_t i = 0; i < flightCount_; ++i) {
-        std::size_t idx = start + i;
-        if (idx >= flightCap_)
-            idx -= flightCap_;
+    // Track-name metadata so the viewer labels each layer.
+    for (int tid = 1; tid <= 8; ++tid) {
+        sep.emit(os);
+        os << "{\"ph\":\"M\",\"pid\":0,\"tid\":" << tid
+           << ",\"name\":\"thread_name\",\"args\":{\"name\":";
+        jsonString(os, trackName(tid));
+        os << "}}";
+    }
+    // head_ is the oldest slot; skip to the newest n, oldest first.
+    std::size_t idx = head_ + (ring_.size() - n);
+    for (std::size_t i = 0; i < n; ++i, ++idx) {
+        if (idx >= ring_.size())
+            idx -= ring_.size();
         os << ',';
-        writeEventJson(os, flight_[idx]);
+        writeEventJson(os, ring_[idx]);
     }
     os << "]}";
 }

@@ -12,30 +12,38 @@
  * appears as an async lane so one fault's journey reads top to
  * bottom.
  *
- * Two capture modes share the same emit entry points:
+ * Both capture modes write one preallocated event ring through the
+ * same emit entry points:
  *
- *  - **Full tracing** (`enable(true)`): every event is buffered (up to
- *    a large cap) for a complete Chrome trace of the run.
- *  - **Flight recorder** (`setFlightCapacity(N)`): the last N events
- *    are kept in a preallocated ring that is overwritten in steady
- *    state and allocates nothing after arming. It stays armed for a
- *    whole run at negligible cost and is dumped *after* something
- *    interesting happens (SLO violation, fault clause, explicit
- *    request) to show what led up to it.
+ *  - **Full tracing** (`enable(true)`): a 2^22-event ring for a
+ *    complete Chrome trace of the run; a longer run keeps its newest
+ *    2^22 events.
+ *  - **Flight recorder** (`setFlightCapacity(N)`): the last N events,
+ *    in an N-event ring of their own or, with full tracing on, as the
+ *    tail of the trace ring. It stays armed for a whole run at
+ *    negligible cost and is dumped *after* something interesting
+ *    happens (SLO violation, fault clause, explicit request) to show
+ *    what led up to it.
  *
- * Both disabled (the default) costs one predictable inline `active()`
+ * The ring is reserved on sim::PageAllocator pages when a mode turns
+ * on, so it costs address space until it fills, and recording
+ * allocates nothing. No per-flow table exists: whoever ends a flow
+ * passes the cat/name it began with.
+ *
+ * Both off (the default) costs one predictable inline `active()`
  * branch per emit call.
  */
 
 #ifndef NPF_OBS_FLOW_TRACER_HH
 #define NPF_OBS_FLOW_TRACER_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <ostream>
-#include <unordered_map>
 #include <vector>
 
 #include "sim/event_queue.hh"
+#include "sim/page_allocator.hh"
 #include "sim/time.hh"
 
 namespace npf::obs {
@@ -61,11 +69,15 @@ class FlowTracer
     /** The process-wide tracer. */
     static FlowTracer &global();
 
+    /** Events a full trace keeps (its newest, past this many). */
+    static constexpr std::size_t kTraceEvents = std::size_t(1) << 22;
+
     bool enabled() const { return enabled_; }
-    void enable(bool on) { enabled_ = on; }
+    /** Full tracing on/off; a change of ring size empties the ring. */
+    void enable(bool on);
 
     /** True when any capture mode (full trace or flight ring) is on. */
-    bool active() const { return enabled_ || flightCap_ != 0; }
+    bool active() const { return ringCap_ != 0; }
 
     /** Timestamps come from this queue; nullptr reads as t=0. */
     void setClock(const sim::EventQueue *eq) { clock_ = eq; }
@@ -75,9 +87,13 @@ class FlowTracer
     FlowId beginFlow(const char *cat, const char *name);
     FlowId beginFlowAt(const char *cat, const char *name, sim::Time t);
 
-    /** Finish a flow (no-op for id 0 or unknown ids). */
-    void endFlow(FlowId f);
-    void endFlowAt(FlowId f, sim::Time t);
+    /**
+     * Finish flow @p f, which began with @p cat and @p name. No-op for
+     * id 0 and for flows begun before the last clear() or ring resize.
+     */
+    void endFlow(FlowId f, const char *cat, const char *name);
+    void endFlowAt(FlowId f, const char *cat, const char *name,
+                   sim::Time t);
 
     /** Duration event of @p dur starting at @p start on @p track. */
     void span(Track track, const char *cat, const char *name,
@@ -100,33 +116,46 @@ class FlowTracer
     FlowId currentFlow() const { return current_; }
     void setCurrentFlow(FlowId f) { current_ = f; }
 
-    std::size_t eventCount() const { return events_.size(); }
-    std::uint64_t droppedEvents() const { return dropped_; }
-
-    /** Cap on buffered events; further emissions count as dropped. */
-    void setCapacity(std::size_t cap) { capacity_ = cap; }
+    /** Events held in the ring. */
+    std::size_t eventCount() const { return ring_.size(); }
 
     /**
-     * Arm (cap > 0) or disarm (cap == 0) the flight ring. Arming
-     * preallocates everything the ring will ever use; steady-state
-     * recording performs no allocation.
+     * Arm (cap > 0) or disarm (cap == 0) the flight recorder's view:
+     * the last @p cap events. A change of ring size empties the ring.
      */
     void setFlightCapacity(std::size_t cap);
 
     std::size_t flightCapacity() const { return flightCap_; }
-    /** Events currently held in the ring (<= capacity). */
-    std::size_t flightSize() const { return flightCount_; }
-    /** Events overwritten since arming/clear (ring wrapped this much). */
-    std::uint64_t flightOverwritten() const { return flightOverwritten_; }
+    /** Events a flight dump would write now (<= capacity). */
+    std::size_t
+    flightSize() const
+    {
+        return std::min(ring_.size(), flightCap_);
+    }
+    /** Events emitted since arming/clear that a dump no longer holds. */
+    std::uint64_t
+    flightOverwritten() const
+    {
+        return flightCap_ != 0 && pushed_ > flightCap_ ? pushed_ - flightCap_
+                                                        : 0;
+    }
 
-    /** Drop all buffered events and open-flow bookkeeping. */
+    /** Drop all buffered events. */
     void clear();
 
-    /** Write the buffered events as Chrome trace_event JSON. */
-    void writeChromeTrace(std::ostream &os) const;
+    /** Write the trace (newest kTraceEvents) as Chrome trace JSON. */
+    void
+    writeChromeTrace(std::ostream &os) const
+    {
+        write(os, std::min(ring_.size(), kTraceEvents));
+    }
 
-    /** Write the flight ring (oldest first) as Chrome trace JSON. */
-    void writeFlightTrace(std::ostream &os) const;
+    /** Write the flight window (oldest first) as Chrome trace JSON. */
+    void
+    writeFlightTrace(std::ostream &os) const
+    {
+        write(os, flightSize());
+    }
 
   private:
     struct Event
@@ -141,41 +170,24 @@ class FlowTracer
         double value;    ///< 'C' only
     };
 
-    /** Open-flow record for flight-only mode: fixed, hash-indexed. */
-    struct FlightOpen
-    {
-        FlowId id;
-        const char *cat;
-        const char *name;
-    };
-    static constexpr std::size_t kFlightOpenSlots = 1024; // power of 2
-
-    bool admit();
+    void resizeRing();
     void push(const Event &e);
+    /** Write the newest @p n ring events, oldest first. */
+    void write(std::ostream &os, std::size_t n) const;
     void writeEventJson(std::ostream &os, const Event &e) const;
-    void writeProlog(std::ostream &os) const;
 
     bool enabled_ = false;
     const sim::EventQueue *clock_ = nullptr;
     FlowId nextFlow_ = 1;
+    FlowId firstFlow_ = 1; ///< flows below began before the last clear
     FlowId current_ = 0;
-    std::size_t capacity_ = 1u << 22;
-    std::uint64_t dropped_ = 0;
-    std::vector<Event> events_;
-    struct FlowInfo
-    {
-        const char *cat;
-        const char *name;
-    };
-    std::unordered_map<FlowId, FlowInfo> open_;
-
-    // --- flight ring (all storage preallocated by setFlightCapacity) ---
     std::size_t flightCap_ = 0;
-    std::size_t flightHead_ = 0;  ///< next slot to write
-    std::size_t flightCount_ = 0;
-    std::uint64_t flightOverwritten_ = 0;
-    std::vector<Event> flight_;
-    std::vector<FlightOpen> flightOpen_;
+
+    // --- the ring: reserved by resizeRing(), filled by push() ---
+    std::size_t ringCap_ = 0;
+    std::size_t head_ = 0;      ///< oldest slot (0 until the ring fills)
+    std::uint64_t pushed_ = 0;  ///< events emitted since clear/resize
+    std::vector<Event, sim::PageAllocator<Event>> ring_;
 };
 
 /** Process-wide tracer accessor (shorthand). */

@@ -113,7 +113,6 @@ class Registry
      * clash with live ones. obs::Session raises this for its
      * lifetime and clears the retired set when it finishes.
      */
-    bool retain() const { return retain_; }
     void setRetain(bool on) { retain_ = on; }
 
     /** Drop all retired values. */

@@ -60,7 +60,12 @@ Session::Session(sim::EventQueue &eq, SessionOptions opt)
     at.setClock(&eq_);
     at.enable(opt_.attribution);
 
+    // The queue's site table is the one per-site account: it counts
+    // every executed event (keyed by the label's address, so a site
+    // allocates once, on its first event) and times them only under
+    // profileEventLoop.
     eq_.clearProfile();
+    eq_.enableSiteCounts(true);
     eq_.enableProfile(opt_.profileEventLoop);
 
     obs_.init("sim.eq");
@@ -71,13 +76,6 @@ Session::Session(sim::EventQueue &eq, SessionOptions opt)
     obs_.counter("cancelled_reaped", &st.cancelledReaped);
     obs_.gauge("live", [this] { return double(eq_.live()); });
     obs_.gauge("pending", [this] { return double(eq_.pending()); });
-
-    // Keyed by the label's address, like the event-loop profiler: a
-    // site allocates once, on its first event, never per event.
-    eq_.setExecuteHook(
-        [this](sim::Time, sim::EventId, const char *site) {
-            ++siteCounts_[site != nullptr ? site : ""];
-        });
 
     if (opt_.sampleInterval > 0) {
         std::vector<std::string> names = opt_.sampledCounters;
@@ -125,9 +123,10 @@ Session::finish()
         return;
     finished_ = true;
 
-    eq_.setExecuteHook(nullptr);
+    eq_.enableSiteCounts(false);
+    eq_.enableProfile(false);
     // A still-queued sampler tick would otherwise fire on a dead (or
-    // finished) session: cancel it along with the hook.
+    // finished) session: cancel it.
     eq_.cancel(samplerEvent_);
     samplerEvent_ = sim::kInvalidEvent;
 
@@ -159,8 +158,6 @@ Session::finish()
     at.enable(false);
     at.setClock(nullptr);
 
-    eq_.enableProfile(false);
-
     FlowTracer &tr = tracer();
     tr.enable(false);
     tr.setClock(nullptr);
@@ -175,26 +172,24 @@ Session::writeMetrics(std::ostream &os) const
     os << "{\"sim_time_ns\":" << eq_.now() << ",\"metrics\":";
     Registry::global().writeJson(os);
 
+    auto merged = bySiteText(
+        eq_.siteProfiles(), [](sim::EventQueue::SiteProfile &m,
+                               const sim::EventQueue::SiteProfile &sp) {
+            m.count += sp.count;
+            m.wallNs += sp.wallNs;
+            m.maxWallNs = std::max(m.maxWallNs, sp.maxWallNs);
+            m.simLagNs += sp.simLagNs;
+        });
     os << ",\"event_sites\":{";
     JsonSep sep;
-    auto counts = bySiteText(
-        siteCounts_, [](std::uint64_t &m, std::uint64_t n) { m += n; });
-    for (const auto &[site, count] : counts) {
+    for (const auto &[site, sp] : merged) {
         sep.emit(os);
         jsonString(os, site);
-        os << ':' << count;
+        os << ':' << sp.count;
     }
     os << '}';
 
     if (opt_.profileEventLoop) {
-        auto merged = bySiteText(
-            eq_.siteProfiles(), [](sim::EventQueue::SiteProfile &m,
-                                   const sim::EventQueue::SiteProfile &sp) {
-                m.count += sp.count;
-                m.wallNs += sp.wallNs;
-                m.maxWallNs = std::max(m.maxWallNs, sp.maxWallNs);
-                m.simLagNs += sp.simLagNs;
-            });
         os << ",\"event_loop_profile\":{";
         sep.reset();
         for (const auto &[site, sp] : merged) {

@@ -15,7 +15,7 @@
  *  - raises the registry detail flag so components record optional
  *    latency histograms;
  *  - exports the EventQueue's own stats as `sim.eqN.*` gauges and
- *    counts executed events per scheduling site;
+ *    turns on the queue's per-site execution counts;
  *  - optionally runs a periodic sampler that turns selected counters
  *    into sim::RateSeries (events/s over time).
  *
@@ -32,7 +32,6 @@
 #include <memory>
 #include <ostream>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "obs/flow_tracer.hh"
@@ -84,7 +83,7 @@ class Session
 
     /**
      * Write configured outputs and restore global observability
-     * state (tracer disabled, detail flag lowered, hooks removed).
+     * state (tracer disabled, detail flag lowered, site counting off).
      * Idempotent; also invoked by the destructor.
      */
     void finish();
@@ -98,9 +97,6 @@ class Session
 
     /** Sampled series for @p counter name; nullptr if not sampled. */
     const sim::RateSeries *series(const std::string &counter) const;
-
-    sim::EventQueue &queue() { return eq_; }
-    const SessionOptions &options() const { return opt_; }
 
   private:
     struct Sampled
@@ -120,9 +116,6 @@ class Session
     /** Pending sampler event; cancelled by finish() so a destroyed
      *  session can never be called back by the queue. */
     sim::EventId samplerEvent_ = sim::kInvalidEvent;
-    /** Executed-event counts per schedule() site label's address
-     *  ("" for unlabeled events); merged by text at write-out. */
-    std::unordered_map<const char *, std::uint64_t> siteCounts_;
     Instrumented obs_; ///< last member: deregisters first
 };
 

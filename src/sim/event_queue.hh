@@ -74,13 +74,14 @@ class EventQueue
     };
 
     /**
-     * Per-schedule-site accounting collected by the event-loop
-     * profiler (enableProfile()). Keyed by the site string literal's
-     * address — distinct literals with identical text are merged at
-     * export time, not here, to keep the hot path to one hash of a
-     * pointer. simLagNs is the events' queue residency (execution
-     * time minus schedule time): high values mean a site schedules
-     * far ahead, not that the loop is slow.
+     * Per-schedule-site accounting: executions while site counting
+     * (enableSiteCounts()) or the event-loop profiler (enableProfile())
+     * is on, and, under the profiler only, wall and sim time. Keyed by
+     * the site string literal's address — distinct literals with
+     * identical text are merged at export time, not here, to keep the
+     * hot path to one hash of a pointer. simLagNs is the events' queue
+     * residency (execution time minus schedule time): high values mean
+     * a site schedules far ahead, not that the loop is slow.
      */
     struct SiteProfile
     {
@@ -89,16 +90,6 @@ class EventQueue
         std::uint64_t maxWallNs = 0;
         std::uint64_t simLagNs = 0;
     };
-
-    /**
-     * Optional post-execution hook: (time, id, site). @p site is the
-     * label passed to schedule(), or nullptr. Installed by
-     * obs::Session for per-callback-site accounting; keep it cheap.
-     * Re-read after every callback, so a callback that clears it (a
-     * Session tearing itself down mid-run) is honoured immediately.
-     */
-    using ExecuteHook =
-        std::function<void(Time now, EventId id, const char *site)>;
 
     EventQueue() = default;
     EventQueue(const EventQueue &) = delete;
@@ -119,33 +110,11 @@ class EventQueue
     {
         if (when < now_)
             when = now_;
-        // Idle queue: re-anchor the wheels at the new event, in either
-        // direction — forward so a long quiet gap does not force it
-        // through the overflow list, backward so a queue parked at the
-        // far future (a drained "never" sentinel) recovers. Only ghost
-        // heap items can remain, and those are skipped by generation.
-        if (liveCount_ == 0) {
-            base_ = when & ~Time(kSlotSpan0 - 1);
-            curWindowEnd_ = saturatingAdd(base_, kSlotSpan0);
-            wheelMin_ = kTimeMax;
-            overflowMin_ = kTimeMax;
-        }
-        std::uint32_t idx = allocSlot();
-        Entry &e = slab_[idx];
-        e.when = when;
         // Local events live in the odd seq domain; boundary injections
         // (scheduleBoundary) take the even domain. Relative order among
         // local events is unchanged, so single-queue runs execute
         // bit-identically to the pre-split engine.
-        e.seq = (nextSeq_++ << 1) | 1;
-        e.cb = std::move(cb);
-        e.site = site;
-        e.schedAt = now_;
-        EventId id = makeId(idx, e.gen);
-        place(idx, when);
-        ++liveCount_;
-        ++stats_.scheduled;
-        return id;
+        return insert(when, (nextSeq_++ << 1) | 1, std::move(cb), site);
     }
 
     /**
@@ -192,24 +161,8 @@ class EventQueue
                          site ? ", site " : "", site ? site : "");
             std::abort();
         }
-        if (liveCount_ == 0) {
-            base_ = when & ~Time(kSlotSpan0 - 1);
-            curWindowEnd_ = saturatingAdd(base_, kSlotSpan0);
-            wheelMin_ = kTimeMax;
-            overflowMin_ = kTimeMax;
-        }
-        std::uint32_t idx = allocSlot();
-        Entry &e = slab_[idx];
-        e.when = when;
-        e.seq = (orderKey << 1) | (std::uint64_t(1) << 63);
-        e.cb = std::move(cb);
-        e.site = site;
-        e.schedAt = now_;
-        EventId id = makeId(idx, e.gen);
-        place(idx, when);
-        ++liveCount_;
-        ++stats_.scheduled;
-        return id;
+        return insert(when, (orderKey << 1) | (std::uint64_t(1) << 63),
+                      std::move(cb), site);
     }
 
     /**
@@ -254,17 +207,22 @@ class EventQueue
 
     const Stats &stats() const { return stats_; }
 
-    /** Install (or clear, with nullptr) the post-execution hook. */
-    void setExecuteHook(ExecuteHook hook) { hook_ = std::move(hook); }
+    /**
+     * Count executions per schedule site into siteProfiles(), without
+     * reading the clock (obs::Session's `event_sites`). Re-read after
+     * every callback, so a callback that turns it on or off is
+     * honoured within that same step.
+     */
+    void enableSiteCounts(bool on) { countSites_ = on; }
 
     /**
      * Event-loop profiler: per-schedule-site execution counts, wall
      * time (host clock; excluded from simulation state so determinism
-     * is untouched) and sim-time queue residency. Off by default; the
-     * disabled cost is one branch per executed event.
+     * is untouched) and sim-time queue residency. Off by default; with
+     * neither it nor site counting on, the cost is two branches per
+     * executed event.
      */
     void enableProfile(bool on) { profile_ = on; }
-    bool profiling() const { return profile_; }
     void clearProfile() { siteProfiles_.clear(); }
     const std::unordered_map<const char *, SiteProfile> &
     siteProfiles() const
@@ -287,10 +245,10 @@ class EventQueue
     runUntil(Time until)
     {
         // Single-scan drain: each iteration validates the heap top
-        // once and either executes it or stops. The old
-        // peekNextTime()+step() pairing validated (and potentially
-        // ghost-popped / advanced) twice per event, which doubled the
-        // wheel work exactly where burst arrivals batch up.
+        // once and either executes it or stops. Peeking at the next
+        // time before each step() would validate (and potentially
+        // ghost-pop / advance) twice per event, doubling the wheel
+        // work exactly where burst arrivals batch up.
         while (stepBounded(until) == Bounded::Ran) {
         }
         if (now_ < until)
@@ -329,6 +287,38 @@ class EventQueue
     }
 
   private:
+    /**
+     * The one insertion body behind schedule() and scheduleBoundary():
+     * file @p cb at (@p when, @p seq), @p when >= now().
+     */
+    EventId
+    insert(Time when, std::uint64_t seq, Callback &&cb, const char *site)
+    {
+        // Idle queue: re-anchor the wheels at the new event, in either
+        // direction — forward so a long quiet gap does not force it
+        // through the overflow list, backward so a queue parked at the
+        // far future (a drained "never" sentinel) recovers. Only ghost
+        // heap items can remain, and those are skipped by generation.
+        if (liveCount_ == 0) {
+            base_ = when & ~Time(kSlotSpan0 - 1);
+            curWindowEnd_ = saturatingAdd(base_, kSlotSpan0);
+            wheelMin_ = kTimeMax;
+            overflowMin_ = kTimeMax;
+        }
+        std::uint32_t idx = allocSlot();
+        Entry &e = slab_[idx];
+        e.when = when;
+        e.seq = seq;
+        e.cb = std::move(cb);
+        e.site = site;
+        e.schedAt = now_;
+        EventId id = makeId(idx, e.gen);
+        place(idx, when);
+        ++liveCount_;
+        ++stats_.scheduled;
+        return id;
+    }
+
     /** stepBounded() outcomes. */
     enum class Bounded { Ran, Beyond, Empty };
 
@@ -359,7 +349,6 @@ class EventQueue
                 Callback cb = std::move(e.cb);
                 const char *site = e.site;
                 Time schedAt = e.schedAt;
-                EventId id = makeId(top.idx, top.gen);
                 freeSlot(top.idx);
                 --liveCount_;
                 now_ = top.when;
@@ -380,9 +369,9 @@ class EventQueue
                     sp.simLagNs += now_ - schedAt;
                 } else {
                     cb();
+                    if (countSites_) // re-read: cb may have flipped it
+                        ++siteProfiles_[site != nullptr ? site : ""].count;
                 }
-                if (hook_) // re-read: the callback may have cleared it
-                    hook_(now_, id, site);
                 return Bounded::Ran;
             }
             if (!advance())
@@ -786,31 +775,6 @@ class EventQueue
         return when <= wheelMin_ && when <= overflowMin_;
     }
 
-    /**
-     * Time of the next event that will actually run, advancing the
-     * wheels (but executing nothing) to find it.
-     */
-    bool
-    peekNextTime(Time &t)
-    {
-        for (;;) {
-            while (!curHeap_.empty()) {
-                const HeapItem &top = curHeap_.front();
-                const Entry &e = slab_[top.idx];
-                if (e.gen != top.gen || e.bucket != kBucketCurrent) {
-                    popHeap(); // discard ghost
-                    continue;
-                }
-                if (!trustTop(top.when))
-                    break; // something earlier may sit in the wheels
-                t = top.when;
-                return true;
-            }
-            if (!advance())
-                return false;
-        }
-    }
-
     std::vector<Entry> slab_;
     std::uint32_t freeHead_ = kNil;
     std::array<BucketList, kLevels * kSlots + 1> buckets_{};
@@ -825,7 +789,7 @@ class EventQueue
     Time now_ = 0;
     std::uint64_t nextSeq_ = 1;
     Stats stats_;
-    ExecuteHook hook_;
+    bool countSites_ = false;
     bool profile_ = false;
     std::unordered_map<const char *, SiteProfile> siteProfiles_;
 };

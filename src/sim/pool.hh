@@ -173,7 +173,6 @@ class PoolRef
         return static_cast<T *>(obj_);
     }
 
-    PoolHandle handle() const { return h_; }
     PoolBase *pool() const { return pool_; }
 
   private:
@@ -318,7 +317,6 @@ class Pool final : public PoolBase
 
     std::size_t live() const { return liveCount_; }
     std::size_t capacity() const { return chunks_.size() * chunkObjs_; }
-    std::uint64_t totalAcquired() const { return totalAcquired_; }
 
   private:
     struct Slot
@@ -344,7 +342,6 @@ class Pool final : public PoolBase
             grow();
         std::uint32_t idx = freeHead_;
         freeHead_ = slot(idx).nextFree;
-        ++totalAcquired_;
         return idx;
     }
 
@@ -401,7 +398,6 @@ class Pool final : public PoolBase
     std::vector<std::unique_ptr<Slot[]>> chunks_;
     std::uint32_t freeHead_ = PoolHandle::kNullIdx;
     std::size_t liveCount_ = 0;
-    std::uint64_t totalAcquired_ = 0;
 };
 
 } // namespace npf::sim

@@ -89,13 +89,6 @@ class Rng
         return std::lognormal_distribution<double>(0.0, sigma)(gen_);
     }
 
-    /** Normally distributed value. */
-    double
-    normal(double mean, double stddev)
-    {
-        return std::normal_distribution<double>(mean, stddev)(gen_);
-    }
-
     /** Underlying engine, for std distributions not wrapped here. */
     std::mt19937_64 &engine() { return gen_; }
 

@@ -35,16 +35,6 @@ class RateSeries
         buckets_[idx] += count;
     }
 
-    /** Pre-extend the bucket array through time @p until so record()
-     *  stays allocation-free inside an alloc-gated measure window. */
-    void
-    reserveUntil(Time until)
-    {
-        std::size_t idx = static_cast<std::size_t>(until / width_);
-        if (buckets_.size() <= idx)
-            buckets_.resize(idx + 1, 0.0);
-    }
-
     /** Number of buckets touched so far. */
     std::size_t buckets() const { return buckets_.size(); }
 

@@ -54,12 +54,6 @@ class Endpoint
     /** Create (or fetch) the connection with id @p conn_id. */
     TcpConnection &connection(std::uint32_t conn_id);
 
-    /** True if a connection with this id exists. */
-    bool hasConnection(std::uint32_t conn_id) const
-    {
-        return conns_.count(conn_id) > 0;
-    }
-
     unsigned ringId() const { return ringId_; }
     eth::EthNic &nic() { return nic_; }
     mem::AddressSpace &space() { return as_; }

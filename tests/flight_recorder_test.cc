@@ -1,9 +1,10 @@
 /**
  * @file
  * Flight-recorder tests: the FlowTracer's fixed-capacity event ring
- * (wrap, overwrite counting, oldest-first export, flight-only flow
- * bookkeeping), the FlightRecorder dump policy (numbered paths, dump
- * budget), and the indexedPath helper the sweep benches share. The
+ * (wrap, overwrite counting, oldest-first export, exact flow pairing,
+ * the flight window as the tail of a full trace), the FlightRecorder
+ * dump policy (numbered paths, dump budget), and the indexedPath
+ * helper the sweep benches share. The
  * dump paths run under the sanitizer job like every other test, so a
  * ring off-by-one or a stale-slot read trips ASan here.
  */
@@ -11,9 +12,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "obs/flight.hh"
@@ -45,6 +48,24 @@ timestamps(const std::string &json)
         ts.push_back(std::strtod(json.c_str() + pos + key.size(),
                                  nullptr));
     return ts;
+}
+
+/** (ph, id) of every async event: all 'b's, then all 'e's, each in
+ *  document order. */
+std::vector<std::pair<char, obs::FlowId>>
+asyncEvents(const std::string &json)
+{
+    std::vector<std::pair<char, obs::FlowId>> out;
+    for (char ph : {'b', 'e'}) {
+        const std::string key = std::string("{\"ph\":\"") + ph + '"';
+        for (std::size_t pos = json.find(key); pos != std::string::npos;
+             pos = json.find(key, pos + key.size())) {
+            std::size_t id = json.find("\"id\":", pos);
+            out.emplace_back(ph, std::strtoull(json.c_str() + id + 5,
+                                               nullptr, 10));
+        }
+    }
+    return out;
 }
 
 /** The tests mutate the process-wide tracer; always restore it. */
@@ -108,11 +129,11 @@ TEST(FlightRing, PartialRingExportsInEmitOrder)
         EXPECT_DOUBLE_EQ(ts[i], double(i));
 }
 
-TEST(FlightRing, FlightOnlyFlowsUseFixedTable)
+TEST(FlightRing, FlightOnlyFlowsPairBeginAndEnd)
 {
     TracerGuard guard;
     obs::FlowTracer &tr = obs::tracer();
-    tr.enable(false); // flight-only: open flows go to the fixed table
+    tr.enable(false); // flight-only
     tr.setFlightCapacity(16);
     sim::EventQueue eq;
     tr.setClock(&eq);
@@ -120,7 +141,7 @@ TEST(FlightRing, FlightOnlyFlowsUseFixedTable)
     obs::FlowId f = tr.beginFlow("test", "journey");
     ASSERT_NE(f, 0u);
     tr.instant(obs::Track::Driver, "test", "step", f);
-    tr.endFlow(f);
+    tr.endFlow(f, "test", "journey");
     EXPECT_EQ(tr.flightSize(), 3u);
 
     std::ostringstream os;
@@ -129,44 +150,77 @@ TEST(FlightRing, FlightOnlyFlowsUseFixedTable)
     EXPECT_EQ(countOccurrences(json, "\"ph\":\"b\""), 1u);
     EXPECT_EQ(countOccurrences(json, "\"ph\":\"e\""), 1u);
     EXPECT_EQ(countOccurrences(json, "\"name\":\"journey\""), 2u);
-
-    // A second end of the same flow finds its slot cleared: no event.
-    tr.endFlow(f);
-    EXPECT_EQ(tr.flightSize(), 3u);
 }
 
-TEST(FlightRing, FlowTableCollisionEvictsTheOlderFlowExactly)
+TEST(FlightRing, PairingIsExactPastManyOpenFlows)
 {
-    // The 1024-slot flight flow table hashes by (id & 1023) but
-    // stamps each slot with the *full* 64-bit id — the id doubles as
-    // a generation check, so after wraparound an evicted flow's end
-    // is skipped, never misattributed to the slot's newer occupant.
+    // No open-flow table bounds how many flows may be open at once:
+    // every begin gets its end, however many flows overlap.
     TracerGuard guard;
     obs::FlowTracer &tr = obs::tracer();
     tr.enable(false);
-    tr.setFlightCapacity(4096);
+    constexpr int kFlows = 1500; // more than any fixed table of 1024
+    tr.setFlightCapacity(2 * kFlows);
     sim::EventQueue eq;
     tr.setClock(&eq);
 
-    obs::FlowId victim = tr.beginFlow("test", "victim");
-    obs::FlowId last = victim;
-    for (int i = 0; i < 1024; ++i)
-        last = tr.beginFlow("test", "flood");
-    // Ids are sequential, so the 1024th later flow collides exactly.
-    ASSERT_EQ(last & 1023u, victim & 1023u);
+    std::vector<obs::FlowId> open;
+    for (int i = 0; i < kFlows; ++i)
+        open.push_back(tr.beginFlow("test", "flood"));
+    for (obs::FlowId f : open)
+        tr.endFlow(f, "test", "flood");
+    ASSERT_EQ(tr.flightOverwritten(), 0u);
 
-    std::size_t before = tr.flightSize();
-    tr.endFlow(victim); // evicted: stale id, no event emitted
-    EXPECT_EQ(tr.flightSize(), before);
+    std::ostringstream os;
+    tr.writeFlightTrace(os);
+    std::vector<obs::FlowId> begun, ended;
+    for (const auto &[ph, id] : asyncEvents(os.str()))
+        (ph == 'b' ? begun : ended).push_back(id);
+    EXPECT_EQ(begun, open);
+    EXPECT_EQ(ended, open) << "every 'b' has its 'e', in end order";
+}
 
-    tr.endFlow(last); // the live occupant ends normally
-    EXPECT_EQ(tr.flightSize(), before + 1);
+TEST(FlightRing, EndOfAFlowBegunBeforeClearIsDropped)
+{
+    // clear() starts a fresh buffer: ending a flow begun before it
+    // (a model that outlives one sweep iteration's session) must not
+    // emit an 'e' whose 'b' the buffer never held.
+    TracerGuard guard;
+    obs::FlowTracer &tr = obs::tracer();
+    tr.setFlightCapacity(16);
+    obs::FlowId old = tr.beginFlow("test", "old");
+    tr.clear();
+    obs::FlowId fresh = tr.beginFlow("test", "fresh");
+    tr.endFlow(old, "test", "old");
+    EXPECT_EQ(tr.flightSize(), 1u);
+    tr.endFlow(fresh, "test", "fresh");
+    EXPECT_EQ(tr.flightSize(), 2u);
+}
 
-    // The slot is recycled cleanly: a fresh flow can claim and
-    // release it again.
-    obs::FlowId fresh = tr.beginFlow("test", "recycled");
-    tr.endFlow(fresh);
-    EXPECT_EQ(tr.flightSize(), before + 3);
+TEST(FlightRing, FlightWindowIsTheTailOfTheTraceRing)
+{
+    // With full tracing on, both modes share one ring: the trace
+    // holds every event and a flight dump its newest N.
+    TracerGuard guard;
+    obs::FlowTracer &tr = obs::tracer();
+    tr.enable(true);
+    tr.setFlightCapacity(4);
+    for (int i = 0; i < 10; ++i)
+        tr.instantAt(obs::Track::Nic, "test", "ev",
+                     sim::Time(i) * sim::kMicrosecond);
+    EXPECT_EQ(tr.eventCount(), 10u);
+    EXPECT_EQ(tr.flightSize(), 4u);
+    EXPECT_EQ(tr.flightOverwritten(), 6u);
+
+    std::ostringstream trace, flight;
+    tr.writeChromeTrace(trace);
+    tr.writeFlightTrace(flight);
+    std::vector<double> all = timestamps(trace.str());
+    std::vector<double> tail = timestamps(flight.str());
+    ASSERT_EQ(all.size(), 10u);
+    ASSERT_EQ(tail.size(), 4u);
+    for (std::size_t i = 0; i < tail.size(); ++i)
+        EXPECT_DOUBLE_EQ(tail[i], all[6 + i]);
 }
 
 TEST(FlightRing, ClearResetsContentsButKeepsCapacity)

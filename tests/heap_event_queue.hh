@@ -47,9 +47,6 @@ class HeapEventQueue
         std::uint64_t cancelledReaped = 0;
     };
 
-    using ExecuteHook =
-        std::function<void(Time now, EventId id, const char *site)>;
-
     HeapEventQueue() = default;
     HeapEventQueue(const HeapEventQueue &) = delete;
     HeapEventQueue &operator=(const HeapEventQueue &) = delete;
@@ -102,8 +99,6 @@ class HeapEventQueue
     bool empty() const { return heap_.empty(); }
     const Stats &stats() const { return stats_; }
 
-    void setExecuteHook(ExecuteHook hook) { hook_ = std::move(hook); }
-
     bool
     step()
     {
@@ -116,8 +111,6 @@ class HeapEventQueue
         now_ = e.when;
         ++stats_.executed;
         e.cb();
-        if (hook_)
-            hook_(now_, e.id, e.site);
         return true;
     }
 
@@ -201,7 +194,6 @@ class HeapEventQueue
     Time now_ = 0;
     EventId nextId_ = 1;
     Stats stats_;
-    ExecuteHook hook_;
 };
 
 } // namespace npf::simtest

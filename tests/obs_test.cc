@@ -205,7 +205,7 @@ TEST(FlowTracer, DisabledCostsNothing)
     EXPECT_EQ(tr.beginFlow("npf", "npf"), 0u);
     tr.span(obs::Track::Nic, "npf", "trigger", 0, 10);
     tr.instant(obs::Track::Driver, "npf", "x");
-    tr.endFlow(0);
+    tr.endFlow(0, "npf", "npf");
     EXPECT_EQ(tr.eventCount(), 0u);
 }
 
@@ -218,7 +218,7 @@ TEST(FlowTracer, BuffersFlowsSpansInstants)
     EXPECT_NE(f, 0u);
     tr.span(obs::Track::Nic, "npf", "trigger", 0, 10, f);
     tr.instant(obs::Track::Driver, "npf", "woke", f);
-    tr.endFlow(f);
+    tr.endFlow(f, "npf", "npf");
     // begin + span + instant + end
     EXPECT_EQ(tr.eventCount(), 4u);
 
@@ -234,21 +234,6 @@ TEST(FlowTracer, BuffersFlowsSpansInstants)
     tr.enable(false);
     tr.clear();
     EXPECT_EQ(tr.eventCount(), 0u);
-}
-
-TEST(FlowTracer, CapacityBoundsBuffer)
-{
-    obs::FlowTracer &tr = obs::tracer();
-    tr.clear();
-    tr.enable(true);
-    tr.setCapacity(8);
-    for (int i = 0; i < 32; ++i)
-        tr.instant(obs::Track::Sim, "t", "tick");
-    EXPECT_LE(tr.eventCount(), 8u);
-    EXPECT_GT(tr.droppedEvents(), 0u);
-    tr.enable(false);
-    tr.clear();
-    tr.setCapacity(1u << 22);
 }
 
 TEST(FlowTracer, FlowScopeNestsAndRestores)

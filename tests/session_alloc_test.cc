@@ -2,7 +2,8 @@
  * @file
  * obs::Session's per-event cost in heap allocations: with a session
  * open, executing events must not allocate, whatever the length of
- * their site labels. Links the counting global operator new
+ * their site labels, and neither must recording a full trace. Links
+ * the counting global operator new
  * (src/scenario/alloc_counter.hh), so it is its own binary.
  */
 
@@ -42,5 +43,34 @@ TEST(SessionAlloc, LongSiteLabelsDoNotAllocatePerEvent)
     session.writeMetrics(os);
     EXPECT_NE(os.str().find("\"net.fabric.switchrec\":100001"),
               std::string::npos);
+    session.finish();
+}
+
+TEST(TraceAlloc, FullTracingAllocatesNothingAfterArming)
+{
+    // A --trace session reserves its event ring on pages when it
+    // opens; recording flows into it must take nothing from the heap,
+    // however many flows begin and end.
+    constexpr std::uint64_t kCycles = 100'000;
+
+    sim::EventQueue eq;
+    obs::SessionOptions opt;
+    opt.trace = true; // traceOut "": records, writes no file
+    obs::Session session(eq, opt);
+    obs::FlowTracer &tr = obs::tracer();
+    auto cycle = [&tr, &eq] {
+        obs::FlowId f = tr.beginFlow("test", "cycle");
+        tr.instant(obs::Track::Nic, "test", "rx", f);
+        tr.span(obs::Track::Driver, "test", "svc", eq.now(), 1, f);
+        tr.endFlow(f, "test", "cycle");
+    };
+    for (int i = 0; i < 1000; ++i) // warm up
+        cycle();
+
+    std::uint64_t before = scenario::allocCount();
+    for (std::uint64_t i = 0; i < kCycles; ++i)
+        cycle();
+    EXPECT_EQ(scenario::allocCount() - before, 0u);
+    EXPECT_EQ(tr.eventCount(), 4 * (kCycles + 1000));
     session.finish();
 }

@@ -9,7 +9,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -284,30 +283,39 @@ TEST(EventQueue, DoubleCancelCountsOnce)
     EXPECT_EQ(eq.stats().cancelledReaped, 1u);
 }
 
-TEST(EventQueue, ExecuteHookSeesSiteLabels)
+namespace {
+
+/** Executions counted for site text @p site ("" = unlabeled). */
+std::uint64_t
+siteCount(const sim::EventQueue &eq, const std::string &site)
+{
+    std::uint64_t n = 0;
+    for (const auto &[label, sp] : eq.siteProfiles())
+        if (label == site)
+            n += sp.count;
+    return n;
+}
+
+} // namespace
+
+TEST(EventQueue, SiteCountsSeeSiteLabels)
 {
     sim::EventQueue eq;
-    std::map<std::string, int> sites;
-    int unlabeled = 0;
-    eq.setExecuteHook(
-        [&](sim::Time, sim::EventId, const char *site) {
-            if (site)
-                ++sites[site];
-            else
-                ++unlabeled;
-        });
+    eq.enableSiteCounts(true);
     eq.schedule(1, [] {}, "tx");
     eq.schedule(2, [] {}, "tx");
     eq.schedule(3, [] {}, "rx");
     eq.schedule(4, [] {});
     eq.run();
-    EXPECT_EQ(sites["tx"], 2);
-    EXPECT_EQ(sites["rx"], 1);
-    EXPECT_EQ(unlabeled, 1);
-    eq.setExecuteHook(nullptr); // clearing must be safe
+    EXPECT_EQ(siteCount(eq, "tx"), 2u);
+    EXPECT_EQ(siteCount(eq, "rx"), 1u);
+    EXPECT_EQ(siteCount(eq, ""), 1u);
+    for (const auto &[label, sp] : eq.siteProfiles())
+        EXPECT_EQ(sp.wallNs, 0u) << "counting alone reads no clock";
+    eq.enableSiteCounts(false);
     eq.schedule(5, [] {});
     eq.run();
-    EXPECT_EQ(unlabeled, 1);
+    EXPECT_EQ(siteCount(eq, ""), 1u);
 }
 
 TEST(Histogram, ClearResets)
@@ -452,43 +460,32 @@ TEST(EventQueue, RunUntilConditionDoesNotClampOnSuccess)
     EXPECT_EQ(eq.now(), 20u);
 }
 
-TEST(EventQueue, CallbackClearingHookIsHonouredSameStep)
+TEST(EventQueue, CallbackStoppingSiteCountsIsHonouredSameStep)
 {
-    // A callback that tears down the obs::Session mid-run (the PR-1
-    // UAF family) clears the hook and frees the state it captured;
-    // the engine must re-read the hook after the callback and not
-    // call into the freed state. ASan (tier 2) catches a violation.
-    struct HookState
-    {
-        int hits = 0;
-    };
+    // A callback that finishes an obs::Session mid-run turns site
+    // counting off; the engine re-reads the flag after the callback,
+    // so neither that event nor a later one is counted.
     sim::EventQueue eq;
-    auto *state = new HookState;
-    eq.setExecuteHook(
-        [state](sim::Time, sim::EventId, const char *) { ++state->hits; });
-    bool after_ran = false;
-    eq.schedule(10, [&] {
-        eq.setExecuteHook(nullptr);
-        delete state; // hook must never fire for this or later events
-    });
-    eq.schedule(20, [&] { after_ran = true; });
+    eq.enableSiteCounts(true);
+    eq.schedule(5, [] {}, "before");
+    eq.schedule(10, [&] { eq.enableSiteCounts(false); }, "stop");
+    eq.schedule(20, [] {}, "after");
     eq.run();
-    EXPECT_TRUE(after_ran);
+    EXPECT_EQ(siteCount(eq, "before"), 1u);
+    EXPECT_EQ(siteCount(eq, "stop"), 0u);
+    EXPECT_EQ(siteCount(eq, "after"), 0u);
 }
 
-TEST(EventQueue, CallbackInstallingHookSeesItSameStep)
+TEST(EventQueue, CallbackStartingSiteCountsSeesItSameStep)
 {
-    // The flip side of the re-read contract: a hook installed from
-    // inside a callback fires for that very event.
+    // The flip side of the re-read contract: counting turned on from
+    // inside a callback counts that very event.
     sim::EventQueue eq;
-    int hits = 0;
-    eq.schedule(10, [&] {
-        eq.setExecuteHook(
-            [&](sim::Time, sim::EventId, const char *) { ++hits; });
-    });
-    eq.schedule(20, [] {});
+    eq.schedule(10, [&] { eq.enableSiteCounts(true); }, "start");
+    eq.schedule(20, [] {}, "start");
     eq.run();
-    EXPECT_EQ(hits, 2) << "installing event and the one after";
+    EXPECT_EQ(siteCount(eq, "start"), 2u)
+        << "the starting event and the one after";
 }
 
 TEST(EventQueue, StaleHandleAfterSlotReuseIsRejected)
