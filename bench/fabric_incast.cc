@@ -105,7 +105,7 @@ runIncast(const char *name, const std::string &topo, bool dcqcn,
     net::Fabric fabric(eq, kHosts, net::FabricConfig{}, topo);
 
     ib::QpConfig qcfg;
-    qcfg.dcqcn.enabled = dcqcn;
+    qcfg.dcqcn = dcqcn;
 
     // The victim host: one memory image, one controller, one channel
     // and QP per sender (a real multi-QP NIC).

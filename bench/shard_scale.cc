@@ -71,9 +71,8 @@ runConfig(const ShardArgs &a, unsigned shards)
 {
     sim::ShardedEngine::Config ec;
     ec.shards = shards;
-    // Must not exceed the stream fabric's recordLookahead()
-    // (2000 ns propagation + 500 ns switch = 2500 ns).
-    ec.lookahead = 2500;
+    // The stream fabric's bound, the widest legal horizon.
+    ec.lookahead = StreamWorld::kFabric.recordLookahead();
     sim::ShardedEngine engine(ec);
 
     std::vector<ShardWorld> worlds(shards);

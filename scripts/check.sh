@@ -370,11 +370,12 @@ fi
 ./build/bench/chaos_recovery            > "$smokedir/chaos.txt" 2>&1
 check_golden "$smokedir" golden_digests.sha256
 
-# Refresh the committed allocation-gate artifact at full scale.
+# The allocation gate at full scale. Its report stays in $smokedir:
+# the committed BENCH_stack.json is regenerated by running the bench
+# directly (README "Bench reports").
 run_gated "$smokedir/stack_full.txt" "$stack_gates" \
-    ./build/bench/stack_bench --json=BENCH_stack.json
-check_bench_json BENCH_stack.json
-echo "BENCH_stack.json regenerated"
+    ./build/bench/stack_bench --json="$smokedir/BENCH_stack_full.json"
+check_bench_json "$smokedir/BENCH_stack_full.json"
 
 echo "== tier 8: fabric smoke + goldens (PFC/ECN/DCQCN, pause storms) =="
 # Self-checking fabric benches: fabric_incast asserts that DCQCN
@@ -398,11 +399,11 @@ require_gates "$smokedir/a/fabric_storm.txt" "$storm_gates"
 check_bench_json "$smokedir/a/BENCH_fabric.json"
 check_golden "$smokedir/a" golden_digests_fabric.sha256
 
-# Refresh the committed fabric artifact at full scale.
+# The pause-storm gates at full scale, reported in $smokedir like
+# tier 7's (the committed BENCH_fabric.json is not touched).
 run_gated "$smokedir/fabric_storm_full.txt" "$storm_gates" \
-    ./build/bench/fabric_pfc_storm --json=BENCH_fabric.json
-check_bench_json BENCH_fabric.json
-echo "BENCH_fabric.json regenerated"
+    ./build/bench/fabric_pfc_storm --json="$smokedir/BENCH_fabric_full.json"
+check_bench_json "$smokedir/BENCH_fabric_full.json"
 
 echo "== tier 9: registration shoot-out (reg_shootout) =="
 # Four-discipline shoot-out (docs/REGISTRATION.md): two seeds must
@@ -479,13 +480,12 @@ run_gated "$smokedir/shard_tsan.txt" replay_mismatches \
     --json="$smokedir/BENCH_shard_tsan.json"
 check_bench_json "$smokedir/BENCH_shard_tsan.json"
 
-# Full scale on the plain build: regenerates the committed artifact
-# and enforces replay determinism plus (on machines with >= 4
-# hardware threads, where the bench records it) the >=3x speedup
-# gate speedup_vs_1shard.
+# Full scale on the plain build: enforces replay determinism plus (on
+# machines with >= 4 hardware threads, where the bench records it) the
+# >=3x speedup gate speedup_vs_1shard. The report stays in $smokedir,
+# like tiers 7 and 8's.
 run_gated "$smokedir/shard_full.txt" replay_mismatches \
-    ./build/bench/shard_scale --json=BENCH_shard.json
-check_bench_json BENCH_shard.json
-echo "BENCH_shard.json regenerated"
+    ./build/bench/shard_scale --json="$smokedir/BENCH_shard_full.json"
+check_bench_json "$smokedir/BENCH_shard_full.json"
 
 echo "== all checks passed =="

@@ -40,7 +40,6 @@ class Disk
 
     std::uint64_t reads() const { return reads_; }
     std::uint64_t bytesRead() const { return bytesRead_; }
-    const DiskConfig &config() const { return cfg_; }
 
   private:
     DiskConfig cfg_;

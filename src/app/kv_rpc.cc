@@ -29,7 +29,7 @@ KvRcServer::addSession(ib::QueuePair &qp, KvRpcRequestQueue requests,
     s->qp = &qp;
     s->requests = std::move(requests);
     s->responses = std::move(responses);
-    std::size_t bytes = std::size_t(cfg_.recvSlots) * cfg_.requestBytes;
+    std::size_t bytes = std::size_t(kKvRpcRecvSlots) * cfg_.requestBytes;
     s->recvRegion = as_.allocRegion(bytes, "kvrpc-recv");
     // Request buffers are per-packet control memory: warm, pinned and
     // IOMMU-mapped up front, like the rx rings. The interesting
@@ -66,7 +66,7 @@ KvRcServer::addSession(ib::QueuePair &qp, KvRpcRequestQueue requests,
             obs::attributor().charge(attrLane_, obs::Phase::Server, t);
         }
     });
-    for (unsigned i = 0; i < cfg_.recvSlots; ++i)
+    for (unsigned i = 0; i < kKvRpcRecvSlots; ++i)
         postRecv(*raw);
     sessions_.push_back(std::move(s));
 }
@@ -76,7 +76,7 @@ KvRcServer::postRecv(Session &s)
 {
     ib::WorkRequest wr;
     wr.local = s.recvRegion +
-               (s.nextRecv++ % cfg_.recvSlots) * cfg_.requestBytes;
+               (s.nextRecv++ % kKvRpcRecvSlots) * cfg_.requestBytes;
     wr.len = cfg_.requestBytes;
     s.qp->postRecv(wr);
 }

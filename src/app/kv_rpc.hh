@@ -33,6 +33,9 @@
 
 namespace npf::app {
 
+/** Pre-posted receive WQEs per server session. */
+inline constexpr unsigned kKvRpcRecvSlots = 64;
+
 /** Server parameters. */
 struct KvRpcConfig
 {
@@ -42,7 +45,6 @@ struct KvRpcConfig
     sim::Time baseOpCpu = sim::fromMicroseconds(2.0);
     std::size_t requestBytes = 64;
     std::size_t missReplyBytes = 64;
-    unsigned recvSlots = 64; ///< pre-posted receive WQEs per session
     /** memcpy bandwidth when the registration copies values. */
     double copyBwBytesPerSec = 12e9;
 };

@@ -13,10 +13,10 @@ constexpr std::size_t kPoolBytes = 1ull << 30; ///< tgt's comm pool (§6.1)
 
 StorageTarget::StorageTarget(sim::EventQueue &eq, mem::AddressSpace &as,
                              StorageConfig cfg, core::Registration reg)
-    : eq_(eq), as_(as), cfg_(cfg), reg_(std::move(reg)), disk_(cfg.disk)
+    : eq_(eq), as_(as), reg_(std::move(reg)), disk_(kStorage.disk)
 {
     cache_ = std::make_unique<mem::PageCache>(
-        as_, cfg_.lunBytes, [this](std::uint64_t, std::size_t bytes) {
+        as_, cfg.lunBytes, [this](std::uint64_t, std::size_t bytes) {
             return disk_.read(bytes);
         });
 
@@ -40,7 +40,7 @@ StorageTarget::addSession(
     auto s = std::make_unique<Session>();
     s->qp = &qp;
     s->requests = std::move(request_queue);
-    std::size_t per_session = cfg_.chunkBytes * cfg_.chunksPerSession;
+    std::size_t per_session = kStorage.chunkBytes * kStorage.chunksPerSession;
     std::size_t idx = sessions_.size();
     assert((idx + 1) * per_session <= kPoolBytes &&
            "comm pool exhausted: too many sessions");
@@ -86,14 +86,14 @@ StorageTarget::handleRequest(Session &s)
     s.requests->pop_front();
 
     mem::VirtAddr chunk =
-        s.chunkRegion + s.nextChunk * cfg_.chunkBytes;
-    s.nextChunk = (s.nextChunk + 1) % cfg_.chunksPerSession;
+        s.chunkRegion + s.nextChunk * kStorage.chunkBytes;
+    s.nextChunk = (s.nextChunk + 1) % kStorage.chunksPerSession;
 
     // CPU + page-cache (possibly disk) + staging copy into the
     // communication chunk. Only the first req.len bytes of the
     // 512 KB chunk are ever touched — with NPFs the tail never gets
     // physical memory (Fig. 8(b)).
-    sim::Time cost = cfg_.perIoCpu;
+    sim::Time cost = kStorage.perIoCpu;
     cost += cache_->access(req.offset, req.len);
     mem::AccessResult tr = as_.touch(chunk, req.len, /*write=*/true);
     cost += tr.cost;

@@ -24,14 +24,22 @@
 
 namespace npf::app {
 
-/** Target-side parameters. */
-struct StorageConfig
+/** The tgt daemon's fixed parameters. */
+struct StorageParams
 {
-    std::size_t lunBytes = 4ull << 30;
     std::size_t chunkBytes = 512 * 1024; ///< per-transaction buffer
     unsigned chunksPerSession = 25;      ///< tgt's per-connection pool
     sim::Time perIoCpu = sim::fromMicroseconds(15);
     DiskConfig disk;
+};
+
+/** Every target's fixed parameters. */
+inline constexpr StorageParams kStorage{};
+
+/** Target-side parameters. */
+struct StorageConfig
+{
+    std::size_t lunBytes = 4ull << 30;
 };
 
 /** One fio-style initiator's shared request descriptor. */
@@ -100,7 +108,6 @@ class StorageTarget
 
     sim::EventQueue &eq_;
     mem::AddressSpace &as_;
-    StorageConfig cfg_;
     core::Registration reg_;
     Disk disk_;
     mem::VirtAddr poolBase_ = 0;

@@ -85,7 +85,7 @@ ChannelId
 NpfController::attach(mem::AddressSpace &as)
 {
     auto ch = static_cast<ChannelId>(channels_.size());
-    channels_.push_back(std::make_unique<Channel>(cfg_.iotlbCapacity));
+    channels_.push_back(std::make_unique<Channel>(kOdp.iotlbCapacity));
     Channel &c = *channels_.back();
     c.as = &as;
     c.merges.reserve(cfg_.maxConcurrentNpfs);
@@ -101,8 +101,8 @@ NpfController::attach(mem::AddressSpace &as)
         bool mapped = chn.iommu.invalidate(vpn);
         ++stats_.invalidations;
         if (!mapped)
-            return cfg_.invChecks / 4;
-        return (cfg_.invChecks + cfg_.invPtUpdateBase + cfg_.invSwUpdates) /
+            return kOdp.invChecks / 4;
+        return (kOdp.invChecks + kOdp.invPtUpdateBase + kOdp.invSwUpdates) /
                4;
     });
     return ch;
@@ -229,31 +229,28 @@ NpfController::raise(ChannelId ch, mem::VirtAddr iova, std::size_t len,
 {
     Channel &c = chan(ch);
 
-    if (cfg_.firmwareBypass) {
-        DmaCheck check = checkDmaRaw(ch, iova, len);
-        if (check.ok) {
-            // Raced with a completed resolution: nothing to do.
-            obs::tracer().instant(obs::Track::Nic, "npf",
-                                  "npf.debounced");
-            std::uint32_t r = newRequest(std::move(cb));
-            eq_.scheduleAfter(0, [this, r] { resume(r, kDebounced); },
-                              "npf.debounced");
-            return;
-        }
-        if (MergeEntry *m = c.findMerge(check.firstMissing)) {
-            // A resolution covering this page is in flight: the
-            // firmware handles the duplicate silently (bitmap set),
-            // and this requester resumes when the first one does.
-            obs::tracer().instant(obs::Track::Nic, "npf", "npf.merged");
-            std::uint32_t r = newRequest(std::move(cb));
-            if (m->head == kNil)
-                m->head = r;
-            else
-                requests_[m->tail].next = r;
-            m->tail = r;
-            ++stats_.mergedNpfs;
-            return;
-        }
+    DmaCheck check = checkDmaRaw(ch, iova, len);
+    if (check.ok) {
+        // Raced with a completed resolution: nothing to do.
+        obs::tracer().instant(obs::Track::Nic, "npf", "npf.debounced");
+        std::uint32_t r = newRequest(std::move(cb));
+        eq_.scheduleAfter(0, [this, r] { resume(r, kDebounced); },
+                          "npf.debounced");
+        return;
+    }
+    if (MergeEntry *m = c.findMerge(check.firstMissing)) {
+        // A resolution covering this page is in flight: the firmware
+        // handles the duplicate silently (bitmap set), and this
+        // requester resumes when the first one does.
+        obs::tracer().instant(obs::Track::Nic, "npf", "npf.merged");
+        std::uint32_t r = newRequest(std::move(cb));
+        if (m->head == kNil)
+            m->head = r;
+        else
+            requests_[m->tail].next = r;
+        m->tail = r;
+        ++stats_.mergedNpfs;
+        return;
     }
 
     // One flow per NPF journey, opened before any queueing so the
@@ -285,12 +282,12 @@ NpfController::startResolve(std::uint32_t r)
     ++stats_.npfs;
 
     q.bd = NpfBreakdown{};
-    q.bd.trigger = jittered(cfg_.fwTriggerInterrupt);
+    q.bd.trigger = jittered(kOdp.fwTriggerInterrupt);
 
     DmaCheck check = checkDmaRaw(q.ch, q.iova, q.len);
     q.mergeKey = check.firstMissing;
     q.hasKey = !check.ok;
-    if (cfg_.firmwareBypass && !check.ok && !c.findMerge(q.mergeKey))
+    if (!check.ok && !c.findMerge(q.mergeKey))
         c.merges.push_back({q.mergeKey, kNil, kNil});
 
     // NPF latency is the quantity this simulator measures, so neither
@@ -312,7 +309,7 @@ NpfController::runResolve(std::uint32_t r)
               static_cast<unsigned long long>(q.iova), q.len, int(q.write));
     NpfBreakdown bd = q.bd;
     resolvePages(chan(q.ch), q.iova, q.len, q.write, bd);
-    bd.resume = jittered(cfg_.fwResume);
+    bd.resume = jittered(kOdp.fwResume);
     requests_[r].bd = bd;
     eq_.scheduleAfter(bd.driver + bd.ptUpdate + bd.resume,
                       [this, r] { finishResolve(r); }, "npf.resolve");
@@ -367,8 +364,8 @@ void
 NpfController::resolvePages(Channel &c, mem::VirtAddr iova, std::size_t len,
                             bool write, NpfBreakdown &bd)
 {
-    bd.driver = jittered(cfg_.driverHandlerBase);
-    bd.ptUpdate = jittered(cfg_.ptUpdateBase);
+    bd.driver = jittered(kOdp.driverHandlerBase);
+    bd.ptUpdate = jittered(kOdp.ptUpdateBase);
 
     if (len == 0)
         return;
@@ -382,8 +379,8 @@ NpfController::resolvePages(Channel &c, mem::VirtAddr iova, std::size_t len,
             bd.ok = false;
             return;
         }
-        bd.driver += ar.cost + cfg_.osPerPage;
-        bd.ptUpdate += cfg_.ptUpdatePerPage;
+        bd.driver += ar.cost + kOdp.osPerPage;
+        bd.ptUpdate += kOdp.ptUpdatePerPage;
         bd.majorFaults += ar.majorFaults;
         const mem::Pte *pte = c.as->findPte(v);
         assert(pte != nullptr && pte->present);
@@ -396,9 +393,9 @@ NpfController::resolvePages(Channel &c, mem::VirtAddr iova, std::size_t len,
     }
 
     // Occasional scheduling/contention spike (Table 4 tail).
-    if (rng_.bernoulli(cfg_.tailSpikeProb)) {
+    if (rng_.bernoulli(kOdp.tailSpikeProb)) {
         bd.driver += static_cast<sim::Time>(
-            rng_.exponential(double(cfg_.tailSpikeMean)));
+            rng_.exponential(double(kOdp.tailSpikeMean)));
     }
 }
 
@@ -409,9 +406,9 @@ NpfController::computeResolve(ChannelId ch, mem::VirtAddr iova,
     Channel &c = chan(ch);
     ++stats_.npfs;
     NpfBreakdown bd;
-    bd.trigger = jittered(cfg_.fwTriggerInterrupt);
+    bd.trigger = jittered(kOdp.fwTriggerInterrupt);
     resolvePages(c, iova, len, write, bd);
-    bd.resume = jittered(cfg_.fwResume);
+    bd.resume = jittered(kOdp.fwResume);
     // Synchronous: the caller accounts the time itself, so the spans
     // project forward from now instead of ending at now.
     if (obs::tracer().active()) {
@@ -446,7 +443,7 @@ NpfController::prefault(ChannelId ch, mem::VirtAddr iova, std::size_t len,
         if (c.iommu.wouldFault(v)) {
             const mem::Pte *pte = c.as->findPte(v);
             c.iommu.map(v, pte->pfn);
-            res.cost += cfg_.ptUpdatePerPage;
+            res.cost += kOdp.ptUpdatePerPage;
         }
     }
     return res;
@@ -458,7 +455,7 @@ NpfController::invalidateRange(ChannelId ch, mem::VirtAddr iova,
 {
     Channel &c = chan(ch);
     InvalidationBreakdown bd;
-    bd.checks = cfg_.invChecks;
+    bd.checks = kOdp.invChecks;
     if (len == 0)
         return bd;
     mem::Vpn first = mem::pageOf(iova);
@@ -472,8 +469,8 @@ NpfController::invalidateRange(ChannelId ch, mem::VirtAddr iova,
     bd.wasMapped = unmapped > 0;
     if (bd.wasMapped) {
         bd.ptUpdate =
-            cfg_.invPtUpdateBase + unmapped * cfg_.invPtUpdatePerPage;
-        bd.swUpdates = cfg_.invSwUpdates;
+            kOdp.invPtUpdateBase + unmapped * kOdp.invPtUpdatePerPage;
+        bd.swUpdates = kOdp.invSwUpdates;
     }
     obs::FlowTracer &tr = obs::tracer();
     if (tr.active()) {
@@ -495,24 +492,23 @@ NpfController::sampleResolveLatency(ChannelId ch, std::size_t pages,
                                     bool major)
 {
     Channel &c = chan(ch);
-    const mem::MemCostConfig &mc = c.as->manager().costs();
-    sim::Time t = jittered(cfg_.fwTriggerInterrupt);
-    t += jittered(cfg_.driverHandlerBase);
-    t += pages * (cfg_.osPerPage + mc.minorFaultCpu);
-    t += jittered(cfg_.ptUpdateBase) + pages * cfg_.ptUpdatePerPage;
-    t += jittered(cfg_.fwResume);
+    sim::Time t = jittered(kOdp.fwTriggerInterrupt);
+    t += jittered(kOdp.driverHandlerBase);
+    t += pages * (kOdp.osPerPage + mem::kMemCosts.minorFaultCpu);
+    t += jittered(kOdp.ptUpdateBase) + pages * kOdp.ptUpdatePerPage;
+    t += jittered(kOdp.fwResume);
     if (major)
         t += c.as->manager().swap().readLatency(pages);
-    if (rng_.bernoulli(cfg_.tailSpikeProb))
+    if (rng_.bernoulli(kOdp.tailSpikeProb))
         t += static_cast<sim::Time>(
-            rng_.exponential(double(cfg_.tailSpikeMean)));
+            rng_.exponential(double(kOdp.tailSpikeMean)));
     return t;
 }
 
 sim::Time
 NpfController::jittered(sim::Time base)
 {
-    double j = rng_.lognormalJitter(cfg_.hwJitterSigma);
+    double j = rng_.lognormalJitter(kOdp.hwJitterSigma);
     return static_cast<sim::Time>(double(base) * j);
 }
 

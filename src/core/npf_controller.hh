@@ -178,8 +178,6 @@ class NpfController
     sim::Time sampleResolveLatency(ChannelId ch, std::size_t pages,
                                    bool major);
 
-    const OdpConfig &config() const { return cfg_; }
-    OdpConfig &config() { return cfg_; }
     const Stats &stats() const { return stats_; }
     sim::EventQueue &eventQueue() { return eq_; }
 

@@ -15,7 +15,7 @@
 namespace npf::core {
 
 /**
- * Tunables of the NPF (network page fault) engine.
+ * The NPF (network page fault) engine's fitted latencies.
  *
  * Figure 3(a) decomposes a minor NPF into four intervals:
  *   (i->ii)   firmware detects the fault and triggers the interrupt
@@ -24,9 +24,9 @@ namespace npf::core {
  *   (iv->v)   firmware notices and resumes the transfer
  * The paper measures ~215 us median for a 4 KB message (90% of it
  * firmware) growing to ~352 us for 4 MB (the growth is software,
- * scaling with page count). Defaults below reproduce both.
+ * scaling with page count). The values below reproduce both.
  */
-struct OdpConfig
+struct OdpParams
 {
     // --- NPF flow (Fig. 3(a)) -------------------------------------
     /** (i->ii): firmware fault detection + interrupt, hw only. */
@@ -70,7 +70,21 @@ struct OdpConfig
      */
     sim::Time rnrTimer = sim::fromMicroseconds(200);
 
-    // --- optimizations (§4 "Optimizations") --------------------------
+    /** IOTLB capacity per IOchannel. */
+    std::size_t iotlbCapacity = 256;
+};
+
+/** The NPF engine's calibration. */
+inline constexpr OdpParams kOdp{};
+
+/**
+ * The §4 firmware optimizations that tests and ablations vary. The
+ * third, firmware bypass of duplicate reports, is always on: NPFs
+ * already in flight on the same channel piggyback on the pending
+ * resolution instead of paying a fresh firmware round trip.
+ */
+struct OdpConfig
+{
     /** Outstanding page faults serviced concurrently per IOchannel. */
     unsigned maxConcurrentNpfs = 4;
     /**
@@ -80,15 +94,6 @@ struct OdpConfig
      * the >200 ms cold-4MB cost the paper warns about.
      */
     bool batchedPrefault = true;
-    /**
-     * Firmware bypass: dedupe reports of NPFs already in flight on
-     * the same channel; duplicates piggyback on the pending
-     * resolution instead of paying a fresh firmware round trip.
-     */
-    bool firmwareBypass = true;
-
-    /** IOTLB capacity per IOchannel. */
-    std::size_t iotlbCapacity = 256;
 };
 
 } // namespace npf::core

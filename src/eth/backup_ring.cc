@@ -51,7 +51,7 @@ BackupRingManager::scheduleIsr()
     if (isrPending_)
         return; // coalesced, NAPI-style
     isrPending_ = true;
-    eq_.scheduleAfter(nic_.config().interruptLatency, [this] {
+    eq_.scheduleAfter(kEthNic.interruptLatency, [this] {
         isrPending_ = false;
         isr();
     }, "eth.backup.isr");
@@ -177,7 +177,7 @@ BackupRingManager::finishEntry(unsigned ring_id)
     // faults handled transparently — we are on the CPU now), then
     // step 4: tell the NIC the rNPF is resolved.
     double copy_secs =
-        double(e.frame.bytes) / nic_.config().copyBytesPerSec;
+        double(e.frame.bytes) / kEthNic.copyBytesPerSec;
     sim::Time copy_cost = sim::fromSeconds(copy_secs);
 
     obs::tracer().span(obs::Track::Driver, "rnpf", "copy", eq_.now(),

@@ -13,7 +13,7 @@ namespace npf::eth {
 
 EthNic::EthNic(sim::EventQueue &eq, core::NpfController &npfc,
                EthNicConfig cfg, std::uint64_t seed)
-    : eq_(eq), npfc_(npfc), cfg_(cfg), rng_(seed)
+    : eq_(eq), npfc_(npfc), rng_(seed)
 {
     obs_.init("eth.nic");
     obs_.counter("frames_sent", &stats_.framesSent);
@@ -23,7 +23,7 @@ EthNic::EthNic(sim::EventQueue &eq, core::NpfController &npfc,
     obs_.counter("rx_corrupt", &stats_.rxCorrupt);
     obs_.counter("rx_stalls", &stats_.rxStalls);
     backup_ = std::make_unique<BackupRingManager>(eq_, *this,
-                                                  cfg_.backupRingSize);
+                                                  cfg.backupRingSize);
 }
 
 EthNic::~EthNic() = default;
@@ -353,7 +353,7 @@ EthNic::raiseUserIsr(RxRing &r)
     if (r.interruptPending)
         return; // coalesced
     r.interruptPending = true;
-    eq_.scheduleAfter(cfg_.interruptLatency, [this, id = r.id] {
+    eq_.scheduleAfter(kEthNic.interruptLatency, [this, id = r.id] {
         RxRing &ring = *rings_[id];
         ring.interruptPending = false;
         deliverToUser(ring);

@@ -31,13 +31,21 @@ namespace npf::eth {
 
 class BackupRingManager;
 
+/** Fixed NIC and driver parameters. */
+struct EthNicParams
+{
+    sim::Time interruptLatency = sim::fromMicroseconds(4);
+    /** CPU copy bandwidth for merging backup packets (Fig. 5 step 4). */
+    double copyBytesPerSec = 8e9;
+};
+
+/** Every Ethernet NIC's fixed parameters. */
+inline constexpr EthNicParams kEthNic{};
+
 /** NIC-wide configuration. */
 struct EthNicConfig
 {
-    sim::Time interruptLatency = sim::fromMicroseconds(4);
     std::size_t backupRingSize = 1024; ///< pinned provider entries
-    /** CPU copy bandwidth for merging backup packets (Fig. 5 step 4). */
-    double copyBytesPerSec = 8e9;
 };
 
 /**
@@ -124,7 +132,6 @@ class EthNic
 
     core::NpfController &npfc() { return npfc_; }
     sim::EventQueue &eventQueue() { return eq_; }
-    const EthNicConfig &config() const { return cfg_; }
     BackupRingManager &backupManager() { return *backup_; }
     const Stats &stats() const { return stats_; }
     net::Link *txLink() { return txLink_.get(); }
@@ -152,7 +159,6 @@ class EthNic
 
     sim::EventQueue &eq_;
     core::NpfController &npfc_;
-    EthNicConfig cfg_;
     sim::Rng rng_;
     Stats stats_;
 

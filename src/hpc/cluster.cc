@@ -148,7 +148,7 @@ Cluster::isend(unsigned src, unsigned dst, mem::VirtAddr buf,
     // go through the pre-pinned bounce buffer; the rest are
     // registered in place (NPF: posted directly, faults in the NIC).
     core::Registration &reg = regs_[src];
-    const bool staged = len <= cfg_.eagerThreshold || reg.copies();
+    const bool staged = len <= kCluster.eagerThreshold || reg.copies();
     if (!staged)
         done = afterDmaThen(src, buf, len, std::move(done));
     pending_[src][dst].sends[id] = std::move(done);
@@ -179,7 +179,7 @@ Cluster::irecv(unsigned dst, unsigned src, mem::VirtAddr buf,
     std::uint64_t id = nextWrId_++;
 
     core::Registration &reg = regs_[dst];
-    const bool staged = len <= cfg_.eagerThreshold || reg.copies();
+    const bool staged = len <= kCluster.eagerThreshold || reg.copies();
     mem::VirtAddr dma_dst = staged ? bounceRecv_[dst] : buf;
     sim::Time pre = staged ? 0 : reg.beforeDma(buf, len);
 

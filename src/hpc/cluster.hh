@@ -23,6 +23,19 @@
 
 namespace npf::hpc {
 
+/** Fixed MPI middleware parameters. */
+struct ClusterParams
+{
+    /** CPU reduction bandwidth (allreduce). */
+    double reduceBwBytesPerSec = 8e9;
+    /** Messages at or below this ride the eager (always-copied) path
+     *  in every mode, as real MPI middleware does. */
+    std::size_t eagerThreshold = 8192;
+};
+
+/** Every cluster's fixed middleware parameters. */
+inline constexpr ClusterParams kCluster{};
+
 /** Cluster parameters (defaults model the paper's IB testbed). */
 struct ClusterConfig
 {
@@ -39,11 +52,6 @@ struct ClusterConfig
     ib::QpConfig qp;
     /** Bounce-buffer memcpy bandwidth (copy mode, both sides). */
     double copyBwBytesPerSec = 12e9;
-    /** CPU reduction bandwidth (allreduce). */
-    double reduceBwBytesPerSec = 8e9;
-    /** Messages at or below this ride the eager (always-copied) path
-     *  in every mode, as real MPI middleware does. */
-    std::size_t eagerThreshold = 8192;
     /** Pin-down cache budget per rank; 0 = unlimited. */
     std::size_t pinDownCacheBytes = 0;
 
@@ -94,7 +102,6 @@ class Cluster
     mem::AddressSpace &space(unsigned rank) { return *spaces_[rank]; }
     core::NpfController &npfc(unsigned rank) { return *npfcs_[rank]; }
     core::ChannelId channel(unsigned rank) const { return channels_[rank]; }
-    const ClusterConfig &config() const { return cfg_; }
 
     /** Allocate a buffer in @p rank's address space (CPU-touched, so
      *  pages are present; IOMMU-cold unless pinned). */
@@ -112,7 +119,7 @@ class Cluster
     sim::Time
     reduceCost(std::size_t len) const
     {
-        return sim::fromSeconds(double(len) / cfg_.reduceBwBytesPerSec);
+        return sim::fromSeconds(double(len) / kCluster.reduceBwBytesPerSec);
     }
 
     /** Aggregate rNPFs seen across all ranks (reporting). */

@@ -32,9 +32,8 @@ QueuePair::QueuePair(sim::EventQueue &eq, net::Fabric &fabric, unsigned node,
     obs_.counter("bytes_delivered", &stats_.bytesDelivered);
     obs_.counter("cnps_sent", &stats_.cnpsSent);
     obs_.counter("cnps_received", &stats_.cnpsReceived);
-    if (cfg_.dcqcn.enabled)
-        dcqcn_.init(cfg_.dcqcn,
-                    fabric_.uplink(node_).config().bandwidthBitsPerSec);
+    if (cfg_.dcqcn)
+        dcqcn_.init(fabric_.uplink(node_).config().bandwidthBitsPerSec);
 }
 
 void
@@ -58,7 +57,7 @@ QueuePair::pumpSend()
 {
     if (error_)
         return;
-    while (!sendQueue_.empty() && inflight_.size() < cfg_.maxOutstandingWrs) {
+    while (!sendQueue_.empty() && inflight_.size() < kQp.maxOutstandingWrs) {
         WorkRequest &wr = sendQueue_.front();
         if (wr.op == Opcode::RdmaRead && readInit_.active)
             break; // one outstanding read per QP
@@ -264,7 +263,7 @@ QueuePair::armRetransmitTimer()
         return;
     ackedAtArm_ = ackedPsn_;
     retransmitTimer_ =
-        eq_.scheduleAfter(cfg_.retransmitTimeout, [this] {
+        eq_.scheduleAfter(kQp.retransmitTimeout, [this] {
             retransmitTimer_ = sim::kInvalidEvent;
             if (ackedPsn_ >= nextPsn_)
                 return; // everything acked; nothing to do
@@ -280,7 +279,7 @@ QueuePair::armRetransmitTimer()
                                       "ib.rto_rewind");
                 obs::attributor().charge(attrLane_,
                                          obs::Phase::Retransmit,
-                                         cfg_.retransmitTimeout);
+                                         kQp.retransmitTimeout);
                 txPsn_ = ackedPsn_;
                 pumpSend();
             }
@@ -364,9 +363,9 @@ QueuePair::handleRnrNack(std::uint64_t resumePsn)
     }
     senderPaused_ = true;
     obs::tracer().span(obs::Track::Transport, "rnr", "rnr_pause",
-                       eq_.now(), npfc_.config().rnrTimer);
+                       eq_.now(), core::kOdp.rnrTimer);
     obs::attributor().blockBegin(attrLane_, obs::Phase::RnrBackoff);
-    eq_.scheduleAfter(npfc_.config().rnrTimer, [this] {
+    eq_.scheduleAfter(core::kOdp.rnrTimer, [this] {
         obs::attributor().blockEnd(attrLane_, obs::Phase::RnrBackoff);
         senderPaused_ = false;
         pumpSend();
@@ -379,7 +378,7 @@ QueuePair::sendControl(Packet pkt)
     assert(peer_ != nullptr || remote_);
     // Control rides the top class: ACKs, NACKs and CNPs must escape
     // the very congestion (and PFC pauses) they exist to report.
-    sendPacket(pkt, cfg_.controlBytes, net::kControlPriority);
+    sendPacket(pkt, kQp.controlBytes, net::kControlPriority);
 }
 
 // --- receiver -----------------------------------------------------------
@@ -390,7 +389,7 @@ QueuePair::handlePacket(Packet pkt)
     // DCQCN notification point. The CE mark lives in the fabric's
     // per-delivery rx context, which is only valid right now — before
     // any fault action defers processing — so sample it first.
-    if (cfg_.dcqcn.enabled && fabric_.rx().ecn &&
+    if (cfg_.dcqcn && fabric_.rx().ecn &&
         (pkt.type == Packet::Type::Data ||
          pkt.type == Packet::Type::ReadResponse))
         maybeSendCnp();
@@ -449,7 +448,7 @@ QueuePair::processPacket(Packet pkt)
             readResp_.nextPsn = pkt.psn;
             obs::attributor().blockBegin(attrLane_,
                                          obs::Phase::RnrBackoff);
-            eq_.scheduleAfter(npfc_.config().rnrTimer, [this] {
+            eq_.scheduleAfter(core::kOdp.rnrTimer, [this] {
                 obs::attributor().blockEnd(attrLane_,
                                            obs::Phase::RnrBackoff);
                 readResp_.paused = false;
@@ -475,7 +474,7 @@ QueuePair::maybeSendCnp()
 {
     if (eq_.now() < cnpNextAllowed_)
         return; // one CNP per interval, however many marks arrive
-    cnpNextAllowed_ = eq_.now() + cfg_.dcqcn.cnpMinInterval;
+    cnpNextAllowed_ = eq_.now() + net::kDcqcn.cnpMinInterval;
     ++stats_.cnpsSent;
     obs::tracer().instant(obs::Track::Transport, "dcqcn", "cnp.sent");
     Packet cnp;
@@ -487,7 +486,7 @@ void
 QueuePair::dcqcnOnCnp()
 {
     ++stats_.cnpsReceived;
-    if (!cfg_.dcqcn.enabled)
+    if (!cfg_.dcqcn)
         return;
     dcqcn_.onCnp();
     obs::tracer().instant(obs::Track::Transport, "dcqcn", "cnp.recv");
@@ -501,13 +500,13 @@ QueuePair::armDcqcnTimers()
     // themselves once it fully recovers, so an idle QP schedules
     // nothing and run-to-empty simulations terminate.
     if (alphaTimer_ == sim::kInvalidEvent)
-        alphaTimer_ = eq_.scheduleAfter(cfg_.dcqcn.alphaTimer, [this] {
+        alphaTimer_ = eq_.scheduleAfter(net::kDcqcn.alphaTimer, [this] {
             alphaTimer_ = sim::kInvalidEvent;
             if (dcqcn_.decayAlpha())
                 armDcqcnTimers();
         }, "ib.dcqcn_alpha");
     if (rateTimer_ == sim::kInvalidEvent)
-        rateTimer_ = eq_.scheduleAfter(cfg_.dcqcn.rateTimer, [this] {
+        rateTimer_ = eq_.scheduleAfter(net::kDcqcn.rateTimer, [this] {
             rateTimer_ = sim::kInvalidEvent;
             bool still = dcqcn_.increase();
             pumpSend();
@@ -689,7 +688,7 @@ QueuePair::raiseRnpf(mem::VirtAddr addr, std::size_t len, std::uint64_t psn)
 void
 QueuePair::maybeAck(bool force)
 {
-    if (!force && unackedArrivals_ < cfg_.ackEvery)
+    if (!force && unackedArrivals_ < kQp.ackEvery)
         return;
     unackedArrivals_ = 0;
     Packet ack;
@@ -893,7 +892,7 @@ QueuePair::armReadTimer()
     if (error_ || readTimer_ != sim::kInvalidEvent)
         return;
     readPsnAtArm_ = readInit_.expectedPsn;
-    readTimer_ = eq_.scheduleAfter(cfg_.retransmitTimeout, [this] {
+    readTimer_ = eq_.scheduleAfter(kQp.retransmitTimeout, [this] {
         readTimer_ = sim::kInvalidEvent;
         const ReadInitiatorState &ri = readInit_;
         if (!ri.active)
@@ -905,7 +904,7 @@ QueuePair::armReadTimer()
             obs::tracer().instant(obs::Track::Transport, "ib",
                                   "ib.read_rto");
             obs::attributor().charge(attrLane_, obs::Phase::Retransmit,
-                                     cfg_.retransmitTimeout);
+                                     kQp.retransmitTimeout);
             sendNakSeq();
         }
         armReadTimer();

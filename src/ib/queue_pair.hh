@@ -34,16 +34,24 @@
 
 namespace npf::ib {
 
+/** Fixed queue-pair parameters. */
+struct QpParams
+{
+    unsigned maxOutstandingWrs = 16;     ///< send window, in WRs
+    unsigned ackEvery = 32;              ///< coalesced ACK interval
+    sim::Time retransmitTimeout =        ///< backstop rewind timer
+        sim::fromMicroseconds(4000);
+    std::size_t controlBytes = 16;       ///< ACK/NACK wire size
+};
+
+/** Every queue pair's fixed parameters. */
+inline constexpr QpParams kQp{};
+
 /** Queue-pair parameters. */
 struct QpConfig
 {
     std::size_t pathMtu = 4096;          ///< bytes per data packet
-    unsigned maxOutstandingWrs = 16;     ///< send window, in WRs
-    unsigned ackEvery = 32;              ///< coalesced ACK interval
     unsigned rnrRetryLimit = 1000;       ///< before erroring the WR
-    sim::Time retransmitTimeout =        ///< backstop rewind timer
-        sim::fromMicroseconds(4000);
-    std::size_t controlBytes = 16;       ///< ACK/NACK wire size
 
     /** §6.4 what-if: per-data-packet synthetic rNPF probability. */
     double syntheticRnpfProb = 0.0;
@@ -74,7 +82,7 @@ struct QpConfig
 
     /** DCQCN-style end-host rate limiting, driven by CNPs that the
      *  destination QP emits when packets arrive CE-marked. */
-    net::DcqcnConfig dcqcn;
+    bool dcqcn = false;
 };
 
 /**
@@ -165,7 +173,6 @@ class QueuePair
     unsigned node() const { return node_; }
     core::ChannelId channel() const { return channel_; }
     core::NpfController &controller() { return npfc_; }
-    QpConfig &config() { return cfg_; }
 
     /** True after a fatal QP error (RNR retries exhausted). */
     bool inError() const { return error_; }
@@ -334,7 +341,7 @@ class QueuePair
     sim::EventId readTimer_ = sim::kInvalidEvent;
     std::uint64_t readPsnAtArm_ = 0; ///< progress marker for readTimer_
 
-    // DCQCN (inert unless cfg_.dcqcn.enabled and CNPs arrive)
+    // DCQCN (inert unless cfg_.dcqcn and CNPs arrive)
     net::DcqcnRate dcqcn_;
     sim::Time cnpNextAllowed_ = 0; ///< CNP pacing (notification side)
     sim::Time rateNextTx_ = 0;     ///< rate-limiter token clock

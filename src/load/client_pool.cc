@@ -17,7 +17,7 @@ ClientPool::ClientPool(sim::EventQueue &eq, PoolConfig cfg)
     clients_.reserve(cfg_.clients);
     if (cfg_.sweepInterval == 0 && cfg_.timeout != 0)
         cfg_.sweepInterval = std::max<sim::Time>(cfg_.timeout / 4, 1);
-    wheel_.resize(cfg_.calendarSlots);
+    wheel_.resize(kPool.calendarSlots);
     // The idle stack and the backlog ring have hard occupancy bounds;
     // reserve them up front so a rare burst never regrows them inside
     // an alloc-gated measure window (bench/stack_bench.cc asserts
@@ -321,12 +321,12 @@ ClientPool::calendarInsert(sim::Time when, std::uint32_t c)
     }
     sim::Time delta = when > wheelTime_ ? when - wheelTime_ : 0;
     std::size_t idx =
-        std::min<std::size_t>(delta / cfg_.calendarBucket,
-                              cfg_.calendarSlots - 1);
-    wheel_[(wheelHead_ + idx) % cfg_.calendarSlots].push_back(c);
+        std::min<std::size_t>(delta / kPool.calendarBucket,
+                              kPool.calendarSlots - 1);
+    wheel_[(wheelHead_ + idx) % kPool.calendarSlots].push_back(c);
     ++wheelCount_;
     if (wheelEvent_ == sim::kInvalidEvent)
-        wheelEvent_ = eq_.schedule(wheelTime_ + cfg_.calendarBucket,
+        wheelEvent_ = eq_.schedule(wheelTime_ + kPool.calendarBucket,
                                    [this] { calendarFire(); },
                                    "load.pool.calendar");
 }
@@ -342,8 +342,8 @@ ClientPool::calendarFire()
     // at the high-water mark — steady-state fires allocate nothing.
     dueScratch_.clear();
     dueScratch_.swap(wheel_[wheelHead_]);
-    wheelHead_ = (wheelHead_ + 1) % cfg_.calendarSlots;
-    wheelTime_ += cfg_.calendarBucket;
+    wheelHead_ = (wheelHead_ + 1) % kPool.calendarSlots;
+    wheelTime_ += kPool.calendarBucket;
     wheelCount_ -= dueScratch_.size();
 
     for (std::uint32_t c : dueScratch_) {
@@ -360,7 +360,7 @@ ClientPool::calendarFire()
         }
     }
     if (wheelCount_ > 0 && wheelEvent_ == sim::kInvalidEvent)
-        wheelEvent_ = eq_.schedule(wheelTime_ + cfg_.calendarBucket,
+        wheelEvent_ = eq_.schedule(wheelTime_ + kPool.calendarBucket,
                                    [this] { calendarFire(); },
                                    "load.pool.calendar");
 }
@@ -370,10 +370,10 @@ ClientPool::calendarFire()
 sim::Time
 ClientPool::backoffDelay(unsigned attempt) const
 {
-    sim::Time d = cfg_.backoffBase;
-    for (unsigned i = 1; i < attempt && d < cfg_.backoffCap; ++i)
+    sim::Time d = kPool.backoffBase;
+    for (unsigned i = 1; i < attempt && d < kPool.backoffCap; ++i)
         d *= 2;
-    return std::min(d, cfg_.backoffCap);
+    return std::min(d, kPool.backoffCap);
 }
 
 void

@@ -81,6 +81,19 @@ class Transport
                        bool is_set, std::size_t bytes) = 0;
 };
 
+/** Fixed pool parameters: retry backoff and the think-time wheel. */
+struct PoolParams
+{
+    sim::Time backoffBase = 100 * sim::kMicrosecond;
+    sim::Time backoffCap = 10 * sim::kMillisecond;
+
+    sim::Time calendarBucket = 64 * sim::kMicrosecond;
+    std::size_t calendarSlots = 4096;
+};
+
+/** Every pool's fixed parameters. */
+inline constexpr PoolParams kPool{};
+
 /** Pool parameters beyond the workload itself. */
 struct PoolConfig
 {
@@ -90,12 +103,7 @@ struct PoolConfig
 
     sim::Time timeout = 0;  ///< request timeout (0 = never)
     unsigned maxRetries = 0; ///< resends after the first timeout
-    sim::Time backoffBase = 100 * sim::kMicrosecond;
-    sim::Time backoffCap = 10 * sim::kMillisecond;
     sim::Time sweepInterval = 0; ///< timeout scan period (0: timeout/4)
-
-    sim::Time calendarBucket = 64 * sim::kMicrosecond;
-    std::size_t calendarSlots = 4096;
 
     /** Open loop: max queued arrivals awaiting a free client, as a
      *  multiple of the client count; beyond it arrivals are shed

@@ -149,8 +149,6 @@ class Recorder
         }
     }
 
-    const RecorderConfig &config() const { return cfg_; }
-
     /**
      * Write the SLO report: one row per class with throughput over
      * the effective measure window and the corrected latency

@@ -60,8 +60,6 @@ class BackingStore
 
     std::uint64_t pagesWritten() const { return pagesOut_; }
 
-    const BackingStoreConfig &config() const { return cfg_; }
-
   private:
     sim::Time
     transfer(std::size_t pages) const

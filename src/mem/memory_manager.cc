@@ -108,7 +108,7 @@ MemoryManager::faultIn(AddressSpace &as, Vpn vpn, bool write)
         return res;
     }
 
-    res.cost += cost_.minorFaultCpu;
+    res.cost += kMemCosts.minorFaultCpu;
     if (pte.inSwap) {
         res.cost += swap_.readLatency(1);
         pte.inSwap = false;
@@ -212,7 +212,7 @@ MemoryManager::evictOne(Cgroup *target)
 
         // Victim found: invalidate device mappings, write back, free.
         obs::tracer().instant(obs::Track::Mem, "mem", "evict");
-        sim::Time cost = cost_.evictCpu;
+        sim::Time cost = kMemCosts.evictCpu;
         cost += as.notifyInvalidate(frame.vpn);
         if (pte->dirty && !pte->fileBacked) {
             cost += swap_.writeLatency(1);

@@ -33,8 +33,8 @@ struct Cgroup
     std::size_t usedPages = 0;
 };
 
-/** Software cost knobs for the fault and reclaim paths. */
-struct MemCostConfig
+/** Software costs of the fault and reclaim paths. */
+struct MemCosts
 {
     /**
      * CPU cost to allocate a frame and fix up the PTE. Calibrated so
@@ -45,6 +45,14 @@ struct MemCostConfig
     sim::Time minorFaultCpu = 100;
     /** CPU cost to unmap a page on the reclaim path. */
     sim::Time evictCpu = 500;
+};
+
+/** The fault and reclaim paths' prices. */
+inline constexpr MemCosts kMemCosts{};
+
+/** Host memory policy. */
+struct MemCostConfig
+{
     /** Pinnable-memory ceiling in bytes; 0 = unlimited. Models
      *  RLIMIT_MEMLOCK-style policies (§3, "No IOuser Pinning"). */
     std::size_t maxPinnableBytes = 0;
@@ -123,7 +131,6 @@ class MemoryManager
     PhysicalMemory &physical() { return phys_; }
     BackingStore &swap() { return swap_; }
     const Stats &stats() const { return stats_; }
-    const MemCostConfig &costs() const { return cost_; }
     std::size_t pinnedPages() const { return pinnedPages_; }
 
   private:

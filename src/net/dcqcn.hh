@@ -28,12 +28,8 @@
 namespace npf::net {
 
 /** DCQCN reaction- and notification-point parameters. */
-struct DcqcnConfig
+struct DcqcnParams
 {
-    bool enabled = false;
-    /** Line rate the machine recovers toward; 0 = take the host
-     *  uplink's configured bandwidth. */
-    double lineRateBps = 0.0;
     /** Floor the multiplicative decrease never cuts below. */
     double minRateBps = 100e6;
     /** EWMA gain g for the congestion estimate alpha. */
@@ -52,6 +48,9 @@ struct DcqcnConfig
     sim::Time cnpMinInterval = sim::fromMicroseconds(50);
 };
 
+/** The DCQCN machine's parameters. */
+inline constexpr DcqcnParams kDcqcn{};
+
 /**
  * Reaction-point rate state: current rate Rc, target rate Rt and the
  * congestion estimate alpha.
@@ -60,10 +59,9 @@ class DcqcnRate
 {
   public:
     void
-    init(const DcqcnConfig &cfg, double lineRateBps)
+    init(double lineRateBps)
     {
-        cfg_ = cfg;
-        line_ = cfg.lineRateBps > 0.0 ? cfg.lineRateBps : lineRateBps;
+        line_ = lineRateBps;
         rc_ = rt_ = line_;
         alpha_ = 0.0;
         incRounds_ = 0;
@@ -80,9 +78,9 @@ class DcqcnRate
     void
     onCnp()
     {
-        alpha_ = (1.0 - cfg_.g) * alpha_ + cfg_.g;
+        alpha_ = (1.0 - kDcqcn.g) * alpha_ + kDcqcn.g;
         rt_ = rc_;
-        rc_ = std::max(cfg_.minRateBps, rc_ * (1.0 - alpha_ / 2.0));
+        rc_ = std::max(kDcqcn.minRateBps, rc_ * (1.0 - alpha_ / 2.0));
         incRounds_ = 0;
         limiting_ = true;
     }
@@ -91,7 +89,7 @@ class DcqcnRate
     bool
     decayAlpha()
     {
-        alpha_ *= 1.0 - cfg_.g;
+        alpha_ *= 1.0 - kDcqcn.g;
         return limiting_ && alpha_ > 1e-4;
     }
 
@@ -107,8 +105,8 @@ class DcqcnRate
         if (!limiting_)
             return false;
         ++incRounds_;
-        if (incRounds_ > cfg_.fastRecoveryRounds)
-            rt_ = std::min(line_, rt_ + cfg_.aiRateBps);
+        if (incRounds_ > kDcqcn.fastRecoveryRounds)
+            rt_ = std::min(line_, rt_ + kDcqcn.aiRateBps);
         rc_ = (rt_ + rc_) / 2.0;
         if (rc_ >= line_ * 0.999) {
             rc_ = rt_ = line_;
@@ -127,7 +125,6 @@ class DcqcnRate
     }
 
   private:
-    DcqcnConfig cfg_;
     double line_ = 0.0;
     double rc_ = 0.0;    ///< current (enforced) rate
     double rt_ = 0.0;    ///< target rate recovery climbs toward

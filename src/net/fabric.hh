@@ -51,6 +51,14 @@ struct FabricConfig
 {
     LinkConfig link;                         ///< per-port link
     sim::Time switchLatency = 200;           ///< cut-through forwarding
+
+    /** Lower bound on any record's src->dst latency: what a
+     *  ShardedEngine coupling fabric facets may use as lookahead. */
+    constexpr sim::Time
+    recordLookahead() const
+    {
+        return link.propagation + switchLatency;
+    }
 };
 
 /**
@@ -165,13 +173,8 @@ class Fabric
      */
     void sendRecord(const WireRecord &rec);
 
-    /** Lower bound on any record's src->dst latency: what a
-     *  ShardedEngine coupling fabric facets may use as lookahead. */
-    sim::Time
-    recordLookahead() const
-    {
-        return cfg_.link.propagation + cfg_.switchLatency;
-    }
+    /** FabricConfig::recordLookahead() of this fabric. */
+    sim::Time recordLookahead() const { return cfg_.recordLookahead(); }
 
     /** The node's transmit wire: legacy uplink, or the host NIC
      *  port's wire in topology mode. busyUntil() remains the
@@ -205,9 +208,6 @@ class Fabric
     {
         return topo_ ? hostUp_[node]->txEta() : up_[node]->busyUntil();
     }
-
-    /** Legacy-mode parameters (topology mode: see topology()). */
-    const FabricConfig &config() const { return cfg_; }
 
     bool topologyMode() const { return topo_ != nullptr; }
     const Topology *topology() const { return topo_.get(); }

@@ -186,7 +186,6 @@ class Switch
     void noteEcnMark();
 
     unsigned vertex() const { return vertex_; }
-    const SwitchConfig &config() const { return cfg_; }
     const Stats &stats() const { return stats_; }
     const std::vector<Egress *> &egressPorts() const { return egress_; }
 

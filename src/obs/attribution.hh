@@ -141,9 +141,12 @@ class Attributor
 
     std::size_t laneCount() const { return lanes_.size(); }
 
-  private:
+    /** Open blocks a lane holds; a deeper blockBegin is dropped. */
     static constexpr unsigned kMaxDepth = 16;
+    /** Blocks lane @p l dropped for want of depth. */
+    std::uint64_t overflowed(int l) const { return lanes_.at(l).overflowed; }
 
+  private:
     struct Lane
     {
         const char *name = "";

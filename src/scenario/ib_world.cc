@@ -72,10 +72,7 @@ StreamWorld::StreamWorld(sim::EventQueue &q, sim::ShardedEngine &engine,
     : eq(q), mm(1 * kGiB), as(mm.createAddressSpace("stream")), npfc(eq),
       ch(npfc.attach(as))
 {
-    // Long-haul link so the record lookahead (propagation + switch
-    // latency = 2.5 us) buys the engine a useful horizon.
-    net::FabricConfig fc{net::LinkConfig{56e9, 2000, 32}, 500};
-    fabric = std::make_unique<net::Fabric>(eq, shards, fc);
+    fabric = std::make_unique<net::Fabric>(eq, shards, kFabric);
     std::vector<std::uint16_t> owner(shards);
     for (unsigned n = 0; n < shards; ++n)
         owner[n] = std::uint16_t(n);

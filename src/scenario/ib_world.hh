@@ -102,6 +102,10 @@ struct StreamWorld
     static constexpr std::size_t kMsgBytes = 8192;
     static constexpr unsigned kRecvDepth = 16;
     static constexpr unsigned kSendWindow = 4;
+    /** Long-haul links, so the record lookahead (propagation + switch
+     *  latency = 2.5 us) buys a sharded engine a useful horizon. */
+    static constexpr net::FabricConfig kFabric{
+        net::LinkConfig{56e9, 2000, 32}, 500};
 
     sim::EventQueue &eq;
     std::unique_ptr<net::Fabric> fabric;

@@ -14,7 +14,7 @@ TcpConnection::TcpConnection(sim::EventQueue &eq, std::uint32_t conn_id,
     : eq_(eq), connId_(conn_id), sink_(std::move(sink)), cfg_(cfg),
       rto_(cfg.initialRto)
 {
-    cwnd_ = std::min(cfg_.initialCwndSegs * cfg_.mss,
+    cwnd_ = std::min(kTcp.initialCwndSegs * cfg_.mss,
                      cfg_.maxWindowBytes);
     ssthresh_ = cfg_.maxWindowBytes;
 
@@ -311,7 +311,7 @@ TcpConnection::handleAckField(const Segment &seg)
         // Forward progress ends exponential backoff: restore the RTO
         // to the estimator's value (what Linux does on new ACKs).
         if (rttValid_)
-            rto_ = std::max(cfg_.minRto, srtt_ + 4 * rttvar_);
+            rto_ = std::max(kTcp.minRto, srtt_ + 4 * rttvar_);
         else
             rto_ = cfg_.initialRto;
         rto_ = std::min(rto_, cfg_.maxRto);
@@ -351,7 +351,7 @@ TcpConnection::handleAckField(const Segment &seg)
     // retransmit (pure ACKs are themselves unreliable).
     if (seg.ack == sndUna_ && bytesInFlight() > 0) {
         ++stats_.dupAcksReceived;
-        if (++dupAcks_ == cfg_.dupAckThreshold) {
+        if (++dupAcks_ == kTcp.dupAckThreshold) {
             ++stats_.fastRetransmits;
             obs::tracer().instant(obs::Track::Transport, "tcp",
                                   "tcp.fast_retransmit");
@@ -410,7 +410,7 @@ TcpConnection::onRtoFire()
     // have restarted the timer via cancelRto()/armRto().
     obs::attributor().charge(attrLane_, obs::Phase::Retransmit,
                              eq_.now() - rtoArmedAt_);
-    if (++retries_ > cfg_.maxDataRetries) {
+    if (++retries_ > kTcp.maxDataRetries) {
         fail();
         return;
     }
@@ -445,7 +445,7 @@ TcpConnection::updateRtt(sim::Time sample)
         rttvar_ = (3 * rttvar_ + err) / 4;
         srtt_ = (7 * srtt_ + sample) / 8;
     }
-    rto_ = std::max(cfg_.minRto, srtt_ + 4 * rttvar_);
+    rto_ = std::max(kTcp.minRto, srtt_ + 4 * rttvar_);
     rto_ = std::min(rto_, cfg_.maxRto);
 }
 

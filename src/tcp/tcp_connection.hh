@@ -25,18 +25,26 @@
 
 namespace npf::tcp {
 
-/** Stack parameters (Linux-of-the-era defaults). */
+/** Fixed stack parameters (Linux-of-the-era values). */
+struct TcpParams
+{
+    unsigned initialCwndSegs = 10;
+    sim::Time minRto = 200 * sim::kMillisecond;
+    unsigned maxDataRetries = 15;
+    unsigned dupAckThreshold = 3;
+};
+
+/** The stack's fixed parameters. */
+inline constexpr TcpParams kTcp{};
+
+/** Per-connection stack parameters (Linux-of-the-era defaults). */
 struct TcpConfig
 {
     std::size_t mss = 1448;
-    unsigned initialCwndSegs = 10;
     std::size_t maxWindowBytes = 1 << 20;
-    sim::Time minRto = 200 * sim::kMillisecond;
     sim::Time maxRto = 120 * sim::kSecond;
     sim::Time initialRto = 1 * sim::kSecond;
     unsigned maxSynRetries = 6;
-    unsigned maxDataRetries = 15;
-    unsigned dupAckThreshold = 3;
 };
 
 /**

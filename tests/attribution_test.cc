@@ -181,6 +181,20 @@ TEST(Attribution, BlockStackOverflowIsDroppedNotFatal)
     EXPECT_EQ(bd.sum(), 0); // clock never advanced
 }
 
+TEST(Attribution, OverflowCountsEachDroppedBlock)
+{
+    sim::EventQueue eq;
+    AttrGuard guard(eq);
+    obs::Attributor &at = obs::attributor();
+    int lane = at.openLane("deep");
+    for (unsigned i = 0; i < obs::Attributor::kMaxDepth; ++i)
+        at.blockBegin(lane, Phase::NpfDriver);
+    EXPECT_EQ(at.overflowed(lane), 0u);
+    at.blockBegin(lane, Phase::NpfDriver);
+    EXPECT_EQ(at.overflowed(lane), 1u);
+    EXPECT_EQ(at.overflowed(at.rootLane()), 0u);
+}
+
 /**
  * Two-host IB KV-RPC under periodic server memory pressure (real send
  * NPFs on GET responses DMA-read from reclaimed item memory) and
@@ -243,6 +257,9 @@ TEST(AttributionIntegration, IbKvRcPhasesSumExactlyWithNpfAndRnr)
         }
     }
     EXPECT_GT(samples, 100u);
+    for (std::size_t lane = 0; lane < obs::attributor().laneCount(); ++lane)
+        EXPECT_EQ(obs::attributor().overflowed(int(lane)), 0u)
+            << "lane " << lane << " dropped blocks";
     EXPECT_TRUE(sawNpf) << "no NPF-bearing request in " << samples
                         << " samples";
     EXPECT_TRUE(sawRnr) << "no RNR-bearing request in " << samples

@@ -17,6 +17,7 @@
 #include "hpc/cluster.hh"
 #include "obs/metrics.hh"
 #include "scenario/digest.hh"
+#include "scenario/ib_world.hh"
 #include "sim/event_queue.hh"
 #include "sim/pool.hh"
 #include "sim/shard.hh"
@@ -393,12 +394,13 @@ namespace {
  */
 std::uint64_t
 runPartitioned(unsigned ranks, unsigned shards,
-               sim::Time lookahead = 500)
+               sim::Time lookahead =
+                   hpc::ClusterConfig{}.fabric.recordLookahead())
 {
     sim::ShardedEngine::Config ec;
     ec.shards = shards;
-    // Any lookahead <= the cluster fabric's recordLookahead() (500
-    // with the default config) is legal; smaller just syncs more.
+    // Any lookahead <= the cluster fabric's recordLookahead() is
+    // legal; smaller just syncs more.
     ec.lookahead = lookahead;
     sim::ShardedEngine engine(ec);
 
@@ -504,10 +506,29 @@ TEST(ShardDifferential, LookaheadDoesNotChangeObservables)
     // Lookahead only sets how far shards run between syncs; any legal
     // value must produce the same simulation. A divergence here means
     // the horizon math executed an event it should not have.
-    std::uint64_t coarse = runPartitioned(4, 2, 500);
+    std::uint64_t coarse = runPartitioned(4, 2); // the fabric's bound
     std::uint64_t fine = runPartitioned(4, 2, 100);
     EXPECT_EQ(coarse, fine)
         << "lookahead changed the simulation's observables";
+}
+
+TEST(ShardDifferential, StreamWorldFabricBoundsShardScaleLookahead)
+{
+    // shard_scale runs its engine at StreamWorld::kFabric's record
+    // lookahead; the fabric each shard's world builds must allow it,
+    // or the sharded run stops matching the 1-shard run.
+    const sim::Time lookahead =
+        scenario::StreamWorld::kFabric.recordLookahead();
+    sim::ShardedEngine::Config ec;
+    ec.shards = 2;
+    ec.lookahead = lookahead;
+    sim::ShardedEngine engine(ec);
+    for (unsigned s = 0; s < ec.shards; ++s) {
+        engine.invokeOn(s, [&, s] {
+            scenario::StreamWorld w(engine.queue(s), engine, s, ec.shards);
+            EXPECT_EQ(w.fabric->recordLookahead(), lookahead);
+        });
+    }
 }
 
 // ---------------------------------------------------------------

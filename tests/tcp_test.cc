@@ -151,8 +151,8 @@ TEST(Tcp, PersistentLossBacksOffAndFails)
     pipe.a->send(10000);
     pipe.eq.run();
     EXPECT_TRUE(failed);
-    EXPECT_GE(pipe.a->stats().timeouts, 15u)
-        << "gives up only after maxDataRetries RTOs";
+    EXPECT_GE(pipe.a->stats().timeouts, kTcp.maxDataRetries)
+        << "gives up only after kTcp.maxDataRetries RTOs";
     EXPECT_GT(pipe.eq.now(), 100 * sim::kSecond)
         << "exponential backoff stretches the attempts out";
 }

@@ -383,10 +383,8 @@ TEST(SwitchFaults, PauseStormPausesEveryUpstreamPort)
 
 TEST(Dcqcn, RateMachineCutsAndRecovers)
 {
-    DcqcnConfig cfg;
-    cfg.enabled = true;
     DcqcnRate r;
-    r.init(cfg, 40e9);
+    r.init(40e9);
     EXPECT_FALSE(r.limiting());
     EXPECT_DOUBLE_EQ(r.rateBps(), 40e9);
 
@@ -402,7 +400,7 @@ TEST(Dcqcn, RateMachineCutsAndRecovers)
     // The floor holds under a CNP storm.
     for (int i = 0; i < 1000; ++i)
         r.onCnp();
-    EXPECT_GE(r.rateBps(), cfg.minRateBps);
+    EXPECT_GE(r.rateBps(), kDcqcn.minRateBps);
 
     // Increase rounds converge back to line rate and go inactive.
     int rounds = 0;
@@ -418,10 +416,8 @@ TEST(Dcqcn, RateMachineCutsAndRecovers)
 
 TEST(Dcqcn, SendGapMatchesRate)
 {
-    DcqcnConfig cfg;
-    cfg.enabled = true;
     DcqcnRate r;
-    r.init(cfg, 8e9); // 1 byte/ns
+    r.init(8e9); // 1 byte/ns
     EXPECT_EQ(r.sendGap(1000), sim::Time(1000));
 }
 
@@ -470,7 +466,7 @@ struct IncastRig
 TEST(IbDcqcn, CnpsEngageRateLimiterUnderIncast)
 {
     ib::QpConfig qcfg;
-    qcfg.dcqcn.enabled = true;
+    qcfg.dcqcn = true;
     IncastRig rig("star:hosts=3,bw=8g,prop=100,overhead=0,fwd=50,"
                   "ecn=16k", qcfg);
 
@@ -511,7 +507,7 @@ TEST(IbDcqcn, RateLimitingBoundsSwitchQueueVsUncontrolled)
     const std::size_t kLen = 4 * MiB;
     auto hwm = [&](bool dcqcn) {
         ib::QpConfig qcfg;
-        qcfg.dcqcn.enabled = dcqcn;
+        qcfg.dcqcn = dcqcn;
         IncastRig rig("star:hosts=3,bw=8g,prop=100,overhead=0,"
                       "fwd=50,ecn=16k,queue=64m", qcfg);
         mem::VirtAddr s1 = rig.as1.allocRegion(kLen);
