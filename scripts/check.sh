@@ -370,6 +370,20 @@ fi
 ./build/bench/chaos_recovery            > "$smokedir/chaos.txt" 2>&1
 check_golden "$smokedir" golden_digests.sha256
 
+# The testbed rigs of src/scenario/ as their benches and examples drive
+# them: the RC pair (abl_read_rnr, quickstart, storage_server) and the
+# NIC rig (abl_backup_ring). Each must replay bit-identically and match
+# scripts/golden_digests_rigs.sha256, pinned before the hand-built
+# copies moved onto the rigs; abl_backup_ring then gates the paper's
+# bm_size claim (EXPERIMENTS.md).
+for prog in bench/abl_backup_ring bench/abl_read_rnr examples/quickstart \
+    examples/storage_server; do
+    replay_twice "${prog#*/}.txt" "$root/build/$prog"
+done
+check_golden "$smokedir/a" golden_digests_rigs.sha256
+require_gates "$smokedir/a/abl_backup_ring.txt" \
+    "lossless.bm64 lossless.bm256 falling.bm4 falling.bm16 lossy.bm16"
+
 # The allocation gate at full scale. Its report stays in $smokedir:
 # the committed BENCH_stack.json is regenerated by running the bench
 # directly (README "Bench reports").
