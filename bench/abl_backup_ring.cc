@@ -16,48 +16,6 @@
 using namespace npf;
 using namespace npf::bench;
 
-namespace {
-
-struct Rig
-{
-    sim::EventQueue eq;
-    mem::MemoryManager mm{1ull << 30};
-    mem::AddressSpace &as{mm.createAddressSpace("iouser")};
-    core::NpfController npfc{eq};
-    core::ChannelId ch{npfc.attach(as)};
-    eth::EthNic nic{eq, npfc};
-    eth::EthNic peer{eq, npfc};
-    unsigned ring;
-    mem::VirtAddr bufs;
-    std::uint64_t delivered = 0;
-
-    explicit Rig(std::size_t bm_size, double fault_prob)
-        : ring(0)
-    {
-        peer.connectTo(nic, net::LinkConfig{12e9, 1000, 38});
-        nic.connectTo(peer, net::LinkConfig{12e9, 1000, 38});
-        eth::RxRingConfig cfg;
-        cfg.size = 512;
-        cfg.bmSize = bm_size;
-        cfg.syntheticRnpfProb = fault_prob;
-        ring = nic.createRxRing(ch, cfg, [this](const eth::Frame &) {
-            ++delivered;
-            eth::RxRing &r = nic.ring(ring);
-            if (r.postableSlots() > 0) {
-                nic.postRxBuffer(ring,
-                                 bufs + (r.tail % r.cfg.size) * 4096,
-                                 4096);
-            }
-        });
-        bufs = as.allocRegion(cfg.size * 4096);
-        npfc.prefault(ch, bufs, cfg.size * 4096, true);
-        for (std::size_t i = 0; i < cfg.size; ++i)
-            nic.postRxBuffer(ring, bufs + i * 4096, 4096);
-    }
-};
-
-} // namespace
-
 int
 main(int argc, char **argv)
 {
@@ -74,23 +32,29 @@ main(int argc, char **argv)
         "parked");
     std::map<std::size_t, double> dropped;
     for (std::size_t bm : {1, 4, 16, 64, 256}) {
-        Rig rig(bm, kFaultProb);
+        scenario::NicRig rig(1ull << 30);
+        eth::RxRingConfig cfg;
+        cfg.size = 512;
+        cfg.bmSize = bm;
+        cfg.syntheticRnpfProb = kFaultProb;
+        std::uint64_t delivered = 0;
+        unsigned ring = rig.addRing(cfg, /*prefault=*/true,
+                                    [&](const eth::Frame &) { ++delivered; })
+                            .id;
         auto obs = openObsSession(obs_args, rig.eq);
         for (std::uint64_t i = 0; i < kFrames; ++i) {
-            rig.eq.schedule(i * 20 * sim::kMicrosecond, [&rig] {
+            rig.eq.schedule(i * 20 * sim::kMicrosecond, [&rig, ring] {
                 eth::Frame f;
-                f.dstRing = rig.ring;
+                f.dstRing = ring;
                 f.bytes = 1500; // payload stays empty: never read here
-                eth::EthNic *dst = &rig.nic;
-                rig.peer.txLink()->send(f.bytes,
-                                        [dst, f] { dst->receive(f); });
+                rig.send(f);
             });
         }
         rig.eq.run();
-        const eth::RxRing::Stats &s = rig.nic.ring(rig.ring).stats;
+        const eth::RxRing::Stats &s = rig.nic.ring(ring).stats;
         dropped[bm] = double(s.dropped);
         row("%10zu %12llu %12llu %12llu", bm,
-            static_cast<unsigned long long>(rig.delivered),
+            static_cast<unsigned long long>(delivered),
             static_cast<unsigned long long>(s.dropped),
             static_cast<unsigned long long>(s.toBackup));
     }

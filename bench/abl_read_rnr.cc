@@ -7,18 +7,15 @@
  * against the proposed read-RNR extension on cold-buffer reads.
  */
 
-#include <memory>
+#include <functional>
 
 #include "bench/common.hh"
-#include "ib/queue_pair.hh"
-#include "net/fabric.hh"
+#include "scenario/ib_world.hh"
 
 using namespace npf;
 using namespace npf::bench;
 
 namespace {
-
-constexpr std::size_t kMiB = 1ull << 20;
 
 /** Time and waste for a sequence of reads into cold buffers. */
 struct Result
@@ -34,35 +31,22 @@ runReads(bool extension, std::size_t read_bytes, unsigned reads,
 {
     sim::EventQueue eq;
     auto obs = openObsSession(obs_args, eq);
-    net::Fabric fabric(eq, 2,
-                       net::FabricConfig{net::LinkConfig{56e9, 300, 32},
-                                         200});
-    mem::MemoryManager mmA(1ull << 30), mmB(1ull << 30);
-    auto &asA = mmA.createAddressSpace("initiator");
-    auto &asB = mmB.createAddressSpace("responder");
-    core::NpfController npfcA(eq), npfcB(eq);
-    auto chA = npfcA.attach(asA);
-    auto chB = npfcB.attach(asB);
-    ib::QpConfig cfg;
-    cfg.readRnrExtension = extension;
-    ib::QueuePair qpA(eq, fabric, 0, npfcA, chA, cfg, 1);
-    ib::QueuePair qpB(eq, fabric, 1, npfcB, chB, cfg, 2);
-    qpA.connect(qpB);
-    qpB.connect(qpA);
+    // A is the initiator, B the responder.
+    scenario::RcPair rc(eq, {.qp = {.readRnrExtension = extension}});
 
-    mem::VirtAddr remote = asB.allocRegion(read_bytes);
-    npfcB.prefault(chB, remote, read_bytes, true);
+    mem::VirtAddr remote = rc.asB.allocRegion(read_bytes);
+    rc.npfcB.prefault(rc.chB, remote, read_bytes, true);
 
     unsigned done = 0;
     mem::VirtAddr pending_local = 0;
     std::function<void()> next = [&] {
         // Every read lands in a *fresh, cold* local buffer — the
         // RDMA-programs-randomly-accessing-memory case §3 calls out.
-        pending_local = asA.allocRegion(read_bytes);
-        qpA.postSend({ib::Opcode::RdmaRead, pending_local, read_bytes,
-                      remote, done});
+        pending_local = rc.asA.allocRegion(read_bytes);
+        rc.qpA.postSend({ib::Opcode::RdmaRead, pending_local, read_bytes,
+                         remote, done});
     };
-    qpA.onCompletion([&](const ib::Completion &c) {
+    rc.qpA.onCompletion([&](const ib::Completion &c) {
         if (!c.isRecv) {
             ++done;
             if (done < reads)
@@ -77,9 +61,9 @@ runReads(bool extension, std::size_t read_bytes, unsigned reads,
 
     Result r;
     r.ms = sim::toSeconds(eq.now() - start) * 1e3;
-    r.dropped = qpA.stats().dataPacketsDropped;
-    r.retransmitted = qpB.stats().dataPacketsSent -
-                      qpA.stats().dataPacketsDelivered -
+    r.dropped = rc.qpA.stats().dataPacketsDropped;
+    r.retransmitted = rc.qpB.stats().dataPacketsSent -
+                      rc.qpA.stats().dataPacketsDelivered -
                       (reads - done);
     return r;
 }

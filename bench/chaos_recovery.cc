@@ -28,8 +28,7 @@
 #include <vector>
 
 #include "bench/common.hh"
-#include "ib/queue_pair.hh"
-#include "net/fabric.hh"
+#include "scenario/ib_world.hh"
 
 using namespace npf;
 using namespace npf::bench;
@@ -164,43 +163,32 @@ ibScenario(const ObsArgs &args)
     auto obs = openObsSession(withIter(args, 1), eq);
     auto inj = installFaultPlan(args, eq);
     armClauseDumps(*inj);
-    net::Fabric fabric(eq, 2,
-                       net::FabricConfig{net::LinkConfig{56e9, 300, 32},
-                                         200});
-    mem::MemoryManager mmA(256 * kMiB), mmB(256 * kMiB);
-    mem::AddressSpace &asA = mmA.createAddressSpace("A");
-    mem::AddressSpace &asB = mmB.createAddressSpace("B");
-    core::NpfController npfcA(eq), npfcB(eq);
-    core::ChannelId chA = npfcA.attach(asA), chB = npfcB.attach(asB);
-    ib::QueuePair qpA(eq, fabric, 0, npfcA, chA, ib::QpConfig{}, 1);
-    ib::QueuePair qpB(eq, fabric, 1, npfcB, chB, ib::QpConfig{}, 2);
-    qpA.connect(qpB);
-    qpB.connect(qpA);
+    scenario::RcPair rc(eq, {.a = {256 * kMiB}, .b = {256 * kMiB}});
     inj->onTimedAction(fault::Site::Mem, [&](std::uint64_t pages) {
-        mmB.reclaimPages(pages);
+        rc.mmB.reclaimPages(pages);
     });
     inj->onTimedAction(fault::Site::Iotlb, [&](std::uint64_t entries) {
-        npfcB.iommu(chB).tlb().evictLru(entries);
+        rc.npfcB.iommu(rc.chB).tlb().evictLru(entries);
     });
 
-    mem::VirtAddr sbuf = asA.allocRegion(4 * kMiB);
-    mem::VirtAddr rbuf = asB.allocRegion(4 * kMiB);
-    npfcA.prefault(chA, sbuf, 4 * kMiB, true);
+    mem::VirtAddr sbuf = rc.asA.allocRegion(4 * kMiB);
+    mem::VirtAddr rbuf = rc.asB.allocRegion(4 * kMiB);
+    rc.npfcA.prefault(rc.chA, sbuf, 4 * kMiB, true);
     // rbuf stays cold: every first touch is a genuine rNPF.
 
     constexpr int kMsgs = 64;
     constexpr std::size_t kLen = 64 * 1024;
     int delivered = 0;
-    qpB.onCompletion([&](const ib::Completion &c) {
+    rc.qpB.onCompletion([&](const ib::Completion &c) {
         if (c.isRecv)
             ++delivered;
     });
     for (int i = 0; i < kMsgs; ++i)
-        qpB.postRecv({ib::Opcode::Send, rbuf + (i % 32) * kLen, kLen, 0,
-                      std::uint64_t(i)});
+        rc.qpB.postRecv({ib::Opcode::Send, rbuf + (i % 32) * kLen, kLen,
+                         0, std::uint64_t(i)});
     for (int i = 0; i < kMsgs; ++i)
-        qpA.postSend({ib::Opcode::Send, sbuf + (i % 32) * kLen, kLen, 0,
-                      std::uint64_t(i)});
+        rc.qpA.postSend({ib::Opcode::Send, sbuf + (i % 32) * kLen, kLen,
+                         0, std::uint64_t(i)});
 
     sim::Time start = eq.now();
     bool done = eq.runUntilCondition([&] { return delivered == kMsgs; },
@@ -209,12 +197,12 @@ ibScenario(const ObsArgs &args)
         done ? "" : "  [DEADLINE]");
     row("  completion time:  %.3f ms",
         1e3 * sim::toSeconds(eq.now() - start));
-    const ib::QueuePair::Stats &sb = qpB.stats();
+    const ib::QueuePair::Stats &sb = rc.qpB.stats();
     row("  receiver: recvNpfs=%llu rnrNacksSent=%llu dropped=%llu",
         (unsigned long long)sb.recvNpfs,
         (unsigned long long)sb.rnrNacksSent,
         (unsigned long long)sb.dataPacketsDropped);
-    const ib::QueuePair::Stats &sa = qpA.stats();
+    const ib::QueuePair::Stats &sa = rc.qpA.stats();
     row("  sender: sent=%llu retransmitted=%llu rewinds=%llu "
         "rnrNacksReceived=%llu",
         (unsigned long long)sa.dataPacketsSent,

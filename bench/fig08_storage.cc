@@ -39,8 +39,7 @@ struct StorageBed
 
     StorageBed(std::size_t mem_bytes, core::RegMode mode, unsigned sessions,
                std::size_t block_bytes, unsigned qd)
-        : fabric(eq, 2,
-                 net::FabricConfig{net::LinkConfig{56e9, 300, 32}, 200})
+        : fabric(eq, 2, net::kFdrFabric)
     {
         mem::MemCostConfig costs;
         // Admission policy: the provider refuses pinning that would

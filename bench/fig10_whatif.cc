@@ -24,8 +24,6 @@
 #include "bench/common.hh"
 #include "bench/reg_common.hh"
 #include "hpc/imb.hh"
-#include "ib/queue_pair.hh"
-#include "net/fabric.hh"
 
 using namespace npf;
 using namespace npf::bench;
@@ -82,44 +80,31 @@ ibStream(double prob, bool major, const ObsArgs &obs_args)
 {
     sim::EventQueue eq;
     auto obs = openObsSession(withIter(obs_args, g_iter++), eq);
-    net::Fabric fabric(eq, 2,
-                       net::FabricConfig{net::LinkConfig{56e9, 300, 32},
-                                         200});
-    mem::MemoryManager mmA(1ull << 30), mmB(1ull << 30);
-    auto &asA = mmA.createAddressSpace("snd");
-    auto &asB = mmB.createAddressSpace("rcv");
-    core::NpfController npfcA(eq), npfcB(eq);
-    auto chA = npfcA.attach(asA);
-    auto chB = npfcB.attach(asB);
-    ib::QpConfig qcfg;
-    qcfg.syntheticRnpfProb = prob;
-    qcfg.syntheticMajor = major;
-    ib::QueuePair qpA(eq, fabric, 0, npfcA, chA, qcfg, 1);
-    ib::QueuePair qpB(eq, fabric, 1, npfcB, chB, qcfg, 2);
-    qpA.connect(qpB);
-    qpB.connect(qpA);
+    // A sends, B receives.
+    scenario::RcPair rc(
+        eq, {.qp = {.syntheticRnpfProb = prob, .syntheticMajor = major}});
 
-    mem::VirtAddr sbuf = asA.allocRegion(kMsg);
-    mem::VirtAddr rbuf = asB.allocRegion(kMsg);
-    npfcA.prefault(chA, sbuf, kMsg, true);
-    npfcB.prefault(chB, rbuf, kMsg, true);
+    mem::VirtAddr sbuf = rc.asA.allocRegion(kMsg);
+    mem::VirtAddr rbuf = rc.asB.allocRegion(kMsg);
+    rc.npfcA.prefault(rc.chA, sbuf, kMsg, true);
+    rc.npfcB.prefault(rc.chB, rbuf, kMsg, true);
 
     std::uint64_t delivered = 0;
-    qpB.onCompletion([&](const ib::Completion &c) {
+    rc.qpB.onCompletion([&](const ib::Completion &c) {
         if (c.isRecv) {
             ++delivered;
-            qpB.postRecv({ib::Opcode::Send, rbuf, kMsg, 0, 0});
+            rc.qpB.postRecv({ib::Opcode::Send, rbuf, kMsg, 0, 0});
         }
     });
     bool refill = true;
-    qpA.onCompletion([&](const ib::Completion &c) {
+    rc.qpA.onCompletion([&](const ib::Completion &c) {
         if (!c.isRecv && refill)
-            qpA.postSend({ib::Opcode::Send, sbuf, kMsg, 0, 0});
+            rc.qpA.postSend({ib::Opcode::Send, sbuf, kMsg, 0, 0});
     });
     for (int i = 0; i < 32; ++i)
-        qpB.postRecv({ib::Opcode::Send, rbuf, kMsg, 0, 0});
+        rc.qpB.postRecv({ib::Opcode::Send, rbuf, kMsg, 0, 0});
     for (int i = 0; i < 16; ++i)
-        qpA.postSend({ib::Opcode::Send, sbuf, kMsg, 0, 0});
+        rc.qpA.postSend({ib::Opcode::Send, sbuf, kMsg, 0, 0});
 
     eq.runUntil(eq.now() + 100 * sim::kMillisecond); // warm
     std::uint64_t at_start = delivered;

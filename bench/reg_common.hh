@@ -62,30 +62,18 @@ regStorageRun(core::RegMode mode, std::uint64_t seed, sim::Time warm,
               sim::Time meas)
 {
     sim::EventQueue eq;
-    net::Fabric fabric(eq, 2,
-                       net::FabricConfig{net::LinkConfig{56e9, 300, 32},
-                                         200});
-    mem::MemoryManager tgtMm(2ull << 30), fioMm(1ull << 30);
-    mem::AddressSpace &tgtAs = tgtMm.createAddressSpace("tgt");
-    mem::AddressSpace &fioAs = fioMm.createAddressSpace("fio");
-    core::NpfController tgtNpfc(eq), fioNpfc(eq);
-    core::ChannelId tch = tgtNpfc.attach(tgtAs);
-    core::ChannelId fch = fioNpfc.attach(fioAs);
-    ib::QpConfig qcfg;
-    ib::QueuePair qpT(eq, fabric, 0, tgtNpfc, tch, qcfg, 21);
-    ib::QueuePair qpF(eq, fabric, 1, fioNpfc, fch, qcfg, 22);
-    qpT.connect(qpF);
-    qpF.connect(qpT);
+    // A is the target, B the fio initiator.
+    scenario::RcPair rc(eq, {.a = {2ull << 30}});
 
     app::StorageConfig scfg;
     scfg.lunBytes = 256ull << 20; // bench-sized LUN
-    app::StorageTarget tgt(eq, tgtAs, scfg,
-                           core::Registration(mode, tgtNpfc, tch));
+    app::StorageTarget tgt(eq, rc.asA, scfg,
+                           core::Registration(mode, rc.npfcA, rc.chA));
     if (!tgt.ok())
         return {};
     auto queue = std::make_shared<std::deque<app::IoRequest>>();
-    tgt.addSession(qpT, queue);
-    app::FioClient fio(eq, qpF, fioAs, queue, 64 * 1024,
+    tgt.addSession(rc.qpA, queue);
+    app::FioClient fio(eq, rc.qpB, rc.asB, queue, 64 * 1024,
                        /*queue_depth=*/8, scfg.lunBytes, 0x5eed + seed);
     fio.start();
 
@@ -97,7 +85,7 @@ regStorageRun(core::RegMode mode, std::uint64_t seed, sim::Time warm,
     RegRunResult r;
     r.mbps = double(fio.bytesRead()) / sim::toSeconds(meas) / 1e6;
     r.ops = fio.completed();
-    fillRegStats(r, tgtNpfc, tch, tgt.registration());
+    fillRegStats(r, rc.npfcA, rc.chA, tgt.registration());
     return r; // teardown mid-flight, like fig08's bed
 }
 

@@ -21,11 +21,8 @@
 #include <cstring>
 #include <memory>
 
-#include "core/npf_controller.hh"
-#include "ib/queue_pair.hh"
-#include "mem/memory_manager.hh"
-#include "net/fabric.hh"
 #include "obs/session.hh"
+#include "scenario/ib_world.hh"
 
 using namespace npf;
 
@@ -47,24 +44,13 @@ main(int argc, char **argv)
         obs_opt.metricsOut = "quickstart_metrics.json";
         session = std::make_unique<obs::Session>(eq, obs_opt);
     }
-    net::Fabric fabric(eq, 2,
-                       net::FabricConfig{net::LinkConfig{56e9, 300, 32},
-                                         200});
-
-    mem::MemoryManager sender_host(1ull << 30);  // 1 GB each
-    mem::MemoryManager receiver_host(1ull << 30);
-    mem::AddressSpace &snd = sender_host.createAddressSpace("sender");
-    mem::AddressSpace &rcv = receiver_host.createAddressSpace("receiver");
-
-    // --- NICs with NPF support (one NpfController per NIC) ----------
-    core::NpfController snd_nic(eq), rcv_nic(eq);
-    core::ChannelId snd_ch = snd_nic.attach(snd);
-    core::ChannelId rcv_ch = rcv_nic.attach(rcv);
-
-    ib::QueuePair qp_snd(eq, fabric, 0, snd_nic, snd_ch);
-    ib::QueuePair qp_rcv(eq, fabric, 1, rcv_nic, rcv_ch);
-    qp_snd.connect(qp_rcv);
-    qp_rcv.connect(qp_snd);
+    // Two hosts with 1 GB each on a 56 Gb/s FDR switch, each NIC with
+    // NPF support (one NpfController per NIC) and one RC queue pair,
+    // connected to each other. Host A sends, host B receives.
+    scenario::RcPair rc(eq);
+    mem::AddressSpace &snd = rc.asA, &rcv = rc.asB;
+    core::NpfController &snd_nic = rc.npfcA, &rcv_nic = rc.npfcB;
+    ib::QueuePair &qp_snd = rc.qpA, &qp_rcv = rc.qpB;
 
     // --- buffers: NOTHING is pinned -----------------------------------
     constexpr std::size_t kMsg = 64 * 1024;

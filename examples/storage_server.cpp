@@ -4,7 +4,7 @@
  * LUN over simulated RDMA, with the memory trade-off of §6.1: pinned
  * communication buffers steal page-cache memory; NPF-backed buffers
  * give it back. Prints bandwidth and memory for both builds on a
- * 6 GB host.
+ * 4.5 GB host.
  *
  * Build & run:  ./build/examples/storage_server
  */
@@ -14,8 +14,7 @@
 #include <memory>
 
 #include "app/storage.hh"
-#include "core/npf_controller.hh"
-#include "net/fabric.hh"
+#include "scenario/ib_world.hh"
 
 using namespace npf;
 using namespace npf::app;
@@ -29,30 +28,17 @@ void
 runOnce(bool pinned)
 {
     sim::EventQueue eq;
-    net::Fabric fabric(eq, 2,
-                       net::FabricConfig{net::LinkConfig{56e9, 300, 32},
-                                         200});
-    mem::MemCostConfig costs;
-    costs.maxPinnableBytes = 2 * kGiB;
-    mem::MemoryManager tgt_host(4608 * kMiB, costs); // 4.5 GB
-    mem::MemoryManager ini_host(2 * kGiB);
-    mem::AddressSpace &tgt_as = tgt_host.createAddressSpace("tgt");
-    mem::AddressSpace &ini_as = ini_host.createAddressSpace("fio");
-
-    core::NpfController tgt_nic(eq), ini_nic(eq);
-    auto tch = tgt_nic.attach(tgt_as);
-    auto ich = ini_nic.attach(ini_as);
-
-    ib::QueuePair qp_t(eq, fabric, 0, tgt_nic, tch);
-    ib::QueuePair qp_i(eq, fabric, 1, ini_nic, ich);
-    qp_t.connect(qp_i);
-    qp_i.connect(qp_t);
+    // Host A is the 4.5 GB target (at most 2 GB of it pinnable), host B
+    // the 2 GB fio initiator: one RC queue pair each, connected.
+    scenario::RcPair rc(
+        eq, {.a = {4608 * kMiB, {.maxPinnableBytes = 2 * kGiB}},
+             .b = {2 * kGiB}});
 
     StorageConfig cfg;
     StorageTarget tgt(
-        eq, tgt_as, cfg,
+        eq, rc.asA, cfg,
         core::Registration(pinned ? core::RegMode::Copy : core::RegMode::Npf,
-                           tgt_nic, tch));
+                           rc.npfcA, rc.chA));
     if (!tgt.ok()) {
         std::printf("%-8s failed to start: cannot pin the 1 GB "
                     "communication pool\n",
@@ -61,8 +47,8 @@ runOnce(bool pinned)
     }
 
     auto queue = std::make_shared<std::deque<IoRequest>>();
-    tgt.addSession(qp_t, queue);
-    FioClient fio(eq, qp_i, ini_as, queue, 512 * 1024, 16,
+    tgt.addSession(rc.qpA, queue);
+    FioClient fio(eq, rc.qpB, rc.asB, queue, 512 * 1024, 16,
                   cfg.lunBytes, 42);
     fio.start();
 

@@ -51,7 +51,7 @@ MemcachedServer::handleRequest(RpcChannel &ch, std::uint64_t cookie)
 
     eq_.schedule(done, [this, &ch, cookie, kr, is_set] {
         std::uint64_t rsp_cookie = cookie;
-        std::size_t rsp_len = cfg_.missReplyBytes;
+        std::size_t rsp_len = kMissReplyBytes;
         if (!is_set && kr.hit) {
             rsp_cookie |= kHitFlag;
             rsp_len = cfg_.valueBytes + 48;

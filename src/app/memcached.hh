@@ -48,9 +48,10 @@ struct MemcachedConfig
     /** Per-request CPU (parse, hash, LRU). Calibrated so a single
      *  uncontended instance serves ~186 KTPS (Table 5). */
     sim::Time baseOpCpu = sim::fromMicroseconds(5.2);
-    std::size_t requestBytes = 64;
-    std::size_t missReplyBytes = 64;
 };
+
+/** Wire size of a memcached miss reply or SET ack. */
+inline constexpr std::size_t kMissReplyBytes = 64;
 
 /**
  * memcached: decodes requests from RpcChannels, runs them through

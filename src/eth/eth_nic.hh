@@ -37,6 +37,9 @@ struct EthNicParams
     sim::Time interruptLatency = sim::fromMicroseconds(4);
     /** CPU copy bandwidth for merging backup packets (Fig. 5 step 4). */
     double copyBytesPerSec = 8e9;
+    /** The point-to-point wire of the paper's §5 prototype: a 12 Gb/s
+     *  NIC and a 1 us cable, with Ethernet framing. */
+    net::LinkConfig wire{12e9, 1000, 38};
 };
 
 /** Every Ethernet NIC's fixed parameters. */
@@ -76,7 +79,7 @@ class EthNic
     EthNic &operator=(const EthNic &) = delete;
 
     /** Attach the transmit wire toward @p peer (call on both NICs). */
-    void connectTo(EthNic &peer, net::LinkConfig link_cfg = {});
+    void connectTo(EthNic &peer, net::LinkConfig link_cfg = kEthNic.wire);
 
     /**
      * Alternative to connectTo(): transmit through @p fabric as host

@@ -28,6 +28,8 @@ struct ClusterParams
 {
     /** CPU reduction bandwidth (allreduce). */
     double reduceBwBytesPerSec = 8e9;
+    /** Bounce-buffer memcpy bandwidth (copy mode, both sides). */
+    double copyBwBytesPerSec = 12e9;
     /** Messages at or below this ride the eager (always-copied) path
      *  in every mode, as real MPI middleware does. */
     std::size_t eagerThreshold = 8192;
@@ -41,17 +43,12 @@ struct ClusterConfig
 {
     unsigned ranks = 8;
     std::size_t memoryPerRank = 4ull << 30;
-    net::FabricConfig fabric = {
-        net::LinkConfig{56e9, 300, 32}, ///< 56 Gb/s FDR, IB headers
-        200,
-    };
+    net::FabricConfig fabric = net::kFdrFabric;
     /** Optional net::Topology spec (net/topology.hh grammar); empty
      *  keeps the legacy single-switch fabric. The spec's host count
      *  must equal `ranks`. */
     std::string topology;
     ib::QpConfig qp;
-    /** Bounce-buffer memcpy bandwidth (copy mode, both sides). */
-    double copyBwBytesPerSec = 12e9;
     /** Pin-down cache budget per rank; 0 = unlimited. */
     std::size_t pinDownCacheBytes = 0;
 
@@ -137,7 +134,7 @@ class Cluster
     ib::QueuePair &qp(unsigned a, unsigned b) { return *qps_[a][b]; }
     sim::Time copyCost(std::size_t len) const
     {
-        return sim::fromSeconds(double(len) / cfg_.copyBwBytesPerSec);
+        return sim::fromSeconds(double(len) / kCluster.copyBwBytesPerSec);
     }
     /** @p done, run once @p rank's registration has released
      *  [buf, buf+len) (NP-RDMA unmaps between completion and

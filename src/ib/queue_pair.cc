@@ -218,7 +218,7 @@ QueuePair::transmitOne()
         highestTxPsn_ = txPsn_ + 1;
     ++stats_.dataPacketsSent;
 
-    sendPacket(pkt, pkt.bytes, cfg_.priority);
+    sendPacket(pkt, pkt.bytes, /*priority=*/0);
     ++txPsn_;
 
     armRetransmitTimer();
@@ -760,7 +760,7 @@ QueuePair::pumpReadResponse()
     pkt.lastOfMsg = readResp_.nextPsn + 1 == readResp_.limitPsn;
 
     ++stats_.dataPacketsSent;
-    sendPacket(pkt, bytes, cfg_.priority);
+    sendPacket(pkt, bytes, /*priority=*/0);
     ++readResp_.nextPsn;
 
     if (!readRespScheduled_) {

@@ -66,11 +66,6 @@ struct QpConfig
      */
     bool readRnrExtension = false;
 
-    /** Traffic class for data packets (topology-mode fabrics only;
-     *  control packets always ride net::kControlPriority so NACKs
-     *  and CNPs escape the congestion they report). */
-    unsigned priority = 0;
-
     /**
      * While an rNPF resolves, assert PFC toward this host
      * (Fabric::setHostRxPause) in addition to the RNR NACK: the NIC
@@ -90,6 +85,10 @@ struct QpConfig
  *
  * DMA accesses go through the owning NpfController channel, so cold
  * buffers genuinely fault and resolve through the full NPF flow.
+ *
+ * On a topology-mode fabric, data packets ride traffic class 0 and
+ * control packets net::kControlPriority, so NACKs and CNPs escape the
+ * congestion they report (net/pfc.hh).
  */
 class QueuePair
 {

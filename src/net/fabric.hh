@@ -61,6 +61,10 @@ struct FabricConfig
     }
 };
 
+/** The paper's InfiniBand testbed (§6): 56 Gb/s FDR links with IB
+ *  framing on one cut-through switch. */
+inline constexpr FabricConfig kFdrFabric{LinkConfig{56e9, 300, 32}, 200};
+
 /**
  * The fabric facade (see file comment for the two modes).
  */

@@ -22,11 +22,8 @@ EthBed::EthBed(const Options &o)
 
     serverNic = std::make_unique<eth::EthNic>(eq, *serverNpfc);
     clientNic = std::make_unique<eth::EthNic>(eq, *clientNpfc);
-    net::LinkConfig link;
-    link.bandwidthBitsPerSec = 12e9; // the §5 prototype NIC
-    link.propagation = 1000;
-    serverNic->connectTo(*clientNic, link);
-    clientNic->connectTo(*serverNic, link);
+    serverNic->connectTo(*clientNic);
+    clientNic->connectTo(*serverNic);
 
     eth::RxRingConfig srv_ring;
     srv_ring.size = o.ringSize;
@@ -102,6 +99,44 @@ MemcachedInstance::MemcachedInstance(EthBed &b, app::HostModel &host,
     if (o.slap)
         slap = std::make_unique<app::Memaslap>(bed.eq, raw, *o.slap,
                                                o.slapSeed);
+}
+
+NicRig::NicRig(std::size_t memBytes)
+    : mm(memBytes), as(mm.createAddressSpace("iouser")), npfc(eq),
+      ch(npfc.attach(as)), nic(eq, npfc), peer(eq, npfc)
+{
+    peer.connectTo(nic);
+    nic.connectTo(peer);
+}
+
+NicRig::Ring
+NicRig::addRing(const eth::RxRingConfig &cfg, bool prefault,
+                eth::EthNic::RxHandler onFrame)
+{
+    constexpr std::size_t kBuf = mem::kPageSize;
+    Ring &r = rings_.emplace_back();
+    auto deliver = [this, &r, onFrame = std::move(onFrame)](
+                       const eth::Frame &f) {
+        onFrame(f);
+        eth::RxRing &ring = nic.ring(r.id);
+        if (ring.postableSlots() > 0)
+            nic.postRxBuffer(r.id, r.bufs + ring.tail % ring.cfg.size * kBuf,
+                             kBuf);
+    };
+    r.id = nic.createRxRing(ch, cfg, std::move(deliver));
+    r.bufs = as.allocRegion(cfg.size * kBuf);
+    if (prefault)
+        npfc.prefault(ch, r.bufs, cfg.size * kBuf, true);
+    for (std::size_t i = 0; i < cfg.size; ++i)
+        nic.postRxBuffer(r.id, r.bufs + i * kBuf, kBuf);
+    return r;
+}
+
+void
+NicRig::send(eth::Frame f)
+{
+    eth::EthNic *dst = &nic;
+    peer.txLink()->send(f.bytes, [dst, f] { dst->receive(f); });
 }
 
 } // namespace npf::scenario

@@ -1,9 +1,10 @@
 /**
  * @file
- * The paper's §6 Ethernet testbed and the memcached instance that runs
- * on it, defined once for the benches, tests and examples. Both build
- * in a fixed order: construction order is part of the simulated
- * result, so the order is a parameter here, never a caller's choice.
+ * The paper's §6 Ethernet testbed, the memcached instance that runs on
+ * it, and the one-host NIC rig, defined once for the benches, tests
+ * and examples. Each builds in a fixed order: construction order is
+ * part of the simulated result, so the order is a parameter here,
+ * never a caller's choice.
  */
 
 #ifndef NPF_SCENARIO_ETH_WORLD_HH
@@ -26,8 +27,8 @@ namespace npf::scenario {
 /**
  * Two back-to-back hosts on Ethernet: a server host with a direct
  * channel under a selectable receive fault policy, and a client host
- * with a standard pinned stack. Tuned for the paper's §6 setup: a
- * 12 Gb/s prototype NIC and a 1 us wire.
+ * with a standard pinned stack, on the paper's §5 prototype wire
+ * (eth::kEthNic.wire: a 12 Gb/s NIC and a 1 us cable).
  */
 struct EthBed
 {
@@ -92,6 +93,45 @@ struct MemcachedInstance
 
     /** Counts itself as one more instance on @p host. */
     MemcachedInstance(EthBed &bed, app::HostModel &host, const Options &o);
+};
+
+/**
+ * One host whose NIC receives from a raw-frame peer NIC: both share
+ * the host's NpfController, wired back to back on the prototype wire
+ * (eth::kEthNic.wire). The peer only transmits; send() puts a frame on
+ * its wire toward the NIC, and addRing() gives the NIC receive rings
+ * on the host's channel.
+ */
+struct NicRig
+{
+    /** A ring addRing() made: its id and the base of its buffers. */
+    struct Ring
+    {
+        unsigned id = 0;
+        mem::VirtAddr bufs = 0;
+    };
+
+    sim::EventQueue eq;
+    mem::MemoryManager mm;
+    mem::AddressSpace &as;
+    core::NpfController npfc;
+    core::ChannelId ch;
+    eth::EthNic nic, peer;
+
+    explicit NicRig(std::size_t memBytes = 64ull << 20);
+
+    /** A receive ring under @p cfg with one page-sized buffer per
+     *  entry, all posted (prefaulted first when @p prefault). Each
+     *  frame delivered goes to @p onFrame, then a buffer is reposted
+     *  in the slot it freed. */
+    Ring addRing(const eth::RxRingConfig &cfg, bool prefault,
+                 eth::EthNic::RxHandler onFrame);
+
+    /** Put @p f on the peer's wire toward the NIC. */
+    void send(eth::Frame f);
+
+  private:
+    std::deque<Ring> rings_; ///< stable: the ring handlers point here
 };
 
 } // namespace npf::scenario

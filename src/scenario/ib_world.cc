@@ -11,8 +11,7 @@ makeFabric(sim::EventQueue &eq, const net::Topology *topo)
 {
     if (topo != nullptr)
         return std::make_unique<net::Fabric>(eq, *topo);
-    return std::make_unique<net::Fabric>(
-        eq, 2, net::FabricConfig{net::LinkConfig{56e9, 300, 32}, 200});
+    return std::make_unique<net::Fabric>(eq, 2, net::kFdrFabric);
 }
 
 } // namespace
@@ -30,10 +29,23 @@ IbBed::IbBed(sim::EventQueue &q, const net::Topology *topo)
     }
 }
 
+RcPair::RcPair(sim::EventQueue &q, const Options &o)
+    : eq(q), fabric(eq, 2, net::kFdrFabric), mmA(o.a.bytes, o.a.costs),
+      mmB(o.b.bytes, o.b.costs), asA(mmA.createAddressSpace("a")),
+      asB(mmB.createAddressSpace("b")), npfcA(eq), npfcB(eq),
+      chA(npfcA.attach(asA)), chB(npfcB.attach(asB)),
+      qpA(eq, fabric, 0, npfcA, chA, o.qp, 1),
+      qpB(eq, fabric, 1, npfcB, chB, o.qp, 2)
+{
+    qpA.connect(qpB);
+    qpB.connect(qpA);
+}
+
 KvWorld::KvWorld(IbBed &b, const load::PoolConfig &pc,
                  const load::RecorderConfig &rc, const Options &o)
-    : bed(b), opt(o), kv(b.serverAs, o.kvBytes, o.rpc.valueBytes),
-      server(b.eq, kv, host, b.serverAs, o.rpc,
+    : bed(b), opt(o),
+      kv(b.serverAs, o.kvBytes, app::KvRpcConfig{}.valueBytes),
+      server(b.eq, kv, host, b.serverAs, {},
              core::Registration(o.reg, b.serverNpfc, b.sch)),
       rec(rc), pool(b.eq, pc)
 {
@@ -62,7 +74,7 @@ KvWorld::connect(unsigned endpoints)
         auto reqs = std::make_shared<sim::RingDeque<app::KvRpcRequest>>();
         auto rsps = std::make_shared<sim::RingDeque<app::KvRpcResponse>>();
         server.addSession(qpS, reqs, rsps);
-        transports.emplace_back(qpC, bed.clientAs, reqs, rsps, opt.rpc);
+        transports.emplace_back(qpC, bed.clientAs, reqs, rsps);
         transports.back().connect(pool);
     }
 }

@@ -1,8 +1,9 @@
 /**
  * @file
- * The InfiniBand worlds, defined once for the benches and tests: the
- * two-host IB base, the KV-RPC world over RC QPs on top of it, and the
- * cross-shard RC stream ring of the sharded engine's scaling runs.
+ * The InfiniBand worlds, defined once for the benches, tests and
+ * examples: the connected RC pair, the two-host IB base, the KV-RPC
+ * world over RC QPs on top of it, and the cross-shard RC stream ring
+ * of the sharded engine's scaling runs.
  * Each builds in a fixed order, because construction order is part of
  * the simulated result. A caller that must act between stages (open
  * an obs session on the base, or set a registration discipline before
@@ -30,6 +31,40 @@
 namespace npf::scenario {
 
 /**
+ * Two independent hosts on a two-node net::kFdrFabric, one RC QP each,
+ * connected to each other: host A is node 0, host B node 1. Both QPs
+ * take Options::qp; synthetic receive faults draw from seed 1 on A and
+ * seed 2 on B. The caller owns the event queue, so it can open an obs
+ * session or install a fault plan before anything is built.
+ */
+struct RcPair
+{
+    /** One host's memory. */
+    struct Host
+    {
+        std::size_t bytes = 1ull << 30;
+        mem::MemCostConfig costs{};
+    };
+
+    struct Options
+    {
+        Host a{}, b{};
+        ib::QpConfig qp{};
+    };
+
+    sim::EventQueue &eq;
+    net::Fabric fabric;
+    mem::MemoryManager mmA, mmB;
+    mem::AddressSpace &asA, &asB;
+    core::NpfController npfcA, npfcB;
+    core::ChannelId chA, chB;
+    ib::QueuePair qpA, qpB;
+
+    RcPair(sim::EventQueue &eq, const Options &o);
+    explicit RcPair(sim::EventQueue &eq) : RcPair(eq, Options{}) {}
+};
+
+/**
  * Two IB sides on one fabric, 2 GiB of memory each. The server host is
  * node 0 with one NIC. The client side is node 1 of a flat two-node
  * 56 Gb/s fabric, or, given a topology, every other host of it, one
@@ -51,7 +86,8 @@ struct IbBed
 
 /**
  * KV RPC over RC on an IbBed: a zero-copy KvRcServer on the server
- * host with keys 0..n-1 of the pool's key space set, and a
+ * host with keys 0..n-1 of the pool's key space set (server, items
+ * and transports at the default app::KvRpcConfig), and a
  * load::ClientPool recording into a load::Recorder. connect() adds
  * the endpoints; the caller starts the pool.
  */
@@ -60,8 +96,6 @@ struct KvWorld
     struct Options
     {
         std::size_t kvBytes = 64ull << 20; ///< KvStore capacity
-        /// Server and transport costs; valueBytes is the item size.
-        app::KvRpcConfig rpc{};
         /// The server's registration discipline (value memory).
         core::RegMode reg = core::RegMode::Npf;
         /// Client-side QPs, e.g. synthetic receive faults. Endpoint i's

@@ -9,8 +9,8 @@
 
 #include "app/memcached.hh"
 #include "app/storage.hh"
-#include "net/fabric.hh"
 #include "scenario/eth_world.hh"
+#include "scenario/ib_world.hh"
 
 using namespace npf;
 using namespace npf::app;
@@ -20,32 +20,20 @@ namespace {
 constexpr std::size_t MiB = 1ull << 20;
 constexpr std::size_t GiB = 1ull << 30;
 
+/** An iSER target on host A of an RcPair, its one session on qpA. */
 struct StorageRig
 {
     sim::EventQueue eq;
-    net::Fabric fabric{eq, 2,
-                       net::FabricConfig{net::LinkConfig{56e9, 300, 32},
-                                         200}};
-    mem::MemoryManager tgtMm, iniMm{2 * GiB};
-    mem::AddressSpace &tgtAs;
-    mem::AddressSpace &iniAs{iniMm.createAddressSpace("fio")};
-    core::NpfController tgtNpfc{eq}, iniNpfc{eq};
-    core::ChannelId tch{tgtNpfc.attach(tgtAs)};
-    core::ChannelId ich{iniNpfc.attach(iniAs)};
-    ib::QueuePair qpT, qpI;
+    scenario::RcPair rc;
     StorageTarget tgt;
     std::shared_ptr<std::deque<IoRequest>> queue;
 
     StorageRig(std::size_t mem, StorageConfig scfg)
-        : tgtMm(mem), tgtAs(tgtMm.createAddressSpace("tgt")),
-          qpT(eq, fabric, 0, tgtNpfc, tch),
-          qpI(eq, fabric, 1, iniNpfc, ich), tgt(eq, tgtAs, scfg),
+        : rc(eq, {.a = {mem}, .b = {2 * GiB}}), tgt(eq, rc.asA, scfg),
           queue(std::make_shared<std::deque<IoRequest>>())
     {
-        qpT.connect(qpI);
-        qpI.connect(qpT);
         if (tgt.ok())
-            tgt.addSession(qpT, queue);
+            tgt.addSession(rc.qpA, queue);
     }
 };
 
@@ -63,7 +51,7 @@ TEST_P(StorageSweep, ReadsCompleteAtAnyBlockSizeAndDepth)
     scfg.lunBytes = 512 * MiB;
     StorageRig rig(4 * GiB, scfg);
     ASSERT_TRUE(rig.tgt.ok());
-    FioClient fio(rig.eq, rig.qpI, rig.iniAs, rig.queue, block, qd,
+    FioClient fio(rig.eq, rig.rc.qpB, rig.rc.asB, rig.queue, block, qd,
                   scfg.lunBytes, 5);
     fio.start();
     bool ok = rig.eq.runUntilCondition(
@@ -82,7 +70,7 @@ TEST(StorageEdge, SmallBlocksLeaveChunkTailsUnbacked)
     StorageConfig scfg;
     scfg.lunBytes = 256 * MiB;
     StorageRig rig(4 * GiB, scfg);
-    FioClient fio(rig.eq, rig.qpI, rig.iniAs, rig.queue, 64 * 1024, 4,
+    FioClient fio(rig.eq, rig.rc.qpB, rig.rc.asB, rig.queue, 64 * 1024, 4,
                   scfg.lunBytes, 5);
     fio.start();
     rig.eq.runUntilCondition([&] { return fio.completed() >= 200; },
@@ -101,38 +89,31 @@ TEST(StorageEdge, TargetKeepsUpWithManyShallowSessions)
 {
     StorageConfig scfg;
     scfg.lunBytes = 256 * MiB;
-    sim::EventQueue eq;
-    net::Fabric fabric(eq, 2,
-                       net::FabricConfig{net::LinkConfig{56e9, 300, 32},
-                                         200});
-    mem::MemoryManager tgtMm(4 * GiB), iniMm(4 * GiB);
-    auto &tgtAs = tgtMm.createAddressSpace("tgt");
-    auto &iniAs = iniMm.createAddressSpace("fio");
-    core::NpfController tnpf(eq), inpf(eq);
-    auto tch = tnpf.attach(tgtAs);
-    auto ich = inpf.attach(iniAs);
-    StorageTarget tgt(eq, tgtAs, scfg);
-    std::vector<std::unique_ptr<ib::QueuePair>> qps;
+    StorageRig rig(4 * GiB, scfg);
+    scenario::RcPair &rc = rig.rc;
+    // Session 0 is the rig's; seven more QP pairs join the same hosts.
+    std::deque<ib::QueuePair> qps;
     std::vector<std::unique_ptr<FioClient>> fios;
     for (int s = 0; s < 8; ++s) {
-        auto qt = std::make_unique<ib::QueuePair>(eq, fabric, 0, tnpf,
-                                                  tch);
-        auto qi = std::make_unique<ib::QueuePair>(eq, fabric, 1, inpf,
-                                                  ich);
-        qt->connect(*qi);
-        qi->connect(*qt);
-        auto queue = std::make_shared<std::deque<IoRequest>>();
-        tgt.addSession(*qt, queue);
+        ib::QueuePair *qi = &rc.qpB;
+        auto queue = rig.queue;
+        if (s > 0) {
+            ib::QueuePair &qt =
+                qps.emplace_back(rig.eq, rc.fabric, 0, rc.npfcA, rc.chA);
+            qi = &qps.emplace_back(rig.eq, rc.fabric, 1, rc.npfcB, rc.chB);
+            qt.connect(*qi);
+            qi->connect(qt);
+            queue = std::make_shared<std::deque<IoRequest>>();
+            rig.tgt.addSession(qt, queue);
+        }
         fios.push_back(std::make_unique<FioClient>(
-            eq, *qi, iniAs, queue, 64 * 1024, 2, scfg.lunBytes,
+            rig.eq, *qi, rc.asB, queue, 64 * 1024, 2, scfg.lunBytes,
             100 + s));
-        qps.push_back(std::move(qt));
-        qps.push_back(std::move(qi));
     }
     for (auto &f : fios)
         f->start();
     std::uint64_t total = 0;
-    bool ok = eq.runUntilCondition(
+    bool ok = rig.eq.runUntilCondition(
         [&] {
             total = 0;
             for (auto &f : fios)
@@ -142,7 +123,7 @@ TEST(StorageEdge, TargetKeepsUpWithManyShallowSessions)
         120 * sim::kSecond);
     EXPECT_TRUE(ok);
     // The target may have served IOs whose responses are in flight.
-    EXPECT_GE(tgt.iosServed(), total);
+    EXPECT_GE(rig.tgt.iosServed(), total);
 }
 
 TEST(MemaslapEdge, SetOnlyAndGetOnlyMixes)

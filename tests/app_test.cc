@@ -13,8 +13,8 @@
 #include "app/memcached.hh"
 #include "app/storage.hh"
 #include "kv_store_oracle.hh"
-#include "net/fabric.hh"
 #include "scenario/eth_world.hh"
+#include "scenario/ib_world.hh"
 #include "sim/random.hh"
 
 using namespace npf;
@@ -194,29 +194,18 @@ TEST(Memcached, ThroughputCalibrationSingleInstance)
 TEST(Storage, TargetServesReadsOverRdma)
 {
     sim::EventQueue eq;
-    net::Fabric fabric(eq, 2,
-                       net::FabricConfig{net::LinkConfig{56e9, 300, 32},
-                                         200});
-    mem::MemoryManager tgtMm(4ull << 30), iniMm(1ull << 30);
-    auto &tgtAs = tgtMm.createAddressSpace("tgt");
-    auto &iniAs = iniMm.createAddressSpace("fio");
-    core::NpfController tgtNpfc(eq), iniNpfc(eq);
-    auto tgtCh = tgtNpfc.attach(tgtAs);
-    auto iniCh = iniNpfc.attach(iniAs);
-
-    ib::QueuePair qpT(eq, fabric, 0, tgtNpfc, tgtCh);
-    ib::QueuePair qpI(eq, fabric, 1, iniNpfc, iniCh);
-    qpT.connect(qpI);
-    qpI.connect(qpT);
+    // A is the target, B the fio initiator.
+    scenario::RcPair rc(eq, {.a = {4ull << 30}});
 
     StorageConfig scfg;
     scfg.lunBytes = 1ull << 30;
-    StorageTarget tgt(eq, tgtAs, scfg); // NPF: the default registration
+    StorageTarget tgt(eq, rc.asA, scfg); // NPF: the default registration
     ASSERT_TRUE(tgt.ok());
 
     auto queue = std::make_shared<std::deque<IoRequest>>();
-    tgt.addSession(qpT, queue);
-    FioClient fio(eq, qpI, iniAs, queue, 512 * 1024, 8, scfg.lunBytes, 3);
+    tgt.addSession(rc.qpA, queue);
+    FioClient fio(eq, rc.qpB, rc.asB, queue, 512 * 1024, 8, scfg.lunBytes,
+                  3);
     fio.start();
 
     eq.runUntilCondition([&] { return fio.completed() >= 100; },

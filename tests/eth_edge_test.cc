@@ -10,11 +10,9 @@
 #include <memory>
 #include <vector>
 
-#include "core/npf_controller.hh"
 #include "eth/backup_ring.hh"
-#include "eth/eth_nic.hh"
-#include "mem/memory_manager.hh"
 #include "payload_pool.hh"
+#include "scenario/eth_world.hh"
 
 using namespace npf;
 using namespace npf::eth;
@@ -23,45 +21,32 @@ namespace {
 
 constexpr std::size_t MiB = 1ull << 20;
 
-struct TwoRingRig
+/** Two IOusers on one NIC, each with a 32-entry ring on its own
+ *  channel: the rig's own (ring A, on ch) and a second one (B). */
+struct TwoRingRig : scenario::NicRig
 {
-    sim::EventQueue eq;
-    mem::MemoryManager mm{256 * MiB};
-    mem::AddressSpace &asA{mm.createAddressSpace("a")};
     mem::AddressSpace &asB{mm.createAddressSpace("b")};
-    core::NpfController npfc{eq};
-    core::ChannelId chA{npfc.attach(asA)};
     core::ChannelId chB{npfc.attach(asB)};
-    EthNic nic{eq, npfc};
-    EthNic peer{eq, npfc};
     unsigned ringA = 0, ringB = 0;
     std::vector<std::uint64_t> gotA, gotB;
     std::vector<sim::Time> gotBTimes;
-    mem::VirtAddr bufsA = 0, bufsB = 0;
 
-    TwoRingRig(bool warmA, bool warmB)
+    TwoRingRig(bool warmA, bool warmB) : NicRig(256 * MiB)
     {
-        peer.connectTo(nic, net::LinkConfig{12e9, 1000, 38});
-        nic.connectTo(peer, net::LinkConfig{12e9, 1000, 38});
         RxRingConfig cfg;
         cfg.size = 32;
-        ringA = nic.createRxRing(chA, cfg, [this](const Frame &f) {
+        ringA = addRing(cfg, warmA, [this](const Frame &f) {
             gotA.push_back(test::payloadValue(f));
-        });
+        }).id;
         ringB = nic.createRxRing(chB, cfg, [this](const Frame &f) {
             gotB.push_back(test::payloadValue(f));
             gotBTimes.push_back(eq.now());
         });
-        bufsA = asA.allocRegion(32 * 4096);
-        bufsB = asB.allocRegion(32 * 4096);
-        if (warmA)
-            npfc.prefault(chA, bufsA, 32 * 4096, true);
+        mem::VirtAddr bufsB = asB.allocRegion(32 * 4096);
         if (warmB)
             npfc.prefault(chB, bufsB, 32 * 4096, true);
-        for (int i = 0; i < 32; ++i) {
-            nic.postRxBuffer(ringA, bufsA + i * 4096, 4096);
+        for (int i = 0; i < 32; ++i)
             nic.postRxBuffer(ringB, bufsB + i * 4096, 4096);
-        }
     }
 
     void
@@ -71,8 +56,7 @@ struct TwoRingRig
         f.dstRing = ring;
         f.bytes = 1000;
         f.payload = test::payloadPool().acquire(id);
-        EthNic *dst = &nic;
-        peer.txLink()->send(f.bytes, [dst, f] { dst->receive(f); });
+        send(f);
     }
 };
 
@@ -105,7 +89,7 @@ TEST(EthIsolation, PerRingChannelsHaveIndependentIommus)
     rig.eq.run();
     // Warm B's IOMMU is populated; cold A's is not (yet).
     EXPECT_GT(rig.npfc.iommu(rig.chB).pageTable().mappedPages(), 0u);
-    EXPECT_EQ(rig.npfc.iommu(rig.chA).pageTable().mappedPages(), 0u);
+    EXPECT_EQ(rig.npfc.iommu(rig.ch).pageTable().mappedPages(), 0u);
 }
 
 TEST(EthBackup, HardwareRingOverflowDropsAndCounts)
@@ -118,8 +102,8 @@ TEST(EthBackup, HardwareRingOverflowDropsAndCounts)
     EthNicConfig ncfg;
     ncfg.backupRingSize = 4; // tiny pinned provider ring
     EthNic nic(eq, npfc, ncfg), peer(eq, npfc);
-    peer.connectTo(nic, net::LinkConfig{12e9, 1000, 38});
-    nic.connectTo(peer, net::LinkConfig{12e9, 1000, 38});
+    peer.connectTo(nic);
+    nic.connectTo(peer);
     RxRingConfig cfg;
     cfg.size = 64;
     cfg.bmSize = 64;
@@ -146,41 +130,34 @@ TEST(EthBackup, HardwareRingOverflowDropsAndCounts)
 
 TEST(EthBackup, ResolverWaitsForRingRoom)
 {
-    sim::EventQueue eq;
-    mem::MemoryManager mm(64 * MiB);
-    auto &as = mm.createAddressSpace("u");
-    core::NpfController npfc(eq);
-    auto ch = npfc.attach(as);
-    EthNic nic(eq, npfc), peer(eq, npfc);
-    peer.connectTo(nic, net::LinkConfig{12e9, 1000, 38});
-    nic.connectTo(peer, net::LinkConfig{12e9, 1000, 38});
+    scenario::NicRig rig;
     RxRingConfig cfg;
     cfg.size = 4;
     cfg.bmSize = 8;
     std::vector<std::uint64_t> got;
-    unsigned ring = nic.createRxRing(ch, cfg, [&](const Frame &f) {
+    unsigned ring = rig.nic.createRxRing(rig.ch, cfg, [&](const Frame &f) {
         got.push_back(test::payloadValue(f));
     });
-    mem::VirtAddr bufs = as.allocRegion(4 * 4096);
-    npfc.prefault(ch, bufs, 4 * 4096, true);
+    mem::VirtAddr bufs = rig.as.allocRegion(4 * 4096);
+    rig.npfc.prefault(rig.ch, bufs, 4 * 4096, true);
     // Post only 2 of 4 descriptors, send 4 packets: the last 2 park
     // for lack of a descriptor (idx >= tail).
-    nic.postRxBuffer(ring, bufs, 4096);
-    nic.postRxBuffer(ring, bufs + 4096, 4096);
+    rig.nic.postRxBuffer(ring, bufs, 4096);
+    rig.nic.postRxBuffer(ring, bufs + 4096, 4096);
     for (std::uint64_t i = 0; i < 4; ++i) {
         Frame f;
         f.dstRing = ring;
         f.bytes = 500;
         f.payload = test::payloadPool().acquire(i);
-        nic.receive(f);
+        rig.nic.receive(f);
     }
-    eq.run();
+    rig.eq.run();
     EXPECT_EQ(got.size(), 2u) << "two packets wait for descriptors";
-    EXPECT_GT(nic.backupManager().stats().waitsForRoom, 0u);
+    EXPECT_GT(rig.nic.backupManager().stats().waitsForRoom, 0u);
     // The IOuser posts more buffers: the waiters complete, in order.
-    nic.postRxBuffer(ring, bufs + 2 * 4096, 4096);
-    nic.postRxBuffer(ring, bufs + 3 * 4096, 4096);
-    eq.run();
+    rig.nic.postRxBuffer(ring, bufs + 2 * 4096, 4096);
+    rig.nic.postRxBuffer(ring, bufs + 3 * 4096, 4096);
+    rig.eq.run();
     ASSERT_EQ(got.size(), 4u);
     for (std::uint64_t i = 0; i < 4; ++i)
         EXPECT_EQ(got[i], i);
@@ -188,40 +165,26 @@ TEST(EthBackup, ResolverWaitsForRingRoom)
 
 TEST(EthNicEdge, InterruptsAreCoalesced)
 {
-    sim::EventQueue eq;
-    mem::MemoryManager mm(64 * MiB);
-    auto &as = mm.createAddressSpace("u");
-    core::NpfController npfc(eq);
-    auto ch = npfc.attach(as);
-    EthNic nic(eq, npfc), peer(eq, npfc);
-    peer.connectTo(nic, net::LinkConfig{12e9, 1000, 38});
-    nic.connectTo(peer, net::LinkConfig{12e9, 1000, 38});
+    scenario::NicRig rig;
     RxRingConfig cfg;
     cfg.size = 32;
-    int handler_calls = 0;
     int frames = 0;
-    unsigned ring = nic.createRxRing(ch, cfg, [&](const Frame &) {
-        ++frames;
-    });
-    // Count delivery *batches* by watching time jumps.
-    (void)handler_calls;
-    mem::VirtAddr bufs = as.allocRegion(32 * 4096);
-    npfc.prefault(ch, bufs, 32 * 4096, true);
-    for (int i = 0; i < 32; ++i)
-        nic.postRxBuffer(ring, bufs + i * 4096, 4096);
+    unsigned ring = rig.addRing(cfg, /*prefault=*/true,
+                                [&](const Frame &) { ++frames; })
+                        .id;
     // 8 frames delivered at the same instant -> one coalesced ISR.
     for (std::uint64_t i = 0; i < 8; ++i) {
         Frame f;
         f.dstRing = ring;
         f.bytes = 500;
         f.payload = test::payloadPool().acquire(i);
-        nic.receive(f);
+        rig.nic.receive(f);
     }
-    eq.run();
+    rig.eq.run();
     EXPECT_EQ(frames, 8);
     // With 4 us ISR latency and simultaneous arrival, everything
     // lands within a single interrupt window.
-    EXPECT_LE(eq.now(), 10 * sim::kMicrosecond);
+    EXPECT_LE(rig.eq.now(), 10 * sim::kMicrosecond);
 }
 
 TEST(EthNicEdge, TxQueueStaysFifoAcrossFaults)
@@ -232,8 +195,8 @@ TEST(EthNicEdge, TxQueueStaysFifoAcrossFaults)
     core::NpfController npfc(eq);
     auto ch = npfc.attach(as);
     EthNic nic(eq, npfc), peer(eq, npfc);
-    nic.connectTo(peer, net::LinkConfig{12e9, 1000, 38});
-    peer.connectTo(nic, net::LinkConfig{12e9, 1000, 38});
+    nic.connectTo(peer);
+    peer.connectTo(nic);
 
     auto &pas = mm.createAddressSpace("peer");
     auto pch = npfc.attach(pas);

@@ -8,14 +8,10 @@
 
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <vector>
 
-#include "core/npf_controller.hh"
 #include "eth/backup_ring.hh"
-#include "eth/eth_nic.hh"
-#include "mem/memory_manager.hh"
-#include "payload_pool.hh"
+#include "marker_rig.hh"
 
 using namespace npf;
 using namespace npf::eth;
@@ -24,70 +20,13 @@ namespace {
 
 constexpr std::size_t MiB = 1ull << 20;
 
-/** One receiving NIC and a raw frame injector. */
-struct EthRig
-{
-    sim::EventQueue eq;
-    mem::MemoryManager mm;
-    mem::AddressSpace &as;
-    core::NpfController npfc;
-    core::ChannelId ch;
-    EthNic nic;
-    EthNic peer; ///< only used as the wire source
-    unsigned ring = 0;
-    mem::VirtAddr bufs = 0;
-    // One page per descriptor so tests can warm slots independently.
-    std::size_t bufBytes = 4096;
-    std::vector<std::uint64_t> delivered;
-
-    explicit EthRig(RxRingConfig rcfg, std::size_t mem_bytes = 64 * MiB,
-                    bool prefault = false)
-        : mm(mem_bytes), as(mm.createAddressSpace("iouser")), npfc(eq),
-          ch(npfc.attach(as)), nic(eq, npfc), peer(eq, npfc)
-    {
-        peer.connectTo(nic, net::LinkConfig{12e9, 1000, 38});
-        nic.connectTo(peer, net::LinkConfig{12e9, 1000, 38});
-        ring = nic.createRxRing(ch, rcfg, [this](const Frame &f) {
-            delivered.push_back(test::payloadValue(f));
-            repost();
-        });
-        bufs = as.allocRegion(rcfg.size * bufBytes, "rx");
-        if (prefault)
-            npfc.prefault(ch, bufs, rcfg.size * bufBytes, true);
-        for (std::size_t i = 0; i < rcfg.size; ++i)
-            nic.postRxBuffer(ring, bufs + i * bufBytes, bufBytes);
-    }
-
-    void
-    repost()
-    {
-        RxRing &r = nic.ring(ring);
-        if (r.postableSlots() > 0) {
-            std::uint64_t slot = r.tail % r.cfg.size;
-            nic.postRxBuffer(ring, bufs + slot * bufBytes, bufBytes);
-        }
-    }
-
-    /** Inject a frame on the wire toward the ring. */
-    void
-    inject(std::uint64_t id, std::size_t bytes = 1000)
-    {
-        Frame f;
-        f.dstRing = ring;
-        f.bytes = bytes;
-        f.payload = test::payloadPool().acquire(id);
-        EthNic *dst = &nic;
-        peer.txLink()->send(bytes, [dst, f] { dst->receive(f); });
-    }
-};
-
 } // namespace
 
 TEST(EthNic, WarmRingDeliversDirectly)
 {
     RxRingConfig cfg;
     cfg.size = 8;
-    EthRig rig(cfg, 64 * MiB, /*prefault=*/true);
+    test::MarkerRig rig(cfg, /*prefault=*/true);
     for (std::uint64_t i = 0; i < 5; ++i)
         rig.inject(i);
     rig.eq.run();
@@ -103,7 +42,7 @@ TEST(EthNic, ColdRingBackupParksAndMergesInOrder)
     RxRingConfig cfg;
     cfg.size = 8;
     cfg.policy = RxFaultPolicy::BackupRing;
-    EthRig rig(cfg); // cold buffers
+    test::MarkerRig rig(cfg); // cold buffers
     for (std::uint64_t i = 0; i < 5; ++i)
         rig.inject(i);
     rig.eq.run();
@@ -122,7 +61,7 @@ TEST(EthNic, ColdRingDropPolicyLosesPacketsButWarmsPages)
     RxRingConfig cfg;
     cfg.size = 8;
     cfg.policy = RxFaultPolicy::Drop;
-    EthRig rig(cfg);
+    test::MarkerRig rig(cfg);
     for (std::uint64_t i = 0; i < 4; ++i)
         rig.inject(i);
     rig.eq.run();
@@ -150,9 +89,10 @@ TEST(EthNic, CompletionsWaitForOldestFault)
     // The IOuser must not see packet 1 until packet 0 resolves.
     RxRingConfig cfg;
     cfg.size = 8;
-    EthRig rig(cfg);
+    test::MarkerRig rig(cfg);
     // Warm only descriptor slot 1's buffer.
-    rig.npfc.prefault(rig.ch, rig.bufs + rig.bufBytes, rig.bufBytes, true);
+    rig.npfc.prefault(rig.ch, rig.bufs + mem::kPageSize, mem::kPageSize,
+                      true);
     rig.inject(0);
     rig.inject(1);
     // Run only until both frames hit the NIC plus a bit: the direct
@@ -172,7 +112,7 @@ TEST(EthNic, BmSizeBoundsParkedPackets)
     RxRingConfig cfg;
     cfg.size = 32;
     cfg.bmSize = 4; // provider parks at most 4 per ring
-    EthRig rig(cfg);
+    test::MarkerRig rig(cfg);
     for (std::uint64_t i = 0; i < 10; ++i)
         rig.inject(i);
     // Let the wire deliver everything but freeze NPF resolution by
@@ -193,7 +133,7 @@ TEST(EthNic, RingOverflowParksInBackupUntilReposted)
     RxRingConfig cfg;
     cfg.size = 4;
     cfg.bmSize = 4;
-    EthRig rig(cfg, 64 * MiB, /*prefault=*/true);
+    test::MarkerRig rig(cfg, /*prefault=*/true);
     // 6 packets into a 4-slot ring: the delivery handler reposts, so
     // whether anything parks depends on interrupt latency; at minimum
     // nothing may be lost or reordered.
@@ -209,7 +149,7 @@ TEST(EthNic, TxColdBufferStallsThenSends)
 {
     RxRingConfig cfg;
     cfg.size = 8;
-    EthRig rig(cfg, 64 * MiB, true);
+    test::MarkerRig rig(cfg, true);
 
     // Use the rig's *nic* as the sender toward peer; build a warm
     // peer-side ring to receive.
@@ -250,7 +190,7 @@ TEST_P(BackupRingProperty, NoLossNoReorder)
     cfg.size = 64;
     cfg.bmSize = 64;
     cfg.syntheticRnpfProb = GetParam();
-    EthRig rig(cfg, 64 * MiB, /*prefault=*/true);
+    test::MarkerRig rig(cfg, /*prefault=*/true);
 
     constexpr std::uint64_t kFrames = 300;
     // Pace injection slower than one NPF resolution (~220-350 us) so
@@ -280,7 +220,7 @@ TEST(EthNic, InvariantHeadWithinBounds)
     cfg.size = 16;
     cfg.bmSize = 8;
     cfg.syntheticRnpfProb = 0.3;
-    EthRig rig(cfg, 64 * MiB, true);
+    test::MarkerRig rig(cfg, true);
     for (std::uint64_t i = 0; i < 100; ++i)
         rig.eq.schedule(i * 2 * sim::kMicrosecond,
                         [&rig, i] { rig.inject(i); });

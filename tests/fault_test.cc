@@ -12,14 +12,10 @@
 #include <memory>
 #include <vector>
 
-#include "core/npf_controller.hh"
-#include "eth/eth_nic.hh"
 #include "fault/fault.hh"
-#include "ib/queue_pair.hh"
-#include "mem/memory_manager.hh"
-#include "net/fabric.hh"
+#include "marker_rig.hh"
 #include "net/link.hh"
-#include "payload_pool.hh"
+#include "scenario/ib_world.hh"
 #include "tcp/tcp_connection.hh"
 
 using namespace npf;
@@ -321,56 +317,9 @@ TEST(FaultTimed, UnhandledTimedSiteStillCounts)
 
 // --- eth hooks --------------------------------------------------------
 
-namespace {
-
-/** Minimal warm-ring receive rig (mirrors eth_test.cc). */
-struct EthFaultRig
-{
-    sim::EventQueue eq;
-    mem::MemoryManager mm;
-    mem::AddressSpace &as;
-    core::NpfController npfc;
-    core::ChannelId ch;
-    eth::EthNic nic;
-    eth::EthNic peer;
-    unsigned ring = 0;
-    mem::VirtAddr bufs = 0;
-    std::vector<std::uint64_t> delivered;
-
-    EthFaultRig()
-        : mm(64 * MiB), as(mm.createAddressSpace("iouser")), npfc(eq),
-          ch(npfc.attach(as)), nic(eq, npfc), peer(eq, npfc)
-    {
-        peer.connectTo(nic, net::LinkConfig{12e9, 1000, 38});
-        nic.connectTo(peer, net::LinkConfig{12e9, 1000, 38});
-        eth::RxRingConfig rcfg;
-        rcfg.size = 32;
-        ring = nic.createRxRing(ch, rcfg, [this](const eth::Frame &f) {
-            delivered.push_back(test::payloadValue(f));
-        });
-        bufs = as.allocRegion(rcfg.size * 4096, "rx");
-        npfc.prefault(ch, bufs, rcfg.size * 4096, true);
-        for (std::size_t i = 0; i < rcfg.size; ++i)
-            nic.postRxBuffer(ring, bufs + i * 4096, 4096);
-    }
-
-    void
-    inject(std::uint64_t id)
-    {
-        eth::Frame f;
-        f.dstRing = ring;
-        f.bytes = 1000;
-        f.payload = test::payloadPool().acquire(id);
-        eth::EthNic *dst = &nic;
-        peer.txLink()->send(f.bytes, [dst, f] { dst->receive(f); });
-    }
-};
-
-} // namespace
-
 TEST(FaultEth, CorruptDropsTheFrameAndCountsIt)
 {
-    EthFaultRig rig;
+    test::MarkerRig rig({.size = 32}, /*prefault=*/true);
     FaultInjector inj(rig.eq, mustParse("eth.rx:corrupt:nth=2"), 1);
     for (std::uint64_t i = 0; i < 4; ++i)
         rig.inject(i);
@@ -382,7 +331,7 @@ TEST(FaultEth, CorruptDropsTheFrameAndCountsIt)
 
 TEST(FaultEth, StallDefersButLosesNothingAndKeepsOrder)
 {
-    EthFaultRig rig;
+    test::MarkerRig rig({.size = 32}, /*prefault=*/true);
     // Stall the first frame long enough for the rest to pile up
     // behind it; dispatch order (and thus ring order) is preserved
     // because rx sequence numbers are assigned at dispatch.
@@ -439,39 +388,12 @@ TEST(FaultNpf, ForceFaultAlsoFailsDmaAccess)
 
 namespace {
 
-/** Two-node IB rig (mirrors ib_test.cc). */
-struct IbFaultRig
-{
-    sim::EventQueue eq;
-    net::Fabric fabric;
-    mem::MemoryManager mmA, mmB;
-    mem::AddressSpace &asA, &asB;
-    core::NpfController npfcA, npfcB;
-    core::ChannelId chA, chB;
-    std::unique_ptr<ib::QueuePair> qpA, qpB;
-
-    IbFaultRig()
-        : fabric(eq, 2,
-                 net::FabricConfig{net::LinkConfig{56e9, 300, 32}, 200}),
-          mmA(256 * MiB), mmB(256 * MiB),
-          asA(mmA.createAddressSpace("A")),
-          asB(mmB.createAddressSpace("B")), npfcA(eq), npfcB(eq),
-          chA(npfcA.attach(asA)), chB(npfcB.attach(asB))
-    {
-        qpA = std::make_unique<ib::QueuePair>(eq, fabric, 0, npfcA, chA,
-                                              ib::QpConfig{}, 1);
-        qpB = std::make_unique<ib::QueuePair>(eq, fabric, 1, npfcB, chB,
-                                              ib::QpConfig{}, 2);
-        qpA->connect(*qpB);
-        qpB->connect(*qpA);
-    }
-};
-
 /** Run one faulty IB transfer; return (stats, order of recv wrIds). */
 ib::QueuePair::Stats
 runIbUnderPlan(std::uint64_t seed, std::vector<std::uint64_t> *order_out)
 {
-    IbFaultRig rig;
+    sim::EventQueue eq;
+    scenario::RcPair rig(eq);
     // Cold receive buffers: drops + reordering + forced faults all
     // hammer the rNPF recovery machinery at once.
     FaultInjector inj(rig.eq,
@@ -487,24 +409,24 @@ runIbUnderPlan(std::uint64_t seed, std::vector<std::uint64_t> *order_out)
     constexpr int kMsgs = 40;
     constexpr std::size_t kLen = 64 * 1024;
     std::vector<std::uint64_t> order;
-    rig.qpB->onCompletion([&](const ib::Completion &c) {
+    rig.qpB.onCompletion([&](const ib::Completion &c) {
         if (c.isRecv)
             order.push_back(c.wrId);
     });
     for (int i = 0; i < kMsgs; ++i)
-        rig.qpB->postRecv({ib::Opcode::Send, rbuf + (i % 32) * kLen,
-                           kLen, 0, std::uint64_t(i)});
+        rig.qpB.postRecv({ib::Opcode::Send, rbuf + (i % 32) * kLen,
+                          kLen, 0, std::uint64_t(i)});
     for (int i = 0; i < kMsgs; ++i)
-        rig.qpA->postSend({ib::Opcode::Send, sbuf + (i % 32) * kLen,
-                           kLen, 0, std::uint64_t(i)});
+        rig.qpA.postSend({ib::Opcode::Send, sbuf + (i % 32) * kLen,
+                          kLen, 0, std::uint64_t(i)});
 
     bool done = rig.eq.runUntilCondition(
         [&] { return order.size() == kMsgs; }, 60 * sim::kSecond);
     EXPECT_TRUE(done) << "all messages recover and deliver";
-    EXPECT_FALSE(rig.qpA->inError());
+    EXPECT_FALSE(rig.qpA.inError());
     if (order_out)
         *order_out = order;
-    return rig.qpB->stats();
+    return rig.qpB.stats();
 }
 
 } // namespace
@@ -534,7 +456,8 @@ TEST(FaultIb, StaleRnrNackDoesNotStrandTheSender)
     // inflight entries are already popped — a permanent stall (and
     // an empty-optional dereference in transmitOne). This exact
     // plan+seed deadlocked at 25/64 messages before the fix.
-    IbFaultRig rig;
+    sim::EventQueue eq;
+    scenario::RcPair rig(eq);
     FaultInjector inj(rig.eq,
                       mustParse("npf:force:rate=0.001;"
                                 "ib.rx:drop:rate=0.01"),
@@ -546,23 +469,23 @@ TEST(FaultIb, StaleRnrNackDoesNotStrandTheSender)
     constexpr int kMsgs = 64;
     constexpr std::size_t kLen = 64 * 1024;
     int delivered = 0;
-    rig.qpB->onCompletion([&](const ib::Completion &c) {
+    rig.qpB.onCompletion([&](const ib::Completion &c) {
         if (c.isRecv)
             ++delivered;
     });
     for (int i = 0; i < kMsgs; ++i)
-        rig.qpB->postRecv({ib::Opcode::Send, rbuf + (i % 32) * kLen,
-                           kLen, 0, std::uint64_t(i)});
+        rig.qpB.postRecv({ib::Opcode::Send, rbuf + (i % 32) * kLen,
+                          kLen, 0, std::uint64_t(i)});
     for (int i = 0; i < kMsgs; ++i)
-        rig.qpA->postSend({ib::Opcode::Send, sbuf + (i % 32) * kLen,
-                           kLen, 0, std::uint64_t(i)});
+        rig.qpA.postSend({ib::Opcode::Send, sbuf + (i % 32) * kLen,
+                          kLen, 0, std::uint64_t(i)});
 
     bool done = rig.eq.runUntilCondition(
         [&] { return delivered == kMsgs; }, 60 * sim::kSecond);
     EXPECT_TRUE(done) << "sender stalled: delivered " << delivered << "/"
                       << kMsgs;
     EXPECT_EQ(delivered, kMsgs);
-    EXPECT_FALSE(rig.qpA->inError());
+    EXPECT_FALSE(rig.qpA.inError());
 }
 
 TEST(FaultIb, SameSeedReplaysTheSameRun)

@@ -20,11 +20,8 @@
 #include <string>
 #include <vector>
 
-#include "core/npf_controller.hh"
-#include "eth/eth_nic.hh"
 #include "fault/fault.hh"
-#include "mem/memory_manager.hh"
-#include "payload_pool.hh"
+#include "marker_rig.hh"
 #include "scenario/eth_world.hh"
 #include "tcp/segment.hh"
 
@@ -44,46 +41,16 @@ mustParse(const std::string &spec)
     return p.value_or(FaultPlan{});
 }
 
-/** One receiving NIC, a raw injector, and a payload-pool baseline. */
-struct LifecycleRig
+/** The marker rig plus a payload-pool baseline; the ring is 32
+ *  entries unless @p rcfg says otherwise, prefaulted when @p warm. */
+struct LifecycleRig : test::MarkerRig
 {
-    sim::EventQueue eq;
-    mem::MemoryManager mm{64 * MiB};
-    mem::AddressSpace &as{mm.createAddressSpace("iouser")};
-    core::NpfController npfc{eq};
-    core::ChannelId ch{npfc.attach(as)};
-    eth::EthNic nic{eq, npfc};
-    eth::EthNic peer{eq, npfc};
-    unsigned ring = 0;
-    mem::VirtAddr bufs = 0;
-    std::vector<std::uint64_t> delivered;
     std::size_t baseline = test::payloadPool().live();
 
-    explicit LifecycleRig(bool warm = true, eth::RxRingConfig rcfg = {})
+    explicit LifecycleRig(bool warm = true,
+                          eth::RxRingConfig rcfg = {.size = 32})
+        : MarkerRig(rcfg, warm)
     {
-        peer.connectTo(nic, net::LinkConfig{12e9, 1000, 38});
-        nic.connectTo(peer, net::LinkConfig{12e9, 1000, 38});
-        if (rcfg.size == 0)
-            rcfg.size = 32;
-        ring = nic.createRxRing(ch, rcfg, [this](const eth::Frame &f) {
-            delivered.push_back(test::payloadValue(f));
-        });
-        bufs = as.allocRegion(rcfg.size * 4096, "rx");
-        if (warm)
-            npfc.prefault(ch, bufs, rcfg.size * 4096, true);
-        for (std::size_t i = 0; i < rcfg.size; ++i)
-            nic.postRxBuffer(ring, bufs + i * 4096, 4096);
-    }
-
-    void
-    inject(std::uint64_t id)
-    {
-        eth::Frame f;
-        f.dstRing = ring;
-        f.bytes = 1000;
-        f.payload = test::payloadPool().acquire(id);
-        eth::EthNic *dst = &nic;
-        peer.txLink()->send(f.bytes, [dst, f] { dst->receive(f); });
     }
 
     /** The leak assertion every test ends on. */
@@ -271,8 +238,7 @@ TEST(FrameLifecycle, ChaosMixReturnsThePoolToBaseline)
     for (std::uint64_t i = 0; i < 200; ++i)
         rig.inject(i);
     rig.eq.run();
-    // No repost in this rig, so the 32-descriptor ring caps clean
-    // deliveries; the point is path diversity, not throughput.
+    // The point is path diversity, not throughput.
     EXPECT_GT(rig.delivered.size(), 30u) << "deliveries happened";
     EXPECT_GT(rig.nic.ring(rig.ring).stats.dropped, 0u);
     rig.expectBaseline();

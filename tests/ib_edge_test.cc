@@ -10,10 +10,7 @@
 #include <memory>
 #include <vector>
 
-#include "core/npf_controller.hh"
-#include "ib/queue_pair.hh"
-#include "mem/memory_manager.hh"
-#include "net/fabric.hh"
+#include "scenario/ib_world.hh"
 
 using namespace npf;
 using namespace npf::ib;
@@ -22,53 +19,30 @@ namespace {
 
 constexpr std::size_t MiB = 1ull << 20;
 
-struct Rig
-{
-    sim::EventQueue eq;
-    net::Fabric fabric;
-    mem::MemoryManager mmA{256 * MiB}, mmB{256 * MiB};
-    mem::AddressSpace &asA{mmA.createAddressSpace("A")};
-    mem::AddressSpace &asB{mmB.createAddressSpace("B")};
-    core::NpfController npfcA{eq}, npfcB{eq};
-    core::ChannelId chA{npfcA.attach(asA)}, chB{npfcB.attach(asB)};
-    std::unique_ptr<QueuePair> qpA, qpB;
-
-    explicit Rig(QpConfig cfg = {})
-        : fabric(eq, 2,
-                 net::FabricConfig{net::LinkConfig{56e9, 300, 32}, 200})
-    {
-        qpA = std::make_unique<QueuePair>(eq, fabric, 0, npfcA, chA, cfg,
-                                          1);
-        qpB = std::make_unique<QueuePair>(eq, fabric, 1, npfcB, chB, cfg,
-                                          2);
-        qpA->connect(*qpB);
-        qpB->connect(*qpA);
-    }
-};
-
 } // namespace
 
 TEST(IbEdge, MissingRecvWqeTriggersClassicRnr)
 {
-    Rig rig;
+    sim::EventQueue eq;
+    scenario::RcPair rig(eq);
     mem::VirtAddr sbuf = rig.asA.allocRegion(64 * 1024);
     rig.npfcA.prefault(rig.chA, sbuf, 64 * 1024, true);
     mem::VirtAddr rbuf = rig.asB.allocRegion(64 * 1024);
     rig.npfcB.prefault(rig.chB, rbuf, 64 * 1024, true);
 
     bool delivered = false;
-    rig.qpB->onCompletion([&](const Completion &c) {
+    rig.qpB.onCompletion([&](const Completion &c) {
         if (c.isRecv)
             delivered = true;
     });
     // Send with NO receive WQE posted.
-    rig.qpA->postSend({Opcode::Send, sbuf, 64 * 1024, 0, 1});
+    rig.qpA.postSend({Opcode::Send, sbuf, 64 * 1024, 0, 1});
     rig.eq.runUntil(rig.eq.now() + 2 * sim::kMillisecond);
     EXPECT_FALSE(delivered);
-    EXPECT_GT(rig.qpB->stats().rnrNacksSent, 0u)
+    EXPECT_GT(rig.qpB.stats().rnrNacksSent, 0u)
         << "no WQE is the original RNR case";
     // Post the WQE: the suspended sender retries and completes.
-    rig.qpB->postRecv({Opcode::Send, rbuf, 64 * 1024, 0, 9});
+    rig.qpB.postRecv({Opcode::Send, rbuf, 64 * 1024, 0, 9});
     ASSERT_TRUE(rig.eq.runUntilCondition([&] { return delivered; },
                                          rig.eq.now() +
                                              10 * sim::kSecond));
@@ -78,26 +52,27 @@ TEST(IbEdge, RnrRetryExhaustionErrorsTheQueue)
 {
     QpConfig cfg;
     cfg.rnrRetryLimit = 3;
-    Rig rig(cfg);
+    sim::EventQueue eq;
+    scenario::RcPair rig(eq, {.qp = cfg});
     mem::VirtAddr sbuf = rig.asA.allocRegion(4096);
     rig.npfcA.prefault(rig.chA, sbuf, 4096, true);
 
     std::vector<bool> results;
-    rig.qpA->onCompletion([&](const Completion &c) {
+    rig.qpA.onCompletion([&](const Completion &c) {
         if (!c.isRecv)
             results.push_back(c.ok);
     });
     // Never post a receive WQE: RNR retries must run out.
-    rig.qpA->postSend({Opcode::Send, sbuf, 4096, 0, 1});
-    rig.qpA->postSend({Opcode::Send, sbuf, 4096, 0, 2}); // also flushed
+    rig.qpA.postSend({Opcode::Send, sbuf, 4096, 0, 1});
+    rig.qpA.postSend({Opcode::Send, sbuf, 4096, 0, 2}); // also flushed
     rig.eq.run();
     ASSERT_EQ(results.size(), 2u);
     EXPECT_FALSE(results[0]) << "flush with error after retry limit";
     EXPECT_FALSE(results[1]);
-    EXPECT_TRUE(rig.qpA->inError());
+    EXPECT_TRUE(rig.qpA.inError());
     // A post after the error is flushed immediately, and the event
     // queue still drains (no live transmit machinery).
-    rig.qpA->postSend({Opcode::Send, sbuf, 4096, 0, 3});
+    rig.qpA.postSend({Opcode::Send, sbuf, 4096, 0, 3});
     rig.eq.run();
     EXPECT_EQ(results.size(), 2u)
         << "posts to an errored QP are silently dropped in this model";
@@ -107,7 +82,8 @@ TEST(IbEdge, MultipleQpsShareOneChannel)
 {
     // One IOuser, one IOMMU channel, several connections — faults on
     // one QP warm pages the other QP then uses without faulting.
-    Rig rig;
+    sim::EventQueue eq;
+    scenario::RcPair rig(eq);
     auto qpA2 = std::make_unique<QueuePair>(rig.eq, rig.fabric, 0,
                                             rig.npfcA, rig.chA,
                                             QpConfig{}, 11);
@@ -126,11 +102,11 @@ TEST(IbEdge, MultipleQpsShareOneChannel)
         if (c.isRecv)
             ++recvs;
     };
-    rig.qpB->onCompletion(count);
+    rig.qpB.onCompletion(count);
     qpB2->onCompletion(count);
 
-    rig.qpB->postRecv({Opcode::Send, rbuf, 256 * 1024, 0, 1});
-    rig.qpA->postSend({Opcode::Send, sbuf, 256 * 1024, 0, 1});
+    rig.qpB.postRecv({Opcode::Send, rbuf, 256 * 1024, 0, 1});
+    rig.qpA.postSend({Opcode::Send, sbuf, 256 * 1024, 0, 1});
     ASSERT_TRUE(rig.eq.runUntilCondition([&] { return recvs == 1; },
                                          10 * sim::kSecond));
     std::uint64_t faults_before = rig.npfcB.stats().npfs;
@@ -148,35 +124,37 @@ TEST(IbEdge, ReadRnrExtensionRetriesUntilResolved)
 {
     QpConfig cfg;
     cfg.readRnrExtension = true;
-    Rig rig(cfg);
+    sim::EventQueue eq;
+    scenario::RcPair rig(eq, {.qp = cfg});
     mem::VirtAddr remote = rig.asB.allocRegion(MiB);
     rig.npfcB.prefault(rig.chB, remote, MiB, true);
     mem::VirtAddr local = rig.asA.allocRegion(MiB); // cold target
 
     bool done = false;
-    rig.qpA->onCompletion([&](const Completion &c) {
+    rig.qpA.onCompletion([&](const Completion &c) {
         if (!c.isRecv)
             done = true;
     });
-    rig.qpA->postSend({Opcode::RdmaRead, local, MiB, remote, 1});
+    rig.qpA.postSend({Opcode::RdmaRead, local, MiB, remote, 1});
     ASSERT_TRUE(rig.eq.runUntilCondition([&] { return done; },
                                          10 * sim::kSecond));
-    EXPECT_GT(rig.qpA->stats().readRnrSent, 0u);
-    EXPECT_GT(rig.qpB->stats().readRnrReceived, 0u);
-    EXPECT_EQ(rig.qpA->stats().nakSeqSent, 0u)
+    EXPECT_GT(rig.qpA.stats().readRnrSent, 0u);
+    EXPECT_GT(rig.qpB.stats().readRnrReceived, 0u);
+    EXPECT_EQ(rig.qpA.stats().nakSeqSent, 0u)
         << "extension path replaces the rewind protocol";
 }
 
 TEST(IbEdge, MixedOpStreamUnderFaultsStaysConsistent)
 {
-    Rig rig;
+    sim::EventQueue eq;
+    scenario::RcPair rig(eq);
     mem::VirtAddr a_mem = rig.asA.allocRegion(8 * MiB);
     mem::VirtAddr b_mem = rig.asB.allocRegion(8 * MiB);
     rig.asA.touch(a_mem, 8 * MiB, true);
     rig.asB.touch(b_mem, 8 * MiB, true); // CPU-warm, IOMMU-cold
 
     int sends_done = 0, recvs_done = 0, writes_done = 0, reads_done = 0;
-    rig.qpA->onCompletion([&](const Completion &c) {
+    rig.qpA.onCompletion([&](const Completion &c) {
         if (c.isRecv)
             return;
         ASSERT_TRUE(c.ok);
@@ -187,21 +165,21 @@ TEST(IbEdge, MixedOpStreamUnderFaultsStaysConsistent)
         else
             ++reads_done;
     });
-    rig.qpB->onCompletion([&](const Completion &c) {
+    rig.qpB.onCompletion([&](const Completion &c) {
         if (c.isRecv)
             ++recvs_done;
     });
 
     for (std::uint64_t i = 0; i < 10; ++i)
-        rig.qpB->postRecv({Opcode::Send, b_mem + i * 64 * 1024,
-                           64 * 1024, 0, i});
+        rig.qpB.postRecv({Opcode::Send, b_mem + i * 64 * 1024,
+                          64 * 1024, 0, i});
     for (std::uint64_t i = 0; i < 10; ++i) {
-        rig.qpA->postSend({Opcode::Send, a_mem + i * 64 * 1024,
-                           64 * 1024, 0, i});
-        rig.qpA->postSend({Opcode::RdmaWrite, a_mem, 32 * 1024,
-                           b_mem + MiB + i * 64 * 1024, 100 + i});
-        rig.qpA->postSend({Opcode::RdmaRead, a_mem + 2 * MiB + i * 64 * 1024,
-                           64 * 1024, b_mem + 4 * MiB, 200 + i});
+        rig.qpA.postSend({Opcode::Send, a_mem + i * 64 * 1024,
+                          64 * 1024, 0, i});
+        rig.qpA.postSend({Opcode::RdmaWrite, a_mem, 32 * 1024,
+                          b_mem + MiB + i * 64 * 1024, 100 + i});
+        rig.qpA.postSend({Opcode::RdmaRead, a_mem + 2 * MiB + i * 64 * 1024,
+                          64 * 1024, b_mem + 4 * MiB, 200 + i});
     }
     ASSERT_TRUE(rig.eq.runUntilCondition(
         [&] {

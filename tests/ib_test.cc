@@ -10,17 +10,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <memory>
+#include <functional>
 #include <optional>
 #include <string>
 #include <tuple>
 #include <vector>
 
-#include "core/npf_controller.hh"
 #include "fault/fault.hh"
-#include "ib/queue_pair.hh"
-#include "mem/memory_manager.hh"
-#include "net/fabric.hh"
+#include "scenario/ib_world.hh"
 
 using namespace npf;
 using namespace npf::ib;
@@ -29,142 +26,96 @@ namespace {
 
 constexpr std::size_t MiB = 1ull << 20;
 
-/** How an IbRig's two QPs reach each other. */
-enum class Wiring {
-    Pointer, ///< connect(): delivery closures on the closure plane
-    Record,  ///< connectRemote(): WireRecords on the record plane
-};
-
-/** Two-node IB rig with independent hosts. */
-struct IbRig
+bool
+runFor(sim::EventQueue &eq, const std::function<bool()> &pred,
+       sim::Time limit = 10 * sim::kSecond)
 {
-    sim::EventQueue eq;
-    net::Fabric fabric;
-    mem::MemoryManager mmA, mmB;
-    mem::AddressSpace &asA, &asB;
-    core::NpfController npfcA, npfcB;
-    core::ChannelId chA, chB;
-    std::unique_ptr<QueuePair> qpA, qpB;
-
-    explicit IbRig(QpConfig qcfg = {},
-                   std::size_t mem_bytes = 256 * MiB,
-                   Wiring wiring = Wiring::Pointer)
-        : fabric(eq, 2,
-                 net::FabricConfig{net::LinkConfig{56e9, 300, 32}, 200}),
-          mmA(mem_bytes), mmB(mem_bytes),
-          asA(mmA.createAddressSpace("A")),
-          asB(mmB.createAddressSpace("B")), npfcA(eq), npfcB(eq),
-          chA(npfcA.attach(asA)), chB(npfcB.attach(asB))
-    {
-        qpA = std::make_unique<QueuePair>(eq, fabric, 0, npfcA, chA, qcfg,
-                                          1);
-        qpB = std::make_unique<QueuePair>(eq, fabric, 1, npfcB, chB, qcfg,
-                                          2);
-        if (wiring == Wiring::Pointer) {
-            qpA->connect(*qpB);
-            qpB->connect(*qpA);
-        } else {
-            qpA->connectRemote(1, /*my_kind=*/0, /*peer_kind=*/1);
-            qpB->connectRemote(0, /*my_kind=*/1, /*peer_kind=*/0);
-        }
-    }
-
-    /** Warm a buffer: CPU-present and IOMMU-mapped. */
-    void
-    warm(core::NpfController &n, core::ChannelId ch, mem::VirtAddr a,
-         std::size_t len)
-    {
-        n.prefault(ch, a, len, true);
-    }
-
-    bool
-    runUntil(const std::function<bool()> &pred,
-             sim::Time limit = 10 * sim::kSecond)
-    {
-        return eq.runUntilCondition(pred, eq.now() + limit);
-    }
-};
+    return eq.runUntilCondition(pred, eq.now() + limit);
+}
 
 } // namespace
 
 TEST(IbRc, SendRecvDeliversMessage)
 {
-    IbRig rig;
+    sim::EventQueue eq;
+    scenario::RcPair rig(eq);
     mem::VirtAddr sbuf = rig.asA.allocRegion(MiB);
     mem::VirtAddr rbuf = rig.asB.allocRegion(MiB);
-    rig.warm(rig.npfcA, rig.chA, sbuf, 64 * 1024);
-    rig.warm(rig.npfcB, rig.chB, rbuf, 64 * 1024);
+    rig.npfcA.prefault(rig.chA, sbuf, 64 * 1024, true);
+    rig.npfcB.prefault(rig.chB, rbuf, 64 * 1024, true);
 
     std::vector<Completion> recv_cqes, send_cqes;
-    rig.qpB->onCompletion([&](const Completion &c) {
+    rig.qpB.onCompletion([&](const Completion &c) {
         (c.isRecv ? recv_cqes : send_cqes).push_back(c);
     });
     bool send_done = false;
-    rig.qpA->onCompletion([&](const Completion &c) {
+    rig.qpA.onCompletion([&](const Completion &c) {
         if (!c.isRecv)
             send_done = true;
     });
 
-    rig.qpB->postRecv({Opcode::Send, rbuf, 64 * 1024, 0, 7});
-    rig.qpA->postSend({Opcode::Send, sbuf, 64 * 1024, 0, 9});
+    rig.qpB.postRecv({Opcode::Send, rbuf, 64 * 1024, 0, 7});
+    rig.qpA.postSend({Opcode::Send, sbuf, 64 * 1024, 0, 9});
 
-    ASSERT_TRUE(rig.runUntil([&] { return !recv_cqes.empty() &&
-                                          send_done; }));
+    ASSERT_TRUE(
+        runFor(rig.eq, [&] { return !recv_cqes.empty() && send_done; }));
     EXPECT_EQ(recv_cqes[0].wrId, 7u);
     EXPECT_EQ(recv_cqes[0].bytes, 64u * 1024);
-    EXPECT_EQ(rig.qpB->stats().messagesDelivered, 1u);
-    EXPECT_EQ(rig.qpA->stats().rnrNacksReceived, 0u);
+    EXPECT_EQ(rig.qpB.stats().messagesDelivered, 1u);
+    EXPECT_EQ(rig.qpA.stats().rnrNacksReceived, 0u);
 }
 
 TEST(IbRc, ManyMessagesArriveInOrder)
 {
-    IbRig rig;
+    sim::EventQueue eq;
+    scenario::RcPair rig(eq);
     mem::VirtAddr sbuf = rig.asA.allocRegion(MiB);
     mem::VirtAddr rbuf = rig.asB.allocRegion(MiB);
-    rig.warm(rig.npfcA, rig.chA, sbuf, MiB);
-    rig.warm(rig.npfcB, rig.chB, rbuf, MiB);
+    rig.npfcA.prefault(rig.chA, sbuf, MiB, true);
+    rig.npfcB.prefault(rig.chB, rbuf, MiB, true);
 
     std::vector<std::uint64_t> order;
-    rig.qpB->onCompletion([&](const Completion &c) {
+    rig.qpB.onCompletion([&](const Completion &c) {
         if (c.isRecv)
             order.push_back(c.wrId);
     });
     constexpr int kMsgs = 50;
     for (int i = 0; i < kMsgs; ++i)
-        rig.qpB->postRecv({Opcode::Send, rbuf, 8192, 0,
-                           std::uint64_t(i)});
+        rig.qpB.postRecv({Opcode::Send, rbuf, 8192, 0,
+                          std::uint64_t(i)});
     for (int i = 0; i < kMsgs; ++i)
-        rig.qpA->postSend({Opcode::Send, sbuf, 8192, 0,
-                           std::uint64_t(i)});
+        rig.qpA.postSend({Opcode::Send, sbuf, 8192, 0,
+                          std::uint64_t(i)});
 
-    ASSERT_TRUE(rig.runUntil([&] { return order.size() == kMsgs; }));
+    ASSERT_TRUE(runFor(rig.eq, [&] { return order.size() == kMsgs; }));
     for (int i = 0; i < kMsgs; ++i)
         EXPECT_EQ(order[i], std::uint64_t(i));
 }
 
 TEST(IbRc, ThroughputApproachesLineRate)
 {
-    IbRig rig;
+    sim::EventQueue eq;
+    scenario::RcPair rig(eq);
     mem::VirtAddr sbuf = rig.asA.allocRegion(8 * MiB);
     mem::VirtAddr rbuf = rig.asB.allocRegion(8 * MiB);
-    rig.warm(rig.npfcA, rig.chA, sbuf, 4 * MiB);
-    rig.warm(rig.npfcB, rig.chB, rbuf, 4 * MiB);
+    rig.npfcA.prefault(rig.chA, sbuf, 4 * MiB, true);
+    rig.npfcB.prefault(rig.chB, rbuf, 4 * MiB, true);
 
     std::uint64_t delivered = 0;
-    rig.qpB->onCompletion([&](const Completion &c) {
+    rig.qpB.onCompletion([&](const Completion &c) {
         if (c.isRecv) {
             ++delivered;
-            rig.qpB->postRecv({Opcode::Send, rbuf, 64 * 1024, 0, 0});
+            rig.qpB.postRecv({Opcode::Send, rbuf, 64 * 1024, 0, 0});
         }
     });
     constexpr std::uint64_t kMsgs = 400;
     for (int i = 0; i < 32; ++i)
-        rig.qpB->postRecv({Opcode::Send, rbuf, 64 * 1024, 0, 0});
+        rig.qpB.postRecv({Opcode::Send, rbuf, 64 * 1024, 0, 0});
     for (std::uint64_t i = 0; i < kMsgs; ++i)
-        rig.qpA->postSend({Opcode::Send, sbuf, 64 * 1024, 0, i});
+        rig.qpA.postSend({Opcode::Send, sbuf, 64 * 1024, 0, i});
 
     sim::Time start = rig.eq.now();
-    ASSERT_TRUE(rig.runUntil([&] { return delivered == kMsgs; }));
+    ASSERT_TRUE(runFor(rig.eq, [&] { return delivered == kMsgs; }));
     double secs = sim::toSeconds(rig.eq.now() - start);
     double gbps = double(kMsgs) * 64 * 1024 * 8 / secs / 1e9;
     EXPECT_GT(gbps, 40.0) << "should approach the 56 Gb/s line rate";
@@ -173,105 +124,110 @@ TEST(IbRc, ThroughputApproachesLineRate)
 
 TEST(IbRc, RdmaWriteHitsRemoteMemory)
 {
-    IbRig rig;
+    sim::EventQueue eq;
+    scenario::RcPair rig(eq);
     mem::VirtAddr sbuf = rig.asA.allocRegion(MiB);
     mem::VirtAddr target = rig.asB.allocRegion(MiB);
-    rig.warm(rig.npfcA, rig.chA, sbuf, 256 * 1024);
-    rig.warm(rig.npfcB, rig.chB, target, 256 * 1024);
+    rig.npfcA.prefault(rig.chA, sbuf, 256 * 1024, true);
+    rig.npfcB.prefault(rig.chB, target, 256 * 1024, true);
 
     bool done = false;
-    rig.qpA->onCompletion([&](const Completion &c) {
+    rig.qpA.onCompletion([&](const Completion &c) {
         if (!c.isRecv && c.wrId == 42)
             done = true;
     });
-    rig.qpA->postSend({Opcode::RdmaWrite, sbuf, 256 * 1024, target, 42});
-    ASSERT_TRUE(rig.runUntil([&] { return done; }));
-    EXPECT_EQ(rig.qpB->stats().messagesDelivered, 1u);
+    rig.qpA.postSend({Opcode::RdmaWrite, sbuf, 256 * 1024, target, 42});
+    ASSERT_TRUE(runFor(rig.eq, [&] { return done; }));
+    EXPECT_EQ(rig.qpB.stats().messagesDelivered, 1u);
 }
 
 TEST(IbRc, RdmaReadPullsRemoteMemory)
 {
-    IbRig rig;
+    sim::EventQueue eq;
+    scenario::RcPair rig(eq);
     mem::VirtAddr local = rig.asA.allocRegion(MiB);
     mem::VirtAddr remote = rig.asB.allocRegion(MiB);
-    rig.warm(rig.npfcA, rig.chA, local, 512 * 1024);
-    rig.warm(rig.npfcB, rig.chB, remote, 512 * 1024);
+    rig.npfcA.prefault(rig.chA, local, 512 * 1024, true);
+    rig.npfcB.prefault(rig.chB, remote, 512 * 1024, true);
 
     bool done = false;
-    rig.qpA->onCompletion([&](const Completion &c) {
+    rig.qpA.onCompletion([&](const Completion &c) {
         if (!c.isRecv && c.wrId == 5) {
             done = true;
             EXPECT_EQ(c.bytes, 512u * 1024);
         }
     });
-    rig.qpA->postSend({Opcode::RdmaRead, local, 512 * 1024, remote, 5});
-    ASSERT_TRUE(rig.runUntil([&] { return done; }));
+    rig.qpA.postSend({Opcode::RdmaRead, local, 512 * 1024, remote, 5});
+    ASSERT_TRUE(runFor(rig.eq, [&] { return done; }));
 }
 
 TEST(IbRc, ColdReceiveBufferTriggersRnrNackAndRecovers)
 {
-    IbRig rig;
+    sim::EventQueue eq;
+    scenario::RcPair rig(eq);
     mem::VirtAddr sbuf = rig.asA.allocRegion(MiB);
     mem::VirtAddr rbuf = rig.asB.allocRegion(MiB); // cold: never touched
-    rig.warm(rig.npfcA, rig.chA, sbuf, 64 * 1024);
+    rig.npfcA.prefault(rig.chA, sbuf, 64 * 1024, true);
 
     bool done = false;
-    rig.qpB->onCompletion([&](const Completion &c) {
+    rig.qpB.onCompletion([&](const Completion &c) {
         if (c.isRecv)
             done = true;
     });
-    rig.qpB->postRecv({Opcode::Send, rbuf, 64 * 1024, 0, 1});
-    rig.qpA->postSend({Opcode::Send, sbuf, 64 * 1024, 0, 1});
+    rig.qpB.postRecv({Opcode::Send, rbuf, 64 * 1024, 0, 1});
+    rig.qpA.postSend({Opcode::Send, sbuf, 64 * 1024, 0, 1});
 
-    ASSERT_TRUE(rig.runUntil([&] { return done; }));
-    EXPECT_GT(rig.qpB->stats().recvNpfs, 0u);
-    EXPECT_GT(rig.qpB->stats().rnrNacksSent, 0u);
-    EXPECT_GT(rig.qpA->stats().rnrNacksReceived, 0u);
-    EXPECT_GT(rig.qpA->stats().retransmitted, 0u)
+    ASSERT_TRUE(runFor(rig.eq, [&] { return done; }));
+    EXPECT_GT(rig.qpB.stats().recvNpfs, 0u);
+    EXPECT_GT(rig.qpB.stats().rnrNacksSent, 0u);
+    EXPECT_GT(rig.qpA.stats().rnrNacksReceived, 0u);
+    EXPECT_GT(rig.qpA.stats().retransmitted, 0u)
         << "data dropped before the RNR NACK arrived is retransmitted";
-    EXPECT_EQ(rig.qpB->stats().messagesDelivered, 1u);
+    EXPECT_EQ(rig.qpB.stats().messagesDelivered, 1u);
 }
 
 TEST(IbRc, ColdSendBufferStallsSenderLocally)
 {
-    IbRig rig;
+    sim::EventQueue eq;
+    scenario::RcPair rig(eq);
     mem::VirtAddr sbuf = rig.asA.allocRegion(MiB); // CPU-cold too
     mem::VirtAddr rbuf = rig.asB.allocRegion(MiB);
-    rig.warm(rig.npfcB, rig.chB, rbuf, 64 * 1024);
+    rig.npfcB.prefault(rig.chB, rbuf, 64 * 1024, true);
 
     bool done = false;
-    rig.qpB->onCompletion([&](const Completion &c) {
+    rig.qpB.onCompletion([&](const Completion &c) {
         if (c.isRecv)
             done = true;
     });
-    rig.qpB->postRecv({Opcode::Send, rbuf, 64 * 1024, 0, 1});
-    rig.qpA->postSend({Opcode::Send, sbuf, 64 * 1024, 0, 1});
+    rig.qpB.postRecv({Opcode::Send, rbuf, 64 * 1024, 0, 1});
+    rig.qpA.postSend({Opcode::Send, sbuf, 64 * 1024, 0, 1});
 
-    ASSERT_TRUE(rig.runUntil([&] { return done; }));
-    EXPECT_GT(rig.qpA->stats().sendNpfs, 0u);
+    ASSERT_TRUE(runFor(rig.eq, [&] { return done; }));
+    EXPECT_GT(rig.qpA.stats().sendNpfs, 0u);
     // Local fault: no RNR traffic, no packet loss.
-    EXPECT_EQ(rig.qpB->stats().rnrNacksSent, 0u);
-    EXPECT_EQ(rig.qpB->stats().dataPacketsDropped, 0u);
+    EXPECT_EQ(rig.qpB.stats().rnrNacksSent, 0u);
+    EXPECT_EQ(rig.qpB.stats().dataPacketsDropped, 0u);
 }
 
 TEST(IbRc, ColdReadInitiatorBufferUsesRewindNotRnr)
 {
-    IbRig rig;
+    sim::EventQueue eq;
+    scenario::RcPair rig(eq);
     mem::VirtAddr local = rig.asA.allocRegion(MiB); // cold target
     mem::VirtAddr remote = rig.asB.allocRegion(MiB);
-    rig.warm(rig.npfcB, rig.chB, remote, 256 * 1024);
+    rig.npfcB.prefault(rig.chB, remote, 256 * 1024, true);
 
     bool done = false;
-    rig.qpA->onCompletion([&](const Completion &c) {
+    rig.qpA.onCompletion([&](const Completion &c) {
         if (!c.isRecv)
             done = true;
     });
-    rig.qpA->postSend({Opcode::RdmaRead, local, 256 * 1024, remote, 3});
-    ASSERT_TRUE(rig.runUntil([&] { return done; }));
-    EXPECT_GT(rig.qpA->stats().recvNpfs, 0u);
-    EXPECT_GT(rig.qpA->stats().nakSeqSent, 0u)
+    rig.qpA.postSend({Opcode::RdmaRead, local, 256 * 1024, remote, 3});
+    ASSERT_TRUE(runFor(rig.eq, [&] { return done; }));
+    EXPECT_GT(rig.qpA.stats().recvNpfs, 0u);
+    EXPECT_GT(rig.qpA.stats().nakSeqSent, 0u)
         << "read responses recover by rewind, not RNR (§4)";
-    EXPECT_GT(rig.qpA->stats().dataPacketsDropped, 0u)
+    EXPECT_GT(rig.qpA.stats().dataPacketsDropped, 0u)
         << "all response packets drop until the fault resolves";
 }
 
@@ -284,32 +240,33 @@ TEST_P(IbFaultInjection, AllMessagesDeliveredInOrderUnderFaults)
 {
     QpConfig qcfg;
     qcfg.syntheticRnpfProb = GetParam();
-    IbRig rig(qcfg);
+    sim::EventQueue eq;
+    scenario::RcPair rig(eq, {.qp = qcfg});
     mem::VirtAddr sbuf = rig.asA.allocRegion(4 * MiB);
     mem::VirtAddr rbuf = rig.asB.allocRegion(4 * MiB);
-    rig.warm(rig.npfcA, rig.chA, sbuf, 4 * MiB);
-    rig.warm(rig.npfcB, rig.chB, rbuf, 4 * MiB);
+    rig.npfcA.prefault(rig.chA, sbuf, 4 * MiB, true);
+    rig.npfcB.prefault(rig.chB, rbuf, 4 * MiB, true);
 
     std::vector<std::uint64_t> order;
-    rig.qpB->onCompletion([&](const Completion &c) {
+    rig.qpB.onCompletion([&](const Completion &c) {
         if (c.isRecv)
             order.push_back(c.wrId);
     });
     constexpr int kMsgs = 60;
     for (int i = 0; i < kMsgs; ++i)
-        rig.qpB->postRecv({Opcode::Send, rbuf, 32 * 1024, 0,
-                           std::uint64_t(i)});
+        rig.qpB.postRecv({Opcode::Send, rbuf, 32 * 1024, 0,
+                          std::uint64_t(i)});
     for (int i = 0; i < kMsgs; ++i)
-        rig.qpA->postSend({Opcode::Send, sbuf, 32 * 1024, 0,
-                           std::uint64_t(i)});
+        rig.qpA.postSend({Opcode::Send, sbuf, 32 * 1024, 0,
+                          std::uint64_t(i)});
 
-    ASSERT_TRUE(rig.runUntil([&] { return order.size() == kMsgs; },
-                             60 * sim::kSecond))
+    ASSERT_TRUE(runFor(rig.eq, [&] { return order.size() == kMsgs; },
+                       60 * sim::kSecond))
         << "injection rate " << GetParam();
     for (int i = 0; i < kMsgs; ++i)
         ASSERT_EQ(order[i], std::uint64_t(i));
     if (GetParam() > 0.0) {
-        EXPECT_GT(rig.qpB->stats().recvNpfs, 0u);
+        EXPECT_GT(rig.qpB.stats().recvNpfs, 0u);
     }
 }
 
@@ -324,6 +281,36 @@ INSTANTIATE_TEST_SUITE_P(Rates, IbFaultInjection,
 // uplink-arrival event: two events per packet instead of three).
 
 namespace {
+
+/** How a pair's two QPs reach each other. */
+enum class Wiring {
+    Pointer, ///< scenario::RcPair: connect(), the closure plane
+    Record,  ///< RecordPair: connectRemote(), the record plane
+};
+
+/** scenario::RcPair built the same way, but record-wired. */
+struct RecordPair
+{
+    sim::EventQueue &eq;
+    net::Fabric fabric;
+    mem::MemoryManager mmA, mmB;
+    mem::AddressSpace &asA, &asB;
+    core::NpfController npfcA, npfcB;
+    core::ChannelId chA, chB;
+    QueuePair qpA, qpB;
+
+    RecordPair(sim::EventQueue &q, const scenario::RcPair::Options &o)
+        : eq(q), fabric(eq, 2, net::kFdrFabric), mmA(o.a.bytes),
+          mmB(o.b.bytes), asA(mmA.createAddressSpace("a")),
+          asB(mmB.createAddressSpace("b")), npfcA(eq), npfcB(eq),
+          chA(npfcA.attach(asA)), chB(npfcB.attach(asB)),
+          qpA(eq, fabric, 0, npfcA, chA, o.qp, 1),
+          qpB(eq, fabric, 1, npfcB, chB, o.qp, 2)
+    {
+        qpA.connectRemote(1, /*my_kind=*/0, /*peer_kind=*/1);
+        qpB.connectRemote(0, /*my_kind=*/1, /*peer_kind=*/0);
+    }
+};
 
 /** Everything one WR stream lets the two QPs observe. */
 struct StreamRun
@@ -356,12 +343,14 @@ statWords(const QueuePair::Stats &s)
  * 8 RDMA Writes and 8 RDMA Reads, under fault plan @p plan ("" for
  * none), run until the event queue drains.
  */
+template <class Pair>
 StreamRun
-runStream(Wiring wiring, const std::string &plan)
+runStream(const std::string &plan)
 {
     constexpr int kSends = 32, kWrites = 8, kReads = 8;
     constexpr std::size_t kSlot = 32 * 1024;
-    IbRig rig({}, 256 * MiB, wiring);
+    sim::EventQueue eq;
+    Pair rig(eq, {});
     std::optional<fault::FaultInjector> inj;
     if (!plan.empty()) {
         std::string err;
@@ -372,9 +361,9 @@ runStream(Wiring wiring, const std::string &plan)
     mem::VirtAddr sbuf = rig.asA.allocRegion(4 * MiB);
     mem::VirtAddr rbuf = rig.asB.allocRegion(4 * MiB);
     mem::VirtAddr remote = rig.asB.allocRegion(4 * MiB);
-    rig.warm(rig.npfcA, rig.chA, sbuf, 4 * MiB);
+    rig.npfcA.prefault(rig.chA, sbuf, 4 * MiB, true);
     rig.asB.touch(rbuf, kSends * kSlot, true); // CPU-present only
-    rig.warm(rig.npfcB, rig.chB, remote, 4 * MiB);
+    rig.npfcB.prefault(rig.chB, remote, 4 * MiB, true);
 
     StreamRun run;
     auto record = [&run](char side) {
@@ -383,33 +372,40 @@ runStream(Wiring wiring, const std::string &plan)
                                          c.bytes, c.at);
         };
     };
-    rig.qpA->onCompletion(record('A'));
-    rig.qpB->onCompletion(record('B'));
+    rig.qpA.onCompletion(record('A'));
+    rig.qpB.onCompletion(record('B'));
 
     for (int i = 0; i < kSends; ++i)
-        rig.qpB->postRecv({Opcode::Send, rbuf + i * kSlot, kSlot, 0,
-                           std::uint64_t(100 + i)});
+        rig.qpB.postRecv({Opcode::Send, rbuf + i * kSlot, kSlot, 0,
+                          std::uint64_t(100 + i)});
     for (int i = 0; i < kSends; ++i)
-        rig.qpA->postSend({Opcode::Send, sbuf + i * kSlot,
-                           16 * 1024 + std::size_t(i % 4) * 1024, 0,
+        rig.qpA.postSend({Opcode::Send, sbuf + i * kSlot,
+                          16 * 1024 + std::size_t(i % 4) * 1024, 0,
                            std::uint64_t(i)});
     for (int i = 0; i < kWrites; ++i)
-        rig.qpA->postSend({Opcode::RdmaWrite, sbuf + i * kSlot, 16 * 1024,
-                           remote + i * kSlot, std::uint64_t(200 + i)});
+        rig.qpA.postSend({Opcode::RdmaWrite, sbuf + i * kSlot, 16 * 1024,
+                          remote + i * kSlot, std::uint64_t(200 + i)});
     for (int i = 0; i < kReads; ++i)
-        rig.qpA->postSend({Opcode::RdmaRead,
-                           sbuf + (kSends + i) * kSlot, 16 * 1024,
+        rig.qpA.postSend({Opcode::RdmaRead,
+                          sbuf + (kSends + i) * kSlot, 16 * 1024,
                            remote + (kWrites + i) * kSlot,
                            std::uint64_t(300 + i)});
     rig.eq.run();
 
-    run.statsA = rig.qpA->stats();
-    run.statsB = rig.qpB->stats();
+    run.statsA = rig.qpA.stats();
+    run.statsB = rig.qpB.stats();
     run.events = rig.eq.stats().executed;
     run.uplinkPackets = rig.fabric.uplink(0).stats().packets +
                         rig.fabric.uplink(1).stats().packets;
     EXPECT_GT(run.statsB.rnrNacksSent, 0u);
     return run;
+}
+
+StreamRun
+runStream(Wiring wiring, const std::string &plan)
+{
+    return wiring == Wiring::Pointer ? runStream<scenario::RcPair>(plan)
+                                     : runStream<RecordPair>(plan);
 }
 
 /** Every WR of runStream's stream: each Send completes on both sides. */

@@ -8,9 +8,8 @@
 #include <gtest/gtest.h>
 
 #include "app/memcached.hh"
-#include "ib/queue_pair.hh"
-#include "net/fabric.hh"
 #include "scenario/eth_world.hh"
+#include "scenario/ib_world.hh"
 
 using namespace npf;
 
@@ -91,35 +90,21 @@ TEST(Integration, ReadRnrExtensionBeatsStandardRewind)
             std::uint64_t dropped;
         };
         sim::EventQueue eq;
-        net::Fabric fabric(
-            eq, 2, net::FabricConfig{net::LinkConfig{56e9, 300, 32},
-                                     200});
-        mem::MemoryManager mmA(256 * MiB), mmB(256 * MiB);
-        auto &asA = mmA.createAddressSpace("A");
-        auto &asB = mmB.createAddressSpace("B");
-        core::NpfController npfcA(eq), npfcB(eq);
-        auto chA = npfcA.attach(asA);
-        auto chB = npfcB.attach(asB);
-        ib::QpConfig cfg;
-        cfg.readRnrExtension = extension;
-        ib::QueuePair qpA(eq, fabric, 0, npfcA, chA, cfg, 1);
-        ib::QueuePair qpB(eq, fabric, 1, npfcB, chB, cfg, 2);
-        qpA.connect(qpB);
-        qpB.connect(qpA);
+        scenario::RcPair rc(eq, {.qp = {.readRnrExtension = extension}});
 
-        mem::VirtAddr remote = asB.allocRegion(MiB);
-        npfcB.prefault(chB, remote, MiB, true);
-        mem::VirtAddr local = asA.allocRegion(MiB); // cold
+        mem::VirtAddr remote = rc.asB.allocRegion(MiB);
+        rc.npfcB.prefault(rc.chB, remote, MiB, true);
+        mem::VirtAddr local = rc.asA.allocRegion(MiB); // cold
 
         bool done = false;
-        qpA.onCompletion([&](const ib::Completion &c) {
+        rc.qpA.onCompletion([&](const ib::Completion &c) {
             if (!c.isRecv)
                 done = true;
         });
         sim::Time start = eq.now();
-        qpA.postSend({ib::Opcode::RdmaRead, local, MiB, remote, 1});
+        rc.qpA.postSend({ib::Opcode::RdmaRead, local, MiB, remote, 1});
         eq.runUntilCondition([&] { return done; }, 60 * sim::kSecond);
-        return Out{eq.now() - start, qpA.stats().dataPacketsDropped};
+        return Out{eq.now() - start, rc.qpA.stats().dataPacketsDropped};
     };
     auto std_rc = run(false);
     auto ext_rc = run(true);

@@ -960,20 +960,16 @@ TEST(LoadIntegration, PoolDrivesTheKvRpcServerOverIb)
 TEST(LoadIntegration, FioClientRecordsStorageLatencies)
 {
     sim::EventQueue eq;
-    scenario::IbBed bed(eq);
+    // A is the target, B the fio initiator.
+    scenario::RcPair rc(eq, {.a = {2ull << 30}});
     app::StorageConfig scfg;
     scfg.lunBytes = 1ull << 30;
-    app::StorageTarget tgt(eq, bed.serverAs, scfg);
+    app::StorageTarget tgt(eq, rc.asA, scfg);
     ASSERT_TRUE(tgt.ok());
 
-    ib::QueuePair qpT(eq, *bed.fabric, 0, bed.serverNpfc, bed.sch);
-    ib::QueuePair qpI(eq, *bed.fabric, 1, bed.clientNpfcs[0],
-                      bed.cchs[0]);
-    qpT.connect(qpI);
-    qpI.connect(qpT);
     auto queue = std::make_shared<std::deque<app::IoRequest>>();
-    tgt.addSession(qpT, queue);
-    app::FioClient fio(eq, qpI, bed.clientAs, queue, 128 * 1024, 4,
+    tgt.addSession(rc.qpA, queue);
+    app::FioClient fio(eq, rc.qpB, rc.asB, queue, 128 * 1024, 4,
                        scfg.lunBytes, 7);
     Recorder rec;
     Recorder::ClassId cls = rec.addClass("read");

@@ -14,15 +14,11 @@
 #include <string>
 #include <vector>
 
-#include "core/npf_controller.hh"
-#include "eth/eth_nic.hh"
-#include "ib/queue_pair.hh"
-#include "mem/memory_manager.hh"
-#include "net/fabric.hh"
 #include "obs/flow_tracer.hh"
 #include "obs/metrics.hh"
 #include "obs/session.hh"
 #include "scenario/eth_world.hh"
+#include "scenario/ib_world.hh"
 #include "sim/event_queue.hh"
 
 using namespace npf;
@@ -320,95 +316,45 @@ TEST(Session, SamplerDoesNotKeepQueueAlive)
 
 // --------------------------------------------------- end-to-end integration
 
-namespace {
-
-/** Cold backup-ring receiver plus a raw frame injector. */
-struct TracedEthRig
-{
-    sim::EventQueue &eq;
-    mem::MemoryManager mm{64ull << 20};
-    mem::AddressSpace &as{mm.createAddressSpace("iouser")};
-    core::NpfController npfc;
-    core::ChannelId ch;
-    eth::EthNic nic, peer;
-    unsigned ring = 0;
-    mem::VirtAddr bufs = 0;
-    std::size_t bufBytes = 4096;
-    unsigned delivered = 0;
-
-    explicit TracedEthRig(sim::EventQueue &q)
-        : eq(q), npfc(eq), ch(npfc.attach(as)), nic(eq, npfc),
-          peer(eq, npfc)
-    {
-        peer.connectTo(nic, net::LinkConfig{12e9, 1000, 38});
-        nic.connectTo(peer, net::LinkConfig{12e9, 1000, 38});
-        eth::RxRingConfig rcfg;
-        rcfg.size = 8;
-        rcfg.policy = eth::RxFaultPolicy::BackupRing;
-        ring = nic.createRxRing(ch, rcfg,
-                                [this](const eth::Frame &) {
-                                    ++delivered;
-                                });
-        bufs = as.allocRegion(rcfg.size * bufBytes, "rx");
-        for (std::size_t i = 0; i < rcfg.size; ++i)
-            nic.postRxBuffer(ring, bufs + i * bufBytes, bufBytes);
-    }
-
-    void
-    inject(unsigned n)
-    {
-        for (unsigned i = 0; i < n; ++i) {
-            eth::Frame f;
-            f.dstRing = ring;
-            f.bytes = 1000;
-            eth::EthNic *dst = &nic;
-            peer.txLink()->send(f.bytes, [dst, f] { dst->receive(f); });
-        }
-    }
-};
-
-} // namespace
-
 TEST(Session, EndToEndTraceAndMetrics)
 {
-    sim::EventQueue eq;
-
     // Ethernet side: cold ring under the backup-ring policy, so every
     // frame parks (rNPF) and resolves through the full NPF flow.
-    TracedEthRig rig(eq);
+    scenario::NicRig rig;
+    sim::EventQueue &eq = rig.eq;
+    eth::RxRingConfig rcfg;
+    rcfg.size = 8;
+    rcfg.policy = eth::RxFaultPolicy::BackupRing;
+    unsigned delivered = 0;
+    unsigned ring = rig.addRing(rcfg, /*prefault=*/false,
+                                [&](const eth::Frame &) { ++delivered; })
+                        .id;
 
     // InfiniBand side: a cold receive buffer forces recv NPF + RNR
     // NACK recovery.
-    net::Fabric fabric(eq, 2,
-                       net::FabricConfig{net::LinkConfig{56e9, 300, 32},
-                                         200});
-    mem::MemoryManager mmA(1ull << 30), mmB(1ull << 30);
-    auto &asA = mmA.createAddressSpace("snd");
-    auto &asB = mmB.createAddressSpace("rcv");
-    core::NpfController npfcA(eq), npfcB(eq);
-    auto chA = npfcA.attach(asA);
-    auto chB = npfcB.attach(asB);
-    ib::QueuePair qpA(eq, fabric, 0, npfcA, chA);
-    ib::QueuePair qpB(eq, fabric, 1, npfcB, chB);
-    qpA.connect(qpB);
-    qpB.connect(qpA);
+    scenario::RcPair rc(eq);
     constexpr std::size_t kMsg = 64 * 1024;
-    mem::VirtAddr sbuf = asA.allocRegion(kMsg);
-    mem::VirtAddr rbuf = asB.allocRegion(kMsg);
-    asA.touch(sbuf, kMsg, true);
+    mem::VirtAddr sbuf = rc.asA.allocRegion(kMsg);
+    mem::VirtAddr rbuf = rc.asB.allocRegion(kMsg);
+    rc.asA.touch(sbuf, kMsg, true);
 
     obs::SessionOptions opt;
     opt.trace = true;
     obs::Session session(eq, opt);
 
-    rig.inject(5);
-    qpB.postRecv({ib::Opcode::Send, rbuf, kMsg, 0, 1});
-    qpA.postSend({ib::Opcode::Send, sbuf, kMsg, 0, 1});
+    for (int i = 0; i < 5; ++i) {
+        eth::Frame f;
+        f.dstRing = ring;
+        f.bytes = 1000;
+        rig.send(f);
+    }
+    rc.qpB.postRecv({ib::Opcode::Send, rbuf, kMsg, 0, 1});
+    rc.qpA.postSend({ib::Opcode::Send, sbuf, kMsg, 0, 1});
     eq.run();
 
-    EXPECT_EQ(rig.delivered, 5u);
-    EXPECT_GT(qpB.stats().recvNpfs, 0u);
-    EXPECT_GT(qpB.stats().rnrNacksSent, 0u);
+    EXPECT_EQ(delivered, 5u);
+    EXPECT_GT(rc.qpB.stats().recvNpfs, 0u);
+    EXPECT_GT(rc.qpB.stats().rnrNacksSent, 0u);
 
     // The trace must show the paper's NPF phases and both recovery
     // flows.

@@ -10,11 +10,10 @@
 #include <gtest/gtest.h>
 
 #include "app/kv_store.hh"
-#include "eth/eth_nic.hh"
-#include "ib/queue_pair.hh"
 #include "mem/memory_manager.hh"
-#include "net/fabric.hh"
 #include "payload_pool.hh"
+#include "scenario/eth_world.hh"
+#include "scenario/ib_world.hh"
 #include "tcp/tcp_connection.hh"
 
 using namespace npf;
@@ -35,44 +34,29 @@ class RingGeometry
 TEST_P(RingGeometry, ColdStartDeliversEverythingInOrder)
 {
     auto [ring_size, bm_size] = GetParam();
-    sim::EventQueue eq;
-    mem::MemoryManager mm(64 * MiB);
-    auto &as = mm.createAddressSpace("u");
-    core::NpfController npfc(eq);
-    auto ch = npfc.attach(as);
-    eth::EthNic nic(eq, npfc), peer(eq, npfc);
-    peer.connectTo(nic, net::LinkConfig{12e9, 1000, 38});
-    nic.connectTo(peer, net::LinkConfig{12e9, 1000, 38});
-
+    scenario::NicRig rig;
     eth::RxRingConfig cfg;
     cfg.size = ring_size;
     cfg.bmSize = bm_size;
     std::vector<std::uint64_t> got;
-    mem::VirtAddr bufs = as.allocRegion(ring_size * 4096);
-    unsigned ring = nic.createRxRing(
-        ch, cfg, [&](const eth::Frame &f) {
-            got.push_back(test::payloadValue(f));
-            eth::RxRing &r = nic.ring(0);
-            if (r.postableSlots() > 0)
-                nic.postRxBuffer(0, bufs + (r.tail % cfg.size) * 4096,
-                                 4096);
-        });
-    for (std::size_t i = 0; i < ring_size; ++i)
-        nic.postRxBuffer(ring, bufs + i * 4096, 4096);
+    unsigned ring = rig.addRing(cfg, /*prefault=*/false,
+                                [&](const eth::Frame &f) {
+                                    got.push_back(test::payloadValue(f));
+                                })
+                        .id;
 
     // Cold ring + paced arrivals: everything must arrive in order.
     constexpr std::uint64_t kFrames = 100;
     for (std::uint64_t i = 0; i < kFrames; ++i) {
-        eq.schedule(i * 500 * sim::kMicrosecond, [&, i] {
+        rig.eq.schedule(i * 500 * sim::kMicrosecond, [&, i] {
             eth::Frame f;
             f.dstRing = ring;
             f.bytes = 1000;
             f.payload = test::payloadPool().acquire(i);
-            eth::EthNic *dst = &nic;
-            peer.txLink()->send(f.bytes, [dst, f] { dst->receive(f); });
+            rig.send(f);
         });
     }
-    eq.run();
+    rig.eq.run();
     ASSERT_EQ(got.size(), kFrames)
         << "ring=" << ring_size << " bm=" << bm_size;
     for (std::uint64_t i = 0; i < kFrames; ++i)
@@ -97,46 +81,32 @@ TEST_P(RcGeometry, ColdBuffersExactlyOnceInOrder)
 {
     auto [msg_bytes, mtu] = GetParam();
     sim::EventQueue eq;
-    net::Fabric fabric(eq, 2,
-                       net::FabricConfig{net::LinkConfig{56e9, 300, 32},
-                                         200});
-    mem::MemoryManager mmA(256 * MiB), mmB(256 * MiB);
-    auto &asA = mmA.createAddressSpace("A");
-    auto &asB = mmB.createAddressSpace("B");
-    core::NpfController npfcA(eq), npfcB(eq);
-    auto chA = npfcA.attach(asA);
-    auto chB = npfcB.attach(asB);
-    ib::QpConfig cfg;
-    cfg.pathMtu = mtu;
-    ib::QueuePair qpA(eq, fabric, 0, npfcA, chA, cfg, 5);
-    ib::QueuePair qpB(eq, fabric, 1, npfcB, chB, cfg, 6);
-    qpA.connect(qpB);
-    qpB.connect(qpA);
+    scenario::RcPair rc(eq, {.qp = {.pathMtu = mtu}});
 
     // Both sides completely cold: sender and receiver fault.
-    mem::VirtAddr sbuf = asA.allocRegion(msg_bytes * 4);
-    mem::VirtAddr rbuf = asB.allocRegion(msg_bytes * 4);
-    asA.touch(sbuf, msg_bytes * 4, true); // CPU writes the payload
+    mem::VirtAddr sbuf = rc.asA.allocRegion(msg_bytes * 4);
+    mem::VirtAddr rbuf = rc.asB.allocRegion(msg_bytes * 4);
+    rc.asA.touch(sbuf, msg_bytes * 4, true); // CPU writes the payload
 
     std::vector<std::uint64_t> order;
-    qpB.onCompletion([&](const ib::Completion &c) {
+    rc.qpB.onCompletion([&](const ib::Completion &c) {
         if (c.isRecv) {
             EXPECT_EQ(c.bytes, msg_bytes);
             order.push_back(c.wrId);
         }
     });
     for (std::uint64_t i = 0; i < 4; ++i)
-        qpB.postRecv({ib::Opcode::Send,
-                      rbuf + i * msg_bytes, msg_bytes, 0, i});
+        rc.qpB.postRecv({ib::Opcode::Send,
+                         rbuf + i * msg_bytes, msg_bytes, 0, i});
     for (std::uint64_t i = 0; i < 4; ++i)
-        qpA.postSend({ib::Opcode::Send,
-                      sbuf + i * msg_bytes, msg_bytes, 0, i});
+        rc.qpA.postSend({ib::Opcode::Send,
+                         sbuf + i * msg_bytes, msg_bytes, 0, i});
 
     ASSERT_TRUE(eq.runUntilCondition([&] { return order.size() == 4; },
                                      60 * sim::kSecond));
     for (std::uint64_t i = 0; i < 4; ++i)
         ASSERT_EQ(order[i], i);
-    EXPECT_GT(qpB.stats().recvNpfs, 0u);
+    EXPECT_GT(rc.qpB.stats().recvNpfs, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(
