@@ -32,7 +32,7 @@ main(int argc, char **argv)
         "parked");
     std::map<std::size_t, double> dropped;
     for (std::size_t bm : {1, 4, 16, 64, 256}) {
-        scenario::NicRig rig(1ull << 30);
+        scenario::NicRig rig;
         eth::RxRingConfig cfg;
         cfg.size = 512;
         cfg.bmSize = bm;

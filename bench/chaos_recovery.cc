@@ -163,7 +163,7 @@ ibScenario(const ObsArgs &args)
     auto obs = openObsSession(withIter(args, 1), eq);
     auto inj = installFaultPlan(args, eq);
     armClauseDumps(*inj);
-    scenario::RcPair rc(eq, {.a = {256 * kMiB}, .b = {256 * kMiB}});
+    scenario::RcPair rc(eq, {.memA = 256 * kMiB, .memB = 256 * kMiB});
     inj->onTimedAction(fault::Site::Mem, [&](std::uint64_t pages) {
         rc.mmB.reclaimPages(pages);
     });

@@ -63,7 +63,7 @@ regStorageRun(core::RegMode mode, std::uint64_t seed, sim::Time warm,
 {
     sim::EventQueue eq;
     // A is the target, B the fio initiator.
-    scenario::RcPair rc(eq, {.a = {2ull << 30}});
+    scenario::RcPair rc(eq, {.memA = 2ull << 30});
 
     app::StorageConfig scfg;
     scfg.lunBytes = 256ull << 20; // bench-sized LUN

@@ -28,11 +28,9 @@ void
 runOnce(bool pinned)
 {
     sim::EventQueue eq;
-    // Host A is the 4.5 GB target (at most 2 GB of it pinnable), host B
-    // the 2 GB fio initiator: one RC queue pair each, connected.
-    scenario::RcPair rc(
-        eq, {.a = {4608 * kMiB, {.maxPinnableBytes = 2 * kGiB}},
-             .b = {2 * kGiB}});
+    // Host A is the 4.5 GB target, host B the 2 GB fio initiator: one
+    // RC queue pair each, connected.
+    scenario::RcPair rc(eq, {.memA = 4608 * kMiB, .memB = 2 * kGiB});
 
     StorageConfig cfg;
     StorageTarget tgt(

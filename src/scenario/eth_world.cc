@@ -101,8 +101,8 @@ MemcachedInstance::MemcachedInstance(EthBed &b, app::HostModel &host,
                                                o.slapSeed);
 }
 
-NicRig::NicRig(std::size_t memBytes)
-    : mm(memBytes), as(mm.createAddressSpace("iouser")), npfc(eq),
+NicRig::NicRig()
+    : mm(1ull << 30), as(mm.createAddressSpace("iouser")), npfc(eq),
       ch(npfc.attach(as)), nic(eq, npfc), peer(eq, npfc)
 {
     peer.connectTo(nic);

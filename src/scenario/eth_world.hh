@@ -96,9 +96,9 @@ struct MemcachedInstance
 };
 
 /**
- * One host whose NIC receives from a raw-frame peer NIC: both share
- * the host's NpfController, wired back to back on the prototype wire
- * (eth::kEthNic.wire). The peer only transmits; send() puts a frame on
+ * One 1 GiB host whose NIC receives from a raw-frame peer NIC: both
+ * share the host's NpfController, wired back to back on the prototype
+ * wire (eth::kEthNic.wire). The peer only transmits; send() puts a frame on
  * its wire toward the NIC, and addRing() gives the NIC receive rings
  * on the host's channel.
  */
@@ -118,7 +118,7 @@ struct NicRig
     core::ChannelId ch;
     eth::EthNic nic, peer;
 
-    explicit NicRig(std::size_t memBytes = 64ull << 20);
+    NicRig();
 
     /** A receive ring under @p cfg with one page-sized buffer per
      *  entry, all posted (prefaulted first when @p prefault). Each

@@ -30,8 +30,8 @@ IbBed::IbBed(sim::EventQueue &q, const net::Topology *topo)
 }
 
 RcPair::RcPair(sim::EventQueue &q, const Options &o)
-    : eq(q), fabric(eq, 2, net::kFdrFabric), mmA(o.a.bytes, o.a.costs),
-      mmB(o.b.bytes, o.b.costs), asA(mmA.createAddressSpace("a")),
+    : eq(q), fabric(eq, 2, net::kFdrFabric), mmA(o.memA), mmB(o.memB),
+      asA(mmA.createAddressSpace("a")),
       asB(mmB.createAddressSpace("b")), npfcA(eq), npfcB(eq),
       chA(npfcA.attach(asA)), chB(npfcB.attach(asB)),
       qpA(eq, fabric, 0, npfcA, chA, o.qp, 1),

@@ -36,19 +36,18 @@ namespace npf::scenario {
  * take Options::qp; synthetic receive faults draw from seed 1 on A and
  * seed 2 on B. The caller owns the event queue, so it can open an obs
  * session or install a fault plan before anything is built.
+ *
+ * IbBed below is the same flat two-host fabric with 2 GiB hosts and
+ * no QPs (KvWorld adds them per endpoint). Its construction sits under
+ * the KV worlds' pinned digests, perfbench's among them, so the two
+ * merge only when those digests may be re-pinned.
  */
 struct RcPair
 {
-    /** One host's memory. */
-    struct Host
-    {
-        std::size_t bytes = 1ull << 30;
-        mem::MemCostConfig costs{};
-    };
-
     struct Options
     {
-        Host a{}, b{};
+        std::size_t memA = 1ull << 30; ///< host A's memory, bytes
+        std::size_t memB = 1ull << 30; ///< host B's memory, bytes
         ib::QpConfig qp{};
     };
 

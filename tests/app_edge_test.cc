@@ -29,7 +29,7 @@ struct StorageRig
     std::shared_ptr<std::deque<IoRequest>> queue;
 
     StorageRig(std::size_t mem, StorageConfig scfg)
-        : rc(eq, {.a = {mem}, .b = {2 * GiB}}), tgt(eq, rc.asA, scfg),
+        : rc(eq, {.memA = mem, .memB = 2 * GiB}), tgt(eq, rc.asA, scfg),
           queue(std::make_shared<std::deque<IoRequest>>())
     {
         if (tgt.ok())

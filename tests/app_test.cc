@@ -195,7 +195,7 @@ TEST(Storage, TargetServesReadsOverRdma)
 {
     sim::EventQueue eq;
     // A is the target, B the fio initiator.
-    scenario::RcPair rc(eq, {.a = {4ull << 30}});
+    scenario::RcPair rc(eq, {.memA = 4ull << 30});
 
     StorageConfig scfg;
     scfg.lunBytes = 1ull << 30;

@@ -31,7 +31,7 @@ struct TwoRingRig : scenario::NicRig
     std::vector<std::uint64_t> gotA, gotB;
     std::vector<sim::Time> gotBTimes;
 
-    TwoRingRig(bool warmA, bool warmB) : NicRig(256 * MiB)
+    TwoRingRig(bool warmA, bool warmB)
     {
         RxRingConfig cfg;
         cfg.size = 32;

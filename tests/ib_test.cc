@@ -282,13 +282,7 @@ INSTANTIATE_TEST_SUITE_P(Rates, IbFaultInjection,
 
 namespace {
 
-/** How a pair's two QPs reach each other. */
-enum class Wiring {
-    Pointer, ///< scenario::RcPair: connect(), the closure plane
-    Record,  ///< RecordPair: connectRemote(), the record plane
-};
-
-/** scenario::RcPair built the same way, but record-wired. */
+/** scenario::RcPair at its defaults, but record-wired. */
 struct RecordPair
 {
     sim::EventQueue &eq;
@@ -299,13 +293,13 @@ struct RecordPair
     core::ChannelId chA, chB;
     QueuePair qpA, qpB;
 
-    RecordPair(sim::EventQueue &q, const scenario::RcPair::Options &o)
-        : eq(q), fabric(eq, 2, net::kFdrFabric), mmA(o.a.bytes),
-          mmB(o.b.bytes), asA(mmA.createAddressSpace("a")),
+    explicit RecordPair(sim::EventQueue &q)
+        : eq(q), fabric(eq, 2, net::kFdrFabric), mmA(1ull << 30),
+          mmB(1ull << 30), asA(mmA.createAddressSpace("a")),
           asB(mmB.createAddressSpace("b")), npfcA(eq), npfcB(eq),
           chA(npfcA.attach(asA)), chB(npfcB.attach(asB)),
-          qpA(eq, fabric, 0, npfcA, chA, o.qp, 1),
-          qpB(eq, fabric, 1, npfcB, chB, o.qp, 2)
+          qpA(eq, fabric, 0, npfcA, chA, {}, 1),
+          qpB(eq, fabric, 1, npfcB, chB, {}, 2)
     {
         qpA.connectRemote(1, /*my_kind=*/0, /*peer_kind=*/1);
         qpB.connectRemote(0, /*my_kind=*/1, /*peer_kind=*/0);
@@ -350,7 +344,7 @@ runStream(const std::string &plan)
     constexpr int kSends = 32, kWrites = 8, kReads = 8;
     constexpr std::size_t kSlot = 32 * 1024;
     sim::EventQueue eq;
-    Pair rig(eq, {});
+    Pair rig(eq);
     std::optional<fault::FaultInjector> inj;
     if (!plan.empty()) {
         std::string err;
@@ -401,13 +395,6 @@ runStream(const std::string &plan)
     return run;
 }
 
-StreamRun
-runStream(Wiring wiring, const std::string &plan)
-{
-    return wiring == Wiring::Pointer ? runStream<scenario::RcPair>(plan)
-                                     : runStream<RecordPair>(plan);
-}
-
 /** Every WR of runStream's stream: each Send completes on both sides. */
 constexpr std::size_t kStreamCompletions = 2 * 32 + 8 + 8;
 
@@ -422,8 +409,8 @@ TEST(IbRc, RecordPlanePairObservesWhatAPointerPairDoes)
                                   "link:reorder:rate=0.05,delay=2us"};
     for (const std::string &plan : kPlans) {
         SCOPED_TRACE(plan.empty() ? "fault-free" : plan);
-        StreamRun ptr = runStream(Wiring::Pointer, plan);
-        StreamRun rec = runStream(Wiring::Record, plan);
+        StreamRun ptr = runStream<scenario::RcPair>(plan);
+        StreamRun rec = runStream<RecordPair>(plan);
         EXPECT_EQ(ptr.completions, rec.completions);
         EXPECT_EQ(statWords(ptr.statsA), statWords(rec.statsA));
         EXPECT_EQ(statWords(ptr.statsB), statWords(rec.statsB));
@@ -447,11 +434,9 @@ TEST(IbRc, ReadsCompleteWhenTheWireLosesOrDelaysResponses)
     for (const char *plan : {"link:drop:rate=0.02",
                              "link:delay:rate=0.05,delay=3us",
                              "link:reorder:rate=0.05,delay=2us"}) {
-        for (Wiring wiring : {Wiring::Pointer, Wiring::Record}) {
-            SCOPED_TRACE(std::string(plan) +
-                         (wiring == Wiring::Pointer ? " pointer"
-                                                    : " record"));
-            StreamRun run = runStream(wiring, plan);
+        SCOPED_TRACE(plan);
+        for (const StreamRun &run : {runStream<scenario::RcPair>(plan),
+                                     runStream<RecordPair>(plan)}) {
             ASSERT_EQ(run.completions.size(), kStreamCompletions);
             for (const auto &c : run.completions)
                 EXPECT_TRUE(std::get<2>(c)) << "wrId " << std::get<1>(c);

@@ -961,7 +961,7 @@ TEST(LoadIntegration, FioClientRecordsStorageLatencies)
 {
     sim::EventQueue eq;
     // A is the target, B the fio initiator.
-    scenario::RcPair rc(eq, {.a = {2ull << 30}});
+    scenario::RcPair rc(eq, {.memA = 2ull << 30});
     app::StorageConfig scfg;
     scfg.lunBytes = 1ull << 30;
     app::StorageTarget tgt(eq, rc.asA, scfg);
