@@ -396,28 +396,31 @@ echo "== tier 8: fabric smoke + goldens (PFC/ECN/DCQCN, pause storms) =="
 # bounds the steady-state switch queue where PFC alone rides XOFF,
 # and that the hot path is allocation-free; fabric_pfc_storm asserts
 # that a receiver-side rNPF becomes a pause storm crossing >= 2
-# switch hops, losslessly. Smoke scale under ASan/UBSan, run twice:
-# must replay bit-identically, then match the pinned goldens.
+# switch hops, losslessly. Smoke scale under ASan/UBSan and full scale
+# (7 senders x 16 MiB, 16-message storm) on the plain build, each run
+# twice: must replay bit-identically, pass every gate, then match the
+# pinned goldens. The full-scale report stays in $smokedir like
+# tier 7's (the committed BENCH_fabric.json is not touched).
 replay_twice fabric_incast.txt "$asan/fabric_incast" --smoke
 replay_twice fabric_storm.txt "$asan/fabric_pfc_storm" --smoke \
     --json=BENCH_fabric.json
-require_gates "$smokedir/a/fabric_incast.txt" \
-    "fabric_steady_allocs[pfc_only] fabric_steady_allocs[ecn_dcqcn]
+replay_twice fabric_incast_full.txt "$root/build/bench/fabric_incast"
+replay_twice fabric_storm_full.txt "$root/build/bench/fabric_pfc_storm" \
+    --json=BENCH_fabric_full.json
+incast_gates="fabric_steady_allocs[pfc_only] fabric_steady_allocs[ecn_dcqcn]
     pfc_only.pause_tx pfc_only.cap_dropped ecn_dcqcn.cap_dropped
     ecn_dcqcn.ecn_marked ecn_dcqcn.cnps ecn_dcqcn.steady_queue_mean
     ecn_dcqcn.pause_tx"
 storm_gates="warm.rnpfs warm.pause_hops cold_odp.rnpfs cold_odp.host_pauses
     cold_odp.pause_hops cold_odp.sender_pause_rx warm.cap_dropped
     cold_odp.cap_dropped cold_odp.finish_ns"
-require_gates "$smokedir/a/fabric_storm.txt" "$storm_gates"
-check_bench_json "$smokedir/a/BENCH_fabric.json"
+for scale in "" _full; do
+    require_gates "$smokedir/a/fabric_incast$scale.txt" "$incast_gates"
+    require_gates "$smokedir/a/fabric_storm$scale.txt" "$storm_gates"
+done
+check_bench_json "$smokedir/a/BENCH_fabric.json" \
+    "$smokedir/a/BENCH_fabric_full.json"
 check_golden "$smokedir/a" golden_digests_fabric.sha256
-
-# The pause-storm gates at full scale, reported in $smokedir like
-# tier 7's (the committed BENCH_fabric.json is not touched).
-run_gated "$smokedir/fabric_storm_full.txt" "$storm_gates" \
-    ./build/bench/fabric_pfc_storm --json="$smokedir/BENCH_fabric_full.json"
-check_bench_json "$smokedir/BENCH_fabric_full.json"
 
 echo "== tier 9: registration shoot-out (reg_shootout) =="
 # Four-discipline shoot-out (docs/REGISTRATION.md): two seeds must
