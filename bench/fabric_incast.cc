@@ -25,16 +25,12 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <memory>
-#include <vector>
+#include <string>
 
 #include "bench/flags.hh"
 #include "bench/report.hh"
-#include "core/npf_controller.hh"
-#include "ib/queue_pair.hh"
-#include "mem/memory_manager.hh"
-#include "net/fabric.hh"
 #include "scenario/alloc_counter.hh"
+#include "scenario/ib_world.hh"
 
 using namespace npf;
 
@@ -42,6 +38,8 @@ namespace {
 
 constexpr std::size_t kMiB = 1ull << 20;
 constexpr unsigned kHosts = 8; ///< host 0 is the victim
+
+using Sender = scenario::IncastRig::Sender;
 
 /**
  * Periodic probe of the victim downlink's queue depth over the
@@ -101,74 +99,35 @@ Result
 runIncast(const char *name, const std::string &topo, bool dcqcn,
           unsigned msgs, std::size_t msg_bytes)
 {
-    sim::EventQueue eq;
-    net::Fabric fabric(eq, kHosts, net::FabricConfig{}, topo);
+    scenario::IncastRig::Options o;
+    for (unsigned host = 1; host < kHosts; ++host)
+        o.senders.push_back(host);
+    o.qp.dcqcn = dcqcn;
+    o.regionBytes = msgs * msg_bytes;
+    scenario::IncastRig rig(net::Topology::parse(topo).value(), o);
+    sim::EventQueue &eq = rig.eq;
+    net::Fabric &fabric = rig.fabric;
 
-    ib::QpConfig qcfg;
-    qcfg.dcqcn = dcqcn;
-
-    // The victim host: one memory image, one controller, one channel
-    // and QP per sender (a real multi-QP NIC).
-    mem::MemoryManager mm0(2048 * kMiB);
-    mem::AddressSpace &as0 = mm0.createAddressSpace("victim");
-    core::NpfController npfc0(eq);
-
-    struct Sender
-    {
-        std::unique_ptr<mem::MemoryManager> mm;
-        mem::AddressSpace *as = nullptr;
-        std::unique_ptr<core::NpfController> npfc;
-        core::ChannelId ch{};
-        std::unique_ptr<ib::QueuePair> qp;  ///< at the sender host
-        core::ChannelId vch{};              ///< victim-side channel
-        std::unique_ptr<ib::QueuePair> vqp; ///< victim-side endpoint
-        mem::VirtAddr src = 0, dst = 0;
-    };
-
-    std::vector<Sender> senders(kHosts - 1);
-    const std::size_t region = msgs * msg_bytes;
     unsigned done = 0;
-
-    for (unsigned i = 0; i < senders.size(); ++i) {
-        Sender &s = senders[i];
-        unsigned host = i + 1;
-        s.mm = std::make_unique<mem::MemoryManager>(2048 * kMiB);
-        s.as = &s.mm->createAddressSpace("sender");
-        s.npfc = std::make_unique<core::NpfController>(eq);
-        s.ch = s.npfc->attach(*s.as);
-        s.vch = npfc0.attach(as0);
-        s.qp = std::make_unique<ib::QueuePair>(eq, fabric, host,
-                                               *s.npfc, s.ch, qcfg,
-                                               100 + host);
-        s.vqp = std::make_unique<ib::QueuePair>(eq, fabric, 0, npfc0,
-                                                s.vch, qcfg, 200 + host);
-        s.qp->connect(*s.vqp);
-        s.vqp->connect(*s.qp);
-
-        s.src = s.as->allocRegion(region);
-        s.dst = as0.allocRegion(region);
-        s.npfc->prefault(s.ch, s.src, region, true);
-        npfc0.prefault(s.vch, s.dst, region, true);
-
-        s.qp->onCompletion([&done](const ib::Completion &c) {
+    for (Sender &s : rig.senders)
+        s.qp.onCompletion([&done](const ib::Completion &c) {
             if (!c.isRecv && c.ok)
                 ++done;
         });
-    }
 
     for (unsigned m = 0; m < msgs; ++m) {
-        for (Sender &s : senders) {
+        for (Sender &s : rig.senders) {
             ib::WorkRequest w;
             w.op = ib::Opcode::RdmaWrite;
             w.local = s.src + m * msg_bytes;
             w.remote = s.dst + m * msg_bytes;
             w.len = msg_bytes;
             w.wrId = m;
-            s.qp->postSend(w);
+            s.qp.postSend(w);
         }
     }
 
-    const unsigned total = msgs * unsigned(senders.size());
+    const unsigned total = msgs * unsigned(rig.senders.size());
     // Warm half: pools grown, rings sized, DCQCN machinery engaged.
     eq.runUntilCondition([&] { return done >= total / 2; },
                          600 * sim::kSecond);
@@ -202,9 +161,9 @@ runIncast(const char *name, const std::string &topo, bool dcqcn,
     r.ecnMarked = sw.stats().ecnMarked;
     for (net::Egress *p : sw.egressPorts())
         r.capDropped += p->stats().capDropped;
-    for (Sender &s : senders) {
-        r.cnpsSent += s.vqp->stats().cnpsSent;
-        r.cnpsReceived += s.qp->stats().cnpsReceived;
+    for (const Sender &s : rig.senders) {
+        r.cnpsSent += s.vqp.stats().cnpsSent;
+        r.cnpsReceived += s.qp.stats().cnpsReceived;
     }
     r.goodputGbps = double(total) * double(msg_bytes) * 8.0 /
                     double(r.finish); // ns -> Gb/s

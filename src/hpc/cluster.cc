@@ -1,6 +1,10 @@
 #include "hpc/cluster.hh"
 
 #include <cassert>
+#include <cstdio>
+#include <cstdlib>
+#include <string>
+#include <utility>
 
 namespace npf::hpc {
 
@@ -10,15 +14,40 @@ constexpr std::size_t kBounceBytes = 8ull << 20; ///< covers 4 MB msgs
 
 } // namespace
 
+Cluster::Rank::Rank(sim::EventQueue &eq, const ClusterConfig &cfg,
+                    unsigned r, core::RegMode mode)
+    : mm(cfg.memoryPerRank),
+      as(mm.createAddressSpace("rank" + std::to_string(r))),
+      npfc(eq, core::OdpConfig{}, 0xc0ffee + r), ch(npfc.attach(as)),
+      qps(cfg.ranks), pending(cfg.ranks)
+{
+    // Eager/bounce buffers: pre-pinned, as real middleware does.
+    bounceSend = as.allocRegion(kBounceBytes, "bounce-s");
+    bounceRecv = as.allocRegion(kBounceBytes, "bounce-r");
+    as.pinRange(bounceSend, kBounceBytes);
+    as.pinRange(bounceRecv, kBounceBytes);
+    npfc.prefault(ch, bounceSend, kBounceBytes, true);
+    npfc.prefault(ch, bounceRecv, kBounceBytes, true);
+    reg = core::Registration(mode, npfc, ch, cfg.pinDownCacheBytes);
+}
+
 Cluster::Cluster(sim::EventQueue &eq, ClusterConfig cfg,
                  core::RegMode mode)
-    : eq_(eq), cfg_(cfg)
+    : eq_(eq), cfg_(std::move(cfg))
 {
+    if (!cfg_.topology) {
+        fabric_ = std::make_unique<net::Fabric>(eq_, cfg_.ranks,
+                                                net::kFdrFabric);
+    } else if (cfg_.topology->hosts == cfg_.ranks) {
+        fabric_ = std::make_unique<net::Fabric>(eq_, *cfg_.topology);
+    } else {
+        std::fprintf(stderr,
+                     "Cluster: topology has %u hosts, cluster has %u "
+                     "ranks\n",
+                     cfg_.topology->hosts, cfg_.ranks);
+        std::abort();
+    }
     const bool facet = cfg_.engine != nullptr;
-    assert((!facet || cfg_.topology.empty()) &&
-           "facet mode needs the legacy fabric (record plane)");
-    fabric_ = std::make_unique<net::Fabric>(eq_, cfg_.ranks, cfg_.fabric,
-                                            cfg_.topology);
     if (facet) {
         std::vector<std::uint16_t> owner(cfg_.ranks);
         for (unsigned r = 0; r < cfg_.ranks; ++r)
@@ -26,75 +55,42 @@ Cluster::Cluster(sim::EventQueue &eq, ClusterConfig cfg,
         fabric_->shardBind(*cfg_.engine, cfg_.shard, std::move(owner));
     }
 
-    for (unsigned r = 0; r < cfg_.ranks; ++r) {
-        if (!ownsRank(r)) {
-            // Another facet hosts this rank; keep the slots so rank
-            // indices stay global.
-            hosts_.push_back(nullptr);
-            spaces_.push_back(nullptr);
-            npfcs_.push_back(nullptr);
-            channels_.push_back(0);
-            bounceSend_.push_back(0);
-            bounceRecv_.push_back(0);
-            regs_.emplace_back();
-            continue;
-        }
-        hosts_.push_back(
-            std::make_unique<mem::MemoryManager>(cfg_.memoryPerRank));
-        spaces_.push_back(
-            &hosts_.back()->createAddressSpace("rank" + std::to_string(r)));
-        npfcs_.push_back(std::make_unique<core::NpfController>(
-            eq_, core::OdpConfig{}, 0xc0ffee + r));
-        channels_.push_back(npfcs_.back()->attach(*spaces_.back()));
-
-        // Eager/bounce buffers: pre-pinned, as real middleware does.
-        mem::VirtAddr bs = spaces_[r]->allocRegion(kBounceBytes, "bounce-s");
-        mem::VirtAddr br = spaces_[r]->allocRegion(kBounceBytes, "bounce-r");
-        spaces_[r]->pinRange(bs, kBounceBytes);
-        spaces_[r]->pinRange(br, kBounceBytes);
-        npfcs_[r]->prefault(channels_[r], bs, kBounceBytes, true);
-        npfcs_[r]->prefault(channels_[r], br, kBounceBytes, true);
-        bounceSend_.push_back(bs);
-        bounceRecv_.push_back(br);
-
-        regs_.emplace_back(mode, *npfcs_[r], channels_[r],
-                           cfg_.pinDownCacheBytes);
-    }
+    // Another facet hosts an unowned rank; its null entry keeps rank
+    // indices global.
+    ranks_.resize(cfg_.ranks);
+    for (unsigned r = 0; r < cfg_.ranks; ++r)
+        if (ownsRank(r))
+            ranks_[r] = std::make_unique<Rank>(eq_, cfg_, r, mode);
 
     // Full QP mesh (facet mode: only the rows of owned ranks).
-    qps_.resize(cfg_.ranks);
-    pending_.resize(cfg_.ranks);
     for (unsigned a = 0; a < cfg_.ranks; ++a) {
-        qps_[a].resize(cfg_.ranks);
-        pending_[a].resize(cfg_.ranks);
-        if (!ownsRank(a))
+        if (!ranks_[a])
             continue;
-        for (unsigned b = 0; b < cfg_.ranks; ++b) {
-            if (a == b)
-                continue;
-            qps_[a][b] = std::make_unique<ib::QueuePair>(
-                eq_, *fabric_, a, *npfcs_[a], channels_[a], cfg_.qp,
-                0xdead + a * 64 + b);
-        }
+        Rank &ra = *ranks_[a];
+        for (unsigned b = 0; b < cfg_.ranks; ++b)
+            if (a != b)
+                ra.qps[b] = std::make_unique<ib::QueuePair>(
+                    eq_, *fabric_, a, ra.npfc, ra.ch, cfg_.qp,
+                    0xdead + a * 64 + b);
     }
     for (unsigned a = 0; a < cfg_.ranks; ++a) {
-        if (!ownsRank(a))
+        if (!ranks_[a])
             continue;
         for (unsigned b = 0; b < cfg_.ranks; ++b) {
             if (a == b)
                 continue;
+            ib::QueuePair &q = qp(a, b);
             if (facet)
                 // Record plane for EVERY pair — also same-shard ones —
                 // so event ordering is independent of the partition
                 // (1-shard and N-shard facets replay bit-identically).
                 // Demux key = the remote rank: unique per node since
                 // the mesh has one QP per ordered rank pair.
-                qps_[a][b]->connectRemote(b, /*my_kind=*/b,
-                                          /*peer_kind=*/a);
+                q.connectRemote(b, /*my_kind=*/b, /*peer_kind=*/a);
             else
-                qps_[a][b]->connect(*qps_[b][a]);
-            qps_[a][b]->onCompletion([this, a, b](const ib::Completion &c) {
-                auto &ops = pending_[a][b];
+                q.connect(qp(b, a));
+            q.onCompletion([this, a, b](const ib::Completion &c) {
+                auto &ops = ranks_[a]->pending[b];
                 auto &map = c.isRecv ? ops.recvs : ops.sends;
                 auto it = map.find(c.wrId);
                 if (it == map.end())
@@ -114,10 +110,11 @@ mem::VirtAddr
 Cluster::allocBuffer(unsigned rank, std::size_t bytes)
 {
     assert(ownsRank(rank));
-    mem::VirtAddr buf = spaces_[rank]->allocRegion(bytes, "mpi-buf");
+    mem::AddressSpace &as = space(rank);
+    mem::VirtAddr buf = as.allocRegion(bytes, "mpi-buf");
     // The application initializes its buffers: CPU-present,
     // IOMMU-cold.
-    spaces_[rank]->touch(buf, bytes, /*write=*/true);
+    as.touch(buf, bytes, /*write=*/true);
     return buf;
 }
 
@@ -126,7 +123,7 @@ Cluster::afterDmaThen(unsigned rank, mem::VirtAddr buf, std::size_t len,
                       Done done)
 {
     return [this, rank, buf, len, inner = std::move(done)] {
-        sim::Time t = regs_[rank].afterDma(buf, len);
+        sim::Time t = ranks_[rank]->reg.afterDma(buf, len);
         if (t == 0 || !inner) {
             if (inner)
                 inner();
@@ -147,13 +144,14 @@ Cluster::isend(unsigned src, unsigned dst, mem::VirtAddr buf,
     // Eager messages, and every message under a copying discipline,
     // go through the pre-pinned bounce buffer; the rest are
     // registered in place (NPF: posted directly, faults in the NIC).
-    core::Registration &reg = regs_[src];
+    Rank &rs = *ranks_[src];
+    core::Registration &reg = rs.reg;
     const bool staged = len <= kCluster.eagerThreshold || reg.copies();
     if (!staged)
         done = afterDmaThen(src, buf, len, std::move(done));
-    pending_[src][dst].sends[id] = std::move(done);
+    rs.pending[dst].sends[id] = std::move(done);
 
-    mem::VirtAddr dma_src = staged ? bounceSend_[src] : buf;
+    mem::VirtAddr dma_src = staged ? rs.bounceSend : buf;
     sim::Time pre = staged ? copyCost(len) : reg.beforeDma(buf, len);
 
     auto post = [this, src, dst, dma_src, len, id] {
@@ -178,9 +176,10 @@ Cluster::irecv(unsigned dst, unsigned src, mem::VirtAddr buf,
     assert(ownsRank(dst) && "irecv must run on the dst rank's facet");
     std::uint64_t id = nextWrId_++;
 
-    core::Registration &reg = regs_[dst];
+    Rank &rd = *ranks_[dst];
+    core::Registration &reg = rd.reg;
     const bool staged = len <= kCluster.eagerThreshold || reg.copies();
-    mem::VirtAddr dma_dst = staged ? bounceRecv_[dst] : buf;
+    mem::VirtAddr dma_dst = staged ? rd.bounceRecv : buf;
     sim::Time pre = staged ? 0 : reg.beforeDma(buf, len);
 
     if (staged) {
@@ -191,7 +190,7 @@ Cluster::irecv(unsigned dst, unsigned src, mem::VirtAddr buf,
     } else {
         done = afterDmaThen(dst, buf, len, std::move(done));
     }
-    pending_[dst][src].recvs[id] = std::move(done);
+    rd.pending[src].recvs[id] = std::move(done);
 
     auto post = [this, dst, src, dma_dst, len, id] {
         ib::WorkRequest w;
@@ -210,9 +209,9 @@ std::uint64_t
 Cluster::totalRnpfs() const
 {
     std::uint64_t n = 0;
-    for (const auto &c : npfcs_)
-        if (c)
-            n += c->stats().npfs;
+    for (const auto &r : ranks_)
+        if (r)
+            n += r->npfc.stats().npfs;
     return n;
 }
 
@@ -220,8 +219,9 @@ std::uint64_t
 Cluster::totalRegOps() const
 {
     std::uint64_t n = 0;
-    for (const core::Registration &reg : regs_)
-        n += reg.regOps();
+    for (const auto &r : ranks_)
+        if (r)
+            n += r->reg.regOps();
     return n;
 }
 

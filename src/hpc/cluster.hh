@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -20,6 +21,7 @@
 #include "ib/queue_pair.hh"
 #include "mem/memory_manager.hh"
 #include "net/fabric.hh"
+#include "net/topology.hh"
 
 namespace npf::hpc {
 
@@ -43,11 +45,10 @@ struct ClusterConfig
 {
     unsigned ranks = 8;
     std::size_t memoryPerRank = 4ull << 30;
-    net::FabricConfig fabric = net::kFdrFabric;
-    /** Optional net::Topology spec (net/topology.hh grammar); empty
-     *  keeps the legacy single-switch fabric. The spec's host count
-     *  must equal `ranks`. */
-    std::string topology;
+    /** The switched fabric to run on; none keeps the legacy star on
+     *  net::kFdrFabric. Its host count must equal `ranks` (checked in
+     *  every build). */
+    std::optional<net::Topology> topology;
     ib::QpConfig qp;
     /** Pin-down cache budget per rank; 0 = unlimited. */
     std::size_t pinDownCacheBytes = 0;
@@ -61,8 +62,8 @@ struct ClusterConfig
      * pairs via the identically-keyed local path, so any shard count
      * replays bit-identically. Construct one facet per shard, each
      * inside ShardedEngine::invokeOn with eq = engine->queue(shard);
-     * engine lookahead must be <= fabric.recordLookahead(). Requires
-     * an empty `topology` (legacy fabric).
+     * engine lookahead must be <= net::kFdrFabric.recordLookahead().
+     * Requires no `topology` (the record plane is legacy-only).
      */
     sim::ShardedEngine *engine = nullptr;
     unsigned shard = 0;
@@ -96,9 +97,9 @@ class Cluster
                rank % cfg_.shards == cfg_.shard;
     }
     sim::EventQueue &eventQueue() { return eq_; }
-    mem::AddressSpace &space(unsigned rank) { return *spaces_[rank]; }
-    core::NpfController &npfc(unsigned rank) { return *npfcs_[rank]; }
-    core::ChannelId channel(unsigned rank) const { return channels_[rank]; }
+    mem::AddressSpace &space(unsigned rank) { return ranks_[rank]->as; }
+    core::NpfController &npfc(unsigned rank) { return ranks_[rank]->npfc; }
+    core::ChannelId channel(unsigned rank) const { return ranks_[rank]->ch; }
 
     /** Allocate a buffer in @p rank's address space (CPU-touched, so
      *  pages are present; IOMMU-cold unless pinned). */
@@ -131,7 +132,24 @@ class Cluster
         std::unordered_map<std::uint64_t, Done> recvs;
     };
 
-    ib::QueuePair &qp(unsigned a, unsigned b) { return *qps_[a][b]; }
+    /** One rank this instance hosts: its host, registration, bounce
+     *  buffers and its row of the QP mesh. */
+    struct Rank
+    {
+        mem::MemoryManager mm;
+        mem::AddressSpace &as;
+        core::NpfController npfc;
+        core::ChannelId ch;
+        mem::VirtAddr bounceSend = 0, bounceRecv = 0;
+        core::Registration reg;
+        std::vector<std::unique_ptr<ib::QueuePair>> qps; ///< [peer]
+        std::vector<PendingOps> pending;                 ///< [peer]
+
+        Rank(sim::EventQueue &eq, const ClusterConfig &cfg, unsigned r,
+             core::RegMode mode);
+    };
+
+    ib::QueuePair &qp(unsigned a, unsigned b) { return *ranks_[a]->qps[b]; }
     sim::Time copyCost(std::size_t len) const
     {
         return sim::fromSeconds(double(len) / kCluster.copyBwBytesPerSec);
@@ -145,15 +163,7 @@ class Cluster
     sim::EventQueue &eq_;
     ClusterConfig cfg_;
     std::unique_ptr<net::Fabric> fabric_;
-    std::vector<std::unique_ptr<mem::MemoryManager>> hosts_;
-    std::vector<mem::AddressSpace *> spaces_;
-    std::vector<std::unique_ptr<core::NpfController>> npfcs_;
-    std::vector<core::ChannelId> channels_;
-    std::vector<core::Registration> regs_; ///< NPF for unowned ranks
-    std::vector<std::vector<std::unique_ptr<ib::QueuePair>>> qps_;
-    std::vector<std::vector<PendingOps>> pending_; ///< [rank][peer]
-    std::vector<mem::VirtAddr> bounceSend_;
-    std::vector<mem::VirtAddr> bounceRecv_;
+    std::vector<std::unique_ptr<Rank>> ranks_; ///< null: another facet's
     std::uint64_t nextWrId_ = 1;
 };
 

@@ -5,78 +5,33 @@
 #include <cstring>
 #include <limits>
 #include <map>
+#include <string>
 
 #include "fault/fault.hh"
 
 namespace npf::net {
 
 Fabric::Fabric(sim::EventQueue &eq, unsigned nodes, FabricConfig cfg)
-    : Fabric(eq, nodes, cfg, std::string())
-{
-}
-
-Fabric::Fabric(sim::EventQueue &eq, unsigned nodes, FabricConfig cfg,
-               const std::string &topology_spec)
     : eq_(eq), cfg_(cfg)
 {
     nodeSeq_.assign(nodes, 0);
-    if (topology_spec.empty()) {
-        for (unsigned i = 0; i < nodes; ++i) {
-            up_.push_back(std::make_unique<Link>(eq_, cfg_.link));
-            down_.push_back(std::make_unique<Link>(eq_, cfg_.link));
-        }
-    } else {
-        std::string err;
-        auto topo = Topology::parse(topology_spec, &err);
-        if (!topo) {
-            std::fprintf(stderr, "Fabric: %s\n", err.c_str());
-            std::abort();
-        }
-        if (topo->hosts != nodes) {
-            std::fprintf(stderr,
-                         "Fabric: spec has %u hosts, caller wants %u\n",
-                         topo->hosts, nodes);
-            std::abort();
-        }
-        buildTopology(*topo);
+    for (unsigned i = 0; i < nodes; ++i) {
+        up_.push_back(std::make_unique<Link>(eq_, cfg_.link));
+        down_.push_back(std::make_unique<Link>(eq_, cfg_.link));
     }
     initCommon();
 }
 
-Fabric::Fabric(sim::EventQueue &eq, const Topology &topo) : eq_(eq)
+Fabric::Fabric(sim::EventQueue &eq, const Topology &topo)
+    : eq_(eq), topo_(std::make_unique<Topology>(topo))
 {
     std::string err;
     if (!topo.validate(&err)) {
         std::fprintf(stderr, "Fabric: %s\n", err.c_str());
         std::abort();
     }
-    buildTopology(topo);
-    initCommon();
-}
-
-Fabric::~Fabric() = default;
-
-void
-Fabric::initCommon()
-{
-    // Built after the nodes' links so that those keep the obs
-    // instance numbers (net.link<i>) a fabric has always given them.
-    LinkConfig loop;
-    loop.bandwidthBitsPerSec = std::numeric_limits<double>::infinity();
-    loop.propagation =
-        topo_ ? topo_->switchCfg.forwardLatency : cfg_.switchLatency;
-    loop.perPacketOverheadBytes = 0;
-    loop_ = std::make_unique<Link>(eq_, loop);
-    obs_.init("net.fabric");
-    obs_.counter("host_pauses", &stats_.hostPauses);
-}
-
-void
-Fabric::buildTopology(const Topology &topo)
-{
-    nodeSeq_.assign(topo.hosts, 0);
-    topo_ = std::make_unique<Topology>(topo);
     const Topology &t = *topo_;
+    nodeSeq_.assign(t.hosts, 0);
 
     switches_.reserve(t.switches);
     for (unsigned s = 0; s < t.switches; ++s)
@@ -93,7 +48,7 @@ Fabric::buildTopology(const Topology &topo)
         Switch *owner =
             t.isHost(from) ? nullptr : switches_[from - t.hosts].get();
         ports_.push_back(std::make_unique<Egress>(
-            eq_, *this, to, lc, topo_->switchCfg, owner));
+            eq_, *this, to, lc, t.switchCfg, owner));
         Egress *p = ports_.back().get();
         if (owner != nullptr)
             owner->addEgress(p);
@@ -119,6 +74,24 @@ Fabric::buildTopology(const Topology &topo)
                 table[d].push_back(port_of.at({v, nb}));
         switches_[s]->setRoutes(std::move(table));
     }
+    initCommon();
+}
+
+Fabric::~Fabric() = default;
+
+void
+Fabric::initCommon()
+{
+    // Built after the nodes' links so that those keep the obs
+    // instance numbers (net.link<i>) a fabric has always given them.
+    LinkConfig loop;
+    loop.bandwidthBitsPerSec = std::numeric_limits<double>::infinity();
+    loop.propagation =
+        topo_ ? topo_->switchCfg.forwardLatency : cfg_.switchLatency;
+    loop.perPacketOverheadBytes = 0;
+    loop_ = std::make_unique<Link>(eq_, loop);
+    obs_.init("net.fabric");
+    obs_.counter("host_pauses", &stats_.hostPauses);
 }
 
 Link &

@@ -1,22 +1,23 @@
 /**
  * @file
- * Switched fabric, in two modes behind one API.
+ * Switched fabric, in two modes behind one API, one constructor each.
  *
- * Legacy mode (the default constructor): N nodes star-wired through
+ * Legacy mode (Fabric(eq, nodes, cfg)): N nodes star-wired through
  * one transparent switch — dedicated uplink/downlink per node, a
  * fixed cut-through latency, unbounded implicit queueing on the
  * links themselves. This is the paper's testbed (8 servers on a
  * SwitchX-2) and the path every existing call site rides; its event
  * sequence is pinned bit-identical by scripts/golden_digests.sha256.
  *
- * Topology mode (construct with a net::Topology): real multi-switch
- * fabrics — per-port bounded egress queues, ECMP next-hop selection,
+ * Topology mode (Fabric(eq, topology)): real multi-switch fabrics —
+ * per-port bounded egress queues, ECMP next-hop selection,
  * ECN marking and per-priority PFC pause/resume (net/switch.hh),
  * with host uplinks modeled as queueing NIC ports that PFC can
- * pause. Destination-side metadata (CE mark, class) is published
- * through rx() for the duration of the delivery callback, which is
- * how ib::QueuePair's DCQCN notification point sees marks without
- * the fabric knowing transport framing.
+ * pause. A caller holding a spec string parses it first
+ * (Topology::parse). Destination-side metadata (CE mark, class) is
+ * published through rx() for the duration of the delivery callback,
+ * which is how ib::QueuePair's DCQCN notification point sees marks
+ * without the fabric knowing transport framing.
  *
  * Every packet of every plane parks in one pooled net::FabricPacket
  * (net/packet.hh) while it crosses, and a src == dst packet turns
@@ -31,7 +32,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -85,19 +85,12 @@ class Fabric
         unsigned priority = 0;
     };
 
-    /** Legacy single-switch mode. */
+    /** Legacy mode: @p nodes star-wired through one switch. */
     Fabric(sim::EventQueue &eq, unsigned nodes, FabricConfig cfg = {});
 
-    /**
-     * Legacy mode when @p topology_spec is empty, otherwise topology
-     * mode parsed from it (net/topology.hh grammar; the spec's host
-     * count must equal @p nodes). Malformed specs abort with a
-     * diagnostic — a config error, not a runtime condition.
-     */
-    Fabric(sim::EventQueue &eq, unsigned nodes, FabricConfig cfg,
-           const std::string &topology_spec);
-
-    /** Topology mode over an already-built (validated) topology. */
+    /** Topology mode over @p topo. A topology that fails
+     *  Topology::validate() aborts with its diagnostic: a config
+     *  error, not a runtime condition. */
     Fabric(sim::EventQueue &eq, const Topology &topo);
 
     ~Fabric();
@@ -242,9 +235,8 @@ class Fabric
     friend class Egress;
     friend class Switch;
 
-    /** What every constructor ends with: the loopback link and obs. */
+    /** What both constructors end with: the loopback link and obs. */
     void initCommon();
-    void buildTopology(const Topology &topo);
     void sendTopo(unsigned src, unsigned dst, std::size_t bytes,
                   unsigned priority, std::uint32_t flow,
                   sim::EventQueue::Callback deliver);

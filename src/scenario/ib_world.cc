@@ -79,6 +79,31 @@ KvWorld::connect(unsigned endpoints)
     }
 }
 
+IncastRig::IncastRig(const net::Topology &topo, const Options &o)
+    : fabric(eq, topo), victimMm(2 * kGiB),
+      victimAs(victimMm.createAddressSpace("victim")), victimNpfc(eq)
+{
+    for (unsigned host : o.senders)
+        senders.emplace_back(*this, host, o);
+}
+
+IncastRig::Sender::Sender(IncastRig &rig, unsigned host, const Options &o)
+    : mm(2 * kGiB), as(mm.createAddressSpace("sender")), npfc(rig.eq),
+      ch(npfc.attach(as)), vch(rig.victimNpfc.attach(rig.victimAs)),
+      qp(rig.eq, rig.fabric, host, npfc, ch, o.qp, 100 + host),
+      vqp(rig.eq, rig.fabric, 0, rig.victimNpfc, vch, o.qp, 200 + host)
+{
+    qp.connect(vqp);
+    vqp.connect(qp);
+    src = as.allocRegion(o.regionBytes);
+    dst = rig.victimAs.allocRegion(o.regionBytes);
+    npfc.prefault(ch, src, o.regionBytes, true);
+    if (o.warmVictim)
+        rig.victimNpfc.prefault(vch, dst, o.regionBytes, true);
+    else
+        rig.victimAs.touch(dst, o.regionBytes, /*write=*/true);
+}
+
 StreamWorld::StreamWorld(sim::EventQueue &q, sim::ShardedEngine &engine,
                          unsigned s, unsigned shards)
     : eq(q), mm(1 * kGiB), as(mm.createAddressSpace("stream")), npfc(eq),

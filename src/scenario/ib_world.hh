@@ -2,8 +2,9 @@
  * @file
  * The InfiniBand worlds, defined once for the benches, tests and
  * examples: the connected RC pair, the two-host IB base, the KV-RPC
- * world over RC QPs on top of it, and the cross-shard RC stream ring
- * of the sharded engine's scaling runs.
+ * world over RC QPs on top of it, the incast world of the switched
+ * fabric, and the cross-shard RC stream ring of the sharded engine's
+ * scaling runs.
  * Each builds in a fixed order, because construction order is part of
  * the simulated result. A caller that must act between stages (open
  * an obs session on the base, or set a registration discipline before
@@ -122,6 +123,51 @@ struct KvWorld
     /** Add @p endpoints RC QP pairs, one server session and one pool
      *  transport each, dealt round-robin over the client hosts. */
     void connect(unsigned endpoints);
+};
+
+/**
+ * Incast on a switched fabric: a victim host at node 0 and one host
+ * per listed sender, 2 GiB each. Sender host h has one RC QP (seed
+ * 100 + h) connected to a victim-side QP (seed 200 + h) on a channel
+ * of its own on the victim's controller, as a multi-QP NIC has. Each
+ * sender gets a prefaulted source region and a region on the victim:
+ * prefaulted when warm, only CPU-touched when cold, so that the
+ * victim's NIC raises rNPFs on it. Built in this order: the victim,
+ * then per sender its host, both channels, both QPs, the connects and
+ * the regions. The rig owns its event queue.
+ */
+struct IncastRig
+{
+    struct Options
+    {
+        std::vector<unsigned> senders; ///< sender hosts, none of them 0
+        ib::QpConfig qp{};             ///< every QP on both sides
+        std::size_t regionBytes = 0;   ///< each region, per sender
+        bool warmVictim = true;        ///< prefault the victim regions
+    };
+
+    struct Sender
+    {
+        mem::MemoryManager mm;
+        mem::AddressSpace &as;
+        core::NpfController npfc;
+        core::ChannelId ch, vch; ///< sender side, victim side
+        ib::QueuePair qp;        ///< at the sender host
+        ib::QueuePair vqp;       ///< its peer on the victim
+        mem::VirtAddr src = 0;   ///< source region, sender side
+        mem::VirtAddr dst = 0;   ///< destination region, victim side
+
+        Sender(IncastRig &rig, unsigned host, const Options &o);
+    };
+
+    sim::EventQueue eq;
+    net::Fabric fabric;
+    mem::MemoryManager victimMm;
+    mem::AddressSpace &victimAs;
+    core::NpfController victimNpfc;
+    std::deque<Sender> senders;
+
+    IncastRig(const net::Topology &topo, const Options &o);
 };
 
 /**

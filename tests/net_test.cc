@@ -2,8 +2,8 @@
  * @file
  * Unit tests for the link and fabric models: serialization delay,
  * FIFO ordering, propagation, switch forwarding, the wire-level
- * fault matrix, loopback accounting and the lifetime of the fabric's
- * pooled packets.
+ * fault matrix, loopback accounting, the lifetime of the fabric's
+ * pooled packets and the fabric's input checks.
  */
 
 #include <gtest/gtest.h>
@@ -16,6 +16,8 @@
 #include "fault/fault.hh"
 #include "net/fabric.hh"
 #include "net/link.hh"
+#include "net/topology.hh"
+#include "sim/shard.hh"
 
 using namespace npf;
 using namespace npf::net;
@@ -242,13 +244,15 @@ std::unique_ptr<Fabric>
 makeFabric(sim::EventQueue &eq, Plane plane, unsigned nodes,
            sim::Time switch_latency)
 {
-    FabricConfig cfg;
-    cfg.switchLatency = switch_latency;
-    std::string spec;
-    if (plane == Plane::Topology)
-        spec = "star:hosts=" + std::to_string(nodes) +
-               ",fwd=" + std::to_string(switch_latency);
-    return std::make_unique<Fabric>(eq, nodes, cfg, spec);
+    if (plane != Plane::Topology) {
+        FabricConfig cfg;
+        cfg.switchLatency = switch_latency;
+        return std::make_unique<Fabric>(eq, nodes, cfg);
+    }
+    auto topo = Topology::parse("star:hosts=" + std::to_string(nodes) +
+                                ",fwd=" + std::to_string(switch_latency));
+    EXPECT_TRUE(topo.has_value());
+    return std::make_unique<Fabric>(eq, *topo);
 }
 
 constexpr std::uint32_t kKind = 7; // any demux key
@@ -422,4 +426,50 @@ TEST(Fabric, EveryPlaneReleasesEachDescriptorOnce)
             EXPECT_EQ(delivered, want);
         }
     }
+}
+
+// --- input checks -----------------------------------------------------
+// Wiring errors, checked in every build: each would otherwise index
+// past a table or hand a record to nobody.
+
+TEST(FabricDeathTest, InvalidTopologyAborts)
+{
+    sim::EventQueue eq;
+    Topology t = Topology::star(2);
+    t.switches = 2; // s1 has no edges
+    EXPECT_DEATH(Fabric(eq, t), "Fabric: topology: graph is not connected");
+}
+
+TEST(FabricDeathTest, RecordPlaneIsLegacyOnly)
+{
+    sim::EventQueue eq;
+    Fabric fabric(eq, Topology::star(2));
+    sim::ShardedEngine engine({});
+    EXPECT_DEATH(fabric.shardBind(engine, 0, {0, 0}),
+                 "shardBind is legacy-mode only");
+    WireRecord rec;
+    rec.dst = 1;
+    EXPECT_DEATH(fabric.sendRecord(rec), "sendRecord is legacy-mode only");
+}
+
+TEST(FabricDeathTest, SecondRxBindingAborts)
+{
+    sim::EventQueue eq;
+    Fabric fabric(eq, 2);
+    fabric.bindRx(1, kKind, [](const WireRecord &) {});
+    EXPECT_DEATH(fabric.bindRx(1, kKind, [](const WireRecord &) {}),
+                 "duplicate rx binding node 1 kind 7");
+}
+
+TEST(FabricDeathTest, RecordToUnboundKindAborts)
+{
+    sim::EventQueue eq;
+    Fabric fabric(eq, 2);
+    fabric.bindRx(1, kKind, [](const WireRecord &) {});
+    WireRecord rec;
+    rec.src = 0;
+    rec.dst = 1;
+    rec.kind = kKind + 1;
+    fabric.sendRecord(rec);
+    EXPECT_DEATH(eq.run(), "record for unbound \\(node 1, kind 8\\)");
 }

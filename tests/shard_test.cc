@@ -394,8 +394,7 @@ namespace {
  */
 std::uint64_t
 runPartitioned(unsigned ranks, unsigned shards,
-               sim::Time lookahead =
-                   hpc::ClusterConfig{}.fabric.recordLookahead())
+               sim::Time lookahead = net::kFdrFabric.recordLookahead())
 {
     sim::ShardedEngine::Config ec;
     ec.shards = shards;
