@@ -119,7 +119,7 @@ regKvRun(core::RegMode mode, std::uint64_t seed, sim::Time warm,
     sim::EventQueue eq;
     scenario::IbBed bed(eq);
     scenario::KvWorld w(bed, pc, load::RecorderConfig{warm, meas},
-                        {.reg = mode, .reserveHistograms = true});
+                        {.reg = mode});
     w.connect(4);
     load::ClientPool &pool = w.pool;
     pool.start();

@@ -209,10 +209,10 @@ runIbOpenLoop(const char *name, sim::Time warm, sim::Time meas,
 
     sim::EventQueue eq;
     IbBed bed(eq);
-    // Histogram bucket windows must exist before the first in-window
-    // completion, or the gate counts their growth.
-    KvWorld w(bed, pc, load::RecorderConfig{warm, meas},
-              {.reserveHistograms = true});
+    // KvWorld pre-sizes the histogram bucket windows: they must exist
+    // before the first in-window completion, or the gate counts their
+    // growth.
+    KvWorld w(bed, pc, load::RecorderConfig{warm, meas}, {});
     w.connect(4);
     load::ClientPool &pool = w.pool;
     pool.start();

@@ -192,6 +192,30 @@ if cmp -s "$smokedir/a/load_seed1.txt" "$smokedir/a/load_seed2.txt"; then
     echo "FAIL: load seeds 1 and 2 produced identical runs"
     exit 1
 fi
+# A lossy link under a 1 ms timeout: each abandoned request waits out
+# its retry backoff on an engine event of its own, then resends. The
+# sweep table's retry column must be nonzero.
+retry_args="--clients=2000 --endpoints=8 --rates=20k \
+    --workload=keys=zipf:n=5k,theta=0.99;get=0.9 \
+    --warmup=50ms --duration=100ms --timeout=1ms --retries=2 \
+    --fault-plan=link:drop:rate=0.01 --seed=1"
+replay_twice load_retry.txt "$asan/load_sweep" $retry_args
+awk '$1 == "offered/s" {
+        for (i = 1; i <= NF; i++)
+            if ($i == "retry")
+                col = i
+        next
+    }
+    col && NF {
+        print "load retry smoke: " $col " retries"
+        ok = $col + 0 > 0
+        col = 0
+    }
+    END { exit !ok }' "$smokedir/a/load_retry.txt" || {
+    echo "FAIL: load_sweep under a lossy link retried nothing"
+    cat "$smokedir/a/load_retry.txt"
+    exit 1
+}
 # A million clients over 64 endpoints, short window: the pool keeps
 # in-flight state in the client flyweights, so memory grows with
 # clients + endpoints, not their product (docs/WORKLOADS.md).

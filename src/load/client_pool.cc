@@ -17,7 +17,6 @@ ClientPool::ClientPool(sim::EventQueue &eq, PoolConfig cfg)
     clients_.reserve(cfg_.clients);
     if (cfg_.sweepInterval == 0 && cfg_.timeout != 0)
         cfg_.sweepInterval = std::max<sim::Time>(cfg_.timeout / 4, 1);
-    wheel_.resize(kPool.calendarSlots);
     // The idle stack and the backlog ring have hard occupancy bounds;
     // reserve them up front so a rare burst never regrows them inside
     // an alloc-gated measure window (bench/stack_bench.cc asserts
@@ -94,12 +93,12 @@ void
 ClientPool::stop()
 {
     eq_.cancel(arrivalEvent_);
-    eq_.cancel(wheelEvent_);
     eq_.cancel(sweepEvent_);
-    arrivalEvent_ = wheelEvent_ = sweepEvent_ = sim::kInvalidEvent;
-    for (auto &slot : wheel_)
-        slot.clear();
-    wheelCount_ = 0;
+    arrivalEvent_ = sweepEvent_ = sim::kInvalidEvent;
+    for (Client &cl : clients_) {
+        eq_.cancel(cl.wake);
+        cl.wake = sim::kInvalidEvent;
+    }
 }
 
 void
@@ -264,7 +263,7 @@ ClientPool::finishClient(std::uint32_t c)
     if (a.expThink)
         thinkNs = thinkRng_.exponential(thinkNs);
     cl.state = Client::State::Thinking;
-    calendarInsert(eq_.now() + sim::Time(thinkNs), c);
+    wakeAt(eq_.now() + sim::Time(thinkNs), c);
 }
 
 // --- open-loop arrivals ----------------------------------------------
@@ -309,60 +308,28 @@ ClientPool::onArrival()
     armArrival();
 }
 
-// --- calendar wheel ---------------------------------------------------
+// --- think and backoff wake-ups ---------------------------------------
 
 void
-ClientPool::calendarInsert(sim::Time when, std::uint32_t c)
+ClientPool::wakeAt(sim::Time when, std::uint32_t c)
 {
-    clients_[c].wakeAt = when;
-    if (wheelCount_ == 0) {
-        // Wheel idle: re-anchor it at the current time.
-        wheelTime_ = eq_.now();
-    }
-    sim::Time delta = when > wheelTime_ ? when - wheelTime_ : 0;
-    std::size_t idx =
-        std::min<std::size_t>(delta / kPool.calendarBucket,
-                              kPool.calendarSlots - 1);
-    wheel_[(wheelHead_ + idx) % kPool.calendarSlots].push_back(c);
-    ++wheelCount_;
-    if (wheelEvent_ == sim::kInvalidEvent)
-        wheelEvent_ = eq_.schedule(wheelTime_ + kPool.calendarBucket,
-                                   [this] { calendarFire(); },
-                                   "load.pool.calendar");
+    // One event per waiting client, at its exact wake time; keep the
+    // closure inline so a wake-up never heap-allocates its capture.
+    auto fire = [this, c] { wake(c); };
+    static_assert(sim::Delegate::fitsInline<decltype(fire)>,
+                  "wake-up closure must stay inline");
+    clients_[c].wake = eq_.schedule(when, std::move(fire), "load.pool.wake");
 }
 
 void
-ClientPool::calendarFire()
+ClientPool::wake(std::uint32_t c)
 {
-    wheelEvent_ = sim::kInvalidEvent;
-    // Swap the due slot into a member scratch buffer instead of a
-    // local: a local's storage died with it every fire, so the slot
-    // came back with zero capacity and the next inserts reallocated.
-    // The scratch and the slot buffers now ping-pong and both settle
-    // at the high-water mark — steady-state fires allocate nothing.
-    dueScratch_.clear();
-    dueScratch_.swap(wheel_[wheelHead_]);
-    wheelHead_ = (wheelHead_ + 1) % kPool.calendarSlots;
-    wheelTime_ += kPool.calendarBucket;
-    wheelCount_ -= dueScratch_.size();
-
-    for (std::uint32_t c : dueScratch_) {
-        Client &cl = clients_[c];
-        if (cl.wakeAt > wheelTime_) {
-            // Clamped far-future insert: not due yet, cascade onward.
-            calendarInsert(cl.wakeAt, c);
-            continue;
-        }
-        if (cl.state == Client::State::Thinking) {
-            issueNew(c, eq_.now());
-        } else if (cl.state == Client::State::Backoff) {
-            send(c); // resend, keeping key and intended time
-        }
-    }
-    if (wheelCount_ > 0 && wheelEvent_ == sim::kInvalidEvent)
-        wheelEvent_ = eq_.schedule(wheelTime_ + kPool.calendarBucket,
-                                   [this] { calendarFire(); },
-                                   "load.pool.calendar");
+    Client &cl = clients_[c];
+    cl.wake = sim::kInvalidEvent;
+    if (cl.state == Client::State::Thinking)
+        issueNew(c, eq_.now());
+    else
+        send(c); // Backoff: resend, keeping key and intended time
 }
 
 // --- timeout sweep ----------------------------------------------------
@@ -389,7 +356,7 @@ ClientPool::sweep()
             if (cl.attempt < cfg_.maxRetries) {
                 ++cl.attempt;
                 cl.state = Client::State::Backoff;
-                calendarInsert(now + backoffDelay(cl.attempt), c);
+                wakeAt(now + backoffDelay(cl.attempt), c);
             } else {
                 ++giveups_;
                 if (rec_)

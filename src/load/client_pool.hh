@@ -12,10 +12,13 @@
  *    open-loop arrival takes a released client before it issues a
  *    new one, so resident memory follows the peak number of busy
  *    clients, not the client count;
- *  - the pool schedules O(1) simulator events regardless of client
- *    count: one arrival event (open loop), one calendar-wheel event
- *    (think times and retry backoffs), one timeout-sweep event.
- *    Completions ride the transports' own callbacks;
+ *  - the pool's standing events do not grow with the client count:
+ *    one arrival event (open loop) and one timeout-sweep event.
+ *    Completions ride the transports' own callbacks, and a zero-think
+ *    closed loop re-issues inline from them. Only a client that waits
+ *    out a think time or a retry backoff holds an engine event of its
+ *    own, filed at its exact wake time (one engine slab entry, ~176 B,
+ *    while it waits);
  *  - in-flight requests are matched FIFO per endpoint (transports
  *    are ordered channels), so no per-request maps exist. A client
  *    has at most one request on the wire, so its in-flight record
@@ -81,14 +84,11 @@ class Transport
                        bool is_set, std::size_t bytes) = 0;
 };
 
-/** Fixed pool parameters: retry backoff and the think-time wheel. */
+/** Fixed pool parameters: the retry backoff. */
 struct PoolParams
 {
     sim::Time backoffBase = 100 * sim::kMicrosecond;
     sim::Time backoffCap = 10 * sim::kMillisecond;
-
-    sim::Time calendarBucket = 64 * sim::kMicrosecond;
-    std::size_t calendarSlots = 4096;
 };
 
 /** Every pool's fixed parameters. */
@@ -193,14 +193,15 @@ class ClientPool
 
         std::uint64_t key = 0;     ///< pending request key
         sim::Time intended = 0;    ///< schedule position (CO anchor)
-        sim::Time wakeAt = 0;      ///< calendar re-check guard
         sim::Time sent = 0;        ///< wire time of the in-flight request
+        sim::EventId wake = sim::kInvalidEvent; ///< Thinking/Backoff timer
         std::uint32_t next = kNoClient; ///< endpoint FIFO link
         std::uint16_t serial = 0;  ///< in-flight request's serial
         std::uint8_t attempt = 0;  ///< resend count for this request
         bool isSet = false;
         State state = State::Idle;
     };
+    static_assert(sizeof(Client) == 48, "a client flyweight is 48 bytes");
 
     /** Transport plus its in-flight FIFO, linked through clients_. */
     struct Endpoint
@@ -220,8 +221,8 @@ class ClientPool
     void finishClient(std::uint32_t c);
     void onArrival();
     void armArrival();
-    void calendarInsert(sim::Time when, std::uint32_t c);
-    void calendarFire();
+    void wakeAt(sim::Time when, std::uint32_t c);
+    void wake(std::uint32_t c);
     void sweep();
     sim::Time backoffDelay(unsigned attempt) const;
 
@@ -246,14 +247,6 @@ class ClientPool
     // materialises a never-issued one.
     std::vector<std::uint32_t> idle_;
     sim::RingDeque<sim::Time> backlog_;
-
-    // Calendar wheel: slots of client indices, one armed event.
-    std::vector<std::vector<std::uint32_t>> wheel_;
-    std::vector<std::uint32_t> dueScratch_; ///< calendarFire swap buffer
-    std::size_t wheelHead_ = 0;
-    sim::Time wheelTime_ = 0;   ///< start time of wheel_[wheelHead_]
-    std::size_t wheelCount_ = 0;
-    sim::EventId wheelEvent_ = sim::kInvalidEvent;
 
     sim::EventId arrivalEvent_ = sim::kInvalidEvent;
     sim::EventId sweepEvent_ = sim::kInvalidEvent;

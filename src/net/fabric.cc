@@ -271,6 +271,17 @@ Fabric::shardBind(sim::ShardedEngine &engine, unsigned my_shard,
                 });
 }
 
+sim::Time
+Fabric::recordLookahead() const
+{
+    if (topo_ != nullptr) {
+        std::fprintf(stderr,
+                     "Fabric: recordLookahead is legacy-mode only\n");
+        std::abort();
+    }
+    return cfg_.recordLookahead();
+}
+
 void
 Fabric::sendRecord(const WireRecord &rec)
 {

@@ -170,8 +170,9 @@ class Fabric
      */
     void sendRecord(const WireRecord &rec);
 
-    /** FabricConfig::recordLookahead() of this fabric. */
-    sim::Time recordLookahead() const { return cfg_.recordLookahead(); }
+    /** FabricConfig::recordLookahead() of this fabric (legacy mode
+     *  only: a topology's wires and switches set no single bound). */
+    sim::Time recordLookahead() const;
 
     /** The node's transmit wire: legacy uplink, or the host NIC
      *  port's wire in topology mode. busyUntil() remains the

@@ -73,9 +73,7 @@ Session::Session(sim::EventQueue &eq, SessionOptions opt)
     obs_.counter("scheduled", &st.scheduled);
     obs_.counter("executed", &st.executed);
     obs_.counter("cancelled", &st.cancelled);
-    obs_.counter("cancelled_reaped", &st.cancelledReaped);
     obs_.gauge("live", [this] { return double(eq_.live()); });
-    obs_.gauge("pending", [this] { return double(eq_.pending()); });
 
     if (opt_.sampleInterval > 0) {
         std::vector<std::string> names = opt_.sampledCounters;

@@ -88,8 +88,9 @@ struct IbBed
  * KV RPC over RC on an IbBed: a zero-copy KvRcServer on the server
  * host with keys 0..n-1 of the pool's key space set (server, items
  * and transports at the default app::KvRpcConfig), and a
- * load::ClientPool recording into a load::Recorder. connect() adds
- * the endpoints; the caller starts the pool.
+ * load::ClientPool recording into a load::Recorder whose latency
+ * histograms are pre-sized for allocation-gated windows. connect()
+ * adds the endpoints; the caller starts the pool.
  */
 struct KvWorld
 {
@@ -102,9 +103,6 @@ struct KvWorld
         /// server QP is seeded 2i + 1 and its client QP 2i + 2; a seed
         /// is drawn only when synthetic faults are on.
         ib::QpConfig clientQp{};
-        /// Reserve the recorder's histogram windows up front, so an
-        /// allocation-gated window never sees them grow.
-        bool reserveHistograms = false;
     };
 
     IbBed &bed;

@@ -7,10 +7,10 @@
  * shared EventQueue. Events scheduled for the same tick execute in
  * FIFO order of scheduling, which makes runs fully deterministic.
  *
- * Internals: a hierarchical timer wheel (six 256-slot levels, 16.4 us
- * finest granularity, ~146 years total span) with an overflow list for
- * the far future, slab-allocated intrusive entries recycled through a
- * free list, and generation-stamped handles for O(1) cancellation.
+ * Internals: a hierarchical timer wheel (seven levels, 16.4 us finest
+ * granularity, the coarsest covering every 64-bit time), slab-allocated
+ * intrusive entries recycled through a free list, and
+ * generation-stamped handles for O(1) cancellation.
  * The imminent 16.4 us window is drained through a binary heap so
  * the determinism contract — global (time, schedule-sequence) order —
  * is preserved bit-identically against the old binary-heap engine
@@ -65,12 +65,10 @@ class EventQueue
     /** Lifetime counters, exported by the observability layer. */
     struct Stats
     {
-        std::uint64_t scheduled = 0;       ///< schedule() calls
-        std::uint64_t executed = 0;        ///< callbacks actually run
-        std::uint64_t cancelled = 0;       ///< cancel() calls that hit
-                                           ///< a live event
-        std::uint64_t cancelledReaped = 0; ///< cancelled entries
-                                           ///< discarded unexecuted
+        std::uint64_t scheduled = 0; ///< schedule() calls
+        std::uint64_t executed = 0;  ///< callbacks actually run
+        std::uint64_t cancelled = 0; ///< cancel() calls that hit a live
+                                     ///< event (reclaimed on the spot)
     };
 
     /**
@@ -187,19 +185,14 @@ class EventQueue
         if (e.bucket != kBucketCurrent)
             unlink(idx);
         ++stats_.cancelled;
-        ++stats_.cancelledReaped;
         --liveCount_;
         freeSlot(idx); // may run capture destructors; keep last
     }
 
     /**
-     * Number of events still queued. Cancelled events are reclaimed
-     * immediately (unlike the old heap engine, which reaped them
-     * lazily), so this equals live().
+     * Number of scheduled events that will actually execute: cancel()
+     * reclaims an entry on the spot, so nothing dead stays queued.
      */
-    std::size_t pending() const { return liveCount_; }
-
-    /** Number of scheduled events that will actually execute. */
     std::size_t live() const { return liveCount_; }
 
     /** True when nothing is left to run. */
@@ -295,15 +288,14 @@ class EventQueue
     insert(Time when, std::uint64_t seq, Callback &&cb, const char *site)
     {
         // Idle queue: re-anchor the wheels at the new event, in either
-        // direction — forward so a long quiet gap does not force it
-        // through the overflow list, backward so a queue parked at the
-        // far future (a drained "never" sentinel) recovers. Only ghost
-        // heap items can remain, and those are skipped by generation.
+        // direction — forward so a long quiet gap does not file it into
+        // a coarse level, backward so a queue parked at the far future
+        // (a drained "never" sentinel) recovers. Only ghost heap items
+        // can remain, and those are skipped by generation.
         if (liveCount_ == 0) {
             base_ = when & ~Time(kSlotSpan0 - 1);
             curWindowEnd_ = saturatingAdd(base_, kSlotSpan0);
             wheelMin_ = kTimeMax;
-            overflowMin_ = kTimeMax;
         }
         std::uint32_t idx = allocSlot();
         Entry &e = slab_[idx];
@@ -382,16 +374,18 @@ class EventQueue
   public:
     // --- geometry -------------------------------------------------------
     //
-    // Six wheel levels of 256 slots; level L slots are 2^(14+8L) ns
-    // wide. Level 0 resolves 16.4 us buckets; the whole hierarchy
-    // spans 2^62 ns (~146 years) ahead of base_. Anything farther
-    // (e.g. kTimeMax "never" timers) waits in the overflow list.
+    // Seven wheel levels of 256 slots; level L slots are 2^(14+8L) ns
+    // wide. Level 0 resolves 16.4 us buckets, and levels 0-5 span
+    // 2^62 ns (~146 years) ahead of base_. Level 6's slots are 2^62 ns
+    // wide, so its four reachable slots cover every 64-bit time at or
+    // after base_: it takes whatever the finer levels do not, kTimeMax
+    // "never" timers included.
     //
     // Why 16.4 us: packet events sit a few hundred ns apart, so with
     // 64 ns slots advance() rescanned all six levels for nearly every
     // event; a 16.4 us slot drains ~50 of them per scan into curHeap_,
     // which orders them exactly. Much wider slots only deepen the heap.
-    static constexpr unsigned kLevels = 6;
+    static constexpr unsigned kLevels = 7;
     static constexpr unsigned kSlotBits = 8;
     static constexpr unsigned kSlots = 1u << kSlotBits;   // 256
     static constexpr unsigned kShift0 = 14;               // 16.4 us
@@ -404,9 +398,8 @@ class EventQueue
     }
 
     // Bucket ids: wheels first, then the special pseudo-buckets.
-    static constexpr std::uint32_t kBucketOverflow = kLevels * kSlots;
-    static constexpr std::uint32_t kBucketCurrent = kBucketOverflow + 1;
-    static constexpr std::uint32_t kBucketFree = kBucketOverflow + 2;
+    static constexpr std::uint32_t kBucketCurrent = kLevels * kSlots;
+    static constexpr std::uint32_t kBucketFree = kBucketCurrent + 1;
     static constexpr std::uint32_t kNil = 0xffffffffu;
 
     /** One slab slot: an intrusive doubly-linked list node. */
@@ -488,10 +481,7 @@ class EventQueue
         else
             slab_[b.tail].next = idx;
         b.tail = idx;
-        if (bucketIdx < kBucketOverflow)
-            setBit(bucketIdx / kSlots, bucketIdx % kSlots);
-        else
-            ++overflowCount_;
+        setBit(bucketIdx / kSlots, bucketIdx % kSlots);
     }
 
     void
@@ -507,17 +497,8 @@ class EventQueue
             b.tail = e.prev;
         else
             slab_[e.next].prev = e.prev;
-        if (e.bucket < kBucketOverflow) {
-            if (b.head == kNil)
-                clearBit(e.bucket / kSlots, e.bucket % kSlots);
-        } else {
-            // A stale-low overflowMin_ is harmless while entries
-            // remain (it only triggers an early pull), but must not
-            // linger once the list empties: trustTop() would then
-            // spin advance() forever chasing a phantom minimum.
-            if (--overflowCount_ == 0)
-                overflowMin_ = kTimeMax;
-        }
+        if (b.head == kNil)
+            clearBit(e.bucket / kSlots, e.bucket % kSlots);
     }
 
     // --- occupancy bitmaps (256 bits per level) -------------------------
@@ -564,9 +545,10 @@ class EventQueue
 
     /**
      * File event @p idx (when = @p when) into the structure that owns
-     * its time range: the imminent-window heap, the finest wheel
-     * level whose 256-slot window (anchored at base_) reaches it, or
-     * the overflow list.
+     * its time range: the imminent-window heap, or the finest wheel
+     * level whose 256-slot window (anchored at base_) reaches it.
+     * Every queued time is at or after base_, so level 6 takes
+     * whatever levels 0-5 do not.
      */
     void
     place(std::uint32_t idx, Time when)
@@ -576,28 +558,21 @@ class EventQueue
             pushHeap(HeapItem{when, slab_[idx].seq, idx, slab_[idx].gen});
             return;
         }
-        for (unsigned level = 0; level < kLevels; ++level) {
-            unsigned sh = levelShift(level);
-            if ((when >> sh) - (base_ >> sh) < kSlots) {
-                unsigned slot = (when >> sh) & (kSlots - 1);
-                if (when < wheelMin_)
-                    wheelMin_ = when;
-                linkTail(level * kSlots + slot, idx);
-                return;
-            }
-        }
-        if (when < overflowMin_)
-            overflowMin_ = when;
-        linkTail(kBucketOverflow, idx);
+        unsigned level = 0;
+        unsigned sh = kShift0;
+        while (level + 1 < kLevels && (when >> sh) - (base_ >> sh) >= kSlots)
+            sh = levelShift(++level);
+        if (when < wheelMin_)
+            wheelMin_ = when;
+        linkTail(level * kSlots + unsigned((when >> sh) & (kSlots - 1)), idx);
     }
 
     // --- advancement ----------------------------------------------------
 
     /**
      * Make the earliest pending events available in curHeap_ by
-     * cascading wheel buckets (and pulling the overflow list) until
-     * the imminent window holds the global minimum. Returns false
-     * when nothing is queued anywhere.
+     * cascading wheel buckets until the imminent window holds the
+     * global minimum. Returns false when nothing is queued anywhere.
      */
     bool
     advance()
@@ -629,20 +604,6 @@ class EventQueue
             // so the earliest candidate start is an exact lower bound;
             // refresh the (possibly stale-low) cache with it.
             wheelMin_ = bestLevel >= 0 ? bestStart : kTimeMax;
-
-            // The overflow list holds events that were beyond the
-            // wheels when scheduled; pull it back in whenever its
-            // (conservative) minimum could precede the next window.
-            if (overflowCount_ > 0) {
-                bool mustPull = bestLevel < 0 && curHeap_.empty();
-                Time limit = bestLevel >= 0
-                                 ? saturatingAdd(bestStart, kSlotSpan0)
-                                 : curWindowEnd_;
-                if (mustPull || overflowMin_ < limit) {
-                    pullOverflow(mustPull);
-                    continue;
-                }
-            }
 
             if (!curHeap_.empty() &&
                 (bestLevel < 0 || bestStart >= curWindowEnd_))
@@ -704,34 +665,6 @@ class EventQueue
         return head;
     }
 
-    /**
-     * Re-place every overflow event that now fits the wheels. When
-     * nothing nearer exists (@p rebase), first jump base_ to the true
-     * overflow minimum so at least that event lands in a wheel.
-     */
-    void
-    pullOverflow(bool rebase)
-    {
-        BucketList &b = buckets_[kBucketOverflow];
-        Time trueMin = kTimeMax;
-        for (std::uint32_t i = b.head; i != kNil; i = slab_[i].next)
-            trueMin = std::min(trueMin, slab_[i].when);
-        overflowMin_ = trueMin;
-        if (rebase && trueMin > curWindowEnd_) {
-            base_ = trueMin & ~Time(kSlotSpan0 - 1);
-            curWindowEnd_ = saturatingAdd(base_, kSlotSpan0);
-        }
-        std::uint32_t idx = b.head;
-        b.head = b.tail = kNil;
-        overflowCount_ = 0;
-        overflowMin_ = kTimeMax;
-        while (idx != kNil) {
-            std::uint32_t next = slab_[idx].next;
-            place(idx, slab_[idx].when); // re-files or re-appends
-            idx = next;
-        }
-    }
-
     // --- imminent-window heap ------------------------------------------
 
     struct HeapGreater
@@ -762,29 +695,26 @@ class EventQueue
     /**
      * True when the imminent-window heap's top is provably the global
      * minimum. Normally every curHeap_ entry precedes everything in
-     * the wheels and the overflow list by construction, but that
-     * invariant can lapse at the very end of the time axis (a window
-     * anchored at kTimeMax cannot extend past it), so the hot path
-     * re-checks against two conservative lower bounds — never too
-     * high, so a stale value costs an advance() rescan, never a
-     * misordered event.
+     * the wheels by construction, but that invariant can lapse at the
+     * very end of the time axis (a window anchored at kTimeMax cannot
+     * extend past it), so the hot path re-checks against a
+     * conservative lower bound — never too high, so a stale value
+     * costs an advance() rescan, never a misordered event.
      */
     bool
     trustTop(Time when) const
     {
-        return when <= wheelMin_ && when <= overflowMin_;
+        return when <= wheelMin_;
     }
 
     std::vector<Entry> slab_;
     std::uint32_t freeHead_ = kNil;
-    std::array<BucketList, kLevels * kSlots + 1> buckets_{};
+    std::array<BucketList, kLevels * kSlots> buckets_{};
     std::array<std::array<std::uint64_t, 4>, kLevels> occ_{};
     std::vector<HeapItem> curHeap_;
     Time base_ = 0;                  ///< start of the imminent window
     Time curWindowEnd_ = kSlotSpan0; ///< events below this live in curHeap_
     Time wheelMin_ = kTimeMax;       ///< conservative (never too high)
-    Time overflowMin_ = kTimeMax;    ///< conservative (never too high)
-    std::size_t overflowCount_ = 0;
     std::size_t liveCount_ = 0;
     Time now_ = 0;
     std::uint64_t nextSeq_ = 1;

@@ -516,6 +516,7 @@ struct StubTransport final : Transport
     std::uint64_t slowIssue = 0; ///< 1-based issue to answer late
     sim::Time slowBy = 0;        ///< that response's service time
     std::vector<std::tuple<std::uint32_t, std::uint64_t, bool>> log;
+    std::vector<sim::Time> issuedAt; ///< eq.now() at each issue
     /** Per response: (serial, late-response delta, completion delta). */
     std::vector<std::tuple<std::uint32_t, std::uint64_t, std::uint64_t>>
         outcomes;
@@ -555,6 +556,7 @@ struct StubTransport final : Transport
           std::size_t) override
     {
         log.emplace_back(serial, key, is_set);
+        issuedAt.push_back(eq.now());
         if (watch != nullptr) {
             watch->peakInFlight =
                 std::max(watch->peakInFlight, pool->inFlight());
@@ -676,12 +678,10 @@ TEST(LoadPool, ClosedLoopThinkTimePacesClients)
     pool.start();
     eq.runUntil(10 * sim::kMillisecond);
     pool.stop();
-    // Each client cycles every ~101 us (wheel-bucket quantisation
-    // rounds think wakeups up by at most one 64 us bucket).
-    double perClient = 10000.0 / 101.0;
-    EXPECT_NEAR(double(pool.completions()), 4 * perClient,
-                4 * perClient * 0.4);
-    EXPECT_GT(pool.completions(), 100u);
+    // Each client completes at 1 us, then every 101 us (1 us of
+    // service plus exactly 100 us of think): at 1, 102, ..., 10 000 us,
+    // the last one on runUntil()'s inclusive bound, so 100 each.
+    EXPECT_EQ(pool.completions(), 400u);
 }
 
 TEST(LoadPool, StalledServerInflatesCorrectedLatencyOnly)
@@ -731,6 +731,43 @@ TEST(LoadPool, TimeoutsRetryWithBackoffThenSucceed)
     EXPECT_GE(pool.retries(), 5u);
     EXPECT_EQ(pool.giveups(), 0u);
     EXPECT_GT(pool.completions(), 10u);
+}
+
+TEST(LoadPool, RetriesResendExactlyOneBackoffAfterTheirTimeout)
+{
+    sim::EventQueue eq;
+    PoolConfig pc;
+    pc.clients = 1;
+    pc.seed = 33;
+    pc.workload.arrival.kind = ArrivalSpec::Kind::Closed;
+    pc.workload.keys.keys = 100;
+    pc.timeout = sim::kMillisecond;
+    pc.sweepInterval = 250 * sim::kMicrosecond;
+    pc.maxRetries = 3;
+    ClientPool pool(eq, pc);
+    StubTransport stub(eq);
+    stub.dropFirst = 2; // the first send and its first retry vanish
+    stub.connect(pool);
+    pool.start();
+    eq.runUntil(5 * sim::kMillisecond);
+    pool.stop();
+
+    // The send at 0 times out at the 1 ms sweep and goes out again
+    // one backoffBase later. That retry is 900 us old at the 2 ms
+    // sweep, so the 2.25 ms sweep abandons it, and the second retry
+    // waits twice backoffBase.
+    const sim::Time firstTimeout = sim::kMillisecond;
+    const sim::Time secondTimeout = 2250 * sim::kMicrosecond;
+    ASSERT_GE(stub.issuedAt.size(), 4u);
+    EXPECT_EQ(stub.issuedAt[0], 0u);
+    EXPECT_EQ(stub.issuedAt[1], firstTimeout + kPool.backoffBase);
+    EXPECT_EQ(stub.issuedAt[2], secondTimeout + 2 * kPool.backoffBase);
+    // The second retry is answered, so the next request follows it
+    // after one service time.
+    EXPECT_EQ(stub.issuedAt[3], stub.issuedAt[2] + stub.service);
+    EXPECT_EQ(pool.timeouts(), 2u);
+    EXPECT_EQ(pool.retries(), 2u);
+    EXPECT_EQ(pool.giveups(), 0u);
 }
 
 TEST(LoadPool, GivesUpAfterMaxRetriesAndStaysLive)

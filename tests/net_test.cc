@@ -450,6 +450,8 @@ TEST(FabricDeathTest, RecordPlaneIsLegacyOnly)
     WireRecord rec;
     rec.dst = 1;
     EXPECT_DEATH(fabric.sendRecord(rec), "sendRecord is legacy-mode only");
+    EXPECT_DEATH(fabric.recordLookahead(),
+                 "recordLookahead is legacy-mode only");
 }
 
 TEST(FabricDeathTest, SecondRxBindingAborts)

@@ -34,8 +34,7 @@ foldIbKv(scenario::Digest &d)
 
     sim::EventQueue eq;
     scenario::IbBed bed(eq);
-    scenario::KvWorld w(bed, pc, load::RecorderConfig{0, kWindow},
-                        {.reserveHistograms = true});
+    scenario::KvWorld w(bed, pc, load::RecorderConfig{0, kWindow}, {});
     w.connect(4);
     w.pool.start();
     eq.runUntil(kWindow);
