@@ -268,6 +268,20 @@ echo "== tier 5: engine smoke (engine_speed --smoke) =="
 run_gated "$smokedir/engine.txt" "replay_mismatches cancel_heavy_speedup" \
     ./build/bench/engine_speed --smoke --json="$smokedir/BENCH_engine.json"
 check_bench_json "$smokedir/BENCH_engine.json"
+# The engine's event order, pinned: each replay digest hashes every
+# executed event of one engine_speed workload in order, so a rewrite
+# that reorders a single event diverges from engine_digests.txt in
+# scripts/golden_digests_worlds.sha256 (tier 7 checks it again there).
+replay_twice engine_digests.txt sh -c \
+    "'$root/build/bench/engine_speed' --smoke --json=/dev/null |
+        grep 'replay digests:'"
+mkdir -p "$smokedir/worlds"
+cp "$smokedir/a/engine_digests.txt" "$smokedir/worlds/"
+grep ' engine_digests.txt$' scripts/golden_digests_worlds.sha256 |
+    (cd "$smokedir/worlds" && sha256sum -c) || {
+    echo "FAIL: engine_speed's replay digests diverged from their golden"
+    exit 1
+}
 
 echo "== tier 6: observability smoke (obs_overhead + trace validation) =="
 # Reduced-scale obs_overhead: the disabled-path gates must cost <2%
