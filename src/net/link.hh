@@ -86,23 +86,27 @@ class Link
      *  - Reorder/Delay: the one owner just arrives later.
      * tests/frame_lifecycle_test.cc pins all three with pool
      * live-count assertions. @p site labels the delivery event(s).
-     * @p deliver is any callable the event queue takes, kept as its
-     * own type until it is scheduled: that spares every hop one
-     * sim::Delegate relocation.
+     * @p deliver is any callable the event queue takes, forwarded
+     * to it untouched, so the event's entry is the only place the
+     * closure is built.
      * @return the arrival time.
      */
     template <typename F>
     sim::Time
-    send(std::size_t bytes, F deliver, const char *site = "net.link.deliver")
+    send(std::size_t bytes, F &&deliver,
+         const char *site = "net.link.deliver")
     {
         TxOutcome tx = transmit(bytes);
-        if (tx.dropped)
-            // deliver is destroyed unscheduled when send() returns,
-            // releasing the captured frame's payload slot.
+        if (tx.dropped) {
+            // Take the closure and destroy it unscheduled, releasing
+            // the captured frame's payload slot before send() returns.
+            [[maybe_unused]] std::remove_cvref_t<F> dead(
+                std::forward<F>(deliver));
             return tx.arrival;
+        }
         if (tx.duplicated)
             eq_.schedule(tx.dupArrival, deliver, site);
-        eq_.schedule(tx.arrival, std::move(deliver), site);
+        eq_.schedule(tx.arrival, std::forward<F>(deliver), site);
         return tx.arrival;
     }
 

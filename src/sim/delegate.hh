@@ -6,10 +6,12 @@
  * the per-packet scheduling paths: callables whose captures fit in the
  * inline buffer are stored in place (no heap allocation, no virtual
  * dispatch — one indirect call through a free-function stub). Larger
- * or throwing-move callables transparently fall back to a single heap
- * allocation that then travels by pointer steal, so a delegate passed
- * down a chain of hops (Fabric uplink -> switch -> downlink) costs at
- * most one allocation for its whole journey.
+ * or throwing-move callables fall back to one heap allocation.
+ *
+ * Construction costs exactly one move (of an rvalue) or one copy (of
+ * an lvalue): the constructor and assign() forward their argument
+ * straight into the storage. sim::EventQueue relies on that to build
+ * each event's callable once, in its slab entry, and run it there.
  *
  * The inline capacity is sized for the fattest per-packet closure in
  * the tree (an ib::QueuePair::Packet plus a peer pointer); use
@@ -48,7 +50,7 @@ class Delegate
                   std::is_invocable_r_v<void, std::remove_cvref_t<F> &>>>
     Delegate(F &&f)
     {
-        emplace<std::remove_cvref_t<F>>(std::forward<F>(f));
+        emplace(std::forward<F>(f));
     }
 
     Delegate(Delegate &&other) noexcept { moveFrom(other); }
@@ -85,6 +87,26 @@ class Delegate
 
     ~Delegate() { reset(); }
 
+    /**
+     * Replace the held callable with @p f. A callable is built in
+     * place from the argument (one move or one copy); a Delegate is
+     * moved or copied in.
+     */
+    template <typename F>
+    void
+    assign(F &&f)
+    {
+        if constexpr (std::is_same_v<std::remove_cvref_t<F>, Delegate>) {
+            *this = std::forward<F>(f);
+        } else {
+            static_assert(
+                std::is_invocable_r_v<void, std::remove_cvref_t<F> &>,
+                "a Delegate holds a void() callable");
+            reset();
+            emplace(std::forward<F>(f));
+        }
+    }
+
     /** Destroy the held callable, leaving the delegate empty. */
     void
     reset()
@@ -114,12 +136,14 @@ class Delegate
     using Invoke = void (*)(Storage *);
     using Manage = void (*)(Op, Storage *, const Storage *);
 
-    template <typename F>
+    /** Build the callable from @p f in storage; the delegate is empty. */
+    template <typename Arg>
     void
-    emplace(F f)
+    emplace(Arg &&f)
     {
+        using F = std::remove_cvref_t<Arg>;
         if constexpr (fitsInline<F>) {
-            ::new (static_cast<void *>(st_.buf)) F(std::move(f));
+            ::new (static_cast<void *>(st_.buf)) F(std::forward<Arg>(f));
             invoke_ = [](Storage *s) {
                 (*std::launder(reinterpret_cast<F *>(s->buf)))();
             };
@@ -144,7 +168,7 @@ class Delegate
                 }
             };
         } else {
-            st_.ptr = new F(std::move(f));
+            st_.ptr = new F(std::forward<Arg>(f));
             invoke_ = [](Storage *s) { (*static_cast<F *>(s->ptr))(); };
             manage_ = [](Op op, Storage *dst, const Storage *src) {
                 switch (op) {

@@ -16,6 +16,17 @@
  * is preserved bit-identically against the old binary-heap engine
  * (kept as tests/heap_event_queue.hh and proven equivalent by
  * tests/engine_oracle_test.cc). docs/ENGINE.md has the full design.
+ *
+ * Each slab entry holds one event's callable. An entry goes free ->
+ * queued (schedule() builds the callable in it, once) -> running
+ * (stepBounded() calls it there) -> free (the callable is destroyed
+ * after the call returns); cancel() takes a queued entry through the
+ * same release. The slab is a table of fixed 256-entry chunks, so
+ * entries never move while it grows, not even under a running
+ * callback. A chunk's entries are constructed one by one as the
+ * slab's high-water mark reaches them: a queue that never holds many
+ * events pays neither the set-up time nor the resident pages of a
+ * whole constructed chunk.
  */
 
 #ifndef NPF_SIM_EVENT_QUEUE_HH
@@ -29,7 +40,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
+#include <new>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "sim/delegate.hh"
@@ -93,18 +106,30 @@ class EventQueue
     EventQueue(const EventQueue &) = delete;
     EventQueue &operator=(const EventQueue &) = delete;
 
+    ~EventQueue()
+    {
+        for (std::uint32_t i = 0; i < built_; ++i)
+            entry(i).~Entry();
+        for (Entry *chunk : chunks_)
+            ::operator delete(static_cast<void *>(chunk));
+    }
+
     /** Current simulated time. */
     Time now() const { return now_; }
 
     /**
      * Schedule @p cb to run at absolute time @p when.
      * Scheduling in the past is clamped to now().
+     * @p cb is any void() callable, built once in its slab entry (one
+     * move of an rvalue, one copy of an lvalue), or a Callback, which
+     * is moved or copied in.
      * @p site optionally labels the scheduling call site (a string
      * literal) for per-site metrics; it is not owned by the queue.
      * @return a handle that can be passed to cancel().
      */
+    template <typename F>
     EventId
-    schedule(Time when, Callback cb, const char *site = nullptr)
+    schedule(Time when, F &&cb, const char *site = nullptr)
     {
         if (when < now_)
             when = now_;
@@ -112,7 +137,8 @@ class EventQueue
         // (scheduleBoundary) take the even domain. Relative order among
         // local events is unchanged, so single-queue runs execute
         // bit-identically to the pre-split engine.
-        return insert(when, (nextSeq_++ << 1) | 1, std::move(cb), site);
+        return insert(when, (nextSeq_++ << 1) | 1, std::forward<F>(cb),
+                      site);
     }
 
     /**
@@ -120,10 +146,12 @@ class EventQueue
      * saturates at the end of time, so a "never" sentinel delay stays
      * in the far future instead of wrapping around and firing now.
      */
+    template <typename F>
     EventId
-    scheduleAfter(Time delay, Callback cb, const char *site = nullptr)
+    scheduleAfter(Time delay, F &&cb, const char *site = nullptr)
     {
-        return schedule(saturatingAdd(now_, delay), std::move(cb), site);
+        return schedule(saturatingAdd(now_, delay), std::forward<F>(cb),
+                        site);
     }
 
     /**
@@ -139,8 +167,9 @@ class EventQueue
      * convention that holds for any shard count — and a given
      * (when, orderKey) pair must be unique per queue.
      */
+    template <typename F>
     EventId
-    scheduleBoundary(Time when, std::uint64_t orderKey, Callback cb,
+    scheduleBoundary(Time when, std::uint64_t orderKey, F &&cb,
                      const char *site = nullptr)
     {
         // A boundary delivery in the past is a causality violation —
@@ -160,7 +189,7 @@ class EventQueue
             std::abort();
         }
         return insert(when, (orderKey << 1) | (std::uint64_t(1) << 63),
-                      std::move(cb), site);
+                      std::forward<F>(cb), site);
     }
 
     /**
@@ -175,15 +204,16 @@ class EventQueue
     cancel(EventId id)
     {
         std::uint32_t idx = static_cast<std::uint32_t>(id);
-        if (idx == 0 || idx > slab_.size())
+        if (idx == 0 || idx > built_)
             return;
         --idx; // ids are slab index + 1
-        Entry &e = slab_[idx];
-        if (e.gen != static_cast<std::uint32_t>(id >> 32) ||
-            e.bucket == kBucketFree)
-            return; // executed, cancelled, or slot recycled
+        Entry &e = entry(idx);
+        if (e.gen != static_cast<std::uint32_t>(id >> 32))
+            return; // running, executed, cancelled, or slot recycled
         if (e.bucket != kBucketCurrent)
             unlink(idx);
+        ++e.gen; // released like an entry that ran
+        e.bucket = kBucketRunning;
         ++stats_.cancelled;
         --liveCount_;
         freeSlot(idx); // may run capture destructors; keep last
@@ -282,10 +312,12 @@ class EventQueue
   private:
     /**
      * The one insertion body behind schedule() and scheduleBoundary():
-     * file @p cb at (@p when, @p seq), @p when >= now().
+     * build @p cb in a free entry and file it at (@p when, @p seq),
+     * @p when >= now().
      */
+    template <typename F>
     EventId
-    insert(Time when, std::uint64_t seq, Callback &&cb, const char *site)
+    insert(Time when, std::uint64_t seq, F &&cb, const char *site)
     {
         // Idle queue: re-anchor the wheels at the new event, in either
         // direction — forward so a long quiet gap does not file it into
@@ -298,10 +330,10 @@ class EventQueue
             wheelMin_ = kTimeMax;
         }
         std::uint32_t idx = allocSlot();
-        Entry &e = slab_[idx];
+        Entry &e = entry(idx);
         e.when = when;
         e.seq = seq;
-        e.cb = std::move(cb);
+        e.cb.assign(std::forward<F>(cb));
         e.site = site;
         e.schedAt = now_;
         EventId id = makeId(idx, e.gen);
@@ -325,7 +357,7 @@ class EventQueue
         for (;;) {
             while (!curHeap_.empty()) {
                 HeapItem top = curHeap_.front();
-                Entry &e = slab_[top.idx];
+                Entry &e = entry(top.idx);
                 if (e.gen != top.gen || e.bucket != kBucketCurrent) {
                     popHeap(); // ghost of a cancelled/recycled entry
                     continue;
@@ -335,19 +367,19 @@ class EventQueue
                 if (top.when > limit)
                     return Bounded::Beyond;
                 popHeap();
-                // Move everything out of the slot and recycle it
-                // before invoking: the callback may schedule (and the
-                // slab may reallocate) or cancel re-entrantly.
-                Callback cb = std::move(e.cb);
-                const char *site = e.site;
-                Time schedAt = e.schedAt;
-                freeSlot(top.idx);
+                // Run the callback in its own entry, which stays put
+                // however far the slab grows under it. The stale
+                // generation makes a re-entrant cancel() of this id a
+                // no-op, and a running entry is not on the free list.
+                ++e.gen;
+                e.bucket = kBucketRunning;
                 --liveCount_;
                 now_ = top.when;
                 ++stats_.executed;
+                const char *site = e.site;
                 if (profile_) {
                     auto t0 = std::chrono::steady_clock::now();
-                    cb();
+                    e.cb();
                     auto wall = std::chrono::duration_cast<
                         std::chrono::nanoseconds>(
                         std::chrono::steady_clock::now() - t0);
@@ -358,12 +390,13 @@ class EventQueue
                         static_cast<std::uint64_t>(wall.count());
                     sp.wallNs += w;
                     sp.maxWallNs = std::max(sp.maxWallNs, w);
-                    sp.simLagNs += now_ - schedAt;
+                    sp.simLagNs += now_ - e.schedAt;
                 } else {
-                    cb();
+                    e.cb();
                     if (countSites_) // re-read: cb may have flipped it
                         ++siteProfiles_[site != nullptr ? site : ""].count;
                 }
+                freeSlot(top.idx);
                 return Bounded::Ran;
             }
             if (!advance())
@@ -399,8 +432,13 @@ class EventQueue
 
     // Bucket ids: wheels first, then the special pseudo-buckets.
     static constexpr std::uint32_t kBucketCurrent = kLevels * kSlots;
-    static constexpr std::uint32_t kBucketFree = kBucketCurrent + 1;
+    static constexpr std::uint32_t kBucketRunning = kBucketCurrent + 1;
+    static constexpr std::uint32_t kBucketFree = kBucketCurrent + 2;
     static constexpr std::uint32_t kNil = 0xffffffffu;
+
+    /** Slab entries per chunk; a chunk is allocated whole, built lazily. */
+    static constexpr unsigned kChunkBits = 8;
+    static constexpr std::uint32_t kChunkEntries = 1u << kChunkBits; // 256
 
     /** One slab slot: an intrusive doubly-linked list node. */
     struct Entry
@@ -410,7 +448,8 @@ class EventQueue
         Callback cb;
         const char *site = nullptr;
         Time schedAt = 0;      ///< now() at schedule, for the profiler
-        std::uint32_t gen = 1;  ///< bumped on every free (stale-id check)
+        std::uint32_t gen = 1;  ///< bumped as the event runs or is
+                                ///< cancelled (stale-id check)
         std::uint32_t next = kNil;
         std::uint32_t prev = kNil;
         std::uint32_t bucket = kBucketFree;
@@ -437,49 +476,62 @@ class EventQueue
         return (EventId(gen) << 32) | (idx + 1);
     }
 
+    Entry &
+    entry(std::uint32_t idx)
+    {
+        return chunks_[idx >> kChunkBits][idx & (kChunkEntries - 1)];
+    }
+
+    /**
+     * A free entry: the free list's head, else the next entry past the
+     * high-water mark, constructed now (its chunk allocated first if
+     * the mark sits on a chunk boundary).
+     */
     std::uint32_t
     allocSlot()
     {
         if (freeHead_ != kNil) {
             std::uint32_t idx = freeHead_;
-            freeHead_ = slab_[idx].next;
+            freeHead_ = entry(idx).next;
             return idx;
         }
-        slab_.emplace_back();
-        return static_cast<std::uint32_t>(slab_.size() - 1);
+        static_assert(alignof(Entry) <= __STDCPP_DEFAULT_NEW_ALIGNMENT__);
+        if ((built_ & (kChunkEntries - 1)) == 0)
+            chunks_.push_back(static_cast<Entry *>(
+                ::operator new(sizeof(Entry) * kChunkEntries)));
+        ::new (static_cast<void *>(&entry(built_))) Entry();
+        return built_++;
     }
 
     /**
-     * Recycle a slot: bump the generation (invalidating outstanding
-     * handles), push it on the free list, and destroy the callback
-     * last — capture destructors may re-enter schedule()/cancel().
+     * Recycle a running entry, its handle already stale: destroy the
+     * callable in place, then push the entry on the free list. Capture
+     * destructors may re-enter schedule()/cancel(); the entry is off
+     * the free list until they return, and entries never move.
      */
     void
     freeSlot(std::uint32_t idx)
     {
-        Entry &e = slab_[idx];
-        ++e.gen;
+        Entry &e = entry(idx);
+        e.cb.reset();
         e.bucket = kBucketFree;
         e.prev = kNil;
         e.next = freeHead_;
         freeHead_ = idx;
-        Callback dead = std::move(e.cb);
-        // `dead` destroyed here; `e` may dangle if it reallocates the
-        // slab re-entrantly, so don't touch it again.
     }
 
     void
     linkTail(std::uint32_t bucketIdx, std::uint32_t idx)
     {
         BucketList &b = buckets_[bucketIdx];
-        Entry &e = slab_[idx];
+        Entry &e = entry(idx);
         e.bucket = bucketIdx;
         e.next = kNil;
         e.prev = b.tail;
         if (b.tail == kNil)
             b.head = idx;
         else
-            slab_[b.tail].next = idx;
+            entry(b.tail).next = idx;
         b.tail = idx;
         setBit(bucketIdx / kSlots, bucketIdx % kSlots);
     }
@@ -487,16 +539,16 @@ class EventQueue
     void
     unlink(std::uint32_t idx)
     {
-        Entry &e = slab_[idx];
+        Entry &e = entry(idx);
         BucketList &b = buckets_[e.bucket];
         if (e.prev == kNil)
             b.head = e.next;
         else
-            slab_[e.prev].next = e.next;
+            entry(e.prev).next = e.next;
         if (e.next == kNil)
             b.tail = e.prev;
         else
-            slab_[e.next].prev = e.prev;
+            entry(e.next).prev = e.prev;
         if (b.head == kNil)
             clearBit(e.bucket / kSlots, e.bucket % kSlots);
     }
@@ -554,8 +606,9 @@ class EventQueue
     place(std::uint32_t idx, Time when)
     {
         if (when < curWindowEnd_) {
-            slab_[idx].bucket = kBucketCurrent;
-            pushHeap(HeapItem{when, slab_[idx].seq, idx, slab_[idx].gen});
+            Entry &e = entry(idx);
+            e.bucket = kBucketCurrent;
+            pushHeap(HeapItem{when, e.seq, idx, e.gen});
             return;
         }
         unsigned level = 0;
@@ -634,7 +687,7 @@ class EventQueue
     {
         std::uint32_t idx = detachBucket(bucketIdx);
         while (idx != kNil) {
-            Entry &e = slab_[idx];
+            Entry &e = entry(idx);
             std::uint32_t next = e.next;
             e.bucket = kBucketCurrent;
             pushHeap(HeapItem{e.when, e.seq, idx, e.gen});
@@ -648,8 +701,9 @@ class EventQueue
     {
         std::uint32_t idx = detachBucket(bucketIdx);
         while (idx != kNil) {
-            std::uint32_t next = slab_[idx].next;
-            place(idx, slab_[idx].when);
+            Entry &e = entry(idx);
+            std::uint32_t next = e.next;
+            place(idx, e.when);
             idx = next;
         }
     }
@@ -707,7 +761,8 @@ class EventQueue
         return when <= wheelMin_;
     }
 
-    std::vector<Entry> slab_;
+    std::vector<Entry *> chunks_;  ///< kChunkEntries entries each
+    std::uint32_t built_ = 0;      ///< entries constructed so far
     std::uint32_t freeHead_ = kNil;
     std::array<BucketList, kLevels * kSlots> buckets_{};
     std::array<std::array<std::uint64_t, 4>, kLevels> occ_{};

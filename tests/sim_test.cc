@@ -7,12 +7,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "heap_event_queue.hh"
 #include "sim/delegate.hh"
 #include "sim/event_queue.hh"
 #include "sim/histogram.hh"
@@ -684,6 +687,213 @@ TEST(EventQueue, HotPathClosuresStayInline)
     };
     static_assert(sim::Delegate::fitsInline<decltype(closure)>,
                   "per-packet delivery closures must not allocate");
+}
+
+namespace {
+
+/**
+ * A callable that counts its copies and moves, and records how many
+ * had happened by the time it ran.
+ */
+struct Counted
+{
+    static inline int copies = 0;
+    static inline int moves = 0;
+    int *ranAfter; ///< copies + moves seen by the call, -1 if not run
+
+    explicit Counted(int *ran_after) : ranAfter(ran_after) {}
+    Counted(const Counted &o) : ranAfter(o.ranAfter) { ++copies; }
+    Counted(Counted &&o) noexcept : ranAfter(o.ranAfter) { ++moves; }
+    Counted &operator=(const Counted &) = delete;
+    Counted &operator=(Counted &&) = delete;
+
+    void operator()() { *ranAfter = copies + moves; }
+
+    static void reset() { copies = moves = 0; }
+};
+
+} // namespace
+
+TEST(Delegate, BuildsAnRvalueWithOneMoveAndAnLvalueWithOneCopy)
+{
+    int ran = -1;
+    {
+        Counted::reset();
+        sim::Delegate d(Counted{&ran});
+        EXPECT_EQ(Counted::moves, 1);
+        EXPECT_EQ(Counted::copies, 0);
+        d();
+        EXPECT_EQ(ran, 1);
+    }
+    {
+        Counted c(&ran);
+        Counted::reset();
+        sim::Delegate d(c);
+        EXPECT_EQ(Counted::copies, 1);
+        EXPECT_EQ(Counted::moves, 0);
+        sim::Delegate e;
+        e.assign(Counted{&ran});
+        EXPECT_EQ(Counted::copies, 1);
+        EXPECT_EQ(Counted::moves, 1);
+        e.assign(c);
+        EXPECT_EQ(Counted::copies, 2);
+        EXPECT_EQ(Counted::moves, 1);
+    }
+}
+
+TEST(EventQueue, BuildsEachCallableOnceAndRunsItInPlace)
+{
+    sim::EventQueue eq;
+    int ran = -1;
+    Counted::reset();
+    eq.schedule(10, Counted{&ran});
+    eq.run();
+    EXPECT_EQ(ran, 1) << "one move into the entry, none after it";
+    EXPECT_EQ(Counted::moves, 1);
+    EXPECT_EQ(Counted::copies, 0);
+
+    Counted c(&ran);
+    Counted::reset();
+    eq.scheduleAfter(10, c);
+    eq.run();
+    EXPECT_EQ(ran, 1) << "one copy into the entry, nothing after it";
+    EXPECT_EQ(Counted::copies, 1);
+    EXPECT_EQ(Counted::moves, 0);
+
+    Counted b(&ran);
+    Counted::reset();
+    eq.scheduleBoundary(eq.now() + 10, 1, std::move(b));
+    eq.run();
+    EXPECT_EQ(ran, 1);
+    EXPECT_EQ(Counted::copies, 0);
+    EXPECT_EQ(Counted::moves, 1);
+}
+
+TEST(EventQueue, CallbackCancellingItselfRunsOnce)
+{
+    sim::EventQueue eq;
+    int runs = 0;
+    sim::EventId self = sim::kInvalidEvent;
+    self = eq.schedule(10, [&] {
+        ++runs;
+        eq.cancel(self);
+        eq.cancel(self);
+    });
+    int later = 0;
+    eq.schedule(20, [&] { ++later; });
+    eq.run();
+    EXPECT_EQ(runs, 1);
+    EXPECT_EQ(later, 1);
+    EXPECT_EQ(eq.stats().cancelled, 0u);
+    EXPECT_EQ(eq.stats().executed, 2u);
+    EXPECT_TRUE(eq.empty());
+}
+
+TEST(EventQueue, CaptureSurvivesSlabGrowthUnderItsCallback)
+{
+    sim::EventQueue eq;
+    std::array<std::uint64_t, 9> pattern{};
+    for (std::size_t i = 0; i < pattern.size(); ++i)
+        pattern[i] = 0x9e3779b97f4a7c15ull * (i + 1);
+    const std::uint32_t burst = 3 * sim::EventQueue::kChunkEntries;
+    int fired = 0;
+    bool intact = false;
+    auto grow = [q = &eq, pattern, burst, &fired, &intact] {
+        for (std::uint32_t i = 0; i < burst; ++i)
+            q->scheduleAfter(i, [&fired] { ++fired; });
+        intact = true;
+        for (std::size_t i = 0; i < pattern.size(); ++i)
+            intact = intact && pattern[i] == 0x9e3779b97f4a7c15ull * (i + 1);
+    };
+    static_assert(sizeof(pattern) + sizeof(&eq) == 80);
+    eq.schedule(5, std::move(grow));
+    eq.run();
+    EXPECT_TRUE(intact) << "the running entry moved under its callback";
+    EXPECT_EQ(fired, int(burst));
+}
+
+namespace {
+
+/**
+ * A capture whose destructor schedules an event, so the engine must
+ * not hand the entry being released to that event before the
+ * destructor returns: the canary, first in the capture where the
+ * scheduled closure would land, must read intact afterwards. A move
+ * disarms the source, so only the last owner schedules.
+ */
+template <typename Q>
+struct ScheduleOnDestroy
+{
+    static constexpr std::uint64_t kCanary = 0x5ca1ab1edeadbeefull;
+    std::uint64_t canary = kCanary;
+    Q *q;
+    std::vector<std::pair<sim::Time, int>> *log;
+    int tag;
+    bool armed = true;
+
+    ScheduleOnDestroy(Q *queue, std::vector<std::pair<sim::Time, int>> *l,
+                      int t)
+        : q(queue), log(l), tag(t)
+    {
+    }
+    ScheduleOnDestroy(const ScheduleOnDestroy &) = default;
+    ScheduleOnDestroy(ScheduleOnDestroy &&o) noexcept
+        : q(o.q), log(o.log), tag(o.tag), armed(std::exchange(o.armed, false))
+    {
+    }
+
+    ~ScheduleOnDestroy()
+    {
+        if (!armed)
+            return;
+        auto *l = log;
+        Q *queue = q;
+        int t = tag + 1000;
+        q->schedule(q->now(), [l, queue, t] {
+            l->emplace_back(queue->now(), t);
+        });
+        if (canary != kCanary)
+            l->emplace_back(queue->now(), -1);
+    }
+
+    void
+    operator()()
+    {
+        log->emplace_back(q->now(), tag);
+        auto *l = log;
+        Q *queue = q;
+        int t = tag + 500;
+        q->scheduleAfter(3, [l, queue, t] {
+            l->emplace_back(queue->now(), t);
+        });
+    }
+};
+
+template <typename Q>
+std::vector<std::pair<sim::Time, int>>
+destructorScheduleOrder()
+{
+    Q q;
+    std::vector<std::pair<sim::Time, int>> log;
+    for (int i = 0; i < 6; ++i) {
+        q.schedule(sim::Time(10 + 3 * (i % 3)),
+                   ScheduleOnDestroy<Q>(&q, &log, i));
+        q.schedule(sim::Time(10 + 3 * (i % 2)), [&log, &q, i] {
+            log.emplace_back(q.now(), 100 + i);
+        });
+    }
+    q.run();
+    return log;
+}
+
+} // namespace
+
+TEST(EventQueue, EventScheduledByCaptureDestructorRunsInOracleOrder)
+{
+    auto got = destructorScheduleOrder<sim::EventQueue>();
+    auto want = destructorScheduleOrder<simtest::HeapEventQueue>();
+    EXPECT_EQ(got.size(), 24u);
+    EXPECT_EQ(got, want);
 }
 
 TEST(Rng, LognormalJitterMedianNearOne)
