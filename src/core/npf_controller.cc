@@ -293,10 +293,8 @@ NpfController::startResolve(std::uint32_t r)
     // NPF latency is the quantity this simulator measures, so neither
     // continuation may allocate: each carries only the request's slab
     // index, which stays the request's until finishResolve() runs.
-    auto trigger = [this, r] { runResolve(r); };
-    static_assert(sim::Delegate::fitsInline<decltype(trigger)>,
-                  "npf resolution closure must stay inline");
-    eq_.scheduleAfter(q.bd.trigger, std::move(trigger), "npf.trigger");
+    eq_.scheduleAfter(q.bd.trigger, [this, r] { runResolve(r); },
+                      "npf.trigger");
 }
 
 void

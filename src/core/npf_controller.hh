@@ -13,8 +13,8 @@
  * coherent (no pinning required — that is the whole point).
  *
  * The asynchronous NPF path allocates nothing once warm: a raiseNpf()
- * caller's resume callback is a sim::Delegate that must fit inline,
- * and it waits in a request slab reserved on kernel pages at the
+ * caller's resume callback is a sim::Delegate (inline by type), and
+ * it waits in a request slab reserved on kernel pages at the
  * first attach(). Merged duplicates hang off their resolution's
  * merge-table entry as an intrusive list through that slab; NPFs
  * beyond maxConcurrentNpfs wait in a per-channel ring of slab
@@ -26,7 +26,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -130,16 +129,14 @@ class NpfController
      * Asynchronous NPF flow for [iova, iova+len): firmware interrupt,
      * driver resolution, PT update, firmware resume. @p cb fires on
      * resume. Respects maxConcurrentNpfs and the firmware-bypass
-     * dedupe (§4 Optimizations). @p cb must fit a Delegate's inline
-     * storage: an NPF never allocates to park its caller.
+     * dedupe (§4 Optimizations). @p cb is held inline in a Delegate,
+     * so an NPF never allocates to park its caller.
      */
     template <typename F>
     void
     raiseNpf(ChannelId ch, mem::VirtAddr iova, std::size_t len, bool write,
              F &&cb)
     {
-        static_assert(sim::Delegate::fitsInline<std::remove_cvref_t<F>>,
-                      "NPF resume callback must stay inline");
         raise(ch, iova, len, write, ResolveCallback(std::forward<F>(cb)));
     }
 

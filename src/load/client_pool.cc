@@ -274,12 +274,8 @@ ClientPool::armArrival()
     sim::Time next = arrival_.next();
     if (next == ~sim::Time(0))
         return;
-    // One arrival event per request at high offered load; keep the
-    // closure inline so the open-loop generator never allocates.
-    auto fire = [this] { onArrival(); };
-    static_assert(sim::Delegate::fitsInline<decltype(fire)>,
-                  "arrival closure must stay inline");
-    arrivalEvent_ = eq_.schedule(next, std::move(fire),
+    // One arrival event per request at high offered load.
+    arrivalEvent_ = eq_.schedule(next, [this] { onArrival(); },
                                  "load.pool.arrival");
 }
 
@@ -313,12 +309,9 @@ ClientPool::onArrival()
 void
 ClientPool::wakeAt(sim::Time when, std::uint32_t c)
 {
-    // One event per waiting client, at its exact wake time; keep the
-    // closure inline so a wake-up never heap-allocates its capture.
-    auto fire = [this, c] { wake(c); };
-    static_assert(sim::Delegate::fitsInline<decltype(fire)>,
-                  "wake-up closure must stay inline");
-    clients_[c].wake = eq_.schedule(when, std::move(fire), "load.pool.wake");
+    // One event per waiting client, at its exact wake time.
+    clients_[c].wake =
+        eq_.schedule(when, [this, c] { wake(c); }, "load.pool.wake");
 }
 
 void

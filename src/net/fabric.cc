@@ -120,31 +120,24 @@ Fabric::sendLegacy(unsigned src, unsigned dst, std::size_t bytes,
                    sim::EventQueue::Callback deliver)
 {
     // @p deliver is parked in a FabricPacket for the journey and the
-    // hop continuations carry only its sim::PoolRef: capturing the
-    // full delegate inside two wrappers would overflow the
-    // scheduler's inline storage and heap-allocate per packet per
-    // hop. The ref's ownership semantics keep faulted hops correct —
-    // a dropped continuation releases the parked slot, a duplicated
-    // one clones it.
+    // hop continuations (at the switch, then at the downlink) carry
+    // only its sim::PoolRef: a Delegate (128 bytes) does not fit
+    // another Delegate's 112-byte buffer, so capturing it would not
+    // compile.
+    // The ref's ownership semantics keep faulted hops correct — a
+    // dropped continuation releases the parked slot, a duplicated one
+    // clones it.
     sim::PoolRef ref = fabricPacketPool().acquire(
         WireHeader{src, dst, 0, static_cast<std::uint32_t>(bytes)},
         std::move(deliver));
-    auto at_switch = [this, ref = std::move(ref)]() mutable {
-        auto at_downlink = [this, ref = std::move(ref)]() mutable {
+    up_[src]->send(bytes, [this, ref = std::move(ref)]() mutable {
+        eq_.scheduleAfter(cfg_.switchLatency,
+                          [this, ref = std::move(ref)]() mutable {
             FabricPacket *pkt = ref.as<FabricPacket>();
             down_[pkt->dst]->send(pkt->bytes, std::move(pkt->deliver));
             ref.reset();
-        };
-        static_assert(
-            sim::Delegate::fitsInline<decltype(at_downlink)>,
-            "fabric hop continuation must stay inline (no-alloc)");
-        eq_.scheduleAfter(cfg_.switchLatency, std::move(at_downlink),
-                          "net.fabric.switch");
-    };
-    static_assert(sim::Delegate::fitsInline<decltype(at_switch)>,
-                  "fabric hop continuation must stay inline "
-                  "(no-alloc)");
-    up_[src]->send(bytes, std::move(at_switch));
+        }, "net.fabric.switch");
+    });
 }
 
 void
@@ -367,11 +360,9 @@ Fabric::setHostRxPause(unsigned node, bool on)
     // CNPs) keeps flowing and the loop cannot deadlock on its own
     // recovery messages.
     Egress *down = hostDown_[node];
-    auto apply = [down, on] { down->setPaused(0, on); };
-    static_assert(sim::Delegate::fitsInline<decltype(apply)>,
-                  "pfc frame closure must stay inline (no-alloc)");
     eq_.scheduleAfter(hostUp_[node]->link().config().propagation,
-                      std::move(apply), "net.pfc.host");
+                      [down, on] { down->setPaused(0, on); },
+                      "net.pfc.host");
 }
 
 } // namespace npf::net

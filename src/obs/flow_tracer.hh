@@ -105,9 +105,6 @@ class FlowTracer
     void instantAt(Track track, const char *cat, const char *name,
                    sim::Time t, FlowId f = 0);
 
-    /** Chrome counter track sample. */
-    void counter(const char *name, double value);
-
     /**
      * Flow context for log correlation: the flow whose callback is
      * currently executing. Maintained via FlowScope; read by the log
@@ -160,14 +157,13 @@ class FlowTracer
   private:
     struct Event
     {
-        char ph;         ///< 'X', 'i', 'b', 'e', 'C'
+        char ph;         ///< 'X', 'i', 'b', 'e'
         int tid;
         FlowId flow;
         const char *cat; ///< string literal
         const char *name;
         sim::Time ts;
         sim::Time dur;   ///< 'X' only
-        double value;    ///< 'C' only
     };
 
     void resizeRing();

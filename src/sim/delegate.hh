@@ -1,22 +1,25 @@
 /**
  * @file
- * Small-buffer-optimized callable for the event-engine hot path.
+ * Inline callable for the event-engine hot path.
  *
- * sim::Delegate is a drop-in replacement for std::function<void()> on
- * the per-packet scheduling paths: callables whose captures fit in the
- * inline buffer are stored in place (no heap allocation, no virtual
- * dispatch — one indirect call through a free-function stub). Larger
- * or throwing-move callables fall back to one heap allocation.
+ * sim::Delegate is the void() callable of sim::EventQueue,
+ * net::Link, net::Fabric and core::NpfController. It stores its
+ * callable in place, in a 112-byte buffer: no heap allocation, no
+ * virtual dispatch, one indirect call through a free-function stub.
+ * There is no heap fallback. A callable over 112 bytes, aligned
+ * beyond alignof(std::max_align_t) or with a move constructor that
+ * may throw does not compile, and the error names the limit; so every
+ * scheduled callable is allocation-free by its type.
  *
  * Construction costs exactly one move (of an rvalue) or one copy (of
  * an lvalue): the constructor and assign() forward their argument
  * straight into the storage. sim::EventQueue relies on that to build
  * each event's callable once, in its slab entry, and run it there.
  *
- * The inline capacity is sized for the fattest per-packet closure in
- * the tree (an ib::QueuePair::Packet plus a peer pointer); use
- * Delegate::fitsInline<F> in a static_assert to pin a call site to the
- * no-allocation path.
+ * The capacity is sized for the fattest per-packet closure in the
+ * tree (an ib::QueuePair::Packet plus a peer pointer). A Delegate is
+ * itself 128 bytes, so a closure that captures one never fits: park
+ * the inner callable in a sim::Pool and capture the PoolRef.
  */
 
 #ifndef NPF_SIM_DELEGATE_HH
@@ -36,12 +39,6 @@ class Delegate
     static constexpr std::size_t kInlineCapacity = 112;
     static constexpr std::size_t kInlineAlign = alignof(std::max_align_t);
 
-    /** True when F is stored in place (no heap allocation). */
-    template <typename F>
-    static constexpr bool fitsInline =
-        sizeof(F) <= kInlineCapacity && alignof(F) <= kInlineAlign &&
-        std::is_nothrow_move_constructible_v<F>;
-
     Delegate() = default;
 
     template <typename F,
@@ -58,7 +55,7 @@ class Delegate
     Delegate(const Delegate &other)
     {
         if (other.invoke_) {
-            other.manage_(Op::CopyTo, &st_, &other.st_);
+            other.manage_(Op::CopyTo, buf_, other.buf_);
             invoke_ = other.invoke_;
             manage_ = other.manage_;
         }
@@ -117,24 +114,26 @@ class Delegate
             Manage m = manage_;
             invoke_ = nullptr;
             manage_ = nullptr;
-            m(Op::Destroy, &st_, nullptr);
+            m(Op::Destroy, buf_, nullptr);
         }
     }
 
-    void operator()() { invoke_(&st_); }
+    void operator()() { invoke_(buf_); }
 
     explicit operator bool() const { return invoke_ != nullptr; }
 
   private:
-    union Storage
-    {
-        alignas(kInlineAlign) unsigned char buf[kInlineCapacity];
-        void *ptr;
-    };
-
     enum class Op { MoveTo, CopyTo, Destroy };
-    using Invoke = void (*)(Storage *);
-    using Manage = void (*)(Op, Storage *, const Storage *);
+    using Invoke = void (*)(void *);
+    using Manage = void (*)(Op, void *, const void *);
+
+    /** The T that lives in the storage at @p p. */
+    template <typename T>
+    static T *
+    held(const void *p)
+    {
+        return std::launder(static_cast<T *>(const_cast<void *>(p)));
+    }
 
     /** Build the callable from @p f in storage; the delegate is empty. */
     template <typename Arg>
@@ -142,55 +141,42 @@ class Delegate
     emplace(Arg &&f)
     {
         using F = std::remove_cvref_t<Arg>;
-        if constexpr (fitsInline<F>) {
-            ::new (static_cast<void *>(st_.buf)) F(std::forward<Arg>(f));
-            invoke_ = [](Storage *s) {
-                (*std::launder(reinterpret_cast<F *>(s->buf)))();
-            };
-            manage_ = [](Op op, Storage *dst, const Storage *src) {
-                switch (op) {
-                  case Op::MoveTo:
-                    // Full relocation: move-construct, destroy source.
-                    ::new (static_cast<void *>(dst->buf)) F(std::move(
-                        *std::launder(reinterpret_cast<F *>(
-                            const_cast<unsigned char *>(src->buf)))));
-                    std::launder(reinterpret_cast<F *>(
-                                     const_cast<unsigned char *>(src->buf)))
-                        ->~F();
-                    break;
-                  case Op::CopyTo:
-                    ::new (static_cast<void *>(dst->buf)) F(
-                        *std::launder(reinterpret_cast<const F *>(src->buf)));
-                    break;
-                  case Op::Destroy:
-                    std::launder(reinterpret_cast<F *>(dst->buf))->~F();
-                    break;
-                }
-            };
-        } else {
-            st_.ptr = new F(std::forward<Arg>(f));
-            invoke_ = [](Storage *s) { (*static_cast<F *>(s->ptr))(); };
-            manage_ = [](Op op, Storage *dst, const Storage *src) {
-                switch (op) {
-                  case Op::MoveTo:
-                    dst->ptr = src->ptr; // pointer steal
-                    break;
-                  case Op::CopyTo:
-                    dst->ptr = new F(*static_cast<const F *>(src->ptr));
-                    break;
-                  case Op::Destroy:
-                    delete static_cast<F *>(dst->ptr);
-                    break;
-                }
-            };
-        }
+        static_assert(sizeof(F) <= kInlineCapacity,
+                      "sim::Delegate: the callable exceeds the 112-byte "
+                      "inline buffer (kInlineCapacity); a Delegate never "
+                      "allocates, so capture less or park the state in a "
+                      "sim::Pool and capture the PoolRef");
+        static_assert(alignof(F) <= kInlineAlign,
+                      "sim::Delegate: the callable is over-aligned; the "
+                      "inline buffer is aligned to alignof(max_align_t)");
+        static_assert(std::is_nothrow_move_constructible_v<F>,
+                      "sim::Delegate: the callable's move constructor "
+                      "may throw; a Delegate relocates its callable with "
+                      "a noexcept move");
+        ::new (static_cast<void *>(buf_)) F(std::forward<Arg>(f));
+        invoke_ = [](void *s) { (*held<F>(s))(); };
+        manage_ = [](Op op, void *dst, const void *src) {
+            switch (op) {
+              case Op::MoveTo:
+                // Full relocation: move-construct, destroy source.
+                ::new (dst) F(std::move(*held<F>(src)));
+                held<F>(src)->~F();
+                break;
+              case Op::CopyTo:
+                ::new (dst) F(*held<const F>(src));
+                break;
+              case Op::Destroy:
+                held<F>(dst)->~F();
+                break;
+            }
+        };
     }
 
     void
     moveFrom(Delegate &other) noexcept
     {
         if (other.invoke_) {
-            other.manage_(Op::MoveTo, &st_, &other.st_);
+            other.manage_(Op::MoveTo, buf_, other.buf_);
             invoke_ = other.invoke_;
             manage_ = other.manage_;
             other.invoke_ = nullptr;
@@ -200,7 +186,7 @@ class Delegate
 
     Invoke invoke_ = nullptr;
     Manage manage_ = nullptr;
-    Storage st_;
+    alignas(kInlineAlign) unsigned char buf_[kInlineCapacity];
 };
 
 } // namespace npf::sim

@@ -17,7 +17,9 @@
  * (kept as tests/heap_event_queue.hh and proven equivalent by
  * tests/engine_oracle_test.cc). docs/ENGINE.md has the full design.
  *
- * Each slab entry holds one event's callable. An entry goes free ->
+ * Each slab entry holds one event's callable, inline in its
+ * sim::Delegate: a callable that does not fit is a compile error, so
+ * scheduling never allocates for the callable. An entry goes free ->
  * queued (schedule() builds the callable in it, once) -> running
  * (stepBounded() calls it there) -> free (the callable is destroyed
  * after the call returns); cancel() takes a queued entry through the
@@ -72,7 +74,7 @@ constexpr EventId kInvalidEvent = 0;
 class EventQueue
 {
   public:
-    /** Hot-path callable: small captures run allocation-free. */
+    /** Hot-path callable, held inline (see sim/delegate.hh). */
     using Callback = Delegate;
 
     /** Lifetime counters, exported by the observability layer. */

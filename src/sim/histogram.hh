@@ -9,11 +9,6 @@
  * percentile is at most ~0.2%, memory is a few KB regardless of
  * sample count, recording is O(1), and two histograms merge exactly.
  * Exact count/sum/min/max are tracked on the side.
- *
- * recordCorrected() implements the classic coordinated-omission
- * back-fill: when a sample exceeds the expected sampling interval,
- * the stalled-out samples that *would* have been taken are recorded
- * too (v - i, v - 2i, ... while positive).
  */
 
 #ifndef NPF_SIM_HISTOGRAM_HH
@@ -54,22 +49,6 @@ class Histogram
             min_ = v;
         if (count_ == n || v > max_)
             max_ = v;
-    }
-
-    /**
-     * Coordinated-omission corrected record: the observed sample plus
-     * back-filled samples at v - k*expected_interval (k = 1, 2, ...)
-     * while positive, as if sampling had not stalled.
-     */
-    void
-    recordCorrected(double v, double expected_interval)
-    {
-        record(v);
-        if (expected_interval <= 0)
-            return;
-        for (double x = v - expected_interval; x > 0;
-             x -= expected_interval)
-            record(x);
     }
 
     /**

@@ -372,13 +372,4 @@ ShardedEngine::posted() const
     return n;
 }
 
-std::uint64_t
-ShardedEngine::executed() const
-{
-    std::uint64_t n = 0;
-    for (const auto &sh : shards_)
-        n += sh->eq->stats().executed;
-    return n;
-}
-
 } // namespace npf::sim

@@ -308,9 +308,6 @@ class ShardedEngine
     /** Total boundary messages posted so far (all shards). */
     std::uint64_t posted() const;
 
-    /** Total events executed so far, summed over all shard queues. */
-    std::uint64_t executed() const;
-
     /** Shard @p s's sync counters (see SyncStats). */
     const SyncStats &syncStats(unsigned s) const
     {
@@ -322,13 +319,14 @@ class ShardedEngine
     {
         unsigned id = 0;
         /// Parks delivered messages while they wait in the queue
-        /// (BoundaryMsg outgrows the Delegate SBO). Declared before
-        /// eq so queue teardown can still release into it.
+        /// (a BoundaryMsg does not fit a Delegate's inline buffer).
+        /// Declared before eq so queue teardown can still release
+        /// into it.
         Pool<BoundaryMsg> msgPool{"sim::Shard.msg"};
         /// unique_ptr so the engine dtor can destroy it *on the
         /// worker thread*: undelivered event closures hold PoolRefs
         /// into that thread's thread-local pools (fabric record
-        /// parking, oversized delegate captures), and release asserts
+        /// parking, state too big for a Delegate), and release asserts
         /// thread ownership in debug builds.
         std::unique_ptr<EventQueue> eq = std::make_unique<EventQueue>();
         /// Published floor on future executions: this shard will

@@ -193,10 +193,8 @@ TcpConnection::receiveSegment(const Segment &seg)
                 return;
               case fault::Action::Duplicate: {
                 // The copy is processed after the original, same tick.
-                auto redo = [this, seg] { processSegment(seg); };
-                static_assert(sim::Delegate::fitsInline<decltype(redo)>,
-                              "tcp segment closure must stay inline");
-                eq_.scheduleAfter(0, std::move(redo), "fault.tcp_dup");
+                eq_.scheduleAfter(0, [this, seg] { processSegment(seg); },
+                                  "fault.tcp_dup");
                 break;
               }
               case fault::Action::Reorder:
@@ -378,15 +376,12 @@ TcpConnection::armRto()
         return;
     // Armed and cancelled around nearly every ACK: the classic
     // timer-restart pattern the event engine's O(1) cancel exists
-    // for. Keep the closure inline so re-arming never allocates.
-    auto fire = [this] {
+    // for.
+    rtoArmedAt_ = eq_.now();
+    rtoTimer_ = eq_.scheduleAfter(rto_, [this] {
         rtoTimer_ = sim::kInvalidEvent;
         onRtoFire();
-    };
-    static_assert(sim::Delegate::fitsInline<decltype(fire)>,
-                  "tcp rto timer closure must stay inline");
-    rtoArmedAt_ = eq_.now();
-    rtoTimer_ = eq_.scheduleAfter(rto_, std::move(fire), "tcp.rto");
+    }, "tcp.rto");
 }
 
 void

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
 #include <vector>
 
@@ -57,24 +58,31 @@ TEST(IbEdge, RnrRetryExhaustionErrorsTheQueue)
     mem::VirtAddr sbuf = rig.asA.allocRegion(4096);
     rig.npfcA.prefault(rig.chA, sbuf, 4096, true);
 
-    std::vector<bool> results;
+    // One completion per wrId; every one of them must be an error.
+    std::map<std::uint64_t, std::vector<bool>> results;
     rig.qpA.onCompletion([&](const Completion &c) {
         if (!c.isRecv)
-            results.push_back(c.ok);
+            results[c.wrId].push_back(c.ok);
     });
-    // Never post a receive WQE: RNR retries must run out.
-    rig.qpA.postSend({Opcode::Send, sbuf, 4096, 0, 1});
-    rig.qpA.postSend({Opcode::Send, sbuf, 4096, 0, 2}); // also flushed
+    // Never post a receive WQE: RNR retries must run out. Post past the
+    // send window, so the error flushes WRs still in flight and WRs
+    // still waiting in the send queue.
+    const std::uint64_t kWrs = kQp.maxOutstandingWrs + 4;
+    for (std::uint64_t id = 1; id <= kWrs; ++id)
+        rig.qpA.postSend({Opcode::Send, sbuf, 4096, 0, id});
     rig.eq.run();
-    ASSERT_EQ(results.size(), 2u);
-    EXPECT_FALSE(results[0]) << "flush with error after retry limit";
-    EXPECT_FALSE(results[1]);
+    ASSERT_EQ(results.size(), kWrs);
+    for (std::uint64_t id = 1; id <= kWrs; ++id) {
+        ASSERT_EQ(results[id].size(), 1u) << "wr " << id;
+        EXPECT_FALSE(results[id][0])
+            << "wr " << id << " flushed with error after retry limit";
+    }
     EXPECT_TRUE(rig.qpA.inError());
     // A post after the error is flushed immediately, and the event
     // queue still drains (no live transmit machinery).
-    rig.qpA.postSend({Opcode::Send, sbuf, 4096, 0, 3});
+    rig.qpA.postSend({Opcode::Send, sbuf, 4096, 0, kWrs + 1});
     rig.eq.run();
-    EXPECT_EQ(results.size(), 2u)
+    EXPECT_EQ(results.size(), kWrs)
         << "posts to an errored QP are silently dropped in this model";
 }
 

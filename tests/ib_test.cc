@@ -231,6 +231,37 @@ TEST(IbRc, ColdReadInitiatorBufferUsesRewindNotRnr)
         << "all response packets drop until the fault resolves";
 }
 
+TEST(IbRc, SyntheticReadRnpfRecoversByRewind)
+{
+    // §6.4 what-if on an RDMA Read response stream: the initiator's
+    // buffer is warm, so every rNPF is a synthetic one, and each is
+    // recovered by a NAK-sequence rewind once its latency has passed.
+    QpConfig qcfg;
+    qcfg.syntheticRnpfProb = 0.05;
+    sim::EventQueue eq;
+    scenario::RcPair rig(eq, {.qp = qcfg});
+    mem::VirtAddr local = rig.asA.allocRegion(MiB);
+    mem::VirtAddr remote = rig.asB.allocRegion(MiB);
+    rig.npfcA.prefault(rig.chA, local, 256 * 1024, true);
+    rig.npfcB.prefault(rig.chB, remote, 256 * 1024, true);
+
+    int completions = 0;
+    rig.qpA.onCompletion([&](const Completion &c) {
+        if (!c.isRecv && c.wrId == 4) {
+            ++completions;
+            EXPECT_TRUE(c.ok);
+            EXPECT_EQ(c.bytes, 256u * 1024);
+        }
+    });
+    rig.qpA.postSend({Opcode::RdmaRead, local, 256 * 1024, remote, 4});
+    ASSERT_TRUE(runFor(rig.eq, [&] { return completions > 0; }));
+    rig.eq.runUntil(rig.eq.now() + sim::kSecond);
+    EXPECT_EQ(completions, 1) << "the read completes exactly once";
+    EXPECT_GT(rig.qpA.stats().recvNpfs, 0u);
+    EXPECT_GT(rig.qpA.stats().nakSeqSent, 0u)
+        << "a synthetic read rNPF recovers by rewind";
+}
+
 /** Property sweep: reliability must hold at any injection rate. */
 class IbFaultInjection : public ::testing::TestWithParam<double>
 {

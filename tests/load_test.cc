@@ -393,20 +393,6 @@ TEST(LoadKeys, SetKeysResizesTheKeyspace)
 
 // --- histogram --------------------------------------------------------
 
-TEST(LoadHistogram, CoordinatedOmissionBackfill)
-{
-    Histogram h;
-    // A 10-interval stall back-fills 9 phantom samples.
-    h.recordCorrected(10.0, 1.0);
-    EXPECT_EQ(h.count(), 10u);
-    EXPECT_DOUBLE_EQ(h.max(), 10.0);
-    EXPECT_NEAR(h.percentile(50), 5.0, 0.1);
-
-    Histogram plain;
-    plain.recordCorrected(10.0, 0.0); // no interval: plain record
-    EXPECT_EQ(plain.count(), 1u);
-}
-
 TEST(LoadHistogram, MergeAndZeroHandling)
 {
     Histogram a, b;
