@@ -40,6 +40,14 @@ void
 QueuePair::postSend(WorkRequest wr)
 {
     assert(wr.len > 0 || wr.op == Opcode::RdmaRead);
+    if (error_) {
+        // An errored QP flushes each new post with an error completion
+        // of its own, one event later: never queued, never run inside
+        // the caller's post (whose completion handler may post again).
+        eq_.scheduleAfter(0, [this, wr] { flushWithError(wr); },
+                          "ib.flush");
+        return;
+    }
     sendQueue_.push_back(wr);
     pumpSend();
 }
@@ -156,9 +164,9 @@ QueuePair::sendPacket(const Packet &pkt, std::size_t bytes,
         return;
     }
     QueuePair *peer = peer_;
-    // The per-packet delivery closure is the fattest capture the
-    // event queue's inline delegate storage is sized for: growing
-    // Packet past it fails to compile.
+    // The per-packet delivery closure (88 bytes) is the fattest one
+    // the fabric's closure plane carries: growing Packet past
+    // net::Fabric::kMaxDeliverBytes (96) fails to compile.
     fabric_.send(node_, peer->node_, bytes, priority, flowLabel(),
                  [peer, pkt] { peer->handlePacket(pkt); });
 }
@@ -339,19 +347,12 @@ QueuePair::handleRnrNack(std::uint64_t resumePsn)
             eq_.cancel(*timer);
             *timer = sim::kInvalidEvent;
         }
-        auto flush = [this](const WorkRequest &wr) {
-            Completion c;
-            c.wrId = wr.wrId;
-            c.ok = false;
-            c.at = eq_.now();
-            deliverCompletion(c);
-        };
         while (!inflight_.empty()) {
-            flush(inflight_.front().wr);
+            flushWithError(inflight_.front().wr);
             inflight_.pop_front();
         }
         while (!sendQueue_.empty()) {
-            flush(sendQueue_.front());
+            flushWithError(sendQueue_.front());
             sendQueue_.pop_front();
         }
         txPsn_ = nextPsn_;
@@ -698,6 +699,16 @@ QueuePair::deliverCompletion(Completion c)
 {
     if (completionHandler_)
         completionHandler_(c);
+}
+
+void
+QueuePair::flushWithError(const WorkRequest &wr)
+{
+    Completion c;
+    c.wrId = wr.wrId;
+    c.ok = false;
+    c.at = eq_.now();
+    deliverCompletion(c);
 }
 
 // --- RDMA read ------------------------------------------------------------

@@ -159,7 +159,8 @@ class QueuePair
     void setAttrLane(int lane) { attrLane_ = lane; }
     int attrLane() const { return attrLane_; }
 
-    /** Post a send/RDMA work request. */
+    /** Post a send/RDMA work request. On a QP in the error state it
+     *  completes with ok = false, in a zero-delay event of its own. */
     void postSend(WorkRequest wr);
 
     /** Post a receive buffer (consumed by remote Sends, in order). */
@@ -269,6 +270,8 @@ class QueuePair
     void handleData(const Packet &pkt);
     void handleReadResponse(const Packet &pkt);
     void deliverCompletion(Completion c);
+    /** Complete @p wr with an error (a fatal QP error's flush). */
+    void flushWithError(const WorkRequest &wr);
     void raiseRnpf(mem::VirtAddr addr, std::size_t len, std::uint64_t psn);
     void maybeAck(bool force);
 

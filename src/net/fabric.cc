@@ -101,46 +101,6 @@ Fabric::downlink(unsigned node)
 }
 
 void
-Fabric::send(unsigned src, unsigned dst, std::size_t bytes,
-             unsigned priority, std::uint32_t flow,
-             sim::EventQueue::Callback deliver)
-{
-    if (src == dst) {
-        loop_->send(bytes, std::move(deliver), "net.fabric.loop");
-        return;
-    }
-    if (topo_)
-        sendTopo(src, dst, bytes, priority, flow, std::move(deliver));
-    else
-        sendLegacy(src, dst, bytes, std::move(deliver));
-}
-
-void
-Fabric::sendLegacy(unsigned src, unsigned dst, std::size_t bytes,
-                   sim::EventQueue::Callback deliver)
-{
-    // @p deliver is parked in a FabricPacket for the journey and the
-    // hop continuations (at the switch, then at the downlink) carry
-    // only its sim::PoolRef: a Delegate (128 bytes) does not fit
-    // another Delegate's 112-byte buffer, so capturing it would not
-    // compile.
-    // The ref's ownership semantics keep faulted hops correct — a
-    // dropped continuation releases the parked slot, a duplicated one
-    // clones it.
-    sim::PoolRef ref = fabricPacketPool().acquire(
-        WireHeader{src, dst, 0, static_cast<std::uint32_t>(bytes)},
-        std::move(deliver));
-    up_[src]->send(bytes, [this, ref = std::move(ref)]() mutable {
-        eq_.scheduleAfter(cfg_.switchLatency,
-                          [this, ref = std::move(ref)]() mutable {
-            FabricPacket *pkt = ref.as<FabricPacket>();
-            down_[pkt->dst]->send(pkt->bytes, std::move(pkt->deliver));
-            ref.reset();
-        }, "net.fabric.switch");
-    });
-}
-
-void
 Fabric::sendTopo(unsigned src, unsigned dst, std::size_t bytes,
                  unsigned priority, std::uint32_t flow,
                  sim::EventQueue::Callback deliver)

@@ -19,10 +19,11 @@
  * which is how ib::QueuePair's DCQCN notification point sees marks
  * without the fabric knowing transport framing.
  *
- * Every packet of every plane parks in one pooled net::FabricPacket
- * (net/packet.hh) while it crosses, and a src == dst packet turns
- * around on one more net::Link: infinitely fast, no framing, one
- * switch latency of propagation (loopbackLink()).
+ * Record and topology packets park in a pooled net::FabricPacket
+ * (net/packet.hh) while they cross; legacy closure packets ride in
+ * their hop closures. A src == dst packet turns around on one more
+ * net::Link: infinitely fast, no framing, one switch latency of
+ * propagation (loopbackLink()).
  */
 
 #ifndef NPF_NET_FABRIC_HH
@@ -32,7 +33,9 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <type_traits>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "net/link.hh"
@@ -104,6 +107,11 @@ class Fabric
         return topo_ ? topo_->hosts : static_cast<unsigned>(up_.size());
     }
 
+    /** The largest callable send() carries: a hop closure holds it
+     *  beside (this, dst, bytes), 16 bytes, in a Delegate's buffer. */
+    static constexpr std::size_t kMaxDeliverBytes =
+        sim::Delegate::kInlineCapacity - 16;
+
     /**
      * Send @p bytes from @p src to @p dst; @p deliver runs at the
      * destination's arrival time. Class-0 traffic with a flow label
@@ -115,19 +123,45 @@ class Fabric
      * node's wire, and it polls fault::Site::Link and counts in that
      * link's stats like any other hop.
      */
+    template <typename F>
     void
-    send(unsigned src, unsigned dst, std::size_t bytes,
-         sim::EventQueue::Callback deliver)
+    send(unsigned src, unsigned dst, std::size_t bytes, F &&deliver)
     {
         send(src, dst, bytes, 0,
              (std::uint32_t(src) << 16) | std::uint32_t(dst),
-             std::move(deliver));
+             std::forward<F>(deliver));
     }
 
-    /** As above with an explicit traffic class and ECMP flow label. */
-    void send(unsigned src, unsigned dst, std::size_t bytes,
-              unsigned priority, std::uint32_t flow,
-              sim::EventQueue::Callback deliver);
+    /** As above with an explicit traffic class and ECMP flow label.
+     *  In legacy mode each hop closure carries @p deliver by its own
+     *  type: the event slab's Delegate is its only type erasure. */
+    template <typename F>
+    void
+    send(unsigned src, unsigned dst, std::size_t bytes,
+         unsigned priority, std::uint32_t flow, F &&deliver)
+    {
+        static_assert(sizeof(std::remove_cvref_t<F>) <= kMaxDeliverBytes,
+                      "net::Fabric: the delivery callable exceeds the "
+                      "closure plane's 96-byte limit (kMaxDeliverBytes: "
+                      "the Delegate's 112 bytes minus the hop closure's "
+                      "16 bytes of captures); capture less");
+        if (src == dst) {
+            loop_->send(bytes, std::forward<F>(deliver), "net.fabric.loop");
+            return;
+        }
+        if (topo_) {
+            sendTopo(src, dst, bytes, priority, flow,
+                     sim::EventQueue::Callback(std::forward<F>(deliver)));
+            return;
+        }
+        up_[src]->send(bytes, [this, dst, bytes = std::uint32_t(bytes),
+                               f = std::forward<F>(deliver)]() mutable {
+            eq_.scheduleAfter(cfg_.switchLatency,
+                              [this, dst, bytes, f = std::move(f)]() mutable {
+                down_[dst]->send(bytes, std::move(f));
+            }, "net.fabric.switch");
+        });
+    }
 
     // --- record-based delivery plane (legacy mode) -------------------
     //
@@ -241,8 +275,6 @@ class Fabric
     void sendTopo(unsigned src, unsigned dst, std::size_t bytes,
                   unsigned priority, std::uint32_t flow,
                   sim::EventQueue::Callback deliver);
-    void sendLegacy(unsigned src, unsigned dst, std::size_t bytes,
-                    sim::EventQueue::Callback deliver);
     /** A record packet's last wire hop: the downlink (or the loopback
      *  link) clocks it out, deliverToHost() hands it over. */
     void lastHop(sim::PoolRef pkt);

@@ -1,12 +1,12 @@
 /**
  * @file
- * The one in-flight unit of net::Fabric. Every packet of every plane
- * parks in a pooled FabricPacket while it crosses: the legacy star's
- * closure and record planes between their hops, topology mode in its
- * switch queues (which account bytes, stamp ECN and hash flows
- * without looking at the payload). Its header is the wire header;
- * what it carries is either a delivery delegate (closure planes) or a
- * record body (record plane), never both, so the two share storage.
+ * The pooled in-flight unit of net::Fabric: record packets park in
+ * one between their hops, topology mode in its switch queues (which
+ * account bytes, stamp ECN and hash flows without looking at the
+ * payload); legacy closure packets ride in their hop closures. Its
+ * header is the wire header; what it carries is either a delivery
+ * delegate (topology mode) or a record body (record plane), never
+ * both, so the two share storage.
  *
  * Descriptors live in a per-thread slab that is never freed while
  * its thread runs: queues and in-flight wire closures hold

@@ -140,7 +140,9 @@ StreamWorld::StreamWorld(sim::EventQueue &q, sim::ShardedEngine &engine,
         if (c.isRecv)
             return;
         ++sent;
-        if (!stopped)
+        // A failed send means the QP is in error: every re-post would
+        // only be flushed again, one zero-delay event after another.
+        if (c.ok && !stopped)
             postSend(sent % kSendWindow);
     });
     for (unsigned i = 0; i < kRecvDepth; ++i)

@@ -17,9 +17,11 @@
  * each event's callable once, in its slab entry, and run it there.
  *
  * The capacity is sized for the fattest per-packet closure in the
- * tree (an ib::QueuePair::Packet plus a peer pointer). A Delegate is
- * itself 128 bytes, so a closure that captures one never fits: park
- * the inner callable in a sim::Pool and capture the PoolRef.
+ * tree: net::Fabric's hop closure around an ib::QueuePair packet's
+ * delivery (a Packet plus a peer pointer). A Delegate is itself 128
+ * bytes, so a closure that captures one never fits: capture the inner
+ * callable by its own type, or park it in a sim::Pool and capture the
+ * PoolRef.
  */
 
 #ifndef NPF_SIM_DELEGATE_HH

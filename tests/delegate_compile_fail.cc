@@ -1,12 +1,16 @@
 /**
  * @file
- * A translation unit that must not compile. Each case hands
+ * A translation unit that must not compile. Each delegate_ case hands
  * EventQueue::schedule a callable that a sim::Delegate cannot hold in
- * its inline buffer. tests/CMakeLists.txt compiles it once per case
- * (-DNPF_CASE_<name>), and the test passes only if the compiler
- * rejects it with the Delegate's own static_assert message.
+ * its inline buffer; the fabric_ case hands net::Fabric::send a
+ * delivery callable that the Delegate would hold but the fabric's hop
+ * closure, which captures it, would not. tests/CMakeLists.txt
+ * compiles it once per case (-DNPF_CASE_<name>), and the test passes
+ * only if the compiler rejects it with the message of the limit the
+ * case breaks.
  */
 
+#include "net/fabric.hh"
 #include "sim/event_queue.hh"
 
 int
@@ -37,6 +41,14 @@ main()
         Throwing(Throwing &&) noexcept(false) {}
     };
     eq.schedule(1, [t = Throwing{}] { (void)t; });
+#elif defined(NPF_CASE_fabric_oversize_deliver)
+    // 104 bytes: within the Delegate's 112, past the fabric's 96.
+    struct Packet
+    {
+        char blob[104];
+    } pkt{};
+    npf::net::Fabric fabric(eq, 2);
+    fabric.send(0, 1, 64, [pkt] { (void)pkt; });
 #else
 #error "define one NPF_CASE_<name>"
 #endif

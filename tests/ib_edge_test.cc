@@ -78,12 +78,95 @@ TEST(IbEdge, RnrRetryExhaustionErrorsTheQueue)
             << "wr " << id << " flushed with error after retry limit";
     }
     EXPECT_TRUE(rig.qpA.inError());
-    // A post after the error is flushed immediately, and the event
-    // queue still drains (no live transmit machinery).
+    // A post after the error is flushed with an error completion one
+    // zero-delay event later, and the event queue still drains (no
+    // live transmit machinery).
+    const sim::Time errored = rig.eq.now();
     rig.qpA.postSend({Opcode::Send, sbuf, 4096, 0, kWrs + 1});
+    EXPECT_EQ(results.count(kWrs + 1), 0u) << "not inside the post";
     rig.eq.run();
-    EXPECT_EQ(results.size(), kWrs)
-        << "posts to an errored QP are silently dropped in this model";
+    ASSERT_EQ(results.size(), kWrs + 1);
+    EXPECT_EQ(results[kWrs + 1], std::vector<bool>{false});
+    EXPECT_EQ(rig.eq.now(), errored);
+}
+
+TEST(IbEdge, RepostingHandlerDrainsAfterRnrExhaustion)
+{
+    // scenario::StreamWorld's shape: every send completion re-posts
+    // one more WR, until a failed one says the QP is in error. The
+    // receiver posts a few WQEs up front and never again, so the
+    // sender streams until RNR retries run out.
+    QpConfig cfg;
+    cfg.rnrRetryLimit = 3;
+    sim::EventQueue eq;
+    scenario::RcPair rig(eq, {.qp = cfg});
+    mem::VirtAddr sbuf = rig.asA.allocRegion(4096);
+    rig.npfcA.prefault(rig.chA, sbuf, 4096, true);
+    constexpr unsigned kRecvs = 3;
+    mem::VirtAddr rbuf = rig.asB.allocRegion(kRecvs * 4096);
+    rig.npfcB.prefault(rig.chB, rbuf, kRecvs * 4096, true);
+    for (unsigned i = 0; i < kRecvs; ++i)
+        rig.qpB.postRecv({Opcode::Send, rbuf + i * 4096, 4096, 0, i});
+
+    std::uint64_t posted = 0;
+    auto post = [&] {
+        rig.qpA.postSend({Opcode::Send, sbuf, 4096, 0, ++posted});
+    };
+    std::map<std::uint64_t, std::vector<bool>> results;
+    rig.qpA.onCompletion([&](const Completion &c) {
+        if (c.isRecv)
+            return;
+        results[c.wrId].push_back(c.ok);
+        if (c.ok)
+            post();
+    });
+    for (unsigned i = 0; i < kQp.maxOutstandingWrs + 4; ++i)
+        post();
+    // Bounded, so an endless flush chain fails instead of hanging.
+    constexpr unsigned kMaxEvents = 1'000'000;
+    unsigned events = 0;
+    while (events < kMaxEvents && rig.eq.step())
+        ++events;
+    ASSERT_TRUE(rig.eq.empty()) << "still running after " << events;
+    EXPECT_TRUE(rig.qpA.inError());
+    ASSERT_EQ(results.size(), posted);
+    unsigned ok = 0;
+    for (const auto &[id, got] : results) {
+        ASSERT_EQ(got.size(), 1u) << "wr " << id;
+        ok += got[0];
+    }
+    EXPECT_EQ(ok, kRecvs);
+}
+
+TEST(IbEdge, StreamWorldStopsRepostingOnError)
+{
+    // A receiver that stops posting runs scenario::StreamWorld's
+    // sender into RNR exhaustion. Its send handler re-posts on every
+    // good completion and must stop on the first failed one: every
+    // re-post would be flushed again, one zero-delay event after
+    // another, and the queue would never drain.
+    sim::ShardedEngine::Config ec;
+    ec.shards = 1;
+    ec.lookahead = scenario::StreamWorld::kFabric.recordLookahead();
+    sim::ShardedEngine engine(ec);
+    engine.invokeOn(0, [&] {
+        sim::EventQueue &eq = engine.queue(0);
+        scenario::StreamWorld w(eq, engine, 0, 1);
+        std::uint64_t received = 0;
+        w.rx->onCompletion([&](const Completion &c) {
+            received += c.isRecv;
+        });
+        constexpr unsigned kMaxEvents = 10'000'000;
+        unsigned events = 0;
+        while (events < kMaxEvents && eq.step())
+            ++events;
+        ASSERT_TRUE(eq.empty()) << "still running after " << events;
+        EXPECT_TRUE(w.tx->inError());
+        EXPECT_EQ(received, scenario::StreamWorld::kRecvDepth);
+        // Each post completes once: the first window, plus one
+        // re-post per delivered message.
+        EXPECT_EQ(w.sent, scenario::StreamWorld::kSendWindow + received);
+    });
 }
 
 TEST(IbEdge, MultipleQpsShareOneChannel)
